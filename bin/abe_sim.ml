@@ -237,8 +237,8 @@ let effective_a0 ~theta a0 n =
   | Some a0 -> a0
   | None -> Abe_core.Analysis.recommended_a0 ~theta n
 
-let build_config ?(fault = "none") ~n ~a0 ~theta ~delta ~gamma ~drift
-    ~delay_kind ~seed () =
+let build_config ?(fault = "none") ?limit_time ~n ~a0 ~theta ~delta ~gamma
+    ~drift ~delay_kind ~seed () =
   let ( let* ) = Result.bind in
   let* dist = parse_delay ~delta delay_kind in
   let* clock = clock_of_drift drift in
@@ -250,7 +250,7 @@ let build_config ?(fault = "none") ~n ~a0 ~theta ~delta ~gamma ~drift
   match
     Abe_core.Runner.config ~n ~a0:(effective_a0 ~theta a0 n) ~params
       ~delay:(Abe_net.Delay_model.of_dist dist)
-      ~proc_delay ~fault ()
+      ~proc_delay ~fault ?limit_time ()
   with
   | config -> Ok config
   | exception Invalid_argument message -> Error (`Msg message)
@@ -1334,11 +1334,10 @@ let churn_command =
         (match
            build_config
              ~fault:(Printf.sprintf "churn(%g)" rate)
-             ~n ~a0 ~theta ~delta ~gamma ~drift ~delay_kind ~seed ()
+             ~limit_time ~n ~a0 ~theta ~delta ~gamma ~drift ~delay_kind ~seed ()
          with
          | Error (`Msg m) -> Error m
          | Ok config ->
-           let config = { config with Abe_core.Runner.limit_time } in
            (* Per-replicate recorder + registry, analyzed inside the
               replicate and folded in seed order: table and merged metrics
               are byte-identical for every --jobs. *)

@@ -75,7 +75,7 @@ let apply_slow_links ~tail links (config : Abe_core.Runner.config) =
          in
          base.(l) <- Abe_net.Delay_model.of_dist (Abe_prob.Dist.deterministic slowed))
       links;
-    { config with Abe_core.Runner.link_delays = Some base }
+    Abe_core.Runner.with_link_delays config base
   end
 
 (* ------------------------------------------------------------- trials *)
@@ -92,9 +92,8 @@ let apply_slow_links ~tail links (config : Abe_core.Runner.config) =
 let clamp_fairness ~liveness (config : Abe_core.Runner.config) =
   if liveness <= 0 then config
   else
-    { config with
-      Abe_core.Runner.limit_events =
-        min config.Abe_core.Runner.limit_events liveness }
+    Abe_core.Runner.with_limit_events config
+      (min config.Abe_core.Runner.limit_events liveness)
 
 let liveness_violation ~liveness (o : Abe_core.Runner.outcome) =
   let detail =

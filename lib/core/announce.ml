@@ -158,8 +158,7 @@ let run ?trace ?metrics ?causal ?(check = false) ~seed (config : Runner.config) 
              end) }
   in
   let net_config =
-    { (Net.default_config
-         ~topology:(Topology.ring config.Runner.n)
+    { (Net.default_config ~topology:config.Runner.topology
          ~delay:config.Runner.delay)
       with
       Net.proc_delay = config.Runner.proc_delay;

@@ -14,6 +14,7 @@ type config = {
   fault : Faults.t;
   record_mass : bool;
   record_phases : bool;
+  topology : Topology.t;
 }
 
 let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
@@ -51,7 +52,15 @@ let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
      deliberately perturbs the network outside its advertised bounds —
      that is the point of injecting it. *)
   { n; a0; params; delay; link_delays; proc_delay; limit_time; limit_events;
-    crash_times; fault; record_mass; record_phases }
+    crash_times; fault; record_mass; record_phases;
+    topology = Topology.ring n }
+
+let with_link_delays config models =
+  if Array.length models <> config.n then
+    invalid_arg "Runner.with_link_delays: need one entry per node";
+  { config with link_delays = Some models }
+
+let with_limit_events config limit_events = { config with limit_events }
 
 type outcome = {
   elected : bool;
@@ -174,7 +183,7 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
      spuriously.  Logical invariants — conservation, FIFO, hop soundness,
      unique leader — are exactly what schedule exploration is for and stay
      on. *)
-  let topology = Topology.ring config.n in
+  let topology = config.topology in
   (* A fault with rejoins or link outages rewrites the topology over time:
      the monitor's invariants switch to the Dynamic class (accounting only
      — the ring is expected to break and heal).  Everything else, crashes

@@ -4,7 +4,7 @@
     runs it to completion (leader elected) or to a budget limit, returning a
     full accounting of the execution. *)
 
-type config = {
+type config = private {
   n : int;                             (** ring size (known to all nodes) *)
   a0 : float;                          (** base activation parameter *)
   params : Params.t;                   (** δ, γ, clock bounds *)
@@ -43,6 +43,10 @@ type config = {
       (** accumulate the per-transition phase log.  O(1) per transition but
           O(n) memory; [false] leaves outcome [phase_transitions] empty.
           Default [true]. *)
+  topology : Abe_net.Topology.t;
+      (** [Topology.ring n], built once by {!config} and shared by every
+          run of this configuration (topologies are immutable).  The record
+          is private so that it cannot drift from [n]. *)
 }
 
 val config :
@@ -67,6 +71,15 @@ val config :
     @raise Invalid_argument if the delay model's expected delay exceeds
     [params.delta] or the processing mean exceeds [params.gamma] — the
     configuration would not be an honest ABE network. *)
+
+val with_link_delays : config -> Abe_net.Delay_model.t array -> config
+(** [with_link_delays config models] replaces the per-link delay models
+    {e without} the admissibility check of {!config}: adversarial
+    exploration pushes chosen links past [params.delta] on purpose.
+    @raise Invalid_argument unless there is one model per node. *)
+
+val with_limit_events : config -> int -> config
+(** [with_limit_events config k] replaces the engine event budget. *)
 
 type outcome = {
   elected : bool;

@@ -45,14 +45,20 @@ let factor_at t ~now =
   (* Episodes are sorted by start; the latest-starting episode containing
      [now] wins, so a later spike can override a long background episode. *)
   let f = ref 1.0 in
-  Array.iter
-    (fun ep -> if ep.e_start <= now && now < ep.e_stop then f := ep.factor)
-    t.episodes;
+  for i = 0 to Array.length t.episodes - 1 do
+    let ep = t.episodes.(i) in
+    if ep.e_start <= now && now < ep.e_stop then f := ep.factor
+  done;
   !f
 
 let dist t = t.dist
 let sample t rng = Dist.sample t.dist rng
-let sample_at t ~now rng = Dist.sample t.dist rng *. factor_at t ~now
+
+(* Without episodes the factor is 1.0, and [x *. 1.0 = x] exactly, so
+   skipping the scan changes no drawn delay. *)
+let sample_at t ~now rng =
+  if Array.length t.episodes = 0 then Dist.sample t.dist rng
+  else Dist.sample t.dist rng *. factor_at t ~now
 let expected_delay t = Dist.mean t.dist
 let hard_bound t = Dist.support_upper_bound t.dist
 let is_abd t = Dist.bounded_support t.dist && Array.length t.episodes = 0

@@ -331,6 +331,45 @@ let prop_label_roundtrip =
               (Faults.label f) spec m
           | Ok g -> Faults.label g = Faults.label f))
 
+(* [sample_at] skips the episode scan when there are none; the draw must
+   still equal the base distribution's bit for bit, on the same stream.
+   With overlapping episodes, passed out of order, the latest-starting
+   one covering [now] scales the same base draw. *)
+let test_sample_at_bits () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun model ->
+       let dist = Delay_model.dist model in
+       let r1 = Abe_prob.Rng.create ~seed:17 in
+       let r2 = Abe_prob.Rng.copy r1 in
+       for i = 1 to 200 do
+         Alcotest.(check int64) "no episodes: Dist.sample bits"
+           (bits (Abe_prob.Dist.sample dist r1))
+           (bits (Delay_model.sample_at model ~now:(float_of_int i) r2))
+       done)
+    [ Delay_model.abe_exponential ~delta:0.7;
+      Delay_model.abd_uniform ~bound:3.;
+      Delay_model.abe_retransmission ~success:0.4 ~slot:0.25 ];
+  let model =
+    Delay_model.modulated
+      (Delay_model.abe_exponential ~delta:1.)
+      ~episodes:
+        [| { Delay_model.e_start = 15.; e_stop = 18.; factor = 7. };
+           { Delay_model.e_start = 10.; e_stop = 30.; factor = 3. };
+           { Delay_model.e_start = 16.; e_stop = 17.; factor = 11. } |]
+  in
+  List.iter
+    (fun (now, factor) ->
+       let r1 = Abe_prob.Rng.create ~seed:23 in
+       let r2 = Abe_prob.Rng.copy r1 in
+       Alcotest.(check (float 0.)) (Printf.sprintf "factor at %g" now) factor
+         (Delay_model.factor_at model ~now);
+       Alcotest.(check int64) (Printf.sprintf "sample_at %g" now)
+         (bits (Abe_prob.Dist.sample (Delay_model.dist model) r1 *. factor))
+         (bits (Delay_model.sample_at model ~now r2)))
+    [ (5., 1.); (12., 3.); (15.5, 7.); (16.5, 11.); (17.5, 7.); (25., 3.);
+      (30., 1.) ]
+
 let test_factor_at () =
   let model =
     Delay_model.modulated
@@ -350,15 +389,7 @@ let test_factor_at () =
     (Delay_model.factor_at model ~now:20.);
   let rng = Abe_prob.Rng.create ~seed:1 in
   Alcotest.(check (float 0.)) "sample_at multiplies" 6.
-    (Delay_model.sample_at model ~now:12. rng);
-  (* With no episodes, sample_at consumes the same stream as sample. *)
-  let plain = Delay_model.abe_exponential ~delta:1. in
-  let r1 = Abe_prob.Rng.create ~seed:9 and r2 = Abe_prob.Rng.create ~seed:9 in
-  for _ = 1 to 50 do
-    Alcotest.(check (float 0.)) "identical draws"
-      (Delay_model.sample plain r1)
-      (Delay_model.sample_at plain ~now:123. r2)
-  done
+    (Delay_model.sample_at model ~now:12. rng)
 
 let () =
   Alcotest.run "faults"
@@ -384,4 +415,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_label_roundtrip ] );
       ( "delay episodes",
-        [ Alcotest.test_case "factor_at" `Quick test_factor_at ] ) ]
+        [ Alcotest.test_case "factor_at" `Quick test_factor_at;
+          Alcotest.test_case "sample_at bit-identical" `Quick
+            test_sample_at_bits ] ) ]

@@ -189,6 +189,146 @@ let test_invalid_args () =
     (Invalid_argument "Rng.int_range: requires lo <= hi") (fun () ->
         ignore (Rng.int_range rng ~lo:2 ~hi:1))
 
+(* Known answers: every seeded trajectory in the repository depends on
+   this exact stream.  Any change to seeding, stepping, splitting or float
+   conversion shows up here before it shifts a cram pin or a benchmark
+   pin. *)
+
+let check_stream name expected rng =
+  List.iteri
+    (fun i want ->
+       Alcotest.(check int64) (Printf.sprintf "%s draw %d" name i) want
+         (Rng.bits64 rng))
+    expected
+
+let test_kat_seeds () =
+  List.iter
+    (fun (seed, expected) ->
+       check_stream (Printf.sprintf "seed %d" seed) expected
+         (Rng.create ~seed))
+    [ ( 0,
+        [ 0x53175D61490B23DFL; 0x61DA6F3DC380D507L; 0x5C0FDF91EC9A7BFCL;
+          0x02EEBF8C3BBE5E1AL; 0x7ECA04EBAF4A5EEAL; 0x0543C37757F08D9AL;
+          0xDB7490C75AB5026EL; 0xD87343E6464BC959L ] );
+      ( 42,
+        [ 0xD0764D4F4476689FL; 0x519E4174576F3791L; 0xFBE07CFB0C24ED8CL;
+          0xB37D9F600CD835B8L; 0xCB231C3874846A73L; 0x968D9F004E50DE7DL;
+          0x201718FF221A3556L; 0x9AE94E070ED8CB46L ] );
+      ( max_int,
+        [ 0x45FB48EFB1C2C1C2L; 0xC3ADD3A798906624L; 0x1F94C7639C6D4438L;
+          0x24CA4178D9F00C1FL; 0x0403DD39F8EA9B43L; 0xC72E8C5A7B6B1B76L;
+          0x4E17136FD11E4C40L; 0x1789E5F2DEC9DAE6L ] ) ]
+
+let test_kat_split () =
+  let parent = Rng.create ~seed:42 in
+  let c1 = Rng.split parent in
+  let _c2 = Rng.split parent in
+  let c3 = Rng.split parent in
+  check_stream "split 1"
+    [ 0x4FBBC8A5D7EE027BL; 0xCBF580142F9EED0FL; 0xE792208C7D75E47DL;
+      0x8295DB570BE22203L ]
+    c1;
+  check_stream "split 3"
+    [ 0xBE82277FFC4A622BL; 0xF272BFC6AEA6350BL; 0x24BC5D95B0A1AC01L;
+      0x2191451AA7A96DEEL ]
+    c3;
+  (* Each split consumes exactly one parent draw: the parent resumes at
+     the fourth output of seed 42. *)
+  check_stream "parent after 3 splits"
+    [ 0xB37D9F600CD835B8L; 0xCB231C3874846A73L ]
+    parent
+
+let test_kat_floats () =
+  let rng = Rng.create ~seed:7 in
+  let bits name expected draw =
+    List.iteri
+      (fun i want ->
+         Alcotest.(check int64) (Printf.sprintf "%s %d" name i) want
+           (Int64.bits_of_float (draw ())))
+      expected
+  in
+  bits "unit_float"
+    [ 0x3FAC583400555D20L; 0x3FC607E46EFD274CL; 0x3FE6F66236761A8BL;
+      0x3FDB5767DA98C600L ]
+    (fun () -> Rng.unit_float rng);
+  bits "exponential"
+    [ 0x402092F9385639DBL; 0x3FF9127AECCCC766L; 0x4009BD880C23B4D6L;
+      0x3FF0026FBD7070A7L ]
+    (fun () -> Rng.exponential rng ~mean:2.5);
+  Alcotest.(check (list int)) "int" [ 989; 493; 569; 638 ]
+    (List.init 4 (fun _ -> Rng.int rng 1000));
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; true; true; true; false; true; false ]
+    (List.init 8 (fun _ -> Rng.bool rng))
+
+(* [int] masks each draw to the smallest all-ones word covering
+   [bound - 1] and rejects candidates >= [bound]; the mask and the
+   rejection both decide which words are consumed. *)
+let test_kat_int_bounds () =
+  let rng = Rng.create ~seed:11 in
+  List.iter
+    (fun (bound, expected) ->
+       Alcotest.(check (list int)) (Printf.sprintf "int %d" bound) expected
+         (List.init 3 (fun _ -> Rng.int rng bound)))
+    [ (1, [ 0; 0; 0 ]);
+      (2, [ 0; 1; 0 ]);
+      (3, [ 0; 0; 0 ]);
+      (7, [ 6; 0; 6 ]);
+      (64, [ 31; 49; 46 ]);
+      (1000, [ 322; 402; 877 ]);
+      (1 lsl 30, [ 559832153; 262113509; 798694744 ]);
+      ( max_int,
+        [ 2434728452688882331; 4308116116808791241; 1304563929843014830 ] ) ]
+
+(* Allocation guard: drawing must not allocate, and a split allocates only
+   the new 32-byte state. *)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_draws_allocation_free () =
+  let rng = Rng.create ~seed:61 in
+  let draws = 100_000 in
+  (* Warm up, so that any one-time cost stays out of the measurement. *)
+  ignore (Rng.bool rng : bool);
+  ignore (Rng.int rng 10 : int);
+  let hits = ref 0 in
+  let words =
+    minor_words_of (fun () ->
+        for i = 1 to draws do
+          if Rng.bool rng then incr hits;
+          hits := !hits + Rng.int rng (1 + (i land 1023))
+        done)
+  in
+  Alcotest.(check (float 0.)) "bool and int allocate nothing" 0. words;
+  Alcotest.(check bool) "draws happened" true (!hits > 0)
+
+let test_split_allocation () =
+  let rng = Rng.create ~seed:67 in
+  let splits = 1_000 in
+  let keep = Array.make splits rng in
+  let words =
+    minor_words_of (fun () ->
+        for i = 0 to splits - 1 do
+          keep.(i) <- Rng.split rng
+        done)
+  in
+  (* A 32-byte [Bytes.t] costs a header plus five words: OCaml byte
+     strings always carry a trailing padding word when the length is a
+     multiple of the word size. *)
+  let raw = Array.make splits Bytes.empty in
+  let state =
+    minor_words_of (fun () ->
+        for i = 0 to splits - 1 do
+          raw.(i) <- Bytes.create 32
+        done)
+  in
+  if words > state then
+    Alcotest.failf "split allocates %g words per call, the state alone %g"
+      (words /. float_of_int splits) (state /. float_of_int splits)
+
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"int always within bounds" ~count:1000
     QCheck.(pair small_int (int_bound 1000))
@@ -220,6 +360,14 @@ let () =
         [ Alcotest.test_case "same seed same stream" `Quick test_deterministic;
           Alcotest.test_case "different seeds differ" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy is independent" `Quick test_copy_independent ] );
+      ( "known answers",
+        [ Alcotest.test_case "seeded streams" `Quick test_kat_seeds;
+          Alcotest.test_case "split children" `Quick test_kat_split;
+          Alcotest.test_case "float and int draws" `Quick test_kat_floats;
+          Alcotest.test_case "int bounds" `Quick test_kat_int_bounds ] );
+      ( "allocation",
+        [ Alcotest.test_case "bool and int draws" `Quick test_draws_allocation_free;
+          Alcotest.test_case "split" `Quick test_split_allocation ] );
       ( "split",
         [ Alcotest.test_case "split advances parent" `Quick test_split_changes_parent;
           Alcotest.test_case "children differ" `Quick test_split_streams_differ ] );

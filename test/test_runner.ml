@@ -468,6 +468,34 @@ let prop_knockouts_bounded =
        let outcome = Runner.run ~seed config in
        outcome.Runner.knockouts <= n - 1)
 
+(* [Runner.config] builds the ring once and every run shares it.  The
+   shared topology must be exactly [Topology.ring n], and running other
+   seeds (and the announce variant) on the same configuration in between
+   must not perturb a replay — the shared ring is never mutated. *)
+let test_shared_topology () =
+  let n = 12 in
+  let config = Runner.config ~n ~a0:0.1 () in
+  let module T = Abe_net.Topology in
+  let links t =
+    Array.to_list (Array.map (fun l -> (l.T.id, l.T.src, l.T.dst)) (T.links t))
+  in
+  let ring = T.ring n in
+  Alcotest.(check int) "node count" (T.node_count ring)
+    (T.node_count config.Runner.topology);
+  Alcotest.(check (list (triple int int int))) "ring links in order"
+    (links ring) (links config.Runner.topology);
+  let replayable o = { o with Runner.wall_time = 0. } in
+  let first = Runner.run ~seed:1 config in
+  let second = Runner.run ~seed:2 config in
+  ignore (Announce.run ~seed:2 config : Announce.outcome);
+  let third = Runner.run ~seed:1 config in
+  Alcotest.(check bool) "seed 2 differs from seed 1" true
+    (compare (replayable first) (replayable second) <> 0);
+  Alcotest.(check bool) "seed 1 replays after other runs" true
+    (compare (replayable first) (replayable third) = 0);
+  Alcotest.(check (list (triple int int int))) "ring unchanged after runs"
+    (links ring) (links config.Runner.topology)
+
 let () =
   Alcotest.run "runner"
     [ ( "correctness",
@@ -479,7 +507,8 @@ let () =
           Alcotest.test_case "counters" `Quick test_counters_consistent;
           Alcotest.test_case "elected time" `Quick test_elected_time_positive;
           Alcotest.test_case "activation order" `Quick
-            test_activation_times_increasing ] );
+            test_activation_times_increasing;
+          Alcotest.test_case "shared topology" `Quick test_shared_topology ] );
       ( "models",
         [ Alcotest.test_case "ABD uniform" `Quick test_works_on_abd_delays;
           Alcotest.test_case "deterministic delay" `Quick
