@@ -58,11 +58,13 @@ let run ?trace ?metrics ?causal ?(check = false) ~seed (config : Runner.config) 
       activation_times = [] }
   in
   let oracle = if check then Some (Abe_sim.Oracle.create ()) else None in
+  let net_config, dynamic = Runner.network config in
   let monitor =
     Option.map
       (fun oracle ->
          Monitor.create ~oracle ~clock:config.Runner.params.Params.clock
-           ~fifo:false ~nodes:config.Runner.n ~links:config.Runner.n ())
+           ~fifo:false ~dynamic ~topology:config.Runner.topology
+           ~nodes:config.Runner.n ~links:config.Runner.n ())
       oracle
   in
   let announce_counter =
@@ -156,18 +158,6 @@ let run ?trace ?metrics ?causal ?(check = false) ~seed (config : Runner.config) 
                send_announce ctx;
                { st with informed = true }
              end) }
-  in
-  let net_config =
-    { (Net.default_config ~topology:config.Runner.topology
-         ~delay:config.Runner.delay)
-      with
-      Net.proc_delay = config.Runner.proc_delay;
-      clock_spec = config.Runner.params.Params.clock;
-      crash_times =
-        config.Runner.crash_times @ config.Runner.fault.Faults.crashes;
-      loss_schedule = config.Runner.fault.Faults.loss_schedule;
-      delay_of_link =
-        (fun _ -> Faults.apply_delay config.Runner.fault config.Runner.delay) }
   in
   let net =
     Net.create ?trace ?metrics ?causal

@@ -160,6 +160,34 @@ let mix h v =
   let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D land max_int in
   z lxor (z lsr 32)
 
+let network config =
+  let fault = config.fault in
+  let net_config =
+    { (Network.default_config ~topology:config.topology ~delay:config.delay)
+      with
+      proc_delay = config.proc_delay;
+      clock_spec = config.params.Params.clock;
+      crash_times = config.crash_times @ fault.Faults.crashes;
+      revive_times = fault.Faults.revivals;
+      link_downs = fault.Faults.link_downs;
+      loss_schedule = fault.Faults.loss_schedule;
+      delay_of_link =
+        (fun link ->
+           Faults.apply_delay fault
+             (match config.link_delays with
+              | None -> config.delay
+              (* On [Topology.ring n] the link out of node i has id i. *)
+              | Some models -> models.(link.Topology.id))) }
+  in
+  (* A fault with rejoins or link outages rewrites the topology over time:
+     the monitor's invariants switch to the Dynamic class (accounting only
+     — the ring is expected to break and heal).  Everything else, crashes
+     included, stays in the Static class. *)
+  ( net_config,
+    if fault.Faults.revivals = [] && fault.Faults.link_downs = [] then
+      Monitor.Static
+    else Monitor.Dynamic )
+
 (* Both the paper's algorithm and the naive ablation differ only in the
    tick rule, so share the wiring and take the tick handler as an input. *)
 let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
@@ -183,14 +211,7 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
      spuriously.  Logical invariants — conservation, FIFO, hop soundness,
      unique leader — are exactly what schedule exploration is for and stay
      on. *)
-  let topology = config.topology in
-  (* A fault with rejoins or link outages rewrites the topology over time:
-     the monitor's invariants switch to the Dynamic class (accounting only
-     — the ring is expected to break and heal).  Everything else, crashes
-     included, stays in the Static class. *)
-  let dynamic_fault =
-    config.fault.Faults.revivals <> [] || config.fault.Faults.link_downs <> []
-  in
+  let net_config, dynamic = network config in
   let monitor =
     Option.map
       (fun oracle ->
@@ -199,9 +220,8 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
            | None -> Some config.params.Params.clock
            | Some _ -> None
          in
-         let dynamic = if dynamic_fault then Monitor.Dynamic else Monitor.Static in
-         Monitor.create ~oracle ?clock ~fifo:false ~dynamic ~topology
-           ~nodes:config.n ~links:config.n ())
+         Monitor.create ~oracle ?clock ~fifo:false ~dynamic
+           ~topology:config.topology ~nodes:config.n ~links:config.n ())
       oracle
   in
   let instruments = Option.map instruments_of metrics in
@@ -287,10 +307,11 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
       (fun acc (node, _) -> if List.mem node acc then acc else node :: acc)
       [] config.fault.Faults.revivals
   in
-  let all_crashes = config.crash_times @ config.fault.Faults.crashes in
   let monitor_observer = Option.map Monitor.observer monitor in
   let observer =
-    if monitor_observer = None && not dynamic_fault && all_crashes = [] then
+    if monitor_observer = None && dynamic = Monitor.Static
+       && net_config.Network.crash_times = []
+    then
       None
     else
       Some
@@ -413,24 +434,6 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
               sample_mass time;
               ctx.Net.stop ());
            st') }
-  in
-  let base_delay_of_link =
-    match config.link_delays with
-    | None -> fun _ -> config.delay
-    (* On [Topology.ring n] the link out of node i has id i. *)
-    | Some models -> fun link -> models.(link.Topology.id)
-  in
-  let net_config =
-    { (Net.default_config ~topology ~delay:config.delay)
-      with
-      proc_delay = config.proc_delay;
-      clock_spec = config.params.Params.clock;
-      crash_times = all_crashes;
-      revive_times = config.fault.Faults.revivals;
-      link_downs = config.fault.Faults.link_downs;
-      loss_schedule = config.fault.Faults.loss_schedule;
-      delay_of_link =
-        (fun link -> Faults.apply_delay config.fault (base_delay_of_link link)) }
   in
   let net =
     Net.create ?trace ?metrics ?scheduler ?causal ?observer

@@ -81,6 +81,16 @@ val with_link_delays : config -> Abe_net.Delay_model.t array -> config
 val with_limit_events : config -> int -> config
 (** [with_limit_events config k] replaces the engine event budget. *)
 
+val network :
+  config -> Abe_net.Network.config * Abe_net.Monitor.dynamic_class
+(** The network wiring of a configuration, shared by every harness that
+    runs the election over {!Abe_net.Network} ({!run} and {!Announce.run}):
+    per-link delay models ([link_delays], else [delay]) under the fault's
+    delay overlay, processing time, clock bounds, the fault's loss
+    schedule, the crash, rejoin and link-outage lists — and the monitor
+    class they call for: [Dynamic] when the fault rejoins nodes or takes
+    links down, [Static] otherwise. *)
+
 type outcome = {
   elected : bool;
   leader : int option;        (** index of the elected node, if any *)

@@ -42,7 +42,7 @@ val modulated : t -> episodes:episode array -> t
     time; when episodes overlap, the latest-starting one wins).  This
     constructor is deliberately lenient — episodes are {e not} checked here,
     so an invalid scenario can be built and must be rejected by {!validate}
-    (which {!Network.create} applies to every link). *)
+    (which {!Links.create} applies to every link). *)
 
 val validate : t -> unit
 (** Full validation: the base distribution ({!Abe_prob.Dist.validate}) plus

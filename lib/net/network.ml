@@ -34,25 +34,10 @@ module type PROTOCOL = sig
   val pp_message : Format.formatter -> message -> unit
 end
 
-module Make (P : PROTOCOL) = struct
-  type context = {
-    node : int;
-    n : int;
-    out_degree : int;
-    rng : Rng.t;
-    now : unit -> float;
-    local_time : unit -> float;
-    send : int -> P.message -> unit;
-    stop : unit -> unit;
-    trace : string -> unit;
-  }
-
-  type handlers = {
-    init : context -> P.state;
-    on_message : context -> P.state -> P.message -> P.state;
-    on_tick : context -> P.state -> P.state;
-  }
-
+(* The configuration does not depend on the protocol, so it is defined
+   once and included in every functor application: one [config] value
+   (see [Runner.network]) serves any protocol's network. *)
+module Config = struct
   type config = {
     topology : Topology.t;
     delay_of_link : Topology.link -> Delay_model.t;
@@ -79,11 +64,33 @@ module Make (P : PROTOCOL) = struct
       revive_times = [];
       link_downs = [];
       ticks_enabled = true }
+end
+
+include Config
+
+module Make (P : PROTOCOL) = struct
+  type context = {
+    node : int;
+    n : int;
+    out_degree : int;
+    rng : Rng.t;
+    now : unit -> float;
+    local_time : unit -> float;
+    send : int -> P.message -> unit;
+    stop : unit -> unit;
+    trace : string -> unit;
+  }
+
+  type handlers = {
+    init : context -> P.state;
+    on_message : context -> P.state -> P.message -> P.state;
+    on_tick : context -> P.state -> P.state;
+  }
+
+  include Config
 
   type node = {
-    id : int;
-    node_rng : Rng.t;
-    clock : Clock.t;
+    id : int;  (* its handler stream and clock live in [Links] *)
     mutable st : P.state option;  (* [Some] once [init] has run *)
     mutable is_crashed : bool;
     mutable incarnation : int;
@@ -123,11 +130,7 @@ module Make (P : PROTOCOL) = struct
     nodes : node array;
     mutable contexts : context array;
     links : Topology.link array;    (* by link id *)
-    delays : Delay_model.t array;   (* by link id *)
-    link_rngs : Rng.t array;        (* by link id: delay draws *)
-    loss_rngs : Rng.t array;        (* by link id: loss draws only, so that
-                                       toggling loss never shifts the delay
-                                       stream *)
+    model : Links.t;                (* delay and loss draws, by link id *)
     last_delivery : float array;    (* by link id, for FIFO mode *)
     link_up : bool array;           (* by link id: topology membership now *)
     foot_on : bool;                 (* scheduler attached: declare footprints *)
@@ -195,7 +198,7 @@ module Make (P : PROTOCOL) = struct
      processing order).  A scheduler may interleave across classes but
      never reorders within one. *)
   let link_class (link : Topology.link) = link.Topology.id
-  let node_class t node_id = Array.length t.link_rngs + node_id
+  let node_class t node_id = Array.length t.links + node_id
 
   (* DPOR footprints: every (node, link) entity hashes to one of 62 bits —
      nodes on even bits, links on odd, so the two namespaces never collide
@@ -222,7 +225,7 @@ module Make (P : PROTOCOL) = struct
     let proc =
       match t.config.proc_delay with
       | None -> 0.
-      | Some dist -> Dist.sample dist node.node_rng
+      | Some dist -> Dist.sample dist (Links.handler_stream t.model node.id)
     in
     t.busy.(node.id) <- start +. proc;
     t.occ.(0) <- start
@@ -414,29 +417,10 @@ module Make (P : PROTOCOL) = struct
     t.msg_seq <- seq + 1;
     t.net_stats.sent <- t.net_stats.sent + 1;
     t.net_stats.sent_per_node.(src.id) <- t.net_stats.sent_per_node.(src.id) + 1;
-    (* The delay is drawn unconditionally, before the loss draw and from a
-       different stream, so the sequence of delays experienced by delivered
-       messages is byte-identical whether or not loss is enabled. *)
-    let delay =
-      Delay_model.sample_at t.delays.(link_id) ~now:(now t)
-        t.link_rngs.(link_id)
-    in
-    let loss_p =
-      match t.config.loss_schedule with
-      | None -> t.config.loss_probability
-      | Some schedule ->
-        let p = schedule (now t) in
-        (* Sample-time validation: schedules are arbitrary user closures
-           (and compositions of them), so the value can only be checked
-           where it is consumed.  NaN fails both comparisons.  p = 1 is
-           legal — an always-drop interval. *)
-        if not (p >= 0. && p <= 1.) then
-          invalid_arg
-            (Printf.sprintf
-               "Network: loss_schedule returned %g (outside [0,1]) at t=%g" p
-               (now t));
-        p
-    in
+    (* The delay is drawn unconditionally, before any loss draw (see
+       {!Links}), so the delays of delivered messages are byte-identical
+       whether or not loss is enabled. *)
+    let delay = Links.delay t.model link_id ~now:(now t) in
     (* Every message first enters flight (Send), and a lost one leaves it
        again immediately (Loss) — so the conservation equation holds at
        both observer calls. *)
@@ -479,8 +463,7 @@ module Make (P : PROTOCOL) = struct
                 ~label:"link-drop"))
         t.causal
     end
-    else if loss_p > 0. && Rng.bernoulli t.loss_rngs.(link_id) loss_p
-    then begin
+    else if Links.lost t.model link_id ~now:(now t) then begin
       t.net_stats.lost <- t.net_stats.lost + 1;
       t.inflight <- t.inflight - 1;
       (match t.instruments with
@@ -556,10 +539,11 @@ module Make (P : PROTOCOL) = struct
       { node = node.id;
         n;
         out_degree = Topology.out_degree t.config.topology node.id;
-        rng = node.node_rng;
+        rng = Links.handler_stream t.model node.id;
         now;
         local_time =
-          (fun () -> Clock.local_time node.clock ~real:(Engine.now t.engine));
+          (let clock = Links.clock t.model node.id in
+           fun () -> Clock.local_time clock ~real:(Engine.now t.engine));
         send = (fun link_index message -> send_from t node link_index message);
         stop;
         trace =
@@ -588,7 +572,8 @@ module Make (P : PROTOCOL) = struct
            (Tick
               { node = id;
                 local_time =
-                  Clock.local_time node.clock ~real:t.tc_completion.(i) }));
+                  Clock.local_time (Links.clock t.model id)
+                    ~real:t.tc_completion.(i) }));
       Option.iter
         (fun c ->
            let span =
@@ -669,14 +654,14 @@ module Make (P : PROTOCOL) = struct
         ignore
           (Engine.schedule_at t.engine ~tag ~footprint:foot_handler
              ~time:t.busy.(id) t.tc_run.(i));
-        let next = Clock.next_tick node.clock ~after:tick_time in
+        let next = Clock.next_tick (Links.clock t.model id) ~after:tick_time in
         t.tick_time.(id) <- next;
         ignore
           (Engine.schedule_at t.engine ~tag ~footprint:foot_fire ~time:next
              fire)
       end
     in
-    t.tick_time.(id) <- Clock.next_tick node.clock ~after;
+    t.tick_time.(id) <- Clock.next_tick (Links.clock t.model id) ~after;
     ignore
       (Engine.schedule_at t.engine ~tag ~footprint:foot_fire
          ~time:t.tick_time.(id) fire)
@@ -715,10 +700,18 @@ module Make (P : PROTOCOL) = struct
   let create ?trace ?metrics ?scheduler ?causal ?observer
       ?(limit_time = infinity) ?(limit_events = max_int)
       ?(wall_deadline = infinity) ~seed config handlers =
-    if not (config.loss_probability >= 0. && config.loss_probability <= 1.)
-    then invalid_arg "Network.create: loss_probability outside [0,1]";
+    let topo = config.topology in
+    let model =
+      match
+        Links.create ~seed ~clock_spec:config.clock_spec
+          ?loss_schedule:config.loss_schedule
+          ~loss_probability:config.loss_probability
+          ~delay_of_link:config.delay_of_link topo
+      with
+      | Ok model -> model
+      | Error msg -> invalid_arg ("Network.create: " ^ msg)
+    in
     Option.iter Dist.validate config.proc_delay;
-    let master = Rng.create ~seed in
     let engine =
       Engine.create ?metrics ?scheduler ?causal ~limit_time ~limit_events
         ~wall_deadline ()
@@ -728,54 +721,15 @@ module Make (P : PROTOCOL) = struct
       | Some tr -> tr
       | None -> Trace.create ~enabled:false ()
     in
-    let topo = config.topology in
     let n = Topology.node_count topo in
     let link_count = Topology.link_count topo in
     let links = Topology.links topo in
-    let delays = Array.map config.delay_of_link links in
-    (* Validation is per-model, not per-link: configs overwhelmingly return
-       one shared model (or a handful) for every link, so remembering the
-       last physically-distinct model validated collapses the pass from
-       O(links) validations to O(distinct models) on uniform networks. *)
-    let last_validated = ref None in
-    Array.iteri
-      (fun i model ->
-         let seen =
-           match !last_validated with
-           | Some prev -> prev == model
-           | None -> false
-         in
-         if not seen then begin
-           (try Delay_model.validate model
-            with Invalid_argument msg ->
-              invalid_arg (Printf.sprintf "Network.create: link %d: %s" i msg));
-           last_validated := Some model
-         end)
-      delays;
-    (* Stream-split order is part of the determinism contract: link delay
-       RNGs, then per-node (handler, clock) RNGs, then per-link loss RNGs.
-       New streams must only ever be appended, or every seeded result in the
-       test suite shifts. *)
-    let link_rngs = Array.init link_count (fun _ -> Rng.split master) in
     let nodes =
       Array.init n (fun id ->
-          let node_rng = Rng.split master in
-          let clock_rng = Rng.split master in
           { id;
-            node_rng;
-            clock = Clock.create config.clock_spec ~rng:clock_rng;
             st = None;
             is_crashed = false;
             incarnation = 0 })
-    in
-    let loss_rngs =
-      (* The loss streams are the LAST split block, so skipping them when
-         loss is disabled cannot shift any earlier stream — seeded results
-         are unchanged.  [send_from] only touches [loss_rngs] behind a
-         [loss_p > 0.] guard, which is impossible without a probability or
-         a schedule. *)
-      if config.loss_probability = 0. && config.loss_schedule = None then [||]
-      else Array.init link_count (fun _ -> Rng.split master)
     in
     let instruments =
       Option.map
@@ -800,9 +754,7 @@ module Make (P : PROTOCOL) = struct
         nodes;
         contexts = [||];
         links;
-        delays;
-        link_rngs;
-        loss_rngs;
+        model;
         last_delivery = Array.make link_count 0.;
         link_up = Array.make link_count true;
         foot_on = scheduler <> None;

@@ -76,6 +76,54 @@ module type PROTOCOL = sig
   val pp_message : Format.formatter -> message -> unit
 end
 
+type config = {
+  topology : Topology.t;
+  delay_of_link : Topology.link -> Delay_model.t;
+  proc_delay : Abe_prob.Dist.t option;
+      (** event-processing time distribution (mean γ); [None] = instant *)
+  clock_spec : Clock.spec;
+  fifo : bool;
+  loss_probability : float;
+      (** per-message drop probability for failure-injection tests;
+          the ABE model itself folds losses into the delay
+          (Section 1(iii)), so this defaults to 0. *)
+  loss_schedule : (float -> float) option;
+      (** time-varying loss probability for fault injection: when set, it
+          overrides [loss_probability]; the returned value must lie in
+          [\[0,1]] and is validated at every sample ([Invalid_argument]
+          otherwise — schedules are arbitrary closures, so the output can
+          only be checked where it is consumed).  Loss draws come from a
+          dedicated per-link RNG stream ({!Links}), so any schedule
+          (including the constant-0 one) leaves delay draws
+          byte-identical.
+          Default: [None]. *)
+  crash_times : (int * float) list;
+      (** crash failure injection: [(node, time)] pairs — from [time] on,
+          the node processes no events (messages to it are counted in
+          [crashed_drops], its clock stops ticking).  Crash-stop unless a
+          matching entry in [revive_times] turns it into crash-recovery.
+          The ABE model assumes reliable nodes; this knob is for
+          exploring what breaks without them.  Default: none. *)
+  revive_times : (int * float) list;
+      (** crash-recovery: [(node, time)] pairs — at [time], if the node
+          is crashed, it rejoins with its protocol state reset (see
+          {!Make.revive}).  A revival of a live node is a no-op.
+          Default: none. *)
+  link_downs : (int * float * float) list;
+      (** time-varying topology: [(link, down_at, up_at)] outage
+          episodes with [0 <= down_at < up_at].  While a link is down,
+          messages sent on it — and messages still in flight at their
+          arrival instant — are dropped and counted in [link_drops].
+          Episodes on the same link may overlap (the link is live exactly
+          when no episode covers the current instant).  Default: none. *)
+  ticks_enabled : bool;
+      (** generate tick events (needed by tick-driven protocols) *)
+}
+
+val default_config : topology:Topology.t -> delay:Delay_model.t -> config
+(** No processing delay, perfect clocks, non-FIFO, no loss, ticks on, the
+    same delay model on every link. *)
+
 module Make (P : PROTOCOL) : sig
   type t
 
@@ -100,52 +148,23 @@ module Make (P : PROTOCOL) : sig
     on_tick : context -> P.state -> P.state;
   }
 
-  type config = {
+  (** {!Network.config}, re-exported so that its labels resolve through
+      the functor application ([Net.fifo], ...). *)
+  type nonrec config = config = {
     topology : Topology.t;
     delay_of_link : Topology.link -> Delay_model.t;
     proc_delay : Abe_prob.Dist.t option;
-        (** event-processing time distribution (mean γ); [None] = instant *)
     clock_spec : Clock.spec;
     fifo : bool;
     loss_probability : float;
-        (** per-message drop probability for failure-injection tests;
-            the ABE model itself folds losses into the delay
-            (Section 1(iii)), so this defaults to 0. *)
     loss_schedule : (float -> float) option;
-        (** time-varying loss probability for fault injection: when set, it
-            overrides [loss_probability]; the returned value must lie in
-            [\[0,1]] and is validated at every sample ([Invalid_argument]
-            otherwise — schedules are arbitrary closures, so the output can
-            only be checked where it is consumed).  Loss draws come from a
-            dedicated per-link RNG stream, so any schedule (including the
-            constant-0 one) leaves delay draws byte-identical.
-            Default: [None]. *)
     crash_times : (int * float) list;
-        (** crash failure injection: [(node, time)] pairs — from [time] on,
-            the node processes no events (messages to it are counted in
-            [crashed_drops], its clock stops ticking).  Crash-stop unless a
-            matching entry in [revive_times] turns it into crash-recovery.
-            The ABE model assumes reliable nodes; this knob is for
-            exploring what breaks without them.  Default: none. *)
     revive_times : (int * float) list;
-        (** crash-recovery: [(node, time)] pairs — at [time], if the node
-            is crashed, it rejoins with its protocol state reset (see
-            {!revive}).  A revival of a live node is a no-op.
-            Default: none. *)
     link_downs : (int * float * float) list;
-        (** time-varying topology: [(link, down_at, up_at)] outage
-            episodes with [0 <= down_at < up_at].  While a link is down,
-            messages sent on it — and messages still in flight at their
-            arrival instant — are dropped and counted in [link_drops].
-            Episodes on the same link may overlap (the link is live exactly
-            when no episode covers the current instant).  Default: none. *)
     ticks_enabled : bool;
-        (** generate tick events (needed by tick-driven protocols) *)
   }
 
   val default_config : topology:Topology.t -> delay:Delay_model.t -> config
-  (** No processing delay, perfect clocks, non-FIFO, no loss, ticks on, the
-      same delay model on every link. *)
 
   val create :
     ?trace:Abe_sim.Trace.t ->
@@ -163,10 +182,11 @@ module Make (P : PROTOCOL) : sig
   (** Instantiate the network; [init] runs for every node at time 0 (nodes
       in index order) and first ticks are scheduled.  All randomness derives
       from [seed]; installing an [observer] consumes no randomness and
-      changes no stream.  Every link's delay model is validated
-      ({!Delay_model.validate}), as are [proc_delay], [loss_probability]
-      and [crash_times]; invalid configuration raises [Invalid_argument]
-      here rather than deep inside a run.
+      changes no stream; streams, delays and loss verdicts come from
+      {!Links}.  Every link's delay model is validated (see
+      {!Links.create}), as are [proc_delay], [loss_probability] and
+      [crash_times]; invalid configuration raises [Invalid_argument] here
+      rather than deep inside a run.
 
       When a [metrics] registry is supplied the network (and its engine)
       record into it: counters ["net/sent"], ["net/delivered"],

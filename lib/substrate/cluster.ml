@@ -256,9 +256,6 @@ module Make (P : PROTOCOL) = struct
     else if
       not (config.wall_timeout > 0. && Float.is_finite config.wall_timeout)
     then Error "cluster: wall_timeout must be positive and finite"
-    else if
-      not (config.loss_probability >= 0. && config.loss_probability <= 1.)
-    then Error "cluster: loss_probability outside [0,1]"
     else
       match config.spawn_mode with
       | Domains when n > max_domain_workers ->
@@ -294,35 +291,16 @@ module Make (P : PROTOCOL) = struct
     | Ok n ->
       let topo = config.topology in
       let link_count = Topology.link_count topo in
-      let links = Topology.links topo in
-      let delays = Array.map config.delay_of_link links in
-      let delay_error = ref None in
-      Array.iteri
-        (fun i model ->
-           if !delay_error = None then
-             try Delay_model.validate model
-             with Invalid_argument msg ->
-               delay_error :=
-                 Some (Printf.sprintf "cluster: link %d: %s" i msg))
-        delays;
-      match !delay_error with
-      | Some msg -> Error msg
-      | None ->
-      (* Stream-split order mirrors Network.create exactly — link delay
-         RNGs, per-node (handler, clock) RNGs, per-link loss RNGs — so the
-         real backend's coin sequences match the simulator's draw for
-         draw. *)
-      let master = Rng.create ~seed in
-      let link_rngs = Array.init link_count (fun _ -> Rng.split master) in
-      let node_rngs = Array.make n master and clocks = Array.make n None in
-      for id = 0 to n - 1 do
-        let node_rng = Rng.split master in
-        let clock_rng = Rng.split master in
-        node_rngs.(id) <- node_rng;
-        clocks.(id) <- Some (Clock.create config.clock_spec ~rng:clock_rng)
-      done;
-      let clocks = Array.map Option.get clocks in
-      let loss_rngs = Array.init link_count (fun _ -> Rng.split master) in
+      (* Streams and per-send verdicts come from the link model the
+         simulator uses (DESIGN.md §6k), so the real backend draws the
+         same coins as Network. *)
+      match
+        Links.create ~seed ~clock_spec:config.clock_spec
+          ~loss_probability:config.loss_probability
+          ~delay_of_link:config.delay_of_link topo
+      with
+      | Error msg -> Error ("cluster: " ^ msg)
+      | Ok model ->
       (* Broadcasting Shutdown into a closed worker end must not kill the
          process. *)
       (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -343,8 +321,8 @@ module Make (P : PROTOCOL) = struct
              w_n = n;
              w_out_degree = Topology.out_degree topo id;
              w_fd = worker_fd.(id);
-             w_rng = node_rngs.(id);
-             w_clock = clocks.(id);
+             w_rng = Links.handler_stream model id;
+             w_clock = Links.clock model id;
              w_scale = config.scale;
              w_start_wall = start_wall;
              w_error = worker_errors.(id);
@@ -443,17 +421,8 @@ module Make (P : PROTOCOL) = struct
                     let now_units =
                       (Unix.gettimeofday () -. start_wall) /. config.scale
                     in
-                    (* Delay before loss, from separate streams — the same
-                       draw discipline as Network.send_from. *)
-                    let delay =
-                      Delay_model.sample_at delays.(link_id) ~now:now_units
-                        link_rngs.(link_id)
-                    in
-                    if
-                      config.loss_probability > 0.
-                      && Rng.bernoulli loss_rngs.(link_id)
-                           config.loss_probability
-                    then begin
+                    let delay = Links.delay model link_id ~now:now_units in
+                    if Links.lost model link_id ~now:now_units then begin
                       Rstats.note_loss rstats;
                       Option.iter
                         (fun coll ->

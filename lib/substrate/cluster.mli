@@ -12,9 +12,8 @@
     draws a transit delay from the link's {!Abe_net.Delay_model} (in
     simulated-time units, converted by [scale] seconds per unit) and is
     held in a {!Holdq} until due; per-link Bernoulli loss drops frames
-    before they are held.  RNG streams are split from the master seed in
-    {e exactly} the order [Abe_net.Network.create] uses — link delay RNGs,
-    per-node (handler, clock) RNGs, per-link loss RNGs — so a worker's
+    before they are held.  Streams, delays and loss verdicts all come from
+    {!Abe_net.Links}, the link model the simulator uses, so a worker's
     activation coin sequence is draw-for-draw the simulator's.
 
     Workers tick at the integer local times of their {!Abe_net.Clock}

@@ -360,9 +360,17 @@ let test_link_model_validation () =
          Alcotest.(check bool)
            (Printf.sprintf "message names the link (%s)" msg)
            true
-           (String.length msg > 0)
+           (String.starts_with ~prefix:"Network.create: link 1: " msg)
        | _ -> Alcotest.failf "expected rejection of factor %g" factor)
-    [ Float.nan; -2.; 0.; Float.infinity ]
+    [ Float.nan; -2.; 0.; Float.infinity ];
+  List.iter
+    (fun loss_probability ->
+       let config = { (burst_config ~fifo:false) with Net.loss_probability } in
+       match Net.create ~seed:1 config burst_handlers with
+       | exception Invalid_argument _ -> ()
+       | _ ->
+         Alcotest.failf "loss probability %g must be rejected" loss_probability)
+    [ -0.1; 1.5; Float.nan ]
 
 let count_events events kind =
   List.length
@@ -774,6 +782,135 @@ let prop_conservation =
        stats.Network.sent = stats.Network.delivered + stats.Network.lost
        && Net.in_flight net = 0)
 
+(* Known-answer stream layout: the first output of the first delay,
+   handler, clock and loss streams on a 4-ring (4 links, 4 nodes), pinned
+   from the layout Network used before the link model had its own
+   module.  Any reordering of the splits changes these values.  The clock
+   stream is only visible through the clock it drew: a perfect clock's
+   phase is the top 53 bits of the stream's first output. *)
+let test_links_layout () =
+  List.iter
+    (fun (seed, delay, handler, clock, loss) ->
+       match
+         Links.create ~seed ~clock_spec:Clock.perfect ~loss_probability:0.5
+           ~delay_of_link:(fun _ -> Delay_model.abd_deterministic ~delay:1.)
+           (Topology.ring 4)
+       with
+       | Error msg -> Alcotest.fail msg
+       | Ok links ->
+         let first name stream expected =
+           Alcotest.(check int64)
+             (Printf.sprintf "seed %d %s stream" seed name)
+             expected
+             (Abe_prob.Rng.bits64 stream)
+         in
+         first "delay" (Links.delay_stream links 0) delay;
+         first "handler" (Links.handler_stream links 0) handler;
+         Alcotest.(check (float 0.))
+           (Printf.sprintf "seed %d clock phase" seed)
+           (Int64.to_float (Int64.shift_right_logical clock 11) *. 0x1p-53)
+           (Clock.local_time (Links.clock links 0) ~real:0.);
+         first "loss" (Links.loss_stream links 0) loss)
+    [ ( 1, 2736766839171971727L, 2183481035415131706L, 5885079701376307701L,
+        -201003585121617336L );
+      ( 42, 5745406364259058299L, -7235858365836093966L, -942218449629775664L,
+        8085032174602334132L ) ]
+
+(* Every message hops [v] more times, each hop on a random out-link, so
+   sends spread over time (exercising delay episodes and loss schedules)
+   and the network drains. *)
+let hop_handlers : Net.handlers =
+  let forward (ctx : Net.context) v =
+    ctx.Net.send (Abe_prob.Rng.int ctx.Net.rng ctx.Net.out_degree) v
+  in
+  { init =
+      (fun ctx ->
+         for i = 0 to ctx.Net.out_degree - 1 do
+           ctx.Net.send i 3
+         done;
+         { Proto.received = []; ticks = 0 });
+    on_message =
+      (fun ctx st v ->
+         if v > 0 then forward ctx (v - 1);
+         st);
+    on_tick = (fun _ st -> st) }
+
+let prop_links_replay =
+  let topology_of shape n =
+    match shape with
+    | 0 -> Topology.ring n
+    | 1 -> Topology.complete n
+    | _ -> Topology.star n
+  in
+  let model_of = function
+    | 0 -> Delay_model.abe_exponential ~delta:1.
+    | 1 -> Delay_model.abd_uniform ~bound:2.
+    | 2 -> Delay_model.abe_retransmission ~success:0.4 ~slot:0.5
+    | _ ->
+      Delay_model.modulated
+        (Delay_model.abe_exponential ~delta:0.5)
+        ~episodes:[| { Delay_model.e_start = 0.5; e_stop = 2.; factor = 4. } |]
+  in
+  let loss_of kind p =
+    match kind with
+    | 0 -> (0., None)
+    | 1 -> (p, None)
+    | _ -> (0., Some (fun t -> if t < 1. then p else 1. -. p))
+  in
+  let gen =
+    QCheck.Gen.(
+      tup5 (int_bound 2) (int_range 2 6)
+        (pair (int_bound 3) (int_bound 3))
+        (pair (int_bound 2) (float_bound_inclusive 1.))
+        small_nat)
+  in
+  let print (shape, n, (m0, m1), (loss, p), seed) =
+    Printf.sprintf "shape=%d n=%d models=%d/%d loss=%d p=%g seed=%d" shape n
+      m0 m1 loss p seed
+  in
+  QCheck.Test.make
+    ~name:"network delays and losses replay on a fresh Links" ~count:100
+    (QCheck.make ~print gen)
+    (fun (shape, n, (m0, m1), (loss, p), seed) ->
+       let topology = topology_of shape n in
+       let models = [| model_of m0; model_of m1 |] in
+       let delay_of_link (link : Topology.link) =
+         models.(link.Topology.id mod 2)
+       in
+       let loss_probability, loss_schedule = loss_of loss p in
+       let config =
+         { (Net.default_config ~topology ~delay:models.(0)) with
+           Net.delay_of_link; loss_probability; loss_schedule;
+           ticks_enabled = false }
+       in
+       let sends = ref [] in
+       let outcome = Hashtbl.create 64 in
+       let observer ~time ~stats:_ ~in_flight:_ (ev : Network.event) =
+         match ev with
+         | Network.Send { link; seq } ->
+           sends := (seq, link.Topology.id, time) :: !sends
+         | Network.Deliver { seq; _ } -> Hashtbl.replace outcome seq (Some time)
+         | Network.Loss { seq; _ } -> Hashtbl.replace outcome seq None
+         | _ -> ()
+       in
+       let net = Net.create ~observer ~seed config hop_handlers in
+       ignore (Net.run net);
+       match
+         Links.create ~seed ~clock_spec:Clock.perfect ?loss_schedule
+           ~loss_probability ~delay_of_link topology
+       with
+       | Error msg -> QCheck.Test.fail_report msg
+       | Ok replay ->
+         List.for_all
+           (fun (seq, link, time) ->
+              let delay = Links.delay replay link ~now:time in
+              let lost = Links.lost replay link ~now:time in
+              match Hashtbl.find_opt outcome seq with
+              | Some None -> lost
+              | Some (Some arrival) -> (not lost) && arrival = time +. delay
+              | None -> false)
+           (List.rev !sends))
+
 let () =
   Alcotest.run "network"
     [ ( "delivery",
@@ -831,4 +968,8 @@ let () =
         [ Alcotest.test_case "seeded" `Quick test_determinism;
           Alcotest.test_case "loss/delay decoupled" `Quick
             test_loss_delay_decoupling ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_conservation ]) ]
+      ( "links",
+        [ Alcotest.test_case "stream layout" `Quick test_links_layout ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_conservation; prop_links_replay ] ) ]

@@ -227,16 +227,37 @@ let test_announce_completes () =
 let test_announce_matches_plain_election () =
   (* Same seed, same config: the election phase of the announcing variant
      must match the plain runner exactly (the announcement only replaces
-     the halt). *)
-  let config = Runner.config ~n:8 ~a0:0.1 () in
-  let plain = Runner.run ~seed:5 config in
-  let announced = Announce.run ~seed:5 config in
-  Alcotest.(check bool) "same leader" true
-    (plain.Runner.leader = announced.Announce.election.Runner.leader);
-  Alcotest.(check int) "same election messages" plain.Runner.messages
-    announced.Announce.election.Runner.messages;
-  Alcotest.(check (float 1e-9)) "same election time" plain.Runner.elected_at
-    announced.Announce.election.Runner.elected_at
+     the halt) — including under faults and per-link delay models, whose
+     network wiring both harnesses take from [Runner.network]. *)
+  let open Abe_net in
+  (* The CLI's default activation parameter for [elect -n 8]. *)
+  let a0 = Analysis.recommended_a0 ~theta:1. 8 in
+  let heterogeneous =
+    Runner.with_link_delays (Runner.config ~n:8 ~a0:0.1 ())
+      (Array.init 8 (fun i ->
+           let delta = if i mod 2 = 0 then 0.5 else 2. in
+           Delay_model.abe_exponential ~delta))
+  in
+  List.iter
+    (fun (label, seed, config) ->
+       let plain = Runner.run ~seed config in
+       let announced = Announce.run ~seed config in
+       Alcotest.(check bool) (label ^ ": plain elects") true
+         plain.Runner.elected;
+       Alcotest.(check (option int)) (label ^ ": same leader")
+         plain.Runner.leader announced.Announce.election.Runner.leader;
+       Alcotest.(check int) (label ^ ": same election messages")
+         plain.Runner.messages announced.Announce.election.Runner.messages;
+       Alcotest.(check (float 1e-9)) (label ^ ": same election time")
+         plain.Runner.elected_at announced.Announce.election.Runner.elected_at)
+    [ ("fault-free", 5, Runner.config ~n:8 ~a0:0.1 ());
+      ( "rejoin(3@2:5)", 1,
+        Runner.config ~n:8 ~a0
+          ~fault:(Faults.crash_rejoin ~node:3 ~at:2. ~rejoin_at:5.) () );
+      ("heterogeneous links", 7, heterogeneous);
+      ( "link-down(2@1:2)", 3,
+        Runner.config ~n:8 ~a0
+          ~fault:(Faults.link_down ~link:2 ~from_:1. ~until:2.) () ) ]
 
 let test_announce_n2 () =
   (* Smallest ring: the announcement lap is 2 messages. *)

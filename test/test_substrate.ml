@@ -267,11 +267,11 @@ let test_real_election_completes () =
     Alcotest.(check bool) "at least one activation" true
       (o.Elect_real.activations >= 1)
 
-(* The real backend splits RNG streams in Network.create's exact order, so
-   with a fixed seed and a sparse activation regime (tiny a0: the winner
-   activates tens of ticks before any rival would) the same node must win
-   under both backends — wall jitter is orders of magnitude below the
-   margin. *)
+(* Both backends take their RNG streams from Abe_net.Links (DESIGN.md
+   §6k), so with a fixed seed and a sparse activation regime (tiny a0: the
+   winner activates tens of ticks before any rival would) the same node
+   must win under both backends — wall jitter is orders of magnitude below
+   the margin. *)
 let test_real_matches_sim_leader () =
   let n = 4 and a0 = 0.005 and seed = 5 in
   let sim =
