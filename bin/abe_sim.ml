@@ -407,63 +407,52 @@ let elect_command =
       in
       let registry = registry_for metrics_dest in
       let causal = causal_for span_out in
-      let print_trace () =
-        if trace then
-          Option.iter
-            (fun tr -> Fmt.pr "%a@." Abe_sim.Trace.pp tr)
-            trace_buffer
-      in
-      let export () =
-        Option.iter
-          (fun path ->
-             Option.iter
-               (fun tr ->
-                  with_out_channel path (fun oc ->
-                      Abe_sim.Trace.output_jsonl oc tr))
-               trace_buffer)
-          trace_out;
-        export_spans span_out causal;
-        Option.iter (emit_metrics metrics_dest) registry
-      in
-      if announce then begin
-        let outcome =
-          Abe_core.Announce.run ?trace:trace_buffer ?metrics:registry ?causal
-            ~check ~seed config
-        in
-        print_trace ();
-        Fmt.pr "%a@." Abe_core.Announce.pp_outcome outcome;
-        print_critpath causal;
-        export ();
-        let* () =
-          if check then
-            report_check ~label:"announce"
-              outcome.Abe_core.Announce.election.Abe_core.Runner.violations
-          else Ok ()
-        in
-        if outcome.Abe_core.Announce.all_informed then Ok ()
-        else Error "announcement did not complete within the budget"
-      end
-      else begin
-        let outcome =
-          Abe_core.Runner.run ?trace:trace_buffer ?metrics:registry ?causal
-            ~check ~seed config
-        in
-        print_trace ();
-        Fmt.pr "%a@." Abe_core.Runner.pp_outcome outcome;
-        print_critpath causal;
-        export ();
-        let* () =
-          if check then
-            report_check ~label:"elect" outcome.Abe_core.Runner.violations
-          else Ok ()
-        in
-        if outcome.Abe_core.Runner.elected then Ok ()
+      let outcome, lap =
+        if announce then
+          let lap =
+            Abe_core.Runner.announce ?trace:trace_buffer ?metrics:registry
+              ?causal ~check ~seed config
+          in
+          (lap.Abe_core.Runner.election, Some lap)
         else
-          Error
-            (match outcome.Abe_core.Runner.stalled with
-             | Some reason -> "no leader possible: " ^ reason
-             | None -> "no leader elected within the simulation budget")
-      end
+          ( Abe_core.Runner.run ?trace:trace_buffer ?metrics:registry ?causal
+              ~check ~seed config,
+            None )
+      in
+      if trace then
+        Option.iter (fun tr -> Fmt.pr "%a@." Abe_sim.Trace.pp tr) trace_buffer;
+      (match lap with
+       | Some lap -> Fmt.pr "%a@." Abe_core.Runner.pp_announced lap
+       | None -> Fmt.pr "%a@." Abe_core.Runner.pp_outcome outcome);
+      print_critpath causal;
+      Option.iter
+        (fun path ->
+           Option.iter
+             (fun tr ->
+                with_out_channel path (fun oc ->
+                    Abe_sim.Trace.output_jsonl oc tr))
+             trace_buffer)
+        trace_out;
+      export_spans span_out causal;
+      Option.iter (emit_metrics metrics_dest) registry;
+      let* () =
+        if check then
+          report_check
+            ~label:(if announce then "announce" else "elect")
+            outcome.Abe_core.Runner.violations
+        else Ok ()
+      in
+      let elected = outcome.Abe_core.Runner.elected in
+      match outcome.Abe_core.Runner.stalled, lap with
+      | _, Some { Abe_core.Runner.all_informed = true; _ } -> Ok ()
+      | _, None when elected -> Ok ()
+      | Some reason, _ ->
+        Error
+          ((if elected then "announcement impossible: "
+            else "no leader possible: ")
+           ^ reason)
+      | None, Some _ -> Error "announcement did not complete within the budget"
+      | None, None -> Error "no leader elected within the simulation budget"
   in
   let term =
     Term.(

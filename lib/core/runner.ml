@@ -83,34 +83,103 @@ type outcome = {
   stalled : string option;
 }
 
-(* The wire message is the election hop counter plus a monitor-side tag:
-   [traversed] counts the links the token has actually crossed since
-   emission.  Handlers never read it — only the hop-soundness check
-   ([hop = traversed] on every arrival) does, so tagging cannot change the
-   execution. *)
-type token = {
-  hop : Election.message;
-  traversed : int;
+type announced = {
+  election : outcome;
+  announce_messages : int;
+  all_informed : bool;
+  informed_at : float;
 }
+
+(* A token is the election hop counter plus [traversed], the links it has
+   actually crossed: only the hop-soundness check reads the tag, so tagging
+   cannot change the execution.  [Announce] is the announce-mode lap. *)
+type message =
+  | Token of { hop : Election.message; traversed : int }
+  | Announce
 
 module Net = Network.Make (struct
     type state = Election.state
-    type message = token
+    type nonrec message = message
 
     let pp_state = Election.pp_state
-    let pp_message ppf tok = Election.pp_message ppf tok.hop
+
+    let pp_message ppf = function
+      | Token { hop; _ } -> Election.pp_message ppf hop
+      | Announce -> Format.pp_print_string ppf "<announce>"
   end)
 
-(* Forwarding rule selector, for demonstrating that the oracle catches the
-   historical [max d hop + 1] bug (see test_runner). *)
-type forwarding =
-  | Paper      (* forward hop + 1: the counter counts links traversed *)
-  | Stale_max  (* seeded mutation: forward min n (max d hop + 1), letting a
-                  stale watermark inflate the counter without traversal *)
-  | Drop_token (* seeded liveness mutation: silently drop any token that has
-                  already traversed >= 2 links instead of forwarding it — no
-                  token can circle the ring, so (for n >= 3) no schedule ever
-                  elects while ticks keep the run alive forever *)
+(* The paper's forwarding rule and two seeded mutations the oracle and the
+   liveness checker must catch (see runner.mli). *)
+type forwarding = Paper | Stale_max | Drop_token
+
+(* ---------------------------------------------------------------- step *)
+
+type mark = Activate | Knockout | Purge | Elected
+
+let mark_label = function
+  | Activate -> "activate"
+  | Knockout -> "knockout"
+  | Purge -> "purge"
+  | Elected -> "elected"
+
+(* The backend's half of a handler, fixed once per run, so the per-event
+   step allocates nothing of its own. *)
+type 'ctx step = {
+  n : int;
+  a0 : float;
+  decide : a0:float -> rng:Rng.t -> Election.state -> Election.state * bool;
+  forwarding : forwarding;
+  moved : 'ctx -> Election.state -> Election.state -> unit;
+  mark : 'ctx -> mark -> traversed:int -> unit;
+  send : 'ctx -> hop:int -> traversed:int -> unit;
+  unsound : 'ctx -> hop:int -> traversed:int -> unit;
+}
+
+(* Ablation: constant activation probability, ignoring d. *)
+let naive_rule ~a0 ~rng st =
+  match st.Election.phase with
+  | Election.Idle ->
+    if Rng.bernoulli rng a0 then
+      ({ st with Election.phase = Election.Active }, true)
+    else (st, false)
+  | Election.Active | Election.Passive | Election.Leader -> (st, false)
+
+let step (config : config) ~send ~mark ~unsound =
+  { n = config.n; a0 = config.a0; decide = Election.tick_decision;
+    forwarding = Paper; moved = (fun _ _ _ -> ()); mark; send; unsound }
+
+let on_tick w ctx ~rng st =
+  let st', activated = w.decide ~a0:w.a0 ~rng st in
+  (* Most ticks change nothing and return [st] itself. *)
+  if st' != st then w.moved ctx st st';
+  if activated then begin
+    w.mark ctx Activate ~traversed:0;
+    (* A fresh token starts with hop counter 1, and will have traversed
+       exactly one link when it first arrives. *)
+    w.send ctx ~hop:1 ~traversed:1
+  end;
+  st'
+
+let on_token w ctx st ~hop ~traversed =
+  if hop <> traversed then w.unsound ctx ~hop ~traversed;
+  let st', reaction = Election.receive ~n:w.n st hop in
+  w.moved ctx st st';
+  (match reaction with
+   | Election.Forward hop' ->
+     if st.Election.phase = Election.Idle then w.mark ctx Knockout ~traversed;
+     (match w.forwarding with
+      | Paper -> w.send ctx ~hop:hop' ~traversed:(traversed + 1)
+      | Stale_max ->
+        (* Seeded bug: a stale watermark inflates the counter. *)
+        w.send ctx
+          ~hop:(min w.n (st'.Election.d + 1))
+          ~traversed:(traversed + 1)
+      | Drop_token ->
+        (* Seeded liveness bug: the token dies after its second link. *)
+        if traversed < 2 then w.send ctx ~hop:hop' ~traversed:(traversed + 1))
+   | Election.Purge -> w.mark ctx Purge ~traversed
+   | Election.Elected -> w.mark ctx Elected ~traversed);
+  st'
 
 type counters = {
   mutable activations : int;
@@ -122,6 +191,8 @@ type counters = {
   mutable activation_times : float list;
   mutable mass_samples : (float * int * int) list;
   mutable phase_transitions : (float * int * Election.phase) list;
+  mutable announce_messages : int;
+  mutable informed_at : float;
 }
 
 (* Pre-resolved metric handles for the election layer (see Network for
@@ -160,7 +231,27 @@ let mix h v =
   let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D land max_int in
   z lxor (z lsr 32)
 
-let network config =
+(* One wiring for every simulated variant: the paper's algorithm and the
+   naive ablation differ only in the tick rule, and announce mode only in
+   what [Elected] does — it starts the announcement lap instead of
+   stopping, and the lap's return to the leader is the run's goal. *)
+let run_with ~rule ~announce ?trace ?metrics ?scheduler ?causal
+    ?(check = false) ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed
+    config =
+  let counters =
+    { activations = 0;
+      knockouts = 0;
+      purges = 0;
+      elected_at = nan;
+      leader = None;
+      elections = 0;
+      activation_times = [];
+      mass_samples = [];
+      phase_transitions = [];
+      announce_messages = 0;
+      informed_at = nan }
+  in
+  let oracle = if check then Some (Abe_sim.Oracle.create ()) else None in
   let fault = config.fault in
   let net_config =
     { (Network.default_config ~topology:config.topology ~delay:config.delay)
@@ -183,27 +274,11 @@ let network config =
      the monitor's invariants switch to the Dynamic class (accounting only
      — the ring is expected to break and heal).  Everything else, crashes
      included, stays in the Static class. *)
-  ( net_config,
+  let dynamic =
     if fault.Faults.revivals = [] && fault.Faults.link_downs = [] then
       Monitor.Static
-    else Monitor.Dynamic )
-
-(* Both the paper's algorithm and the naive ablation differ only in the
-   tick rule, so share the wiring and take the tick handler as an input. *)
-let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
-    ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed config =
-  let counters =
-    { activations = 0;
-      knockouts = 0;
-      purges = 0;
-      elected_at = nan;
-      leader = None;
-      elections = 0;
-      activation_times = [];
-      mass_samples = [];
-      phase_transitions = [] }
+    else Monitor.Dynamic
   in
-  let oracle = if check then Some (Abe_sim.Oracle.create ()) else None in
   (* Under a reordering scheduler the monitor's clock-rate checks are
      disabled: they measure real-time gaps between tick *executions*, and a
      legal reordering shifts executions within the commutation window,
@@ -211,7 +286,6 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
      spuriously.  Logical invariants — conservation, FIFO, hop soundness,
      unique leader — are exactly what schedule exploration is for and stay
      on. *)
-  let net_config, dynamic = network config in
   let monitor =
     Option.map
       (fun oracle ->
@@ -230,10 +304,19 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
      network than requested; surface the drop count where dashboards can
      see it. *)
   (match metrics with
-   | Some registry when config.fault.Faults.truncated > 0 ->
-     Abe_sim.Metrics.incr ~by:config.fault.Faults.truncated
+   | Some registry when fault.Faults.truncated > 0 ->
+     Abe_sim.Metrics.incr ~by:fault.Faults.truncated
        (Abe_sim.Metrics.counter registry "faults/episodes_truncated")
    | _ -> ());
+  let announce_counter =
+    match metrics with
+    | Some registry when announce ->
+      Some (Abe_sim.Metrics.counter registry "announce/messages")
+    | _ -> None
+  in
+  (* Nodes that forwarded (or, at the leader, closed) the announcement
+     lap; a rejoin forgets it along with the rest of the node's state. *)
+  let informed = Array.make (if announce then config.n else 0) false in
   (* Phase transitions as causal marks: instantaneous annotations attached
      to the handler span in which they happened. *)
   let cmark ~node ~time label =
@@ -276,36 +359,39 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
   (* Each sample walks the whole shadow ring, and samples are taken per
      knockout/purge — O(n^2) over an election, which is why huge-ring
      benchmarks opt out via [record_mass = false]. *)
-  let sample_mass_now time =
-    let sum_d = ref 0 and non_passive = ref 0 in
-    Array.iter
-      (fun st ->
-         match st.Election.phase with
-         | Election.Idle | Election.Active ->
-           sum_d := !sum_d + st.Election.d;
-           incr non_passive
-         | Election.Passive | Election.Leader -> ())
-      shadow;
-    counters.mass_samples <- (time, !sum_d, !non_passive) :: counters.mass_samples
+  let sample_mass time =
+    if config.record_mass then begin
+      let sum_d = ref 0 and non_passive = ref 0 in
+      Array.iter
+        (fun st ->
+           match st.Election.phase with
+           | Election.Idle | Election.Active ->
+             sum_d := !sum_d + st.Election.d;
+             incr non_passive
+           | Election.Passive | Election.Leader -> ())
+        shadow;
+      counters.mass_samples <-
+        (time, !sum_d, !non_passive) :: counters.mass_samples
+    end
   in
-  let sample_mass time = if config.record_mass then sample_mass_now time in
   (* Election-layer reaction to dynamic-network events, layered over the
      monitor's observer (observers stay pure probes — neither layer draws
      randomness or schedules anything except the stall stop below):
 
      - [Revive]: the node rejoined with its protocol state reset, so the
        shadow ring (mass sampling, digests) must reset with it;
-     - [Crash] of a node with no scheduled rejoin, before any election: on
-       a unidirectional ring the election token must traverse {e every}
-       link, so a permanently dead node makes election impossible — stop
-       the run with a structured reason instead of burning the whole time
-       budget on an election that can never complete. *)
+     - [Crash] of a node with no scheduled rejoin that the run's goal
+       still needs: on a unidirectional ring the election token must
+       traverse {e every} link, and so must the announcement, so a
+       permanently dead node makes the goal impossible — stop the run
+       with a structured reason instead of burning the whole time budget
+       on it. *)
   let stall = ref None in
   let stop_engine = ref (fun () -> ()) in
   let revivable =
     List.fold_left
       (fun acc (node, _) -> if List.mem node acc then acc else node :: acc)
-      [] config.fault.Faults.revivals
+      [] fault.Faults.revivals
   in
   let monitor_observer = Option.map Monitor.observer monitor in
   let observer =
@@ -318,20 +404,24 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
         (fun ~time ~stats ~in_flight ev ->
            (match (ev : Network.event) with
             | Network.Revive { node } ->
-              let before = shadow.(node) in
+              record_phase time node shadow.(node) Election.initial;
               shadow.(node) <- Election.initial;
-              record_phase time node before Election.initial
+              if announce then informed.(node) <- false
             | Network.Crash { node } ->
+              (* Before the election every node is needed; afterwards, in
+                 announce mode, every node the lap has yet to pass. *)
               if
-                counters.elections = 0
+                (counters.elections = 0 || (announce && not informed.(node)))
                 && (not (List.mem node revivable))
                 && !stall = None
               then begin
                 stall :=
                   Some
                     (Printf.sprintf
-                       "node %d crashed with no rejoin at t=%g: ring election \
-                        cannot complete" node time);
+                       "node %d crashed with no rejoin at t=%g: %s cannot \
+                        complete" node time
+                       (if counters.elections = 0 then "ring election"
+                        else "announcement lap"));
                 !stop_engine ()
               end
             | _ -> ());
@@ -339,101 +429,104 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
            | None -> ()
            | Some f -> f ~time ~stats ~in_flight ev)
   in
-  let handlers : Net.handlers =
-    { init = (fun _ctx -> Election.initial);
-      on_tick =
-        (fun ctx st ->
-           let st', activated = tick ~rng:ctx.Net.rng st in
-           shadow.(ctx.Net.node) <- st';
-           record_phase (ctx.Net.now ()) ctx.Net.node st st';
-           if activated then begin
+  let send_announce ctx =
+    counters.announce_messages <- counters.announce_messages + 1;
+    Option.iter (fun c -> Abe_sim.Metrics.incr c) announce_counter;
+    ctx.Net.send 0 Announce
+  in
+  let sim =
+    { n = config.n;
+      a0 = config.a0;
+      decide = rule;
+      forwarding;
+      moved =
+        (fun ctx before after ->
+           shadow.(ctx.Net.node) <- after;
+           record_phase (ctx.Net.now ()) ctx.Net.node before after);
+      mark =
+        (fun ctx m ~traversed ->
+           let time = ctx.Net.now () in
+           cmark ~node:ctx.Net.node ~time (mark_label m);
+           match m with
+           | Activate ->
              counters.activations <- counters.activations + 1;
-             counters.activation_times <- ctx.Net.now () :: counters.activation_times;
-             cmark ~node:ctx.Net.node ~time:(ctx.Net.now ()) "activate";
+             counters.activation_times <- time :: counters.activation_times;
              record (fun i ->
                  Abe_sim.Metrics.incr i.m_activations;
-                 Abe_sim.Metrics.observe i.m_activation_time (ctx.Net.now ());
+                 Abe_sim.Metrics.observe i.m_activation_time time;
+                 Abe_sim.Metrics.observe i.m_live_tokens
+                   (float_of_int (live_tokens ())))
+           | Knockout ->
+             counters.knockouts <- counters.knockouts + 1;
+             record (fun i -> Abe_sim.Metrics.incr i.m_knockouts);
+             sample_mass time
+           | Purge ->
+             counters.purges <- counters.purges + 1;
+             record (fun i ->
+                 Abe_sim.Metrics.incr i.m_purges;
                  Abe_sim.Metrics.observe i.m_live_tokens
                    (float_of_int (live_tokens ())));
-             (* A fresh token starts with hop counter 1, and will have
-                traversed exactly one link when it first arrives. *)
-             ctx.Net.send 0 { hop = 1; traversed = 1 };
-             note_send (successor ctx.Net.node) 1
-           end;
-           st');
-      on_message =
-        (fun ctx st tok ->
-           let time = ctx.Net.now () in
-           note_recv ctx.Net.node tok.hop;
+             sample_mass time
+           | Elected ->
+             counters.elections <- counters.elections + 1;
+             record (fun i ->
+                 Abe_sim.Metrics.set_gauge i.m_elected_at time;
+                 Abe_sim.Metrics.set_gauge i.m_hops_at_election
+                   (float_of_int traversed));
+             Option.iter
+               (fun o ->
+                  if traversed <> config.n then
+                    Abe_sim.Oracle.reportf o ~time
+                      ~invariant:"election-soundness"
+                      ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+                      "elected by a token that traversed %d of %d links"
+                      traversed config.n;
+                  if counters.elections > 1 then
+                    Abe_sim.Oracle.reportf o ~time ~invariant:"unique-leader"
+                      ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+                      "election #%d in one run" counters.elections)
+               oracle;
+             counters.elected_at <- time;
+             counters.leader <- Some ctx.Net.node;
+             (* The electing delivery's handler span is the critical-path
+                sink: its completion is the elected-at instant. *)
+             Option.iter Abe_sim.Causal.set_sink causal;
+             sample_mass time;
+             if announce then send_announce ctx else ctx.Net.stop ());
+      send =
+        (fun ctx ~hop ~traversed ->
+           ctx.Net.send 0 (Token { hop; traversed });
+           note_send (successor ctx.Net.node) hop);
+      unsound =
+        (fun ctx ~hop ~traversed ->
            Option.iter
              (fun o ->
-                if tok.hop <> tok.traversed then
-                  Abe_sim.Oracle.reportf o ~time ~invariant:"hop-soundness"
-                    ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                    "token hop %d but traversed %d links" tok.hop tok.traversed)
-             oracle;
-           record (fun i ->
-               Abe_sim.Metrics.observe i.m_token_hops (float_of_int tok.hop));
-           let st', reaction = Election.receive ~n:config.n st tok.hop in
-           shadow.(ctx.Net.node) <- st';
-           record_phase time ctx.Net.node st st';
-           (match reaction with
-            | Election.Forward hop' ->
-              if st.Election.phase = Election.Idle then begin
-                counters.knockouts <- counters.knockouts + 1;
-                record (fun i -> Abe_sim.Metrics.incr i.m_knockouts);
-                cmark ~node:ctx.Net.node ~time "knockout";
-                sample_mass time
-              end;
-              (match forwarding with
-               | Drop_token when tok.traversed >= 2 ->
-                 (* Seeded liveness bug: the token dies here instead of
-                    continuing around the ring. *)
-                 ()
-               | Paper | Stale_max | Drop_token ->
-                 let out_hop =
-                   match forwarding with
-                   | Paper | Drop_token -> hop'
-                   | Stale_max -> min config.n (st'.Election.d + 1)
-                 in
-                 ctx.Net.send 0 { hop = out_hop; traversed = tok.traversed + 1 };
-                 note_send (successor ctx.Net.node) out_hop)
-            | Election.Purge ->
-              counters.purges <- counters.purges + 1;
-              record (fun i ->
-                  Abe_sim.Metrics.incr i.m_purges;
-                  Abe_sim.Metrics.observe i.m_live_tokens
-                    (float_of_int (live_tokens ())));
-              cmark ~node:ctx.Net.node ~time "purge";
-              sample_mass time
-            | Election.Elected ->
-              counters.elections <- counters.elections + 1;
-              record (fun i ->
-                  Abe_sim.Metrics.set_gauge i.m_elected_at time;
-                  Abe_sim.Metrics.set_gauge i.m_hops_at_election
-                    (float_of_int tok.traversed));
-              Option.iter
-                (fun o ->
-                   if tok.traversed <> config.n then
-                     Abe_sim.Oracle.reportf o ~time
-                       ~invariant:"election-soundness"
-                       ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                       "elected by a token that traversed %d of %d links"
-                       tok.traversed config.n;
-                   if counters.elections > 1 then
-                     Abe_sim.Oracle.reportf o ~time ~invariant:"unique-leader"
-                       ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                       "election #%d in one run" counters.elections)
-                oracle;
-              counters.elected_at <- time;
-              counters.leader <- Some ctx.Net.node;
-              cmark ~node:ctx.Net.node ~time "elected";
-              (* The electing delivery's handler span is the critical-path
-                 sink: its completion is the elected-at instant. *)
-              Option.iter Abe_sim.Causal.set_sink causal;
-              sample_mass time;
-              ctx.Net.stop ());
-           st') }
+                Abe_sim.Oracle.reportf o ~time:(ctx.Net.now ())
+                  ~invariant:"hop-soundness"
+                  ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+                  "token hop %d but traversed %d links" hop traversed)
+             oracle) }
+  in
+  let handlers : Net.handlers =
+    { init = (fun _ctx -> Election.initial);
+      on_tick = (fun ctx st -> on_tick sim ctx ~rng:ctx.Net.rng st);
+      on_message =
+        (fun ctx st -> function
+           | Token { hop; traversed } ->
+             note_recv ctx.Net.node hop;
+             record (fun i ->
+                 Abe_sim.Metrics.observe i.m_token_hops (float_of_int hop));
+             on_token sim ctx st ~hop ~traversed
+           | Announce ->
+             informed.(ctx.Net.node) <- true;
+             if st.Election.phase = Election.Leader then begin
+               (* The lap is closed: everyone is informed. *)
+               counters.informed_at <- ctx.Net.now ();
+               cmark ~node:ctx.Net.node ~time:counters.informed_at "informed";
+               ctx.Net.stop ()
+             end
+             else send_announce ctx;
+             st) }
   in
   let net =
     Net.create ?trace ?metrics ?scheduler ?causal ?observer
@@ -497,43 +590,45 @@ let run_with ~tick ?trace ?metrics ?scheduler ?causal ?(check = false)
   in
   let stats = Net.stats net in
   let engine_counters = Net.counters net in
-  { elected = Option.is_some counters.leader;
-    leader = counters.leader;
-    leader_count;
-    elected_at = counters.elected_at;
-    messages = stats.Network.sent;
-    activations = counters.activations;
-    knockouts = counters.knockouts;
-    purges = counters.purges;
-    ticks = stats.Network.ticks;
-    activation_times = Array.of_list (List.rev counters.activation_times);
-    mass_samples = Array.of_list (List.rev counters.mass_samples);
-    phase_transitions = Array.of_list (List.rev counters.phase_transitions);
-    executed_events = engine_counters.Abe_sim.Engine.executed;
-    max_queue_depth = engine_counters.Abe_sim.Engine.max_queue_depth;
-    wall_time = engine_counters.Abe_sim.Engine.wall_time;
-    engine_outcome;
-    violations;
-    stalled = !stall }
+  { election =
+      { elected = Option.is_some counters.leader;
+        leader = counters.leader;
+        leader_count;
+        elected_at = counters.elected_at;
+        messages = stats.Network.sent - counters.announce_messages;
+        activations = counters.activations;
+        knockouts = counters.knockouts;
+        purges = counters.purges;
+        ticks = stats.Network.ticks;
+        activation_times = Array.of_list (List.rev counters.activation_times);
+        mass_samples = Array.of_list (List.rev counters.mass_samples);
+        phase_transitions =
+          Array.of_list (List.rev counters.phase_transitions);
+        executed_events = engine_counters.Abe_sim.Engine.executed;
+        max_queue_depth = engine_counters.Abe_sim.Engine.max_queue_depth;
+        wall_time = engine_counters.Abe_sim.Engine.wall_time;
+        engine_outcome;
+        violations;
+        stalled = !stall };
+    announce_messages = counters.announce_messages;
+    all_informed = announce && Array.for_all Fun.id informed;
+    informed_at = counters.informed_at }
 
 let run ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
     ~seed config =
-  run_with ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
-    ~seed config
-    ~tick:(fun ~rng st -> Election.tick_decision ~a0:config.a0 ~rng st)
+  (run_with ~rule:Election.tick_decision ~announce:false ?trace ?metrics
+     ?scheduler ?causal ?check ?forwarding ?wall_deadline ~seed config)
+    .election
 
-(* Ablation: constant activation probability, ignoring d. *)
 let run_naive ?trace ?metrics ?scheduler ?causal ?check ?forwarding
     ?wall_deadline ~seed config =
-  run_with ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
-    ~seed config
-    ~tick:(fun ~rng st ->
-        match st.Election.phase with
-        | Election.Idle ->
-          if Rng.bernoulli rng config.a0 then
-            ({ st with Election.phase = Election.Active }, true)
-          else (st, false)
-        | Election.Active | Election.Passive | Election.Leader -> (st, false))
+  (run_with ~rule:naive_rule ~announce:false ?trace ?metrics ?scheduler
+     ?causal ?check ?forwarding ?wall_deadline ~seed config)
+    .election
+
+let announce ?trace ?metrics ?causal ?check ~seed config =
+  run_with ~rule:Election.tick_decision ~announce:true ?trace ?metrics
+    ?causal ?check ~seed config
 
 let pp_outcome ppf o =
   Fmt.pf ppf
@@ -547,3 +642,7 @@ let pp_outcome ppf o =
   match o.stalled with
   | None -> ()
   | Some reason -> Fmt.pf ppf " stalled=%S" reason
+
+let pp_announced ppf o =
+  Fmt.pf ppf "%a | announce=%d all_informed=%b informed_at=%.3f" pp_outcome
+    o.election o.announce_messages o.all_informed o.informed_at

@@ -81,16 +81,6 @@ val with_link_delays : config -> Abe_net.Delay_model.t array -> config
 val with_limit_events : config -> int -> config
 (** [with_limit_events config k] replaces the engine event budget. *)
 
-val network :
-  config -> Abe_net.Network.config * Abe_net.Monitor.dynamic_class
-(** The network wiring of a configuration, shared by every harness that
-    runs the election over {!Abe_net.Network} ({!run} and {!Announce.run}):
-    per-link delay models ([link_delays], else [delay]) under the fault's
-    delay overlay, processing time, clock bounds, the fault's loss
-    schedule, the crash, rejoin and link-outage lists — and the monitor
-    class they call for: [Dynamic] when the fault rejoins nodes or takes
-    links down, [Static] otherwise. *)
-
 type outcome = {
   elected : bool;
   leader : int option;        (** index of the elected node, if any *)
@@ -126,12 +116,12 @@ type outcome = {
       (** invariant violations found by the runtime oracle; always [[]]
           when the run was not checked *)
   stalled : string option;
-      (** structured no-leader reason: [Some _] when the run was stopped
-          early because election had become impossible — a node crashed
-          with no scheduled rejoin before any election, permanently
-          breaking the ring (the token must traverse every link).  The
-          engine outcome is then [Stopped] rather than a burned-out time
-          limit.  [None] on every run that elected or was still live. *)
+      (** structured reason why the run's goal became impossible: a node
+          crashed with no scheduled rejoin before the election (or, under
+          {!announce}, before the lap passed it), permanently breaking the
+          ring that the token must traverse.  The run then stops early,
+          with engine outcome [Stopped] rather than a burned-out time
+          limit.  [None] on every run that reached its goal or was live. *)
 }
 
 (** Token-forwarding rule, for oracle and liveness self-tests:
@@ -142,6 +132,38 @@ type outcome = {
     so for [n >= 3] no schedule can ever elect — the seeded mutation the
     liveness checker must catch. *)
 type forwarding = Paper | Stale_max | Drop_token
+
+(** {1 The per-event step}
+
+    The one place that turns {!Election} into handler behaviour, for the
+    simulator ({!run}) and the real backend ([Abe_substrate.Elect_real]):
+    same tokens, same hop-soundness predicate, same marks. *)
+
+type mark = Activate | Knockout | Purge | Elected
+
+val mark_label : mark -> string
+(** ["activate"], ["knockout"], ["purge"], ["elected"]. *)
+
+type 'ctx step
+(** A backend's half of the handlers over its context ['ctx]. *)
+
+val step :
+  config ->
+  send:('ctx -> hop:int -> traversed:int -> unit) ->
+  mark:('ctx -> mark -> traversed:int -> unit) ->
+  unsound:('ctx -> hop:int -> traversed:int -> unit) ->
+  'ctx step
+(** The paper's rule on [config]'s ring.  [send] puts a token on the
+    out-link; [mark] reports an event before its send, with the arriving
+    token's link count ([0] for [Activate]), and the backend stops on
+    [Elected]; [unsound] reports a token with [hop <> traversed]. *)
+
+val on_tick :
+  'ctx step -> 'ctx -> rng:Abe_prob.Rng.t -> Election.state -> Election.state
+
+val on_token :
+  'ctx step -> 'ctx -> Election.state -> hop:int -> traversed:int ->
+  Election.state
 
 val run :
   ?trace:Abe_sim.Trace.t ->
@@ -174,11 +196,11 @@ val run :
 
     A [causal] span recorder (see {!Abe_sim.Causal}) receives the run's
     happens-before DAG from the network, plus the election-layer
-    annotations: phase transitions as marks (["activate"], ["knockout"],
-    ["purge"], ["elected"]) attached to the handler span they happened
-    in, and the electing delivery's span nominated as the critical-path
-    sink ({!Abe_sim.Causal.set_sink}) for {!Abe_sim.Critpath.analyze}.
-    Also a pure observation — byte-identical outcomes.
+    annotations: phase transitions as marks ({!mark_label}) attached to
+    the handler span they happened in, and the electing delivery's span
+    nominated as the critical-path sink ({!Abe_sim.Causal.set_sink}) for
+    {!Abe_sim.Critpath.analyze}.  Also a pure observation — byte-identical
+    outcomes.
 
     A [scheduler] (see {!Abe_sim.Engine}) delegates the delivery-order
     decision among near-simultaneous events to exploration tools
@@ -210,4 +232,28 @@ val run_naive :
     probability [a0] instead of the paper's [1 - (1-a0)^d] schedule.  Used
     to show why the adaptive exponent matters (experiment E5). *)
 
+type announced = {
+  election : outcome;  (** [messages] excludes the announcement lap *)
+  announce_messages : int;  (** exactly [n] on success *)
+  all_informed : bool;
+  informed_at : float;  (** when the lap closed; [nan] if it did not *)
+}
+
+val announce :
+  ?trace:Abe_sim.Trace.t ->
+  ?metrics:Abe_sim.Metrics.t ->
+  ?causal:Abe_sim.Causal.t ->
+  ?check:bool ->
+  seed:int ->
+  config ->
+  announced
+(** {!run} with termination detection: instead of stopping, the fresh
+    leader sends an announcement round the ring, and its return is the
+    run's goal — [n] extra messages and one ring traversal of time.  The
+    election phase is the same execution as {!run}'s, and the oracle,
+    metrics, causal marks and stall rule apply unchanged; the lap too needs
+    every link, so the stall rule also covers nodes it has yet to pass.
+    Adds the counter ["announce/messages"] and the mark ["informed"]. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
+val pp_announced : Format.formatter -> announced -> unit

@@ -35,8 +35,7 @@ module type PROTOCOL = sig
 end
 
 (* The configuration does not depend on the protocol, so it is defined
-   once and included in every functor application: one [config] value
-   (see [Runner.network]) serves any protocol's network. *)
+   once and included in every functor application. *)
 module Config = struct
   type config = {
     topology : Topology.t;

@@ -1,40 +1,21 @@
-open Abe_net
 open Abe_core
 
 type config = {
-  n : int;
-  a0 : float;
-  params : Params.t;
-  delay : Delay_model.t;
+  election : Runner.config;
   loss_probability : float;
   scale : float;
   wall_timeout : float;
   spawn_mode : Cluster.spawn_mode;
 }
 
-let config ?(a0 = 0.3) ?(params = Params.default) ?delay
-    ?(loss_probability = 0.) ?(scale = 0.005) ?(wall_timeout = 60.)
-    ?(spawn_mode = Cluster.Domains) ~n () =
-  if n < 2 then invalid_arg "Elect_real.config: n must be >= 2";
-  if not (a0 > 0. && a0 < 1.) then
-    invalid_arg "Elect_real.config: a0 outside (0,1)";
-  let delay =
-    match delay with
-    | Some d -> d
-    | None -> Delay_model.abe_exponential ~delta:params.Params.delta
-  in
-  if not (Params.admits_delay params delay) then
-    invalid_arg
-      (Fmt.str
-         "Elect_real.config: delay model %a has expected delay %g > delta %g"
-         Delay_model.pp delay
-         (Delay_model.expected_delay delay)
-         params.Params.delta);
-  if params.Params.gamma > 0. then
+let config ?a0 ?params ?delay ?(loss_probability = 0.) ?(scale = 0.005)
+    ?(wall_timeout = 60.) ?(spawn_mode = Cluster.Domains) ~n () =
+  let election = Runner.config ?a0 ?params ?delay ~n () in
+  if election.Runner.params.Params.gamma > 0. then
     invalid_arg
       "Elect_real.config: the real backend does not emulate processing time \
        (gamma must be 0)";
-  { n; a0; params; delay; loss_probability; scale; wall_timeout; spawn_mode }
+  { election; loss_probability; scale; wall_timeout; spawn_mode }
 
 type outcome = {
   elected : bool;
@@ -50,8 +31,8 @@ type outcome = {
   fidelity : Telemetry.Fidelity.summary;
 }
 
-(* The wire token mirrors Runner's: the hop counter the protocol reads
-   plus the traversed-links tag the hop-soundness invariant checks. *)
+(* The wire token: the hop counter the protocol reads plus the
+   traversed-links tag the hop-soundness predicate checks, as 16 bytes. *)
 module Token = struct
   type state = Election.state
   type message = { hop : int; traversed : int }
@@ -73,50 +54,37 @@ end
 module C = Cluster.Make (Token)
 
 let run ?metrics ?telemetry ?snapshots ~seed config =
+  let election = config.election in
   let cluster_config =
-    { Cluster.topology = Topology.ring config.n;
-      delay_of_link = (fun _ -> config.delay);
+    { Cluster.topology = election.Runner.topology;
+      delay_of_link = (fun _ -> election.Runner.delay);
       loss_probability = config.loss_probability;
-      clock_spec = config.params.Params.clock;
+      clock_spec = election.Runner.params.Params.clock;
       scale = config.scale;
       wall_timeout = config.wall_timeout;
       spawn_mode = config.spawn_mode }
   in
+  (* The protocol is Runner's step; this backend adds the wire, the span
+     marks, the activation count and the stop. *)
+  let step =
+    Runner.step election
+      ~send:(fun ctx ~hop ~traversed -> ctx.C.send 0 { Token.hop; traversed })
+      ~mark:(fun ctx mark ~traversed:_ ->
+          (match mark with Runner.Activate -> ctx.C.mark () | _ -> ());
+          ctx.C.note (Runner.mark_label mark);
+          match mark with Runner.Elected -> ctx.C.stop () | _ -> ())
+      ~unsound:(fun _ ~hop ~traversed ->
+          failwith
+            (Printf.sprintf
+               "hop-soundness violated: token hop %d but traversed %d links"
+               hop traversed))
+  in
   let handlers =
     { C.init = (fun _ctx -> Election.initial);
-      on_tick =
-        (fun ctx st ->
-           let st', activated =
-             Election.tick_decision ~a0:config.a0 ~rng:ctx.C.rng st
-           in
-           if activated then begin
-             ctx.C.mark ();
-             ctx.C.note "activate";
-             (* A fresh token starts with hop counter 1 and will have
-                traversed exactly one link on first arrival. *)
-             ctx.C.send 0 { Token.hop = 1; traversed = 1 }
-           end;
-           st');
+      on_tick = (fun ctx st -> Runner.on_tick step ctx ~rng:ctx.C.rng st);
       on_message =
-        (fun ctx st tok ->
-           if tok.Token.hop <> tok.Token.traversed then
-             failwith
-               (Printf.sprintf
-                  "hop-soundness violated: token hop %d but traversed %d links"
-                  tok.Token.hop tok.Token.traversed);
-           let st', reaction = Election.receive ~n:config.n st tok.Token.hop in
-           (* Phase-transition marks mirror Runner's exactly, so a merged
-              real trace carries the same annotations as a sim trace. *)
-           (match reaction with
-            | Election.Forward hop' ->
-              if st.Election.phase = Election.Idle then ctx.C.note "knockout";
-              ctx.C.send 0
-                { Token.hop = hop'; traversed = tok.Token.traversed + 1 }
-            | Election.Purge -> ctx.C.note "purge"
-            | Election.Elected ->
-              ctx.C.note "elected";
-              ctx.C.stop ());
-           st') }
+        (fun ctx st { Token.hop; traversed } ->
+           Runner.on_token step ctx st ~hop ~traversed) }
   in
   match C.run ?metrics ?telemetry ?snapshots ~seed cluster_config handlers with
   | Error _ as e -> e

@@ -1,13 +1,9 @@
 (** The paper's ring election on the real-process substrate.
 
-    Drives the {e same} pure {!Abe_core.Election} transition functions the
-    simulator's {!Abe_core.Runner} wires up — nothing protocol-side changes
-    to run on sockets.  Tokens travel as 16-byte frames (hop counter plus
-    the traversed-links tag), the unidirectional ring is the topology, and
-    the reactions map exactly as in the runner: [Forward] sends
-    [hop + 1] on the single out-link, [Purge] swallows, [Elected] requests
-    global stop, making the stopping node the leader and the stop instant
-    [elected_at].
+    Handlers run the simulator's per-event step ({!Abe_core.Runner.on_tick},
+    {!Abe_core.Runner.on_token}) unchanged; tokens travel as 16-byte frames
+    on the ring, and [Elected] requests global stop, making the stopping
+    node the leader and the stop instant [elected_at].
 
     Fidelity caveats (see DESIGN.md §6i): processing time is not emulated
     ([gamma] must be 0) and [elected_at] is wall-clock elapsed divided by
@@ -15,12 +11,10 @@
     simulator is distributional, not per-seed. *)
 
 type config = private {
-  n : int;
-  a0 : float;
-  params : Abe_core.Params.t;
-  delay : Abe_net.Delay_model.t;
+  election : Abe_core.Runner.config;
+      (** ring size, [a0], parameters, delay model and the ring itself *)
   loss_probability : float;
-  scale : float;
+  scale : float;  (** wall seconds per simulated time unit *)
   wall_timeout : float;
   spawn_mode : Cluster.spawn_mode;
 }
@@ -36,9 +30,10 @@ val config :
   n:int ->
   unit ->
   config
-(** Validated constructor, mirroring [Runner.config]: [n >= 2], [a0] in
-    (0,1), the delay model admissible for [params], and — substrate
-    restriction — [params.gamma = 0].  Raises [Invalid_argument]. *)
+(** Validated constructor: the election part goes through
+    {!Abe_core.Runner.config} ([n >= 2], [a0] in (0,1), the delay model
+    admissible for [params]) and — substrate restriction —
+    [params.gamma] must be 0.  Raises [Invalid_argument]. *)
 
 type outcome = {
   elected : bool;
@@ -66,8 +61,8 @@ val run :
     shut down cleanly.  Composes with [Exp.replicate] as
     [fun ~seed -> Elect_real.run ~seed config].  With [telemetry], the
     run's causal span DAG is left in the collector (merge it afterwards);
-    with [snapshots], live router state streams as JSONL.  Protocol marks
-    ("activate", "knockout", "purge", "elected") ride on the traced spans
-    exactly as in the simulator's runner. *)
+    with [snapshots], live router state streams as JSONL.  The step's
+    protocol marks ({!Abe_core.Runner.mark_label}) ride on the traced
+    spans. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

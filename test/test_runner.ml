@@ -213,22 +213,22 @@ let test_activation_times_increasing () =
 let test_announce_completes () =
   for seed = 1 to 20 do
     let config = Runner.config ~n:8 ~a0:0.1 () in
-    let o = Announce.run ~seed config in
-    if not o.Announce.election.Runner.elected then
+    let o = Runner.announce ~seed config in
+    if not o.Runner.election.Runner.elected then
       Alcotest.failf "seed %d: no leader" seed;
-    if not o.Announce.all_informed then
+    if not o.Runner.all_informed then
       Alcotest.failf "seed %d: not all nodes informed" seed;
     Alcotest.(check int) "announcement lap is exactly n messages" 8
-      o.Announce.announce_messages;
+      o.Runner.announce_messages;
     Alcotest.(check bool) "informed after elected" true
-      (o.Announce.informed_at >= o.Announce.election.Runner.elected_at)
+      (o.Runner.informed_at >= o.Runner.election.Runner.elected_at)
   done
 
 let test_announce_matches_plain_election () =
-  (* Same seed, same config: the election phase of the announcing variant
-     must match the plain runner exactly (the announcement only replaces
-     the halt) — including under faults and per-link delay models, whose
-     network wiring both harnesses take from [Runner.network]. *)
+  (* Same seed, same config: the election phase of announce mode must
+     match the plain run exactly (the announcement only replaces the
+     halt) — including under faults and per-link delay models, and in the
+     election-layer metrics. *)
   let open Abe_net in
   (* The CLI's default activation parameter for [elect -n 8]. *)
   let a0 = Analysis.recommended_a0 ~theta:1. 8 in
@@ -238,18 +238,37 @@ let test_announce_matches_plain_election () =
            let delta = if i mod 2 = 0 then 0.5 else 2. in
            Delay_model.abe_exponential ~delta))
   in
+  let module M = Abe_sim.Metrics in
   List.iter
     (fun (label, seed, config) ->
-       let plain = Runner.run ~seed config in
-       let announced = Announce.run ~seed config in
+       let plain_metrics = M.create () and announced_metrics = M.create () in
+       let plain = Runner.run ~metrics:plain_metrics ~seed config in
+       let announced =
+         Runner.announce ~metrics:announced_metrics ~seed config
+       in
        Alcotest.(check bool) (label ^ ": plain elects") true
          plain.Runner.elected;
        Alcotest.(check (option int)) (label ^ ": same leader")
-         plain.Runner.leader announced.Announce.election.Runner.leader;
+         plain.Runner.leader announced.Runner.election.Runner.leader;
        Alcotest.(check int) (label ^ ": same election messages")
-         plain.Runner.messages announced.Announce.election.Runner.messages;
+         plain.Runner.messages announced.Runner.election.Runner.messages;
        Alcotest.(check (float 1e-9)) (label ^ ": same election time")
-         plain.Runner.elected_at announced.Announce.election.Runner.elected_at)
+         plain.Runner.elected_at announced.Runner.election.Runner.elected_at;
+       (* The election-layer metrics come from the same step in both
+          modes; the lap adds only its own counter. *)
+       List.iter
+         (fun name ->
+            Alcotest.(check int) (label ^ ": same " ^ name)
+              (M.counter_value (M.counter plain_metrics name))
+              (M.counter_value (M.counter announced_metrics name)))
+         [ "election/activations"; "election/knockouts"; "election/purges" ];
+       Alcotest.(check (option (float 1e-9)))
+         (label ^ ": same elected_at gauge")
+         (M.gauge_value (M.gauge plain_metrics "election/elected_at"))
+         (M.gauge_value (M.gauge announced_metrics "election/elected_at"));
+       Alcotest.(check int) (label ^ ": announce/messages = n")
+         config.Runner.n
+         (M.counter_value (M.counter announced_metrics "announce/messages")))
     [ ("fault-free", 5, Runner.config ~n:8 ~a0:0.1 ());
       ( "rejoin(3@2:5)", 1,
         Runner.config ~n:8 ~a0
@@ -263,10 +282,10 @@ let test_announce_n2 () =
   (* Smallest ring: the announcement lap is 2 messages. *)
   for seed = 1 to 10 do
     let config = Runner.config ~n:2 ~a0:0.3 () in
-    let o = Announce.run ~seed config in
-    Alcotest.(check bool) "elected" true o.Announce.election.Runner.elected;
-    Alcotest.(check bool) "informed" true o.Announce.all_informed;
-    Alcotest.(check int) "two announce messages" 2 o.Announce.announce_messages
+    let o = Runner.announce ~seed config in
+    Alcotest.(check bool) "elected" true o.Runner.election.Runner.elected;
+    Alcotest.(check bool) "informed" true o.Runner.all_informed;
+    Alcotest.(check int) "two announce messages" 2 o.Runner.announce_messages
   done
 
 let test_mass_samples_recorded () =
@@ -452,12 +471,60 @@ let test_fault_runs_deterministic () =
 let test_announce_checked_clean () =
   for seed = 1 to 10 do
     let config = Runner.config ~n:8 ~a0:0.1 () in
-    let o = Announce.run ~check:true ~seed config in
-    Alcotest.(check bool) "informed" true o.Announce.all_informed;
-    match o.Announce.election.Runner.violations with
+    let o = Runner.announce ~check:true ~seed config in
+    Alcotest.(check bool) "informed" true o.Runner.all_informed;
+    match o.Runner.election.Runner.violations with
     | [] -> ()
     | v :: _ -> fail_violation ~seed ~scenario:"announce" v
   done
+
+let test_announce_stall_matches_plain () =
+  (* A permanent crash before the election stalls both modes at the same
+     instant: the lap needs every link too, so announce mode must not
+     spin until the time budget runs out. *)
+  let config =
+    Runner.config ~n:8
+      ~a0:(Analysis.recommended_a0 ~theta:1. 8)
+      ~fault:(Abe_net.Faults.crash ~node:4 ~at:8.)
+      ()
+  in
+  let plain = Runner.run ~check:true ~seed:1 config in
+  let announced = Runner.announce ~check:true ~seed:1 config in
+  Alcotest.(check bool) "plain stalls" true (plain.Runner.stalled <> None);
+  Alcotest.(check int) "same ticks" plain.Runner.ticks
+    announced.Runner.election.Runner.ticks;
+  Alcotest.(check (option string)) "same stall reason" plain.Runner.stalled
+    announced.Runner.election.Runner.stalled;
+  Alcotest.(check int) "no announcement" 0 announced.Runner.announce_messages;
+  Alcotest.(check bool) "not informed" false announced.Runner.all_informed;
+  (* After the election (t=44.632, lap closed at t=53.473 fault-free) only
+     a node the announcement has yet to pass is needed: at t=50 it has
+     passed node 3 but not node 7. *)
+  let crash_at_50 node =
+    Runner.announce ~check:true ~seed:1
+      (Runner.config ~n:8
+         ~a0:(Analysis.recommended_a0 ~theta:1. 8)
+         ~fault:(Abe_net.Faults.crash ~node ~at:50.)
+         ())
+  in
+  let passed = crash_at_50 3 and ahead = crash_at_50 7 in
+  Alcotest.(check bool) "passed node: lap closes" true
+    passed.Runner.all_informed;
+  Alcotest.(check (option string)) "passed node: no stall" None
+    passed.Runner.election.Runner.stalled;
+  Alcotest.(check bool) "node ahead: elected" true
+    ahead.Runner.election.Runner.elected;
+  Alcotest.(check (option string)) "node ahead: lap stalls"
+    (Some "node 7 crashed with no rejoin at t=50: announcement lap cannot \
+           complete")
+    ahead.Runner.election.Runner.stalled;
+  List.iter
+    (fun o ->
+       match o.Runner.violations with
+       | [] -> ()
+       | v :: _ -> fail_violation ~seed:1 ~scenario:"crash" v)
+    [ plain; announced.Runner.election; passed.Runner.election;
+      ahead.Runner.election ]
 
 let prop_safety_unique_leader =
   QCheck.Test.make ~name:"never more than one leader (any seed, any size)"
@@ -476,10 +543,10 @@ let prop_announce_informs_everyone =
     QCheck.(pair (int_range 2 16) small_int)
     (fun (n, seed) ->
        let config = Runner.config ~n ~a0:0.15 () in
-       let o = Announce.run ~seed config in
-       o.Announce.election.Runner.elected
-       && o.Announce.all_informed
-       && o.Announce.announce_messages = n)
+       let o = Runner.announce ~seed config in
+       o.Runner.election.Runner.elected
+       && o.Runner.all_informed
+       && o.Runner.announce_messages = n)
 
 let prop_knockouts_bounded =
   QCheck.Test.make ~name:"knockouts bounded by n-1" ~count:40
@@ -508,7 +575,7 @@ let test_shared_topology () =
   let replayable o = { o with Runner.wall_time = 0. } in
   let first = Runner.run ~seed:1 config in
   let second = Runner.run ~seed:2 config in
-  ignore (Announce.run ~seed:2 config : Announce.outcome);
+  ignore (Runner.announce ~seed:2 config : Runner.announced);
   let third = Runner.run ~seed:1 config in
   Alcotest.(check bool) "seed 2 differs from seed 1" true
     (compare (replayable first) (replayable second) <> 0);
@@ -572,6 +639,8 @@ let () =
             test_announce_completes;
           Alcotest.test_case "election phase unchanged" `Quick
             test_announce_matches_plain_election;
+          Alcotest.test_case "stall matches plain" `Quick
+            test_announce_stall_matches_plain;
           Alcotest.test_case "n=2" `Quick test_announce_n2;
           Alcotest.test_case "mass samples" `Quick test_mass_samples_recorded ] );
       ( "configuration",
