@@ -62,7 +62,10 @@ val activation_probability : a0:float -> d:int -> float
 val tick_decision : a0:float -> rng:Abe_prob.Rng.t -> state -> state * bool
 (** One clock tick.  For an idle node, flips the activation coin: on success
     the node becomes active and must send [<1>] ([true] in the result).
-    Non-idle nodes are unchanged ([false]). *)
+    Non-idle nodes are unchanged ([false]).  The simulator and the real
+    backend make the same draw through {!Runner.on_tick}, with the
+    probability looked up in a per-configuration table; this function is
+    the reference that tests compare it against. *)
 
 val receive : n:int -> state -> message -> state * reaction
 (** One message receipt, per the case analysis above.  Requires [n >= 2] and

@@ -15,7 +15,18 @@ type config = {
   record_mass : bool;
   record_phases : bool;
   topology : Topology.t;
+  activation : float array;
 }
+
+(* [activation.(d)] for d = 1..n, bit for bit
+   [Election.activation_probability]: the tick rule's only float work,
+   done once per configuration instead of once per tick.  A watermark
+   never exceeds n, the largest hop count [Election.receive] accepts. *)
+let activation_table ~n ~a0 =
+  Array.init (n + 1) (fun d ->
+      if d = 0 then 0. else Election.activation_probability ~a0 ~d)
+
+let naive_activation config = Array.make (config.n + 1) config.a0
 
 let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
     ?proc_delay ?(limit_time = 1e7) ?(limit_events = 200_000_000)
@@ -53,7 +64,8 @@ let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
      that is the point of injecting it. *)
   { n; a0; params; delay; link_delays; proc_delay; limit_time; limit_events;
     crash_times; fault; record_mass; record_phases;
-    topology = Topology.ring n }
+    topology = Topology.ring n;
+    activation = activation_table ~n ~a0 }
 
 let with_link_delays config models =
   if Array.length models <> config.n then
@@ -126,8 +138,7 @@ let mark_label = function
    step allocates nothing of its own. *)
 type 'ctx step = {
   n : int;
-  a0 : float;
-  decide : a0:float -> rng:Rng.t -> Election.state -> Election.state * bool;
+  activation : float array;  (* by watermark d; see [activation_table] *)
   forwarding : forwarding;
   moved : 'ctx -> Election.state -> Election.state -> unit;
   mark : 'ctx -> mark -> traversed:int -> unit;
@@ -135,30 +146,24 @@ type 'ctx step = {
   unsound : 'ctx -> hop:int -> traversed:int -> unit;
 }
 
-(* Ablation: constant activation probability, ignoring d. *)
-let naive_rule ~a0 ~rng st =
-  match st.Election.phase with
-  | Election.Idle ->
-    if Rng.bernoulli rng a0 then
-      ({ st with Election.phase = Election.Active }, true)
-    else (st, false)
-  | Election.Active | Election.Passive | Election.Leader -> (st, false)
-
 let step (config : config) ~send ~mark ~unsound =
-  { n = config.n; a0 = config.a0; decide = Election.tick_decision;
-    forwarding = Paper; moved = (fun _ _ _ -> ()); mark; send; unsound }
+  { n = config.n; activation = config.activation; forwarding = Paper;
+    moved = (fun _ _ _ -> ()); mark; send; unsound }
 
+(* [Election.tick_decision] with the coin's probability looked up, not
+   computed: the same draw on the same stream, and no allocation unless
+   the node activates. *)
 let on_tick w ctx ~rng st =
-  let st', activated = w.decide ~a0:w.a0 ~rng st in
-  (* Most ticks change nothing and return [st] itself. *)
-  if st' != st then w.moved ctx st st';
-  if activated then begin
+  match st.Election.phase with
+  | Election.Idle when Rng.bernoulli_at rng w.activation st.Election.d ->
+    let st' = { st with Election.phase = Election.Active } in
+    w.moved ctx st st';
     w.mark ctx Activate ~traversed:0;
     (* A fresh token starts with hop counter 1, and will have traversed
        exactly one link when it first arrives. *)
-    w.send ctx ~hop:1 ~traversed:1
-  end;
-  st'
+    w.send ctx ~hop:1 ~traversed:1;
+    st'
+  | Election.Idle | Election.Active | Election.Passive | Election.Leader -> st
 
 let on_token w ctx st ~hop ~traversed =
   if hop <> traversed then w.unsound ctx ~hop ~traversed;
@@ -235,7 +240,7 @@ let mix h v =
    naive ablation differ only in the tick rule, and announce mode only in
    what [Elected] does — it starts the announcement lap instead of
    stopping, and the lap's return to the leader is the run's goal. *)
-let run_with ~rule ~announce ?trace ?metrics ?scheduler ?causal
+let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
     ?(check = false) ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed
     config =
   let counters =
@@ -436,8 +441,7 @@ let run_with ~rule ~announce ?trace ?metrics ?scheduler ?causal
   in
   let sim =
     { n = config.n;
-      a0 = config.a0;
-      decide = rule;
+      activation;
       forwarding;
       moved =
         (fun ctx before after ->
@@ -615,19 +619,20 @@ let run_with ~rule ~announce ?trace ?metrics ?scheduler ?causal
     informed_at = counters.informed_at }
 
 let run ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
-    ~seed config =
-  (run_with ~rule:Election.tick_decision ~announce:false ?trace ?metrics
+    ~seed (config : config) =
+  (run_with ~activation:config.activation ~announce:false ?trace ?metrics
      ?scheduler ?causal ?check ?forwarding ?wall_deadline ~seed config)
     .election
 
 let run_naive ?trace ?metrics ?scheduler ?causal ?check ?forwarding
     ?wall_deadline ~seed config =
-  (run_with ~rule:naive_rule ~announce:false ?trace ?metrics ?scheduler
+  (run_with ~activation:(naive_activation config) ~announce:false ?trace
+     ?metrics ?scheduler
      ?causal ?check ?forwarding ?wall_deadline ~seed config)
     .election
 
-let announce ?trace ?metrics ?causal ?check ~seed config =
-  run_with ~rule:Election.tick_decision ~announce:true ?trace ?metrics
+let announce ?trace ?metrics ?causal ?check ~seed (config : config) =
+  run_with ~activation:config.activation ~announce:true ?trace ?metrics
     ?causal ?check ~seed config
 
 let pp_outcome ppf o =

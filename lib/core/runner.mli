@@ -47,6 +47,12 @@ type config = private {
       (** [Topology.ring n], built once by {!config} and shared by every
           run of this configuration (topologies are immutable).  The record
           is private so that it cannot drift from [n]. *)
+  activation : float array;
+      (** the tick rule's table, built once by {!config} like [topology]:
+          [activation.(d)] is [Election.activation_probability ~a0 ~d],
+          bit for bit, for every watermark [d] in [1 .. n] (entry 0 is
+          unused).  An idle node's tick draws against it instead of
+          recomputing the power. *)
 }
 
 val config :
@@ -71,6 +77,10 @@ val config :
     @raise Invalid_argument if the delay model's expected delay exceeds
     [params.delta] or the processing mean exceeds [params.gamma] — the
     configuration would not be an honest ABE network. *)
+
+val naive_activation : config -> float array
+(** The naive ablation's table ({!run_naive}): [a0] at every index, the
+    same shape as [activation]. *)
 
 val with_link_delays : config -> Abe_net.Delay_model.t array -> config
 (** [with_link_delays config models] replaces the per-link delay models

@@ -26,15 +26,17 @@ let create s ~rng =
 
 let rate t = t.rate
 
-let local_time t ~real = (t.rate *. real) +. t.phase
+let[@inline] local_time t ~real = (t.rate *. real) +. t.phase
 
-let real_of_local t ~local = (local -. t.phase) /. t.rate
+let[@inline] real_of_local t ~local = (local -. t.phase) /. t.rate
 
-let next_tick t ~after =
+let[@inline] next_tick t ~after =
   let local_now = local_time t ~real:after in
   let candidate = Float.floor local_now +. 1. in
   let real = real_of_local t ~local:candidate in
   (* Guard against rounding collapsing the tick onto [after] itself. *)
   if real > after then real else real_of_local t ~local:(candidate +. 1.)
+
+let advance_tick t times i = times.(i) <- next_tick t ~after:times.(i)
 
 let tick_interval t = 1. /. t.rate

@@ -41,5 +41,11 @@ val next_tick : t -> after:float -> float
 (** Real time of the first integer local-clock tick strictly after the given
     real time. *)
 
+val advance_tick : t -> float array -> int -> unit
+(** [advance_tick c times i] replaces [times.(i)] with
+    [next_tick c ~after:times.(i)].  The same computation in place, so a
+    tick chain that keeps its pending instant in a flat array advances it
+    without boxing a float across the call. *)
+
 val tick_interval : t -> float
 (** Real-time spacing of local ticks, [1 /. rate]. *)

@@ -89,8 +89,8 @@ module Make (P : PROTOCOL) = struct
   include Config
 
   type node = {
-    id : int;  (* its handler stream and clock live in [Links] *)
-    mutable st : P.state option;  (* [Some] once [init] has run *)
+    id : int;  (* its handler stream and clock live in [Links];
+                  its protocol state in [t.states] *)
     mutable is_crashed : bool;
     mutable incarnation : int;
         (* bumped at every crash: node-local events (processing
@@ -121,12 +121,21 @@ module Make (P : PROTOCOL) = struct
      over a fresh tuple of fields.  The pools are global, not per-link:
      their size tracks the in-flight high-water mark of the whole network,
      not [links x depth] (per-link pools would cost O(links) memory even
-     on an idle ring of 10^6 nodes). *)
+     on an idle ring of 10^6 nodes).
+
+     With no hook attached the tick cycle allocates nothing.  A tick's
+     instant, its completion instant and a message's arrival instant sit
+     in flat arrays ([tick_time], [busy], [env_arrival]) and reach the
+     engine through [Engine.schedule_from] and the clock through
+     [Clock.advance_tick], so no float is boxed on the way; node states
+     sit in [states] with no option box; and hooks are matched in place,
+     not through capturing [Option.iter] closures. *)
   type t = {
     engine : Engine.t;
     config : config;
     handlers : handlers;
     nodes : node array;
+    mutable states : P.state array; (* by node id; filled by [init] *)
     mutable contexts : context array;
     links : Topology.link array;    (* by link id *)
     model : Links.t;                (* delay and loss draws, by link id *)
@@ -186,11 +195,6 @@ module Make (P : PROTOCOL) = struct
     | None -> ()
     | Some f -> f ~time:(now t) ~stats:t.net_stats ~in_flight:t.inflight ev
 
-  let node_state node =
-    match node.st with
-    | Some st -> st
-    | None -> assert false  (* init always runs before any event *)
-
   (* Scheduling classes for the engine's pluggable scheduler: link transit
      events share the link's class (per-link FIFO), node-local events
      (processing completions, ticks) share a per-node class (per-node
@@ -219,8 +223,10 @@ module Make (P : PROTOCOL) = struct
      [t.busy.(id)] ([start - arrival] is queueing behind earlier work,
      [completion - start] the processing time itself); results pass
      through flat arrays so no float is boxed on the way out. *)
-  let occupy t node ~arrival =
-    let start = Float.max arrival t.busy.(node.id) in
+  let[@inline] occupy t node ~arrival =
+    let busy = t.busy.(node.id) in
+    (* [Float.max] on instants, which are never NaN or -0. *)
+    let start = if arrival >= busy then arrival else busy in
     let proc =
       match t.config.proc_delay with
       | None -> 0.
@@ -278,18 +284,18 @@ module Make (P : PROTOCOL) = struct
         Trace.recordf t.trace ~time:(now t) ~kind:"recv"
           ~source:(Trace.Node dst.id)
           "%a" P.pp_message message;
-      Option.iter
-        (fun c ->
-           let span =
-             Causal.process c ?cause:t.env_cause.(i) ~node:dst.id
-               ~label:"recv" ~t_begin:t.env_arrival.(i)
-               ~t_busy:t.env_start.(i) ~t_end:t.env_completion.(i) ()
-           in
-           Causal.set_current c (Some span))
-        t.causal;
+      (match t.causal with
+       | None -> ()
+       | Some c ->
+         let span =
+           Causal.process c ?cause:t.env_cause.(i) ~node:dst.id
+             ~label:"recv" ~t_begin:t.env_arrival.(i)
+             ~t_busy:t.env_start.(i) ~t_end:t.env_completion.(i) ()
+         in
+         Causal.set_current c (Some span));
       let ctx = t.contexts.(dst.id) in
       free_envelope t i;
-      dst.st <- Some (t.handlers.on_message ctx (node_state dst) message)
+      t.states.(dst.id) <- t.handlers.on_message ctx t.states.(dst.id) message
     end
 
   (* Runs at the message's arrival instant: queue behind the destination's
@@ -351,14 +357,14 @@ module Make (P : PROTOCOL) = struct
       t.env_completion.(i) <- t.busy.(dst.id);
       t.env_inc.(i) <- dst.incarnation;
       ignore
-        (Engine.schedule_at t.engine ~tag:(node_class t dst.id)
+        (Engine.schedule_from t.engine ~tag:(node_class t dst.id)
            ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
-           ~time:t.busy.(dst.id) t.env_complete.(i))
+           ~times:t.busy dst.id t.env_complete.(i))
     end
 
   let grow_env_pool t filler =
     let old = Array.length t.env_seq in
-    let cap = max 64 (2 * old) in
+    let cap = max 16 (2 * old) in
     let msg = Array.make cap filler in
     Array.blit t.env_msg 0 msg 0 old;
     t.env_msg <- msg;
@@ -419,7 +425,10 @@ module Make (P : PROTOCOL) = struct
     (* The delay is drawn unconditionally, before any loss draw (see
        {!Links}), so the delays of delivered messages are byte-identical
        whether or not loss is enabled. *)
-    let delay = Links.delay t.model link_id ~now:(now t) in
+    (* One reading of the clock for the whole send: [Engine.now] returns a
+       boxed float. *)
+    let sent_at = now t in
+    let delay = Links.delay t.model link_id ~now:sent_at in
     (* Every message first enters flight (Send), and a lost one leaves it
        again immediately (Loss) — so the conservation equation holds at
        both observer calls. *)
@@ -433,7 +442,7 @@ module Make (P : PROTOCOL) = struct
      | None -> ()
      | Some _ -> emit t (Send { link; seq }));
     if Trace.enabled t.trace then
-      Trace.recordf t.trace ~time:(now t) ~kind:"send"
+      Trace.recordf t.trace ~time:sent_at ~kind:"send"
         ~source:(Trace.Node src.id)
         "%a" P.pp_message message;
     if not t.link_up.(link_id) then begin
@@ -451,18 +460,17 @@ module Make (P : PROTOCOL) = struct
        | None -> ()
        | Some _ -> emit t (Link_drop { link; seq }));
       if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t) ~kind:"link-drop"
+        Trace.recordf t.trace ~time:sent_at ~kind:"link-drop"
           ~source:(Trace.Link link_id)
           "%a" P.pp_message message;
-      Option.iter
-        (fun c ->
-           ignore
-             (Causal.transit c ~link:link_id ~src:src.id
-                ~dst:link.Topology.dst ~t_begin:(now t) ~t_end:(now t)
-                ~label:"link-drop"))
-        t.causal
+      match t.causal with
+      | None -> ()
+      | Some c ->
+        ignore
+          (Causal.transit c ~link:link_id ~src:src.id ~dst:link.Topology.dst
+             ~t_begin:sent_at ~t_end:sent_at ~label:"link-drop")
     end
-    else if Links.lost t.model link_id ~now:(now t) then begin
+    else if Links.lost t.model link_id ~now:sent_at then begin
       t.net_stats.lost <- t.net_stats.lost + 1;
       t.inflight <- t.inflight - 1;
       (match t.instruments with
@@ -474,21 +482,19 @@ module Make (P : PROTOCOL) = struct
        | None -> ()
        | Some _ -> emit t (Loss { link; seq }));
       if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t) ~kind:"loss"
+        Trace.recordf t.trace ~time:sent_at ~kind:"loss"
           ~source:(Trace.Link link_id)
           "%a" P.pp_message message;
       (* A lost message still happened causally: record a zero-length
          transit span (never marked delivered, so no flow arrow). *)
-      Option.iter
-        (fun c ->
-           ignore
-             (Causal.transit c ~link:link_id ~src:src.id
-                ~dst:link.Topology.dst ~t_begin:(now t) ~t_end:(now t)
-                ~label:"loss"))
-        t.causal
+      match t.causal with
+      | None -> ()
+      | Some c ->
+        ignore
+          (Causal.transit c ~link:link_id ~src:src.id ~dst:link.Topology.dst
+             ~t_begin:sent_at ~t_end:sent_at ~label:"loss")
     end
     else begin
-      let sent_at = now t in
       let arrival = sent_at +. delay in
       let arrival =
         if t.config.fifo then begin
@@ -503,12 +509,13 @@ module Make (P : PROTOCOL) = struct
          and stored in the envelope, whose delivery span names it as
          cause. *)
       let cause =
-        Option.map
-          (fun c ->
-             Causal.transit c ~link:link_id ~src:src.id
+        match t.causal with
+        | None -> None
+        | Some c ->
+          Some
+            (Causal.transit c ~link:link_id ~src:src.id
                ~dst:link.Topology.dst ~t_begin:sent_at ~t_end:arrival
                ~label:"msg")
-          t.causal
       in
       let i = alloc_envelope t message in
       t.env_msg.(i) <- message;
@@ -516,14 +523,16 @@ module Make (P : PROTOCOL) = struct
       t.env_seq.(i) <- seq;
       t.env_dst.(i) <- link.Topology.dst;
       t.env_sent_at.(i) <- sent_at;
+      (* The arrival event resets this to the instant it runs at. *)
+      t.env_arrival.(i) <- arrival;
       t.env_cause.(i) <- cause;
       ignore
-        (Engine.schedule_at t.engine ~tag:(link_class link)
+        (Engine.schedule_from t.engine ~tag:(link_class link)
            ~footprint:
              (if t.foot_on then
                 link_bit link_id lor node_bit link.Topology.dst
               else 0)
-           ~time:arrival t.env_arrive.(i))
+           ~times:t.env_arrival i t.env_arrive.(i))
     end
 
   (* Context builder: [now] and [stop] close over the network alone, so a
@@ -573,24 +582,23 @@ module Make (P : PROTOCOL) = struct
                 local_time =
                   Clock.local_time (Links.clock t.model id)
                     ~real:t.tc_completion.(i) }));
-      Option.iter
-        (fun c ->
-           let span =
-             Causal.process c ~node:id ~label:"tick"
-               ~t_begin:t.tc_tick.(i) ~t_busy:t.tc_start.(i)
-               ~t_end:t.tc_completion.(i) ()
-           in
-           Causal.set_current c (Some span))
-        t.causal;
+      (match t.causal with
+       | None -> ()
+       | Some c ->
+         let span =
+           Causal.process c ~node:id ~label:"tick" ~t_begin:t.tc_tick.(i)
+             ~t_busy:t.tc_start.(i) ~t_end:t.tc_completion.(i) ()
+         in
+         Causal.set_current c (Some span));
       let ctx = t.contexts.(id) in
       free_tick t i;
-      node.st <- Some (t.handlers.on_tick ctx (node_state node))
+      t.states.(id) <- t.handlers.on_tick ctx t.states.(id)
     end
     else free_tick t i
 
   let grow_tc_pool t =
     let old = Array.length t.tc_node in
-    let cap = max 64 (2 * old) in
+    let cap = max 16 (2 * old) in
     let copy_int src =
       let a = Array.make cap 0 in
       Array.blit src 0 a 0 old;
@@ -639,6 +647,7 @@ module Make (P : PROTOCOL) = struct
     let chain_inc = node.incarnation in
     let foot_fire = if t.foot_on then node_bit id else 0 in
     let foot_handler = if t.foot_on then t.foot_handler.(id) else 0 in
+    let clock = Links.clock t.model id in
     let rec fire () =
       let node = t.nodes.(id) in
       if (not node.is_crashed) && node.incarnation = chain_inc then begin
@@ -651,19 +660,19 @@ module Make (P : PROTOCOL) = struct
         t.tc_completion.(i) <- t.busy.(id);
         t.tc_inc.(i) <- chain_inc;
         ignore
-          (Engine.schedule_at t.engine ~tag ~footprint:foot_handler
-             ~time:t.busy.(id) t.tc_run.(i));
-        let next = Clock.next_tick (Links.clock t.model id) ~after:tick_time in
-        t.tick_time.(id) <- next;
+          (Engine.schedule_from t.engine ~tag ~footprint:foot_handler
+             ~times:t.busy id t.tc_run.(i));
+        Clock.advance_tick clock t.tick_time id;
         ignore
-          (Engine.schedule_at t.engine ~tag ~footprint:foot_fire ~time:next
-             fire)
+          (Engine.schedule_from t.engine ~tag ~footprint:foot_fire
+             ~times:t.tick_time id fire)
       end
     in
-    t.tick_time.(id) <- Clock.next_tick (Links.clock t.model id) ~after;
+    t.tick_time.(id) <- after;
+    Clock.advance_tick clock t.tick_time id;
     ignore
-      (Engine.schedule_at t.engine ~tag ~footprint:foot_fire
-         ~time:t.tick_time.(id) fire)
+      (Engine.schedule_from t.engine ~tag ~footprint:foot_fire
+         ~times:t.tick_time id fire)
 
   let set_link_up t link_id up =
     if link_id < 0 || link_id >= Array.length t.links then
@@ -692,7 +701,7 @@ module Make (P : PROTOCOL) = struct
       let tnow = now t in
       t.busy.(node_id) <- tnow;
       emit t (Revive { node = node_id });
-      node.st <- Some (t.handlers.init t.contexts.(node_id));
+      t.states.(node_id) <- t.handlers.init t.contexts.(node_id);
       if t.config.ticks_enabled then start_ticks t node ~after:tnow
     end
 
@@ -726,7 +735,6 @@ module Make (P : PROTOCOL) = struct
     let nodes =
       Array.init n (fun id ->
           { id;
-            st = None;
             is_crashed = false;
             incarnation = 0 })
     in
@@ -751,6 +759,7 @@ module Make (P : PROTOCOL) = struct
         config;
         handlers;
         nodes;
+        states = [||];
         contexts = [||];
         links;
         model;
@@ -812,9 +821,8 @@ module Make (P : PROTOCOL) = struct
         tc_free = -1 }
     in
     t.contexts <- Array.map (context_builder t) nodes;
-    Array.iteri
-      (fun i node -> node.st <- Some (handlers.init t.contexts.(i)))
-      nodes;
+    (* In node order: [init] may send. *)
+    t.states <- Array.map handlers.init t.contexts;
     if config.ticks_enabled then
       Array.iter (fun node -> start_ticks t node ~after:0.) nodes;
     List.iter
@@ -869,8 +877,8 @@ module Make (P : PROTOCOL) = struct
 
   let run t = Engine.run t.engine
   let counters t = Engine.counters t.engine
-  let state t i = node_state t.nodes.(i)
-  let states t = Array.map node_state t.nodes
+  let state t i = t.states.(i)
+  let states t = Array.copy t.states
   let stats t = t.net_stats
   let engine t = t.engine
   let in_flight t = t.inflight

@@ -109,9 +109,11 @@ let int_range t ~lo ~hi =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let bernoulli t p =
+let[@inline] bernoulli t p =
   if not (p >= 0. && p <= 1.) then invalid_arg "Rng.bernoulli: p outside [0,1]";
   unit_float t < p
+
+let bernoulli_at t probs i = bernoulli t probs.(i)
 
 let exponential t ~mean =
   if not (mean > 0.) then invalid_arg "Rng.exponential: mean must be positive";

@@ -52,6 +52,11 @@ val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p].  Requires
     [0. <= p <= 1.]. *)
 
+val bernoulli_at : t -> float array -> int -> bool
+(** [bernoulli_at t probs i] is [bernoulli t probs.(i)], the same draw
+    with [p] read from the caller's flat array, so that a table lookup
+    feeds the coin without boxing a float across the call. *)
+
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean ([mean > 0]). *)
 

@@ -5,6 +5,16 @@
    indices only (see Pqueue), so the hot loop moves nothing but immediates
    and flat floats: executing one event on the fast path allocates nothing.
 
+   Pending events live in one of two places.  An event scheduled for
+   exactly the current clock instant goes into the same-instant lane, a
+   FIFO ring of arena indices; every other event goes into the heap.  The
+   lane needs no ordering work: the clock is monotone and [seq] rises, so
+   its entries are appended in ascending [(time, seq)] order.  Every pop
+   ([pop_slot], and [min_slot] for the scheduler's candidate grab) merges
+   the lane head with the heap minimum on the full key, so the execution
+   order is exactly that of a single heap — including for events put back
+   into the heap by a budget or a scheduler.
+
    [run] dispatches once per call between two monomorphic loops: the fast
    loop, used when no observer, metrics registry, causal recorder or
    scheduler is attached, performs no per-event observation branches at
@@ -65,6 +75,11 @@ let null_action () = ()
 
 type t = {
   queue : Pqueue.t;
+  (* Same-instant lane: a ring buffer of arena slots, capacity a power of
+     two, live entries at [lane_head ..] (mod capacity). *)
+  mutable lane : int array;
+  mutable lane_head : int;
+  mutable lane_len : int;
   (* Event arena (SoA).  All arrays share the same capacity. *)
   mutable ev_time : float array;
   mutable ev_action : (unit -> unit) array;
@@ -78,6 +93,8 @@ type t = {
   mutable free_head : int;         (* -1 when the arena is full *)
   clock : float array;  (* length 1: a flat cell so advancing the virtual
                            clock never boxes a float *)
+  at : float array;     (* length 1: [schedule]/[schedule_at]'s target
+                           time, so every path reads it from a flat array *)
   mutable seq : int;
   mutable executed : int;
   mutable live : int;  (* pending, non-cancelled events *)
@@ -113,6 +130,9 @@ let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
       metrics
   in
   { queue = Pqueue.create ();
+    lane = [||];
+    lane_head = 0;
+    lane_len = 0;
     ev_time = [||];
     ev_action = [||];
     ev_tag = [||];
@@ -124,6 +144,7 @@ let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
     ev_next = [||];
     free_head = -1;
     clock = [| 0. |];
+    at = [| 0. |];
     seq = 0;
     executed = 0;
     live = 0;
@@ -190,49 +211,95 @@ let free_slot t slot =
   Array.unsafe_set t.ev_next slot t.free_head;
   t.free_head <- slot
 
-(* Shared tail of [schedule]/[schedule_at]: [slot] already holds the event
-   time (written by the caller straight into the flat [ev_time] array, so
-   no float crosses a call boundary boxed).  Returns the packed handle. *)
-let enqueue t tag foot slot action =
+let grow_lane t =
+  let old = Array.length t.lane in
+  let lane = Array.make (max 16 (2 * old)) 0 in
+  for k = 0 to t.lane_len - 1 do
+    lane.(k) <- t.lane.((t.lane_head + k) land (old - 1))
+  done;
+  t.lane <- lane;
+  t.lane_head <- 0
+
+let push_lane t slot =
+  if t.lane_len = Array.length t.lane then grow_lane t;
+  Array.unsafe_set t.lane
+    ((t.lane_head + t.lane_len) land (Array.length t.lane - 1))
+    slot;
+  t.lane_len <- t.lane_len + 1
+
+(* [(time, seq)] of slot [a] orders before that of slot [b]. *)
+let[@inline] before t a b =
+  let ta = Array.unsafe_get t.ev_time a and tb = Array.unsafe_get t.ev_time b in
+  ta < tb
+  || (ta = tb && Array.unsafe_get t.ev_eseq a < Array.unsafe_get t.ev_eseq b)
+
+(* The earliest pending slot, lane and heap merged, without removing it;
+   [-1] when both are empty. *)
+let min_slot t =
+  let h = Pqueue.min_value t.queue in
+  if t.lane_len = 0 then h
+  else
+    let l = Array.unsafe_get t.lane t.lane_head in
+    if h >= 0 && before t h l then h else l
+
+(* Remove and return the earliest pending slot ([-1] when empty). *)
+let pop_slot t =
+  if t.lane_len = 0 then Pqueue.pop_value t.queue
+  else begin
+    let l = Array.unsafe_get t.lane t.lane_head in
+    let h = Pqueue.min_value t.queue in
+    if h >= 0 && before t h l then Pqueue.pop_value t.queue
+    else begin
+      t.lane_head <- (t.lane_head + 1) land (Array.length t.lane - 1);
+      t.lane_len <- t.lane_len - 1;
+      l
+    end
+  end
+
+(* Every scheduling entry point ends here.  The time is read from a flat
+   array so that no float crosses a call boundary boxed. *)
+let schedule_from t ~tag ~footprint ~times i action =
+  let time = times.(i) in
+  let clock = Array.unsafe_get t.clock 0 in
+  if not (time >= clock) && (Float.is_nan time || t.scheduler == None) then
+    invalid_arg "Engine.schedule_at: time must be >= now";
   let lamport =
     match t.causal with
     | None -> 0
     | Some c -> Causal.scheduling_lamport c
   in
+  let slot = alloc_slot t in
   Array.unsafe_set t.ev_action slot action;
   Array.unsafe_set t.ev_tag slot tag;
-  Array.unsafe_set t.ev_foot slot foot;
+  Array.unsafe_set t.ev_foot slot footprint;
   Array.unsafe_set t.ev_eseq slot t.seq;
   Array.unsafe_set t.ev_lamport slot lamport;
   Array.unsafe_set t.ev_state slot st_live;
-  Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.seq slot;
+  if time > clock then begin
+    Array.unsafe_set t.ev_time slot time;
+    Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.seq slot
+  end
+  else begin
+    (* Now, or — under a reordering scheduler, whose clock may have raced
+       past a time computed from a deferred event — already overtaken: the
+       event fires as soon as possible instead of in the past. *)
+    Array.unsafe_set t.ev_time slot clock;
+    push_lane t slot
+  end;
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   if t.live > t.max_depth then t.max_depth <- t.live;
-  (t.ev_gen.(slot) lsl slot_bits) lor slot
+  (Array.unsafe_get t.ev_gen slot lsl slot_bits) lor slot
 
 let schedule_at t ?(tag = -1) ?(footprint = 0) ~time action =
-  let time =
-    if time >= t.clock.(0) then time
-    else if Float.is_nan time then
-      invalid_arg "Engine.schedule_at: time must be >= now"
-    else if t.scheduler <> None then
-      (* Under a reordering scheduler the clock may have raced past a time
-         computed from a deferred event's schedule; the event fires as soon
-         as possible instead of in the past. *)
-      t.clock.(0)
-    else invalid_arg "Engine.schedule_at: time must be >= now"
-  in
-  let slot = alloc_slot t in
-  t.ev_time.(slot) <- time;
-  enqueue t tag footprint slot action
+  t.at.(0) <- time;
+  schedule_from t ~tag ~footprint ~times:t.at 0 action
 
 let schedule t ?(tag = -1) ?(footprint = 0) ~delay action =
   if not (delay >= 0. && Float.is_finite delay) then
     invalid_arg "Engine.schedule: delay must be non-negative and finite";
-  let slot = alloc_slot t in
-  t.ev_time.(slot) <- t.clock.(0) +. delay;
-  enqueue t tag footprint slot action
+  t.at.(0) <- t.clock.(0) +. delay;
+  schedule_from t ~tag ~footprint ~times:t.at 0 action
 
 let cancel t id =
   let slot = id land slot_mask in
@@ -281,7 +348,7 @@ let announce t ~time slot =
 (* Pop arena slots until a non-cancelled one is found ([-1] when drained);
    cancelled slots are collected back into the freelist here. *)
 let rec pop_live_slot t =
-  let slot = Pqueue.pop_value t.queue in
+  let slot = pop_slot t in
   if slot < 0 then -1
   else if Array.unsafe_get t.ev_state slot = st_cancelled then begin
     free_slot t slot;
@@ -305,16 +372,16 @@ let choose_from t sched slot0 =
   let rec grab acc count =
     if count >= max_candidates then List.rev acc
     else
-      match Pqueue.min_priority t.queue with
-      | Some p when p <= bound ->
-        let s = Pqueue.pop_value t.queue in
-        if s < 0 then List.rev acc
-        else if t.ev_state.(s) = st_cancelled then begin
+      let s = min_slot t in
+      if s < 0 || not (t.ev_time.(s) <= bound) then List.rev acc
+      else begin
+        ignore (pop_slot t);
+        if t.ev_state.(s) = st_cancelled then begin
           free_slot t s;
           grab acc count
         end
         else grab (s :: acc) (count + 1)
-      | Some _ | None -> List.rev acc
+      end
   in
   let entries = Array.of_list (slot0 :: grab [] 1) in
   (* Eligibility: among candidates sharing a tag (>= 0), only the first —

@@ -21,7 +21,19 @@
     scheduler is attached, [run] enters a monomorphic fast loop with no
     per-event observation branches and no per-event allocation.  Both loops
     pop in identical [(time, seq)] order, so executions are byte-identical
-    whichever is selected. *)
+    whichever is selected.
+
+    {b Same-instant lane.}  An event scheduled for exactly the current
+    clock instant — a zero delay, such as a handler completion with no
+    processing time — skips the heap and joins a FIFO lane.  The lane is
+    always sorted by [(time, seq)] without any work: the clock never runs
+    backwards and sequence numbers rise, so each new entry's key is at
+    least the previous one's.  Every extraction ({!run}'s loops, {!step}
+    and a scheduler's candidate gathering) takes the smaller of the lane
+    head and the heap minimum, comparing the full [(time, seq)] key.  The
+    execution order is therefore exactly the order a single heap would
+    give, also when a budget or a scheduler puts an event back (it goes
+    back into the heap under its original key). *)
 
 type t
 
@@ -148,6 +160,15 @@ val schedule_at :
     scheduler, where an already-overtaken [time] is clamped to [now]
     (reordering may legitimately advance the clock past a time computed
     from a deferred event). *)
+
+val schedule_from :
+  t -> tag:int -> footprint:int -> times:float array -> int ->
+  (unit -> unit) -> event_id
+(** [schedule_from t ~tag ~footprint ~times i f] is
+    [schedule_at t ~tag ~footprint ~time:times.(i) f], with the time read
+    from the caller's flat array (as {!Pqueue.add_at} does): no float is
+    boxed at the call and no optional argument is wrapped in [Some].  Hot
+    per-event paths schedule through it. *)
 
 val cancel : t -> event_id -> unit
 (** Cancel a pending event; cancelling an executed or already-cancelled

@@ -342,6 +342,163 @@ let prop_many_events_ordered =
        let executed = List.rev !times in
        executed = List.sort Float.compare delays)
 
+let test_now_event_after_queued_peers () =
+  (* The same-instant lane: an event an action schedules at [now] joins
+     the events already queued for this instant behind them (higher seq),
+     and still runs before anything later. *)
+  let engine = Engine.create () in
+  let log = ref [] in
+  let record tag () = log := tag :: !log in
+  ignore
+    (Engine.schedule engine ~delay:1. (fun () ->
+         record "a" ();
+         ignore (Engine.schedule engine ~delay:0. (record "now"));
+         ignore (Engine.schedule_at engine ~time:1. (record "now-at"))));
+  ignore (Engine.schedule engine ~delay:1. (record "b"));
+  ignore (Engine.schedule engine ~delay:2. (record "later"));
+  ignore (Engine.schedule engine ~delay:1. (record "c"));
+  ignore (Engine.run engine);
+  Alcotest.(check (list string)) "queued peers, then now, then later"
+    [ "a"; "b"; "c"; "now"; "now-at"; "later" ] (List.rev !log)
+
+(* Random programs for the lane-exactness property.  Event k (in execution
+   order) follows script entry k, if there is one: it schedules children at
+   the given delays (0 lands in the same-instant lane), cancels the handles
+   of earlier-scheduled events, and may stop the run.  The reference keeps
+   a plain pending list and always executes its least [(time, seq)]. *)
+type entry = {
+  children : float list;
+  cancels : int list;  (* indices into the events scheduled so far *)
+  stop : bool;
+}
+
+type program = {
+  roots : float list;
+  script : entry array;
+  limit : float;  (* the engine's [limit_time] *)
+}
+
+let reference_order prog =
+  let pending = ref [] and scheduled = ref 0 and clock = ref 0. in
+  let add delay =
+    pending := (!clock +. delay, !scheduled) :: !pending;
+    incr scheduled
+  in
+  List.iter add prog.roots;
+  let log = ref [] and executed = ref 0 in
+  let earliest (t1, s1) (t2, s2) =
+    if t1 < t2 || (t1 = t2 && s1 < s2) then (t1, s1) else (t2, s2)
+  in
+  while !pending <> [] do
+    let ((time, id) as first) =
+      List.fold_left earliest (List.hd !pending) !pending
+    in
+    pending := List.filter (fun e -> e <> first) !pending;
+    clock := time;
+    log := id :: !log;
+    if !executed < Array.length prog.script then begin
+      let e = prog.script.(!executed) in
+      List.iter add e.children;
+      List.iter
+        (fun k ->
+           let victim = k mod !scheduled in
+           pending := List.filter (fun (_, id) -> id <> victim) !pending)
+        e.cancels
+    end;
+    incr executed
+  done;
+  List.rev !log
+
+type drive = By_run | By_step | By_scheduler
+
+let engine_order drive prog =
+  let scheduler =
+    match drive with
+    | By_scheduler ->
+      Some
+        { Engine.window = 1.5;
+          choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
+    | By_run | By_step -> None
+  in
+  let engine = Engine.create ?scheduler ~limit_time:prog.limit () in
+  let handles = ref [||] and scheduled = ref 0 in
+  let log = ref [] and executed = ref 0 in
+  let rec add delay =
+    let id = !scheduled in
+    incr scheduled;
+    let h = Engine.schedule engine ~delay (fun () -> fire id) in
+    if id >= Array.length !handles then
+      handles := Array.append !handles (Array.make (id + 1) h);
+    !handles.(id) <- h
+  and fire id =
+    log := id :: !log;
+    if !executed < Array.length prog.script then begin
+      let e = prog.script.(!executed) in
+      List.iter add e.children;
+      List.iter
+        (fun k -> Engine.cancel engine !handles.(k mod !scheduled))
+        e.cancels;
+      if e.stop then Engine.stop engine
+    end;
+    incr executed
+  in
+  List.iter add prog.roots;
+  (match drive with
+   | By_step -> while Engine.step engine do () done
+   | By_run | By_scheduler ->
+     (* Resume after every stop; past the time budget, only [step] goes
+        on (it ignores budgets). *)
+     let rec go () =
+       match Engine.run engine with
+       | Engine.Stopped -> go ()
+       | Engine.Hit_time_limit -> while Engine.step engine do () done
+       | Engine.Drained | Engine.Hit_event_limit | Engine.Hit_wall_deadline ->
+         ()
+     in
+     go ());
+  List.rev !log
+
+let program_gen =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.; 0.; 0.; 0.5; 1.; 1.; 2. ] in
+  let entry =
+    map3
+      (fun children cancels stop -> { children; cancels; stop })
+      (list_size (int_bound 3) delay)
+      (list_size (int_bound 1) nat)
+      (frequency [ (1, return true); (9, return false) ])
+  in
+  map3
+    (fun roots script limit -> { roots; script = Array.of_list script; limit })
+    (list_size (int_range 1 6) delay)
+    (list_size (int_bound 80) entry)
+    (oneofl [ 1.; 2.5; infinity ])
+
+let print_program prog =
+  Printf.sprintf "roots=[%s] limit=%g script=[%s]"
+    (String.concat ";" (List.map string_of_float prog.roots))
+    prog.limit
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun e ->
+                Printf.sprintf "{%s|%s%s}"
+                  (String.concat "," (List.map string_of_float e.children))
+                  (String.concat "," (List.map string_of_int e.cancels))
+                  (if e.stop then "|stop" else ""))
+             prog.script)))
+
+let prop_lane_exact =
+  QCheck.Test.make
+    ~name:"same-instant lane keeps (time, seq) order: run, step, scheduler"
+    ~count:300
+    (QCheck.make ~print:print_program program_gen)
+    (fun prog ->
+       let expected = reference_order prog in
+       List.for_all
+         (fun drive -> engine_order drive prog = expected)
+         [ By_run; By_step; By_scheduler ])
+
 let test_wall_deadline_stops_run () =
   (* A self-perpetuating event chain: without the wall deadline this run
      never drains. *)
@@ -384,7 +541,9 @@ let () =
         [ Alcotest.test_case "time order" `Quick test_runs_in_time_order;
           Alcotest.test_case "fifo ties" `Quick test_equal_times_fifo;
           Alcotest.test_case "clock advances" `Quick test_clock_advances;
-          Alcotest.test_case "zero delay" `Quick test_zero_delay_runs_now ] );
+          Alcotest.test_case "zero delay" `Quick test_zero_delay_runs_now;
+          Alcotest.test_case "now after queued peers" `Quick
+            test_now_event_after_queued_peers ] );
       ( "cancel",
         [ Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "cancel twice" `Quick test_cancel_twice_harmless;
@@ -430,4 +589,5 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected ]
       );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_many_events_ordered ] ) ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_many_events_ordered; prop_lane_exact ] ) ]

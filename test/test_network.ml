@@ -911,6 +911,66 @@ let prop_links_replay =
               | None -> false)
            (List.rev !sends))
 
+(* Allocation of the hot paths, on a null protocol (unit state, unit
+   message) so that only the network and the engine can allocate.  Words
+   per event are the difference between a run of [events] and one of
+   [events / 2], as the engine rung of the benchmark ladder measures it:
+   creation, pool growth and the fixed cost of measuring cancel. *)
+module Null = struct
+  type state = unit
+  type message = unit
+
+  let pp_state ppf () = Fmt.string ppf "()"
+  let pp_message ppf () = Fmt.string ppf "()"
+end
+
+module Null_net = Network.Make (Null)
+
+let null_words_per_event ~ticks handlers ~events =
+  let run events =
+    let config =
+      { (Null_net.default_config ~topology:(Topology.ring 48)
+           ~delay:(Delay_model.abe_exponential ~delta:1.))
+        with Null_net.ticks_enabled = ticks }
+    in
+    let net = Null_net.create ~limit_events:events ~seed:1 config handlers in
+    let before = Gc.minor_words () in
+    ignore (Null_net.run net);
+    let words = Gc.minor_words () -. before in
+    (words, float_of_int (Null_net.counters net).Abe_sim.Engine.executed)
+  in
+  let half_words, half_events = run (events / 2) in
+  let words, events = run events in
+  (words -. half_words) /. (events -. half_events)
+
+let idle_handlers =
+  { Null_net.init = (fun _ -> ());
+    on_message = (fun _ s () -> s);
+    on_tick = (fun _ s -> s) }
+
+let token_handlers =
+  { Null_net.init =
+      (fun ctx -> if ctx.Null_net.node = 0 then ctx.Null_net.send 0 ());
+    on_message = (fun ctx s () -> ctx.Null_net.send 0 (); s);
+    on_tick = (fun _ s -> s) }
+
+let test_tick_cycle_allocation_free () =
+  let words =
+    null_words_per_event ~ticks:true idle_handlers ~events:200_000
+  in
+  Alcotest.(check (float 0.)) "ticks-only ring: minor words per event" 0.
+    words
+
+let test_message_path_allocation () =
+  (* A message still boxes three floats that cross a module boundary: the
+     clock read at send, the drawn delay, and the clock read at arrival.
+     Pinned from above so that a regression shows. *)
+  let words =
+    null_words_per_event ~ticks:false token_handlers ~events:200_000
+  in
+  if words > 3. then
+    Alcotest.failf "token ring: %g minor words per event (bound 3)" words
+
 let () =
   Alcotest.run "network"
     [ ( "delivery",
@@ -970,6 +1030,11 @@ let () =
             test_loss_delay_decoupling ] );
       ( "links",
         [ Alcotest.test_case "stream layout" `Quick test_links_layout ] );
+      ( "allocation",
+        [ Alcotest.test_case "tick cycle allocates nothing" `Quick
+            test_tick_cycle_allocation_free;
+          Alcotest.test_case "message path" `Quick
+            test_message_path_allocation ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_conservation; prop_links_replay ] ) ]

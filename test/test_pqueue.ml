@@ -14,10 +14,24 @@ let drain q =
   in
   go []
 
-let model_sort entries =
-  List.stable_sort
-    (fun (p1, s1, _) (p2, s2, _) -> compare (p1, s1) (p2, s2))
-    entries
+(* [(priority, seq)] order, compared monomorphically. *)
+let model_compare ((p1 : float), (s1 : int), _) (p2, s2, _) =
+  if p1 < p2 then -1
+  else if p1 > p2 then 1
+  else Int.compare s1 s2
+
+let model_sort entries = List.stable_sort model_compare entries
+
+(* Insert into a model sorted by [(priority, seq)] an entry whose seq is
+   above every seq already there: it goes after every entry of priority at
+   most its own.  One pass, where re-sorting per push made each case
+   quadratic in the list length. *)
+let model_insert ((p, _, _) as entry) model =
+  let rec go acc = function
+    | ((p', _, _) as x) :: rest when (p' : float) <= p -> go (x :: acc) rest
+    | rest -> List.rev_append acc (entry :: rest)
+  in
+  go [] model
 
 let test_ordering () =
   let q = Pqueue.create () in
@@ -132,11 +146,12 @@ let prop_ties_pop_in_seq_order =
           Pqueue.add q ~priority:(float_of_int bucket) ~seq seq)
         buckets;
       let popped = List.map snd (drain q) in
+      let buckets_of = Array.of_list buckets in
       (* Within each priority bucket, values (= seqs) must be ascending. *)
       let by_bucket = Hashtbl.create 8 in
       List.iter
         (fun v ->
-          let b = List.nth buckets v in
+          let b = buckets_of.(v) in
           let prev = try Hashtbl.find by_bucket b with Not_found -> -1 in
           assert (v > prev);
           Hashtbl.replace by_bucket b v)
@@ -164,7 +179,7 @@ let prop_interleaved_matches_model =
           | Some k ->
             let p = float_of_int k in
             Pqueue.add q ~priority:p ~seq:!seq !seq;
-            model := model_sort ((p, !seq, !seq) :: !model);
+            model := model_insert (p, !seq, !seq) !model;
             incr seq
           | None -> (
             match (!model, Pqueue.pop q) with
@@ -198,7 +213,7 @@ let prop_add_at_matches_model =
             let v = !seq in
             times.(v) <- float_of_int k;
             Pqueue.add_at q ~times ~seq:v v;
-            model := model_sort ((float_of_int k, v, v) :: !model);
+            model := model_insert (float_of_int k, v, v) !model;
             incr seq
           | None -> (
             match (!model, Pqueue.pop_value q) with

@@ -584,6 +584,89 @@ let test_shared_topology () =
   Alcotest.(check (list (triple int int int))) "ring unchanged after runs"
     (links ring) (links config.Runner.topology)
 
+(* The tick rule's table: [config] precomputes the activation probability
+   per watermark, and the lookup must reproduce the pure reference in
+   [Election] bit for bit. *)
+let test_activation_table_exact () =
+  List.iter
+    (fun n ->
+       List.iter
+         (fun a0 ->
+            let config = Runner.config ~n ~a0 () in
+            let table = config.Runner.activation in
+            let naive = Runner.naive_activation config in
+            Alcotest.(check int) "table length" (n + 1) (Array.length table);
+            Alcotest.(check int) "naive length" (n + 1) (Array.length naive);
+            for d = 1 to n do
+              let expected = Election.activation_probability ~a0 ~d in
+              if
+                Int64.bits_of_float table.(d)
+                <> Int64.bits_of_float expected
+              then
+                Alcotest.failf "n=%d a0=%g d=%d: table %h, reference %h" n a0
+                  d table.(d) expected;
+              if Int64.bits_of_float naive.(d) <> Int64.bits_of_float a0 then
+                Alcotest.failf "n=%d a0=%g d=%d: naive %h" n a0 d naive.(d)
+            done)
+         [ 0.001; Analysis.recommended_a0 ~theta:1. n; 0.7 ])
+    [ 2; 48; 2000 ]
+
+(* [Runner.on_tick] against [Election.tick_decision] on copies of one
+   stream: same new state, same activation, same number of draws. *)
+let test_tick_decision_matches_reference () =
+  let n = 48 and a0 = 0.3 in
+  let config = Runner.config ~n ~a0 () in
+  let sends = ref 0 in
+  let step =
+    Runner.step config
+      ~send:(fun () ~hop:_ ~traversed:_ -> incr sends)
+      ~mark:(fun () _ ~traversed:_ -> ())
+      ~unsound:(fun () ~hop:_ ~traversed:_ -> ())
+  in
+  let rng = Abe_prob.Rng.create ~seed:17 in
+  List.iter
+    (fun phase ->
+       for d = 1 to n do
+         for _ = 1 to 4 do
+           let st = { Election.phase; d } in
+           let reference = Abe_prob.Rng.copy rng in
+           let expected, activated =
+             Election.tick_decision ~a0 ~rng:reference st
+           in
+           sends := 0;
+           let got = Runner.on_tick step () ~rng st in
+           if got <> expected || (!sends = 1) <> activated then
+             Alcotest.failf "phase %a d=%d: runner %a (sent %d), reference %a"
+               Election.pp_phase phase d Election.pp_state got !sends
+               Election.pp_state expected;
+           if Abe_prob.Rng.bits64 rng <> Abe_prob.Rng.bits64 reference then
+             Alcotest.failf "phase %a d=%d: streams diverged"
+               Election.pp_phase phase d
+         done
+       done)
+    [ Election.Idle; Election.Active; Election.Passive; Election.Leader ]
+
+(* sim-ticks' configuration: almost every event is a tick or its γ = 0
+   completion, and that cycle allocates nothing, so whole runs — set-up
+   and the rare token included — stay under one minor word per event. *)
+let test_tick_regime_allocation () =
+  let n = 48 in
+  let config =
+    Runner.config ~n ~a0:(Analysis.recommended_a0 ~theta:1. n)
+      ~params:Params.default ()
+  in
+  let words = ref 0. and events = ref 0 in
+  for seed = 1 to 20 do
+    let before = Gc.minor_words () in
+    let outcome = Runner.run ~seed config in
+    words := !words +. (Gc.minor_words () -. before);
+    events := !events + outcome.Runner.executed_events
+  done;
+  let per_event = !words /. float_of_int !events in
+  if per_event > 1. then
+    Alcotest.failf "%g minor words per event over %d events (bound 1)"
+      per_event !events
+
 let () =
   Alcotest.run "runner"
     [ ( "correctness",
@@ -648,6 +731,13 @@ let () =
           Alcotest.test_case "naive variant" `Quick test_naive_variant_small_ring;
           Alcotest.test_case "budget exhaustion" `Quick
             test_budget_exhaustion_reported ] );
+      ( "tick rule",
+        [ Alcotest.test_case "activation table exact" `Quick
+            test_activation_table_exact;
+          Alcotest.test_case "decision matches reference" `Quick
+            test_tick_decision_matches_reference;
+          Alcotest.test_case "tick regime allocation" `Quick
+            test_tick_regime_allocation ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_safety_unique_leader;
