@@ -21,8 +21,9 @@ type t = {
   mutable link_dropped : int;
   mutable ticks : int;
   last_delivered_seq : int array;        (* by link id; -1 = none yet *)
-  last_tick : (float * float) option array;
-      (* by node id: (real, local) of the last processed tick *)
+  last_tick_real : float array;          (* by node id: the last processed
+                                            tick's real instant; nan = none *)
+  last_tick_local : float array;         (* by node id: its local reading *)
   link_live : bool array;                (* by link id, from observed events *)
   node_crashed : bool array;             (* by node id, from observed events *)
 }
@@ -47,7 +48,8 @@ let create ~oracle ?clock ?(fifo = false) ?(dynamic = Static) ?topology ~nodes
     link_dropped = 0;
     ticks = 0;
     last_delivered_seq = Array.make (max links 1) (-1);
-    last_tick = Array.make (max nodes 1) None;
+    last_tick_real = Array.make (max nodes 1) nan;
+    last_tick_local = Array.make (max nodes 1) nan;
     link_live = Array.make (max links 1) true;
     node_crashed = Array.make (max nodes 1) false }
 
@@ -58,6 +60,10 @@ let rate_eps = 1e-9
 let link_subject (link : Topology.link) =
   Printf.sprintf "link %d (%d->%d)" link.Topology.id link.Topology.src
     link.Topology.dst
+
+(* Built only when a violation is reported: the tick check runs on every
+   tick. *)
+let node_subject node = Printf.sprintf "node %d" node
 
 let check_conservation t ~time ~(stats : Network.stats) ~in_flight =
   if
@@ -216,35 +222,37 @@ let check_event t ~time (ev : Network.event) =
     end
   | Tick { node; local_time } ->
     t.ticks <- t.ticks + 1;
-    if node >= 0 && node < Array.length t.last_tick then begin
-      (match t.last_tick.(node) with
-       | None -> ()
-       | Some (prev_real, prev_local) ->
-         let subject = Printf.sprintf "node %d" node in
-         if local_time <= prev_local then
-           Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"clock-monotone"
-             ~subject "local clock went from %.6f to %.6f" prev_local
-             local_time;
-         (match t.clock with
-          | None -> ()
-          | Some spec ->
-            (* Ticks are processed at completion instants, but the clock is
-               linear, so the observed rate between two completions equals
-               the true rate and must respect Definition 1.2.  This holds
-               across a crash-and-rejoin gap too: the clock is a pure
-               function of real time and keeps running while the node is
-               down. *)
-            if time > prev_real then begin
-              let rate = (local_time -. prev_local) /. (time -. prev_real) in
-              if
-                rate < spec.Clock.s_low *. (1. -. rate_eps)
-                || rate > spec.Clock.s_high *. (1. +. rate_eps)
-              then
-                Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"clock-drift"
-                  ~subject "observed rate %.9f outside [%g, %g]" rate
-                  spec.Clock.s_low spec.Clock.s_high
-            end));
-      t.last_tick.(node) <- Some (time, local_time)
+    if node >= 0 && node < Array.length t.last_tick_real then begin
+      let prev_real = t.last_tick_real.(node)
+      and prev_local = t.last_tick_local.(node) in
+      if not (Float.is_nan prev_real) then begin
+        if local_time <= prev_local then
+          Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"clock-monotone"
+            ~subject:(node_subject node) "local clock went from %.6f to %.6f"
+            prev_local local_time;
+        match t.clock with
+        | None -> ()
+        | Some spec ->
+          (* Ticks are processed at completion instants, but the clock is
+             linear, so the observed rate between two completions equals
+             the true rate and must respect Definition 1.2.  This holds
+             across a crash-and-rejoin gap too: the clock is a pure
+             function of real time and keeps running while the node is
+             down. *)
+          if time > prev_real then begin
+            let rate = (local_time -. prev_local) /. (time -. prev_real) in
+            if
+              rate < spec.Clock.s_low *. (1. -. rate_eps)
+              || rate > spec.Clock.s_high *. (1. +. rate_eps)
+            then
+              Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"clock-drift"
+                ~subject:(node_subject node)
+                "observed rate %.9f outside [%g, %g]" rate spec.Clock.s_low
+                spec.Clock.s_high
+          end
+      end;
+      t.last_tick_real.(node) <- time;
+      t.last_tick_local.(node) <- local_time
     end
 
 let observer t : Network.observer =

@@ -1,140 +1,231 @@
 type shape =
-  | Transit_shape of {
-      link : int;
-      src : int;
-      dst : int;
-      mutable delivered : bool;  (* a process span named this as its cause *)
-    }
+  | Transit_shape of { link : int; src : int; dst : int; delivered : bool }
   | Process_shape of { node : int; t_busy : float }
 
-type span = {
-  id : int;
-  lamport : int;
-  label : string;
-  t_begin : float;
-  t_end : float;
-  shape : shape;
-  parents : span list;
+(* The DAG lives in flat columns indexed by span id, so recording a span
+   writes a few array cells and keeps no per-span heap block alive.  The
+   columns grow in fixed-size chunks that are never copied: span [id]
+   lives in chunk [id lsr chunk_bits], at offset [id land chunk_mask].
+   A chunk's word columns are larger than the minor heap's largest block,
+   so they are allocated straight into the major heap: a long run
+   promotes next to nothing and copies nothing as it grows. *)
+let chunk_bits = 9
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+(* [kind] bytes. *)
+let process_kind = '\000'
+let transit_kind = '\001'
+let delivered_kind = '\002'  (* a transit that a process span named as its
+                                cause *)
+
+type chunk = {
+  lamport : int array;
+  cause : int array;  (* first parent (the message cause, or the sending
+                         handler of a transit); -1 = none *)
+  prev : int array;  (* second parent: the node's previous process span;
+                        -1 = none *)
+  track : int array;  (* node of a process span, link of a transit *)
+  src : int array;  (* transit endpoints; the node for process spans *)
+  dst : int array;
+  t_begin : float array;
+  t_end : float array;
+  t_busy : float array;  (* a transit stores its [t_begin] *)
+  label : string array;
+  kind : Bytes.t;
 }
 
-type mark_record = {
+let fresh_chunk () =
+  { lamport = Array.make chunk_size 0;
+    cause = Array.make chunk_size 0;
+    prev = Array.make chunk_size 0;
+    track = Array.make chunk_size 0;
+    src = Array.make chunk_size 0;
+    dst = Array.make chunk_size 0;
+    t_begin = Array.create_float chunk_size;
+    t_end = Array.create_float chunk_size;
+    t_busy = Array.create_float chunk_size;
+    label = Array.make chunk_size "";
+    kind = Bytes.make chunk_size process_kind }
+
+(* Fills the unused tail of the chunk spine. *)
+let no_chunk =
+  { lamport = [||]; cause = [||]; prev = [||]; track = [||]; src = [||];
+    dst = [||]; t_begin = [||]; t_end = [||]; t_busy = [||]; label = [||];
+    kind = Bytes.empty }
+
+type t = {
+  mutable chunks : chunk array;
+  mutable span_count : int;
+  mutable marks : mark_record list;  (* reverse recording order *)
+  mutable mark_count : int;
+  mutable current : int;  (* span id; -1 = none *)
+  mutable sink : int;  (* span id; -1 = none *)
+  (* Engine integration: the executing engine event's (seq, lamport) pair.
+     Spans recorded while it executes inherit at least its Lamport time. *)
+  mutable event_seq : int;
+  mutable event_lamport : int;
+  (* Program order per node: the last process span recorded on each node
+     (by node id; -1 = none) becomes an implicit parent of the next one
+     (nodes handle events one at a time, in arrival order). *)
+  mutable occupants : int array;
+}
+
+(* A handle is built only when a span is returned to the caller. *)
+and span = { recorder : t; id : int }
+
+and mark_record = {
   m_time : float;
   m_node : int;
   m_label : string;
   m_parent : span option;
 }
 
-type t = {
-  mutable spans : span list;  (* reverse recording order *)
-  mutable span_count : int;
-  mutable marks : mark_record list;  (* reverse recording order *)
-  mutable mark_count : int;
-  mutable current : span option;
-  mutable sink : span option;
-  (* Engine integration: the executing engine event's (seq, lamport) pair.
-     Spans recorded while it executes inherit at least its Lamport time. *)
-  mutable event_seq : int;
-  mutable event_lamport : int;
-  (* Program order per node: the last process span recorded on each node
-     becomes an implicit parent of the next one (nodes handle events one at
-     a time, in arrival order). *)
-  occupants : (int, span) Hashtbl.t;
-}
-
 let create () =
-  { spans = [];
+  { chunks = [||];
     span_count = 0;
     marks = [];
     mark_count = 0;
-    current = None;
-    sink = None;
+    current = -1;
+    sink = -1;
     event_seq = -1;
     event_lamport = 0;
-    occupants = Hashtbl.create ~random:false 64 }
+    occupants = [||] }
 
 let span_count t = t.span_count
 let mark_count t = t.mark_count
+
+let[@inline] chunk t id = t.chunks.(id lsr chunk_bits)
+
+let handle t id = if id < 0 then None else Some { recorder = t; id }
 
 let enter_event t ~seq ~lamport ~time:_ =
   t.event_seq <- seq;
   t.event_lamport <- lamport;
   (* Each engine event starts with no executing handler span; the network
      installs one around the handler body. *)
-  t.current <- None
+  t.current <- -1
 
 let scheduling_lamport t = t.event_lamport + 1
 
-let set_current t span = t.current <- span
-let current t = t.current
+let set_current t span =
+  t.current <- (match span with None -> -1 | Some s -> s.id)
+
+let current t = handle t t.current
 
 let set_sink t = t.sink <- t.current
-let sink t = t.sink
+let sink t = handle t t.sink
 
-let span_lamport t parents =
-  List.fold_left
-    (fun acc p -> Stdlib.max acc p.lamport)
-    t.event_lamport parents
-  + 1
+let lamport_at t id = (chunk t id).lamport.(id land chunk_mask)
 
-let push t span =
-  t.spans <- span :: t.spans;
-  t.span_count <- t.span_count + 1;
-  span
+(* One more than the maximum Lamport time among the parents and the
+   executing engine event. *)
+let span_lamport t ~cause ~prev =
+  let l = t.event_lamport in
+  let l = if cause < 0 then l else Stdlib.max l (lamport_at t cause) in
+  let l = if prev < 0 then l else Stdlib.max l (lamport_at t prev) in
+  l + 1
+
+(* Claim the next id, opening a chunk when the last one is full.  Only the
+   spine of chunk pointers is ever copied. *)
+let next_id t =
+  let id = t.span_count in
+  if id land chunk_mask = 0 then begin
+    let c = id lsr chunk_bits in
+    if c = Array.length t.chunks then begin
+      let spine = Array.make (Stdlib.max 8 (2 * c)) no_chunk in
+      Array.blit t.chunks 0 spine 0 c;
+      t.chunks <- spine
+    end;
+    t.chunks.(c) <- fresh_chunk ()
+  end;
+  t.span_count <- id + 1;
+  id
+
+let[@inline] record t ~kind ~cause ~prev ~track ~src ~dst ~t_begin ~t_busy
+    ~t_end ~label =
+  let lamport = span_lamport t ~cause ~prev in
+  let id = next_id t in
+  let c = chunk t id and k = id land chunk_mask in
+  c.lamport.(k) <- lamport;
+  c.cause.(k) <- cause;
+  c.prev.(k) <- prev;
+  c.track.(k) <- track;
+  c.src.(k) <- src;
+  c.dst.(k) <- dst;
+  c.t_begin.(k) <- t_begin;
+  c.t_busy.(k) <- t_busy;
+  c.t_end.(k) <- t_end;
+  c.label.(k) <- label;
+  Bytes.set c.kind k kind;
+  id
 
 let transit t ~link ~src ~dst ~t_begin ~t_end ~label =
-  let parents = Option.to_list t.current in
-  push t
-    { id = t.span_count;
-      lamport = span_lamport t parents;
-      label;
-      t_begin;
-      t_end;
-      shape = Transit_shape { link; src; dst; delivered = false };
-      parents }
+  let id =
+    record t ~kind:transit_kind ~cause:t.current ~prev:(-1) ~track:link ~src
+      ~dst ~t_begin ~t_busy:t_begin ~t_end ~label
+  in
+  { recorder = t; id }
 
 let process t ?cause ~node ~label ~t_begin ~t_busy ~t_end () =
-  Option.iter
-    (fun c ->
-       match c.shape with
-       | Transit_shape tr -> tr.delivered <- true
-       | Process_shape _ -> ())
-    cause;
+  let cause =
+    match cause with
+    | None -> -1
+    | Some s ->
+      let c = chunk t s.id and k = s.id land chunk_mask in
+      if Bytes.get c.kind k = transit_kind then
+        Bytes.set c.kind k delivered_kind;
+      s.id
+  in
+  if node >= Array.length t.occupants then begin
+    let occupants = Array.make (max 64 (2 * (node + 1))) (-1) in
+    Array.blit t.occupants 0 occupants 0 (Array.length t.occupants);
+    t.occupants <- occupants
+  end;
   (* Parent order is the critical-path tie-break: the message cause comes
      before the program-order predecessor, so when both end exactly at
      [t_busy] the path follows the message chain. *)
-  let parents =
-    Option.to_list cause @ Option.to_list (Hashtbl.find_opt t.occupants node)
+  let id =
+    record t ~kind:process_kind ~cause ~prev:t.occupants.(node) ~track:node
+      ~src:node ~dst:node ~t_begin ~t_busy ~t_end ~label
   in
-  let span =
-    push t
-      { id = t.span_count;
-        lamport = span_lamport t parents;
-        label;
-        t_begin;
-        t_end;
-        shape = Process_shape { node; t_busy };
-        parents }
-  in
-  Hashtbl.replace t.occupants node span;
-  span
+  t.occupants.(node) <- id;
+  { recorder = t; id }
 
 let mark t ~node ~time label =
   t.marks <-
-    { m_time = time; m_node = node; m_label = label; m_parent = t.current }
+    { m_time = time; m_node = node; m_label = label;
+      m_parent = handle t t.current }
     :: t.marks;
   t.mark_count <- t.mark_count + 1
 
 (* {2 Accessors} *)
 
 let span_id s = s.id
-let lamport s = s.lamport
-let label s = s.label
-let span_begin s = s.t_begin
-let span_end s = s.t_end
-let parents s = s.parents
-let shape s = s.shape
 
-let spans t = List.rev t.spans
+let lamport s = lamport_at s.recorder s.id
+let label s = (chunk s.recorder s.id).label.(s.id land chunk_mask)
+let[@inline] span_begin s = (chunk s.recorder s.id).t_begin.(s.id land chunk_mask)
+let[@inline] span_end s = (chunk s.recorder s.id).t_end.(s.id land chunk_mask)
+
+let parents s =
+  let t = s.recorder in
+  let c = chunk t s.id and k = s.id land chunk_mask in
+  let cause = c.cause.(k) and prev = c.prev.(k) in
+  let rest = if prev < 0 then [] else [ { recorder = t; id = prev } ] in
+  if cause < 0 then rest else { recorder = t; id = cause } :: rest
+
+let shape s =
+  let c = chunk s.recorder s.id and k = s.id land chunk_mask in
+  let kind = Bytes.get c.kind k in
+  if kind = process_kind then
+    Process_shape { node = c.track.(k); t_busy = c.t_busy.(k) }
+  else
+    Transit_shape
+      { link = c.track.(k); src = c.src.(k); dst = c.dst.(k);
+        delivered = kind = delivered_kind }
+
+let spans t = List.init t.span_count (fun id -> { recorder = t; id })
 let marks t = List.rev t.marks
 let mark_label m = m.m_label
 let mark_time m = m.m_time
@@ -154,15 +245,15 @@ let track_count t =
   let nodes = ref 0 and links = ref 0 in
   let see_node n = if n + 1 > !nodes then nodes := n + 1 in
   let see_link l = if l + 1 > !links then links := l + 1 in
-  List.iter
-    (fun s ->
-       match s.shape with
-       | Transit_shape { link; src; dst; _ } ->
-         see_link link;
-         see_node src;
-         see_node dst
-       | Process_shape { node; _ } -> see_node node)
-    t.spans;
+  for id = 0 to t.span_count - 1 do
+    let c = chunk t id and k = id land chunk_mask in
+    if Bytes.get c.kind k = process_kind then see_node c.track.(k)
+    else begin
+      see_link c.track.(k);
+      see_node c.src.(k);
+      see_node c.dst.(k)
+    end
+  done;
   List.iter (fun m -> see_node m.m_node) t.marks;
   (!nodes, !links)
 
@@ -188,32 +279,36 @@ let output_trace_json ?(name = "abe-sim") oc t =
       "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"link %d\"}}"
       (nodes + link) link
   done;
-  List.iter
-    (fun s ->
-       let dur = us s.t_end -. us s.t_begin in
-       match s.shape with
-       | Process_shape { node; t_busy } ->
-         eventf
-           "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"dur\":%.12g,\"name\":\"%s\",\"cat\":\"process\",\"args\":{\"span\":%d,\"lamport\":%d,\"wait\":%.12g}}"
-           node (us s.t_begin) dur s.label s.id s.lamport
-           (us t_busy -. us s.t_begin)
-       | Transit_shape { link; src; dst; delivered } ->
-         eventf
-           "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"dur\":%.12g,\"name\":\"%s\",\"cat\":\"transit\",\"args\":{\"span\":%d,\"lamport\":%d,\"src\":%d,\"dst\":%d}}"
-           (nodes + link) (us s.t_begin) dur s.label s.id s.lamport src dst;
-         (* Flow arrows reconnect every delivered message to its send span:
-            the flow starts inside the sending handler's slice on the source
-            node track and finishes at the arrival instant, bound to the
-            enclosing delivery slice on the destination track. *)
-         if delivered then begin
-           eventf
-             "{\"ph\":\"s\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"id\":%d,\"name\":\"msg\",\"cat\":\"flow\"}"
-             src (us s.t_begin) s.id;
-           eventf
-             "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"id\":%d,\"name\":\"msg\",\"cat\":\"flow\"}"
-             dst (us s.t_end) s.id
-         end)
-    (spans t);
+  for id = 0 to t.span_count - 1 do
+    let c = chunk t id and k = id land chunk_mask in
+    let t_begin = c.t_begin.(k) and t_end = c.t_end.(k) in
+    let dur = us t_end -. us t_begin in
+    let kind = Bytes.get c.kind k in
+    if kind = process_kind then
+      eventf
+        "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"dur\":%.12g,\"name\":\"%s\",\"cat\":\"process\",\"args\":{\"span\":%d,\"lamport\":%d,\"wait\":%.12g}}"
+        c.track.(k) (us t_begin) dur c.label.(k) id c.lamport.(k)
+        (us c.t_busy.(k) -. us t_begin)
+    else begin
+      let src = c.src.(k) and dst = c.dst.(k) in
+      eventf
+        "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"dur\":%.12g,\"name\":\"%s\",\"cat\":\"transit\",\"args\":{\"span\":%d,\"lamport\":%d,\"src\":%d,\"dst\":%d}}"
+        (nodes + c.track.(k)) (us t_begin) dur c.label.(k) id c.lamport.(k)
+        src dst;
+      (* Flow arrows reconnect every delivered message to its send span:
+         the flow starts inside the sending handler's slice on the source
+         node track and finishes at the arrival instant, bound to the
+         enclosing delivery slice on the destination track. *)
+      if kind = delivered_kind then begin
+        eventf
+          "{\"ph\":\"s\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"id\":%d,\"name\":\"msg\",\"cat\":\"flow\"}"
+          src (us t_begin) id;
+        eventf
+          "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"id\":%d,\"name\":\"msg\",\"cat\":\"flow\"}"
+          dst (us t_end) id
+      end
+    end
+  done;
   List.iter
     (fun m ->
        eventf

@@ -27,7 +27,18 @@
     schedules nothing, and leaves every execution byte-identical.  Spans
     are retained without bound — a recorder is meant to live for one run
     and be analyzed ({!Critpath}) or exported ({!output_trace_json})
-    afterwards. *)
+    afterwards.
+
+    {b Representation.}  The recorder keeps the DAG in flat columns
+    indexed by span id (Lamport time, begin/busy/end instants, track,
+    endpoints, the two parent ids, a kind-and-delivered byte, the label),
+    grown in fixed-size chunks that are never copied; the node occupants,
+    the current span and the sink are ids.  Recording a span therefore
+    allocates no per-span heap block the recorder keeps: a {!span} is a
+    small handle (recorder, id) built when one is returned, and
+    {!spans}, {!parents} and {!shape} are built from the columns on each
+    call.  A {!shape} is a snapshot: a transit's [delivered] is what it
+    was when {!shape} was called. *)
 
 type t
 (** A span recorder.  Not thread-safe: one recorder per run, like a
@@ -38,15 +49,10 @@ type span
 (** Track geometry of a span: a message in flight, or a handler
     occupancy.  [t_busy] is when the node actually started processing
     ([t_busy - t_begin] is queueing delay behind earlier work);
-    [delivered] is set once a process span names the transit span as its
-    cause. *)
+    [delivered] is true once a process span has named the transit span as
+    its cause (as of the {!shape} call that built the value). *)
 type shape =
-  | Transit_shape of {
-      link : int;
-      src : int;
-      dst : int;
-      mutable delivered : bool;
-    }
+  | Transit_shape of { link : int; src : int; dst : int; delivered : bool }
   | Process_shape of { node : int; t_busy : float }
 
 val create : unit -> t

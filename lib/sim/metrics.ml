@@ -9,15 +9,18 @@ type gauge = {
 (* Log-bucketed histogram: positive values fall in bucket
    [growth^i, growth^(i+1)) with growth = 2^(1/8) (8 buckets per octave,
    ~9% relative resolution); zero and negative values share a dedicated
-   bucket below every geometric one.  Buckets are sparse: a simulation
-   run touches a few dozen indices out of the ~2700 representable. *)
+   bucket below every geometric one.  Positive finite doubles span about
+   16,800 bucket indices (-8592 .. 8192), of which a run touches a few
+   dozen, so the counts are dense over the touched range only:
+   [counts.(k)] is bucket [lo + k].  [sum], [min] and [max] sit in a flat
+   float array ([stats]) because a mutable float field of a mixed record
+   is boxed on every write. *)
 type histogram = {
-  buckets : (int, int) Hashtbl.t;
+  mutable counts : int array;
+  mutable lo : int;
   mutable zero : int;  (* observations <= 0 *)
   mutable total : int;
-  mutable sum : float;
-  mutable min : float;
-  mutable max : float;
+  stats : float array;  (* [| sum; min; max |] *)
 }
 
 type metric =
@@ -57,12 +60,11 @@ let gauge t name =
     g
 
 let fresh_histogram () =
-  { buckets = Hashtbl.create ~random:false 16;
+  { counts = [||];
+    lo = 0;
     zero = 0;
     total = 0;
-    sum = 0.;
-    min = infinity;
-    max = neg_infinity }
+    stats = [| 0.; infinity; neg_infinity |] }
 
 let histogram t name =
   match Hashtbl.find_opt t.metrics name with
@@ -93,69 +95,105 @@ let gauge_value g = if g.set then Some g.last else None
 let inv_log_growth = 8. /. Float.log 2.
 let log_growth = Float.log 2. /. 8.
 
-let bucket_of x = int_of_float (Float.floor (Float.log x *. inv_log_growth))
+let log_bucket x = int_of_float (Float.floor (Float.log x *. inv_log_growth))
+
+(* Small integers (queue depths, in-flight counts, hop counts) are most of
+   what gets observed; their buckets are looked up, not recomputed.  Entry
+   [k] is [log_bucket k] (entry 0 is unused). *)
+let small_buckets =
+  Array.init 4096 (fun k -> if k = 0 then 0 else log_bucket (float_of_int k))
+
+let small_limit = float_of_int (Array.length small_buckets)
+
+let bucket_of x =
+  if x < small_limit then begin
+    let k = int_of_float x in
+    if float_of_int k = x then small_buckets.(k) else log_bucket x
+  end
+  else log_bucket x
 
 (* Geometric midpoint of bucket [i]: growth^(i + 1/2). *)
 let bucket_mid i = Float.exp ((float_of_int i +. 0.5) *. log_growth)
 
-let observe h x =
-  if Float.is_nan x then invalid_arg "Metrics.observe: NaN observation";
-  if x > 0. then begin
-    let i = bucket_of x in
-    let current = Option.value ~default:0 (Hashtbl.find_opt h.buckets i) in
-    Hashtbl.replace h.buckets i (current + 1)
+(* Widen [counts] to cover bucket [i], at least doubling so that a run's
+   buckets settle after a few widenings. *)
+let cover h i =
+  let len = Array.length h.counts in
+  if len = 0 then begin
+    h.counts <- Array.make 16 0;
+    h.lo <- i - 8
   end
-  else h.zero <- h.zero + 1;
+  else begin
+    let lo = Stdlib.min h.lo (i - (len / 2))
+    and hi = Stdlib.max (h.lo + len) (i + 1 + (len / 2)) in
+    let counts = Array.make (hi - lo) 0 in
+    Array.blit h.counts 0 counts (h.lo - lo) len;
+    h.counts <- counts;
+    h.lo <- lo
+  end
+
+let add_count h i c =
+  let k = i - h.lo in
+  if k >= 0 && k < Array.length h.counts then h.counts.(k) <- h.counts.(k) + c
+  else begin
+    cover h i;
+    let k = i - h.lo in
+    h.counts.(k) <- h.counts.(k) + c
+  end
+
+let observe h x =
+  if not (x < infinity) then
+    invalid_arg
+      (if Float.is_nan x then "Metrics.observe: NaN observation"
+       else "Metrics.observe: infinite observation");
+  if x > 0. then add_count h (bucket_of x) 1 else h.zero <- h.zero + 1;
   h.total <- h.total + 1;
-  h.sum <- h.sum +. x;
-  if x < h.min then h.min <- x;
-  if x > h.max then h.max <- x
+  let s = h.stats in
+  s.(0) <- s.(0) +. x;
+  if x < s.(1) then s.(1) <- x;
+  if x > s.(2) then s.(2) <- x
 
 let hist_count h = h.total
-let hist_sum h = h.sum
-let hist_min h = if h.total = 0 then nan else h.min
-let hist_max h = if h.total = 0 then nan else h.max
-
-let sorted_buckets h =
-  let pairs = Hashtbl.fold (fun i c acc -> (i, c) :: acc) h.buckets [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) pairs
+let hist_sum h = h.stats.(0)
+let hist_min h = if h.total = 0 then nan else h.stats.(1)
+let hist_max h = if h.total = 0 then nan else h.stats.(2)
 
 let quantile h q =
   if not (q >= 0. && q <= 1.) then
     invalid_arg "Metrics.quantile: q outside [0,1]";
   if h.total = 0 then nan
-  else if q = 0. then h.min
-  else if q = 1. then h.max
+  else if q = 0. then hist_min h
+  else if q = 1. then hist_max h
   else begin
     (* Nearest-rank over the bucketed sample. *)
     let rank = Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int h.total))) in
     let estimate =
       if rank <= h.zero then 0.
       else begin
-        let rec walk seen = function
-          | [] -> h.max  (* numerically unreachable; be safe *)
-          | (i, c) :: rest ->
-            let seen = seen + c in
-            if rank <= seen then bucket_mid i else walk seen rest
+        (* Empty buckets leave [seen] unchanged, so they never match. *)
+        let rec walk seen k =
+          if k >= Array.length h.counts then hist_max h
+            (* numerically unreachable; be safe *)
+          else begin
+            let seen = seen + h.counts.(k) in
+            if rank <= seen then bucket_mid (h.lo + k) else walk seen (k + 1)
+          end
         in
-        walk h.zero (sorted_buckets h)
+        walk h.zero 0
       end
     in
     (* The bucket midpoint can stick out past the exact extrema. *)
-    Float.max h.min (Float.min h.max estimate)
+    Float.max (hist_min h) (Float.min (hist_max h) estimate)
   end
 
 let merge_histogram ~into:a b =
-  Hashtbl.iter
-    (fun i c ->
-       let current = Option.value ~default:0 (Hashtbl.find_opt a.buckets i) in
-       Hashtbl.replace a.buckets i (current + c))
-    b.buckets;
+  Array.iteri (fun k c -> if c > 0 then add_count a (b.lo + k) c) b.counts;
   a.zero <- a.zero + b.zero;
   a.total <- a.total + b.total;
-  a.sum <- a.sum +. b.sum;
-  if b.min < a.min then a.min <- b.min;
-  if b.max > a.max then a.max <- b.max
+  let sa = a.stats and sb = b.stats in
+  sa.(0) <- sa.(0) +. sb.(0);
+  if sb.(1) < sa.(1) then sa.(1) <- sb.(1);
+  if sb.(2) > sa.(2) then sa.(2) <- sb.(2)
 
 let merge_gauge ~into:a b =
   if b.set then begin
@@ -214,7 +252,7 @@ let report_rows t =
            (if g.set then cell_float g.peak else "-") ]
        | Histogram h ->
          let mean =
-           if h.total = 0 then nan else h.sum /. float_of_int h.total
+           if h.total = 0 then nan else hist_sum h /. float_of_int h.total
          in
          [ name; "histogram"; string_of_int h.total; "-"; cell_float mean;
            cell_float (quantile h 0.5);

@@ -21,7 +21,10 @@
     octave (resolution ~9%): quantile queries return the geometric
     midpoint of the bucket containing the requested rank, clamped to the
     exact observed [min]/[max].  Zero and negative observations land in a
-    dedicated zero bucket. *)
+    dedicated zero bucket.  Bucket counts are stored densely over the
+    range of bucket indices a histogram has touched (a run touches a few
+    dozen of the ~16,800 that positive finite doubles span), so recording
+    an observation allocates nothing once that range has settled. *)
 
 type t
 (** A metric registry.  Not thread-safe: under a Domain-parallel driver
@@ -56,6 +59,16 @@ val set_gauge : gauge -> float -> unit
     maximum ever set (the maximum is what survives a merge). *)
 
 val observe : histogram -> float -> unit
+(** Record one observation.
+    @raise Invalid_argument on [nan] or [infinity], which have no bucket
+    ([neg_infinity] is a non-positive value and lands in the zero
+    bucket). *)
+
+val bucket_of : float -> int
+(** The geometric bucket of a positive finite value:
+    [floor (log x *. 8. /. log 2.)], so bucket [i] holds
+    [\[2^(i/8), 2^((i+1)/8))].  Integers below 4096 are looked up in a
+    table filled by the same formula. *)
 
 (** {2 Queries} *)
 

@@ -177,6 +177,122 @@ let test_trace_json_shape () =
        Alcotest.(check bool) "has instant marks" true
          (count "\"ph\":\"i\"" > 0))
 
+(* Byte-for-byte pins of the span export and the critical-path line: the
+   recorder's storage may change, but not a single span, parent, flag or
+   digit of what it reports. *)
+let golden_run ?params ?proc_delay ?fault ~n ~seed () =
+  let config =
+    Runner.config ~n ~a0:(Analysis.recommended_a0 ~theta:1. n) ?params
+      ?proc_delay ?fault ~limit_time:400. ()
+  in
+  let causal = Abe_sim.Causal.create () in
+  let outcome = Runner.run ~causal ~seed config in
+  let file = Filename.temp_file "abe_golden" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+       let oc = open_out_bin file in
+       Abe_sim.Causal.output_trace_json oc causal;
+       close_out oc;
+       let ic = open_in_bin file in
+       let json = really_input_string ic (in_channel_length ic) in
+       close_in ic;
+       let critpath =
+         match Abe_sim.Critpath.analyze causal with
+         | None -> "none"
+         | Some b -> Format.asprintf "%a" Abe_sim.Critpath.pp b
+       in
+       (outcome, json, critpath))
+
+let check_golden name (json, critpath) (md5, line) =
+  Alcotest.(check string) (name ^ ": span JSON md5") md5
+    (Digest.to_hex (Digest.string json));
+  Alcotest.(check string) (name ^ ": critpath") line critpath
+
+let test_golden_ring () =
+  List.iter
+    (fun (n, seed, md5, line) ->
+       let _, json, critpath = golden_run ~n ~seed () in
+       check_golden (Printf.sprintf "n=%d seed=%d" n seed) (json, critpath)
+         (md5, line))
+    [ (8, 1, "b83de59ca2630acdbd7b4bf3b71362a3",
+       "critpath: total=44.632 link=8.653 proc=0.000 idle=35.979 hops=8 spans=17");
+      (8, 2, "62995b28bb2f269cff32c6d5715f4946",
+       "critpath: total=74.142 link=9.830 proc=0.000 idle=64.312 hops=8 spans=17");
+      (8, 3, "2f62a8b569cd82e08a699b28e4e4e602",
+       "critpath: total=39.762 link=7.596 proc=0.000 idle=32.166 hops=8 spans=17");
+      (48, 1, "06691f672a70b4e5aec004e0b68276e1",
+       "critpath: total=120.995 link=40.550 proc=0.000 idle=80.445 hops=48 spans=97");
+      (48, 2, "24435d223aa306ce6a14b623996a29a2",
+       "critpath: total=167.676 link=46.471 proc=0.000 idle=121.205 hops=48 spans=97");
+      (48, 3, "07fcadcf5598295289097580f8a8d794",
+       "critpath: total=95.943 link=41.382 proc=0.000 idle=54.561 hops=48 spans=97") ]
+
+let test_golden_proc_delay () =
+  let params = Params.make ~delta:1. ~gamma:0.2 ~clock:Abe_net.Clock.perfect in
+  let _, json, critpath =
+    golden_run ~params
+      ~proc_delay:(Some (Abe_prob.Dist.exponential ~mean:0.2))
+      ~n:8 ~seed:4 ()
+  in
+  check_golden "gamma > 0" (json, critpath)
+    ( "c507861843a45709fd093d0714cb86b6",
+      "critpath: total=73.136 link=5.369 proc=1.503 idle=66.264 hops=5 spans=12" )
+
+let count_substring needle s =
+  let nl = String.length needle in
+  let rec go i acc =
+    if i + nl > String.length s then acc
+    else if String.sub s i nl = needle then go (i + nl) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* Lossy run with a link outage: lost messages and sends into the down
+   link become zero-length transit spans that no delivery names. *)
+let test_golden_lossy () =
+  let fault =
+    Abe_net.Faults.compose
+      (Abe_net.Faults.bursty_loss ~seed:5 ~delta:1. ~horizon:200.)
+      (Abe_net.Faults.link_down ~link:3 ~from_:2. ~until:40.)
+  in
+  let outcome, json, critpath = golden_run ~fault ~n:8 ~seed:5 () in
+  Alcotest.(check bool) "no election in the budget" false
+    outcome.Runner.elected;
+  Alcotest.(check int) "loss spans" 2
+    (count_substring "\"name\":\"loss\"" json);
+  Alcotest.(check int) "link-drop spans" 1
+    (count_substring "\"name\":\"link-drop\"" json);
+  check_golden "lossy" (json, critpath)
+    ("0c43fd4c683f820bf890dba32f611ae6", "none")
+
+(* Retention: with every hook on (sim-observed's configuration), a run
+   keeps its spans in major-heap chunks and promotes next to nothing:
+   ~0.6 words per event in the dev profile, where a DAG of per-span heap
+   blocks promotes ~12.5. *)
+let test_retention () =
+  let n = 48 in
+  let config =
+    Runner.config ~n ~a0:(Analysis.recommended_a0 ~theta:1. n)
+      ~params:Params.default ()
+  in
+  let events = ref 0 in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  for seed = 1 to 20 do
+    let metrics = Abe_sim.Metrics.create () in
+    let causal = Abe_sim.Causal.create () in
+    let o = Runner.run ~metrics ~causal ~check:true ~seed config in
+    Alcotest.(check bool) "critical path" true
+      (Option.is_some (Abe_sim.Critpath.analyze causal));
+    events := !events + o.Runner.executed_events
+  done;
+  let promoted =
+    ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int !events
+  in
+  if promoted > 2. then
+    Alcotest.failf "%.2f promoted words per event (bound 2)" promoted
+
 let () =
   Alcotest.run "causal"
     [ ( "causal",
@@ -190,5 +306,9 @@ let () =
             test_critpath_telescopes;
           Alcotest.test_case "no sink, no path" `Quick test_no_sink_no_path;
           Alcotest.test_case "critpath metrics" `Quick test_critpath_metrics;
-          Alcotest.test_case "trace json shape" `Quick test_trace_json_shape ]
+          Alcotest.test_case "trace json shape" `Quick test_trace_json_shape;
+          Alcotest.test_case "golden ring" `Quick test_golden_ring;
+          Alcotest.test_case "golden proc delay" `Quick test_golden_proc_delay;
+          Alcotest.test_case "golden lossy" `Quick test_golden_lossy;
+          Alcotest.test_case "retention" `Quick test_retention ]
       ) ]

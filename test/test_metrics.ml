@@ -205,6 +205,177 @@ let test_engine_instrumentation () =
   Alcotest.(check int) "engine/executed counter" n1
     (Metrics.counter_value (Metrics.counter m1 "engine/executed"))
 
+(* Reference model: the sparse Hashtbl histogram the dense one replaced,
+   with its bucketing formula, quantile walk, merge and row rendering. *)
+module Reference = struct
+  type h = {
+    buckets : (int, int) Hashtbl.t;
+    mutable zero : int;
+    mutable total : int;
+    mutable sum : float;
+    mutable min : float;
+    mutable max : float;
+  }
+
+  let create () =
+    { buckets = Hashtbl.create 16; zero = 0; total = 0; sum = 0.;
+      min = infinity; max = neg_infinity }
+
+  let bucket_of x =
+    int_of_float (Float.floor (Float.log x *. (8. /. Float.log 2.)))
+
+  let bucket_mid i = Float.exp ((float_of_int i +. 0.5) *. (Float.log 2. /. 8.))
+
+  let add h i c =
+    Hashtbl.replace h.buckets i
+      (c + Option.value ~default:0 (Hashtbl.find_opt h.buckets i))
+
+  let observe h x =
+    if x > 0. then add h (bucket_of x) 1 else h.zero <- h.zero + 1;
+    h.total <- h.total + 1;
+    h.sum <- h.sum +. x;
+    if x < h.min then h.min <- x;
+    if x > h.max then h.max <- x
+
+  let merge ~into:a b =
+    Hashtbl.iter (add a) b.buckets;
+    a.zero <- a.zero + b.zero;
+    a.total <- a.total + b.total;
+    a.sum <- a.sum +. b.sum;
+    if b.min < a.min then a.min <- b.min;
+    if b.max > a.max then a.max <- b.max
+
+  let quantile h q =
+    if h.total = 0 then nan
+    else if q = 0. then h.min
+    else if q = 1. then h.max
+    else begin
+      let rank =
+        max 1 (int_of_float (Float.ceil (q *. float_of_int h.total)))
+      in
+      let estimate =
+        if rank <= h.zero then 0.
+        else begin
+          let sorted =
+            List.sort compare
+              (Hashtbl.fold (fun i c acc -> (i, c) :: acc) h.buckets [])
+          in
+          let rec walk seen = function
+            | [] -> h.max
+            | (i, c) :: rest ->
+              let seen = seen + c in
+              if rank <= seen then bucket_mid i else walk seen rest
+          in
+          walk h.zero sorted
+        end
+      in
+      Float.max h.min (Float.min h.max estimate)
+    end
+
+  let row name h =
+    let cell x = if Float.is_nan x then "-" else Printf.sprintf "%g" x in
+    let mean = if h.total = 0 then nan else h.sum /. float_of_int h.total in
+    [ name; "histogram"; string_of_int h.total; "-"; cell mean;
+      cell (quantile h 0.5); cell (quantile h 0.9); cell (quantile h 0.99);
+      cell (if h.total = 0 then nan else h.max) ]
+end
+
+(* Observations that stress the dense range: small integers (the lookup
+   table), zero and negatives (the zero bucket), subnormals and 1e300 (the
+   two ends of the ~16,800 bucket indices), and arbitrary magnitudes in
+   between, so the array widens downwards and upwards. *)
+let observation =
+  QCheck.Gen.(
+    frequency
+      [ (4, map float_of_int (int_range 1 5000));
+        (1, return 0.);
+        (1, map (fun x -> -.x) (float_range 0. 1e6));
+        (1, map (fun k -> Int64.float_of_bits (Int64.of_int k)) (int_range 1 100_000));
+        (1, return 1e300);
+        (1, return Float.max_float);
+        (3, map (fun e -> Float.exp e) (float_range (-700.) 690.)) ])
+
+let observations_arb =
+  QCheck.make
+    ~print:QCheck.Print.(list (list float))
+    QCheck.Gen.(list_size (int_range 1 5) (list_size (int_range 0 60) observation))
+
+let quantiles = [ 0.; 0.01; 0.25; 0.5; 0.9; 0.99; 0.999; 1. ]
+
+let prop_dense_matches_reference =
+  QCheck.Test.make ~name:"dense histogram matches the sparse reference"
+    ~count:300 (QCheck.pair observations_arb QCheck.small_int)
+    (fun (groups, order_seed) ->
+       let registries =
+         List.map
+           (fun xs ->
+              let m = Metrics.create () in
+              let h = Metrics.histogram m "h" in
+              let r = Reference.create () in
+              List.iter (fun x -> Metrics.observe h x; Reference.observe r x) xs;
+              (m, h, r))
+           groups
+       in
+       List.iter
+         (fun (m, h, r) ->
+            if Metrics.report_rows m <> [ Reference.row "h" r ] then
+              QCheck.Test.fail_report "report rows differ";
+            List.iter
+              (fun q ->
+                 let a = Metrics.quantile h q and b = Reference.quantile r q in
+                 if not (a = b || (Float.is_nan a && Float.is_nan b)) then
+                   QCheck.Test.fail_reportf "quantile %g: %h vs %h" q a b)
+              quantiles)
+         registries;
+       (* Merge in a random order, on both sides. *)
+       let rng = Random.State.make [| order_seed |] in
+       let shuffled =
+         List.map snd
+           (List.sort compare
+              (List.map (fun x -> (Random.State.bits rng, x)) registries))
+       in
+       let into = Metrics.create () and reference = Reference.create () in
+       List.iter
+         (fun (m, _, r) ->
+            Metrics.merge_into ~into m;
+            Reference.merge ~into:reference r)
+         shuffled;
+       Metrics.report_rows into = [ Reference.row "h" reference ]
+       && List.for_all
+            (fun q ->
+               let a = Metrics.quantile (Metrics.histogram into "h") q
+               and b = Reference.quantile reference q in
+               a = b || (Float.is_nan a && Float.is_nan b))
+            quantiles)
+
+(* The small-integer lookup table is filled by the formula; every entry
+   (and the first integers past it) must agree with the reference. *)
+let test_bucket_table () =
+  for k = 1 to 10_000 do
+    let x = float_of_int k in
+    if Metrics.bucket_of x <> Reference.bucket_of x then
+      Alcotest.failf "bucket_of %d: %d, reference %d" k (Metrics.bucket_of x)
+        (Reference.bucket_of x)
+  done;
+  List.iter
+    (fun x ->
+       Alcotest.(check int) (Printf.sprintf "bucket_of %h" x)
+         (Reference.bucket_of x) (Metrics.bucket_of x))
+    [ 0.5; 1.5; 4095.5; 4096.; 5e-324; 1e300; Float.max_float ];
+  Alcotest.(check int) "smallest subnormal" (-8592) (Metrics.bucket_of 5e-324);
+  Alcotest.(check int) "max_float" 8192 (Metrics.bucket_of Float.max_float)
+
+(* +inf has no bucket: it used to be counted silently in [1, 1.09). *)
+let test_observe_rejects_infinity () =
+  let h = Metrics.histogram (Metrics.create ()) "h" in
+  Alcotest.check_raises "nan"
+    (Invalid_argument "Metrics.observe: NaN observation") (fun () ->
+      Metrics.observe h nan);
+  Alcotest.check_raises "+inf"
+    (Invalid_argument "Metrics.observe: infinite observation") (fun () ->
+      Metrics.observe h infinity);
+  Alcotest.(check int) "nothing recorded" 0 (Metrics.hist_count h)
+
 let () =
   Alcotest.run "metrics"
     [ ( "metrics",
@@ -223,4 +394,8 @@ let () =
             test_merge_all_zero_source;
           Alcotest.test_case "report rows" `Quick test_report_rows;
           Alcotest.test_case "engine instrumentation" `Quick
-            test_engine_instrumentation ] ) ]
+            test_engine_instrumentation;
+          Alcotest.test_case "bucket table" `Quick test_bucket_table;
+          Alcotest.test_case "observe rejects infinity" `Quick
+            test_observe_rejects_infinity;
+          QCheck_alcotest.to_alcotest prop_dense_matches_reference ] ) ]

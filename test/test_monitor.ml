@@ -131,6 +131,73 @@ let test_clock_drift_violation () =
   in
   Alcotest.(check int) "exactly one drift violation" 1 drift_count
 
+let violations oracle =
+  List.map
+    (fun v ->
+       Abe_sim.Oracle.(v.invariant, v.subject, v.detail))
+    (Abe_sim.Oracle.violations oracle)
+
+(* The tick check builds its report text only when it reports; the text
+   itself is part of the oracle's output and must not change. *)
+let test_clock_report_text () =
+  let spec = Clock.spec ~s_low:0.9 ~s_high:1.1 in
+  let m, oracle = monitor ~clock:spec ~nodes:4 () in
+  let obs = Monitor.observer m in
+  let st = stats () in
+  tick obs st ~time:1. ~node:3 ~local_time:1.;
+  tick obs st ~time:2. ~node:3 ~local_time:0.5;
+  tick obs st ~time:3. ~node:3 ~local_time:3.5;
+  Alcotest.(check (list (triple string string string)))
+    "subjects and details"
+    [ ("clock-monotone", "node 3", "local clock went from 1.000000 to 0.500000");
+      ("clock-drift", "node 3", "observed rate -0.500000000 outside [0.9, 1.1]");
+      ("clock-drift", "node 3", "observed rate 3.000000000 outside [0.9, 1.1]") ]
+    (violations oracle)
+
+(* A crash does not forget the node's last reading: the first tick after
+   the rejoin is still compared with the one before the crash. *)
+let test_tick_after_rejoin () =
+  let m, oracle =
+    monitor ~clock:Clock.perfect ~dynamic:Monitor.Dynamic ()
+  in
+  let obs = Monitor.observer m in
+  let st = stats () in
+  tick obs st ~time:1. ~node:0 ~local_time:1.;
+  obs ~time:2. ~stats:st ~in_flight:0 (Network.Crash { node = 0 });
+  obs ~time:3. ~stats:st ~in_flight:0 (Network.Revive { node = 0 });
+  tick obs st ~time:4. ~node:0 ~local_time:4.;
+  Alcotest.(check bool) "a faithful clock across the gap is clean" true
+    (Abe_sim.Oracle.is_clean oracle);
+  obs ~time:5. ~stats:st ~in_flight:0 (Network.Crash { node = 0 });
+  obs ~time:6. ~stats:st ~in_flight:0 (Network.Revive { node = 0 });
+  tick obs st ~time:7. ~node:0 ~local_time:3.;
+  Alcotest.(check (list string)) "compared with the pre-crash reading"
+    [ "clock-monotone"; "clock-drift" ] (invariants oracle)
+
+(* A checked run allocates little per event on the minor heap: the
+   tick check stores its last reading in float arrays and formats
+   nothing.  It measures ~5 words per event in the dev profile, most of
+   them the network's event records and boxed instants; formatting a
+   subject and boxing a reading on every tick costs ~27. *)
+let test_check_minor_words () =
+  let n = 48 in
+  let config =
+    Abe_core.Runner.config ~n
+      ~a0:(Abe_core.Analysis.recommended_a0 ~theta:1. n)
+      ~params:Abe_core.Params.default ()
+  in
+  let events = ref 0 in
+  let before = Gc.minor_words () in
+  for seed = 1 to 20 do
+    let o = Abe_core.Runner.run ~check:true ~seed config in
+    Alcotest.(check bool) "clean election" true
+      (o.Abe_core.Runner.elected && o.Abe_core.Runner.violations = []);
+    events := !events + o.Abe_core.Runner.executed_events
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int !events in
+  if words > 8. then
+    Alcotest.failf "%.2f minor words per event (bound 8)" words
+
 let test_quiescence_violation () =
   let m, oracle = monitor () in
   Monitor.check_quiescence m ~time:9. ~outcome:Abe_sim.Engine.Drained
@@ -275,7 +342,11 @@ let () =
           Alcotest.test_case "clock monotonicity" `Quick
             test_clock_monotonicity_violation;
           Alcotest.test_case "clock drift" `Quick test_clock_drift_violation;
-          Alcotest.test_case "quiescence" `Quick test_quiescence_violation ] );
+          Alcotest.test_case "quiescence" `Quick test_quiescence_violation;
+          Alcotest.test_case "clock report text" `Quick test_clock_report_text;
+          Alcotest.test_case "tick after rejoin" `Quick test_tick_after_rejoin;
+          Alcotest.test_case "check minor words" `Quick test_check_minor_words
+        ] );
       ( "dynamic classes",
         [ Alcotest.test_case "static flags topology events" `Quick
             test_static_flags_topology_events;
