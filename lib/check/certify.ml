@@ -88,87 +88,28 @@ let run ?(window = Schedulers.default_window) ?(budget = 200)
     if Float.is_finite time_budget then Unix.gettimeofday () +. time_budget
     else infinity
   in
-  (* Depth-first schedule enumeration with digest pruning and sleep-set
-     POR — the Explore.run_exhaustive loop, with the oracle's verdict in
-     place of the election runner's. *)
-  let schedules = ref 0 in
-  let pruned = ref 0 in
-  let transitions = ref 0 in
-  let sleep_skips = ref 0 in
-  let collisions = ref 0 in
-  let seen = Hashtbl.create 256 in
-  let stack = ref [ [||] ] in
+  (* The shared DFS of Por.search, with the oracle's verdict in place of
+     the election runner's; the oracle's counters accumulate across
+     runs. *)
   let events_checked = ref 0 in
   let max_skew = ref 0 in
   let completed_runs = ref 0 in
-  let finding = ref None in
-  while
-    !finding = None && !stack <> [] && !schedules < budget
-    && Unix.gettimeofday () <= deadline
-  do
-    match !stack with
-    | [] -> ()
-    | prefix :: rest ->
-      stack := rest;
-      let scheduler, observe = Schedulers.scripted ~window ~prefix () in
-      let oracle = Skew.create ?skew_bound ~n () in
-      let completed = run_once ~scheduler ~oracle in
-      incr schedules;
-      if completed then incr completed_runs;
-      events_checked := !events_checked + Skew.events_checked oracle;
-      if Skew.max_skew oracle > !max_skew then
-        max_skew := Skew.max_skew oracle;
-      let obs = observe () in
-      transitions := !transitions + Array.length obs.Schedulers.counts;
-      (match Skew.violations oracle with
-       | _ :: _ as violations ->
-         let deviations = ref [] in
-         Array.iteri
-           (fun d pick ->
-              if pick <> 0 then deviations := (d, pick) :: !deviations)
-           obs.Schedulers.picks;
-         finding := Some (List.rev !deviations, violations)
-       | [] ->
-         let d = ref (Array.length prefix) in
-         let stop = ref false in
-         while (not !stop) && !d < Array.length obs.Schedulers.counts do
-           let key = (obs.Schedulers.digests.(!d), !d) in
-           let k = obs.Schedulers.counts.(!d) in
-           match Hashtbl.find_opt seen key with
-           | Some k' ->
-             if k' <> k then incr collisions;
-             incr pruned;
-             stop := true
-           | None ->
-             Hashtbl.add seen key k;
-             for pick = k - 1 downto 1 do
-               if (not por) || Por.expandable obs.Schedulers.foots.(!d) pick
-               then begin
-                 let child = Array.make (!d + 1) 0 in
-                 Array.blit prefix 0 child 0 (Array.length prefix);
-                 child.(!d) <- pick;
-                 stack := child :: !stack
-               end
-               else incr sleep_skips
-             done;
-             incr d
-         done)
-  done;
-  let coverage =
-    { Por.states = Hashtbl.length seen;
-      transitions = !transitions;
-      sleep_skips = !sleep_skips;
-      collisions = !collisions;
-      complete = !stack = [] && !finding = None }
+  let r =
+    Por.search ~por ~window ~budget ~deadline (fun scheduler ->
+        let oracle = Skew.create ?skew_bound ~n () in
+        if run_once ~scheduler ~oracle then incr completed_runs;
+        events_checked := !events_checked + Skew.events_checked oracle;
+        max_skew := max !max_skew (Skew.max_skew oracle);
+        Skew.violations oracle)
   in
   let deviations, violations =
-    match !finding with None -> ([], []) | Some (d, v) -> (d, v)
+    match r.Por.finding with None -> ([], []) | Some (_, d, v) -> (d, v)
   in
   { variant = variant_name variant;
     skew_bound;
-    schedules = !schedules;
-    pruned = !pruned;
-    coverage;
+    schedules = r.Por.schedules;
+    pruned = r.Por.pruned;
+    coverage = r.Por.coverage;
     events_checked = !events_checked;
     max_skew = !max_skew;
     completed_runs = !completed_runs;

@@ -59,3 +59,97 @@ let pp_coverage ppf c =
     c.collisions
     (if c.collisions = 1 then "" else "s")
     (if c.complete then ", complete" else ", truncated")
+
+type 'v search = {
+  schedules : int;
+  pruned : int;
+  coverage : coverage;
+  finding : (int * Schedulers.deviations * 'v list) option;
+}
+
+(* Bounded DFS over the schedule tree.  A node of the tree is a prefix of
+   picks; running it (default picks beyond the prefix) observes the
+   candidate count, footprints and pre-decision state digest of every
+   decision point on that trajectory.  Alternatives [1..k-1] at each
+   point past the prefix become child prefixes — all of them plain, only
+   the non-commuting ones under POR (see {!expandable}).
+
+   Pruning is by (digest, ordinal): two trajectories that reach the same
+   state digest at the same decision ordinal head identical subtrees (up
+   to hash collision and in-flight timing, which the digest cannot see —
+   a heuristic, documented as such), so the subtree is expanded only the
+   first time.  This collapses, e.g., the factorially many interleavings
+   of no-activation ticks.  The table stores each key's candidate count:
+   a revisit offering a different count is two distinct states colliding
+   on one digest, and is surfaced in the coverage report instead of
+   silently mispruned. *)
+let search ~por ~window ~budget ~deadline run =
+  let schedules = ref 0 in
+  let pruned = ref 0 in
+  let transitions = ref 0 in
+  let sleep_skips = ref 0 in
+  let collisions = ref 0 in
+  let seen = Hashtbl.create 1024 in
+  let stack = ref [ [||] ] in
+  let finding = ref None in
+  while
+    !finding = None && !stack <> [] && !schedules < budget
+    && Unix.gettimeofday () <= deadline
+  do
+    match !stack with
+    | [] -> ()
+    | prefix :: rest ->
+      stack := rest;
+      let scheduler, observe = Schedulers.scripted ~window ~prefix () in
+      let violations = run scheduler in
+      incr schedules;
+      let obs = observe () in
+      transitions := !transitions + Array.length obs.Schedulers.counts;
+      if violations <> [] then begin
+        (* Record the schedule by its *executed* picks, not the requested
+           prefix: the scripted scheduler clamps out-of-range picks to the
+           candidate range actually offered, and only the executed stream
+           is guaranteed to replay byte for byte. *)
+        let deviations = ref [] in
+        Array.iteri
+          (fun d pick ->
+             if pick <> 0 then deviations := (d, pick) :: !deviations)
+          obs.Schedulers.picks;
+        finding := Some (!schedules - 1, List.rev !deviations, violations)
+      end
+      else begin
+        let d = ref (Array.length prefix) in
+        let stop = ref false in
+        while (not !stop) && !d < Array.length obs.Schedulers.counts do
+          let key = (obs.Schedulers.digests.(!d), !d) in
+          let k = obs.Schedulers.counts.(!d) in
+          match Hashtbl.find_opt seen key with
+          | Some k' ->
+            if k' <> k then incr collisions;
+            incr pruned;
+            stop := true
+          | None ->
+            Hashtbl.add seen key k;
+            for pick = k - 1 downto 1 do
+              if (not por) || expandable obs.Schedulers.foots.(!d) pick
+              then begin
+                let child = Array.make (!d + 1) 0 in
+                Array.blit prefix 0 child 0 (Array.length prefix);
+                child.(!d) <- pick;
+                stack := child :: !stack
+              end
+              else incr sleep_skips
+            done;
+            incr d
+        done
+      end
+  done;
+  { schedules = !schedules;
+    pruned = !pruned;
+    coverage =
+      { states = Hashtbl.length seen;
+        transitions = !transitions;
+        sleep_skips = !sleep_skips;
+        collisions = !collisions;
+        complete = !stack = [] && !finding = None };
+    finding = !finding }

@@ -43,3 +43,29 @@ type coverage = {
 }
 
 val pp_coverage : Format.formatter -> coverage -> unit
+
+(** One exhaustive exploration. *)
+type 'v search = {
+  schedules : int;  (** schedules executed *)
+  pruned : int;  (** schedules cut by the seen-state table *)
+  coverage : coverage;
+  finding : (int * Schedulers.deviations * 'v list) option;
+      (** the first violating schedule: its index, its {e executed}
+          deviations and its violations *)
+}
+
+val search :
+  por:bool ->
+  window:float ->
+  budget:int ->
+  deadline:float ->
+  (Abe_sim.Engine.scheduler -> 'v list) ->
+  'v search
+(** The depth-first schedule search shared by [Explore]'s exhaustive mode
+    and [Certify]: [search ~por ~window ~budget ~deadline run] runs
+    [run] under a {!Schedulers.scripted} scheduler for each schedule
+    prefix, expanding untried alternatives ([por]: only those
+    {!expandable} allows) and pruning states already seen by
+    [(digest, ordinal)].  It stops at the first schedule whose [run]
+    returns violations, after [budget] schedules, or once the wall clock
+    passes [deadline] (a [Unix.gettimeofday] time). *)
