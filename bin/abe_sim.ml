@@ -686,8 +686,9 @@ let critpath_command =
             (fun (n, results) -> (n, List.filter_map snd results))
             rows));
     Observe.finish { obs with causal = None };
-    (* --span-out exports the DAG of the first replicate of the first size
-       (re-run with a fresh recorder; determinism makes it the same run). *)
+    (* --span-out exports the DAG of the first replicate of the first size,
+       after the metrics (re-run with a fresh recorder; determinism makes
+       it the same run). *)
     let* () =
       match obs.causal with
       | None -> Ok ()
@@ -1107,38 +1108,37 @@ let replay_command =
        interface uniformity and because CI diffs --jobs 1 vs --jobs N. *)
     ignore (Abe_harness.Driver.of_jobs jobs);
     let* artifact = Abe_check.Repro.of_file file in
-    let a =
+    let artifact =
       match seed_override with
       | None -> artifact
       | Some seed -> { artifact with Abe_check.Repro.seed }
     in
     let* config =
       Ring.config
-        { Ring.n = a.n; a0 = Some a.a0; theta = 1.; delta = a.delta;
-          gamma = a.gamma; drift = a.drift; delay = a.delay; fault = a.fault;
-          seed = a.seed }
+        { Ring.n = artifact.n; a0 = Some artifact.a0; theta = 1.;
+          delta = artifact.delta; gamma = artifact.gamma;
+          drift = artifact.drift; delay = artifact.delay;
+          fault = artifact.fault; seed = artifact.seed }
     in
-    Fmt.pr "%a@." Abe_check.Repro.pp a;
+    Fmt.pr "%a@." Abe_check.Repro.pp artifact;
     let* outcome =
       Abe_check.Explore.replay_run ?trace:obs.tracer ?metrics:obs.registry
-        ~artifact:a config
+        ~artifact config
     in
     let violations = outcome.Abe_core.Runner.violations in
     List.iter (fun v -> Fmt.pr "%a@." Abe_sim.Oracle.pp_violation v) violations;
     Observe.finish obs;
+    let invariant = artifact.invariant in
     if
-      List.exists
-        (fun v -> v.Abe_sim.Oracle.invariant = a.invariant)
-        violations
+      List.exists (fun v -> v.Abe_sim.Oracle.invariant = invariant) violations
     then begin
-      Fmt.pr "replay: reproduced invariant %S (%d violation%s)@." a.invariant
+      Fmt.pr "replay: reproduced invariant %S (%d violation%s)@." invariant
         (List.length violations)
         (if List.length violations = 1 then "" else "s");
       Ok ()
     end
     else
-      Error
-        (Printf.sprintf "replay: invariant %S was not reproduced" a.invariant)
+      Error (Printf.sprintf "replay: invariant %S was not reproduced" invariant)
   in
   command "replay"
     ~doc:

@@ -3,9 +3,10 @@
 
     Each variant runs synchronous BFS broadcast ({!Abe_synchronizer.Sync_alg.Bfs})
     on the bidirectional ring under the scripted exploration scheduler —
-    the same depth-first enumeration with digest pruning and sleep-set POR
-    as [Explore]'s exhaustive mode — while an {!Abe_synchronizer.Skew}
-    oracle checks every pulse transition and payload arrival:
+    the depth-first enumeration with digest pruning and sleep-set POR of
+    {!Por.search}, shared with [Explore]'s exhaustive mode — while an
+    {!Abe_synchronizer.Skew} oracle checks every pulse transition and
+    payload arrival:
 
     - {b alpha}, {b beta}, {b gamma}: round monotonicity {e and} bounded
       skew (bound 1).  A clean, complete exploration certifies the
