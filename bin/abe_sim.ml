@@ -860,27 +860,26 @@ let family_command =
                "synchroniser family, BFS on the bidirectional ring (n=%d)" n)
           ~columns:[ "synchroniser"; "control/pulse"; "correct" ]
       in
+      let row name control_per_pulse states =
+        Abe_harness.Table.add_row table
+          [ name;
+            Abe_harness.Table.cell_float control_per_pulse;
+            Abe_harness.Table.cell_bool (correct states) ]
+      in
       let alpha = Alpha_bfs.run ~seed:(seed + 1) ~topology ~delay ~pulses () in
-      Abe_harness.Table.add_row table
-        [ "alpha";
-          Abe_harness.Table.cell_float alpha.Alpha_bfs.control_per_pulse;
-          Abe_harness.Table.cell_bool (correct alpha.Alpha_bfs.states) ];
+      row "alpha" alpha.Alpha_bfs.control_per_pulse alpha.Alpha_bfs.states;
       let beta = Beta_bfs.run ~seed:(seed + 2) ~topology ~delay ~pulses () in
-      Abe_harness.Table.add_row table
-        [ "beta";
-          Abe_harness.Table.cell_float beta.Beta_bfs.control_per_pulse;
-          Abe_harness.Table.cell_bool (correct beta.Beta_bfs.states) ];
+      row "beta" beta.Beta_bfs.control_per_pulse beta.Beta_bfs.states;
       List.iter
         (fun radius ->
            let g =
              Gamma_bfs.run ~seed:(seed + 3 + radius) ~topology ~delay ~pulses
                ~radius ()
            in
-           Abe_harness.Table.add_row table
-             [ Printf.sprintf "gamma r=%d (%d clusters)" radius
-                 g.Gamma_bfs.clusters;
-               Abe_harness.Table.cell_float g.Gamma_bfs.control_per_pulse;
-               Abe_harness.Table.cell_bool (correct g.Gamma_bfs.states) ])
+           row
+             (Printf.sprintf "gamma r=%d (%d clusters)" radius
+                g.Gamma_bfs.clusters)
+             g.Gamma_bfs.control_per_pulse g.Gamma_bfs.states)
         [ 0; 1; 2 ];
       Abe_harness.Table.print table;
       Ok ()
