@@ -1,6 +1,43 @@
 open Abe_prob
 open Abe_net
 
+(* A token is the election hop counter plus [traversed], the links it has
+   actually crossed: only the hop-soundness check reads the tag, so tagging
+   cannot change the execution.  [Announce] is the announce-mode lap. *)
+type message =
+  | Token of { hop : Election.message; traversed : int }
+  | Announce
+
+module Net = Network.Make (struct
+    type state = Election.state
+    type nonrec message = message
+
+    let pp_state = Election.pp_state
+
+    let pp_message ppf = function
+      | Token { hop; _ } -> Election.pp_message ppf hop
+      | Announce -> Format.pp_print_string ppf "<announce>"
+  end)
+
+(* One pooled ring: a network of the configuration's topology and the
+   runner's shadow copy of its node states, both reset when taken. *)
+type entry = {
+  net : Net.t;
+  shadow : Election.state array;
+}
+
+type pool = {
+  link_models : Delay_model.t array;
+      (* by link id: the base model under the fault's delay overlay,
+         computed once per distinct base model *)
+  free : entry list Atomic.t;
+      (* networks not in use: a lock-free stack, so each domain running
+         this configuration takes a network of its own *)
+  passive : Election.state array;
+      (* [passive.(d)]: the one passive state with watermark [d]; see
+         [on_token] *)
+}
+
 type config = {
   n : int;
   a0 : float;
@@ -16,6 +53,7 @@ type config = {
   record_phases : bool;
   topology : Topology.t;
   activation : float array;
+  pool : pool;
 }
 
 (* [activation.(d)] for d = 1..n, bit for bit
@@ -28,12 +66,44 @@ let activation_table ~n ~a0 =
 
 let naive_activation config = Array.make (config.n + 1) config.a0
 
+(* [Faults.apply_delay] builds a new modulated model on every call, so it
+   runs once per physically distinct base model; links that share a base
+   model share its overlay, and [Links] validates each shared model
+   once. *)
+let pool ~n ~delay ~link_delays ~fault =
+  let overlays = ref [] in
+  let overlay base =
+    match List.assq_opt base !overlays with
+    | Some model -> model
+    | None ->
+      let model = Faults.apply_delay fault base in
+      overlays := (base, model) :: !overlays;
+      model
+  in
+  { link_models =
+      Array.init n (fun i ->
+          overlay
+            (match link_delays with
+             | None -> delay
+             (* On [Topology.ring n] the link out of node i has id i. *)
+             | Some models -> models.(i)));
+    free = Atomic.make [];
+    passive =
+      Array.init (n + 1) (fun d -> { Election.phase = Election.Passive; d }) }
+
+let check_budgets ~limit_time ~limit_events =
+  if not (limit_time > 0.) then
+    invalid_arg "Runner.config: limit_time must be positive";
+  if limit_events <= 0 then
+    invalid_arg "Runner.config: limit_events must be positive"
+
 let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
     ?proc_delay ?(limit_time = 1e7) ?(limit_events = 200_000_000)
     ?(crash_times = []) ?(fault = Faults.none) ?(record_mass = true)
     ?(record_phases = true) ~n () =
   if n < 2 then invalid_arg "Runner.config: n must be >= 2";
   if not (a0 > 0. && a0 < 1.) then invalid_arg "Runner.config: a0 outside (0,1)";
+  check_budgets ~limit_time ~limit_events;
   let delay =
     match delay with
     | Some d -> d
@@ -65,14 +135,37 @@ let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
   { n; a0; params; delay; link_delays; proc_delay; limit_time; limit_events;
     crash_times; fault; record_mass; record_phases;
     topology = Topology.ring n;
-    activation = activation_table ~n ~a0 }
+    activation = activation_table ~n ~a0;
+    pool = pool ~n ~delay ~link_delays ~fault }
 
+(* A copy starts an empty pool of its own: its networks live and die with
+   it. *)
 let with_link_delays config models =
   if Array.length models <> config.n then
     invalid_arg "Runner.with_link_delays: need one entry per node";
-  { config with link_delays = Some models }
+  { config with
+    link_delays = Some models;
+    pool =
+      pool ~n:config.n ~delay:config.delay ~link_delays:(Some models)
+        ~fault:config.fault }
 
-let with_limit_events config limit_events = { config with limit_events }
+let with_limit_events config limit_events =
+  check_budgets ~limit_time:config.limit_time ~limit_events;
+  { config with
+    limit_events;
+    pool = { config.pool with free = Atomic.make [] } }
+
+let rec take pool =
+  match Atomic.get pool.free with
+  | [] -> None
+  | entry :: rest as free ->
+    if Atomic.compare_and_set pool.free free rest then Some entry
+    else take pool
+
+let rec give pool entry =
+  let free = Atomic.get pool.free in
+  if not (Atomic.compare_and_set pool.free free (entry :: free)) then
+    give pool entry
 
 type outcome = {
   elected : bool;
@@ -102,24 +195,6 @@ type announced = {
   informed_at : float;
 }
 
-(* A token is the election hop counter plus [traversed], the links it has
-   actually crossed: only the hop-soundness check reads the tag, so tagging
-   cannot change the execution.  [Announce] is the announce-mode lap. *)
-type message =
-  | Token of { hop : Election.message; traversed : int }
-  | Announce
-
-module Net = Network.Make (struct
-    type state = Election.state
-    type nonrec message = message
-
-    let pp_state = Election.pp_state
-
-    let pp_message ppf = function
-      | Token { hop; _ } -> Election.pp_message ppf hop
-      | Announce -> Format.pp_print_string ppf "<announce>"
-  end)
-
 (* The paper's forwarding rule and two seeded mutations the oracle and the
    liveness checker must catch (see runner.mli). *)
 type forwarding = Paper | Stale_max | Drop_token
@@ -139,6 +214,7 @@ let mark_label = function
 type 'ctx step = {
   n : int;
   activation : float array;  (* by watermark d; see [activation_table] *)
+  passive : Election.state array;  (* by watermark d; see [pool] *)
   forwarding : forwarding;
   moved : 'ctx -> Election.state -> Election.state -> unit;
   mark : 'ctx -> mark -> traversed:int -> unit;
@@ -147,7 +223,8 @@ type 'ctx step = {
 }
 
 let step (config : config) ~send ~mark ~unsound =
-  { n = config.n; activation = config.activation; forwarding = Paper;
+  { n = config.n; activation = config.activation;
+    passive = config.pool.passive; forwarding = Paper;
     moved = (fun _ _ _ -> ()); mark; send; unsound }
 
 (* [Election.tick_decision] with the coin's probability looked up, not
@@ -168,6 +245,16 @@ let on_tick w ctx ~rng st =
 let on_token w ctx st ~hop ~traversed =
   if hop <> traversed then w.unsound ctx ~hop ~traversed;
   let st', reaction = Election.receive ~n:w.n st hop in
+  (* Knockouts and passive forwards are nearly every transition.  Sharing
+     one record per watermark keeps the ring's state arrays, which live
+     as long as their pooled network, from pointing into the minor heap:
+     otherwise every such record would be promoted, only to die at the
+     next reset. *)
+  let st' =
+    match st'.Election.phase with
+    | Election.Passive -> w.passive.(st'.Election.d)
+    | Election.Idle | Election.Active | Election.Leader -> st'
+  in
   w.moved ctx st st';
   (match reaction with
    | Election.Forward hop' ->
@@ -268,12 +355,7 @@ let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
       link_downs = fault.Faults.link_downs;
       loss_schedule = fault.Faults.loss_schedule;
       delay_of_link =
-        (fun link ->
-           Faults.apply_delay fault
-             (match config.link_delays with
-              | None -> config.delay
-              (* On [Topology.ring n] the link out of node i has id i. *)
-              | Some models -> models.(link.Topology.id))) }
+        (fun link -> config.pool.link_models.(link.Topology.id)) }
   in
   (* A fault with rejoins or link outages rewrites the topology over time:
      the monitor's invariants switch to the Dynamic class (accounting only
@@ -332,9 +414,18 @@ let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
   let live_tokens () =
     counters.activations - counters.purges - counters.elections
   in
+  (* A pooled ring when one is free: its network is reset by [Net.create]
+     below, its shadow here. *)
+  let pooled = take config.pool in
   (* Shadow copy of all node states, to sample the ring-wide wake-up mass
      Σ d over non-passive nodes whenever the phase distribution changes. *)
-  let shadow = Array.make config.n Election.initial in
+  let shadow =
+    match pooled with
+    | Some { shadow; _ } ->
+      Array.fill shadow 0 config.n Election.initial;
+      shadow
+    | None -> Array.make config.n Election.initial
+  in
   (* In-flight token multiset for the exploration digest: an
      order-independent sum of per-message keys (destination, hop), added
      at send and subtracted at delivery, so two schedule prefixes only
@@ -442,6 +533,7 @@ let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
   let sim =
     { n = config.n;
       activation;
+      passive = config.pool.passive;
       forwarding;
       moved =
         (fun ctx before after ->
@@ -533,10 +625,15 @@ let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
              st) }
   in
   let net =
-    Net.create ?trace ?metrics ?scheduler ?causal ?observer
+    Net.create
+      ?reuse:(match pooled with Some { net; _ } -> Some net | None -> None)
+      ?trace ?metrics ?scheduler ?causal ?observer
       ~limit_time:config.limit_time ~limit_events:config.limit_events
       ~wall_deadline ~seed net_config handlers
   in
+  (* Back to the pool however the run ends; the next taker resets it. *)
+  Fun.protect ~finally:(fun () -> give config.pool { net; shadow })
+  @@ fun () ->
   (stop_engine := fun () -> Abe_sim.Engine.stop (Net.engine net));
   (* State digest for exploration-time pruning: a 62-bit avalanche hash of
      the canonical state — per-node phase and watermark, the election
@@ -573,13 +670,12 @@ let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
         !h)
   end;
   let engine_outcome = Net.run net in
-  let states = Net.states net in
-  let leader_count =
-    Array.fold_left
-      (fun acc st ->
-         if st.Election.phase = Election.Leader then acc + 1 else acc)
-      0 states
-  in
+  let leader_count = ref 0 in
+  for node = 0 to config.n - 1 do
+    if (Net.state net node).Election.phase = Election.Leader then
+      incr leader_count
+  done;
+  let leader_count = !leader_count in
   let violations =
     match oracle, monitor with
     | Some o, Some m ->

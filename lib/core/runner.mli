@@ -4,6 +4,11 @@
     runs it to completion (leader elected) or to a budget limit, returning a
     full accounting of the execution. *)
 
+type pool
+(** What a configuration builds once for all its runs: each link's delay
+    model under the fault's overlay, one shared record per passive node
+    state, and the networks kept for reuse (see "Reuse" under {!run}). *)
+
 type config = private {
   n : int;                             (** ring size (known to all nodes) *)
   a0 : float;                          (** base activation parameter *)
@@ -53,6 +58,9 @@ type config = private {
           bit for bit, for every watermark [d] in [1 .. n] (entry 0 is
           unused).  An idle node's tick draws against it instead of
           recomputing the power. *)
+  pool : pool;
+      (** built by {!config} with no network in it.  {!with_link_delays}
+          and {!with_limit_events} copies get a pool of their own. *)
 }
 
 val config :
@@ -76,7 +84,9 @@ val config :
 
     @raise Invalid_argument if the delay model's expected delay exceeds
     [params.delta] or the processing mean exceeds [params.gamma] — the
-    configuration would not be an honest ABE network. *)
+    configuration would not be an honest ABE network — or if
+    [limit_time] is not positive (NaN included) or [limit_events] is not
+    positive. *)
 
 val naive_activation : config -> float array
 (** The naive ablation's table ({!run_naive}): [a0] at every index, the
@@ -89,7 +99,8 @@ val with_link_delays : config -> Abe_net.Delay_model.t array -> config
     @raise Invalid_argument unless there is one model per node. *)
 
 val with_limit_events : config -> int -> config
-(** [with_limit_events config k] replaces the engine event budget. *)
+(** [with_limit_events config k] replaces the engine event budget.
+    @raise Invalid_argument unless [k] is positive. *)
 
 type outcome = {
   elected : bool;
@@ -225,7 +236,27 @@ val run :
     to the engine: a run still going when the wall clock passes it ends
     with [engine_outcome = Hit_wall_deadline], probed every 1024 events —
     this is how exploration keeps one long schedule from blowing through
-    a [--time-budget]. *)
+    a [--time-budget].
+
+    {b Reuse.}  A configuration builds each ring once: a run takes a
+    network (and the shadow ring of its node states) from the
+    configuration's {!pool}, resets it in place — streams and clocks
+    re-derived from [seed], engine and pools emptied, this run's hooks
+    installed ({!Abe_net.Network.Make.create}) — and gives it back when
+    it ends, however it ends (election, stop, budget, wall deadline or
+    exception).  A run takes a fresh network only when none is free.
+    Reuse is unobservable: every outcome field but [wall_time], and
+    every export of every hook, is what the same run on a freshly built
+    configuration gives, whatever ran on the configuration before.
+
+    The pool is a lock-free stack, so one configuration may be shared by
+    runs on several domains at once ([Abe_harness.Driver]): each run
+    holds a network of its own, and a configuration ends up holding as
+    many networks as it ever ran at once.  Each network keeps the memory
+    of its largest run so far, O(n) plus its event high-water mark, and
+    references to its last run's hooks (trace, registry, span recorder,
+    scheduler) until its next run.  All of it lives exactly as long as
+    the configuration: there is no global cache, and no setting. *)
 
 val run_naive :
   ?trace:Abe_sim.Trace.t ->

@@ -12,23 +12,33 @@ let perfect = { s_low = 1.; s_high = 1. }
 
 let drift_ratio s = s.s_high /. s.s_low
 
-type t = {
-  rate : float;
-  phase : float;  (* local-time offset at real time 0 *)
-}
+(* [| rate; phase |], the phase being the local-time offset at real time
+   0.  A flat float array, so [redraw] stores both draws without boxing
+   either. *)
+type t = float array
+
+let redraw t s ~rng =
+  if s.s_low = s.s_high then t.(0) <- s.s_low
+  else begin
+    if not (s.s_low < s.s_high) then
+      invalid_arg "Rng.float_range: requires lo < hi";
+    (* [Rng.float_range], with the draw kept flat. *)
+    Abe_prob.Rng.unit_float_into rng t 0;
+    t.(0) <- s.s_low +. (t.(0) *. (s.s_high -. s.s_low))
+  end;
+  Abe_prob.Rng.unit_float_into rng t 1
 
 let create s ~rng =
-  let rate =
-    if s.s_low = s.s_high then s.s_low
-    else Abe_prob.Rng.float_range rng ~lo:s.s_low ~hi:s.s_high
-  in
-  { rate; phase = Abe_prob.Rng.unit_float rng }
+  let t = Array.make 2 0. in
+  redraw t s ~rng;
+  t
 
-let rate t = t.rate
+let[@inline] rate t = Array.unsafe_get t 0
+let[@inline] phase t = Array.unsafe_get t 1
 
-let[@inline] local_time t ~real = (t.rate *. real) +. t.phase
+let[@inline] local_time t ~real = (rate t *. real) +. phase t
 
-let[@inline] real_of_local t ~local = (local -. t.phase) /. t.rate
+let[@inline] real_of_local t ~local = (local -. phase t) /. rate t
 
 let[@inline] next_tick t ~after =
   let local_now = local_time t ~real:after in
@@ -39,4 +49,4 @@ let[@inline] next_tick t ~after =
 
 let advance_tick t times i = times.(i) <- next_tick t ~after:times.(i)
 
-let tick_interval t = 1. /. t.rate
+let tick_interval t = 1. /. rate t

@@ -29,6 +29,11 @@ val create : spec -> rng:Abe_prob.Rng.t -> t
     initial phase uniform in [\[0, 1)] local units, so ticks of different
     nodes are not aligned. *)
 
+val redraw : t -> spec -> rng:Abe_prob.Rng.t -> unit
+(** [redraw c s ~rng] draws [c] again in place: afterwards [c] is bit for
+    bit the clock [create s ~rng] would have returned, and the call
+    allocates nothing.  [create] is an allocation followed by [redraw]. *)
+
 val rate : t -> float
 
 val local_time : t -> real:float -> float

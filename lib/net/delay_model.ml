@@ -26,14 +26,17 @@ let modulated t ~episodes =
   Array.sort (fun a b -> Float.compare a.e_start b.e_start) episodes;
   { t with episodes }
 
+(* [bad] takes [i] instead of capturing it, so that validating a good
+   episode allocates nothing. *)
+let bad i fmt = Format.kasprintf invalid_arg ("Delay_model: episode %d " ^^ fmt) i
+
 let validate_episode i { e_start; e_stop; factor } =
-  let bad fmt = Format.kasprintf invalid_arg ("Delay_model: episode %d " ^^ fmt) i in
   if not (Float.is_finite e_start && e_start >= 0.) then
-    bad "start %g must be finite and non-negative" e_start;
+    bad i "start %g must be finite and non-negative" e_start;
   if not (Float.is_finite e_stop && e_stop > e_start) then
-    bad "stop %g must be finite and after start %g" e_stop e_start;
+    bad i "stop %g must be finite and after start %g" e_stop e_start;
   if not (Float.is_finite factor && factor > 0.) then
-    bad "factor %g must be finite and positive" factor
+    bad i "factor %g must be finite and positive" factor
 
 let validate t =
   Dist.validate t.dist;

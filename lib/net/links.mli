@@ -23,6 +23,7 @@
 type t
 
 val create :
+  ?reuse:t ->
   seed:int ->
   clock_spec:Clock.spec ->
   ?loss_schedule:(float -> float) ->
@@ -35,7 +36,17 @@ val create :
     distinct model — configs overwhelmingly share one model across all
     links) and [loss_probability] in [\[0,1\]].  The error names the
     offending link (["link 3: ..."]); callers prefix it with their own
-    name. *)
+    name.
+
+    [reuse] re-derives an earlier model of the same shape in place and
+    returns it: every delay model is looked up again, every stream is
+    split again in the order above into its existing buffer, and every
+    clock is redrawn, so the result is bit for bit a fresh [create] with
+    the same arguments.  Nothing is allocated per node or link (loss
+    streams excepted, the first time loss is on).  The streams and clocks
+    handed out by {!handler_stream}, {!clock} and the others stay the same
+    physical values, now carrying the new seed's draws.
+    @raise Invalid_argument if [reuse] has another node or link count. *)
 
 val delay : t -> int -> now:float -> float
 (** [delay t link ~now] draws the delay of a message sent on [link] at

@@ -132,8 +132,8 @@ module Make (P : PROTOCOL) = struct
      not through capturing [Option.iter] closures. *)
   type t = {
     engine : Engine.t;
-    config : config;
-    handlers : handlers;
+    mutable config : config;
+    mutable handlers : handlers;
     nodes : node array;
     mutable states : P.state array; (* by node id; filled by [init] *)
     mutable contexts : context array;
@@ -141,18 +141,26 @@ module Make (P : PROTOCOL) = struct
     model : Links.t;                (* delay and loss draws, by link id *)
     last_delivery : float array;    (* by link id, for FIFO mode *)
     link_up : bool array;           (* by link id: topology membership now *)
-    foot_on : bool;                 (* scheduler attached: declare footprints *)
-    foot_handler : int array;       (* by node id: node bit + out-link bits —
+    down_depth : int array;         (* by link id: outage episodes covering
+                                       the current instant *)
+    mutable foot_on : bool;         (* scheduler attached: declare footprints *)
+    mutable foot_handler : int array;
+                                    (* by node id: node bit + out-link bits —
                                        everything a handler execution on the
-                                       node can touch *)
+                                       node can touch; built with the first
+                                       scheduler *)
     busy : float array;             (* by node id: occupied-until instant *)
     tick_time : float array;        (* by node id: pending tick's instant *)
+    mutable tick_fire : (unit -> unit) array;
+                                    (* by node id: the tick chain of
+                                       incarnation 0; built with the first
+                                       ticking run *)
     occ : float array;              (* length 1: [occupy]'s start result *)
     net_stats : stats;
-    trace : Trace.t;
-    causal : Causal.t option;
-    observer : observer option;
-    instruments : instruments option;
+    mutable trace : Trace.t;
+    mutable causal : Causal.t option;
+    mutable observer : observer option;
+    mutable instruments : instruments option;
     mutable inflight : int;
     mutable msg_seq : int;          (* per-network send sequence number *)
     (* Message envelope pool.  All arrays share the same capacity;
@@ -235,6 +243,12 @@ module Make (P : PROTOCOL) = struct
     t.busy.(node.id) <- start +. proc;
     t.occ.(0) <- start
 
+  (* Most handlers return the state they were given.  Skipping that store
+     spares the write barrier of [states], which a network that outlives
+     its runs keeps in the major heap. *)
+  let[@inline] set_state t id st =
+    if t.states.(id) != st then t.states.(id) <- st
+
   let free_envelope t i =
     (match t.env_filler with Some m -> t.env_msg.(i) <- m | None -> ());
     t.env_cause.(i) <- None;
@@ -295,7 +309,7 @@ module Make (P : PROTOCOL) = struct
          Causal.set_current c (Some span));
       let ctx = t.contexts.(dst.id) in
       free_envelope t i;
-      t.states.(dst.id) <- t.handlers.on_message ctx t.states.(dst.id) message
+      set_state t dst.id (t.handlers.on_message ctx t.states.(dst.id) message)
     end
 
   (* Runs at the message's arrival instant: queue behind the destination's
@@ -592,7 +606,7 @@ module Make (P : PROTOCOL) = struct
          Causal.set_current c (Some span));
       let ctx = t.contexts.(id) in
       free_tick t i;
-      t.states.(id) <- t.handlers.on_tick ctx t.states.(id)
+      set_state t id (t.handlers.on_tick ctx t.states.(id))
     end
     else free_tick t i
 
@@ -636,17 +650,14 @@ module Make (P : PROTOCOL) = struct
      reuses a single [fire] closure per node — the pending tick's instant
      lives in [t.tick_time.(id)], which is safe scratch because at most one
      chain event per node is pending at a time; the completion, which can
-     overlap with later ticks, goes through the tick-completion pool. *)
-  let start_ticks t node ~after =
-    let tag = node_class t node.id in
-    let id = node.id in
-    (* The chain is bound to the incarnation it was started under: a fire
-       still pending from before a crash must die even if the node has
-       since rejoined (the rejoin starts a {e new} chain, and two live
-       chains would corrupt the shared [tick_time] scratch). *)
-    let chain_inc = node.incarnation in
-    let foot_fire = if t.foot_on then node_bit id else 0 in
-    let foot_handler = if t.foot_on then t.foot_handler.(id) else 0 in
+     overlap with later ticks, goes through the tick-completion pool.
+
+     The chain is bound to the incarnation it was started under: a fire
+     still pending from before a crash must die even if the node has
+     since rejoined (the rejoin starts a {e new} chain, and two live
+     chains would corrupt the shared [tick_time] scratch). *)
+  let tick_chain t id ~chain_inc =
+    let tag = node_class t id in
     let clock = Links.clock t.model id in
     let rec fire () =
       let node = t.nodes.(id) in
@@ -659,19 +670,26 @@ module Make (P : PROTOCOL) = struct
         t.tc_start.(i) <- t.occ.(0);
         t.tc_completion.(i) <- t.busy.(id);
         t.tc_inc.(i) <- chain_inc;
+        let foot_on = t.foot_on in
         ignore
-          (Engine.schedule_from t.engine ~tag ~footprint:foot_handler
+          (Engine.schedule_from t.engine ~tag
+             ~footprint:(if foot_on then t.foot_handler.(id) else 0)
              ~times:t.busy id t.tc_run.(i));
         Clock.advance_tick clock t.tick_time id;
         ignore
-          (Engine.schedule_from t.engine ~tag ~footprint:foot_fire
+          (Engine.schedule_from t.engine ~tag
+             ~footprint:(if foot_on then node_bit id else 0)
              ~times:t.tick_time id fire)
       end
     in
+    fire
+
+  let start_ticks t id fire ~after =
     t.tick_time.(id) <- after;
-    Clock.advance_tick clock t.tick_time id;
+    Clock.advance_tick (Links.clock t.model id) t.tick_time id;
     ignore
-      (Engine.schedule_from t.engine ~tag ~footprint:foot_fire
+      (Engine.schedule_from t.engine ~tag:(node_class t id)
+         ~footprint:(if t.foot_on then node_bit id else 0)
          ~times:t.tick_time id fire)
 
   let set_link_up t link_id up =
@@ -702,84 +720,39 @@ module Make (P : PROTOCOL) = struct
       t.busy.(node_id) <- tnow;
       emit t (Revive { node = node_id });
       t.states.(node_id) <- t.handlers.init t.contexts.(node_id);
-      if t.config.ticks_enabled then start_ticks t node ~after:tnow
+      if t.config.ticks_enabled then
+        start_ticks t node_id
+          (tick_chain t node_id ~chain_inc:node.incarnation)
+          ~after:tnow
     end
 
-  let create ?trace ?metrics ?scheduler ?causal ?observer
-      ?(limit_time = infinity) ?(limit_events = max_int)
-      ?(wall_deadline = infinity) ~seed config handlers =
+  (* Tracing off: a disabled trace records nothing, so one slot is
+     enough. *)
+  let no_trace () = Trace.create ~capacity:1 ~enabled:false ()
+
+  (* The network of [config]'s topology with every buffer, pool and
+     closure that outlives a run; [reset] starts the run. *)
+  let allocate ~engine ~model config handlers =
     let topo = config.topology in
-    let model =
-      match
-        Links.create ~seed ~clock_spec:config.clock_spec
-          ?loss_schedule:config.loss_schedule
-          ~loss_probability:config.loss_probability
-          ~delay_of_link:config.delay_of_link topo
-      with
-      | Ok model -> model
-      | Error msg -> invalid_arg ("Network.create: " ^ msg)
-    in
-    Option.iter Dist.validate config.proc_delay;
-    let engine =
-      Engine.create ?metrics ?scheduler ?causal ~limit_time ~limit_events
-        ~wall_deadline ()
-    in
-    let trace =
-      match trace with
-      | Some tr -> tr
-      | None -> Trace.create ~enabled:false ()
-    in
     let n = Topology.node_count topo in
     let link_count = Topology.link_count topo in
-    let links = Topology.links topo in
-    let nodes =
-      Array.init n (fun id ->
-          { id;
-            is_crashed = false;
-            incarnation = 0 })
-    in
-    let instruments =
-      Option.map
-        (fun m ->
-           { m_sent = Metrics.counter m "net/sent";
-             m_delivered = Metrics.counter m "net/delivered";
-             m_lost = Metrics.counter m "net/lost";
-             m_crashed_drops = Metrics.counter m "net/crashed_drops";
-             m_link_drops = Metrics.counter m "net/link_drops";
-             m_ticks = Metrics.counter m "net/ticks";
-             m_latency = Metrics.histogram m "net/latency";
-             m_link_latency =
-               Array.init link_count (fun i ->
-                   Metrics.histogram m (Printf.sprintf "net/link/%04d/latency" i));
-             m_in_flight = Metrics.histogram m "net/in_flight" })
-        metrics
-    in
     let t =
       { engine;
         config;
         handlers;
-        nodes;
+        nodes = Array.init n (fun id -> { id; is_crashed = false; incarnation = 0 });
         states = [||];
         contexts = [||];
-        links;
+        links = Topology.links topo;
         model;
         last_delivery = Array.make link_count 0.;
         link_up = Array.make link_count true;
-        foot_on = scheduler <> None;
-        foot_handler =
-          (* Footprint masks feed the pluggable scheduler only; every read
-             is behind [foot_on], so the default path skips the O(links)
-             out-link walk entirely. *)
-          (if scheduler = None then [||]
-           else
-             Array.init n (fun id ->
-                 Array.fold_left
-                   (fun acc (link : Topology.link) ->
-                      acc lor link_bit link.Topology.id)
-                   (node_bit id)
-                   (Topology.out_links topo id)));
+        down_depth = Array.make link_count 0;
+        foot_on = false;
+        foot_handler = [||];
         busy = Array.make n 0.;
         tick_time = Array.make n 0.;
+        tick_fire = [||];
         occ = [| 0. |];
         net_stats =
           { sent = 0;
@@ -790,10 +763,10 @@ module Make (P : PROTOCOL) = struct
             ticks = 0;
             sent_per_node = Array.make n 0;
             delivered_per_node = Array.make n 0 };
-        trace;
-        causal;
-        observer;
-        instruments;
+        trace = no_trace ();
+        causal = None;
+        observer = None;
+        instruments = None;
         inflight = 0;
         msg_seq = 0;
         env_msg = [||];
@@ -820,11 +793,87 @@ module Make (P : PROTOCOL) = struct
         tc_next = [||];
         tc_free = -1 }
     in
-    t.contexts <- Array.map (context_builder t) nodes;
+    t.contexts <- Array.map (context_builder t) t.nodes;
+    t
+
+  (* Every pool slot back on its freelist, lowest index first (as a fresh
+     pool hands them out), and no payload or span kept alive. *)
+  let release_pools t =
+    let cap = Array.length t.env_next in
+    (match t.env_filler with Some m -> Array.fill t.env_msg 0 cap m | None -> ());
+    Array.fill t.env_cause 0 cap None;
+    t.env_free <- -1;
+    for i = cap - 1 downto 0 do
+      t.env_next.(i) <- t.env_free;
+      t.env_free <- i
+    done;
+    t.tc_free <- -1;
+    for i = Array.length t.tc_next - 1 downto 0 do
+      free_tick t i
+    done
+
+  (* Time 0 of a run: the engine is already reset, so no event of an
+     earlier run survives; everything the network itself kept goes back to
+     its fresh value, the hooks of this run are installed, and the run's
+     initial events are scheduled exactly as a fresh network schedules
+     them. *)
+  let reset t ?trace ?causal ?observer ~instruments ~scheduled config handlers =
+    let n = Array.length t.nodes in
+    let link_count = Array.length t.links in
+    t.config <- config;
+    t.handlers <- handlers;
+    t.trace <- (match trace with Some tr -> tr | None -> no_trace ());
+    t.causal <- causal;
+    t.observer <- observer;
+    t.instruments <- instruments;
+    t.foot_on <- scheduled;
+    (* Footprint masks feed the pluggable scheduler only; every read is
+       behind [foot_on], so the default path skips the O(links) out-link
+       walk entirely. *)
+    if scheduled && Array.length t.foot_handler <> n then
+      t.foot_handler <-
+        Array.init n (fun id ->
+            Array.fold_left
+              (fun acc (link : Topology.link) -> acc lor link_bit link.Topology.id)
+              (node_bit id)
+              (Topology.out_links config.topology id));
+    Array.iter
+      (fun node ->
+         node.is_crashed <- false;
+         node.incarnation <- 0)
+      t.nodes;
+    Array.fill t.last_delivery 0 link_count 0.;
+    Array.fill t.link_up 0 link_count true;
+    Array.fill t.down_depth 0 link_count 0;
+    Array.fill t.busy 0 n 0.;
+    let s = t.net_stats in
+    s.sent <- 0;
+    s.delivered <- 0;
+    s.lost <- 0;
+    s.crashed_drops <- 0;
+    s.link_drops <- 0;
+    s.ticks <- 0;
+    Array.fill s.sent_per_node 0 n 0;
+    Array.fill s.delivered_per_node 0 n 0;
+    t.inflight <- 0;
+    t.msg_seq <- 0;
+    release_pools t;
     (* In node order: [init] may send. *)
-    t.states <- Array.map handlers.init t.contexts;
-    if config.ticks_enabled then
-      Array.iter (fun node -> start_ticks t node ~after:0.) nodes;
+    if Array.length t.states = n then
+      Array.iteri (fun id ctx -> t.states.(id) <- handlers.init ctx) t.contexts
+    else t.states <- Array.map handlers.init t.contexts;
+    if config.ticks_enabled then begin
+      if Array.length t.tick_fire <> n then begin
+        (* [ignore] is static: [Array.make] from a young closure would
+           first empty the minor heap. *)
+        t.tick_fire <- Array.make n ignore;
+        for id = 0 to n - 1 do
+          t.tick_fire.(id) <- tick_chain t id ~chain_inc:0
+        done
+      end;
+      Array.iteri (fun id fire -> start_ticks t id fire ~after:0.) t.tick_fire
+    end;
+    let engine = t.engine in
     List.iter
       (fun (node_id, time) ->
          if node_id < 0 || node_id >= n then
@@ -851,7 +900,7 @@ module Make (P : PROTOCOL) = struct
     (* Link outage episodes may overlap (composed scenarios): a per-link
        depth counter makes the link live exactly when no episode covers the
        current instant, regardless of how episodes nest. *)
-    let down_depth = Array.make link_count 0 in
+    let down_depth = t.down_depth in
     List.iter
       (fun (link_id, down_at, up_at) ->
          if link_id < 0 || link_id >= link_count then
@@ -872,7 +921,54 @@ module Make (P : PROTOCOL) = struct
            (Engine.schedule_at engine ~time:up_at (fun () ->
                 down_depth.(link_id) <- down_depth.(link_id) - 1;
                 if down_depth.(link_id) = 0 then set_link_up t link_id true)))
-      config.link_downs;
+      config.link_downs
+
+  let create ?reuse ?trace ?metrics ?scheduler ?causal ?observer
+      ?(limit_time = infinity) ?(limit_events = max_int)
+      ?(wall_deadline = infinity) ~seed config handlers =
+    let topo = config.topology in
+    (match reuse with
+     | Some t when t.config.topology != topo ->
+       invalid_arg "Network.create: reuse was built over another topology"
+     | _ -> ());
+    let model =
+      match
+        Links.create ?reuse:(Option.map (fun t -> t.model) reuse) ~seed
+          ~clock_spec:config.clock_spec ?loss_schedule:config.loss_schedule
+          ~loss_probability:config.loss_probability
+          ~delay_of_link:config.delay_of_link topo
+      with
+      | Ok model -> model
+      | Error msg -> invalid_arg ("Network.create: " ^ msg)
+    in
+    Option.iter Dist.validate config.proc_delay;
+    let engine =
+      Engine.create ?reuse:(Option.map (fun t -> t.engine) reuse) ?metrics
+        ?scheduler ?causal ~limit_time ~limit_events ~wall_deadline ()
+    in
+    let t =
+      match reuse with
+      | Some t -> t
+      | None -> allocate ~engine ~model config handlers
+    in
+    let instruments =
+      Option.map
+        (fun m ->
+           { m_sent = Metrics.counter m "net/sent";
+             m_delivered = Metrics.counter m "net/delivered";
+             m_lost = Metrics.counter m "net/lost";
+             m_crashed_drops = Metrics.counter m "net/crashed_drops";
+             m_link_drops = Metrics.counter m "net/link_drops";
+             m_ticks = Metrics.counter m "net/ticks";
+             m_latency = Metrics.histogram m "net/latency";
+             m_link_latency =
+               Array.init (Array.length t.links) (fun i ->
+                   Metrics.histogram m (Printf.sprintf "net/link/%04d/latency" i));
+             m_in_flight = Metrics.histogram m "net/in_flight" })
+        metrics
+    in
+    reset t ?trace ?causal ?observer ~instruments
+      ~scheduled:(scheduler <> None) config handlers;
     t
 
   let run t = Engine.run t.engine

@@ -167,6 +167,7 @@ module Make (P : PROTOCOL) : sig
   val default_config : topology:Topology.t -> delay:Delay_model.t -> config
 
   val create :
+    ?reuse:t ->
     ?trace:Abe_sim.Trace.t ->
     ?metrics:Abe_sim.Metrics.t ->
     ?scheduler:Abe_sim.Engine.scheduler ->
@@ -228,7 +229,32 @@ module Make (P : PROTOCOL) : sig
 
       [wall_deadline] is forwarded to the engine (see
       {!Abe_sim.Engine.create}): an absolute host timestamp past which
-      [run] returns [Hit_wall_deadline], probed every 1024 events. *)
+      [run] returns [Hit_wall_deadline], probed every 1024 events.
+
+      {b Reuse.}  [create ~reuse:net] starts a new run on [net] instead
+      of building a network, and returns [net]: a harness that runs many
+      seeds over one topology builds the nodes, their contexts, their
+      tick closures, the pools and the per-node arrays once.  Its engine
+      is reset ({!Abe_sim.Engine.create}), its streams and clocks are
+      re-derived from [seed] in place ({!Links.create}), and every other
+      piece of state — node liveness and incarnations, busy horizons,
+      link membership, statistics, pending envelopes — goes back to its
+      fresh value, whatever state [net] was left in (stopped, over a
+      budget, past its wall deadline or abandoned by an exception).  The
+      [config], [handlers] and hooks of this call replace those of the
+      last one; none of the last run's hooks is kept in use.  The run
+      that follows is bit for bit the run of a fresh [create] with the
+      same arguments.  The contexts handed to [handlers] are the same
+      physical records from run to run, and so are their [rng] streams,
+      now carrying this seed's draws.
+
+      [net] keeps the memory of its largest run (arena, heap, envelope
+      and tick pools) and, until its next [create], references to the
+      last run's [handlers] and hooks.  A network belongs to one domain
+      at a time: reuse must not overlap a run of [net], nor happen from
+      inside one of its handlers.
+      @raise Invalid_argument if [reuse] was built over another topology
+      (physical equality: share the [Topology.t] value). *)
 
   val run : t -> Abe_sim.Engine.outcome
   val counters : t -> Abe_sim.Engine.counters

@@ -2,24 +2,30 @@
 
    The four state words live in one 32-byte buffer instead of four
    [mutable int64] record fields: every store into an [int64] field boxes
-   the word, whereas [Bytes.set_int64_le] writes it raw.  With the
+   the word, whereas a raw 64-bit byte store does not.  With the
    accessors inlined, the native compiler keeps each intermediate word
-   unboxed, so [bits64], [bool] and [int] allocate nothing and [split]
-   allocates only the new 32-byte state.  The layout changes no output:
-   test/test_rng.ml pins known answers for seeds, splits and floats. *)
+   unboxed, so [bits64], [bool] and [int] allocate nothing, [split]
+   allocates only the new 32-byte state and [split_into] nothing.  The
+   layout changes no output: test/test_rng.ml pins known answers for
+   seeds, splits and floats. *)
 
 type t = Bytes.t
 
-let[@inline] word t i = Bytes.get_int64_le t (8 * i)
-let[@inline] set_word t i w = Bytes.set_int64_le t (8 * i) w
+(* Native-endian and unchecked: a state is only ever read back through
+   these two accessors, so the byte order cannot change an output, and
+   every [t] is exactly 32 bytes ([create], [split] and [copy] are the
+   only constructors). *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let[@inline] make s0 s1 s2 s3 =
-  let t = Bytes.create 32 in
+let[@inline] word t i = get64 t (8 * i)
+let[@inline] set_word t i w = set64 t (8 * i) w
+
+let[@inline] set_state t s0 s1 s2 s3 =
   set_word t 0 s0;
   set_word t 1 s1;
   set_word t 2 s2;
-  set_word t 3 s3;
-  t
+  set_word t 3 s3
 
 (* SplitMix64 step: used to expand an integer seed into four well-mixed
    64-bit words, and to derive split streams.  Takes the advanced state
@@ -32,7 +38,8 @@ let[@inline] splitmix64_mix z =
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let[@inline] of_state_seed seed64 =
+(* Expand [seed64] into [t]'s four words. *)
+let[@inline] seed_into t seed64 =
   let z1 = Int64.add seed64 golden_gamma in
   let z2 = Int64.add z1 golden_gamma in
   let z3 = Int64.add z2 golden_gamma in
@@ -44,10 +51,13 @@ let[@inline] of_state_seed seed64 =
   (* xoshiro must not be seeded with the all-zero state; the SplitMix64
      expansion makes that astronomically unlikely, but guard anyway. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    make 1L 2L 3L 4L
-  else make s0 s1 s2 s3
+    set_state t 1L 2L 3L 4L
+  else set_state t s0 s1 s2 s3
 
-let create ~seed = of_state_seed (Int64.of_int seed)
+let create ~seed =
+  let t = Bytes.create 32 in
+  seed_into t (Int64.of_int seed);
+  t
 
 let copy = Bytes.copy
 
@@ -68,12 +78,19 @@ let[@inline] bits64 t =
   set_word t 3 (rotl s3 45);
   result
 
-let split t = of_state_seed (bits64 t)
+let split_into t ~into = seed_into into (bits64 t)
+
+let split t =
+  let into = Bytes.create 32 in
+  split_into t ~into;
+  into
 
 let[@inline] unit_float t =
   (* Top 53 bits, scaled to [0,1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1.0p-53
+
+let unit_float_into t dst i = dst.(i) <- unit_float t
 
 let float t bound =
   if not (bound > 0. && Float.is_finite bound) then

@@ -25,11 +25,22 @@ val split : t -> t
 (** [split t] advances [t] and returns a fresh generator whose stream is
     independent of the remainder of [t]'s stream. *)
 
+val split_into : t -> into:t -> unit
+(** [split_into t ~into] is [split t] written over [into]'s state instead
+    of a fresh buffer: the same parent draw, and afterwards [into] produces
+    bit for bit the stream [split t] would have returned.  It allocates
+    nothing, so a pooled network re-derives its streams in place. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val unit_float : t -> float
 (** Uniform float in [\[0,1)] with 53 bits of precision. *)
+
+val unit_float_into : t -> float array -> int -> unit
+(** [unit_float_into t dst i] stores [unit_float t] in [dst.(i)]: the same
+    draw, with the result written to the caller's flat array so that no
+    float is boxed across the call. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)].  [bound] must be positive

@@ -103,32 +103,18 @@ type t = {
   mutable stop_requested : bool;
   mutable observer : (float -> unit) option;
   mutable digest_source : (unit -> int) option;
-  instruments : instruments option;
-  scheduler : scheduler option;
-  causal : Causal.t option;
-  limit_time : float;
-  limit_events : int;
-  wall_deadline : float;
+  (* Hooks and budgets: installed by every [create], pooled or fresh. *)
+  mutable instruments : instruments option;
+  mutable scheduler : scheduler option;
+  mutable causal : Causal.t option;
+  mutable limit_time : float;
+  mutable limit_events : int;
+  mutable wall_deadline : float;
 }
 
-let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
-    ?(limit_events = max_int) ?(wall_deadline = infinity) () =
-  if not (limit_time > 0.) then invalid_arg "Engine.create: limit_time must be positive";
-  if limit_events <= 0 then invalid_arg "Engine.create: limit_events must be positive";
-  if Float.is_nan wall_deadline then
-    invalid_arg "Engine.create: wall_deadline must not be NaN";
-  Option.iter
-    (fun s ->
-       if not (s.window >= 0. && Float.is_finite s.window) then
-         invalid_arg "Engine.create: scheduler window must be finite and >= 0")
-    scheduler;
-  let instruments =
-    Option.map
-      (fun m ->
-         { m_executed = Metrics.counter m "engine/executed";
-           m_queue_depth = Metrics.histogram m "engine/queue_depth" })
-      metrics
-  in
+(* An engine with no events, no capacity and no hooks; [reset] makes it
+   the engine [create] promises. *)
+let allocate () =
   { queue = Pqueue.create ();
     lane = [||];
     lane_head = 0;
@@ -153,12 +139,68 @@ let create ?metrics ?scheduler ?causal ?(limit_time = infinity)
     stop_requested = false;
     observer = None;
     digest_source = None;
-    instruments;
+    instruments = None;
+    scheduler = None;
+    causal = None;
+    limit_time = infinity;
+    limit_events = max_int;
+    wall_deadline = infinity }
+
+(* Back to virtual time 0 with nothing pending, keeping the capacity of
+   the arena, the heap and the lane.  Every slot still holding an event
+   is freed the way an executed one is: its generation moves on, so a
+   handle from an earlier run stays stale, and its action is dropped. *)
+let reset t =
+  t.free_head <- -1;
+  for slot = Array.length t.ev_gen - 1 downto 0 do
+    if t.ev_state.(slot) <> st_free then begin
+      t.ev_gen.(slot) <- (t.ev_gen.(slot) + 1) land gen_mask;
+      t.ev_state.(slot) <- st_free
+    end;
+    (* Lowest index first, as a fresh arena hands them out. *)
+    t.ev_next.(slot) <- t.free_head;
+    t.free_head <- slot
+  done;
+  (* One fill instead of a write barrier per pending slot. *)
+  Array.fill t.ev_action 0 (Array.length t.ev_action) null_action;
+  Pqueue.clear t.queue;
+  t.lane_head <- 0;
+  t.lane_len <- 0;
+  t.clock.(0) <- 0.;
+  t.seq <- 0;
+  t.executed <- 0;
+  t.live <- 0;
+  t.max_depth <- 0;
+  t.wall <- 0.;
+  t.stop_requested <- false;
+  t.observer <- None;
+  t.digest_source <- None
+
+let create ?reuse ?metrics ?scheduler ?causal ?(limit_time = infinity)
+    ?(limit_events = max_int) ?(wall_deadline = infinity) () =
+  if not (limit_time > 0.) then invalid_arg "Engine.create: limit_time must be positive";
+  if limit_events <= 0 then invalid_arg "Engine.create: limit_events must be positive";
+  if Float.is_nan wall_deadline then
+    invalid_arg "Engine.create: wall_deadline must not be NaN";
+  Option.iter
+    (fun s ->
+       if not (s.window >= 0. && Float.is_finite s.window) then
+         invalid_arg "Engine.create: scheduler window must be finite and >= 0")
     scheduler;
-    causal;
-    limit_time;
-    limit_events;
-    wall_deadline }
+  let t = match reuse with Some t -> t | None -> allocate () in
+  reset t;
+  t.instruments <-
+    Option.map
+      (fun m ->
+         { m_executed = Metrics.counter m "engine/executed";
+           m_queue_depth = Metrics.histogram m "engine/queue_depth" })
+      metrics;
+  t.scheduler <- scheduler;
+  t.causal <- causal;
+  t.limit_time <- limit_time;
+  t.limit_events <- limit_events;
+  t.wall_deadline <- wall_deadline;
+  t
 
 let now t = t.clock.(0)
 
@@ -200,16 +242,28 @@ let alloc_slot t =
   slot
 
 (* Return an executed or collected-cancelled slot to the freelist.  The
-   generation bump invalidates outstanding handles; nulling the action
-   releases the closure (and anything a message payload it captured
-   references) as soon as the event is done. *)
+   generation bump invalidates outstanding handles.  The action stays in
+   the slot until the slot is reused or [release_actions] drops it: an
+   arena that outlives its runs sits in the major heap, where every
+   pointer store pays the write barrier, and the next [schedule] nearly
+   always reuses the slot at once (the freelist is LIFO). *)
 let free_slot t slot =
   Array.unsafe_set t.ev_gen slot
     ((Array.unsafe_get t.ev_gen slot + 1) land gen_mask);
   Array.unsafe_set t.ev_state slot st_free;
-  Array.unsafe_set t.ev_action slot null_action;
   Array.unsafe_set t.ev_next slot t.free_head;
   t.free_head <- slot
+
+(* Drop the actions left in free slots, so that a closure — and any
+   message payload it captured — is collectable once [run] has returned,
+   not pinned until its slot happens to be recycled. *)
+let release_actions t =
+  for slot = 0 to Array.length t.ev_state - 1 do
+    if
+      Array.unsafe_get t.ev_state slot = st_free
+      && Array.unsafe_get t.ev_action slot != null_action
+    then Array.unsafe_set t.ev_action slot null_action
+  done
 
 let grow_lane t =
   let old = Array.length t.lane in
@@ -443,13 +497,19 @@ let execute t ~time slot =
   action ();
   notify t time
 
+(* The executed action is dropped as [step] returns, unless the action
+   itself has reused its slot. *)
+let step_slot t ~time slot =
+  execute t ~time slot;
+  if t.ev_state.(slot) = st_free then t.ev_action.(slot) <- null_action
+
 let step t =
   match t.scheduler with
   | None ->
     let slot = pop_live_slot t in
     if slot < 0 then false
     else begin
-      execute t ~time:t.ev_time.(slot) slot;
+      step_slot t ~time:t.ev_time.(slot) slot;
       true
     end
   | Some sched ->
@@ -457,7 +517,7 @@ let step t =
     if slot0 < 0 then false
     else begin
       let time, slot = choose_from t sched slot0 in
-      execute t ~time slot;
+      step_slot t ~time slot;
       true
     end
 
@@ -563,6 +623,7 @@ let run t =
       then run_fast t
       else run_instrumented t
   in
+  release_actions t;
   t.wall <- t.wall +. (Unix.gettimeofday () -. started);
   outcome
 

@@ -106,6 +106,7 @@ type scheduler = {
 }
 
 val create :
+  ?reuse:t ->
   ?metrics:Metrics.t ->
   ?scheduler:scheduler ->
   ?causal:Causal.t ->
@@ -140,7 +141,21 @@ val create :
     one, extraction order is delegated as described above; the time budget
     is still checked against the earliest pending timestamp, so an
     over-budget run ends with {!Hit_time_limit} at most [window] later
-    than it would by timestamp order. *)
+    than it would by timestamp order.
+
+    {b Reuse.}  [create ~reuse:e] resets [e] in place and returns it, so a
+    harness running many executions of one size builds its engine once.
+    [e] keeps the capacity of its event arena, heap and same-instant lane
+    — the memory of its largest run so far — and loses everything else:
+    the clock, the sequence numbers and the {!counters} go back to 0,
+    every pending event is dropped without running, and the hooks,
+    budgets, observer and digest source become those of this call (none
+    unless given again).  The reset engine executes exactly what a fresh
+    one would.  Generation stamps are the one thing that keeps counting:
+    a handle from before the reset is stale, and {!cancel} through it is
+    a no-op.  [e] may be in any state — mid-run after {!stop}, over a
+    budget, or abandoned by an exception — but no action of [e] may be
+    executing, and an engine belongs to one domain at a time. *)
 
 val now : t -> float
 (** Current virtual time. *)
@@ -201,19 +216,23 @@ val set_digest_source : t -> (unit -> int) -> unit
 
 val run : t -> outcome
 (** Execute events until the queue drains or a budget is hit.  May be called
-    again after {!Stopped} (or after scheduling more events) to resume. *)
+    again after {!Stopped} (or after scheduling more events) to resume.
+    The engine holds no executed action once [run] returns: a closure, and
+    whatever it captured, is collectable from then on (during the run it
+    may stay in its freed slot until the slot is reused). *)
 
 val step : t -> bool
 (** Execute a single event; [false] if the queue was empty.  Budgets are not
-    enforced by [step]. *)
+    enforced by [step].  Like [run], it holds no executed action once it
+    returns. *)
 
 val executed_events : t -> int
 val pending_events : t -> int
 
 (** Per-run instrumentation.
 
-    Counters start at zero on a fresh engine and are monotone
-    non-decreasing over the engine's lifetime: they are never reset by
+    Counters start at zero on a fresh or reset engine (see {!create}) and
+    are monotone non-decreasing until the next reset: they are never reset by
     {!run}, {!stop} or budget exhaustion, so they stay stable across [run]
     resumption (e.g. after {!Hit_time_limit}, where the over-budget event
     is re-queued without touching any counter). *)

@@ -27,24 +27,30 @@ let before t i j =
   let pi = Array.unsafe_get t.prio i and pj = Array.unsafe_get t.prio j in
   pi < pj || (pi = pj && Array.unsafe_get t.seq i < Array.unsafe_get t.seq j)
 
-let swap t i j =
-  let p = Array.unsafe_get t.prio i in
-  Array.unsafe_set t.prio i (Array.unsafe_get t.prio j);
-  Array.unsafe_set t.prio j p;
-  let s = Array.unsafe_get t.seq i in
-  Array.unsafe_set t.seq i (Array.unsafe_get t.seq j);
-  Array.unsafe_set t.seq j s;
+(* Sift the entry at [i] up by moving a hole: each level copies the
+   parent down once, and the entry is written once where the hole stops —
+   the same final layout as swapping level by level, for half the
+   stores. *)
+let sift_up t i =
+  let p = Array.unsafe_get t.prio i and s = Array.unsafe_get t.seq i in
   let v = Array.unsafe_get t.value i in
-  Array.unsafe_set t.value i (Array.unsafe_get t.value j);
-  Array.unsafe_set t.value j v
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) lsr 1 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
+  (* A loop, not a recursive closure: capturing [p] would box it. *)
+  let hole = ref i and rising = ref true in
+  while !rising && !hole > 0 do
+    let parent = (!hole - 1) lsr 1 in
+    let pp = Array.unsafe_get t.prio parent in
+    if p < pp || (p = pp && s < Array.unsafe_get t.seq parent) then begin
+      Array.unsafe_set t.prio !hole pp;
+      Array.unsafe_set t.seq !hole (Array.unsafe_get t.seq parent);
+      Array.unsafe_set t.value !hole (Array.unsafe_get t.value parent);
+      hole := parent
     end
+    else rising := false
+  done;
+  if !hole <> i then begin
+    Array.unsafe_set t.prio !hole p;
+    Array.unsafe_set t.seq !hole s;
+    Array.unsafe_set t.value !hole v
   end
 
 let grow t =
@@ -135,8 +141,6 @@ let[@inline] pop_value t =
     v
   end
 
-let clear t =
-  t.prio <- [||];
-  t.seq <- [||];
-  t.value <- [||];
-  t.len <- 0
+(* Entries are flat floats and immediates, so keeping the arrays retains
+   nothing but their capacity. *)
+let clear t = t.len <- 0

@@ -43,5 +43,6 @@ val pop_value : t -> int
     empty.  Allocation-free: the hot-loop variant of {!pop}. *)
 
 val clear : t -> unit
-(** Empty the heap, releasing its backing arrays.  The heap is reusable
-    afterwards. *)
+(** Empty the heap in O(1), keeping its capacity for the entries that
+    follow.  Entries are flat floats and ints, so nothing else is kept
+    alive. *)

@@ -119,6 +119,22 @@ let test_sweep_parity () =
     (Exp.sweep [ 1; 2; 3; 4; 5 ] f)
     (Exp.sweep ~driver:(Driver.Parallel { num_domains = 2 }) [ 1; 2; 3; 4; 5 ] f)
 
+(* One configuration shared by four domains: each run takes a pooled
+   network of its own, so the results are the sequential map's, in
+   order, whichever domain ran which seed. *)
+let test_shared_config_parity () =
+  let config = Abe_core.Runner.config ~n:16 ~a0:0.1 () in
+  let seeds = List.init 40 (fun i -> i + 1) in
+  let fingerprint seed =
+    election_fingerprint (Abe_core.Runner.run ~seed config)
+  in
+  let sequential = List.map fingerprint seeds in
+  let parallel =
+    Driver.map (Driver.parallel ~num_domains:4 ()) fingerprint seeds
+  in
+  Alcotest.(check bool) "parallel equals sequential" true
+    (compare sequential parallel = 0)
+
 let prop_map_parity =
   QCheck.Test.make ~name:"parallel map == sequential map" ~count:50
     QCheck.(pair (list small_int) (int_range 1 6))
@@ -145,6 +161,8 @@ let () =
           Alcotest.test_case "summarize_until" `Quick test_summarize_until_parity;
           Alcotest.test_case "synchronizer measurement" `Quick
             test_synchronizer_parity;
-          Alcotest.test_case "sweep" `Quick test_sweep_parity ] );
+          Alcotest.test_case "sweep" `Quick test_sweep_parity;
+          Alcotest.test_case "one config, 4 domains" `Quick
+            test_shared_config_parity ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_map_parity ] ) ]

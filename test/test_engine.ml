@@ -535,6 +535,45 @@ let test_wall_deadline_past_exits_promptly () =
   Alcotest.(check bool) "at most one probe interval of events" true
     (Engine.executed_events engine <= 1025)
 
+(* [create ~reuse]: an engine left over a budget with events pending comes
+   back empty at time 0, its counters and budgets those of the new call;
+   its pending events never run, a handle from before the reset cannot
+   cancel anything, and the kept arena still grows past its capacity. *)
+let test_reuse_resets () =
+  let e = Engine.create ~limit_events:10 () in
+  let log = ref [] in
+  let handles =
+    List.init 40 (fun i ->
+        Engine.schedule e ~delay:(float_of_int (i + 1)) (fun () ->
+            log := (`Old, i) :: !log))
+  in
+  Alcotest.(check bool) "over budget" true (Engine.run e = Engine.Hit_event_limit);
+  let e' = Engine.create ~reuse:e () in
+  Alcotest.(check bool) "same engine" true (e' == e);
+  Alcotest.(check (float 0.)) "time 0" 0. (Engine.now e);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events e);
+  Alcotest.(check int) "counters reset" 0 (Engine.executed_events e);
+  Alcotest.(check int) "depth reset" 0 (Engine.max_queue_depth e);
+  log := [];
+  let rng = Abe_prob.Rng.create ~seed:9 in
+  let times = List.init 100 (fun _ -> Abe_prob.Rng.float rng 50.) in
+  List.iteri
+    (fun i time ->
+       ignore (Engine.schedule_at e ~time (fun () -> log := (`New, i) :: !log)))
+    times;
+  (* Stale handles: every one of them addresses a slot now reused. *)
+  List.iter (Engine.cancel e) handles;
+  Alcotest.(check int) "stale cancels are no-ops" 100 (Engine.pending_events e);
+  Alcotest.(check bool) "budget of the new call" true (Engine.run e = Engine.Drained);
+  let expected =
+    List.map snd
+      (List.stable_sort
+         (fun (a, _) (b, _) -> Float.compare a b)
+         (List.mapi (fun i t -> (t, (`New, i))) times))
+  in
+  Alcotest.(check bool) "only new events, in time order" true
+    (List.rev !log = expected)
+
 let () =
   Alcotest.run "engine"
     [ ( "ordering",
@@ -553,7 +592,8 @@ let () =
             test_stale_handle_misses_recycled_slot ] );
       ( "arena",
         [ Alcotest.test_case "executed action is released" `Quick
-            test_executed_action_released ] );
+            test_executed_action_released;
+          Alcotest.test_case "reuse resets" `Quick test_reuse_resets ] );
       ( "control",
         [ Alcotest.test_case "stop and resume" `Quick test_stop_and_resume;
           Alcotest.test_case "event limit" `Quick test_event_limit;

@@ -911,6 +911,113 @@ let prop_links_replay =
               | None -> false)
            (List.rev !sends))
 
+(* [create ~reuse] is unobservable.  A chain of runs on one network —
+   each cut short at a random event budget, so the next one inherits
+   pending events, crashed nodes, a down link, busy horizons and
+   envelopes in flight — shows through its observer exactly what the
+   same run shows on a network created for it. *)
+let reuse_config ~n ~fifo ~lossy ~drift ~gamma =
+  { (Net.default_config ~topology:(Topology.ring n)
+       ~delay:(Delay_model.abe_exponential ~delta:0.5))
+    with
+    Net.fifo;
+    loss_probability = (if lossy then 0.2 else 0.);
+    proc_delay = (if gamma then Some (Abe_prob.Dist.exponential ~mean:0.2) else None);
+    clock_spec =
+      (if drift then Clock.spec ~s_low:0.8 ~s_high:1.25 else Clock.perfect);
+    crash_times = [ (1, 2.) ];
+    revive_times = [ (1, 6.) ];
+    link_downs = [ (0, 1., 4.) ] }
+
+(* Node 0 starts a token; every delivery forwards it, and a tick starts
+   a new one with probability 1/4. *)
+let reuse_handlers : Net.handlers =
+  { init =
+      (fun ctx ->
+         if ctx.Net.node = 0 then ctx.Net.send 0 0;
+         { Proto.received = []; ticks = 0 });
+    on_message =
+      (fun ctx st v ->
+         ctx.Net.send 0 (v + 1);
+         { st with Proto.received = (v, ctx.Net.now ()) :: st.Proto.received });
+    on_tick =
+      (fun ctx st ->
+         if Abe_prob.Rng.int ctx.Net.rng 4 = 0 then ctx.Net.send 0 0;
+         { st with Proto.ticks = st.Proto.ticks + 1 }) }
+
+let reuse_run ?reuse config (seed, budget, scheduled) =
+  let events = ref [] in
+  let observer ~time ~stats:_ ~in_flight ev =
+    events := (time, in_flight, ev) :: !events
+  in
+  let scheduler =
+    if scheduled then
+      Some
+        { Abe_sim.Engine.window = 0.3;
+          choose = (fun ~now:_ ~state_digest:_ c -> Array.length c - 1) }
+    else None
+  in
+  let net =
+    Net.create ?reuse ?scheduler ~observer ~limit_time:12.
+      ~limit_events:budget ~seed config reuse_handlers
+  in
+  let outcome = Net.run net in
+  let n = Topology.node_count config.Net.topology in
+  let s = Net.stats net in
+  let c = Net.counters net in
+  ( net,
+    ( outcome,
+      List.rev !events,
+      ( s.Network.sent, s.Network.delivered, s.Network.lost,
+        s.Network.crashed_drops, s.Network.link_drops, s.Network.ticks ),
+      (Array.copy s.Network.sent_per_node, Array.copy s.Network.delivered_per_node),
+      ( Net.states net,
+        c.Abe_sim.Engine.executed,
+        c.Abe_sim.Engine.max_queue_depth,
+        Net.in_flight net,
+        Net.envelopes_in_use net,
+        Net.tick_completions_in_use net ),
+      List.init n (fun i -> (Net.crashed net i, Net.incarnation net i)),
+      List.init n (fun i -> Net.link_is_up net i) ) )
+
+let prop_reuse_replays_fresh =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (pair (int_range 2 8) (quad bool bool bool bool))
+        (list_repeat 4 (triple small_nat (int_range 1 400) bool)))
+  in
+  let print ((n, (fifo, lossy, drift, gamma)), runs) =
+    Printf.sprintf "n=%d fifo=%b lossy=%b drift=%b gamma=%b runs=[%s]" n fifo
+      lossy drift gamma
+      (String.concat "; "
+         (List.map
+            (fun (seed, budget, scheduled) ->
+               Printf.sprintf "%d/%d%s" seed budget
+                 (if scheduled then "/sched" else ""))
+            runs))
+  in
+  QCheck.Test.make ~name:"a reused network replays a fresh one" ~count:100
+    (QCheck.make ~print gen)
+    (fun ((n, (fifo, lossy, drift, gamma)), runs) ->
+       let config = reuse_config ~n ~fifo ~lossy ~drift ~gamma in
+       let pooled = ref None in
+       List.for_all
+         (fun run ->
+            let net, seen = reuse_run ?reuse:!pooled config run in
+            pooled := Some net;
+            let _, fresh = reuse_run config run in
+            compare seen fresh = 0)
+         runs)
+
+let test_reuse_needs_same_topology () =
+  let config = reuse_config ~n:4 ~fifo:false ~lossy:false ~drift:false ~gamma:false in
+  let net = Net.create ~seed:1 config reuse_handlers in
+  let other = { config with Net.topology = Topology.ring 4 } in
+  match Net.create ~reuse:net ~seed:1 other reuse_handlers with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "reuse across topologies accepted"
+
 (* Allocation of the hot paths, on a null protocol (unit state, unit
    message) so that only the network and the engine can allocate.  Words
    per event are the difference between a run of [events] and one of
@@ -1030,6 +1137,10 @@ let () =
             test_loss_delay_decoupling ] );
       ( "links",
         [ Alcotest.test_case "stream layout" `Quick test_links_layout ] );
+      ( "reuse",
+        [ Alcotest.test_case "same topology only" `Quick
+            test_reuse_needs_same_topology;
+          QCheck_alcotest.to_alcotest prop_reuse_replays_fresh ] );
       ( "allocation",
         [ Alcotest.test_case "tick cycle allocates nothing" `Quick
             test_tick_cycle_allocation_free;

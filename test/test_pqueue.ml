@@ -78,7 +78,7 @@ let test_clear () =
   Alcotest.(check bool) "pop none" true (Pqueue.pop q = None)
 
 (* clear-then-reuse: the heap must behave like a fresh one after [clear],
-   including growing its (released) backing arrays again. *)
+   over the capacity it kept. *)
 let test_clear_then_reuse () =
   let q = Pqueue.create () in
   for i = 0 to 99 do

@@ -667,6 +667,242 @@ let test_tick_regime_allocation () =
     Alcotest.failf "%g minor words per event over %d events (bound 1)"
       per_event !events
 
+(* ------------------------------------------------------ pooled rings *)
+
+let test_budget_validation () =
+  let expect_config_error name f =
+    match f () with
+    | exception Invalid_argument msg ->
+      if not (String.starts_with ~prefix:"Runner.config:" msg) then
+        Alcotest.failf "%s: message %S" name msg
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  expect_config_error "limit_events=0" (fun () ->
+      Runner.config ~n:4 ~limit_events:0 ());
+  expect_config_error "limit_events<0" (fun () ->
+      Runner.config ~n:4 ~limit_events:(-3) ());
+  expect_config_error "limit_time=nan" (fun () ->
+      Runner.config ~n:4 ~limit_time:nan ());
+  expect_config_error "limit_time=0" (fun () ->
+      Runner.config ~n:4 ~limit_time:0. ());
+  expect_config_error "limit_time<0" (fun () ->
+      Runner.config ~n:4 ~limit_time:(-1.) ());
+  let config = Runner.config ~n:4 () in
+  expect_config_error "with_limit_events 0" (fun () ->
+      Runner.with_limit_events config 0);
+  let capped = Runner.with_limit_events config 5 in
+  Alcotest.(check int) "positive budget kept" 5 capped.Runner.limit_events;
+  Alcotest.(check int) "budget honoured" 5
+    (Runner.run ~seed:1 capped).Runner.executed_events
+
+(* The variants, faults and hooks the reuse property draws from. *)
+type variant = Plain | Naive | Announce | Gamma | Drift | Link_delays
+
+type hook =
+  | No_hook
+  | Metrics_hook
+  | Causal_hook
+  | Check_hook
+  | Trace_hook
+  | Scheduler_hook
+  | Past_deadline
+  | Event_budget  (* the configuration's [with_limit_events _ 3] copy *)
+
+let variants = [| Plain; Naive; Announce; Gamma; Drift; Link_delays |]
+
+let scenarios =
+  [| "none"; "delay-spike"; "crash"; "rejoin"; "link-down(0@5:40)";
+     "bursty-loss" |]
+
+let hooks =
+  [| No_hook; Metrics_hook; Causal_hook; Check_hook; Trace_hook;
+     Scheduler_hook; Past_deadline; Event_budget |]
+
+let variant_name = function
+  | Plain -> "plain" | Naive -> "naive" | Announce -> "announce"
+  | Gamma -> "gamma" | Drift -> "drift" | Link_delays -> "link-delays"
+
+let hook_name = function
+  | No_hook -> "none" | Metrics_hook -> "metrics" | Causal_hook -> "causal"
+  | Check_hook -> "check" | Trace_hook -> "trace"
+  | Scheduler_hook -> "scheduler" | Past_deadline -> "past-deadline"
+  | Event_budget -> "limit-events-3"
+
+(* A small time budget: faults may stall an election for good. *)
+let pooled_config variant scenario n =
+  let fault = fault_of scenario ~seed:3 ~n in
+  let config ?params ?proc_delay () =
+    Runner.config ~n ~a0:0.15 ?params ?proc_delay ~fault ~limit_time:150. ()
+  in
+  match variant with
+  | Plain | Naive | Announce -> config ()
+  | Gamma ->
+    config
+      ~params:(Params.make ~delta:1. ~gamma:0.3 ~clock:Abe_net.Clock.perfect)
+      ~proc_delay:(Some (Abe_prob.Dist.exponential ~mean:0.3))
+      ()
+  | Drift ->
+    config
+      ~params:
+        (Params.make ~delta:1. ~gamma:0.
+           ~clock:(Abe_net.Clock.spec ~s_low:0.8 ~s_high:1.25))
+      ()
+  | Link_delays ->
+    Runner.with_link_delays (config ())
+      (Array.init n (fun i ->
+           if i mod 2 = 0 then Abe_net.Delay_model.abe_exponential ~delta:0.5
+           else Abe_net.Delay_model.abd_uniform ~bound:2.))
+
+let causal_export c =
+  let path = Filename.temp_file "abe_pooled" ".json" in
+  let oc = open_out path in
+  Abe_sim.Causal.output_trace_json oc c;
+  close_out oc;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
+(* One run of [variant] on [config] (or its event-budget copy), rendered
+   to everything it shows: the outcome without [wall_time], and the
+   export of whichever hook is on. *)
+let pooled_step variant ~config ~capped (seed, hook) =
+  let metrics =
+    if hook = Metrics_hook then Some (Abe_sim.Metrics.create ()) else None
+  in
+  let causal =
+    if hook = Causal_hook then Some (Abe_sim.Causal.create ()) else None
+  in
+  let trace =
+    if hook = Trace_hook then Some (Abe_sim.Trace.create ~enabled:true ())
+    else None
+  in
+  let check = hook = Check_hook in
+  let choices = ref [] in
+  let scheduler =
+    if hook = Scheduler_hook then
+      Some
+        { Abe_sim.Engine.window = 0.5;
+          choose =
+            (fun ~now ~state_digest candidates ->
+               choices := (now, state_digest, candidates) :: !choices;
+               state_digest mod Array.length candidates) }
+    else None
+  in
+  let wall_deadline = if hook = Past_deadline then Some 0. else None in
+  let config = if hook = Event_budget then capped else config in
+  let replayable o = { o with Runner.wall_time = 0. } in
+  let outcome =
+    match variant with
+    | Announce ->
+      let a = Runner.announce ?trace ?metrics ?causal ~check ~seed config in
+      `Announced { a with Runner.election = replayable a.Runner.election }
+    | Naive ->
+      `Outcome
+        (replayable
+           (Runner.run_naive ?trace ?metrics ?scheduler ?causal ~check
+              ?wall_deadline ~seed config))
+    | Plain | Gamma | Drift | Link_delays ->
+      `Outcome
+        (replayable
+           (Runner.run ?trace ?metrics ?scheduler ?causal ~check
+              ?wall_deadline ~seed config))
+  in
+  ( outcome,
+    Option.map (Fmt.str "%a" Abe_sim.Metrics.pp) metrics,
+    Option.map causal_export causal,
+    Option.map Abe_sim.Trace.to_jsonl trace,
+    List.rev !choices )
+
+(* Reuse is unobservable: six runs in a row on one configuration — each
+   resetting whatever network the one before left behind, be it stopped,
+   over a budget, past its wall deadline or elected — show exactly what
+   each run shows on a configuration built just for it. *)
+let prop_run_order_irrelevant =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 2 40) (oneofa variants) (oneofa scenarios)
+        (list_repeat 6 (pair (int_range 1 1000) (oneofa hooks))))
+  in
+  let print (n, variant, scenario, steps) =
+    Printf.sprintf "n=%d %s fault=%s runs=[%s]" n (variant_name variant)
+      scenario
+      (String.concat "; "
+         (List.map
+            (fun (seed, hook) -> Printf.sprintf "%d:%s" seed (hook_name hook))
+            steps))
+  in
+  QCheck.Test.make ~name:"pooled runs equal fresh runs, in any order"
+    ~count:60 (QCheck.make ~print gen)
+    (fun (n, variant, scenario, steps) ->
+       let config = pooled_config variant scenario n in
+       let capped = Runner.with_limit_events config 3 in
+       List.for_all
+         (fun step ->
+            let pooled = pooled_step variant ~config ~capped step in
+            let fresh_config = pooled_config variant scenario n in
+            let fresh =
+              pooled_step variant ~config:fresh_config
+                ~capped:(Runner.with_limit_events fresh_config 3)
+                step
+            in
+            compare pooled fresh = 0)
+         steps)
+
+(* An exception out of a run still hands its network back, and the next
+   run resets it: a scheduler that throws mid-run leaves no trace. *)
+let test_reset_after_exception () =
+  let config = Runner.config ~n:12 ~a0:0.1 () in
+  let replayable o = { o with Runner.wall_time = 0. } in
+  let expected = replayable (Runner.run ~seed:5 (Runner.config ~n:12 ~a0:0.1 ())) in
+  let calls = ref 0 in
+  let throwing =
+    { Abe_sim.Engine.window = 1.;
+      choose =
+        (fun ~now:_ ~state_digest:_ _ ->
+           incr calls;
+           if !calls = 3 then failwith "scheduler gave up";
+           0) }
+  in
+  (match Runner.run ~scheduler:throwing ~seed:5 config with
+   | exception Failure _ -> ()
+   | _ -> Alcotest.fail "the scheduler's exception was swallowed");
+  Alcotest.(check bool) "next run equals a fresh one" true
+    (compare expected (replayable (Runner.run ~seed:5 config)) = 0)
+
+(* Words allocated by a run, minor and major alike; [Gc.minor] first, so
+   the counters are up to date. *)
+let words_of f =
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  Gc.minor ();
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* A warm run does no per-node allocation: after one warm-up, a run cut to
+   one event allocates the same at n = 4000 as at n = 250, up to a fixed
+   slack — with and without a fault's delay overlay. *)
+let test_warm_setup_constant () =
+  let slack = 1024. in
+  List.iter
+    (fun scenario ->
+       let warm n =
+         let config =
+           Runner.config ~n ~a0:0.1 ~limit_events:1
+             ~fault:(fault_of scenario ~seed:1 ~n) ()
+         in
+         ignore (Runner.run ~seed:1 config : Runner.outcome);
+         words_of (fun () -> ignore (Runner.run ~seed:2 config : Runner.outcome))
+       in
+       let small = warm 250 and large = warm 4000 in
+       if large -. small > slack then
+         Alcotest.failf "%s: %g words at n=4000, %g at n=250 (slack %g)"
+           scenario large small slack)
+    [ "none"; "delay-spike" ]
+
 let () =
   Alcotest.run "runner"
     [ ( "correctness",
@@ -730,7 +966,15 @@ let () =
         [ Alcotest.test_case "validation" `Quick test_config_validation;
           Alcotest.test_case "naive variant" `Quick test_naive_variant_small_ring;
           Alcotest.test_case "budget exhaustion" `Quick
-            test_budget_exhaustion_reported ] );
+            test_budget_exhaustion_reported;
+          Alcotest.test_case "budget validation" `Quick
+            test_budget_validation ] );
+      ( "pooled rings",
+        [ Alcotest.test_case "reset after exception" `Quick
+            test_reset_after_exception;
+          Alcotest.test_case "warm set-up O(1) in n" `Quick
+            test_warm_setup_constant;
+          QCheck_alcotest.to_alcotest prop_run_order_irrelevant ] );
       ( "tick rule",
         [ Alcotest.test_case "activation table exact" `Quick
             test_activation_table_exact;
