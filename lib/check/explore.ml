@@ -87,7 +87,12 @@ let apply_slow_links ~tail links (config : Abe_core.Runner.config) =
    schedule becomes a structured "liveness-election" violation with the
    same shrink/repro treatment as a safety violation.  [liveness <= 0]
    turns the check off.  A run cut short by the wall deadline proves
-   nothing about liveness and is never reported. *)
+   nothing about liveness and is never reported.
+
+   [run] clamps once and hands the clamped configuration to every mode and
+   to the shrinker, so all schedules of one exploration share the
+   configuration's pool of networks (a clamped copy has a pool of its
+   own). *)
 
 let clamp_fairness ~liveness (config : Abe_core.Runner.config) =
   if liveness <= 0 then config
@@ -120,7 +125,6 @@ let outcome_violations ~liveness (o : Abe_core.Runner.outcome) =
   else violations
 
 let violations_of ~liveness ~wall_deadline ~forwarding ~scheduler ~seed config =
-  let config = clamp_fairness ~liveness config in
   let o =
     Abe_core.Runner.run ~scheduler ~check:true ~forwarding ~wall_deadline ~seed
       config
@@ -136,7 +140,7 @@ let same_invariant invariant violations =
    minimal repro, so it is exactly what `abe-sim replay` will print.
    Probes run without a wall deadline — a deadline hit mid-shrink would
    make probes spuriously pass and corrupt the minimal repro — but under
-   the fairness clamp, so each one is bounded. *)
+   the fairness clamp of [config], so each one is bounded. *)
 let shrink_finding ~window ~forwarding ~liveness ~seed ~config ~trial
     ~invariant ~deviations ~slow_links ~tail =
   let run_with ~deviations ~slow_links =
@@ -298,6 +302,7 @@ let run ?metrics ?(driver = Abe_harness.Driver.Sequential)
     if Float.is_finite time_budget then Unix.gettimeofday () +. time_budget
     else infinity
   in
+  let config = clamp_fairness ~liveness config in
   let schedules, pruned, finding, coverage =
     match mode with
     | Fuzz { flip } ->

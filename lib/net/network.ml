@@ -176,7 +176,7 @@ module Make (P : PROTOCOL) = struct
     mutable env_arrival : float array;
     mutable env_start : float array;
     mutable env_completion : float array;
-    mutable env_cause : Causal.span option array;
+    mutable env_cause : int array;  (* transit span id; -1 = none *)
     mutable env_inc : int array;    (* destination incarnation at arrival *)
     mutable env_arrive : (unit -> unit) array;
     mutable env_complete : (unit -> unit) array;
@@ -251,7 +251,7 @@ module Make (P : PROTOCOL) = struct
 
   let free_envelope t i =
     (match t.env_filler with Some m -> t.env_msg.(i) <- m | None -> ());
-    t.env_cause.(i) <- None;
+    t.env_cause.(i) <- -1;
     t.env_next.(i) <- t.env_free;
     t.env_free <- i
 
@@ -301,12 +301,10 @@ module Make (P : PROTOCOL) = struct
       (match t.causal with
        | None -> ()
        | Some c ->
-         let span =
-           Causal.process c ?cause:t.env_cause.(i) ~node:dst.id
-             ~label:"recv" ~t_begin:t.env_arrival.(i)
-             ~t_busy:t.env_start.(i) ~t_end:t.env_completion.(i) ()
-         in
-         Causal.set_current c (Some span));
+         Causal.set_current_id c
+           (Causal.process_at c ~cause:t.env_cause.(i) ~node:dst.id
+              ~label:"recv" ~t_begin:t.env_arrival ~t_busy:t.env_start
+              ~t_end:t.env_completion i));
       let ctx = t.contexts.(dst.id) in
       free_envelope t i;
       set_state t dst.id (t.handlers.on_message ctx t.states.(dst.id) message)
@@ -399,7 +397,7 @@ module Make (P : PROTOCOL) = struct
     t.env_arrival <- copy_float t.env_arrival;
     t.env_start <- copy_float t.env_start;
     t.env_completion <- copy_float t.env_completion;
-    let cause = Array.make cap None in
+    let cause = Array.make cap (-1) in
     Array.blit t.env_cause 0 cause 0 old;
     t.env_cause <- cause;
     t.env_inc <- copy_int t.env_inc;
@@ -518,19 +516,6 @@ module Make (P : PROTOCOL) = struct
         end
         else arrival
       in
-      (* The transit span is the message's causal identity: created inside
-         the sending handler (so its parent is the sender's process span)
-         and stored in the envelope, whose delivery span names it as
-         cause. *)
-      let cause =
-        match t.causal with
-        | None -> None
-        | Some c ->
-          Some
-            (Causal.transit c ~link:link_id ~src:src.id
-               ~dst:link.Topology.dst ~t_begin:sent_at ~t_end:arrival
-               ~label:"msg")
-      in
       let i = alloc_envelope t message in
       t.env_msg.(i) <- message;
       t.env_link.(i) <- link_id;
@@ -539,7 +524,17 @@ module Make (P : PROTOCOL) = struct
       t.env_sent_at.(i) <- sent_at;
       (* The arrival event resets this to the instant it runs at. *)
       t.env_arrival.(i) <- arrival;
-      t.env_cause.(i) <- cause;
+      (* The transit span is the message's causal identity: created inside
+         the sending handler (so its parent is the sender's process span)
+         and stored in the envelope, whose delivery span names it as
+         cause. *)
+      t.env_cause.(i) <-
+        (match t.causal with
+         | None -> -1
+         | Some c ->
+           Causal.transit_at c ~link:link_id ~src:src.id
+             ~dst:link.Topology.dst ~t_begin:t.env_sent_at
+             ~t_end:t.env_arrival ~label:"msg" i);
       ignore
         (Engine.schedule_from t.engine ~tag:(link_class link)
            ~footprint:
@@ -599,11 +594,9 @@ module Make (P : PROTOCOL) = struct
       (match t.causal with
        | None -> ()
        | Some c ->
-         let span =
-           Causal.process c ~node:id ~label:"tick" ~t_begin:t.tc_tick.(i)
-             ~t_busy:t.tc_start.(i) ~t_end:t.tc_completion.(i) ()
-         in
-         Causal.set_current c (Some span));
+         Causal.set_current_id c
+           (Causal.process_at c ~cause:(-1) ~node:id ~label:"tick"
+              ~t_begin:t.tc_tick ~t_busy:t.tc_start ~t_end:t.tc_completion i));
       let ctx = t.contexts.(id) in
       free_tick t i;
       set_state t id (t.handlers.on_tick ctx t.states.(id))
@@ -801,7 +794,7 @@ module Make (P : PROTOCOL) = struct
   let release_pools t =
     let cap = Array.length t.env_next in
     (match t.env_filler with Some m -> Array.fill t.env_msg 0 cap m | None -> ());
-    Array.fill t.env_cause 0 cap None;
+    Array.fill t.env_cause 0 cap (-1);
     t.env_free <- -1;
     for i = cap - 1 downto 0 do
       t.env_next.(i) <- t.env_free;

@@ -61,9 +61,8 @@ type t = {
   mutable mark_count : int;
   mutable current : int;  (* span id; -1 = none *)
   mutable sink : int;  (* span id; -1 = none *)
-  (* Engine integration: the executing engine event's (seq, lamport) pair.
-     Spans recorded while it executes inherit at least its Lamport time. *)
-  mutable event_seq : int;
+  (* Engine integration: the executing engine event's Lamport time.  Spans
+     recorded while it executes inherit at least that. *)
   mutable event_lamport : int;
   (* Program order per node: the last process span recorded on each node
      (by node id; -1 = none) becomes an implicit parent of the next one
@@ -88,7 +87,6 @@ let create () =
     mark_count = 0;
     current = -1;
     sink = -1;
-    event_seq = -1;
     event_lamport = 0;
     occupants = [||] }
 
@@ -99,8 +97,7 @@ let[@inline] chunk t id = t.chunks.(id lsr chunk_bits)
 
 let handle t id = if id < 0 then None else Some { recorder = t; id }
 
-let enter_event t ~seq ~lamport ~time:_ =
-  t.event_seq <- seq;
+let enter_event t ~lamport =
   t.event_lamport <- lamport;
   (* Each engine event starts with no executing handler span; the network
      installs one around the handler body. *)
@@ -110,6 +107,8 @@ let scheduling_lamport t = t.event_lamport + 1
 
 let set_current t span =
   t.current <- (match span with None -> -1 | Some s -> s.id)
+
+let set_current_id t id = t.current <- id
 
 let current t = handle t t.current
 
@@ -160,23 +159,23 @@ let[@inline] record t ~kind ~cause ~prev ~track ~src ~dst ~t_begin ~t_busy
   Bytes.set c.kind k kind;
   id
 
-let transit t ~link ~src ~dst ~t_begin ~t_end ~label =
-  let id =
-    record t ~kind:transit_kind ~cause:t.current ~prev:(-1) ~track:link ~src
-      ~dst ~t_begin ~t_busy:t_begin ~t_end ~label
-  in
-  { recorder = t; id }
+let[@inline] record_transit t ~link ~src ~dst ~t_begin ~t_end ~label =
+  record t ~kind:transit_kind ~cause:t.current ~prev:(-1) ~track:link ~src
+    ~dst ~t_begin ~t_busy:t_begin ~t_end ~label
 
-let process t ?cause ~node ~label ~t_begin ~t_busy ~t_end () =
-  let cause =
-    match cause with
-    | None -> -1
-    | Some s ->
-      let c = chunk t s.id and k = s.id land chunk_mask in
-      if Bytes.get c.kind k = transit_kind then
-        Bytes.set c.kind k delivered_kind;
-      s.id
-  in
+let[@inline] transit_at t ~link ~src ~dst ~t_begin ~t_end ~label i =
+  record_transit t ~link ~src ~dst ~t_begin:t_begin.(i) ~t_end:t_end.(i)
+    ~label
+
+let transit t ~link ~src ~dst ~t_begin ~t_end ~label =
+  { recorder = t;
+    id = record_transit t ~link ~src ~dst ~t_begin ~t_end ~label }
+
+let[@inline] record_process t ~cause ~node ~label ~t_begin ~t_busy ~t_end =
+  if cause >= 0 then begin
+    let c = chunk t cause and k = cause land chunk_mask in
+    if Bytes.get c.kind k = transit_kind then Bytes.set c.kind k delivered_kind
+  end;
   if node >= Array.length t.occupants then begin
     let occupants = Array.make (max 64 (2 * (node + 1))) (-1) in
     Array.blit t.occupants 0 occupants 0 (Array.length t.occupants);
@@ -190,7 +189,16 @@ let process t ?cause ~node ~label ~t_begin ~t_busy ~t_end () =
       ~src:node ~dst:node ~t_begin ~t_busy ~t_end ~label
   in
   t.occupants.(node) <- id;
-  { recorder = t; id }
+  id
+
+let[@inline] process_at t ~cause ~node ~label ~t_begin ~t_busy ~t_end i =
+  record_process t ~cause ~node ~label ~t_begin:t_begin.(i)
+    ~t_busy:t_busy.(i) ~t_end:t_end.(i)
+
+let process t ?cause ~node ~label ~t_begin ~t_busy ~t_end () =
+  let cause = match cause with None -> -1 | Some s -> s.id in
+  { recorder = t;
+    id = record_process t ~cause ~node ~label ~t_begin ~t_busy ~t_end }
 
 let mark t ~node ~time label =
   t.marks <-

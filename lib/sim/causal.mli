@@ -67,9 +67,9 @@ val mark_count : t -> int
     event ({!enter_event}); spans recorded while the event executes
     inherit its Lamport time as a floor.  See {!Engine.create}. *)
 
-val enter_event : t -> seq:int -> lamport:int -> time:float -> unit
-(** An engine event with stable id [seq] and Lamport time [lamport]
-    started executing.  Resets the current span. *)
+val enter_event : t -> lamport:int -> unit
+(** An engine event with Lamport time [lamport] started executing.  Resets
+    the current span. *)
 
 val scheduling_lamport : t -> int
 (** Lamport time for an event being scheduled now: one more than the
@@ -104,6 +104,42 @@ val process :
     [delivered] flag.  The node's previous process span is added as an
     implicit program-order parent.  Parent order is the {!Critpath}
     tie-break: the cause precedes the program-order predecessor. *)
+
+(** {2 Recording by id}
+
+    The per-event recorders of the simulator's network.  They return the
+    new span's id instead of a {!span} handle, take the parent as an id
+    ([-1] = none) instead of an option, and read their instants from the
+    caller's flat arrays at index [i] (as {!Engine.schedule_from} does), so
+    recording a handled event boxes nothing. *)
+
+val transit_at :
+  t ->
+  link:int ->
+  src:int ->
+  dst:int ->
+  t_begin:float array ->
+  t_end:float array ->
+  label:string ->
+  int ->
+  int
+(** {!transit} with its instants at [t_begin.(i)] and [t_end.(i)]. *)
+
+val process_at :
+  t ->
+  cause:int ->
+  node:int ->
+  label:string ->
+  t_begin:float array ->
+  t_busy:float array ->
+  t_end:float array ->
+  int ->
+  int
+(** {!process} with the cause given by id ([-1] for ticks) and its
+    instants at [t_begin.(i)], [t_busy.(i)] and [t_end.(i)]. *)
+
+val set_current_id : t -> int -> unit
+(** {!set_current} by span id; [-1] = none. *)
 
 val mark : t -> node:int -> time:float -> string -> unit
 (** Record an instantaneous annotation, attached to the current span. *)

@@ -5,15 +5,19 @@
    indices only (see Pqueue), so the hot loop moves nothing but immediates
    and flat floats: executing one event on the fast path allocates nothing.
 
-   Pending events live in one of two places.  An event scheduled for
-   exactly the current clock instant goes into the same-instant lane, a
-   FIFO ring of arena indices; every other event goes into the heap.  The
-   lane needs no ordering work: the clock is monotone and [seq] rises, so
-   its entries are appended in ascending [(time, seq)] order.  Every pop
-   ([pop_slot], and [min_slot] for the scheduler's candidate grab) merges
-   the lane head with the heap minimum on the full key, so the execution
-   order is exactly that of a single heap — including for events put back
-   into the heap by a budget or a scheduler.
+   Pending events live in one of three places, each ordered by
+   [(time, seq)].  An event scheduled for exactly the current clock instant
+   goes into the same-instant lane, a FIFO ring of arena indices.  A future
+   event whose time is at least that of the run's tail is appended to the
+   run, a second FIFO ring: a tick round of perfect clocks is a stream of
+   such events, all at the next integer instant.  Every other future event
+   goes into the heap.  Neither ring needs ordering work: the clock is
+   monotone, run appends never go back in time, and [seq] rises, so each
+   ring's entries are appended in ascending [(time, seq)] order.  Every
+   pop ([pop_slot], and [min_slot] for the scheduler's candidate grab)
+   takes the least of the lane head, the run head and the heap minimum on
+   the full key, so the execution order is exactly that of a single heap —
+   including for events put back into the heap by a budget or a scheduler.
 
    [run] dispatches once per call between two monomorphic loops: the fast
    loop, used when no observer, metrics registry, causal recorder or
@@ -73,13 +77,48 @@ let st_cancelled = 2
 
 let null_action () = ()
 
+(* A FIFO ring buffer of arena slots: capacity a power of two, live
+   entries at [head ..] (mod capacity). *)
+type ring = {
+  mutable slots : int array;
+  mutable head : int;
+  mutable len : int;
+}
+
+let ring () = { slots = [||]; head = 0; len = 0 }
+
+let clear_ring r =
+  r.head <- 0;
+  r.len <- 0
+
+let grow_ring r =
+  let old = Array.length r.slots in
+  let slots = Array.make (max 16 (2 * old)) 0 in
+  for k = 0 to r.len - 1 do
+    slots.(k) <- r.slots.((r.head + k) land (old - 1))
+  done;
+  r.slots <- slots;
+  r.head <- 0
+
+let push r slot =
+  if r.len = Array.length r.slots then grow_ring r;
+  Array.unsafe_set r.slots
+    ((r.head + r.len) land (Array.length r.slots - 1))
+    slot;
+  r.len <- r.len + 1
+
+let[@inline] peek r = Array.unsafe_get r.slots r.head
+
+let drop r =
+  r.head <- (r.head + 1) land (Array.length r.slots - 1);
+  r.len <- r.len - 1
+
 type t = {
   queue : Pqueue.t;
-  (* Same-instant lane: a ring buffer of arena slots, capacity a power of
-     two, live entries at [lane_head ..] (mod capacity). *)
-  mutable lane : int array;
-  mutable lane_head : int;
-  mutable lane_len : int;
+  lane : ring;  (* events at the clock instant they were scheduled at *)
+  run : ring;   (* future events appended in time order *)
+  run_tail : float array;  (* length 1: time of the last run append;
+                              [neg_infinity] after a reset *)
   (* Event arena (SoA).  All arrays share the same capacity. *)
   mutable ev_time : float array;
   mutable ev_action : (unit -> unit) array;
@@ -94,7 +133,8 @@ type t = {
   clock : float array;  (* length 1: a flat cell so advancing the virtual
                            clock never boxes a float *)
   at : float array;     (* length 1: [schedule]/[schedule_at]'s target
-                           time, so every path reads it from a flat array *)
+                           time, and a scheduler's chosen execution time,
+                           so every path reads it from a flat array *)
   mutable seq : int;
   mutable executed : int;
   mutable live : int;  (* pending, non-cancelled events *)
@@ -116,9 +156,9 @@ type t = {
    the engine [create] promises. *)
 let allocate () =
   { queue = Pqueue.create ();
-    lane = [||];
-    lane_head = 0;
-    lane_len = 0;
+    lane = ring ();
+    run = ring ();
+    run_tail = [| neg_infinity |];
     ev_time = [||];
     ev_action = [||];
     ev_tag = [||];
@@ -147,7 +187,7 @@ let allocate () =
     wall_deadline = infinity }
 
 (* Back to virtual time 0 with nothing pending, keeping the capacity of
-   the arena, the heap and the lane.  Every slot still holding an event
+   the arena, the heap and both rings.  Every slot still holding an event
    is freed the way an executed one is: its generation moves on, so a
    handle from an earlier run stays stale, and its action is dropped. *)
 let reset t =
@@ -164,8 +204,9 @@ let reset t =
   (* One fill instead of a write barrier per pending slot. *)
   Array.fill t.ev_action 0 (Array.length t.ev_action) null_action;
   Pqueue.clear t.queue;
-  t.lane_head <- 0;
-  t.lane_len <- 0;
+  clear_ring t.lane;
+  clear_ring t.run;
+  t.run_tail.(0) <- neg_infinity;
   t.clock.(0) <- 0.;
   t.seq <- 0;
   t.executed <- 0;
@@ -265,50 +306,46 @@ let release_actions t =
     then Array.unsafe_set t.ev_action slot null_action
   done
 
-let grow_lane t =
-  let old = Array.length t.lane in
-  let lane = Array.make (max 16 (2 * old)) 0 in
-  for k = 0 to t.lane_len - 1 do
-    lane.(k) <- t.lane.((t.lane_head + k) land (old - 1))
-  done;
-  t.lane <- lane;
-  t.lane_head <- 0
-
-let push_lane t slot =
-  if t.lane_len = Array.length t.lane then grow_lane t;
-  Array.unsafe_set t.lane
-    ((t.lane_head + t.lane_len) land (Array.length t.lane - 1))
-    slot;
-  t.lane_len <- t.lane_len + 1
-
 (* [(time, seq)] of slot [a] orders before that of slot [b]. *)
 let[@inline] before t a b =
   let ta = Array.unsafe_get t.ev_time a and tb = Array.unsafe_get t.ev_time b in
   ta < tb
   || (ta = tb && Array.unsafe_get t.ev_eseq a < Array.unsafe_get t.ev_eseq b)
 
-(* The earliest pending slot, lane and heap merged, without removing it;
-   [-1] when both are empty. *)
-let min_slot t =
-  let h = Pqueue.min_value t.queue in
-  if t.lane_len = 0 then h
+(* The earlier of slot [best] ([-1] = none) and the head of ring [r]. *)
+let[@inline] ring_min t best r =
+  if r.len = 0 then best
   else
-    let l = Array.unsafe_get t.lane t.lane_head in
-    if h >= 0 && before t h l then h else l
+    let s = peek r in
+    if best >= 0 && before t best s then best else s
+
+(* The earliest pending slot, lane, run and heap merged, without removing
+   it; [-1] when all three are empty. *)
+let min_slot t =
+  ring_min t (ring_min t (Pqueue.min_value t.queue) t.run) t.lane
 
 (* Remove and return the earliest pending slot ([-1] when empty). *)
 let pop_slot t =
-  if t.lane_len = 0 then Pqueue.pop_value t.queue
-  else begin
-    let l = Array.unsafe_get t.lane t.lane_head in
-    let h = Pqueue.min_value t.queue in
-    if h >= 0 && before t h l then Pqueue.pop_value t.queue
-    else begin
-      t.lane_head <- (t.lane_head + 1) land (Array.length t.lane - 1);
-      t.lane_len <- t.lane_len - 1;
+  let lane = t.lane and run = t.run in
+  let h = Pqueue.min_value t.queue in
+  if run.len > 0 && (h < 0 || before t (peek run) h) then begin
+    let r = peek run in
+    if lane.len > 0 && before t (peek lane) r then begin
+      let l = peek lane in
+      drop lane;
       l
     end
+    else begin
+      drop run;
+      r
+    end
   end
+  else if lane.len > 0 && (h < 0 || before t (peek lane) h) then begin
+    let l = peek lane in
+    drop lane;
+    l
+  end
+  else Pqueue.pop_value t.queue
 
 (* Every scheduling entry point ends here.  The time is read from a flat
    array so that no float crosses a call boundary boxed. *)
@@ -331,14 +368,18 @@ let schedule_from t ~tag ~footprint ~times i action =
   Array.unsafe_set t.ev_state slot st_live;
   if time > clock then begin
     Array.unsafe_set t.ev_time slot time;
-    Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.seq slot
+    if time >= Array.unsafe_get t.run_tail 0 then begin
+      Array.unsafe_set t.run_tail 0 time;
+      push t.run slot
+    end
+    else Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.seq slot
   end
   else begin
     (* Now, or — under a reordering scheduler, whose clock may have raced
        past a time computed from a deferred event — already overtaken: the
        event fires as soon as possible instead of in the past. *)
     Array.unsafe_set t.ev_time slot clock;
-    push_lane t slot
+    push t.lane slot
   end;
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
@@ -376,10 +417,10 @@ let clear_observer t = t.observer <- None
 
 let set_digest_source t f = t.digest_source <- Some f
 
-let notify t time =
+let notify t =
   match t.observer with
   | None -> ()
-  | Some f -> f time
+  | Some f -> f t.clock.(0)
 
 (* Record one executed event; [depth] is the pending-event count at the
    instant the event fired. *)
@@ -390,14 +431,12 @@ let measure t ~depth =
     Metrics.incr i.m_executed;
     Metrics.observe i.m_queue_depth (float_of_int depth)
 
-(* Tell the span recorder which engine event is executing, so spans it
-   records inherit the event's stable id and Lamport time. *)
-let announce t ~time slot =
+(* Tell the span recorder that an engine event is executing, so spans it
+   records inherit the event's Lamport time. *)
+let announce t slot =
   match t.causal with
   | None -> ()
-  | Some c ->
-    Causal.enter_event c ~seq:t.ev_eseq.(slot) ~lamport:t.ev_lamport.(slot)
-      ~time
+  | Some c -> Causal.enter_event c ~lamport:t.ev_lamport.(slot)
 
 (* Pop arena slots until a non-cancelled one is found ([-1] when drained);
    cancelled slots are collected back into the freelist here. *)
@@ -418,8 +457,8 @@ let max_candidates = 64
    [window] of the earliest one, let the scheduler choose among the
    per-tag-FIFO-eligible ones, and put the rest back untouched (original
    timestamp and sequence number, so their relative order is preserved).
-   Returns the chosen slot with its execution time, which is its own
-   timestamp clamped to the (monotone) clock. *)
+   Returns the chosen slot and leaves its execution time, which is its own
+   timestamp clamped to the (monotone) clock, in [t.at.(0)]. *)
 let choose_from t sched slot0 =
   let t0 = t.ev_time.(slot0) in
   let bound = t0 +. sched.window in
@@ -480,27 +519,30 @@ let choose_from t sched slot0 =
          Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(s) s)
     entries;
   let slot = entries.(chosen_index) in
-  (Float.max t.clock.(0) t.ev_time.(slot), slot)
+  t.at.(0) <- Float.max t.clock.(0) t.ev_time.(slot);
+  slot
 
-(* Execute one live slot through the full observation surface.  The slot
-   is freed (generation bumped, action nulled) before the action runs, so
-   a late [cancel] with the event's handle is a guaranteed no-op and the
-   closure is unreachable the moment it returns. *)
-let execute t ~time slot =
-  t.clock.(0) <- time;
+(* Execute one live slot through the full observation surface, at the
+   instant [times.(i)] (read from a flat array, so no float is boxed per
+   event).  The slot is freed (generation bumped, action nulled) before
+   the action runs, so a late [cancel] with the event's handle is a
+   guaranteed no-op and the closure is unreachable the moment it
+   returns. *)
+let execute t ~times i slot =
+  t.clock.(0) <- times.(i);
   t.live <- t.live - 1;
   t.executed <- t.executed + 1;
   measure t ~depth:t.live;
-  announce t ~time slot;
+  announce t slot;
   let action = t.ev_action.(slot) in
   free_slot t slot;
   action ();
-  notify t time
+  notify t
 
 (* The executed action is dropped as [step] returns, unless the action
    itself has reused its slot. *)
-let step_slot t ~time slot =
-  execute t ~time slot;
+let step_slot t ~times i slot =
+  execute t ~times i slot;
   if t.ev_state.(slot) = st_free then t.ev_action.(slot) <- null_action
 
 let step t =
@@ -509,15 +551,14 @@ let step t =
     let slot = pop_live_slot t in
     if slot < 0 then false
     else begin
-      step_slot t ~time:t.ev_time.(slot) slot;
+      step_slot t ~times:t.ev_time slot slot;
       true
     end
   | Some sched ->
     let slot0 = pop_live_slot t in
     if slot0 < 0 then false
     else begin
-      let time, slot = choose_from t sched slot0 in
-      step_slot t ~time slot;
+      step_slot t ~times:t.at 0 (choose_from t sched slot0);
       true
     end
 
@@ -574,13 +615,12 @@ let run_instrumented t =
       let slot = pop_live_slot t in
       if slot < 0 then Drained
       else begin
-        let time = t.ev_time.(slot) in
-        if time > t.limit_time then begin
+        if t.ev_time.(slot) > t.limit_time then begin
           Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(slot) slot;
           Hit_time_limit
         end
         else begin
-          execute t ~time slot;
+          execute t ~times:t.ev_time slot slot;
           loop ()
         end
       end
@@ -604,8 +644,7 @@ let run_scheduled t sched =
         Hit_time_limit
       end
       else begin
-        let time, slot = choose_from t sched slot0 in
-        execute t ~time slot;
+        execute t ~times:t.at 0 (choose_from t sched slot0);
         loop ()
       end
     end

@@ -16,24 +16,30 @@
     {b Representation.}  Events live in an int-indexed arena in
     structure-of-arrays layout (timestamps in a flat [float array], actions
     in a parallel array, tag/seq/lamport/state in [int array]s) with freed
-    slots recycled through a freelist; the priority queue orders bare arena
-    indices.  When no observer, metrics registry, causal recorder or
-    scheduler is attached, [run] enters a monomorphic fast loop with no
-    per-event observation branches and no per-event allocation.  Both loops
-    pop in identical [(time, seq)] order, so executions are byte-identical
-    whichever is selected.
+    slots recycled through a freelist.  Pending events are held in three
+    places — the same-instant lane, the run and a heap — each of which
+    orders bare arena indices.  When no observer, metrics registry, causal
+    recorder or scheduler is attached, [run] enters a monomorphic fast loop
+    with no per-event observation branches and no per-event allocation.
+    Both loops pop in identical [(time, seq)] order, so executions are
+    byte-identical whichever is selected.
 
-    {b Same-instant lane.}  An event scheduled for exactly the current
-    clock instant — a zero delay, such as a handler completion with no
-    processing time — skips the heap and joins a FIFO lane.  The lane is
-    always sorted by [(time, seq)] without any work: the clock never runs
-    backwards and sequence numbers rise, so each new entry's key is at
-    least the previous one's.  Every extraction ({!run}'s loops, {!step}
-    and a scheduler's candidate gathering) takes the smaller of the lane
-    head and the heap minimum, comparing the full [(time, seq)] key.  The
-    execution order is therefore exactly the order a single heap would
-    give, also when a budget or a scheduler puts an event back (it goes
-    back into the heap under its original key). *)
+    {b Same-instant lane and run.}  An event scheduled for exactly the
+    current clock instant — a zero delay, such as a handler completion with
+    no processing time — skips the heap and joins a FIFO lane.  A future
+    event whose time is at least that of the last event appended to the
+    run joins the run, a second FIFO: the ticks of perfect clocks, which
+    all land on the next integer instant in scheduling order, go there.
+    Every other future event goes into the heap.  Both FIFOs are always
+    sorted by [(time, seq)] without any work: the clock never runs
+    backwards, run appends never go back in time, and sequence numbers
+    rise, so each new entry's key is at least the previous one's.  Every
+    extraction ({!run}'s loops, {!step} and a scheduler's candidate
+    gathering) takes the least of the lane head, the run head and the heap
+    minimum, comparing the full [(time, seq)] key.  The execution order is
+    therefore exactly the order a single heap would give, also when a
+    budget or a scheduler puts an event back (it goes back into the heap
+    under its original key). *)
 
 type t
 
@@ -131,9 +137,8 @@ val create :
     When a [causal] span recorder is supplied, every scheduled event is
     stamped with a Lamport time ({!Causal.scheduling_lamport} of the
     event executing at scheduling time), and the recorder is told — via
-    {!Causal.enter_event}, with the event's stable sequence number and
-    its Lamport stamp — which event is executing just before each action
-    runs.  Like metrics, this is pure observation: byte-identical
+    {!Causal.enter_event}, with the event's Lamport stamp — that an event
+    is executing just before each action runs.  Like metrics, this is pure observation: byte-identical
     executions.
 
     Without [scheduler] the engine behaves exactly as before the scheduler
@@ -145,8 +150,8 @@ val create :
 
     {b Reuse.}  [create ~reuse:e] resets [e] in place and returns it, so a
     harness running many executions of one size builds its engine once.
-    [e] keeps the capacity of its event arena, heap and same-instant lane
-    — the memory of its largest run so far — and loses everything else:
+    [e] keeps the capacity of its event arena, heap, lane and run — the
+    memory of its largest run so far — and loses everything else:
     the clock, the sequence numbers and the {!counters} go back to 0,
     every pending event is dropped without running, and the hooks,
     budgets, observer and digest source become those of this call (none

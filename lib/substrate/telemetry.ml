@@ -318,12 +318,12 @@ module Collector = struct
     in
     let transit_spans = Hashtbl.create 256 in
     let proc_spans = Hashtbl.create 256 in
-    List.iteri
-      (fun seq (lamport, _, _, _, item) ->
+    List.iter
+      (fun (lamport, _, _, _, item) ->
          match item with
          | Transit i ->
            let tr = t.tarr.(i) in
-           Causal.enter_event c ~seq ~lamport:(lamport - 1) ~time:tr.tr_begin;
+           Causal.enter_event c ~lamport:(lamport - 1);
            Causal.set_current c
              (if tr.tr_cause >= 0 then
                 Hashtbl.find_opt proc_spans (tr.tr_src, tr.tr_cause)
@@ -335,7 +335,7 @@ module Collector = struct
            Hashtbl.replace transit_spans i s
          | Proc (node, idx) ->
            let p = procs.(node).(idx) in
-           Causal.enter_event c ~seq ~lamport:(lamport - 1) ~time:p.pr_begin;
+           Causal.enter_event c ~lamport:(lamport - 1);
            Causal.set_current c None;
            let cause =
              if p.pr_cause >= 0 then Hashtbl.find_opt transit_spans p.pr_cause

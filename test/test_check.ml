@@ -312,6 +312,45 @@ let test_liveness_clean_on_paper () =
   in
   Alcotest.(check bool) "clean" true (report.Explore.finding = None)
 
+let words_of f =
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  Gc.minor ();
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* Every schedule of one liveness-bounded exploration runs on the pooled
+   network of one clamped configuration: past the first, a schedule
+   allocates what a warm checked run of that configuration allocates (the
+   scheduler and the oracle) plus O(1) in n, not a new ring.  With
+   [flip = 0] each fuzz schedule is the default one. *)
+let test_liveness_warm_schedule () =
+  let slack = 1024. and liveness = 50 in
+  List.iter
+    (fun n ->
+       let config = Abe_core.Runner.config ~n ~a0:0.1 () in
+       let explore budget () =
+         ignore
+           (Explore.run ~budget ~liveness ~mode:(Explore.Fuzz { flip = 0. })
+              ~seed:1 config)
+       in
+       let per_schedule = (words_of (explore 3) -. words_of (explore 1)) /. 2. in
+       let clamped = Abe_core.Runner.with_limit_events config liveness in
+       let checked_run () =
+         ignore
+           (Abe_core.Runner.run
+              ~scheduler:(Schedulers.replay ~window:Schedulers.default_window [])
+              ~check:true ~seed:1 clamped)
+       in
+       checked_run ();
+       let excess = per_schedule -. words_of checked_run in
+       if excess > slack then
+         Alcotest.failf "n=%d: %g words per schedule beyond a warm checked run \
+                         (slack %g)" n excess slack)
+    [ 250; 4000 ]
+
 let test_quantile_clean () =
   let report =
     Explore.run ~budget:10 ~mode:(Explore.Quantile { tail = 25. }) ~seed:1
@@ -476,7 +515,9 @@ let () =
         [ Alcotest.test_case "catches drop-token" `Quick
             test_liveness_catches_drop_token;
           Alcotest.test_case "clean on paper forwarding" `Quick
-            test_liveness_clean_on_paper ] );
+            test_liveness_clean_on_paper;
+          Alcotest.test_case "warm schedule O(1) in n" `Quick
+            test_liveness_warm_schedule ] );
       ( "certify",
         [ Alcotest.test_case "skew oracle detects" `Quick
             test_skew_oracle_detects;

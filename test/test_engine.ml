@@ -361,12 +361,16 @@ let test_now_event_after_queued_peers () =
   Alcotest.(check (list string)) "queued peers, then now, then later"
     [ "a"; "b"; "c"; "now"; "now-at"; "later" ] (List.rev !log)
 
-(* Random programs for the lane-exactness property.  Event k (in execution
-   order) follows script entry k, if there is one: it schedules children at
-   the given delays (0 lands in the same-instant lane), cancels the handles
-   of earlier-scheduled events, and may stop the run.  The reference keeps
-   a plain pending list and always executes its least [(time, seq)]. *)
+(* Random programs for the pending-order property.  Event k (in execution
+   order) follows script entry k, if there is one: it schedules a round of
+   children one time unit ahead (as a perfect clock's tick does: they join
+   the time-ordered run), then children at the given delays (0 lands in the
+   same-instant lane; a delay shorter than the run's tail goes to the
+   heap), cancels the handles of earlier-scheduled events, and may stop the
+   run.  The reference keeps a plain pending list and always executes its
+   least [(time, seq)]. *)
 type entry = {
+  round : int;
   children : float list;
   cancels : int list;  (* indices into the events scheduled so far *)
   stop : bool;
@@ -376,7 +380,10 @@ type program = {
   roots : float list;
   script : entry array;
   limit : float;  (* the engine's [limit_time] *)
+  max_events : int;  (* the engine's [limit_events] *)
 }
+
+let entry_delays e = List.init e.round (fun _ -> 1.) @ e.children
 
 let reference_order prog =
   let pending = ref [] and scheduled = ref 0 and clock = ref 0. in
@@ -398,7 +405,7 @@ let reference_order prog =
     log := id :: !log;
     if !executed < Array.length prog.script then begin
       let e = prog.script.(!executed) in
-      List.iter add e.children;
+      List.iter add (entry_delays e);
       List.iter
         (fun k ->
            let victim = k mod !scheduled in
@@ -420,7 +427,10 @@ let engine_order drive prog =
           choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
     | By_run | By_step -> None
   in
-  let engine = Engine.create ?scheduler ~limit_time:prog.limit () in
+  let engine =
+    Engine.create ?scheduler ~limit_time:prog.limit
+      ~limit_events:prog.max_events ()
+  in
   let handles = ref [||] and scheduled = ref 0 in
   let log = ref [] and executed = ref 0 in
   let rec add delay =
@@ -434,7 +444,7 @@ let engine_order drive prog =
     log := id :: !log;
     if !executed < Array.length prog.script then begin
       let e = prog.script.(!executed) in
-      List.iter add e.children;
+      List.iter add (entry_delays e);
       List.iter
         (fun k -> Engine.cancel engine !handles.(k mod !scheduled))
         e.cancels;
@@ -446,43 +456,48 @@ let engine_order drive prog =
   (match drive with
    | By_step -> while Engine.step engine do () done
    | By_run | By_scheduler ->
-     (* Resume after every stop; past the time budget, only [step] goes
-        on (it ignores budgets). *)
+     (* Resume after every stop.  Past a budget, [step] (which ignores
+        budgets) executes one event and [run] is tried again: past the time
+        budget, every such [run] puts the event it popped back into the
+        heap, so later pops merge re-enqueued events with the rings. *)
      let rec go () =
        match Engine.run engine with
        | Engine.Stopped -> go ()
-       | Engine.Hit_time_limit -> while Engine.step engine do () done
-       | Engine.Drained | Engine.Hit_event_limit | Engine.Hit_wall_deadline ->
-         ()
+       | Engine.Hit_time_limit | Engine.Hit_event_limit ->
+         if Engine.step engine then go ()
+       | Engine.Drained | Engine.Hit_wall_deadline -> ()
      in
      go ());
   List.rev !log
 
 let program_gen =
   let open QCheck.Gen in
-  let delay = oneofl [ 0.; 0.; 0.; 0.5; 1.; 1.; 2. ] in
+  let delay = oneofl [ 0.; 0.; 0.; 0.25; 0.5; 1.; 1.; 1.5; 2. ] in
   let entry =
-    map3
-      (fun children cancels stop -> { children; cancels; stop })
+    map4
+      (fun round children cancels stop -> { round; children; cancels; stop })
+      (frequency [ (2, return 0); (1, int_range 1 4) ])
       (list_size (int_bound 3) delay)
       (list_size (int_bound 1) nat)
       (frequency [ (1, return true); (9, return false) ])
   in
-  map3
-    (fun roots script limit -> { roots; script = Array.of_list script; limit })
+  map4
+    (fun roots script limit max_events ->
+       { roots; script = Array.of_list script; limit; max_events })
     (list_size (int_range 1 6) delay)
     (list_size (int_bound 80) entry)
-    (oneofl [ 1.; 2.5; infinity ])
+    (oneofl [ 1.; 2.5; 4.; infinity ])
+    (oneofl [ 5; 30; max_int ])
 
 let print_program prog =
-  Printf.sprintf "roots=[%s] limit=%g script=[%s]"
+  Printf.sprintf "roots=[%s] limit=%g max_events=%d script=[%s]"
     (String.concat ";" (List.map string_of_float prog.roots))
-    prog.limit
+    prog.limit prog.max_events
     (String.concat "; "
        (Array.to_list
           (Array.map
              (fun e ->
-                Printf.sprintf "{%s|%s%s}"
+                Printf.sprintf "{%dx1|%s|%s%s}" e.round
                   (String.concat "," (List.map string_of_float e.children))
                   (String.concat "," (List.map string_of_int e.cancels))
                   (if e.stop then "|stop" else ""))
@@ -574,6 +589,53 @@ let test_reuse_resets () =
   Alcotest.(check bool) "only new events, in time order" true
     (List.rev !log = expected)
 
+(* A tick round of [chains] perfect clocks over [rounds] instants: each
+   tick reschedules its chain one unit ahead (the run), schedules a
+   completion at the same instant (the lane), and every third one a
+   message landing before the next round (the heap). *)
+let tick_rounds e ~chains ~rounds log =
+  let rec tick c k () =
+    log := (c, k, Engine.now e) :: !log;
+    ignore (Engine.schedule e ~delay:0. (fun () -> log := (c, -k, Engine.now e) :: !log));
+    if (c + k) mod 3 = 0 then
+      ignore
+        (Engine.schedule e ~delay:0.5 (fun () ->
+             log := (c, 1000 + k, Engine.now e) :: !log));
+    if k < rounds then ignore (Engine.schedule e ~delay:1. (tick c (k + 1)))
+  in
+  for c = 0 to chains - 1 do
+    ignore (Engine.schedule e ~delay:(if c = chains - 1 then 0.5 else 1.) (tick c 1))
+  done
+
+(* An engine abandoned mid-round — an action raised with events pending in
+   the lane, the run and the heap — executes after [create ~reuse] exactly
+   what a fresh engine executes. *)
+let test_reuse_abandoned_run () =
+  let e = Engine.create () in
+  let stale = ref [] in
+  tick_rounds e ~chains:12 ~rounds:50 stale;
+  ignore
+    (Engine.schedule e ~delay:7. (fun () ->
+         ignore (Engine.schedule e ~delay:0. ignore);
+         failwith "abandon"));
+  (match Engine.run e with
+   | _ -> Alcotest.fail "the run should have raised"
+   | exception Failure _ -> ());
+  Alcotest.(check bool) "abandoned with events pending" true
+    (Engine.pending_events e > 12);
+  let replay engine =
+    let log = ref [] in
+    tick_rounds engine ~chains:5 ~rounds:9 log;
+    let outcome = Engine.run engine in
+    (outcome, List.rev !log, Engine.executed_events engine,
+     Engine.max_queue_depth engine)
+  in
+  let fresh = replay (Engine.create ()) in
+  stale := [];
+  let reused = replay (Engine.create ~reuse:e ()) in
+  Alcotest.(check bool) "nothing from before the reset runs" true (!stale = []);
+  Alcotest.(check bool) "same execution as a fresh engine" true (fresh = reused)
+
 let () =
   Alcotest.run "engine"
     [ ( "ordering",
@@ -593,7 +655,9 @@ let () =
       ( "arena",
         [ Alcotest.test_case "executed action is released" `Quick
             test_executed_action_released;
-          Alcotest.test_case "reuse resets" `Quick test_reuse_resets ] );
+          Alcotest.test_case "reuse resets" `Quick test_reuse_resets;
+          Alcotest.test_case "reuse after an abandoned run" `Quick
+            test_reuse_abandoned_run ] );
       ( "control",
         [ Alcotest.test_case "stop and resume" `Quick test_stop_and_resume;
           Alcotest.test_case "event limit" `Quick test_event_limit;
