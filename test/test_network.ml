@@ -1078,6 +1078,158 @@ let test_message_path_allocation () =
   if words > 3. then
     Alcotest.failf "token ring: %g minor words per event (bound 3)" words
 
+(* ---- golden: every message fate through every hook ---- *)
+
+(* Two nodes, each sending its tick count on every tick, with delay 1 and
+   processing 0.25; node 0 ticks at phase 0.243, node 1 at 0.130 (seed 5),
+   so a message leaves at its sender's completion instant and arrives one
+   unit later.  Link 0 (0 -> 1) is down over [3.5, 5.5): the message sent
+   at 3.49 dies in flight at 4.49, those sent at 4.49 and 5.49 die at the
+   send.  Node 0 crashes at 7.5 and rejoins at 9: the message that arrived
+   at 7.38 dies mid-processing at 7.74, the one arriving at 8.38 dies at
+   the arrival.  Loss 0.2 loses three more. *)
+let golden_config =
+  { (Net.default_config ~topology:two_node_topology
+       ~delay:(Delay_model.abd_deterministic ~delay:1.))
+    with
+    Net.proc_delay = Some (Abe_prob.Dist.deterministic 0.25);
+    loss_probability = 0.2;
+    link_downs = [ (0, 3.5, 5.5) ];
+    crash_times = [ (0, 7.5) ];
+    revive_times = [ (0, 9.) ] }
+
+let golden_handlers : Net.handlers =
+  { init = (fun _ -> { Proto.received = []; ticks = 0 });
+    on_message =
+      (fun ctx st v ->
+         { st with Proto.received = (v, ctx.Net.now ()) :: st.Proto.received });
+    on_tick =
+      (fun ctx st ->
+         if ctx.Net.now () < 11. then ctx.Net.send 0 st.Proto.ticks;
+         { st with Proto.ticks = st.Proto.ticks + 1 }) }
+
+let event_line ~time ~(stats : Network.stats) ~in_flight ev =
+  let id (l : Topology.link) = l.Topology.id in
+  let what =
+    match ev with
+    | Network.Send { link; seq } -> Printf.sprintf "send l%d #%d" (id link) seq
+    | Deliver { link; seq; dst } ->
+      Printf.sprintf "deliver l%d #%d n%d" (id link) seq dst
+    | Loss { link; seq } -> Printf.sprintf "loss l%d #%d" (id link) seq
+    | Crash_drop { link; seq; dst } ->
+      Printf.sprintf "crash-drop l%d #%d n%d" (id link) seq dst
+    | Link_drop { link; seq } -> Printf.sprintf "link-drop l%d #%d" (id link) seq
+    | Tick { node; local_time } -> Printf.sprintf "tick n%d %g" node local_time
+    | Crash { node } -> Printf.sprintf "crash n%d" node
+    | Revive { node } -> Printf.sprintf "revive n%d" node
+    | Link_down { link } -> Printf.sprintf "link-down l%d" (id link)
+    | Link_up { link } -> Printf.sprintf "link-up l%d" (id link)
+  in
+  Printf.sprintf "%g %s | %d/%d/%d/%d/%d in-flight %d" time what
+    stats.Network.sent stats.delivered stats.lost stats.link_drops
+    stats.crashed_drops in_flight
+
+let golden_fates () =
+  let metrics = Abe_sim.Metrics.create () in
+  let trace = Abe_sim.Trace.create ~enabled:true () in
+  let causal = Abe_sim.Causal.create () in
+  let events = ref [] in
+  let observer ~time ~stats ~in_flight ev =
+    events := event_line ~time ~stats ~in_flight ev :: !events
+  in
+  let net =
+    Net.create ~metrics ~trace ~causal ~observer ~limit_time:12. ~seed:5
+      golden_config golden_handlers
+  in
+  let outcome = Net.run net in
+  let rows =
+    List.map (String.concat " ") (Abe_sim.Metrics.report_rows metrics)
+  in
+  let file = Filename.temp_file "abe_fates" ".json" in
+  let spans =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+         let oc = open_out_bin file in
+         Abe_sim.Causal.output_trace_json oc causal;
+         close_out oc;
+         let ic = open_in_bin file in
+         let json = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         json)
+  in
+  (outcome, rows, Abe_sim.Trace.to_jsonl trace, List.rev !events, spans)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Entries per fate kind in a JSONL trace. *)
+let trace_kinds jsonl =
+  let rec kind = function
+    | "kind" :: ":" :: k :: _ -> k
+    | _ :: rest -> kind rest
+    | [] -> ""
+  in
+  let kinds =
+    List.map
+      (fun line -> kind (String.split_on_char '"' line))
+      (String.split_on_char '\n' jsonl)
+  in
+  List.filter_map
+    (fun k ->
+       match List.length (List.filter (String.equal k) kinds) with
+       | 0 -> None
+       | count -> Some (Printf.sprintf "%s %d" k count))
+    [ "send"; "recv"; "loss"; "link-drop"; "crash-drop" ]
+
+(* Every export of one run that reaches all five message fates (sent,
+   delivered, lost, link-dropped at the send and in flight, crash-dropped
+   at the arrival and mid-processing), pinned byte for byte. *)
+let test_golden_fates () =
+  let outcome, rows, trace, events, spans = golden_fates () in
+  Alcotest.(check bool) "hits the time limit" true
+    (outcome = Abe_sim.Engine.Hit_time_limit);
+  Alcotest.(check (list string)) "metrics rows"
+    [ "engine/executed counter 81 - - - - - -";
+      "engine/queue_depth histogram 81 - 5.87654 5.9073 9 9 9";
+      "net/crashed_drops counter 2 - - - - - -";
+      "net/delivered counter 13 - - - - - -";
+      "net/in_flight histogram 42 - 2.21429 2.08855 2.95365 4 4";
+      "net/latency histogram 14 - 1 1 1 1 1";
+      "net/link/0000/latency histogram 5 - 1 1 1 1 1";
+      "net/link/0001/latency histogram 9 - 1 1 1 1 1";
+      "net/link_drops counter 3 - - - - - -";
+      "net/lost counter 3 - - - - - -";
+      "net/sent counter 21 - - - - - -";
+      "net/ticks counter 23 - - - - - -" ]
+    rows;
+  let fate line =
+    List.exists
+      (fun word -> List.mem word (String.split_on_char ' ' line))
+      [ "loss"; "link-drop"; "crash-drop"; "crash"; "revive"; "link-down";
+        "link-up" ]
+  in
+  Alcotest.(check (list string)) "observer: every fate but send and deliver"
+    [ "2.49332 loss l0 #5 | 6/2/1/0/0 in-flight 3";
+      "3.5 link-down l0 | 8/4/1/0/0 in-flight 3";
+      "4.49332 link-drop l0 #7 | 9/5/1/1/0 in-flight 2";
+      "4.49332 link-drop l0 #9 | 10/5/1/2/0 in-flight 2";
+      "5.49332 link-drop l0 #11 | 12/6/1/3/0 in-flight 2";
+      "5.5 link-up l0 | 12/6/1/3/0 in-flight 2";
+      "7.5 crash n0 | 16/8/1/3/0 in-flight 4";
+      "7.74332 crash-drop l1 #12 n0 | 16/8/1/3/1 in-flight 3";
+      "8.37957 crash-drop l1 #14 n0 | 16/9/1/3/2 in-flight 1";
+      "8.37957 loss l1 #16 | 17/9/2/3/2 in-flight 1";
+      "9 revive n0 | 17/10/2/3/2 in-flight 0";
+      "10.4933 loss l0 #20 | 21/10/3/3/2 in-flight 3" ]
+    (List.filter fate events);
+  Alcotest.(check string) "observer md5" "3ac897e96e2b147e298898a0b3478960"
+    (md5 (String.concat "\n" events));
+  Alcotest.(check (list string)) "trace kinds"
+    [ "send 21"; "recv 13"; "loss 3"; "link-drop 3" ]
+    (trace_kinds trace);
+  Alcotest.(check string) "trace md5" "bdbf2669fb0b6ff8e925dff97c7516c1" (md5 trace);
+  Alcotest.(check string) "span md5" "0f889836c24be924a5844e068c195de5" (md5 spans)
+
 let () =
   Alcotest.run "network"
     [ ( "delivery",
@@ -1131,6 +1283,8 @@ let () =
       ( "observer",
         [ Alcotest.test_case "sees every event" `Quick
             test_observer_sees_every_event ] );
+      ( "golden",
+        [ Alcotest.test_case "every message fate" `Quick test_golden_fates ] );
       ( "determinism",
         [ Alcotest.test_case "seeded" `Quick test_determinism;
           Alcotest.test_case "loss/delay decoupled" `Quick
