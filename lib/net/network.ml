@@ -203,6 +203,70 @@ module Make (P : PROTOCOL) = struct
     | None -> ()
     | Some f -> f ~time:(now t) ~stats:t.net_stats ~in_flight:t.inflight ev
 
+  (* What becomes of a message: it is [Sent], then leaves flight exactly
+     once — [Delivered], [Lost], dropped by a dead link (at the send or at
+     the arrival) or by a crashed destination (at the arrival or
+     mid-processing). *)
+  type fate = Sent | Delivered | Lost | Link_dropped | Crash_dropped
+
+  (* The one accounting path of a fate: the stats and the in-flight count
+     first, so that the metrics, the observer and the trace all see them
+     updated.  [node] is the sender of a [Sent] message and the
+     destination otherwise.  Inlined, so each call site keeps only the
+     branches of its own fate. *)
+  let[@inline] account t fate link_id ~seq ~node message =
+    let s = t.net_stats in
+    (match fate with
+     | Sent ->
+       s.sent <- s.sent + 1;
+       s.sent_per_node.(node) <- s.sent_per_node.(node) + 1
+     | Delivered ->
+       s.delivered <- s.delivered + 1;
+       s.delivered_per_node.(node) <- s.delivered_per_node.(node) + 1
+     | Lost -> s.lost <- s.lost + 1
+     | Link_dropped -> s.link_drops <- s.link_drops + 1
+     | Crash_dropped -> s.crashed_drops <- s.crashed_drops + 1);
+    t.inflight <- (match fate with Sent -> t.inflight + 1 | _ -> t.inflight - 1);
+    (match t.instruments with
+     | None -> ()
+     | Some ins ->
+       Metrics.incr
+         (match fate with
+          | Sent -> ins.m_sent
+          | Delivered -> ins.m_delivered
+          | Lost -> ins.m_lost
+          | Link_dropped -> ins.m_link_drops
+          | Crash_dropped -> ins.m_crashed_drops);
+       Metrics.observe ins.m_in_flight (float_of_int t.inflight));
+    (match t.observer with
+     | None -> ()
+     | Some f ->
+       let link = t.links.(link_id) in
+       f ~time:(now t) ~stats:s ~in_flight:t.inflight
+         (match fate with
+          | Sent -> Send { link; seq }
+          | Delivered -> Deliver { link; seq; dst = node }
+          | Lost -> Loss { link; seq }
+          | Link_dropped -> Link_drop { link; seq }
+          | Crash_dropped -> Crash_drop { link; seq; dst = node }));
+    match fate with
+    | Crash_dropped -> ()
+    | Sent | Delivered | Lost | Link_dropped ->
+      if Trace.enabled t.trace then
+        Trace.recordf t.trace ~time:(now t)
+          ~kind:
+            (match fate with
+             | Sent -> "send"
+             | Delivered -> "recv"
+             | Lost -> "loss"
+             | Link_dropped -> "link-drop"
+             | Crash_dropped -> "crash-drop")
+          ~source:
+            (match fate with
+             | Sent | Delivered -> Trace.Node node
+             | Lost | Link_dropped | Crash_dropped -> Trace.Link link_id)
+          "%a" P.pp_message message
+
   (* Scheduling classes for the engine's pluggable scheduler: link transit
      events share the link's class (per-link FIFO), node-local events
      (processing completions, ticks) share a per-node class (per-node
@@ -260,44 +324,18 @@ module Make (P : PROTOCOL) = struct
      from inside the handler can reuse it immediately. *)
   let complete_slot t i =
     let dst = t.nodes.(t.env_dst.(i)) in
-    let link_id = t.env_link.(i) in
-    let seq = t.env_seq.(i) in
+    let message = t.env_msg.(i) in
     if dst.is_crashed || dst.incarnation <> t.env_inc.(i) then begin
       (* Crashed between arrival and processing — or crashed {e and}
          rejoined: a completion scheduled under a dead incarnation must
          not deliver into the revived node's fresh state. *)
-      t.net_stats.crashed_drops <- t.net_stats.crashed_drops + 1;
-      t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_crashed_drops;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
-      (match t.observer with
-       | None -> ()
-       | Some _ ->
-         emit t (Crash_drop { link = t.links.(link_id); seq; dst = dst.id }));
+      account t Crash_dropped t.env_link.(i) ~seq:t.env_seq.(i) ~node:dst.id
+        message;
       free_envelope t i
     end
     else begin
-      t.net_stats.delivered <- t.net_stats.delivered + 1;
-      t.net_stats.delivered_per_node.(dst.id) <-
-        t.net_stats.delivered_per_node.(dst.id) + 1;
-      t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_delivered;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
-      (match t.observer with
-       | None -> ()
-       | Some _ ->
-         emit t (Deliver { link = t.links.(link_id); seq; dst = dst.id }));
-      let message = t.env_msg.(i) in
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t) ~kind:"recv"
-          ~source:(Trace.Node dst.id)
-          "%a" P.pp_message message;
+      account t Delivered t.env_link.(i) ~seq:t.env_seq.(i) ~node:dst.id
+        message;
       (match t.causal with
        | None -> ()
        | Some c ->
@@ -314,43 +352,14 @@ module Make (P : PROTOCOL) = struct
      earlier work and schedule the processing completion. *)
   let arrive_slot t i =
     let dst = t.nodes.(t.env_dst.(i)) in
-    if not t.link_up.(t.env_link.(i)) then begin
-      (* The link died with this message in flight: drop at the arrival
-         instant, releasing the envelope like every other exit path. *)
-      t.net_stats.link_drops <- t.net_stats.link_drops + 1;
-      t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_link_drops;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
-      (match t.observer with
-       | None -> ()
-       | Some _ ->
-         emit t
-           (Link_drop
-              { link = t.links.(t.env_link.(i)); seq = t.env_seq.(i) }));
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t) ~kind:"link-drop"
-          ~source:(Trace.Link t.env_link.(i))
-          "%a" P.pp_message t.env_msg.(i);
-      free_envelope t i
-    end
-    else if dst.is_crashed then begin
-      t.net_stats.crashed_drops <- t.net_stats.crashed_drops + 1;
-      t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_crashed_drops;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
-      (match t.observer with
-       | None -> ()
-       | Some _ ->
-         emit t
-           (Crash_drop
-              { link = t.links.(t.env_link.(i)); seq = t.env_seq.(i);
-                dst = dst.id }));
+    let link_id = t.env_link.(i) in
+    if dst.is_crashed || not t.link_up.(link_id) then begin
+      (* The link died with this message in flight, or the destination is
+         down: drop at the arrival instant, releasing the envelope like
+         every other exit path.  A dead link takes precedence. *)
+      account t
+        (if t.link_up.(link_id) then Crash_dropped else Link_dropped)
+        link_id ~seq:t.env_seq.(i) ~node:dst.id t.env_msg.(i);
       free_envelope t i
     end
     else begin
@@ -361,7 +370,7 @@ module Make (P : PROTOCOL) = struct
             queueing at the destination is not included. *)
          let latency = now t -. t.env_sent_at.(i) in
          Metrics.observe ins.m_latency latency;
-         Metrics.observe ins.m_link_latency.(t.env_link.(i)) latency);
+         Metrics.observe ins.m_link_latency.(link_id) latency);
       let arrival = now t in
       occupy t dst ~arrival;
       t.env_arrival.(i) <- arrival;
@@ -432,8 +441,6 @@ module Make (P : PROTOCOL) = struct
     let link_id = link.Topology.id in
     let seq = t.msg_seq in
     t.msg_seq <- seq + 1;
-    t.net_stats.sent <- t.net_stats.sent + 1;
-    t.net_stats.sent_per_node.(src.id) <- t.net_stats.sent_per_node.(src.id) + 1;
     (* The delay is drawn unconditionally, before any loss draw (see
        {!Links}), so the delays of delivered messages are byte-identical
        whether or not loss is enabled. *)
@@ -441,70 +448,26 @@ module Make (P : PROTOCOL) = struct
        boxed float. *)
     let sent_at = now t in
     let delay = Links.delay t.model link_id ~now:sent_at in
-    (* Every message first enters flight (Send), and a lost one leaves it
-       again immediately (Loss) — so the conservation equation holds at
+    (* Every message first enters flight (Send), and a dropped or lost one
+       leaves it again immediately — so the conservation equation holds at
        both observer calls. *)
-    t.inflight <- t.inflight + 1;
-    (match t.instruments with
-     | None -> ()
-     | Some ins ->
-       Metrics.incr ins.m_sent;
-       Metrics.observe ins.m_in_flight (float_of_int t.inflight));
-    (match t.observer with
-     | None -> ()
-     | Some _ -> emit t (Send { link; seq }));
-    if Trace.enabled t.trace then
-      Trace.recordf t.trace ~time:sent_at ~kind:"send"
-        ~source:(Trace.Node src.id)
-        "%a" P.pp_message message;
-    if not t.link_up.(link_id) then begin
-      (* Sent into a down link: the message leaves flight immediately, with
-         no loss draw consumed — on a static topology the loss stream is
-         untouched by this branch ever existing. *)
-      t.net_stats.link_drops <- t.net_stats.link_drops + 1;
-      t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_link_drops;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
-      (match t.observer with
-       | None -> ()
-       | Some _ -> emit t (Link_drop { link; seq }));
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:sent_at ~kind:"link-drop"
-          ~source:(Trace.Link link_id)
-          "%a" P.pp_message message;
+    account t Sent link_id ~seq ~node:src.id message;
+    (* A down link draws no loss coin: on a static topology the loss
+       stream is untouched by this branch ever existing. *)
+    if (not t.link_up.(link_id)) || Links.lost t.model link_id ~now:sent_at
+    then begin
+      let fate = if t.link_up.(link_id) then Lost else Link_dropped in
+      account t fate link_id ~seq ~node:src.id message;
+      (* A dropped or lost message still happened causally: record a
+         zero-length transit span (never marked delivered, so no flow
+         arrow). *)
       match t.causal with
       | None -> ()
       | Some c ->
         ignore
           (Causal.transit c ~link:link_id ~src:src.id ~dst:link.Topology.dst
-             ~t_begin:sent_at ~t_end:sent_at ~label:"link-drop")
-    end
-    else if Links.lost t.model link_id ~now:sent_at then begin
-      t.net_stats.lost <- t.net_stats.lost + 1;
-      t.inflight <- t.inflight - 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins ->
-         Metrics.incr ins.m_lost;
-         Metrics.observe ins.m_in_flight (float_of_int t.inflight));
-      (match t.observer with
-       | None -> ()
-       | Some _ -> emit t (Loss { link; seq }));
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:sent_at ~kind:"loss"
-          ~source:(Trace.Link link_id)
-          "%a" P.pp_message message;
-      (* A lost message still happened causally: record a zero-length
-         transit span (never marked delivered, so no flow arrow). *)
-      match t.causal with
-      | None -> ()
-      | Some c ->
-        ignore
-          (Causal.transit c ~link:link_id ~src:src.id ~dst:link.Topology.dst
-             ~t_begin:sent_at ~t_end:sent_at ~label:"loss")
+             ~t_begin:sent_at ~t_end:sent_at
+             ~label:(match fate with Lost -> "loss" | _ -> "link-drop"))
     end
     else begin
       let arrival = sent_at +. delay in

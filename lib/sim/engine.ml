@@ -19,13 +19,13 @@
    the full key, so the execution order is exactly that of a single heap —
    including for events put back into the heap by a budget or a scheduler.
 
-   [run] dispatches once per call between two monomorphic loops: the fast
-   loop, used when no observer, metrics registry, causal recorder or
-   scheduler is attached, performs no per-event observation branches at
-   all; the instrumented loop carries the full observation surface
-   (metrics, observer, causal announcements) and the scheduler variant on
-   top of that.  Both pop in identical [(time, seq)] order, so executions
-   are byte-identical across loop choices. *)
+   [run] dispatches once per call between two loops: the fast loop, used
+   when no metrics registry, causal recorder or scheduler is attached,
+   performs no per-event observation branches at all; the observed loop
+   executes every event through [execute_next], which [step] shares, with
+   the metrics, the causal announcement and the scheduler's choice.  Both
+   pop in identical [(time, seq)] order, so executions are byte-identical
+   across loop choices. *)
 
 type candidate = {
   c_time : float;
@@ -141,7 +141,6 @@ type t = {
   mutable max_depth : int;  (* high-water mark of [live] *)
   mutable wall : float;     (* host seconds accumulated inside [run] *)
   mutable stop_requested : bool;
-  mutable observer : (float -> unit) option;
   mutable digest_source : (unit -> int) option;
   (* Hooks and budgets: installed by every [create], pooled or fresh. *)
   mutable instruments : instruments option;
@@ -177,7 +176,6 @@ let allocate () =
     max_depth = 0;
     wall = 0.;
     stop_requested = false;
-    observer = None;
     digest_source = None;
     instruments = None;
     scheduler = None;
@@ -214,7 +212,6 @@ let reset t =
   t.max_depth <- 0;
   t.wall <- 0.;
   t.stop_requested <- false;
-  t.observer <- None;
   t.digest_source <- None
 
 let create ?reuse ?metrics ?scheduler ?causal ?(limit_time = infinity)
@@ -412,15 +409,7 @@ let cancel t id =
 
 let stop t = t.stop_requested <- true
 
-let set_observer t f = t.observer <- Some f
-let clear_observer t = t.observer <- None
-
 let set_digest_source t f = t.digest_source <- Some f
-
-let notify t =
-  match t.observer with
-  | None -> ()
-  | Some f -> f t.clock.(0)
 
 (* Record one executed event; [depth] is the pending-event count at the
    instant the event fired. *)
@@ -457,8 +446,8 @@ let max_candidates = 64
    [window] of the earliest one, let the scheduler choose among the
    per-tag-FIFO-eligible ones, and put the rest back untouched (original
    timestamp and sequence number, so their relative order is preserved).
-   Returns the chosen slot and leaves its execution time, which is its own
-   timestamp clamped to the (monotone) clock, in [t.at.(0)]. *)
+   Returns the chosen slot and advances the clock to its execution time:
+   its own timestamp, clamped to the (monotone) clock. *)
 let choose_from t sched slot0 =
   let t0 = t.ev_time.(slot0) in
   let bound = t0 +. sched.window in
@@ -519,17 +508,23 @@ let choose_from t sched slot0 =
          Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(s) s)
     entries;
   let slot = entries.(chosen_index) in
-  t.at.(0) <- Float.max t.clock.(0) t.ev_time.(slot);
+  t.clock.(0) <- Float.max t.clock.(0) t.ev_time.(slot);
   slot
 
-(* Execute one live slot through the full observation surface, at the
-   instant [times.(i)] (read from a flat array, so no float is boxed per
-   event).  The slot is freed (generation bumped, action nulled) before
-   the action runs, so a late [cancel] with the event's handle is a
-   guaranteed no-op and the closure is unreachable the moment it
-   returns. *)
-let execute t ~times i slot =
-  t.clock.(0) <- times.(i);
+(* Execute the event due after [slot0], the earliest live slot just
+   popped: [slot0] itself, or the scheduler's choice among the candidates
+   it heads.  The event runs through the full observation surface, and
+   the executed slot is returned.  The slot is freed (generation bumped)
+   before the action runs, so a late [cancel] with the event's handle is a
+   guaranteed no-op. *)
+let execute_next t slot0 =
+  let slot =
+    match t.scheduler with
+    | None ->
+      t.clock.(0) <- t.ev_time.(slot0);
+      slot0
+    | Some sched -> choose_from t sched slot0
+  in
   t.live <- t.live - 1;
   t.executed <- t.executed + 1;
   measure t ~depth:t.live;
@@ -537,37 +532,19 @@ let execute t ~times i slot =
   let action = t.ev_action.(slot) in
   free_slot t slot;
   action ();
-  notify t
+  slot
 
 (* The executed action is dropped as [step] returns, unless the action
    itself has reused its slot. *)
-let step_slot t ~times i slot =
-  execute t ~times i slot;
-  if t.ev_state.(slot) = st_free then t.ev_action.(slot) <- null_action
-
 let step t =
-  match t.scheduler with
-  | None ->
-    let slot = pop_live_slot t in
-    if slot < 0 then false
-    else begin
-      step_slot t ~times:t.ev_time slot slot;
-      true
-    end
-  | Some sched ->
-    let slot0 = pop_live_slot t in
-    if slot0 < 0 then false
-    else begin
-      step_slot t ~times:t.at 0 (choose_from t sched slot0);
-      true
-    end
+  let slot0 = pop_live_slot t in
+  if slot0 < 0 then false
+  else begin
+    let slot = execute_next t slot0 in
+    if t.ev_state.(slot) = st_free then t.ev_action.(slot) <- null_action;
+    true
+  end
 
-(* The monomorphic fast loop: no observer, metrics, causal recorder or
-   scheduler — and therefore not a single observation branch per event.
-   Identical (time, seq) pop order to the instrumented loops, so outcomes
-   are byte-identical; an over-budget event is re-enqueued under its
-   original [eseq] so it is not demoted behind same-priority peers on
-   resume. *)
 (* Coarse wall-clock deadline probe: the [gettimeofday] syscall is paid at
    most once per 1024 executed events, and never when no deadline is set,
    so the fast loop stays a float compare away from its deadline-free
@@ -578,6 +555,11 @@ let past_wall_deadline t =
   && t.executed land 1023 = 0
   && Unix.gettimeofday () > t.wall_deadline
 
+(* The monomorphic fast loop: no metrics, causal recorder or scheduler —
+   and therefore not a single observation branch per event.  Identical
+   (time, seq) pop order to the observed loop, so outcomes are
+   byte-identical; an over-budget event is re-enqueued under its original
+   [eseq] so it is not demoted behind same-priority peers on resume. *)
 let run_fast t =
   let rec loop () =
     if t.stop_requested then Stopped
@@ -606,32 +588,10 @@ let run_fast t =
   in
   loop ()
 
-let run_instrumented t =
-  let rec loop () =
-    if t.stop_requested then Stopped
-    else if t.executed >= t.limit_events then Hit_event_limit
-    else if past_wall_deadline t then Hit_wall_deadline
-    else begin
-      let slot = pop_live_slot t in
-      if slot < 0 then Drained
-      else begin
-        if t.ev_time.(slot) > t.limit_time then begin
-          Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(slot) slot;
-          Hit_time_limit
-        end
-        else begin
-          execute t ~times:t.ev_time slot slot;
-          loop ()
-        end
-      end
-    end
-  in
-  loop ()
-
-(* Scheduler variant: the time budget is checked against the earliest
-   pending timestamp (before any reordering), and a deferred event keeps
-   its original queue key when put back. *)
-let run_scheduled t sched =
+(* The observed loop, with or without a scheduler: the time budget is
+   checked against the earliest pending timestamp, before any reordering,
+   and a deferred event keeps its original queue key when put back. *)
+let run_observed t =
   let rec loop () =
     if t.stop_requested then Stopped
     else if t.executed >= t.limit_events then Hit_event_limit
@@ -644,7 +604,7 @@ let run_scheduled t sched =
         Hit_time_limit
       end
       else begin
-        execute t ~times:t.at 0 (choose_from t sched slot0);
+        ignore (execute_next t slot0);
         loop ()
       end
     end
@@ -655,12 +615,9 @@ let run t =
   let started = Unix.gettimeofday () in
   t.stop_requested <- false;
   let outcome =
-    match t.scheduler with
-    | Some sched -> run_scheduled t sched
-    | None ->
-      if t.instruments == None && t.causal == None && t.observer == None
-      then run_fast t
-      else run_instrumented t
+    if t.instruments == None && t.causal == None && t.scheduler == None then
+      run_fast t
+    else run_observed t
   in
   release_actions t;
   t.wall <- t.wall +. (Unix.gettimeofday () -. started);

@@ -18,11 +18,12 @@
     in a parallel array, tag/seq/lamport/state in [int array]s) with freed
     slots recycled through a freelist.  Pending events are held in three
     places — the same-instant lane, the run and a heap — each of which
-    orders bare arena indices.  When no observer, metrics registry, causal
-    recorder or scheduler is attached, [run] enters a monomorphic fast loop
-    with no per-event observation branches and no per-event allocation.
-    Both loops pop in identical [(time, seq)] order, so executions are
-    byte-identical whichever is selected.
+    orders bare arena indices.  [run] picks one of two loops per call.
+    When no metrics registry, causal recorder or scheduler is attached, it
+    enters the fast loop, with no per-event observation branches and no
+    per-event allocation; otherwise the observed loop, which executes each
+    event as {!step} does.  Both loops pop in identical [(time, seq)]
+    order, so executions are byte-identical whichever is selected.
 
     {b Same-instant lane and run.}  An event scheduled for exactly the
     current clock instant — a zero delay, such as a handler completion with
@@ -154,7 +155,7 @@ val create :
     memory of its largest run so far — and loses everything else:
     the clock, the sequence numbers and the {!counters} go back to 0,
     every pending event is dropped without running, and the hooks,
-    budgets, observer and digest source become those of this call (none
+    budgets and digest source become those of this call (none
     unless given again).  The reset engine executes exactly what a fresh
     one would.  Generation stamps are the one thing that keeps counting:
     a handle from before the reset is stale, and {!cancel} through it is
@@ -197,19 +198,6 @@ val cancel : t -> event_id -> unit
 val stop : t -> unit
 (** Request termination: [run] returns {!Stopped} after the current action
     finishes. *)
-
-val set_observer : t -> (float -> unit) -> unit
-(** Install a per-event observer, called with the event's timestamp after
-    each executed event's action returns (in both {!run} and {!step}).
-    Invariant monitors hook here to check post-conditions at every step.
-    At most one observer is installed; a second call replaces the first.
-    The observer must not schedule, cancel or stop — it is a read-only
-    probe.  Install it before calling {!run}: the observed/unobserved
-    decision is made once per [run] call, so an observer installed from
-    inside an action of an otherwise uninstrumented run only takes effect
-    at the next {!run} or {!step}. *)
-
-val clear_observer : t -> unit
 
 val set_digest_source : t -> (unit -> int) -> unit
 (** Install the function that computes the [state_digest] handed to a

@@ -286,46 +286,6 @@ let test_counters_ignore_cancelled () =
   Alcotest.(check int) "only live event executed" 1 c.Engine.executed;
   Alcotest.(check int) "depth counted both while live" 2 c.Engine.max_queue_depth
 
-let test_observer_sees_every_event () =
-  let engine = Engine.create () in
-  let seen = ref [] in
-  Engine.set_observer engine (fun time -> seen := time :: !seen);
-  List.iter
-    (fun delay -> ignore (Engine.schedule engine ~delay (fun () -> ())))
-    [ 3.; 1.; 2. ];
-  ignore (Engine.run engine);
-  Alcotest.(check (list (float 1e-9))) "called once per event, with its time"
-    [ 1.; 2.; 3. ] (List.rev !seen)
-
-let test_observer_sees_step () =
-  let engine = Engine.create () in
-  let calls = ref 0 in
-  Engine.set_observer engine (fun _ -> incr calls);
-  ignore (Engine.schedule engine ~delay:1. (fun () -> ()));
-  ignore (Engine.step engine);
-  Alcotest.(check int) "observer fires under step" 1 !calls
-
-let test_observer_after_action () =
-  (* The observer is a post-condition probe: it must run after the event's
-     action, seeing the state the action left behind. *)
-  let engine = Engine.create () in
-  let state = ref 0 and observed = ref (-1) in
-  Engine.set_observer engine (fun _ -> observed := !state);
-  ignore (Engine.schedule engine ~delay:1. (fun () -> state := 7));
-  ignore (Engine.run engine);
-  Alcotest.(check int) "sees post-action state" 7 !observed
-
-let test_clear_observer () =
-  let engine = Engine.create () in
-  let calls = ref 0 in
-  Engine.set_observer engine (fun _ -> incr calls);
-  ignore (Engine.schedule engine ~delay:1. (fun () -> ()));
-  ignore (Engine.run engine);
-  Engine.clear_observer engine;
-  ignore (Engine.schedule engine ~delay:1. (fun () -> ()));
-  ignore (Engine.run engine);
-  Alcotest.(check int) "no calls after clear" 1 !calls
-
 let prop_many_events_ordered =
   QCheck.Test.make ~name:"random schedules execute in order" ~count:200
     QCheck.(list (float_range 0. 100.))
@@ -416,7 +376,9 @@ let reference_order prog =
   done;
   List.rev !log
 
-type drive = By_run | By_step | By_scheduler
+(* [By_run] takes the fast loop, [By_metrics] the observed loop with no
+   scheduler, [By_scheduler] the observed loop with one. *)
+type drive = By_run | By_step | By_metrics | By_scheduler
 
 let engine_order drive prog =
   let scheduler =
@@ -425,10 +387,15 @@ let engine_order drive prog =
       Some
         { Engine.window = 1.5;
           choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
-    | By_run | By_step -> None
+    | By_run | By_step | By_metrics -> None
+  in
+  let metrics =
+    match drive with
+    | By_metrics -> Some (Metrics.create ())
+    | By_run | By_step | By_scheduler -> None
   in
   let engine =
-    Engine.create ?scheduler ~limit_time:prog.limit
+    Engine.create ?metrics ?scheduler ~limit_time:prog.limit
       ~limit_events:prog.max_events ()
   in
   let handles = ref [||] and scheduled = ref 0 in
@@ -455,7 +422,7 @@ let engine_order drive prog =
   List.iter add prog.roots;
   (match drive with
    | By_step -> while Engine.step engine do () done
-   | By_run | By_scheduler ->
+   | By_run | By_metrics | By_scheduler ->
      (* Resume after every stop.  Past a budget, [step] (which ignores
         budgets) executes one event and [run] is tried again: past the time
         budget, every such [run] puts the event it popped back into the
@@ -505,14 +472,16 @@ let print_program prog =
 
 let prop_lane_exact =
   QCheck.Test.make
-    ~name:"same-instant lane keeps (time, seq) order: run, step, scheduler"
+    ~name:
+      "same-instant lane keeps (time, seq) order: run, step, metrics, \
+       scheduler"
     ~count:300
     (QCheck.make ~print:print_program program_gen)
     (fun prog ->
        let expected = reference_order prog in
        List.for_all
          (fun drive -> engine_order drive prog = expected)
-         [ By_run; By_step; By_scheduler ])
+         [ By_run; By_step; By_metrics; By_scheduler ])
 
 let test_wall_deadline_stops_run () =
   (* A self-perpetuating event chain: without the wall deadline this run
@@ -680,13 +649,6 @@ let () =
             test_counters_stable_across_time_limit_resume;
           Alcotest.test_case "cancelled events" `Quick
             test_counters_ignore_cancelled ] );
-      ( "observer",
-        [ Alcotest.test_case "sees every event" `Quick
-            test_observer_sees_every_event;
-          Alcotest.test_case "fires under step" `Quick test_observer_sees_step;
-          Alcotest.test_case "runs after the action" `Quick
-            test_observer_after_action;
-          Alcotest.test_case "clear" `Quick test_clear_observer ] );
       ( "validation",
         [ Alcotest.test_case "schedule_at" `Quick test_schedule_at;
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;
