@@ -249,23 +249,20 @@ module Make (P : PROTOCOL) = struct
           | Lost -> Loss { link; seq }
           | Link_dropped -> Link_drop { link; seq }
           | Crash_dropped -> Crash_drop { link; seq; dst = node }));
-    match fate with
-    | Crash_dropped -> ()
-    | Sent | Delivered | Lost | Link_dropped ->
-      if Trace.enabled t.trace then
-        Trace.recordf t.trace ~time:(now t)
-          ~kind:
-            (match fate with
-             | Sent -> "send"
-             | Delivered -> "recv"
-             | Lost -> "loss"
-             | Link_dropped -> "link-drop"
-             | Crash_dropped -> "crash-drop")
-          ~source:
-            (match fate with
-             | Sent | Delivered -> Trace.Node node
-             | Lost | Link_dropped | Crash_dropped -> Trace.Link link_id)
-          "%a" P.pp_message message
+    if Trace.enabled t.trace then
+      Trace.recordf t.trace ~time:(now t)
+        ~kind:
+          (match fate with
+           | Sent -> "send"
+           | Delivered -> "recv"
+           | Lost -> "loss"
+           | Link_dropped -> "link-drop"
+           | Crash_dropped -> "crash-drop")
+        ~source:
+          (match fate with
+           | Sent | Delivered -> Trace.Node node
+           | Lost | Link_dropped | Crash_dropped -> Trace.Link link_id)
+        "%a" P.pp_message message
 
   (* Scheduling classes for the engine's pluggable scheduler: link transit
      events share the link's class (per-link FIFO), node-local events

@@ -23,8 +23,10 @@ type entry = {
   seq : int;        (** 0-based index in recording order, monotone across
                         entries dropped by the capacity bound *)
   time : float;
-  kind : string;    (** event kind, e.g. ["send"], ["recv"], ["loss"],
-                        ["note"] *)
+  kind : string;    (** event kind: a message's ["send"], ["recv"],
+                        ["loss"], ["link-drop"] or ["crash-drop"] (the
+                        last three with a [Link] source), or a
+                        harness's ["note"] and the like *)
   source : source;
   message : string; (** human-readable payload *)
 }

@@ -1162,18 +1162,18 @@ let golden_fates () =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-(* Entries per fate kind in a JSONL trace. *)
-let trace_kinds jsonl =
+(* The kind of a JSONL trace line. *)
+let trace_kind line =
   let rec kind = function
     | "kind" :: ":" :: k :: _ -> k
     | _ :: rest -> kind rest
     | [] -> ""
   in
-  let kinds =
-    List.map
-      (fun line -> kind (String.split_on_char '"' line))
-      (String.split_on_char '\n' jsonl)
-  in
+  kind (String.split_on_char '"' line)
+
+(* Entries per fate kind in a JSONL trace. *)
+let trace_kinds jsonl =
+  let kinds = List.map trace_kind (String.split_on_char '\n' jsonl) in
   List.filter_map
     (fun k ->
        match List.length (List.filter (String.equal k) kinds) with
@@ -1225,9 +1225,15 @@ let test_golden_fates () =
   Alcotest.(check string) "observer md5" "3ac897e96e2b147e298898a0b3478960"
     (md5 (String.concat "\n" events));
   Alcotest.(check (list string)) "trace kinds"
-    [ "send 21"; "recv 13"; "loss 3"; "link-drop 3" ]
+    [ "send 21"; "recv 13"; "loss 3"; "link-drop 3"; "crash-drop 2" ]
     (trace_kinds trace);
-  Alcotest.(check string) "trace md5" "bdbf2669fb0b6ff8e925dff97c7516c1" (md5 trace);
+  Alcotest.(check (list string)) "trace: crash drops"
+    [ {|{"seq":28,"time":7.74332385588,"kind":"crash-drop","link":1,"payload":"6"}|};
+      {|{"seq":30,"time":8.37957214364,"kind":"crash-drop","link":1,"payload":"7"}|} ]
+    (List.filter
+       (fun line -> trace_kind line = "crash-drop")
+       (String.split_on_char '\n' trace));
+  Alcotest.(check string) "trace md5" "883194e981ed22f9bacc1e873a6c22e7" (md5 trace);
   Alcotest.(check string) "span md5" "0f889836c24be924a5844e068c195de5" (md5 spans)
 
 let () =
