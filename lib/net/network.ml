@@ -212,8 +212,8 @@ module Make (P : PROTOCOL) = struct
   (* The one accounting path of a fate: the stats and the in-flight count
      first, so that the metrics, the observer and the trace all see them
      updated.  [node] is the sender of a [Sent] message and the
-     destination otherwise.  Inlined, so each call site keeps only the
-     branches of its own fate. *)
+     destination of a [Delivered] or [Crash_dropped] one.  Inlined, so
+     each call site keeps only the branches of its own fate. *)
   let[@inline] account t fate link_id ~seq ~node message =
     let s = t.net_stats in
     (match fate with

@@ -133,8 +133,8 @@ type t = {
   clock : float array;  (* length 1: a flat cell so advancing the virtual
                            clock never boxes a float *)
   at : float array;     (* length 1: [schedule]/[schedule_at]'s target
-                           time, and a scheduler's chosen execution time,
-                           so every path reads it from a flat array *)
+                           time, so [schedule_from] reads it from a flat
+                           array *)
   mutable seq : int;
   mutable executed : int;
   mutable live : int;  (* pending, non-cancelled events *)

@@ -85,8 +85,6 @@ let[@inline] add_at t ~times ~seq v =
   Array.unsafe_set t.prio t.len (Array.unsafe_get times v);
   push t ~seq v
 
-let min_priority t = if t.len = 0 then None else Some t.prio.(0)
-
 let min_value t = if t.len = 0 then -1 else t.value.(0)
 
 (* Bottom-up deletion: run a hole from the root down the min-child path to

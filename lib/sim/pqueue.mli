@@ -28,9 +28,6 @@ val add_at : t -> times:float array -> seq:int -> int -> unit
     not be NaN — the engine guarantees both at scheduling (arena slots
     index the arena's time array), so neither is re-checked here. *)
 
-val min_priority : t -> float option
-(** Priority of the minimum element, if any. *)
-
 val min_value : t -> int
 (** Payload of the minimum element without removing it; [-1] when empty.
     Allocation-free. *)

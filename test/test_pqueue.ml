@@ -57,14 +57,12 @@ let test_empty () =
   Alcotest.(check int) "length" 0 (Pqueue.length q);
   Alcotest.(check bool) "pop none" true (Pqueue.pop q = None);
   Alcotest.(check int) "pop_value empty" (-1) (Pqueue.pop_value q);
-  Alcotest.(check int) "min_value empty" (-1) (Pqueue.min_value q);
-  Alcotest.(check bool) "min none" true (Pqueue.min_priority q = None)
+  Alcotest.(check int) "min_value empty" (-1) (Pqueue.min_value q)
 
-let test_min_priority () =
+let test_min_value () =
   let q = Pqueue.create () in
   Pqueue.add q ~priority:3. ~seq:0 0;
   Pqueue.add q ~priority:1. ~seq:1 1;
-  Alcotest.(check (option (float 1e-9))) "min" (Some 1.) (Pqueue.min_priority q);
   Alcotest.(check int) "min value" 1 (Pqueue.min_value q);
   Alcotest.(check int) "peek does not pop" 2 (Pqueue.length q)
 
@@ -245,7 +243,7 @@ let () =
         [ Alcotest.test_case "ordering" `Quick test_ordering;
           Alcotest.test_case "tie break" `Quick test_tie_break_by_seq;
           Alcotest.test_case "empty" `Quick test_empty;
-          Alcotest.test_case "min priority" `Quick test_min_priority;
+          Alcotest.test_case "min value" `Quick test_min_value;
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "clear then reuse" `Quick test_clear_then_reuse;
           Alcotest.test_case "nan rejected" `Quick test_nan_rejected;
