@@ -191,13 +191,19 @@ module Make (P : PROTOCOL) : sig
 
       When a [metrics] registry is supplied the network (and its engine)
       record into it: counters ["net/sent"], ["net/delivered"],
-      ["net/lost"], ["net/crashed_drops"], ["net/ticks"]; histograms
-      ["net/latency"] (link transit time of every message reaching a live
-      node, aggregated) and ["net/link/NNNN/latency"] per link id; and
-      ["net/in_flight"] (in-flight message count observed at every
-      send/deliver/loss transition).  Like tracing and observers,
-      recording draws no randomness: every outcome is byte-identical with
-      and without a registry.
+      ["net/lost"], ["net/crashed_drops"], ["net/link_drops"],
+      ["net/ticks"]; histograms ["net/latency"] (link transit time of
+      every message reaching a live node, aggregated) and
+      ["net/link/NNNN/latency"] per link id; and ["net/in_flight"]
+      (in-flight message count observed at every send and at every
+      message leaving flight).  Like tracing and observers, recording
+      draws no randomness: every outcome is byte-identical with and
+      without a registry.
+
+      Every message fate reaches the stats, the metrics, the observer and
+      an enabled [trace] alike.  The trace gets one entry per fate: a
+      ["send"] from the sender, a ["recv"] from the destination, or a
+      ["loss"], ["link-drop"] or ["crash-drop"] from the link.
 
       When a [causal] span recorder is supplied the network records the
       happens-before DAG into it (and threads it to its engine): a

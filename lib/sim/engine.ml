@@ -52,7 +52,7 @@ type counters = {
   wall_time : float;
 }
 
-(* Pre-resolved metric handles, so the instrumented loop never touches the
+(* Pre-resolved metric handles, so the observed loop never touches the
    registry's name table. *)
 type instruments = {
   m_executed : Metrics.counter;
