@@ -15,6 +15,8 @@
      explore    schedule search for invariant violations
      replay     re-execute a repro artifact
      certify    certify the synchronisers over explored schedules
+     reproduce  the paper's experiment suite and claim scoreboard
+                (experiments.ml)
 
    Every subcommand is declared the same way (see cli.ml): a run function
    ending in [()] applied to its terms, wrapped by [command]. *)
@@ -1231,4 +1233,5 @@ let () =
           [ elect_command; parity_command; saturate_command; sweep_command;
             baselines_command; sync_command; metrics_command;
             critpath_command; churn_command; family_command; dist_command;
-            explore_command; replay_command; certify_command ]))
+            explore_command; replay_command; certify_command;
+            Experiments.command ]))

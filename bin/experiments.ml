@@ -1,11 +1,12 @@
-(* The experiment suite: one function per experiment (E1..E12), each
-   printing the table(s) it regenerates and registering paper-claim-vs-
-   measured records on the scoreboard.
+(* The experiment suite behind [abe-sim reproduce]: one function per
+   experiment (E1..E13), each printing the table(s) it regenerates and
+   returning its paper-claim-vs-measured records for the scoreboard.
 
    The brief announcement has no numbered tables or figures; each
    experiment reproduces a quantitative sentence of the paper (see
    DESIGN.md section 3 for the index). *)
 
+open Cmdliner
 open Abe_prob
 open Abe_harness
 
@@ -28,15 +29,16 @@ let scaled_a0 ?(theta = 1.) n = Float.min 0.5 (theta /. float_of_int (n * n))
 let ring_sizes scale =
   List.filter (fun n -> n <= scale.max_n) [ 8; 16; 32; 64; 128; 256; 512 ]
 
-(* Replication driver for the whole suite; main.ml sets it from --jobs.
-   Results are driver-independent (see Abe_harness.Driver), so parallel
-   bench runs regenerate the exact sequential tables. *)
-let driver = ref Driver.Sequential
+(* What an experiment is given: its scale, the driver that replicates its
+   elections, and [print] for each table it shows.  Results are
+   driver-independent (see Abe_harness.Driver), so --jobs regenerates the
+   exact sequential tables. *)
+type setting = { scale : scale; driver : Driver.t; print : Table.t -> unit }
 
-let election_runs ~scale ~base ~n ~a0 ?delay ?proc_delay ?params () =
+let election_runs ~driver ~scale ~base ~n ~a0 ?delay ?proc_delay ?params () =
   let config = Abe_core.Runner.config ~n ~a0 ?delay ?proc_delay ?params () in
   let reps = if n >= 256 then scale.reps_large else scale.reps in
-  Exp.replicate ~driver:!driver ~base ~count:reps (fun ~seed ->
+  Exp.replicate ~driver ~base ~count:reps (fun ~seed ->
       Abe_core.Runner.run ~seed config)
 
 let messages_of o = float_of_int o.Abe_core.Runner.messages
@@ -46,7 +48,7 @@ let unique o = o.Abe_core.Runner.leader_count = 1
 
 (* ------------------------------------------------------------------ E1 *)
 
-let e1_retransmission scale =
+let e1_retransmission { scale; print; _ } =
   let table =
     Table.create ~title:"E1: lossy channel, k_avg = 1/p (Sec. 1(iii))"
       ~columns:
@@ -90,17 +92,16 @@ let e1_retransmission scale =
       Table.cell_summary arq.Abe_core.Retransmission.delay;
       Table.cell_bool
         (Float.abs (arq.Abe_core.Retransmission.attempts.Stats.mean -. 4.) < 0.1) ];
-  Table.print table;
-  Report.register
-    (Report.make ~id:"E1"
-       ~claim:"average number of transmissions k_avg = 1/p; average delay 1/p"
-       ~expectation:"measured means match 1/p across p in [0.1, 0.9]"
-       ~measured:(if !all_ok then "all nine p values within 3x CI95" else "deviations found")
-       ~verdict:(Report.verdict_of_bool !all_ok))
+  print table;
+  [ Report.make ~id:"E1"
+      ~claim:"average number of transmissions k_avg = 1/p; average delay 1/p"
+      ~expectation:"measured means match 1/p across p in [0.1, 0.9]"
+      ~measured:(if !all_ok then "all nine p values within 3x CI95" else "deviations found")
+      ~verdict:(Report.verdict_of_bool !all_ok) ]
 
 (* ------------------------------------------------------------------ E2 *)
 
-let e2_correctness scale =
+let e2_correctness { scale; driver; print } =
   let table =
     Table.create ~title:"E2: election correctness (Sec. 3)"
       ~columns:[ "n"; "runs"; "elected"; "unique leader"; "mean time" ]
@@ -109,7 +110,7 @@ let e2_correctness scale =
   List.iter
     (fun n ->
        let runs =
-         election_runs ~scale ~base:(20_000 + n) ~n ~a0:(scaled_a0 n) ()
+         election_runs ~driver ~scale ~base:(20_000 + n) ~n ~a0:(scaled_a0 n) ()
        in
        let frac_elected = Exp.fraction_of elected runs in
        let frac_unique = Exp.fraction_of unique runs in
@@ -121,23 +122,22 @@ let e2_correctness scale =
            Printf.sprintf "%.0f%%" (100. *. frac_unique);
            Table.cell_float ~decimals:1 (Exp.mean_of time_of runs) ])
     [ 2; 4; 8; 16; 32; 64 ];
-  Table.print table;
-  Report.register
-    (Report.make ~id:"E2"
-       ~claim:"the algorithm elects a unique leader on anonymous unidirectional ABE rings (w.p. 1)"
-       ~expectation:"every replication ends with exactly one leader"
-       ~measured:(if !all_ok then "100% elected, 100% unique across all n and seeds" else "violations found")
-       ~verdict:(Report.verdict_of_bool !all_ok))
+  print table;
+  [ Report.make ~id:"E2"
+      ~claim:"the algorithm elects a unique leader on anonymous unidirectional ABE rings (w.p. 1)"
+      ~expectation:"every replication ends with exactly one leader"
+      ~measured:(if !all_ok then "100% elected, 100% unique across all n and seeds" else "violations found")
+      ~verdict:(Report.verdict_of_bool !all_ok) ]
 
 (* --------------------------------------------------------------- E3/E4 *)
 
-let e3_e4_linear scale =
+let e3_e4_linear { scale; driver; print } =
   let sizes = ring_sizes scale in
   let data =
     List.map
       (fun n ->
          let runs =
-           election_runs ~scale ~base:(30_000 + n) ~n ~a0:(scaled_a0 n) ()
+           election_runs ~driver ~scale ~base:(30_000 + n) ~n ~a0:(scaled_a0 n) ()
          in
          (n, runs))
       sizes
@@ -164,8 +164,8 @@ let e3_e4_linear scale =
            Table.cell_summary t;
            Table.cell_float ~decimals:2 (t.Stats.mean /. float_of_int n) ])
     data;
-  Table.print messages_table;
-  Table.print time_table;
+  print messages_table;
+  print time_table;
   let points select =
     Array.of_list
       (List.map (fun (n, runs) -> (float_of_int n, Exp.mean_of select runs)) data)
@@ -185,24 +185,22 @@ let e3_e4_linear scale =
     msg_beta Fit.pp_growth msg_growth msg_fit.Fit.slope msg_fit.Fit.r2;
   Fmt.pr "time growth: exponent beta = %.2f, best model %a@.@." time_beta
     Fit.pp_growth time_growth;
-  Report.register
-    (Report.make ~id:"E3"
-       ~claim:"(average) linear message complexity (Sec. 1, 3)"
-       ~expectation:"messages grow O(n): power-law exponent ~ 1"
-       ~measured:
-         (Fmt.str "beta = %.2f (best model %a), messages/n ~ %.2f" msg_beta
-            Fit.pp_growth msg_growth msg_fit.Fit.slope)
-       ~verdict:(Report.verdict_of_bool (msg_beta > 0.8 && msg_beta < 1.25)));
-  Report.register
-    (Report.make ~id:"E4"
-       ~claim:"(average) linear time complexity (Sec. 1, 3)"
-       ~expectation:"election time grows O(n): power-law exponent ~ 1"
-       ~measured:
-         (Fmt.str "beta = %.2f (best model %a)" time_beta Fit.pp_growth
-            time_growth)
-       ~verdict:(Report.verdict_of_bool (time_beta > 0.8 && time_beta < 1.25)))
+  [ Report.make ~id:"E3"
+      ~claim:"(average) linear message complexity (Sec. 1, 3)"
+      ~expectation:"messages grow O(n): power-law exponent ~ 1"
+      ~measured:
+        (Fmt.str "beta = %.2f (best model %a), messages/n ~ %.2f" msg_beta
+           Fit.pp_growth msg_growth msg_fit.Fit.slope)
+      ~verdict:(Report.verdict_of_bool (msg_beta > 0.8 && msg_beta < 1.25));
+    Report.make ~id:"E4"
+      ~claim:"(average) linear time complexity (Sec. 1, 3)"
+      ~expectation:"election time grows O(n): power-law exponent ~ 1"
+      ~measured:
+        (Fmt.str "beta = %.2f (best model %a)" time_beta Fit.pp_growth
+           time_growth)
+      ~verdict:(Report.verdict_of_bool (time_beta > 0.8 && time_beta < 1.25)) ]
 
-let e4b_time_distribution scale =
+let e4b_time_distribution { scale; print; _ } =
   (* The paper claims *average* linear time.  The average is honest only if
      the distribution is not wild: report quantiles of election time, per
      ring size, and check that the tail stays a bounded multiple of the
@@ -234,17 +232,16 @@ let e4b_time_distribution scale =
            Table.cell_float ~decimals:0 (q 1.);
            Table.cell_float ~decimals:2 ratio ])
     [ 16; 32; 64; 128 ];
-  Table.print table;
+  print table;
   let worst = List.fold_left Float.max 0. !ratios in
-  Report.register
-    (Report.make ~id:"E4b"
-       ~claim:"the linear complexity is an *average* (Sec. 1, 3)"
-       ~expectation:
-         "election-time quantiles scale together: p99/p50 bounded (single-digit) across n"
-       ~measured:(Fmt.str "worst p99/p50 = %.2f" worst)
-       ~verdict:(Report.verdict_of_bool (worst < 10.)))
+  [ Report.make ~id:"E4b"
+      ~claim:"the linear complexity is an *average* (Sec. 1, 3)"
+      ~expectation:
+        "election-time quantiles scale together: p99/p50 bounded (single-digit) across n"
+      ~measured:(Fmt.str "worst p99/p50 = %.2f" worst)
+      ~verdict:(Report.verdict_of_bool (worst < 10.)) ]
 
-let e3b_fixed_a0 scale =
+let e3b_fixed_a0 { scale; driver; print } =
   (* Contrast: the literal fixed-A0 reading thrashes (DESIGN.md 4b). *)
   let sizes = List.filter (fun n -> n <= 64) (ring_sizes scale) in
   let table =
@@ -256,7 +253,7 @@ let e3b_fixed_a0 scale =
     List.map
       (fun n ->
          let runs =
-           election_runs
+           election_runs ~driver
              ~scale:{ scale with reps = max 8 (scale.reps / 4) }
              ~base:(40_000 + n) ~n ~a0:0.3 ()
          in
@@ -273,7 +270,7 @@ let e3b_fixed_a0 scale =
            Table.cell_float ~decimals:1 (m /. float_of_int n);
            Table.cell_float ~decimals:1 (t /. float_of_int n) ])
     data;
-  Table.print table;
+  print table;
   let points =
     Array.of_list
       (List.map (fun (n, runs) -> (float_of_int n, Exp.mean_of messages_of runs)) data)
@@ -282,16 +279,15 @@ let e3b_fixed_a0 scale =
   let beta = (Fit.loglog points).Fit.slope in
   Fmt.pr "fixed-A0 message growth: exponent beta = %.2f, best model %a@.@."
     beta Fit.pp_growth growth;
-  Report.register
-    (Report.make ~id:"E3b"
-       ~claim:"ablation: constant-A0 instantiation (activation mass grows with n)"
-       ~expectation:"super-linear growth — the linear claim needs the scaled regime"
-       ~measured:(Fmt.str "beta = %.2f (best model %a)" beta Fit.pp_growth growth)
-       ~verdict:(Report.verdict_of_bool (beta > 1.4)))
+  [ Report.make ~id:"E3b"
+      ~claim:"ablation: constant-A0 instantiation (activation mass grows with n)"
+      ~expectation:"super-linear growth — the linear claim needs the scaled regime"
+      ~measured:(Fmt.str "beta = %.2f (best model %a)" beta Fit.pp_growth growth)
+      ~verdict:(Report.verdict_of_bool (beta > 1.4)) ]
 
 (* ------------------------------------------------------------------ E5 *)
 
-let e5_wakeup scale =
+let e5_wakeup { scale; print; _ } =
   (* The paper: "By taking 1-(1-A0)^d(A) as wake-up probability for nodes A,
      we achieve that the overall wake-up probability for all nodes stays
      constant over time."  The invariant behind that sentence is that the
@@ -340,7 +336,7 @@ let e5_wakeup scale =
   in
   row "Sigma d / n   (adaptive 1-(1-A0)^d)" sum_thirds;
   row "non-passive/n (naive constant A0)" pop_thirds;
-  Table.print table;
+  print table;
   (* Performance cost of ignoring d, measured in the calm linear regime
      (theta = 2) where the algorithm is actually operated: there the naive
      endgame stalls — the last contenders wake with probability a0 per tick
@@ -349,16 +345,12 @@ let e5_wakeup scale =
   let calm_config =
     Abe_core.Runner.config ~n ~a0:(scaled_a0 ~theta:2. n) ()
   in
-  let times run_fn =
+  let times config =
     Exp.summarize ~base:51_000 ~count:(max 6 (scale.reps / 3)) (fun ~seed ->
-        (run_fn ~seed calm_config).Abe_core.Runner.elected_at)
+        (Abe_core.Runner.run ~seed config).Abe_core.Runner.elected_at)
   in
-  let adaptive_time =
-    times (fun ~seed config -> Abe_core.Runner.run ~seed config)
-  in
-  let naive_time =
-    times (fun ~seed config -> Abe_core.Runner.run_naive ~seed config)
-  in
+  let adaptive_time = times calm_config in
+  let naive_time = times (Abe_core.Runner.naive calm_config) in
   let perf =
     Table.create
       ~title:"E5b (ablation): election time, adaptive vs naive (theta = 2)"
@@ -370,7 +362,7 @@ let e5_wakeup scale =
     [ "naive (constant A0)";
       Table.cell_summary naive_time;
       Table.cell_float (naive_time.Stats.mean /. adaptive_time.Stats.mean) ];
-  Table.print perf;
+  print perf;
   let mass_early = Stats.mean sum_thirds.(0) in
   let mass_late = Stats.mean sum_thirds.(2) in
   let pop_early = Stats.mean pop_thirds.(0) in
@@ -381,22 +373,21 @@ let e5_wakeup scale =
     && pop_late < 0.3 *. pop_early
   in
   let ok = invariant_holds && naive_time.Stats.mean > adaptive_time.Stats.mean in
-  Report.register
-    (Report.make ~id:"E5"
-       ~claim:
-         "the wake-up probability 1-(1-A0)^d keeps the overall wake-up probability constant over time (Sec. 3)"
-       ~expectation:
-         "Sigma d / n flat near 1 across the execution while the non-passive population decays; dropping the d exponent slows elections"
-       ~measured:
-         (Fmt.str
-            "Sigma d/n: %.2f -> %.2f; population/n: %.2f -> %.2f; naive slowdown %.1fx"
-            mass_early mass_late pop_early pop_late
-            (naive_time.Stats.mean /. adaptive_time.Stats.mean))
-       ~verdict:(Report.verdict_of_bool ok))
+  [ Report.make ~id:"E5"
+      ~claim:
+        "the wake-up probability 1-(1-A0)^d keeps the overall wake-up probability constant over time (Sec. 3)"
+      ~expectation:
+        "Sigma d / n flat near 1 across the execution while the non-passive population decays; dropping the d exponent slows elections"
+      ~measured:
+        (Fmt.str
+           "Sigma d/n: %.2f -> %.2f; population/n: %.2f -> %.2f; naive slowdown %.1fx"
+           mass_early mass_late pop_early pop_late
+           (naive_time.Stats.mean /. adaptive_time.Stats.mean))
+      ~verdict:(Report.verdict_of_bool ok) ]
 
 (* ------------------------------------------------------------------ E6 *)
 
-let e6_synchronizer scale =
+let e6_synchronizer { scale; print; _ } =
   let table =
     Table.create
       ~title:
@@ -435,22 +426,21 @@ let e6_synchronizer scale =
          !all_abd_ok && r.abd_on_abd.correct && r.abd_on_abd.violations = 0;
        abe_breaks := !abe_breaks && r.abd_on_abe.violations > 0)
     [ 8; 16; 32; 64 ];
-  Table.print table;
-  Report.register
-    (Report.make ~id:"E6"
-       ~claim:
-         "ABE networks of size n cannot be synchronised with fewer than n messages per round (Theorem 1)"
-       ~expectation:
-         "alpha and beta (correct on ABE) pay >= n control msgs/pulse — beta's 2(n-1) tree messages show the bound is near-tight; the message-free ABD synchroniser is correct only under a hard bound and mis-synchronises on ABE delays"
-       ~measured:
-         (Fmt.str "alpha/beta >= n-ish per pulse and correct: %b; ABD-sync on ABD clean: %b; ABD-sync on ABE violated: %b"
-            !all_alpha_ok !all_abd_ok !abe_breaks)
-       ~verdict:
-         (Report.verdict_of_bool (!all_alpha_ok && !all_abd_ok && !abe_breaks)))
+  print table;
+  [ Report.make ~id:"E6"
+      ~claim:
+        "ABE networks of size n cannot be synchronised with fewer than n messages per round (Theorem 1)"
+      ~expectation:
+        "alpha and beta (correct on ABE) pay >= n control msgs/pulse — beta's 2(n-1) tree messages show the bound is near-tight; the message-free ABD synchroniser is correct only under a hard bound and mis-synchronises on ABE delays"
+      ~measured:
+        (Fmt.str "alpha/beta >= n-ish per pulse and correct: %b; ABD-sync on ABD clean: %b; ABD-sync on ABE violated: %b"
+           !all_alpha_ok !all_abd_ok !abe_breaks)
+      ~verdict:
+        (Report.verdict_of_bool (!all_alpha_ok && !all_abd_ok && !abe_breaks)) ]
 
 (* ----------------------------------------------------------------- E6b *)
 
-let e6b_synchronizer_family scale =
+let e6b_synchronizer_family { print; _ } =
   (* Ablation across the classic synchroniser family: alpha, beta, gamma
      (several cluster radii) all simulate BFS correctly on an ABE ring, and
      all pay at least ~n control messages per pulse — Theorem 1's floor —
@@ -480,7 +470,6 @@ let e6b_synchronizer_family scale =
         [ "synchroniser"; "control/pulse"; "acks"; "tree"; "preferred";
           "correct" ]
   in
-  ignore scale;
   let floor_ok = ref true in
   let alpha = Alpha_bfs.run ~seed:61_001 ~topology ~delay ~pulses () in
   Table.add_row table
@@ -522,7 +511,7 @@ let e6b_synchronizer_family scale =
          !floor_ok && correct g.Gamma_bfs.states
          && g.Gamma_bfs.control_per_pulse >= float_of_int (n - 1))
     [ 0; 1; 2; 4 ];
-  Table.print table;
+  print table;
   (* On a ring every topology-aware synchroniser degenerates; the family's
      trade-off shows on denser graphs, where alpha pays ~2m per pulse but
      beta/gamma stay near the n floor. *)
@@ -569,21 +558,20 @@ let e6b_synchronizer_family scale =
     !floor_ok && dense_correct da.Alpha_bfs.states
     && dense_correct db.Beta_bfs.states
     && db.Beta_bfs.control_per_pulse < da.Alpha_bfs.control_per_pulse;
-  Table.print dense_table;
-  Report.register
-    (Report.make ~id:"E6b"
-       ~claim:
-         "ablation: no synchroniser in the alpha/beta/gamma family beats the Theorem-1 floor on an ABE ring"
-       ~expectation:
-         "all variants correct, all >= ~n control messages per pulse, cost split varies"
-       ~measured:
-         (if !floor_ok then "all correct, all at or above the n-per-pulse floor"
-          else "floor or correctness violated")
-       ~verdict:(Report.verdict_of_bool !floor_ok))
+  print dense_table;
+  [ Report.make ~id:"E6b"
+      ~claim:
+        "ablation: no synchroniser in the alpha/beta/gamma family beats the Theorem-1 floor on an ABE ring"
+      ~expectation:
+        "all variants correct, all >= ~n control messages per pulse, cost split varies"
+      ~measured:
+        (if !floor_ok then "all correct, all at or above the n-per-pulse floor"
+         else "floor or correctness violated")
+      ~verdict:(Report.verdict_of_bool !floor_ok) ]
 
 (* ------------------------------------------------------------------ E7 *)
 
-let e7_vs_itai_rodeh scale =
+let e7_vs_itai_rodeh { scale; driver; print } =
   let sizes = List.filter (fun n -> n <= 256) (ring_sizes scale) in
   let table =
     Table.create
@@ -597,7 +585,7 @@ let e7_vs_itai_rodeh scale =
   List.iter
     (fun n ->
        let abe_runs =
-         election_runs ~scale ~base:(70_000 + n) ~n ~a0:(scaled_a0 n) ()
+         election_runs ~driver ~scale ~base:(70_000 + n) ~n ~a0:(scaled_a0 n) ()
        in
        let reps = if n >= 256 then scale.reps_large else scale.reps in
        let ir_runs =
@@ -636,23 +624,22 @@ let e7_vs_itai_rodeh scale =
            Table.cell_float ~decimals:2 (abe_time /. float_of_int n);
            Table.cell_float ~decimals:2 (ir_rounds /. float_of_int n) ])
     sizes;
-  Table.print table;
+  print table;
   let max_ratio = List.fold_left Float.max 0. !ratios in
   let min_ratio = List.fold_left Float.min infinity !ratios in
   (* "Comparable efficiency": the ratio stays within a constant band (no
      divergence with n). *)
   let ok = max_ratio < 3. && min_ratio > 0.1 && max_ratio /. min_ratio < 4. in
-  Report.register
-    (Report.make ~id:"E7"
-       ~claim:
-         "efficiency comparable to the most optimal leader election known for anonymous synchronous rings (Itai-Rodeh) (Sec. 1)"
-       ~expectation:"ABE/IR message ratio bounded by a constant across n"
-       ~measured:(Fmt.str "ratio in [%.2f, %.2f] over n" min_ratio max_ratio)
-       ~verdict:(Report.verdict_of_bool ok))
+  [ Report.make ~id:"E7"
+      ~claim:
+        "efficiency comparable to the most optimal leader election known for anonymous synchronous rings (Itai-Rodeh) (Sec. 1)"
+      ~expectation:"ABE/IR message ratio bounded by a constant across n"
+      ~measured:(Fmt.str "ratio in [%.2f, %.2f] over n" min_ratio max_ratio)
+      ~verdict:(Report.verdict_of_bool ok) ]
 
 (* ------------------------------------------------------------------ E8 *)
 
-let e8_vs_nlogn scale =
+let e8_vs_nlogn { scale; driver; print } =
   let sizes = List.filter (fun n -> n <= 256) (ring_sizes scale) in
   let table =
     Table.create
@@ -668,7 +655,7 @@ let e8_vs_nlogn scale =
        let reps = if n >= 256 then scale.reps_large else scale.reps in
        let abe =
          Exp.mean_of messages_of
-           (election_runs ~scale ~base:(80_000 + n) ~n ~a0:(scaled_a0 n) ())
+           (election_runs ~driver ~scale ~base:(80_000 + n) ~n ~a0:(scaled_a0 n) ())
        in
        let cr =
          Exp.mean_of
@@ -694,7 +681,7 @@ let e8_vs_nlogn scale =
              (Abe_core.Analysis.dkr_worst_case_messages ~n);
            Table.cell_float ~decimals:2 (abe /. cr) ])
     sizes;
-  Table.print table;
+  print table;
   let data = List.rev !collect in
   let growth select =
     Fit.classify_growth
@@ -732,20 +719,19 @@ let e8_vs_nlogn scale =
     && dkr_beta > abe_beta +. 0.08
     && last_ratio < first_ratio
   in
-  Report.register
-    (Report.make ~id:"E8"
-       ~claim:
-         "asynchronous rings with identities need Omega(n log n) messages; the ABE election needs only O(n) on average (Sec. 1)"
-       ~expectation:
-         "ABE classified O(n); CR near n*H_n; DKR under n log2 n + n; ABE/CR ratio decreasing in n"
-       ~measured:
-         (Fmt.str "betas: ABE %.2f, CR %.2f, DKR %.2f; ABE/CR %.2f -> %.2f"
-            abe_beta cr_beta dkr_beta first_ratio last_ratio)
-       ~verdict:(Report.verdict_of_bool ok))
+  [ Report.make ~id:"E8"
+      ~claim:
+        "asynchronous rings with identities need Omega(n log n) messages; the ABE election needs only O(n) on average (Sec. 1)"
+      ~expectation:
+        "ABE classified O(n); CR near n*H_n; DKR under n log2 n + n; ABE/CR ratio decreasing in n"
+      ~measured:
+        (Fmt.str "betas: ABE %.2f, CR %.2f, DKR %.2f; ABE/CR %.2f -> %.2f"
+           abe_beta cr_beta dkr_beta first_ratio last_ratio)
+      ~verdict:(Report.verdict_of_bool ok) ]
 
 (* ------------------------------------------------------------------ E9 *)
 
-let e9_distributions scale =
+let e9_distributions { scale; print; _ } =
   let n = 64 in
   let a0 = scaled_a0 n in
   let table =
@@ -773,22 +759,21 @@ let e9_distributions scale =
            Table.cell_float ~decimals:0 (Exp.mean_of time_of runs);
            Printf.sprintf "%.0f%%" (100. *. Exp.fraction_of elected runs) ])
     (Dist.same_mean_family ~mean:1.);
-  Table.print table;
+  print table;
   let max_m = List.fold_left Float.max 0. !means in
   let min_m = List.fold_left Float.min infinity !means in
   let spread = (max_m -. min_m) /. min_m in
-  Report.register
-    (Report.make ~id:"E9"
-       ~claim:
-         "only a bound on the expected delay is assumed; behaviour is governed by the mean (Sec. 2)"
-       ~expectation:
-         "mean messages within a narrow band across 7 same-mean distributions (incl. heavy tail)"
-       ~measured:(Fmt.str "relative spread of mean messages: %.0f%%" (100. *. spread))
-       ~verdict:(Report.verdict_of_bool (spread < 0.3)))
+  [ Report.make ~id:"E9"
+      ~claim:
+        "only a bound on the expected delay is assumed; behaviour is governed by the mean (Sec. 2)"
+      ~expectation:
+        "mean messages within a narrow band across 7 same-mean distributions (incl. heavy tail)"
+      ~measured:(Fmt.str "relative spread of mean messages: %.0f%%" (100. *. spread))
+      ~verdict:(Report.verdict_of_bool (spread < 0.3)) ]
 
 (* ----------------------------------------------------------------- E10 *)
 
-let e10_a0_sweep scale =
+let e10_a0_sweep { scale; print; _ } =
   let table =
     Table.create
       ~title:"E10: the A0 parameter trade-off (Sec. 3)"
@@ -820,18 +805,17 @@ let e10_a0_sweep scale =
                 Printf.sprintf "%.0f%%" (100. *. Exp.fraction_of elected runs) ])
          candidates)
     [ 32 ];
-  Table.print table;
-  Report.register
-    (Report.make ~id:"E10"
-       ~claim:"the algorithm is parameterised by A0 in (0,1) (Sec. 3)"
-       ~expectation:
-         "U-shaped cost in A0: large A0 thrashes (collisions), tiny A0 idles; minimum near activation mass ~1"
-       ~measured:"see E10 table: messages/n minimised for mass in [0.25, 2]"
-       ~verdict:Report.Reproduced)
+  print table;
+  [ Report.make ~id:"E10"
+      ~claim:"the algorithm is parameterised by A0 in (0,1) (Sec. 3)"
+      ~expectation:
+        "U-shaped cost in A0: large A0 thrashes (collisions), tiny A0 idles; minimum near activation mass ~1"
+      ~measured:"see E10 table: messages/n minimised for mass in [0.25, 2]"
+      ~verdict:Report.Reproduced ]
 
 (* ----------------------------------------------------------------- E11 *)
 
-let e11_clock_drift scale =
+let e11_clock_drift { scale; driver; print } =
   let n = 32 in
   let table =
     Table.create ~title:"E11: clock-speed bounds (Definition 1.2)"
@@ -846,7 +830,7 @@ let e11_clock_drift scale =
        in
        let params = Abe_core.Params.make ~delta:1. ~gamma:0. ~clock in
        let runs =
-         election_runs ~scale ~base:(96_000 + int_of_float (ratio *. 10.)) ~n
+         election_runs ~driver ~scale ~base:(96_000 + int_of_float (ratio *. 10.)) ~n
            ~a0:(scaled_a0 n) ~params ()
        in
        all_ok :=
@@ -861,17 +845,16 @@ let e11_clock_drift scale =
            Table.cell_float ~decimals:1 (Exp.mean_of time_of runs /. float_of_int n)
          ])
     [ 1.; 1.5; 2.; 4. ];
-  Table.print table;
-  Report.register
-    (Report.make ~id:"E11"
-       ~claim:"local clock speeds vary within known bounds [s_low, s_high] (Def. 1.2)"
-       ~expectation:"election stays correct under drift; cost degrades gracefully"
-       ~measured:(if !all_ok then "100% correct up to 4x drift ratio" else "failures under drift")
-       ~verdict:(Report.verdict_of_bool !all_ok))
+  print table;
+  [ Report.make ~id:"E11"
+      ~claim:"local clock speeds vary within known bounds [s_low, s_high] (Def. 1.2)"
+      ~expectation:"election stays correct under drift; cost degrades gracefully"
+      ~measured:(if !all_ok then "100% correct up to 4x drift ratio" else "failures under drift")
+      ~verdict:(Report.verdict_of_bool !all_ok) ]
 
 (* ----------------------------------------------------------------- E12 *)
 
-let e12_gamma scale =
+let e12_gamma { scale; driver; print } =
   let n = 32 in
   let table =
     Table.create
@@ -888,7 +871,7 @@ let e12_gamma scale =
          if gamma = 0. then None else Some (Dist.exponential ~mean:gamma)
        in
        let runs =
-         election_runs ~scale
+         election_runs ~driver ~scale
            ~base:(97_000 + int_of_float (gamma *. 100.))
            ~n ~a0:(scaled_a0 n) ~params ?proc_delay:(Some proc_delay) ()
        in
@@ -906,17 +889,16 @@ let e12_gamma scale =
     (* gamma close to the tick period would saturate nodes (each tick is a
        local event with mean-gamma processing): keep the event load below 1. *)
     [ 0.; 0.1; 0.25; 0.5 ];
-  Table.print table;
-  Report.register
-    (Report.make ~id:"E12"
-       ~claim:"a bound gamma on the expected local-event processing time is known (Def. 1.3)"
-       ~expectation:"correctness preserved; time grows mildly with gamma"
-       ~measured:(if !all_ok then "100% correct for gamma/delta in {0, 0.1, 0.25, 0.5}" else "failures")
-       ~verdict:(Report.verdict_of_bool !all_ok))
+  print table;
+  [ Report.make ~id:"E12"
+      ~claim:"a bound gamma on the expected local-event processing time is known (Def. 1.3)"
+      ~expectation:"correctness preserved; time grows mildly with gamma"
+      ~measured:(if !all_ok then "100% correct for gamma/delta in {0, 0.1, 0.25, 0.5}" else "failures")
+      ~verdict:(Report.verdict_of_bool !all_ok) ]
 
 (* ----------------------------------------------------------------- E13 *)
 
-let e13_synchronised_vs_native scale =
+let e13_synchronised_vs_native { scale; driver; print } =
   (* The paper's closing slogan for Section 2: "we cannot run synchronous
      algorithms in ABE networks without losing the message complexity."
      Quantified: Itai-Rodeh needs ~1.5n synchronous rounds; by Theorem 1
@@ -957,7 +939,7 @@ let e13_synchronised_vs_native scale =
        let beta_rate = beta.Beta_bfs.control_per_pulse in
        let native =
          Exp.mean_of messages_of
-           (election_runs ~scale ~base:(99_000 + n) ~n ~a0:(scaled_a0 n) ())
+           (election_runs ~driver ~scale ~base:(99_000 + n) ~n ~a0:(scaled_a0 n) ())
        in
        let synchronised = ir_rounds *. beta_rate in
        let overhead = synchronised /. native in
@@ -970,7 +952,7 @@ let e13_synchronised_vs_native scale =
            Table.cell_float ~decimals:0 native;
            Table.cell_float ~decimals:1 overhead ])
     [ 16; 32; 64; 128 ];
-  Table.print table;
+  print table;
   (* The overhead factor must grow ~ linearly in n: Omega(n^2) vs O(n). *)
   let growing =
     match !overheads with
@@ -979,42 +961,16 @@ let e13_synchronised_vs_native scale =
       last > 3. *. first
     | _ -> false
   in
-  Report.register
-    (Report.make ~id:"E13"
-       ~claim:
-         "synchronous algorithms cannot run on ABE networks without losing the message complexity (Sec. 2)"
-       ~expectation:
-         "synchronised election Omega(n^2) messages vs native O(n): overhead factor grows linearly in n"
-       ~measured:
-         (Fmt.str "overhead factor %s"
-            (String.concat " -> "
-               (List.rev_map (fun r -> Fmt.str "%.0fx" r) !overheads)))
-       ~verdict:(Report.verdict_of_bool growing))
-
-(* ------------------------------------------------- parallel speedup (E3) *)
-
-(* One E3-style sweep (fixed reps per size, ignoring the suite driver),
-   timed: the workload behind BENCH_parallel.json's sequential-vs-parallel
-   wall-clock comparison.  Returns total engine events with the timing so
-   the caller can report events/s as well as replicates/s. *)
-let e3_timed_sweep ~driver:d ~sizes ~reps =
-  let events = ref 0 in
-  let replicates = ref 0 in
-  let elapsed = ref 0. in
-  List.iter
-    (fun n ->
-       let config = Abe_core.Runner.config ~n ~a0:(scaled_a0 n) () in
-       let runs, timing =
-         Exp.replicate_timed ~driver:d ~base:(91_000 + n) ~count:reps
-           (fun ~seed -> Abe_core.Runner.run ~seed config)
-       in
-       replicates := !replicates + timing.Driver.tasks;
-       elapsed := !elapsed +. timing.Driver.elapsed;
-       List.iter
-         (fun o -> events := !events + o.Abe_core.Runner.executed_events)
-         runs)
-    sizes;
-  (!elapsed, !events, !replicates)
+  [ Report.make ~id:"E13"
+      ~claim:
+        "synchronous algorithms cannot run on ABE networks without losing the message complexity (Sec. 2)"
+      ~expectation:
+        "synchronised election Omega(n^2) messages vs native O(n): overhead factor grows linearly in n"
+      ~measured:
+        (Fmt.str "overhead factor %s"
+           (String.concat " -> "
+              (List.rev_map (fun r -> Fmt.str "%.0fx" r) !overheads)))
+      ~verdict:(Report.verdict_of_bool growing) ]
 
 let all =
   [ ("e1-retransmission", e1_retransmission);
@@ -1032,3 +988,85 @@ let all =
     ("e11-clock-drift", e11_clock_drift);
     ("e12-gamma", e12_gamma);
     ("e13-synchronised-vs-native", e13_synchronised_vs_native) ]
+
+(* ------------------------------------------------------------ command *)
+
+(* A table's CSV file name: its title with every character outside
+   [A-Za-z0-9.-] replaced by '_'. *)
+let slug title =
+  String.map
+    (function
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.') as c -> c
+      | _ -> '_')
+    title
+
+let command =
+  let quick_term =
+    let doc =
+      "Reduced replication counts and ring sizes: the whole suite in about \
+       a second instead of several."
+    in
+    Arg.(value & flag & info [ "quick" ] ~doc)
+  in
+  let only_term =
+    let doc =
+      Printf.sprintf
+        "Run only experiment $(docv), which must be %s.  Repeat to select \
+         several; they run in suite order."
+        (Arg.doc_alts (List.map fst all))
+    in
+    Arg.(
+      value
+      & opt_all (enum (List.map (fun (id, _) -> (id, id)) all)) []
+      & info [ "only" ] ~docv:"ID" ~doc)
+  in
+  let csv_term =
+    let doc =
+      "Also save every table the suite prints as $(docv)/TITLE.csv \
+       (RFC 4180), creating $(docv) if needed."
+    in
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
+  in
+  let run quick only csv jobs () =
+    let driver = Driver.of_jobs jobs in
+    let scale = if quick then quick_scale else full_scale in
+    let print table =
+      Table.print table;
+      Option.iter
+        (fun dir ->
+           Csv.save (Table.to_csv table)
+             ~path:(Filename.concat dir (slug (Table.title table) ^ ".csv")))
+        csv
+    in
+    Fmt.pr
+      "ABE networks (Bakhshi, Endrullis, Fokkink, Pang — PODC 2010): \
+       experiment suite@.";
+    Fmt.pr "mode: %s@.@." (if quick then "quick" else "full");
+    let claims =
+      List.concat_map
+        (fun (id, experiment) ->
+           if only = [] || List.mem id only then begin
+             Fmt.pr "--- %s ---@." id;
+             experiment { scale; driver; print }
+           end
+           else [])
+        all
+    in
+    Report.print_scoreboard claims;
+    Option.iter (Fmt.pr "CSV series written to %s/@.") csv;
+    match
+      List.filter (fun c -> c.Report.verdict <> Report.Reproduced) claims
+    with
+    | [] -> Ok ()
+    | missed ->
+      Error
+        (Printf.sprintf "reproduce: %d of %d claims not reproduced (%s)"
+           (List.length missed) (List.length claims)
+           (String.concat ", " (List.map (fun c -> c.Report.id) missed)))
+  in
+  Cli.command "reproduce"
+    ~doc:
+      "Reproduce the paper's quantitative claims: every experiment table, \
+       then the claim scoreboard; fails unless every selected claim is \
+       reproduced"
+    Term.(const run $ quick_term $ only_term $ csv_term $ Cli.jobs_term)

@@ -64,8 +64,6 @@ let activation_table ~n ~a0 =
   Array.init (n + 1) (fun d ->
       if d = 0 then 0. else Election.activation_probability ~a0 ~d)
 
-let naive_activation config = Array.make (config.n + 1) config.a0
-
 (* [Faults.apply_delay] builds a new modulated model on every call, so it
    runs once per physically distinct base model; links that share a base
    model share its overlay, and [Links] validates each shared model
@@ -153,6 +151,11 @@ let with_limit_events config limit_events =
   check_budgets ~limit_time:config.limit_time ~limit_events;
   { config with
     limit_events;
+    pool = { config.pool with free = Atomic.make [] } }
+
+let naive config =
+  { config with
+    activation = Array.make (config.n + 1) config.a0;
     pool = { config.pool with free = Atomic.make [] } }
 
 let rec take pool =
@@ -323,13 +326,13 @@ let mix h v =
   let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D land max_int in
   z lxor (z lsr 32)
 
-(* One wiring for every simulated variant: the paper's algorithm and the
-   naive ablation differ only in the tick rule, and announce mode only in
-   what [Elected] does — it starts the announcement lap instead of
-   stopping, and the lap's return to the leader is the run's goal. *)
-let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
-    ?(check = false) ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed
-    config =
+(* One wiring for every simulated variant: the naive ablation differs
+   from the paper's algorithm only in its configuration's activation
+   table ([naive]), and announce mode only in what [Elected] does — it
+   starts the announcement lap instead of stopping, and the lap's return
+   to the leader is the run's goal. *)
+let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
+    ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed config =
   let counters =
     { activations = 0;
       knockouts = 0;
@@ -532,7 +535,7 @@ let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
   in
   let sim =
     { n = config.n;
-      activation;
+      activation = config.activation;
       passive = config.pool.passive;
       forwarding;
       moved =
@@ -716,20 +719,12 @@ let run_with ~activation ~announce ?trace ?metrics ?scheduler ?causal
 
 let run ?trace ?metrics ?scheduler ?causal ?check ?forwarding ?wall_deadline
     ~seed (config : config) =
-  (run_with ~activation:config.activation ~announce:false ?trace ?metrics
-     ?scheduler ?causal ?check ?forwarding ?wall_deadline ~seed config)
-    .election
-
-let run_naive ?trace ?metrics ?scheduler ?causal ?check ?forwarding
-    ?wall_deadline ~seed config =
-  (run_with ~activation:(naive_activation config) ~announce:false ?trace
-     ?metrics ?scheduler
-     ?causal ?check ?forwarding ?wall_deadline ~seed config)
+  (run_with ~announce:false ?trace ?metrics ?scheduler ?causal ?check
+     ?forwarding ?wall_deadline ~seed config)
     .election
 
 let announce ?trace ?metrics ?causal ?check ~seed (config : config) =
-  run_with ~activation:config.activation ~announce:true ?trace ?metrics
-    ?causal ?check ~seed config
+  run_with ~announce:true ?trace ?metrics ?causal ?check ~seed config
 
 let pp_outcome ppf o =
   Fmt.pf ppf

@@ -56,11 +56,13 @@ type config = private {
       (** the tick rule's table, built once by {!config} like [topology]:
           [activation.(d)] is [Election.activation_probability ~a0 ~d],
           bit for bit, for every watermark [d] in [1 .. n] (entry 0 is
-          unused).  An idle node's tick draws against it instead of
-          recomputing the power. *)
+          unused), or [a0] throughout in a {!naive} copy.  An idle
+          node's tick draws against it instead of recomputing the
+          power. *)
   pool : pool;
-      (** built by {!config} with no network in it.  {!with_link_delays}
-          and {!with_limit_events} copies get a pool of their own. *)
+      (** built by {!config} with no network in it.  {!with_link_delays},
+          {!with_limit_events} and {!naive} copies get a pool of their
+          own. *)
 }
 
 val config :
@@ -88,9 +90,10 @@ val config :
     [limit_time] is not positive (NaN included) or [limit_events] is not
     positive. *)
 
-val naive_activation : config -> float array
-(** The naive ablation's table ({!run_naive}): [a0] at every index, the
-    same shape as [activation]. *)
+val naive : config -> config
+(** The ablation of experiment E5: a copy of [config] whose idle nodes
+    activate with {e constant} probability [a0] instead of the paper's
+    [1 - (1-a0)^d] schedule.  Run it with {!run}. *)
 
 val with_link_delays : config -> Abe_net.Delay_model.t array -> config
 (** [with_link_delays config models] replaces the per-link delay models
@@ -257,21 +260,6 @@ val run :
     references to its last run's hooks (trace, registry, span recorder,
     scheduler) until its next run.  All of it lives exactly as long as
     the configuration: there is no global cache, and no setting. *)
-
-val run_naive :
-  ?trace:Abe_sim.Trace.t ->
-  ?metrics:Abe_sim.Metrics.t ->
-  ?scheduler:Abe_sim.Engine.scheduler ->
-  ?causal:Abe_sim.Causal.t ->
-  ?check:bool ->
-  ?forwarding:forwarding ->
-  ?wall_deadline:float ->
-  seed:int ->
-  config ->
-  outcome
-(** Ablation: identical except idle nodes activate with {e constant}
-    probability [a0] instead of the paper's [1 - (1-a0)^d] schedule.  Used
-    to show why the adaptive exponent matters (experiment E5). *)
 
 type announced = {
   election : outcome;  (** [messages] excludes the announcement lap *)

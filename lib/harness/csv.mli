@@ -1,6 +1,6 @@
 (** Minimal CSV writing for experiment series.
 
-    The bench harness can dump each experiment's data series as a CSV file
+    [abe-sim reproduce --csv] saves each experiment table as a CSV file
     (one per "figure"), so the tables printed on stdout can also be
     re-plotted with external tools.  Quoting follows RFC 4180: fields
     containing commas, quotes or newlines are quoted, quotes doubled. *)

@@ -13,15 +13,6 @@ let verdict_of_bool ok = if ok then Reproduced else Failed
 let make ~id ~claim ~expectation ~measured ~verdict =
   { id; claim; expectation; measured; verdict }
 
-let registry : claim list ref = ref []
-
-let register c =
-  if not (List.exists (fun c' -> c'.id = c.id && c'.measured = c.measured) !registry)
-  then registry := c :: !registry
-
-let all () = List.rev !registry
-let reset () = registry := []
-
 let pp_verdict ppf = function
   | Reproduced -> Format.pp_print_string ppf "REPRODUCED"
   | Partially -> Format.pp_print_string ppf "PARTIAL"
@@ -145,11 +136,10 @@ let churn_table ?(title = "election under churn") rows =
     rows;
   table
 
-let print_scoreboard () =
+let print_scoreboard claims =
   Fmt.pr "@.== Claim scoreboard ==@.";
-  List.iter (fun c -> Fmt.pr "%a@." pp_claim c) (all ());
-  let total = List.length (all ()) in
+  List.iter (fun c -> Fmt.pr "%a@." pp_claim c) claims;
   let reproduced =
-    List.length (List.filter (fun c -> c.verdict = Reproduced) (all ()))
+    List.length (List.filter (fun c -> c.verdict = Reproduced) claims)
   in
-  Fmt.pr "@.%d/%d claims reproduced@." reproduced total
+  Fmt.pr "@.%d/%d claims reproduced@." reproduced (List.length claims)

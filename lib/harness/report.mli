@@ -1,8 +1,8 @@
 (** Paper-claim vs. measurement records.
 
-    Every experiment ends by registering one or more {!claim} records; the
-    bench harness prints them as a closing scoreboard and they are the raw
-    material of EXPERIMENTS.md. *)
+    Every experiment ends by returning one or more {!claim} records;
+    [abe-sim reproduce] prints them as a closing scoreboard and they are
+    the raw material of EXPERIMENTS.md. *)
 
 type verdict = Reproduced | Partially | Failed
 
@@ -19,16 +19,12 @@ val make :
   id:string -> claim:string -> expectation:string -> measured:string ->
   verdict:verdict -> claim
 
-val register : claim -> unit
-(** Append to the global scoreboard (idempotent per id+measured). *)
-
-val all : unit -> claim list
-(** Registered claims, in registration order. *)
-
-val reset : unit -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_claim : Format.formatter -> claim -> unit
-val print_scoreboard : unit -> unit
+
+val print_scoreboard : claim list -> unit
+(** Print the claims in order, then how many of them are
+    {!Reproduced}. *)
 
 (** {2 Throughput records}
 

@@ -67,11 +67,6 @@ let to_csv t =
   List.iter (Csv.add_row csv) (List.rev t.rows);
   csv
 
-let printed_registry : t list ref = ref []
-let printed () = List.rev !printed_registry
-let reset_printed () = printed_registry := []
-
 let print t =
-  printed_registry := t :: !printed_registry;
   print_string (render t);
   print_newline ()

@@ -25,14 +25,8 @@ val cell_duration : float -> string
 val render : t -> string
 val pp : Format.formatter -> t -> unit
 val print : t -> unit
-(** Render to stdout with a trailing blank line, and record the table in
-    the global registry (for CSV export). *)
+(** Render to stdout with a trailing blank line. *)
 
 val title : t -> string
 val to_csv : t -> Csv.t
 (** The same data as an RFC-4180 CSV (header = column names). *)
-
-val printed : unit -> t list
-(** Every table passed to {!print} since {!reset_printed}, in order. *)
-
-val reset_printed : unit -> unit

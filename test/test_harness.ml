@@ -280,24 +280,6 @@ let test_table_cells () =
   Alcotest.(check string) "nan" "-" (Table.cell_float Float.nan);
   Alcotest.(check string) "bool" "yes" (Table.cell_bool true)
 
-let test_report_registry () =
-  Report.reset ();
-  Report.register
-    (Report.make ~id:"E1" ~claim:"c" ~expectation:"e" ~measured:"m"
-       ~verdict:Report.Reproduced);
-  Report.register
-    (Report.make ~id:"E2" ~claim:"c2" ~expectation:"e2" ~measured:"m2"
-       ~verdict:Report.Failed);
-  (* Duplicate registration is ignored. *)
-  Report.register
-    (Report.make ~id:"E1" ~claim:"c" ~expectation:"e" ~measured:"m"
-       ~verdict:Report.Reproduced);
-  Alcotest.(check int) "two claims" 2 (List.length (Report.all ()));
-  Alcotest.(check string) "order preserved" "E1"
-    (List.hd (Report.all ())).Report.id;
-  Report.reset ();
-  Alcotest.(check int) "reset" 0 (List.length (Report.all ()))
-
 let test_verdict_of_bool () =
   Alcotest.(check bool) "true reproduces" true
     (Report.verdict_of_bool true = Report.Reproduced);
@@ -357,7 +339,6 @@ let () =
           Alcotest.test_case "save concurrent" `Quick test_csv_save_concurrent;
           Alcotest.test_case "table export" `Quick test_table_to_csv ] );
       ( "report",
-        [ Alcotest.test_case "registry" `Quick test_report_registry;
-          Alcotest.test_case "verdicts" `Quick test_verdict_of_bool ] );
+        [ Alcotest.test_case "verdicts" `Quick test_verdict_of_bool ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_table_render_total ])
     ]

@@ -123,8 +123,8 @@ let test_naive_variant_small_ring () =
   (* The naive constant-probability ablation still elects on small rings;
      its weakness is the heavy tail of the endgame, not small cases. *)
   for seed = 1 to 10 do
-    let config = Runner.config ~n:4 ~a0:0.2 () in
-    let outcome = Runner.run_naive ~seed config in
+    let config = Runner.naive (Runner.config ~n:4 ~a0:0.2 ()) in
+    let outcome = Runner.run ~seed config in
     Alcotest.(check bool) "naive elects on n=4" true outcome.Runner.elected;
     Alcotest.(check int) "naive unique" 1 outcome.Runner.leader_count
   done
@@ -594,7 +594,7 @@ let test_activation_table_exact () =
          (fun a0 ->
             let config = Runner.config ~n ~a0 () in
             let table = config.Runner.activation in
-            let naive = Runner.naive_activation config in
+            let naive = (Runner.naive config).Runner.activation in
             Alcotest.(check int) "table length" (n + 1) (Array.length table);
             Alcotest.(check int) "naive length" (n + 1) (Array.length naive);
             for d = 1 to n do
@@ -735,7 +735,8 @@ let pooled_config variant scenario n =
     Runner.config ~n ~a0:0.15 ?params ?proc_delay ~fault ~limit_time:150. ()
   in
   match variant with
-  | Plain | Naive | Announce -> config ()
+  | Plain | Announce -> config ()
+  | Naive -> Runner.naive (config ())
   | Gamma ->
     config
       ~params:(Params.make ~delta:1. ~gamma:0.3 ~clock:Abe_net.Clock.perfect)
@@ -798,12 +799,7 @@ let pooled_step variant ~config ~capped (seed, hook) =
     | Announce ->
       let a = Runner.announce ?trace ?metrics ?causal ~check ~seed config in
       `Announced { a with Runner.election = replayable a.Runner.election }
-    | Naive ->
-      `Outcome
-        (replayable
-           (Runner.run_naive ?trace ?metrics ?scheduler ?causal ~check
-              ?wall_deadline ~seed config))
-    | Plain | Gamma | Drift | Link_delays ->
+    | Plain | Naive | Gamma | Drift | Link_delays ->
       `Outcome
         (replayable
            (Runner.run ?trace ?metrics ?scheduler ?causal ~check
