@@ -35,16 +35,22 @@ let ring_sizes scale =
    exact sequential tables. *)
 type setting = { scale : scale; driver : Driver.t; print : Table.t -> unit }
 
+let reps_at scale n = if n >= 256 then scale.reps_large else scale.reps
+
 let election_runs ~driver ~scale ~base ~n ~a0 ?delay ?proc_delay ?params () =
   let config = Abe_core.Runner.config ~n ~a0 ?delay ?proc_delay ?params () in
-  let reps = if n >= 256 then scale.reps_large else scale.reps in
-  Exp.replicate ~driver ~base ~count:reps (fun ~seed ->
+  Exp.replicate ~driver ~base ~count:(reps_at scale n) (fun ~seed ->
       Abe_core.Runner.run ~seed config)
 
 let messages_of o = float_of_int o.Abe_core.Runner.messages
 let time_of o = o.Abe_core.Runner.elected_at
 let elected o = o.Abe_core.Runner.elected
 let unique o = o.Abe_core.Runner.leader_count = 1
+let percent fraction = Printf.sprintf "%.0f%%" (100. *. fraction)
+
+(* Fitting input: [f x] against [n] for each [(n, x)]. *)
+let points f data =
+  Array.of_list (List.map (fun (n, x) -> (float_of_int n, f x)) data)
 
 (* ------------------------------------------------------------------ E1 *)
 
@@ -118,8 +124,8 @@ let e2_correctness { scale; driver; print } =
        Table.add_row table
          [ Table.cell_int n;
            Table.cell_int (List.length runs);
-           Printf.sprintf "%.0f%%" (100. *. frac_elected);
-           Printf.sprintf "%.0f%%" (100. *. frac_unique);
+           percent frac_elected;
+           percent frac_unique;
            Table.cell_float ~decimals:1 (Exp.mean_of time_of runs) ])
     [ 2; 4; 8; 16; 32; 64 ];
   print table;
@@ -137,7 +143,8 @@ let e3_e4_linear { scale; driver; print } =
     List.map
       (fun n ->
          let runs =
-           election_runs ~driver ~scale ~base:(30_000 + n) ~n ~a0:(scaled_a0 n) ()
+           election_runs ~driver ~scale ~base:(30_000 + n) ~n
+             ~a0:(scaled_a0 n) ()
          in
          (n, runs))
       sizes
@@ -166,19 +173,17 @@ let e3_e4_linear { scale; driver; print } =
     data;
   print messages_table;
   print time_table;
-  let points select =
-    Array.of_list
-      (List.map (fun (n, runs) -> (float_of_int n, Exp.mean_of select runs)) data)
-  in
-  let msg_growth = Fit.classify_growth (points messages_of) in
-  let time_growth = Fit.classify_growth (points time_of) in
-  let msg_fit = Fit.proportional (points messages_of) in
+  let messages = points (Exp.mean_of messages_of) data in
+  let times = points (Exp.mean_of time_of) data in
+  let msg_growth = Fit.classify_growth messages in
+  let time_growth = Fit.classify_growth times in
+  let msg_fit = Fit.proportional messages in
   (* The power-law exponent is the noise-robust linearity check: the n vs
      n log n model comparison needs very tight means, whereas beta ~ 1
      separates linear from genuinely super-linear growth (the fixed-A0
      contrast E3b measures beta ~ 2.5+). *)
-  let msg_beta = (Fit.loglog (points messages_of)).Fit.slope in
-  let time_beta = (Fit.loglog (points time_of)).Fit.slope in
+  let msg_beta = (Fit.loglog messages).Fit.slope in
+  let time_beta = (Fit.loglog times).Fit.slope in
   Fmt.pr
     "message growth: exponent beta = %.2f, best model %a (proportional \
      slope %.2f, r2 %.3f)@."
@@ -271,10 +276,7 @@ let e3b_fixed_a0 { scale; driver; print } =
            Table.cell_float ~decimals:1 (t /. float_of_int n) ])
     data;
   print table;
-  let points =
-    Array.of_list
-      (List.map (fun (n, runs) -> (float_of_int n, Exp.mean_of messages_of runs)) data)
-  in
+  let points = points (Exp.mean_of messages_of) data in
   let growth = Fit.classify_growth points in
   let beta = (Fit.loglog points).Fit.slope in
   Fmt.pr "fixed-A0 message growth: exponent beta = %.2f, best model %a@.@."
@@ -587,7 +589,7 @@ let e7_vs_itai_rodeh { scale; driver; print } =
        let abe_runs =
          election_runs ~driver ~scale ~base:(70_000 + n) ~n ~a0:(scaled_a0 n) ()
        in
-       let reps = if n >= 256 then scale.reps_large else scale.reps in
+       let reps = reps_at scale n in
        let ir_runs =
          Exp.replicate ~base:(71_000 + n) ~count:reps (fun ~seed ->
              Abe_election.Itai_rodeh.run ~seed ~n ())
@@ -652,10 +654,11 @@ let e8_vs_nlogn { scale; driver; print } =
   let collect = ref [] in
   List.iter
     (fun n ->
-       let reps = if n >= 256 then scale.reps_large else scale.reps in
+       let reps = reps_at scale n in
        let abe =
          Exp.mean_of messages_of
-           (election_runs ~driver ~scale ~base:(80_000 + n) ~n ~a0:(scaled_a0 n) ())
+           (election_runs ~driver ~scale ~base:(80_000 + n) ~n
+              ~a0:(scaled_a0 n) ())
        in
        let cr =
          Exp.mean_of
@@ -669,7 +672,7 @@ let e8_vs_nlogn { scale; driver; print } =
            (Exp.replicate ~base:(82_000 + n) ~count:reps (fun ~seed ->
                 Abe_election.Dolev_klawe_rodeh.run ~seed ~n ()))
        in
-       collect := (n, abe, cr, dkr) :: !collect;
+       collect := (n, (abe, cr, dkr)) :: !collect;
        Table.add_row table
          [ Table.cell_int n;
            Table.cell_float ~decimals:0 abe;
@@ -683,24 +686,13 @@ let e8_vs_nlogn { scale; driver; print } =
     sizes;
   print table;
   let data = List.rev !collect in
-  let growth select =
-    Fit.classify_growth
-      (Array.of_list (List.map (fun (n, a, c, d) -> (float_of_int n, select (a, c, d))) data))
+  let fit select =
+    let points = points select data in
+    (Fit.classify_growth points, (Fit.loglog points).Fit.slope)
   in
-  let abe_growth = growth (fun (a, _, _) -> a) in
-  let cr_growth = growth (fun (_, c, _) -> c) in
-  let dkr_growth = growth (fun (_, _, d) -> d) in
-  let beta select =
-    (Fit.loglog
-       (Array.of_list
-          (List.map
-             (fun (n, a, c, d) -> (float_of_int n, select (a, c, d)))
-             data)))
-      .Fit.slope
-  in
-  let abe_beta = beta (fun (a, _, _) -> a) in
-  let cr_beta = beta (fun (_, c, _) -> c) in
-  let dkr_beta = beta (fun (_, _, d) -> d) in
+  let abe_growth, abe_beta = fit (fun (a, _, _) -> a) in
+  let cr_growth, cr_beta = fit (fun (_, c, _) -> c) in
+  let dkr_growth, dkr_beta = fit (fun (_, _, d) -> d) in
   Fmt.pr
     "growth: ABE beta %.2f (%a), Chang-Roberts beta %.2f (%a), DKR beta %.2f \
      (%a)@.@."
@@ -708,10 +700,10 @@ let e8_vs_nlogn { scale; driver; print } =
     Fit.pp_growth dkr_growth;
   (* The ABE/CR ratio must be decreasing: O(n) vs n log n. *)
   let first_ratio =
-    match data with (_, a, c, _) :: _ -> a /. c | [] -> nan
+    match data with (_, (a, c, _)) :: _ -> a /. c | [] -> nan
   in
   let last_ratio =
-    match List.rev data with (_, a, c, _) :: _ -> a /. c | [] -> nan
+    match List.rev data with (_, (a, c, _)) :: _ -> a /. c | [] -> nan
   in
   let ok =
     abe_beta < 1.2
@@ -757,7 +749,7 @@ let e9_distributions { scale; print; _ } =
             | None -> "inf");
            Table.cell_summary m;
            Table.cell_float ~decimals:0 (Exp.mean_of time_of runs);
-           Printf.sprintf "%.0f%%" (100. *. Exp.fraction_of elected runs) ])
+           percent (Exp.fraction_of elected runs) ])
     (Dist.same_mean_family ~mean:1.);
   print table;
   let max_m = List.fold_left Float.max 0. !means in
@@ -802,7 +794,7 @@ let e10_a0_sweep { scale; print; _ } =
                 Table.cell_float ~decimals:1
                   (Exp.mean_of messages_of runs /. fn);
                 Table.cell_float ~decimals:1 (Exp.mean_of time_of runs /. fn);
-                Printf.sprintf "%.0f%%" (100. *. Exp.fraction_of elected runs) ])
+                percent (Exp.fraction_of elected runs) ])
          candidates)
     [ 32 ];
   print table;
@@ -813,88 +805,79 @@ let e10_a0_sweep { scale; print; _ } =
       ~measured:"see E10 table: messages/n minimised for mass in [0.25, 2]"
       ~verdict:Report.Reproduced ]
 
-(* ----------------------------------------------------------------- E11 *)
+(* ------------------------------------------------------------ E11/E12 *)
 
-let e11_clock_drift { scale; driver; print } =
+(* The election at n = 32 under each [(cell, base, params, proc_delay)]
+   model variant: one table row per variant, and whether every run
+   elected exactly one leader. *)
+let correct_under { scale; driver; print } ~title ~column variants =
   let n = 32 in
+  let per_n x = Table.cell_float ~decimals:1 (x /. float_of_int n) in
   let table =
-    Table.create ~title:"E11: clock-speed bounds (Definition 1.2)"
-      ~columns:[ "s_high/s_low"; "elected"; "unique"; "messages/n"; "time/n" ]
+    Table.create ~title
+      ~columns:[ column; "elected"; "unique"; "messages/n"; "time/n" ]
   in
   let all_ok = ref true in
   List.iter
-    (fun ratio ->
-       let spread = sqrt ratio in
-       let clock =
-         Abe_net.Clock.spec ~s_low:(1. /. spread) ~s_high:spread
-       in
-       let params = Abe_core.Params.make ~delta:1. ~gamma:0. ~clock in
+    (fun (cell, base, params, proc_delay) ->
        let runs =
-         election_runs ~driver ~scale ~base:(96_000 + int_of_float (ratio *. 10.)) ~n
-           ~a0:(scaled_a0 n) ~params ()
+         election_runs ~driver ~scale ~base ~n ~a0:(scaled_a0 n) ~params
+           ~proc_delay ()
        in
-       all_ok :=
-         !all_ok && Exp.fraction_of elected runs = 1.
-         && Exp.fraction_of unique runs = 1.;
+       let elected = Exp.fraction_of elected runs in
+       let unique = Exp.fraction_of unique runs in
+       all_ok := !all_ok && elected = 1. && unique = 1.;
        Table.add_row table
-         [ Table.cell_float ~decimals:1 ratio;
-           Printf.sprintf "%.0f%%" (100. *. Exp.fraction_of elected runs);
-           Printf.sprintf "%.0f%%" (100. *. Exp.fraction_of unique runs);
-           Table.cell_float ~decimals:1
-             (Exp.mean_of messages_of runs /. float_of_int n);
-           Table.cell_float ~decimals:1 (Exp.mean_of time_of runs /. float_of_int n)
-         ])
-    [ 1.; 1.5; 2.; 4. ];
+         [ cell;
+           percent elected;
+           percent unique;
+           per_n (Exp.mean_of messages_of runs);
+           per_n (Exp.mean_of time_of runs) ])
+    variants;
   print table;
+  !all_ok
+
+let e11_clock_drift setting =
+  let variant ratio =
+    let spread = sqrt ratio in
+    let clock = Abe_net.Clock.spec ~s_low:(1. /. spread) ~s_high:spread in
+    ( Table.cell_float ~decimals:1 ratio,
+      96_000 + int_of_float (ratio *. 10.),
+      Abe_core.Params.make ~delta:1. ~gamma:0. ~clock,
+      None )
+  in
+  let ok =
+    correct_under setting ~title:"E11: clock-speed bounds (Definition 1.2)"
+      ~column:"s_high/s_low"
+      (List.map variant [ 1.; 1.5; 2.; 4. ])
+  in
   [ Report.make ~id:"E11"
       ~claim:"local clock speeds vary within known bounds [s_low, s_high] (Def. 1.2)"
       ~expectation:"election stays correct under drift; cost degrades gracefully"
-      ~measured:(if !all_ok then "100% correct up to 4x drift ratio" else "failures under drift")
-      ~verdict:(Report.verdict_of_bool !all_ok) ]
+      ~measured:(if ok then "100% correct up to 4x drift ratio" else "failures under drift")
+      ~verdict:(Report.verdict_of_bool ok) ]
 
-(* ----------------------------------------------------------------- E12 *)
-
-let e12_gamma { scale; driver; print } =
-  let n = 32 in
-  let table =
-    Table.create
-      ~title:"E12: expected event-processing bound gamma (Definition 1.3)"
-      ~columns:[ "gamma/delta"; "elected"; "unique"; "messages/n"; "time/n" ]
+let e12_gamma setting =
+  let variant gamma =
+    ( Table.cell_float ~decimals:2 gamma,
+      97_000 + int_of_float (gamma *. 100.),
+      Abe_core.Params.make ~delta:1. ~gamma ~clock:Abe_net.Clock.perfect,
+      if gamma = 0. then None else Some (Dist.exponential ~mean:gamma) )
   in
-  let all_ok = ref true in
-  List.iter
-    (fun gamma ->
-       let params =
-         Abe_core.Params.make ~delta:1. ~gamma ~clock:Abe_net.Clock.perfect
-       in
-       let proc_delay =
-         if gamma = 0. then None else Some (Dist.exponential ~mean:gamma)
-       in
-       let runs =
-         election_runs ~driver ~scale
-           ~base:(97_000 + int_of_float (gamma *. 100.))
-           ~n ~a0:(scaled_a0 n) ~params ?proc_delay:(Some proc_delay) ()
-       in
-       all_ok :=
-         !all_ok && Exp.fraction_of elected runs = 1.
-         && Exp.fraction_of unique runs = 1.;
-       Table.add_row table
-         [ Table.cell_float ~decimals:2 gamma;
-           Printf.sprintf "%.0f%%" (100. *. Exp.fraction_of elected runs);
-           Printf.sprintf "%.0f%%" (100. *. Exp.fraction_of unique runs);
-           Table.cell_float ~decimals:1
-             (Exp.mean_of messages_of runs /. float_of_int n);
-           Table.cell_float ~decimals:1 (Exp.mean_of time_of runs /. float_of_int n)
-         ])
-    (* gamma close to the tick period would saturate nodes (each tick is a
-       local event with mean-gamma processing): keep the event load below 1. *)
-    [ 0.; 0.1; 0.25; 0.5 ];
-  print table;
+  let ok =
+    correct_under setting
+      ~title:"E12: expected event-processing bound gamma (Definition 1.3)"
+      ~column:"gamma/delta"
+      (* gamma close to the tick period would saturate nodes (each tick is
+         a local event with mean-gamma processing): keep the event load
+         below 1. *)
+      (List.map variant [ 0.; 0.1; 0.25; 0.5 ])
+  in
   [ Report.make ~id:"E12"
       ~claim:"a bound gamma on the expected local-event processing time is known (Def. 1.3)"
       ~expectation:"correctness preserved; time grows mildly with gamma"
-      ~measured:(if !all_ok then "100% correct for gamma/delta in {0, 0.1, 0.25, 0.5}" else "failures")
-      ~verdict:(Report.verdict_of_bool !all_ok) ]
+      ~measured:(if ok then "100% correct for gamma/delta in {0, 0.1, 0.25, 0.5}" else "failures")
+      ~verdict:(Report.verdict_of_bool ok) ]
 
 (* ----------------------------------------------------------------- E13 *)
 
@@ -939,7 +922,8 @@ let e13_synchronised_vs_native { scale; driver; print } =
        let beta_rate = beta.Beta_bfs.control_per_pulse in
        let native =
          Exp.mean_of messages_of
-           (election_runs ~driver ~scale ~base:(99_000 + n) ~n ~a0:(scaled_a0 n) ())
+           (election_runs ~driver ~scale ~base:(99_000 + n) ~n
+              ~a0:(scaled_a0 n) ())
        in
        let synchronised = ir_rounds *. beta_rate in
        let overhead = synchronised /. native in
