@@ -19,11 +19,13 @@ module Net = Network.Make (struct
       | Announce -> Format.pp_print_string ppf "<announce>"
   end)
 
-(* One pooled ring: a network of the configuration's topology and the
-   runner's shadow copy of its node states, both reset when taken. *)
+(* One pooled ring: a network of the configuration's topology, the
+   runner's shadow copy of its node states and, once a checked run has
+   used the ring, its monitor; all three are reset when taken. *)
 type entry = {
   net : Net.t;
   shadow : Election.state array;
+  monitor : Monitor.t option;
 }
 
 type pool = {
@@ -376,18 +378,6 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
      spuriously.  Logical invariants — conservation, FIFO, hop soundness,
      unique leader — are exactly what schedule exploration is for and stay
      on. *)
-  let monitor =
-    Option.map
-      (fun oracle ->
-         let clock =
-           match scheduler with
-           | None -> Some config.params.Params.clock
-           | Some _ -> None
-         in
-         Monitor.create ~oracle ?clock ~fifo:false ~dynamic
-           ~topology:config.topology ~nodes:config.n ~links:config.n ())
-      oracle
-  in
   let instruments = Option.map instruments_of metrics in
   let record f = Option.iter f instruments in
   (* A fault scenario whose generation cap bound is simulating a calmer
@@ -418,8 +408,25 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
     counters.activations - counters.purges - counters.elections
   in
   (* A pooled ring when one is free: its network is reset by [Net.create]
-     below, its shadow here. *)
+     below, its shadow and monitor here. *)
   let pooled = take config.pool in
+  let monitor =
+    Option.map
+      (fun oracle ->
+         let clock =
+           match scheduler with
+           | None -> Some config.params.Params.clock
+           | Some _ -> None
+         in
+         match pooled with
+         | Some { monitor = Some m; _ } ->
+           Monitor.reset m ~oracle ?clock ();
+           m
+         | Some { monitor = None; _ } | None ->
+           Monitor.create ~oracle ?clock ~fifo:false ~dynamic
+             ~topology:config.topology ~nodes:config.n ~links:config.n ())
+      oracle
+  in
   (* Shadow copy of all node states, to sample the ring-wide wake-up mass
      Σ d over non-passive nodes whenever the phase distribution changes. *)
   let shadow =
@@ -494,10 +501,10 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
   in
   let monitor_observer = Option.map Monitor.observer monitor in
   let observer =
-    if monitor_observer = None && dynamic = Monitor.Static
-       && net_config.Network.crash_times = []
-    then
-      None
+    (* With no crash, rejoin or outage to react to, the monitor's own
+       observer is installed as it is. *)
+    if dynamic = Monitor.Static && net_config.Network.crash_times = [] then
+      monitor_observer
     else
       Some
         (fun ~time ~stats ~in_flight ev ->
@@ -553,8 +560,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
              record (fun i ->
                  Abe_sim.Metrics.incr i.m_activations;
                  Abe_sim.Metrics.observe i.m_activation_time time;
-                 Abe_sim.Metrics.observe i.m_live_tokens
-                   (float_of_int (live_tokens ())))
+                 Abe_sim.Metrics.observe_int i.m_live_tokens (live_tokens ()))
            | Knockout ->
              counters.knockouts <- counters.knockouts + 1;
              record (fun i -> Abe_sim.Metrics.incr i.m_knockouts);
@@ -563,8 +569,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
              counters.purges <- counters.purges + 1;
              record (fun i ->
                  Abe_sim.Metrics.incr i.m_purges;
-                 Abe_sim.Metrics.observe i.m_live_tokens
-                   (float_of_int (live_tokens ())));
+                 Abe_sim.Metrics.observe_int i.m_live_tokens (live_tokens ()));
              sample_mass time
            | Elected ->
              counters.elections <- counters.elections + 1;
@@ -614,7 +619,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
            | Token { hop; traversed } ->
              note_recv ctx.Net.node hop;
              record (fun i ->
-                 Abe_sim.Metrics.observe i.m_token_hops (float_of_int hop));
+                 Abe_sim.Metrics.observe_int i.m_token_hops hop);
              on_token sim ctx st ~hop ~traversed
            | Announce ->
              informed.(ctx.Net.node) <- true;
@@ -634,8 +639,15 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
       ~limit_time:config.limit_time ~limit_events:config.limit_events
       ~wall_deadline ~seed net_config handlers
   in
+  (* An unchecked run keeps the ring's monitor for the next checked one. *)
+  let kept =
+    match monitor, pooled with
+    | None, Some { monitor; _ } -> monitor
+    | monitor, _ -> monitor
+  in
   (* Back to the pool however the run ends; the next taker resets it. *)
-  Fun.protect ~finally:(fun () -> give config.pool { net; shadow })
+  Fun.protect ~finally:(fun () ->
+      give config.pool { net; shadow; monitor = kept })
   @@ fun () ->
   (stop_engine := fun () -> Abe_sim.Engine.stop (Net.engine net));
   (* State digest for exploration-time pruning: a 62-bit avalanche hash of

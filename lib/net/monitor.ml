@@ -9,9 +9,9 @@ type dynamic_class =
   | Rooted of int
 
 type t = {
-  oracle : Abe_sim.Oracle.t;
+  mutable oracle : Abe_sim.Oracle.t;
   fifo : bool;
-  clock : Clock.spec option;
+  mutable clock : Clock.spec option;
   dynamic : dynamic_class;
   topology : Topology.t option;
   mutable sent : int;
@@ -52,6 +52,21 @@ let create ~oracle ?clock ?(fifo = false) ?(dynamic = Static) ?topology ~nodes
     last_tick_local = Array.make (max nodes 1) nan;
     link_live = Array.make (max links 1) true;
     node_crashed = Array.make (max nodes 1) false }
+
+let reset t ~oracle ?clock () =
+  t.oracle <- oracle;
+  t.clock <- clock;
+  t.sent <- 0;
+  t.delivered <- 0;
+  t.lost <- 0;
+  t.dropped <- 0;
+  t.link_dropped <- 0;
+  t.ticks <- 0;
+  Array.fill t.last_delivered_seq 0 (Array.length t.last_delivered_seq) (-1);
+  Array.fill t.last_tick_real 0 (Array.length t.last_tick_real) nan;
+  Array.fill t.last_tick_local 0 (Array.length t.last_tick_local) nan;
+  Array.fill t.link_live 0 (Array.length t.link_live) true;
+  Array.fill t.node_crashed 0 (Array.length t.node_crashed) false
 
 (* Tolerance for the tick-rate check: rates between tick completions are
    exact for linear clocks, so only float rounding needs headroom. *)

@@ -63,6 +63,12 @@ val create :
     additionally need [topology] (the network's own) to walk the live
     subgraph — omitting it raises [Invalid_argument]. *)
 
+val reset : t -> oracle:Abe_sim.Oracle.t -> ?clock:Clock.spec -> unit -> unit
+(** Start a new run on the same network: the monitor reports to [oracle]
+    and checks [clock] (none if omitted), as one just built by {!create}
+    with its other arguments unchanged would.  Allocates nothing, so a
+    pooled network can keep its monitor. *)
+
 val observer : t -> Network.observer
 (** The observer to pass to {!Network.Make.create}. *)
 

@@ -109,7 +109,7 @@ module Make (P : PROTOCOL) = struct
     m_link_drops : Metrics.counter;
     m_ticks : Metrics.counter;
     m_latency : Metrics.histogram;           (* all links *)
-    m_link_latency : Metrics.histogram array;  (* by link id *)
+    m_link_latency : Metrics.family;  (* by link id *)
     m_in_flight : Metrics.histogram;
   }
 
@@ -237,7 +237,7 @@ module Make (P : PROTOCOL) = struct
           | Lost -> ins.m_lost
           | Link_dropped -> ins.m_link_drops
           | Crash_dropped -> ins.m_crashed_drops);
-       Metrics.observe ins.m_in_flight (float_of_int t.inflight));
+       Metrics.observe_int ins.m_in_flight t.inflight);
     (match t.observer with
      | None -> ()
      | Some f ->
@@ -367,7 +367,7 @@ module Make (P : PROTOCOL) = struct
             queueing at the destination is not included. *)
          let latency = now t -. t.env_sent_at.(i) in
          Metrics.observe ins.m_latency latency;
-         Metrics.observe ins.m_link_latency.(link_id) latency);
+         Metrics.observe (Metrics.member ins.m_link_latency link_id) latency);
       let arrival = now t in
       occupy t dst ~arrival;
       t.env_arrival.(i) <- arrival;
@@ -915,8 +915,8 @@ module Make (P : PROTOCOL) = struct
              m_ticks = Metrics.counter m "net/ticks";
              m_latency = Metrics.histogram m "net/latency";
              m_link_latency =
-               Array.init (Array.length t.links) (fun i ->
-                   Metrics.histogram m (Printf.sprintf "net/link/%04d/latency" i));
+               Metrics.histogram_family m ~prefix:"net/link/"
+                 ~suffix:"/latency" (Array.length t.links);
              m_in_flight = Metrics.histogram m "net/in_flight" })
         metrics
     in

@@ -194,7 +194,8 @@ module Make (P : PROTOCOL) : sig
       ["net/lost"], ["net/crashed_drops"], ["net/link_drops"],
       ["net/ticks"]; histograms ["net/latency"] (link transit time of
       every message reaching a live node, aggregated) and
-      ["net/link/NNNN/latency"] per link id; and ["net/in_flight"]
+      ["net/link/NNNN/latency"] per link id (one
+      {!Abe_sim.Metrics.histogram_family}); and ["net/in_flight"]
       (in-flight message count observed at every send and at every
       message leaving flight).  Like tracing and observers, recording
       draws no randomness: every outcome is byte-identical with and

@@ -2,61 +2,77 @@ type shape =
   | Transit_shape of { link : int; src : int; dst : int; delivered : bool }
   | Process_shape of { node : int; t_busy : float }
 
-(* The DAG lives in flat columns indexed by span id, so recording a span
-   writes a few array cells and keeps no per-span heap block alive.  The
-   columns grow in fixed-size chunks that are never copied: span [id]
-   lives in chunk [id lsr chunk_bits], at offset [id land chunk_mask].
-   A chunk's word columns are larger than the minor heap's largest block,
-   so they are allocated straight into the major heap: a long run
-   promotes next to nothing and copies nothing as it grows. *)
+(* The DAG lives in row-major chunks indexed by span id, so recording a
+   span writes a few unboxed array cells and keeps no per-span heap block
+   alive.  Span [id] lives in chunk [id lsr chunk_bits], at row
+   [id land chunk_mask].  Each chunk holds one [int array] of three-word
+   rows and one [float array] of three-word rows:
+
+   - [order]: the Lamport time and the first parent ([cause]: the message
+     cause, or the sending handler of a transit; -1 = none), packed;
+   - [prev]: for a process span, the node's previous process span (-1 =
+     none); for a transit, which has no second parent, its endpoints
+     [src] and [dst], packed;
+   - [meta]: the track (the node of a process span, the link of a
+     transit), the interned label id and the kind, packed;
+   - [t_begin], [t_busy] (a transit stores its [t_begin]) and [t_end].
+
+   That is 48 bytes per span, and no pointer is written, so no write
+   barrier is paid.  Chunks are never copied, and each one is larger than
+   the minor heap's largest block, so it is allocated straight into the
+   major heap: a long run promotes next to nothing as it grows. *)
 let chunk_bits = 9
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 
-(* [kind] bytes. *)
-let process_kind = '\000'
-let transit_kind = '\001'
-let delivered_kind = '\002'  (* a transit that a process span named as its
-                                cause *)
+(* Row width of both arrays, and the int row's offsets. *)
+let width = 3
+let o_order = 0
+let o_prev = 1
+let o_meta = 2
 
-type chunk = {
-  lamport : int array;
-  cause : int array;  (* first parent (the message cause, or the sending
-                         handler of a transit); -1 = none *)
-  prev : int array;  (* second parent: the node's previous process span;
-                        -1 = none *)
-  track : int array;  (* node of a process span, link of a transit *)
-  src : int array;  (* transit endpoints; the node for process spans *)
-  dst : int array;
-  t_begin : float array;
-  t_end : float array;
-  t_busy : float array;  (* a transit stores its [t_begin] *)
-  label : string array;
-  kind : Bytes.t;
-}
+(* [order]: [cause + 1] in bits 0-31, the Lamport time in bits 32-62.
+   Span ids stay below [id_limit], so [cause + 1] fits. *)
+let cause_bits = 32
+let cause_mask = (1 lsl cause_bits) - 1
+let id_limit = 1 lsl 31
+let lamport_limit = 1 lsl 31
 
-let fresh_chunk () =
-  { lamport = Array.make chunk_size 0;
-    cause = Array.make chunk_size 0;
-    prev = Array.make chunk_size 0;
-    track = Array.make chunk_size 0;
-    src = Array.make chunk_size 0;
-    dst = Array.make chunk_size 0;
-    t_begin = Array.create_float chunk_size;
-    t_end = Array.create_float chunk_size;
-    t_busy = Array.create_float chunk_size;
-    label = Array.make chunk_size "";
-    kind = Bytes.make chunk_size process_kind }
+let[@inline] order_lamport order = order lsr cause_bits
+let[@inline] order_cause order = (order land cause_mask) - 1
 
-(* Fills the unused tail of the chunk spine. *)
-let no_chunk =
-  { lamport = [||]; cause = [||]; prev = [||]; track = [||]; src = [||];
-    dst = [||]; t_begin = [||]; t_end = [||]; t_busy = [||]; label = [||];
-    kind = Bytes.empty }
+(* A transit's [prev]: [dst] in bits 0-30, [src] in bits 31-61. *)
+let end_bits = 31
+let end_mask = (1 lsl end_bits) - 1
+
+(* [meta]: the kind in bits 0-1, the label id in bits 2-31, the track in
+   bits 32-62. *)
+let process_kind = 0
+let transit_kind = 1
+let delivered_kind = 2  (* a transit that a process span named as its
+                           cause *)
+
+let kind_mask = 3
+let label_shift = 2
+let label_limit = 1 lsl 30
+let track_shift = 32
+let track_limit = 1 lsl 31
+
+let[@inline] meta_kind meta = meta land kind_mask
+let[@inline] meta_label meta = (meta lsr label_shift) land (label_limit - 1)
+let[@inline] meta_track meta = meta lsr track_shift
+
+(* The physical-equality fast path of label interning scans this many of
+   the first interned labels before hashing. *)
+let label_scan = 8
 
 type t = {
-  mutable chunks : chunk array;
+  mutable ints : int array array;  (* by chunk *)
+  mutable floats : float array array;  (* by chunk *)
   mutable span_count : int;
+  mutable labels : string array;  (* by label id *)
+  mutable label_count : int;
+  label_ids : (string, int) Hashtbl.t;
   mutable marks : mark_record list;  (* reverse recording order *)
   mutable mark_count : int;
   mutable current : int;  (* span id; -1 = none *)
@@ -81,8 +97,12 @@ and mark_record = {
 }
 
 let create () =
-  { chunks = [||];
+  { ints = [||];
+    floats = [||];
     span_count = 0;
+    labels = [||];
+    label_count = 0;
+    label_ids = Hashtbl.create 16;
     marks = [];
     mark_count = 0;
     current = -1;
@@ -93,7 +113,10 @@ let create () =
 let span_count t = t.span_count
 let mark_count t = t.mark_count
 
-let[@inline] chunk t id = t.chunks.(id lsr chunk_bits)
+let[@inline] int_at t id o =
+  t.ints.(id lsr chunk_bits).((width * (id land chunk_mask)) + o)
+let[@inline] float_at t id o =
+  t.floats.(id lsr chunk_bits).((width * (id land chunk_mask)) + o)
 
 let handle t id = if id < 0 then None else Some { recorder = t; id }
 
@@ -115,7 +138,45 @@ let current t = handle t t.current
 let set_sink t = t.sink <- t.current
 let sink t = handle t t.sink
 
-let lamport_at t id = (chunk t id).lamport.(id land chunk_mask)
+let rec scan_labels labels label i n =
+  if i = n then -1
+  else if labels.(i) == label then i
+  else scan_labels labels label (i + 1) n
+
+let intern t label =
+  match Hashtbl.find_opt t.label_ids label with
+  | Some id -> id
+  | None ->
+    let id = t.label_count in
+    if id = label_limit then invalid_arg "Causal: too many distinct labels";
+    if id = Array.length t.labels then begin
+      let labels = Array.make (Stdlib.max 8 (2 * id)) "" in
+      Array.blit t.labels 0 labels 0 id;
+      t.labels <- labels
+    end;
+    t.labels.(id) <- label;
+    t.label_count <- id + 1;
+    Hashtbl.add t.label_ids label id;
+    id
+
+(* The id of [label], interned on first sight.  Callers pass a handful of
+   literals over and over, so those are found by physical equality before
+   any hashing. *)
+let label_id t label =
+  let i =
+    scan_labels t.labels label 0 (Stdlib.min t.label_count label_scan)
+  in
+  if i >= 0 then i else intern t label
+
+let check_id what id =
+  if id < 0 || id >= track_limit then
+    invalid_arg (Printf.sprintf "Causal: %s %d out of range" what id)
+
+let[@inline] meta t ~kind ~track ~label =
+  check_id "track" track;
+  (track lsl track_shift) lor (label_id t label lsl label_shift) lor kind
+
+let lamport_at t id = order_lamport (int_at t id o_order)
 
 (* One more than the maximum Lamport time among the parents and the
    executing engine event. *)
@@ -123,45 +184,56 @@ let span_lamport t ~cause ~prev =
   let l = t.event_lamport in
   let l = if cause < 0 then l else Stdlib.max l (lamport_at t cause) in
   let l = if prev < 0 then l else Stdlib.max l (lamport_at t prev) in
-  l + 1
+  let l = l + 1 in
+  if l < 0 || l >= lamport_limit then
+    invalid_arg (Printf.sprintf "Causal: Lamport time %d out of range" l);
+  l
 
-(* Claim the next id, opening a chunk when the last one is full.  Only the
-   spine of chunk pointers is ever copied. *)
+(* A spine of chunks with room for chunk [c]: only the spine of chunk
+   pointers is ever copied. *)
+let grown spine c empty =
+  if c < Array.length spine then spine
+  else begin
+    let bigger = Array.make (Stdlib.max 8 (2 * c)) empty in
+    Array.blit spine 0 bigger 0 c;
+    bigger
+  end
+
+(* Claim the next id, opening a chunk when the last one is full. *)
 let next_id t =
   let id = t.span_count in
   if id land chunk_mask = 0 then begin
+    if id >= id_limit then invalid_arg "Causal: too many spans";
     let c = id lsr chunk_bits in
-    if c = Array.length t.chunks then begin
-      let spine = Array.make (Stdlib.max 8 (2 * c)) no_chunk in
-      Array.blit t.chunks 0 spine 0 c;
-      t.chunks <- spine
-    end;
-    t.chunks.(c) <- fresh_chunk ()
+    t.ints <- grown t.ints c [||];
+    t.floats <- grown t.floats c [||];
+    t.ints.(c) <- Array.make (width * chunk_size) 0;
+    t.floats.(c) <- Array.create_float (width * chunk_size)
   end;
   t.span_count <- id + 1;
   id
 
-let[@inline] record t ~kind ~cause ~prev ~track ~src ~dst ~t_begin ~t_busy
-    ~t_end ~label =
+let[@inline] record t ~meta ~cause ~prev ~stored_prev ~t_begin ~t_busy
+    ~t_end =
   let lamport = span_lamport t ~cause ~prev in
   let id = next_id t in
-  let c = chunk t id and k = id land chunk_mask in
-  c.lamport.(k) <- lamport;
-  c.cause.(k) <- cause;
-  c.prev.(k) <- prev;
-  c.track.(k) <- track;
-  c.src.(k) <- src;
-  c.dst.(k) <- dst;
-  c.t_begin.(k) <- t_begin;
-  c.t_busy.(k) <- t_busy;
-  c.t_end.(k) <- t_end;
-  c.label.(k) <- label;
-  Bytes.set c.kind k kind;
+  let c = id lsr chunk_bits and i = width * (id land chunk_mask) in
+  let ints = t.ints.(c) in
+  ints.(i + o_order) <- (lamport lsl cause_bits) lor (cause + 1);
+  ints.(i + o_prev) <- stored_prev;
+  ints.(i + o_meta) <- meta;
+  let floats = t.floats.(c) in
+  floats.(i) <- t_begin;
+  floats.(i + 1) <- t_busy;
+  floats.(i + 2) <- t_end;
   id
 
 let[@inline] record_transit t ~link ~src ~dst ~t_begin ~t_end ~label =
-  record t ~kind:transit_kind ~cause:t.current ~prev:(-1) ~track:link ~src
-    ~dst ~t_begin ~t_busy:t_begin ~t_end ~label
+  let meta = meta t ~kind:transit_kind ~track:link ~label in
+  check_id "src" src;
+  check_id "dst" dst;
+  record t ~meta ~cause:t.current ~prev:(-1)
+    ~stored_prev:((src lsl end_bits) lor dst) ~t_begin ~t_busy:t_begin ~t_end
 
 let[@inline] transit_at t ~link ~src ~dst ~t_begin ~t_end ~label i =
   record_transit t ~link ~src ~dst ~t_begin:t_begin.(i) ~t_end:t_end.(i)
@@ -172,9 +244,13 @@ let transit t ~link ~src ~dst ~t_begin ~t_end ~label =
     id = record_transit t ~link ~src ~dst ~t_begin ~t_end ~label }
 
 let[@inline] record_process t ~cause ~node ~label ~t_begin ~t_busy ~t_end =
+  let meta = meta t ~kind:process_kind ~track:node ~label in
   if cause >= 0 then begin
-    let c = chunk t cause and k = cause land chunk_mask in
-    if Bytes.get c.kind k = transit_kind then Bytes.set c.kind k delivered_kind
+    let ints = t.ints.(cause lsr chunk_bits)
+    and i = (width * (cause land chunk_mask)) + o_meta in
+    let m = ints.(i) in
+    if meta_kind m = transit_kind then
+      ints.(i) <- m land lnot kind_mask lor delivered_kind
   end;
   if node >= Array.length t.occupants then begin
     let occupants = Array.make (max 64 (2 * (node + 1))) (-1) in
@@ -184,9 +260,9 @@ let[@inline] record_process t ~cause ~node ~label ~t_begin ~t_busy ~t_end =
   (* Parent order is the critical-path tie-break: the message cause comes
      before the program-order predecessor, so when both end exactly at
      [t_busy] the path follows the message chain. *)
+  let prev = t.occupants.(node) in
   let id =
-    record t ~kind:process_kind ~cause ~prev:t.occupants.(node) ~track:node
-      ~src:node ~dst:node ~t_begin ~t_busy ~t_end ~label
+    record t ~meta ~cause ~prev ~stored_prev:prev ~t_begin ~t_busy ~t_end
   in
   t.occupants.(node) <- id;
   id
@@ -207,30 +283,40 @@ let mark t ~node ~time label =
     :: t.marks;
   t.mark_count <- t.mark_count + 1
 
+(* A transit's endpoints. *)
+let src_at t id = int_at t id o_prev lsr end_bits
+let dst_at t id = int_at t id o_prev land end_mask
+
 (* {2 Accessors} *)
 
 let span_id s = s.id
 
 let lamport s = lamport_at s.recorder s.id
-let label s = (chunk s.recorder s.id).label.(s.id land chunk_mask)
-let[@inline] span_begin s = (chunk s.recorder s.id).t_begin.(s.id land chunk_mask)
-let[@inline] span_end s = (chunk s.recorder s.id).t_end.(s.id land chunk_mask)
+let label_of t id = t.labels.(meta_label (int_at t id o_meta))
+let label s = label_of s.recorder s.id
+let[@inline] span_begin s = float_at s.recorder s.id 0
+let[@inline] span_end s = float_at s.recorder s.id 2
 
 let parents s =
   let t = s.recorder in
-  let c = chunk t s.id and k = s.id land chunk_mask in
-  let cause = c.cause.(k) and prev = c.prev.(k) in
-  let rest = if prev < 0 then [] else [ { recorder = t; id = prev } ] in
+  let cause = order_cause (int_at t s.id o_order) in
+  let rest =
+    (* A transit's [prev] slot holds its endpoints, not a parent. *)
+    let prev = int_at t s.id o_prev in
+    if prev < 0 || meta_kind (int_at t s.id o_meta) <> process_kind then []
+    else [ { recorder = t; id = prev } ]
+  in
   if cause < 0 then rest else { recorder = t; id = cause } :: rest
 
 let shape s =
-  let c = chunk s.recorder s.id and k = s.id land chunk_mask in
-  let kind = Bytes.get c.kind k in
+  let t = s.recorder and id = s.id in
+  let meta = int_at t id o_meta in
+  let kind = meta_kind meta in
   if kind = process_kind then
-    Process_shape { node = c.track.(k); t_busy = c.t_busy.(k) }
+    Process_shape { node = meta_track meta; t_busy = float_at t id 1 }
   else
     Transit_shape
-      { link = c.track.(k); src = c.src.(k); dst = c.dst.(k);
+      { link = meta_track meta; src = src_at t id; dst = dst_at t id;
         delivered = kind = delivered_kind }
 
 let spans t = List.init t.span_count (fun id -> { recorder = t; id })
@@ -254,17 +340,16 @@ let track_count t =
   let see_node n = if n + 1 > !nodes then nodes := n + 1 in
   let see_link l = if l + 1 > !links then links := l + 1 in
   for id = 0 to t.span_count - 1 do
-    let c = chunk t id and k = id land chunk_mask in
-    if Bytes.get c.kind k = process_kind then see_node c.track.(k)
+    let meta = int_at t id o_meta in
+    if meta_kind meta = process_kind then see_node (meta_track meta)
     else begin
-      see_link c.track.(k);
-      see_node c.src.(k);
-      see_node c.dst.(k)
+      see_link (meta_track meta);
+      see_node (src_at t id);
+      see_node (dst_at t id)
     end
   done;
   List.iter (fun m -> see_node m.m_node) t.marks;
   (!nodes, !links)
-
 let output_trace_json ?(name = "abe-sim") oc t =
   let nodes, links = track_count t in
   output_string oc "{\"traceEvents\":[\n";
@@ -288,20 +373,20 @@ let output_trace_json ?(name = "abe-sim") oc t =
       (nodes + link) link
   done;
   for id = 0 to t.span_count - 1 do
-    let c = chunk t id and k = id land chunk_mask in
-    let t_begin = c.t_begin.(k) and t_end = c.t_end.(k) in
+    let t_begin = float_at t id 0 and t_end = float_at t id 2 in
     let dur = us t_end -. us t_begin in
-    let kind = Bytes.get c.kind k in
+    let meta = int_at t id o_meta and lamport = lamport_at t id in
+    let kind = meta_kind meta and label = label_of t id in
     if kind = process_kind then
       eventf
         "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"dur\":%.12g,\"name\":\"%s\",\"cat\":\"process\",\"args\":{\"span\":%d,\"lamport\":%d,\"wait\":%.12g}}"
-        c.track.(k) (us t_begin) dur c.label.(k) id c.lamport.(k)
-        (us c.t_busy.(k) -. us t_begin)
+        (meta_track meta) (us t_begin) dur label id lamport
+        (us (float_at t id 1) -. us t_begin)
     else begin
-      let src = c.src.(k) and dst = c.dst.(k) in
+      let src = src_at t id and dst = dst_at t id in
       eventf
         "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.12g,\"dur\":%.12g,\"name\":\"%s\",\"cat\":\"transit\",\"args\":{\"span\":%d,\"lamport\":%d,\"src\":%d,\"dst\":%d}}"
-        (nodes + c.track.(k)) (us t_begin) dur c.label.(k) id c.lamport.(k)
+        (nodes + meta_track meta) (us t_begin) dur label id lamport
         src dst;
       (* Flow arrows reconnect every delivered message to its send span:
          the flow starts inside the sending handler's slice on the source

@@ -29,16 +29,25 @@
     and be analyzed ({!Critpath}) or exported ({!output_trace_json})
     afterwards.
 
-    {b Representation.}  The recorder keeps the DAG in flat columns
-    indexed by span id (Lamport time, begin/busy/end instants, track,
-    endpoints, the two parent ids, a kind-and-delivered byte, the label),
-    grown in fixed-size chunks that are never copied; the node occupants,
-    the current span and the sink are ids.  Recording a span therefore
+    {b Representation.}  The recorder keeps the DAG in row-major chunks
+    of 512 spans indexed by span id: per chunk, one [int array] of
+    three-word rows (Lamport time and cause packed; the program-order
+    predecessor, or a transit's endpoints; track, interned label id and
+    kind packed) and one [float array] of three-word rows (begin, busy
+    and end instants).  That is 48 bytes per span, written without a
+    pointer store.  Chunks are never copied; the node occupants, the
+    current span and the sink are ids.  Recording a span therefore
     allocates no per-span heap block the recorder keeps: a {!span} is a
     small handle (recorder, id) built when one is returned, and
-    {!spans}, {!parents} and {!shape} are built from the columns on each
+    {!spans}, {!parents} and {!shape} are built from the rows on each
     call.  A {!shape} is a snapshot: a transit's [delivered] is what it
-    was when {!shape} was called. *)
+    was when {!shape} was called.
+
+    Labels are interned per recorder, so any number of distinct labels
+    reads back unchanged.  The packing bounds what a recorder holds:
+    node and link ids below 2{^31}, fewer than 2{^31} spans, Lamport
+    times below 2{^31} and fewer than 2{^30} distinct labels; recording
+    beyond a bound raises [Invalid_argument]. *)
 
 type t
 (** A span recorder.  Not thread-safe: one recorder per run, like a

@@ -418,7 +418,7 @@ let measure t ~depth =
   | None -> ()
   | Some i ->
     Metrics.incr i.m_executed;
-    Metrics.observe i.m_queue_depth (float_of_int depth)
+    Metrics.observe_int i.m_queue_depth depth
 
 (* Tell the span recorder that an engine event is executing, so spans it
    records inherit the event's Lamport time. *)

@@ -28,17 +28,58 @@ type metric =
   | Gauge of gauge
   | Histogram of histogram
 
-type t = { metrics : (string, metric) Hashtbl.t }
+(* Indexed histograms named [prefix ^ %04d ^ suffix]: one registration
+   covers a whole id range (one latency histogram per link), and the
+   member names are formatted only when the registry is listed. *)
+type family = {
+  prefix : string;
+  suffix : string;
+  mutable members : histogram array;  (* by index *)
+}
 
-let create () = { metrics = Hashtbl.create ~random:false 32 }
+type t = {
+  metrics : (string, metric) Hashtbl.t;
+  mutable families : family list;
+}
+
+let create () = { metrics = Hashtbl.create ~random:false 32; families = [] }
 
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
-let counter t name =
+let member_name f i = Printf.sprintf "%s%04d%s" f.prefix i f.suffix
+
+(* The index [name] has in family [f] widened to [size] members, if it is
+   one of their names. *)
+let index_below f ~size name =
+  let lp = String.length f.prefix and ls = String.length f.suffix in
+  let ln = String.length name in
+  if
+    ln >= lp + ls + 4
+    && String.starts_with ~prefix:f.prefix name
+    && String.ends_with ~suffix:f.suffix name
+  then
+    match int_of_string_opt ("0u" ^ String.sub name lp (ln - lp - ls)) with
+    | Some i when i < size && member_name f i = name -> Some i
+    | _ -> None
+  else None
+
+let member_index f name = index_below f ~size:(Array.length f.members) name
+
+(* A registered metric by name, family members included. *)
+let find t name =
   match Hashtbl.find_opt t.metrics name with
+  | Some _ as m -> m
+  | None ->
+    List.find_map
+      (fun f ->
+         Option.map (fun i -> Histogram f.members.(i)) (member_index f name))
+      t.families
+
+let counter t name =
+  match find t name with
   | Some (Counter c) -> c
   | Some m ->
     invalid_arg
@@ -49,7 +90,7 @@ let counter t name =
     c
 
 let gauge t name =
-  match Hashtbl.find_opt t.metrics name with
+  match find t name with
   | Some (Gauge g) -> g
   | Some m ->
     invalid_arg
@@ -67,7 +108,7 @@ let fresh_histogram () =
     stats = [| 0.; infinity; neg_infinity |] }
 
 let histogram t name =
-  match Hashtbl.find_opt t.metrics name with
+  match find t name with
   | Some (Histogram h) -> h
   | Some m ->
     invalid_arg
@@ -77,6 +118,53 @@ let histogram t name =
     let h = fresh_histogram () in
     Hashtbl.add t.metrics name (Histogram h);
     h
+
+(* Widen [f] to [size] members.  A histogram registered earlier under a
+   new member's name becomes that member. *)
+let widen t f size =
+  let old = Array.length f.members in
+  if size > old then begin
+    let adopted =
+      Hashtbl.fold
+        (fun name m acc ->
+           match index_below f ~size name, m with
+           | Some i, Histogram h when i >= old -> (name, i, h) :: acc
+           | Some i, (Counter _ | Gauge _) when i >= old ->
+             invalid_arg
+               (Printf.sprintf "Metrics.histogram_family: %S is already a %s"
+                  name (kind_name m))
+           | _ -> acc)
+        t.metrics []
+    in
+    let members =
+      Array.init size (fun i ->
+          if i < old then f.members.(i) else fresh_histogram ())
+    in
+    List.iter
+      (fun (name, i, h) ->
+         Hashtbl.remove t.metrics name;
+         members.(i) <- h)
+      adopted;
+    f.members <- members
+  end
+
+let histogram_family t ~prefix ~suffix size =
+  if size < 0 then invalid_arg "Metrics.histogram_family: negative size";
+  let f =
+    match
+      List.find_opt (fun f -> f.prefix = prefix && f.suffix = suffix)
+        t.families
+    with
+    | Some f -> f
+    | None ->
+      let f = { prefix; suffix; members = [||] } in
+      t.families <- f :: t.families;
+      f
+  in
+  widen t f size;
+  f
+
+let member f i = f.members.(i)
 
 let incr ?(by = 1) c =
   if by < 0 then invalid_arg "Metrics.incr: negative increment";
@@ -141,17 +229,31 @@ let add_count h i c =
     h.counts.(k) <- h.counts.(k) + c
   end
 
+(* The count, sum, min and max of a sample already bucketed. *)
+let[@inline] tally h x =
+  h.total <- h.total + 1;
+  let s = h.stats in
+  s.(0) <- s.(0) +. x;
+  if x < s.(1) then s.(1) <- x;
+  if x > s.(2) then s.(2) <- x
+
 let observe h x =
   if not (x < infinity) then
     invalid_arg
       (if Float.is_nan x then "Metrics.observe: NaN observation"
        else "Metrics.observe: infinite observation");
   if x > 0. then add_count h (bucket_of x) 1 else h.zero <- h.zero + 1;
-  h.total <- h.total + 1;
-  let s = h.stats in
-  s.(0) <- s.(0) +. x;
-  if x < s.(1) then s.(1) <- x;
-  if x > s.(2) then s.(2) <- x
+  tally h x
+
+let observe_int h k =
+  let x = float_of_int k in
+  if k > 0 then
+    add_count h
+      (if k < Array.length small_buckets then small_buckets.(k)
+       else log_bucket x)
+      1
+  else h.zero <- h.zero + 1;
+  tally h x
 
 let hist_count h = h.total
 let hist_sum h = h.stats.(0)
@@ -216,7 +318,7 @@ let copy_metric = function
 let merge_into ~into src =
   Hashtbl.iter
     (fun name m ->
-       match Hashtbl.find_opt into.metrics name, m with
+       match find into name, m with
        | None, _ -> Hashtbl.add into.metrics name (copy_metric m)
        | Some (Counter a), Counter b -> a.count <- a.count + b.count
        | Some (Gauge a), Gauge b -> merge_gauge ~into:a b
@@ -225,13 +327,39 @@ let merge_into ~into src =
          invalid_arg
            (Printf.sprintf "Metrics.merge_into: %S is a %s here but a %s there"
               name (kind_name existing) (kind_name m)))
-    src.metrics
+    src.metrics;
+  (* Families merge member by member, like the named histograms they
+     stand for. *)
+  List.iter
+    (fun f ->
+       let size = Array.length f.members in
+       let g =
+         histogram_family into ~prefix:f.prefix ~suffix:f.suffix size
+       in
+       Array.iteri (fun i h -> merge_histogram ~into:g.members.(i) h)
+         f.members)
+    src.families
 
-let names t =
-  let all = Hashtbl.fold (fun name _ acc -> name :: acc) t.metrics [] in
-  List.sort compare all
+(* Every metric with its name, sorted by name. *)
+let entries t =
+  let all = Hashtbl.fold (fun name m acc -> (name, m) :: acc) t.metrics [] in
+  let all =
+    List.fold_left
+      (fun acc f ->
+         let acc = ref acc in
+         Array.iteri
+           (fun i h -> acc := (member_name f i, Histogram h) :: !acc)
+           f.members;
+         !acc)
+      all t.families
+  in
+  List.sort (fun (a, _) (b, _) -> compare a b) all
 
-let is_empty t = Hashtbl.length t.metrics = 0
+let names t = List.map fst (entries t)
+
+let is_empty t =
+  Hashtbl.length t.metrics = 0
+  && List.for_all (fun f -> Array.length f.members = 0) t.families
 
 let report_columns =
   [ "metric"; "kind"; "count"; "value"; "mean"; "p50"; "p90"; "p99"; "max" ]
@@ -240,8 +368,8 @@ let cell_float x = if Float.is_nan x then "-" else Printf.sprintf "%g" x
 
 let report_rows t =
   List.map
-    (fun name ->
-       match Hashtbl.find t.metrics name with
+    (fun (name, m) ->
+       match m with
        | Counter c ->
          [ name; "counter"; string_of_int c.count; "-"; "-"; "-"; "-"; "-";
            "-" ]
@@ -259,7 +387,7 @@ let report_rows t =
            cell_float (quantile h 0.9);
            cell_float (quantile h 0.99);
            cell_float (hist_max h) ])
-    (names t)
+    (entries t)
 
 let pp ppf t =
   List.iter

@@ -49,6 +49,26 @@ val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
 
+type family
+(** Histograms indexed by an id (one per link, say), named
+    [prefix ^ Printf.sprintf "%04d" i ^ suffix].  A family registers its
+    members in one step and formats their names only when the registry is
+    listed ({!names}, {!report_rows}) or merged ({!merge_into}); everywhere
+    else a member behaves exactly like a histogram registered under its
+    name, which {!histogram} returns. *)
+
+val histogram_family : t -> prefix:string -> suffix:string -> int -> family
+(** [histogram_family t ~prefix ~suffix size] gets or creates the family
+    and widens it to at least [size] members (ids [0 .. size-1]).  A
+    histogram already registered under a new member's name becomes that
+    member.
+    @raise Invalid_argument if [size] is negative or a member's name is
+    already a counter or a gauge. *)
+
+val member : family -> int -> histogram
+(** The member with id [i].
+    @raise Invalid_argument if [i] is out of range. *)
+
 (** {2 Recording} *)
 
 val incr : ?by:int -> counter -> unit
@@ -63,6 +83,14 @@ val observe : histogram -> float -> unit
     @raise Invalid_argument on [nan] or [infinity], which have no bucket
     ([neg_infinity] is a non-positive value and lands in the zero
     bucket). *)
+
+val observe_int : histogram -> int -> unit
+(** [observe_int h k] records exactly what [observe h (float_of_int k)]
+    records (same bucket, count, sum, min and max), without boxing the
+    sample: positive [k] below 4096 take their bucket from the small-integer
+    table, larger ones the logarithm, and [k <= 0] the zero bucket.  For
+    integer samples on hot paths: queue depths, in-flight counts, hop
+    counts. *)
 
 val bucket_of : float -> int
 (** The geometric bucket of a positive finite value:

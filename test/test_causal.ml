@@ -293,6 +293,128 @@ let test_retention () =
   if promoted > 2. then
     Alcotest.failf "%.2f promoted words per event (bound 2)" promoted
 
+(* Labels are interned per recorder: any number of distinct labels, passed
+   as fresh strings, reads back unchanged through every accessor and the
+   export, next to the endpoints, flags and parents of each span. *)
+let test_many_labels () =
+  let module C = Abe_sim.Causal in
+  let c = C.create () in
+  let count = 100 in
+  let name i = Printf.sprintf "label-%03d" i in
+  let nodes = 3 * count in
+  let sends =
+    List.init count (fun i ->
+        C.enter_event c ~lamport:(2 * i);
+        let sender =
+          C.process c ~node:i ~label:(name i) ~t_begin:(float_of_int i)
+            ~t_busy:(float_of_int i) ~t_end:(float_of_int i +. 0.5) ()
+        in
+        C.set_current c (Some sender);
+        let transit =
+          C.transit c ~link:(count + i) ~src:i ~dst:(nodes - 1 - i)
+            ~t_begin:(float_of_int i +. 0.5) ~t_end:(float_of_int i +. 1.)
+            ~label:(name i)
+        in
+        (sender, transit))
+  in
+  (* Every other message is delivered, on a node whose previous span is an
+     earlier delivery, so the parents are [cause; previous]. *)
+  let deliveries =
+    List.filteri (fun i _ -> i mod 2 = 0) sends
+    |> List.mapi (fun k (_, transit) ->
+        C.enter_event c ~lamport:(1000 + k);
+        C.set_current c None;
+        C.process c ~cause:transit ~node:(nodes - 1) ~label:(name (count - 1 - k))
+          ~t_begin:(C.span_end transit) ~t_busy:(C.span_end transit)
+          ~t_end:(C.span_end transit +. 0.25) ())
+  in
+  List.iteri
+    (fun i (sender, transit) ->
+       Alcotest.(check string) "sender label" (name i) (C.label sender);
+       Alcotest.(check string) "transit label" (name i) (C.label transit);
+       Alcotest.(check (list int)) "transit parent is its sender"
+         [ C.span_id sender ] (List.map C.span_id (C.parents transit));
+       match C.shape transit with
+       | C.Transit_shape { link; src; dst; delivered } ->
+         Alcotest.(check (list int)) "link, src, dst"
+           [ count + i; i; nodes - 1 - i ] [ link; src; dst ];
+         Alcotest.(check bool) "delivered flag" (i mod 2 = 0) delivered
+       | C.Process_shape _ -> Alcotest.fail "transit read back as a process")
+    sends;
+  let delivered = List.filteri (fun i _ -> i mod 2 = 0) sends in
+  List.iteri
+    (fun k span ->
+       Alcotest.(check string) "delivery label" (name (count - 1 - k))
+         (C.label span);
+       let cause = C.span_id (snd (List.nth delivered k)) in
+       Alcotest.(check (list int)) "parents: cause, then previous"
+         (if k = 0 then [ cause ]
+          else [ cause; C.span_id (List.nth deliveries (k - 1)) ])
+         (List.map C.span_id (C.parents span));
+       match C.shape span with
+       | C.Process_shape { node; _ } ->
+         Alcotest.(check int) "node" (nodes - 1) node
+       | C.Transit_shape _ -> Alcotest.fail "process read back as a transit")
+    deliveries;
+  let file = Filename.temp_file "abe_labels" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+       let oc = open_out_bin file in
+       C.output_trace_json oc c;
+       close_out oc;
+       let ic = open_in_bin file in
+       let json = really_input_string ic (in_channel_length ic) in
+       close_in ic;
+       for i = 0 to count - 1 do
+         let occurrences = count_substring (Printf.sprintf "\"name\":\"%s\"" (name i)) json in
+         Alcotest.(check int) (name i ^ " exported") (if i >= count / 2 then 3 else 2)
+           occurrences;
+         Alcotest.(check int) "transit endpoints exported" 1
+           (count_substring
+              (Printf.sprintf "\"src\":%d,\"dst\":%d}" i (nodes - 1 - i))
+              json)
+       done;
+       Alcotest.(check int) "one flow pair per delivery" (count / 2)
+         (count_substring "\"ph\":\"f\"" json))
+
+(* Span storage is row-major: a warm observed n = 48 election records its
+   spans in at most 7 major-heap words each (the rows take 6, chunk
+   headers, the spine and the unfilled tail of the last chunk the rest),
+   counted against the same election unobserved. *)
+let test_span_words () =
+  let n = 48 in
+  let config =
+    Runner.config ~n ~a0:(Analysis.recommended_a0 ~theta:1. n)
+      ~params:Params.default ()
+  in
+  let major_words f =
+    Gc.minor ();
+    let _, _, before = Gc.counters () in
+    f ();
+    Gc.minor ();
+    let _, _, after = Gc.counters () in
+    after -. before
+  in
+  ignore (Runner.run ~seed:1 config : Runner.outcome);
+  List.iter
+    (fun seed ->
+       let plain =
+         major_words (fun () -> ignore (Runner.run ~seed config : Runner.outcome))
+       in
+       let causal = Abe_sim.Causal.create () in
+       let observed =
+         major_words (fun () ->
+             ignore (Runner.run ~causal ~seed config : Runner.outcome))
+       in
+       let per_span =
+         (observed -. plain) /. float_of_int (Abe_sim.Causal.span_count causal)
+       in
+       if per_span > 7. then
+         Alcotest.failf "seed %d: %.2f major words per span (bound 7)" seed
+           per_span)
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "causal"
     [ ( "causal",
@@ -310,5 +432,7 @@ let () =
           Alcotest.test_case "golden ring" `Quick test_golden_ring;
           Alcotest.test_case "golden proc delay" `Quick test_golden_proc_delay;
           Alcotest.test_case "golden lossy" `Quick test_golden_lossy;
-          Alcotest.test_case "retention" `Quick test_retention ]
+          Alcotest.test_case "retention" `Quick test_retention;
+          Alcotest.test_case "many labels" `Quick test_many_labels;
+          Alcotest.test_case "span words" `Quick test_span_words ]
       ) ]

@@ -376,6 +376,101 @@ let test_observe_rejects_infinity () =
       Metrics.observe h infinity);
   Alcotest.(check int) "nothing recorded" 0 (Metrics.hist_count h)
 
+(* [observe_int h k] is [observe h (float_of_int k)] without the box:
+   same rows, same quantiles, over the zero bucket (zero and negatives),
+   the small-integer table and the logarithm past it. *)
+let prop_observe_int_matches_observe =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [ (2, return 0);
+          (2, int_range (-5000) (-1));
+          (1, return min_int);
+          (4, int_range 1 4095);
+          (2, int_range 4096 1_000_000);
+          (1, int_range 1_000_000 max_int) ])
+  in
+  QCheck.Test.make ~name:"observe_int matches observe of the float"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list int)
+       QCheck.Gen.(list_size (int_range 0 80) sample))
+    (fun ks ->
+       let ints = Metrics.create () and floats = Metrics.create () in
+       let hi = Metrics.histogram ints "h" and hf = Metrics.histogram floats "h" in
+       List.iter
+         (fun k ->
+            Metrics.observe_int hi k;
+            Metrics.observe hf (float_of_int k))
+         ks;
+       Metrics.report_rows ints = Metrics.report_rows floats
+       && List.for_all
+            (fun q ->
+               let a = Metrics.quantile hi q and b = Metrics.quantile hf q in
+               a = b || (Float.is_nan a && Float.is_nan b))
+            quantiles
+       && Metrics.hist_sum hi = Metrics.hist_sum hf)
+
+(* A histogram family lists, renders and merges exactly like the named
+   histograms it stands for, and [histogram] finds its members. *)
+let test_family_matches_named () =
+  let fill ~family registry =
+    Metrics.incr (Metrics.counter registry "net/link_drops");
+    let member i =
+      if family then
+        Metrics.member
+          (Metrics.histogram_family registry ~prefix:"net/link/"
+             ~suffix:"/latency" 3)
+          i
+      else Metrics.histogram registry (Printf.sprintf "net/link/%04d/latency" i)
+    in
+    Metrics.observe (member 0) 1.5;
+    Metrics.observe (member 2) 4.;
+    ignore (member 1);
+    registry
+  in
+  let named = fill ~family:false (Metrics.create ())
+  and fam = fill ~family:true (Metrics.create ()) in
+  Alcotest.(check (list string)) "names" (Metrics.names named)
+    (Metrics.names fam);
+  Alcotest.(check (list (list string))) "rows" (Metrics.report_rows named)
+    (Metrics.report_rows fam);
+  Alcotest.(check int) "histogram finds a member" 1
+    (Metrics.hist_count (Metrics.histogram fam "net/link/0002/latency"));
+  Alcotest.check_raises "a member is a histogram"
+    (Invalid_argument
+       "Metrics.counter: \"net/link/0001/latency\" is already a histogram")
+    (fun () -> ignore (Metrics.counter fam "net/link/0001/latency"));
+  (* Merged either way round, and into each other, the rows agree. *)
+  let merged sources =
+    let into = Metrics.create () in
+    List.iter (fun src -> Metrics.merge_into ~into src) sources;
+    Metrics.report_rows into
+  in
+  let expected = merged [ named; named ] in
+  List.iter
+    (fun sources ->
+       Alcotest.(check (list (list string))) "merged rows" expected
+         (merged sources))
+    [ [ fam; fam ]; [ named; fam ]; [ fam; named ] ];
+  (* A family widened over a histogram registered by name adopts it. *)
+  let adopting = Metrics.create () in
+  Metrics.observe (Metrics.histogram adopting "net/link/0001/latency") 2.;
+  let f =
+    Metrics.histogram_family adopting ~prefix:"net/link/" ~suffix:"/latency" 2
+  in
+  Alcotest.(check int) "adopted" 1 (Metrics.hist_count (Metrics.member f 1));
+  Alcotest.(check int) "listed once" 2 (List.length (Metrics.names adopting));
+  let clashing = Metrics.create () in
+  ignore (Metrics.gauge clashing "net/link/0000/latency");
+  Alcotest.check_raises "a gauge is not adopted"
+    (Invalid_argument
+       "Metrics.histogram_family: \"net/link/0000/latency\" is already a \
+        gauge")
+    (fun () ->
+       ignore
+         (Metrics.histogram_family clashing ~prefix:"net/link/"
+            ~suffix:"/latency" 1))
+
 let () =
   Alcotest.run "metrics"
     [ ( "metrics",
@@ -398,4 +493,7 @@ let () =
           Alcotest.test_case "bucket table" `Quick test_bucket_table;
           Alcotest.test_case "observe rejects infinity" `Quick
             test_observe_rejects_infinity;
-          QCheck_alcotest.to_alcotest prop_dense_matches_reference ] ) ]
+          Alcotest.test_case "family matches named histograms" `Quick
+            test_family_matches_named;
+          QCheck_alcotest.to_alcotest prop_dense_matches_reference;
+          QCheck_alcotest.to_alcotest prop_observe_int_matches_observe ] ) ]

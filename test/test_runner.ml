@@ -899,6 +899,22 @@ let test_warm_setup_constant () =
            scenario large small slack)
     [ "none"; "delay-spike" ]
 
+(* A checked run keeps its monitor with the pooled ring and resets it in
+   place: after one warm-up, a checked run cut to one event allocates the
+   same at n = 4000 as at n = 250, up to a fixed slack. *)
+let test_warm_checked_constant () =
+  let slack = 1024. in
+  let warm n =
+    let config = Runner.config ~n ~a0:0.1 ~limit_events:1 () in
+    ignore (Runner.run ~check:true ~seed:1 config : Runner.outcome);
+    words_of (fun () ->
+        ignore (Runner.run ~check:true ~seed:2 config : Runner.outcome))
+  in
+  let small = warm 250 and large = warm 4000 in
+  if large -. small > slack then
+    Alcotest.failf "%g words at n=4000, %g at n=250 (slack %g)" large small
+      slack
+
 let () =
   Alcotest.run "runner"
     [ ( "correctness",
@@ -970,6 +986,8 @@ let () =
             test_reset_after_exception;
           Alcotest.test_case "warm set-up O(1) in n" `Quick
             test_warm_setup_constant;
+          Alcotest.test_case "warm checked run O(1) in n" `Quick
+            test_warm_checked_constant;
           QCheck_alcotest.to_alcotest prop_run_order_irrelevant ] );
       ( "tick rule",
         [ Alcotest.test_case "activation table exact" `Quick
