@@ -837,23 +837,13 @@ let family_command =
   let run n delta pulses seed () =
     if n < 4 then Error "n must be >= 4"
     else begin
-      let module Ref_bfs =
-        Abe_synchronizer.Reference.Make (Abe_synchronizer.Sync_alg.Bfs) in
-      let module Alpha_bfs =
-        Abe_synchronizer.Alpha.Make (Abe_synchronizer.Sync_alg.Bfs) in
-      let module Beta_bfs =
-        Abe_synchronizer.Beta.Make (Abe_synchronizer.Sync_alg.Bfs) in
-      let module Gamma_bfs =
-        Abe_synchronizer.Gamma.Make (Abe_synchronizer.Sync_alg.Bfs) in
-      let topology = Abe_net.Topology.bidirectional_ring n in
-      let pulses = Option.value ~default:((n / 2) + 2) pulses in
-      let delay = Abe_net.Delay_model.abe_exponential ~delta in
-      let reference = Ref_bfs.run ~seed ~topology ~pulses in
-      let expected =
-        Array.map Abe_synchronizer.Sync_alg.Bfs.distance reference.Ref_bfs.states
-      in
-      let correct states =
-        Array.map Abe_synchronizer.Sync_alg.Bfs.distance states = expected
+      let open Abe_synchronizer.Measure in
+      let members =
+        family ~seed ~gamma_seed:(fun radius -> seed + 3 + radius)
+          ~topology:(Abe_net.Topology.bidirectional_ring n)
+          ~delay:(Abe_net.Delay_model.abe_exponential ~delta)
+          ~pulses:(Option.value ~default:((n / 2) + 2) pulses)
+          ~radii:[ 0; 1; 2 ] ()
       in
       let table =
         Abe_harness.Table.create
@@ -862,27 +852,17 @@ let family_command =
                "synchroniser family, BFS on the bidirectional ring (n=%d)" n)
           ~columns:[ "synchroniser"; "control/pulse"; "correct" ]
       in
-      let row name control_per_pulse states =
-        Abe_harness.Table.add_row table
-          [ name;
-            Abe_harness.Table.cell_float control_per_pulse;
-            Abe_harness.Table.cell_bool (correct states) ]
-      in
-      let alpha = Alpha_bfs.run ~seed:(seed + 1) ~topology ~delay ~pulses () in
-      row "alpha" alpha.Alpha_bfs.control_per_pulse alpha.Alpha_bfs.states;
-      let beta = Beta_bfs.run ~seed:(seed + 2) ~topology ~delay ~pulses () in
-      row "beta" beta.Beta_bfs.control_per_pulse beta.Beta_bfs.states;
       List.iter
-        (fun radius ->
-           let g =
-             Gamma_bfs.run ~seed:(seed + 3 + radius) ~topology ~delay ~pulses
-               ~radius ()
-           in
-           row
-             (Printf.sprintf "gamma r=%d (%d clusters)" radius
-                g.Gamma_bfs.clusters)
-             g.Gamma_bfs.control_per_pulse g.Gamma_bfs.states)
-        [ 0; 1; 2 ];
+        (fun m ->
+           Abe_harness.Table.add_row table
+             [ (match m.synchroniser with
+                | Alpha -> "alpha"
+                | Beta -> "beta"
+                | Gamma radius ->
+                  Printf.sprintf "gamma r=%d (%d clusters)" radius m.clusters);
+               Abe_harness.Table.cell_float m.control_per_pulse;
+               Abe_harness.Table.cell_bool m.correct ])
+        members;
       Abe_harness.Table.print table;
       Ok ()
     end

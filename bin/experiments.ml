@@ -22,25 +22,26 @@ type scale = {
 let full_scale = { reps = 60; reps_large = 15; messages = 100_000; max_n = 512 }
 let quick_scale = { reps = 10; reps_large = 4; messages = 10_000; max_n = 128 }
 
-(* A0 in the linear regime: activation mass theta per token circulation
-   (see DESIGN.md 4b). *)
-let scaled_a0 ?(theta = 1.) n = Float.min 0.5 (theta /. float_of_int (n * n))
-
 let ring_sizes scale =
   List.filter (fun n -> n <= scale.max_n) [ 8; 16; 32; 64; 128; 256; 512 ]
 
 (* What an experiment is given: its scale, the driver that replicates its
-   elections, and [print] for each table it shows.  Results are
+   runs, and [print] for each table it shows.  Results are
    driver-independent (see Abe_harness.Driver), so --jobs regenerates the
    exact sequential tables. *)
 type setting = { scale : scale; driver : Driver.t; print : Table.t -> unit }
 
 let reps_at scale n = if n >= 256 then scale.reps_large else scale.reps
 
-let election_runs ~driver ~scale ~base ~n ~a0 ?delay ?proc_delay ?params () =
+(* Every replicated run of the suite goes through the setting's driver. *)
+let replicate { driver; _ } ~base ~count f = Exp.replicate ~driver ~base ~count f
+
+(* [count] elections (default [reps_at scale n]) of one configuration; A0
+   defaults to the linear regime's 1/n^2 (DESIGN.md 4b). *)
+let elections ({ scale; _ } as setting) ~base ~n ?(count = reps_at scale n)
+    ?(a0 = Abe_core.Analysis.recommended_a0 n) ?delay ?proc_delay ?params () =
   let config = Abe_core.Runner.config ~n ~a0 ?delay ?proc_delay ?params () in
-  Exp.replicate ~driver ~base ~count:(reps_at scale n) (fun ~seed ->
-      Abe_core.Runner.run ~seed config)
+  replicate setting ~base ~count (fun ~seed -> Abe_core.Runner.run ~seed config)
 
 let messages_of o = float_of_int o.Abe_core.Runner.messages
 let time_of o = o.Abe_core.Runner.elected_at
@@ -107,7 +108,7 @@ let e1_retransmission { scale; print; _ } =
 
 (* ------------------------------------------------------------------ E2 *)
 
-let e2_correctness { scale; driver; print } =
+let e2_correctness ({ print; _ } as setting) =
   let table =
     Table.create ~title:"E2: election correctness (Sec. 3)"
       ~columns:[ "n"; "runs"; "elected"; "unique leader"; "mean time" ]
@@ -115,9 +116,7 @@ let e2_correctness { scale; driver; print } =
   let all_ok = ref true in
   List.iter
     (fun n ->
-       let runs =
-         election_runs ~driver ~scale ~base:(20_000 + n) ~n ~a0:(scaled_a0 n) ()
-       in
+       let runs = elections setting ~base:(20_000 + n) ~n () in
        let frac_elected = Exp.fraction_of elected runs in
        let frac_unique = Exp.fraction_of unique runs in
        all_ok := !all_ok && frac_elected = 1. && frac_unique = 1.;
@@ -137,17 +136,11 @@ let e2_correctness { scale; driver; print } =
 
 (* --------------------------------------------------------------- E3/E4 *)
 
-let e3_e4_linear { scale; driver; print } =
-  let sizes = ring_sizes scale in
+let e3_e4_linear ({ scale; print; _ } as setting) =
   let data =
     List.map
-      (fun n ->
-         let runs =
-           election_runs ~driver ~scale ~base:(30_000 + n) ~n
-             ~a0:(scaled_a0 n) ()
-         in
-         (n, runs))
-      sizes
+      (fun n -> (n, elections setting ~base:(30_000 + n) ~n ()))
+      (ring_sizes scale)
   in
   let messages_table =
     Table.create
@@ -205,7 +198,7 @@ let e3_e4_linear { scale; driver; print } =
            time_growth)
       ~verdict:(Report.verdict_of_bool (time_beta > 0.8 && time_beta < 1.25)) ]
 
-let e4b_time_distribution { scale; print; _ } =
+let e4b_time_distribution ({ scale; print; _ } as setting) =
   (* The paper claims *average* linear time.  The average is honest only if
      the distribution is not wild: report quantiles of election time, per
      ring size, and check that the tail stays a bounded multiple of the
@@ -219,13 +212,9 @@ let e4b_time_distribution { scale; print; _ } =
   List.iter
     (fun n ->
        let reservoir = Stats.Reservoir.create () in
-       let config = Abe_core.Runner.config ~n ~a0:(scaled_a0 n) () in
        List.iter
-         (fun seed ->
-            let o = Abe_core.Runner.run ~seed config in
-            if o.Abe_core.Runner.elected then
-              Stats.Reservoir.add reservoir o.Abe_core.Runner.elected_at)
-         (Exp.seeds ~base:(35_000 + n) ~count:(scale.reps * 2));
+         (fun o -> if elected o then Stats.Reservoir.add reservoir (time_of o))
+         (elections setting ~base:(35_000 + n) ~n ~count:(scale.reps * 2) ());
        let q p = Stats.Reservoir.quantile reservoir p in
        let ratio = q 0.99 /. q 0.5 in
        ratios := ratio :: !ratios;
@@ -246,7 +235,7 @@ let e4b_time_distribution { scale; print; _ } =
       ~measured:(Fmt.str "worst p99/p50 = %.2f" worst)
       ~verdict:(Report.verdict_of_bool (worst < 10.)) ]
 
-let e3b_fixed_a0 { scale; driver; print } =
+let e3b_fixed_a0 ({ scale; print; _ } as setting) =
   (* Contrast: the literal fixed-A0 reading thrashes (DESIGN.md 4b). *)
   let sizes = List.filter (fun n -> n <= 64) (ring_sizes scale) in
   let table =
@@ -257,12 +246,9 @@ let e3b_fixed_a0 { scale; driver; print } =
   let data =
     List.map
       (fun n ->
-         let runs =
-           election_runs ~driver
-             ~scale:{ scale with reps = max 8 (scale.reps / 4) }
-             ~base:(40_000 + n) ~n ~a0:0.3 ()
-         in
-         (n, runs))
+         ( n,
+           elections setting ~base:(40_000 + n) ~n
+             ~count:(max 8 (scale.reps / 4)) ~a0:0.3 () ))
       sizes
   in
   List.iter
@@ -289,7 +275,7 @@ let e3b_fixed_a0 { scale; driver; print } =
 
 (* ------------------------------------------------------------------ E5 *)
 
-let e5_wakeup { scale; print; _ } =
+let e5_wakeup ({ scale; print; _ } as setting) =
   (* The paper: "By taking 1-(1-A0)^d(A) as wake-up probability for nodes A,
      we achieve that the overall wake-up probability for all nodes stays
      constant over time."  The invariant behind that sentence is that the
@@ -303,14 +289,12 @@ let e5_wakeup { scale; print; _ } =
   (* theta = 64 (a0 = 1/64): the execution spans many activation rounds, so
      "constant over time" is actually exercised.  (At tiny theta a single
      clean sweep wins and the watermark mass rides inside the token.) *)
-  let a0 = scaled_a0 ~theta:64. n in
-  let config = Abe_core.Runner.config ~n ~a0 () in
+  let a0 = Abe_core.Analysis.recommended_a0 ~theta:64. n in
   let sum_thirds = [| Stats.create (); Stats.create (); Stats.create () |] in
   let pop_thirds = [| Stats.create (); Stats.create (); Stats.create () |] in
   List.iter
-    (fun seed ->
-       let o = Abe_core.Runner.run ~seed config in
-       if o.Abe_core.Runner.elected then begin
+    (fun o ->
+       if elected o then begin
          let t_end = o.Abe_core.Runner.elected_at in
          Array.iter
            (fun (t, sum_d, non_passive) ->
@@ -321,7 +305,7 @@ let e5_wakeup { scale; print; _ } =
                 (float_of_int non_passive /. float_of_int n))
            o.Abe_core.Runner.mass_samples
        end)
-    (Exp.seeds ~base:50_000 ~count:scale.reps);
+    (elections setting ~base:50_000 ~n ~count:scale.reps ~a0 ());
   let table =
     Table.create
       ~title:
@@ -345,11 +329,13 @@ let e5_wakeup { scale; print; _ } =
      instead of ~ n/2 * a0.  (At hot theta the comparison flips: naive's
      decaying rate accidentally cools a collision-bound system.) *)
   let calm_config =
-    Abe_core.Runner.config ~n ~a0:(scaled_a0 ~theta:2. n) ()
+    Abe_core.Runner.config ~n
+      ~a0:(Abe_core.Analysis.recommended_a0 ~theta:2. n) ()
   in
   let times config =
-    Exp.summarize ~base:51_000 ~count:(max 6 (scale.reps / 3)) (fun ~seed ->
-        (Abe_core.Runner.run ~seed config).Abe_core.Runner.elected_at)
+    Exp.summary_of time_of
+      (replicate setting ~base:51_000 ~count:(max 6 (scale.reps / 3))
+         (fun ~seed -> Abe_core.Runner.run ~seed config))
   in
   let adaptive_time = times calm_config in
   let naive_time = times (Abe_core.Runner.naive calm_config) in
@@ -389,7 +375,7 @@ let e5_wakeup { scale; print; _ } =
 
 (* ------------------------------------------------------------------ E6 *)
 
-let e6_synchronizer { scale; print; _ } =
+let e6_synchronizer { scale; driver; print } =
   let table =
     Table.create
       ~title:
@@ -401,7 +387,7 @@ let e6_synchronizer { scale; print; _ } =
   List.iter
     (fun n ->
        let r =
-         Abe_synchronizer.Measure.bfs_comparison
+         Abe_synchronizer.Measure.bfs_comparison ~driver
            ~replications:(max 5 (scale.reps / 3))
            ~seed:(60_000 + n) ~n ~delta:1. ()
        in
@@ -442,26 +428,26 @@ let e6_synchronizer { scale; print; _ } =
 
 (* ----------------------------------------------------------------- E6b *)
 
-let e6b_synchronizer_family { print; _ } =
+let e6b_synchronizer_family { driver; print; _ } =
   (* Ablation across the classic synchroniser family: alpha, beta, gamma
      (several cluster radii) all simulate BFS correctly on an ABE ring, and
      all pay at least ~n control messages per pulse — Theorem 1's floor —
      while distributing the cost between acks, tree traffic and preferred
      links differently. *)
-  let module Ref_bfs = Abe_synchronizer.Reference.Make (Abe_synchronizer.Sync_alg.Bfs) in
-  let module Alpha_bfs = Abe_synchronizer.Alpha.Make (Abe_synchronizer.Sync_alg.Bfs) in
-  let module Beta_bfs = Abe_synchronizer.Beta.Make (Abe_synchronizer.Sync_alg.Bfs) in
-  let module Gamma_bfs = Abe_synchronizer.Gamma.Make (Abe_synchronizer.Sync_alg.Bfs) in
+  let open Abe_synchronizer.Measure in
   let n = 32 in
-  let topology = Abe_net.Topology.bidirectional_ring n in
-  let pulses = (n / 2) + 2 in
   let delay = Abe_net.Delay_model.abe_exponential ~delta:1. in
-  let reference = Ref_bfs.run ~seed:61_000 ~topology ~pulses in
-  let expected =
-    Array.map Abe_synchronizer.Sync_alg.Bfs.distance reference.Ref_bfs.states
+  let name ~beta m =
+    match m.synchroniser with
+    | Alpha -> "alpha"
+    | Beta -> beta
+    | Gamma radius ->
+      Printf.sprintf "gamma (radius %d, %d clusters)" radius m.clusters
   in
-  let correct states =
-    Array.map Abe_synchronizer.Sync_alg.Bfs.distance states = expected
+  let ring =
+    family ~driver ~seed:61_000 ~gamma_seed:(fun radius -> 61_010 + radius)
+      ~topology:(Abe_net.Topology.bidirectional_ring n) ~delay
+      ~pulses:((n / 2) + 2) ~radii:[ 0; 1; 2; 4 ] ()
   in
   let table =
     Table.create
@@ -472,59 +458,24 @@ let e6b_synchronizer_family { print; _ } =
         [ "synchroniser"; "control/pulse"; "acks"; "tree"; "preferred";
           "correct" ]
   in
-  let floor_ok = ref true in
-  let alpha = Alpha_bfs.run ~seed:61_001 ~topology ~delay ~pulses () in
-  Table.add_row table
-    [ "alpha";
-      Table.cell_float ~decimals:1 alpha.Alpha_bfs.control_per_pulse;
-      Table.cell_int alpha.Alpha_bfs.ack_messages;
-      "0";
-      Table.cell_int alpha.Alpha_bfs.safe_messages;
-      Table.cell_bool (correct alpha.Alpha_bfs.states) ];
-  floor_ok :=
-    !floor_ok && correct alpha.Alpha_bfs.states
-    && alpha.Alpha_bfs.control_per_pulse >= float_of_int (n - 1);
-  let beta = Beta_bfs.run ~seed:61_002 ~topology ~delay ~pulses () in
-  Table.add_row table
-    [ "beta (tree)";
-      Table.cell_float ~decimals:1 beta.Beta_bfs.control_per_pulse;
-      Table.cell_int beta.Beta_bfs.ack_messages;
-      Table.cell_int beta.Beta_bfs.tree_messages;
-      "0";
-      Table.cell_bool (correct beta.Beta_bfs.states) ];
-  floor_ok :=
-    !floor_ok && correct beta.Beta_bfs.states
-    && beta.Beta_bfs.control_per_pulse >= float_of_int (n - 1);
   List.iter
-    (fun radius ->
-       let g =
-         Gamma_bfs.run ~seed:(61_010 + radius) ~topology ~delay ~pulses
-           ~radius ()
-       in
+    (fun m ->
        Table.add_row table
-         [ Printf.sprintf "gamma (radius %d, %d clusters)" radius
-             g.Gamma_bfs.clusters;
-           Table.cell_float ~decimals:1 g.Gamma_bfs.control_per_pulse;
-           Table.cell_int g.Gamma_bfs.ack_messages;
-           Table.cell_int g.Gamma_bfs.tree_messages;
-           Table.cell_int g.Gamma_bfs.preferred_messages;
-           Table.cell_bool (correct g.Gamma_bfs.states) ];
-       floor_ok :=
-         !floor_ok && correct g.Gamma_bfs.states
-         && g.Gamma_bfs.control_per_pulse >= float_of_int (n - 1))
-    [ 0; 1; 2; 4 ];
+         [ name ~beta:"beta (tree)" m;
+           Table.cell_float ~decimals:1 m.control_per_pulse;
+           Table.cell_int m.acks;
+           Table.cell_int m.tree;
+           Table.cell_int m.preferred;
+           Table.cell_bool m.correct ])
+    ring;
   print table;
   (* On a ring every topology-aware synchroniser degenerates; the family's
      trade-off shows on denser graphs, where alpha pays ~2m per pulse but
      beta/gamma stay near the n floor. *)
-  let dense = Abe_net.Topology.hypercube ~dim:5 in
-  let dense_pulses = 7 in
-  let dense_ref = Ref_bfs.run ~seed:61_100 ~topology:dense ~pulses:dense_pulses in
-  let dense_expected =
-    Array.map Abe_synchronizer.Sync_alg.Bfs.distance dense_ref.Ref_bfs.states
-  in
-  let dense_correct states =
-    Array.map Abe_synchronizer.Sync_alg.Bfs.distance states = dense_expected
+  let dense =
+    family ~driver ~seed:61_100 ~gamma_seed:(fun radius -> 61_110 + radius)
+      ~topology:(Abe_net.Topology.hypercube ~dim:5) ~delay ~pulses:7
+      ~radii:[ 1; 2 ] ()
   in
   let dense_table =
     Table.create
@@ -533,47 +484,37 @@ let e6b_synchronizer_family { print; _ } =
          between alpha's 2m and beta's 4(n-1)"
       ~columns:[ "synchroniser"; "control/pulse"; "correct" ]
   in
-  let da = Alpha_bfs.run ~seed:61_101 ~topology:dense ~delay ~pulses:dense_pulses () in
-  Table.add_row dense_table
-    [ "alpha";
-      Table.cell_float ~decimals:1 da.Alpha_bfs.control_per_pulse;
-      Table.cell_bool (dense_correct da.Alpha_bfs.states) ];
-  let db = Beta_bfs.run ~seed:61_102 ~topology:dense ~delay ~pulses:dense_pulses () in
-  Table.add_row dense_table
-    [ "beta";
-      Table.cell_float ~decimals:1 db.Beta_bfs.control_per_pulse;
-      Table.cell_bool (dense_correct db.Beta_bfs.states) ];
   List.iter
-    (fun radius ->
-       let g =
-         Gamma_bfs.run ~seed:(61_110 + radius) ~topology:dense ~delay
-           ~pulses:dense_pulses ~radius ()
-       in
+    (fun m ->
        Table.add_row dense_table
-         [ Printf.sprintf "gamma (radius %d, %d clusters)" radius
-             g.Gamma_bfs.clusters;
-           Table.cell_float ~decimals:1 g.Gamma_bfs.control_per_pulse;
-           Table.cell_bool (dense_correct g.Gamma_bfs.states) ];
-       floor_ok := !floor_ok && dense_correct g.Gamma_bfs.states)
-    [ 1; 2 ];
-  floor_ok :=
-    !floor_ok && dense_correct da.Alpha_bfs.states
-    && dense_correct db.Beta_bfs.states
-    && db.Beta_bfs.control_per_pulse < da.Alpha_bfs.control_per_pulse;
+         [ name ~beta:"beta" m;
+           Table.cell_float ~decimals:1 m.control_per_pulse;
+           Table.cell_bool m.correct ])
+    dense;
   print dense_table;
+  let dense_per_pulse v =
+    (List.find (fun m -> m.synchroniser = v) dense).control_per_pulse
+  in
+  let floor_ok =
+    List.for_all
+      (fun m -> m.correct && m.control_per_pulse >= float_of_int (n - 1))
+      ring
+    && List.for_all (fun m -> m.correct) dense
+    && dense_per_pulse Beta < dense_per_pulse Alpha
+  in
   [ Report.make ~id:"E6b"
       ~claim:
         "ablation: no synchroniser in the alpha/beta/gamma family beats the Theorem-1 floor on an ABE ring"
       ~expectation:
         "all variants correct, all >= ~n control messages per pulse, cost split varies"
       ~measured:
-        (if !floor_ok then "all correct, all at or above the n-per-pulse floor"
+        (if floor_ok then "all correct, all at or above the n-per-pulse floor"
          else "floor or correctness violated")
-      ~verdict:(Report.verdict_of_bool !floor_ok) ]
+      ~verdict:(Report.verdict_of_bool floor_ok) ]
 
 (* ------------------------------------------------------------------ E7 *)
 
-let e7_vs_itai_rodeh { scale; driver; print } =
+let e7_vs_itai_rodeh ({ scale; print; _ } as setting) =
   let sizes = List.filter (fun n -> n <= 256) (ring_sizes scale) in
   let table =
     Table.create
@@ -586,12 +527,10 @@ let e7_vs_itai_rodeh { scale; driver; print } =
   let ratios = ref [] in
   List.iter
     (fun n ->
-       let abe_runs =
-         election_runs ~driver ~scale ~base:(70_000 + n) ~n ~a0:(scaled_a0 n) ()
-       in
+       let abe_runs = elections setting ~base:(70_000 + n) ~n () in
        let reps = reps_at scale n in
        let ir_runs =
-         Exp.replicate ~base:(71_000 + n) ~count:reps (fun ~seed ->
+         replicate setting ~base:(71_000 + n) ~count:reps (fun ~seed ->
              Abe_election.Itai_rodeh.run ~seed ~n ())
        in
        let abe_msgs = Exp.mean_of messages_of abe_runs in
@@ -611,7 +550,7 @@ let e7_vs_itai_rodeh { scale; driver; print } =
        let ir_abe_msgs =
          Exp.mean_of
            (fun o -> float_of_int o.Abe_election.Async_baselines.messages)
-           (Exp.replicate ~base:(72_000 + n)
+           (replicate setting ~base:(72_000 + n)
               ~count:(min reps (if n >= 128 then scale.reps_large else reps))
               (fun ~seed -> Abe_election.Async_baselines.itai_rodeh ~seed ~n ()))
        in
@@ -641,7 +580,7 @@ let e7_vs_itai_rodeh { scale; driver; print } =
 
 (* ------------------------------------------------------------------ E8 *)
 
-let e8_vs_nlogn { scale; driver; print } =
+let e8_vs_nlogn ({ scale; print; _ } as setting) =
   let sizes = List.filter (fun n -> n <= 256) (ring_sizes scale) in
   let table =
     Table.create
@@ -656,20 +595,18 @@ let e8_vs_nlogn { scale; driver; print } =
     (fun n ->
        let reps = reps_at scale n in
        let abe =
-         Exp.mean_of messages_of
-           (election_runs ~driver ~scale ~base:(80_000 + n) ~n
-              ~a0:(scaled_a0 n) ())
+         Exp.mean_of messages_of (elections setting ~base:(80_000 + n) ~n ())
        in
        let cr =
          Exp.mean_of
            (fun o -> float_of_int o.Abe_election.Chang_roberts.messages)
-           (Exp.replicate ~base:(81_000 + n) ~count:reps (fun ~seed ->
+           (replicate setting ~base:(81_000 + n) ~count:reps (fun ~seed ->
                 Abe_election.Chang_roberts.run ~seed ~n ()))
        in
        let dkr =
          Exp.mean_of
            (fun o -> float_of_int o.Abe_election.Dolev_klawe_rodeh.messages)
-           (Exp.replicate ~base:(82_000 + n) ~count:reps (fun ~seed ->
+           (replicate setting ~base:(82_000 + n) ~count:reps (fun ~seed ->
                 Abe_election.Dolev_klawe_rodeh.run ~seed ~n ()))
        in
        collect := (n, (abe, cr, dkr)) :: !collect;
@@ -723,9 +660,8 @@ let e8_vs_nlogn { scale; driver; print } =
 
 (* ------------------------------------------------------------------ E9 *)
 
-let e9_distributions { scale; print; _ } =
+let e9_distributions ({ scale; print; _ } as setting) =
   let n = 64 in
-  let a0 = scaled_a0 n in
   let table =
     Table.create
       ~title:"E9: complexity depends on the delay mean, not the shape"
@@ -734,11 +670,9 @@ let e9_distributions { scale; print; _ } =
   let means = ref [] in
   List.iter
     (fun (label, dist) ->
-       let delay = Abe_net.Delay_model.of_dist dist in
-       let config = Abe_core.Runner.config ~n ~a0 ~delay () in
        let runs =
-         Exp.replicate ~base:90_000 ~count:scale.reps (fun ~seed ->
-             Abe_core.Runner.run ~seed config)
+         elections setting ~base:90_000 ~n ~count:scale.reps
+           ~delay:(Abe_net.Delay_model.of_dist dist) ()
        in
        let m = Exp.summary_of messages_of runs in
        means := m.Stats.mean :: !means;
@@ -765,7 +699,7 @@ let e9_distributions { scale; print; _ } =
 
 (* ----------------------------------------------------------------- E10 *)
 
-let e10_a0_sweep { scale; print; _ } =
+let e10_a0_sweep ({ scale; print; _ } as setting) =
   let table =
     Table.create
       ~title:"E10: the A0 parameter trade-off (Sec. 3)"
@@ -780,11 +714,9 @@ let e10_a0_sweep { scale; print; _ } =
        in
        List.iter
          (fun a0 ->
-            let reps = max 6 (scale.reps / 3) in
-            let config = Abe_core.Runner.config ~n ~a0 () in
             let runs =
-              Exp.replicate ~base:(95_000 + n) ~count:reps (fun ~seed ->
-                  Abe_core.Runner.run ~seed config)
+              elections setting ~base:(95_000 + n) ~n
+                ~count:(max 6 (scale.reps / 3)) ~a0 ()
             in
             let mass = fn *. (1. -. ((1. -. a0) ** fn)) in
             Table.add_row table
@@ -810,7 +742,7 @@ let e10_a0_sweep { scale; print; _ } =
 (* The election at n = 32 under each [(cell, base, params, proc_delay)]
    model variant: one table row per variant, and whether every run
    elected exactly one leader. *)
-let correct_under { scale; driver; print } ~title ~column variants =
+let correct_under ({ print; _ } as setting) ~title ~column variants =
   let n = 32 in
   let per_n x = Table.cell_float ~decimals:1 (x /. float_of_int n) in
   let table =
@@ -820,10 +752,7 @@ let correct_under { scale; driver; print } ~title ~column variants =
   let all_ok = ref true in
   List.iter
     (fun (cell, base, params, proc_delay) ->
-       let runs =
-         election_runs ~driver ~scale ~base ~n ~a0:(scaled_a0 n) ~params
-           ~proc_delay ()
-       in
+       let runs = elections setting ~base ~n ~params ~proc_delay () in
        let elected = Exp.fraction_of elected runs in
        let unique = Exp.fraction_of unique runs in
        all_ok := !all_ok && elected = 1. && unique = 1.;
@@ -881,7 +810,7 @@ let e12_gamma setting =
 
 (* ----------------------------------------------------------------- E13 *)
 
-let e13_synchronised_vs_native { scale; driver; print } =
+let e13_synchronised_vs_native ({ scale; print; _ } as setting) =
   (* The paper's closing slogan for Section 2: "we cannot run synchronous
      algorithms in ABE networks without losing the message complexity."
      Quantified: Itai-Rodeh needs ~1.5n synchronous rounds; by Theorem 1
@@ -908,7 +837,7 @@ let e13_synchronised_vs_native { scale; driver; print } =
        let ir_rounds =
          Exp.mean_of
            (fun o -> float_of_int o.Abe_election.Itai_rodeh.rounds)
-           (Exp.replicate ~base:(98_000 + n) ~count:reps (fun ~seed ->
+           (replicate setting ~base:(98_000 + n) ~count:reps (fun ~seed ->
                 Abe_election.Itai_rodeh.run ~seed ~n ()))
        in
        (* Beta's control rate per simulated round on this ring (measured
@@ -921,9 +850,7 @@ let e13_synchronised_vs_native { scale; driver; print } =
        in
        let beta_rate = beta.Beta_bfs.control_per_pulse in
        let native =
-         Exp.mean_of messages_of
-           (election_runs ~driver ~scale ~base:(99_000 + n) ~n
-              ~a0:(scaled_a0 n) ())
+         Exp.mean_of messages_of (elections setting ~base:(99_000 + n) ~n ())
        in
        let synchronised = ir_rounds *. beta_rate in
        let overhead = synchronised /. native in

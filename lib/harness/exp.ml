@@ -31,55 +31,6 @@ let replicate_merged ?(driver = Driver.Sequential) ~base ~count f =
     results;
   (List.map fst results, merged, timing)
 
-let summarize ?driver ~base ~count f =
-  let stats = Abe_prob.Stats.create () in
-  (* Results are folded in seed order whatever the driver, so the summary
-     is byte-identical between Sequential and Parallel. *)
-  List.iter (Abe_prob.Stats.add stats) (replicate ?driver ~base ~count f);
-  Abe_prob.Stats.summary stats
-
-let summarize_until ?(driver = Driver.Sequential) ~base ?(initial = 10)
-    ?(max_count = 1000) ?(absolute_precision = 0.) ~relative_precision f =
-  if not (relative_precision > 0.) then
-    invalid_arg "Exp.summarize_until: relative_precision must be positive";
-  if not (absolute_precision >= 0.) then
-    invalid_arg "Exp.summarize_until: absolute_precision must be non-negative";
-  if initial < 2 then invalid_arg "Exp.summarize_until: initial must be >= 2";
-  if max_count < initial then
-    invalid_arg "Exp.summarize_until: max_count below initial";
-  let rng = Abe_prob.Rng.create ~seed:base in
-  let next_seed () =
-    Int64.to_int (Int64.shift_right_logical (Abe_prob.Rng.bits64 rng) 2)
-  in
-  let stats = Abe_prob.Stats.create () in
-  (* Adaptive replication is sequential-batched: each round draws [initial]
-     seeds (fewer at the cap), runs the whole batch through the driver, and
-     only then re-checks the precision target.  Seed draws and fold order do
-     not depend on the driver, so results replay identically under any
-     driver. *)
-  let rec go spent =
-    let batch = min initial (max_count - spent) in
-    let batch_seeds = List.init batch (fun _ -> next_seed ()) in
-    List.iter
-      (Abe_prob.Stats.add stats)
-      (Driver.map driver (fun seed -> f ~seed) batch_seeds);
-    let spent = spent + batch in
-    let precise () =
-      let target =
-        Float.max
-          (relative_precision *. Float.abs (Abe_prob.Stats.mean stats))
-          absolute_precision
-      in
-      Abe_prob.Stats.ci95_half_width stats <= target
-    in
-    if spent >= max_count || precise () then Abe_prob.Stats.summary stats
-    else go spent
-  in
-  go 0
-
-let sweep ?(driver = Driver.Sequential) params f =
-  Driver.map driver (fun p -> (p, f p)) params
-
 let summary_of project results =
   let stats = Abe_prob.Stats.create () in
   List.iter (fun r -> Abe_prob.Stats.add stats (project r)) results;

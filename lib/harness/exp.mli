@@ -1,4 +1,4 @@
-(** Replication and parameter sweeps.
+(** Replication.
 
     Every experiment is a function of a seed; replication runs it on a
     deterministic seed sequence derived from a base seed so that results
@@ -37,43 +37,6 @@ val replicate_merged :
     where a shared registry would race), and the registries are merged in
     seed order afterwards.  The merged registry — like the result list —
     is byte-identical whatever the driver. *)
-
-val summarize :
-  ?driver:Driver.t ->
-  base:int ->
-  count:int ->
-  (seed:int -> float) ->
-  Abe_prob.Stats.summary
-(** Replicate a scalar measurement and summarise it. *)
-
-val summarize_until :
-  ?driver:Driver.t ->
-  base:int ->
-  ?initial:int ->
-  ?max_count:int ->
-  ?absolute_precision:float ->
-  relative_precision:float ->
-  (seed:int -> float) ->
-  Abe_prob.Stats.summary
-(** Adaptive replication: run batches of [initial] (default 10)
-    replications through the driver until the 95% confidence half-width
-    falls below
-    [max (relative_precision *. |mean|) absolute_precision],
-    or [max_count] (default 1000) replications have been spent.  Use for
-    measurements whose variance is not known in advance.
-
-    [absolute_precision] (default [0.], i.e. disabled) is the floor that
-    makes the stopping rule meaningful for measurements whose mean is close
-    to zero: a purely relative target against [|mean| = 0] can never be
-    met, so without a floor such measurements silently burn the full
-    [max_count] budget.  Set it to the half-width you are willing to accept
-    in absolute terms whenever the measured quantity can legitimately be
-    ~0 (differences, biases, error terms). *)
-
-val sweep : ?driver:Driver.t -> 'p list -> ('p -> 'r) -> ('p * 'r) list
-(** Evaluate a function over a parameter list, keeping the pairing.  With a
-    parallel driver the parameter points run concurrently; ordering of the
-    result list is preserved. *)
 
 val mean_of : ('a -> float) -> 'a list -> float
 (** Mean of a projection over replication results. *)

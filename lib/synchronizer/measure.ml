@@ -3,6 +3,7 @@ open Abe_net
 module Ref_bfs = Reference.Make (Sync_alg.Bfs)
 module Alpha_bfs = Alpha.Make (Sync_alg.Bfs)
 module Beta_bfs = Beta.Make (Sync_alg.Bfs)
+module Gamma_bfs = Gamma.Make (Sync_alg.Bfs)
 module Abd_bfs = Abd_sync.Make (Sync_alg.Bfs)
 
 type variant_result = {
@@ -113,6 +114,57 @@ let bfs_comparison ?(driver = Abe_harness.Driver.Sequential) ?(replications = 20
       abd_variant "ABD-sync on ABD" ~delay:abd_delay ~seed:(seed + 1000);
     abd_on_abe =
       abd_variant "ABD-sync on ABE" ~delay:abe_delay ~seed:(seed + 2000) }
+
+type synchroniser = Alpha | Beta | Gamma of int
+
+type member = {
+  synchroniser : synchroniser;
+  control_per_pulse : float;
+  acks : int;
+  tree : int;
+  preferred : int;
+  clusters : int;
+  correct : bool;
+}
+
+let family ?(driver = Abe_harness.Driver.Sequential) ~seed ~gamma_seed
+    ~topology ~delay ~pulses ~radii () =
+  let expected = distances (Ref_bfs.run ~seed ~topology ~pulses).Ref_bfs.states in
+  let correct states = distances states = expected in
+  let measure = function
+    | Alpha ->
+      let r = Alpha_bfs.run ~seed:(seed + 1) ~topology ~delay ~pulses () in
+      { synchroniser = Alpha;
+        control_per_pulse = r.Alpha_bfs.control_per_pulse;
+        acks = r.Alpha_bfs.ack_messages;
+        tree = 0;
+        preferred = r.Alpha_bfs.safe_messages;
+        clusters = Topology.node_count topology;
+        correct = correct r.Alpha_bfs.states }
+    | Beta ->
+      let r = Beta_bfs.run ~seed:(seed + 2) ~topology ~delay ~pulses () in
+      { synchroniser = Beta;
+        control_per_pulse = r.Beta_bfs.control_per_pulse;
+        acks = r.Beta_bfs.ack_messages;
+        tree = r.Beta_bfs.tree_messages;
+        preferred = 0;
+        clusters = 1;
+        correct = correct r.Beta_bfs.states }
+    | Gamma radius ->
+      let r =
+        Gamma_bfs.run ~seed:(gamma_seed radius) ~topology ~delay ~pulses
+          ~radius ()
+      in
+      { synchroniser = Gamma radius;
+        control_per_pulse = r.Gamma_bfs.control_per_pulse;
+        acks = r.Gamma_bfs.ack_messages;
+        tree = r.Gamma_bfs.tree_messages;
+        preferred = r.Gamma_bfs.preferred_messages;
+        clusters = r.Gamma_bfs.clusters;
+        correct = correct r.Gamma_bfs.states }
+  in
+  Abe_harness.Driver.map driver measure
+    (Alpha :: Beta :: List.map (fun radius -> Gamma radius) radii)
 
 let pp_variant ppf v =
   Fmt.pf ppf

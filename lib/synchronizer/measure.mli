@@ -55,4 +55,37 @@ val bfs_comparison :
     [driver] (default sequential; the report is identical under any
     driver); [correct] means every replication matched the reference. *)
 
+(** {1 The α/β/γ family} *)
+
+type synchroniser = Alpha | Beta | Gamma of int  (** cluster radius *)
+
+(** One synchroniser's BFS run.  α has no tree traffic and counts its
+    safe messages as [preferred], one cluster per node; β has no
+    preferred links and one cluster. *)
+type member = {
+  synchroniser : synchroniser;
+  control_per_pulse : float;
+  acks : int;
+  tree : int;
+  preferred : int;
+  clusters : int;
+  correct : bool;  (** node states match the synchronous reference *)
+}
+
+val family :
+  ?driver:Abe_harness.Driver.t ->
+  seed:int ->
+  gamma_seed:(int -> int) ->
+  topology:Abe_net.Topology.t ->
+  delay:Abe_net.Delay_model.t ->
+  pulses:int ->
+  radii:int list ->
+  unit ->
+  member list
+(** BFS broadcast for [pulses] pulses under α, β and γ at each of [radii],
+    in that order, each checked against the reference run at [seed].  α
+    runs at [seed + 1], β at [seed + 2] and γ at [gamma_seed radius].  The
+    runs go through [driver] (default sequential); the list is the same
+    under any driver. *)
+
 val pp_report : Format.formatter -> report -> unit

@@ -74,33 +74,6 @@ let election_parity driver () =
          (election_fingerprint s = election_fingerprint p))
     sequential parallel
 
-let test_summarize_parity () =
-  let config = Abe_core.Runner.config ~n:6 ~a0:0.2 () in
-  let measure ~seed =
-    (Abe_core.Runner.run ~seed config).Abe_core.Runner.elected_at
-  in
-  let sequential = Exp.summarize ~base:3 ~count:10 measure in
-  let parallel =
-    Exp.summarize ~driver:(Driver.Parallel { num_domains = 4 }) ~base:3
-      ~count:10 measure
-  in
-  Alcotest.(check bool) "byte-identical summary" true (sequential = parallel)
-
-let test_summarize_until_parity () =
-  let measure ~seed =
-    let rng = Abe_prob.Rng.create ~seed in
-    5. +. Abe_prob.Rng.normal rng ~mu:0. ~sigma:2.
-  in
-  let sequential =
-    Exp.summarize_until ~base:9 ~initial:6 ~max_count:60
-      ~relative_precision:0.1 measure
-  in
-  let parallel =
-    Exp.summarize_until ~driver:(Driver.Parallel { num_domains = 3 }) ~base:9
-      ~initial:6 ~max_count:60 ~relative_precision:0.1 measure
-  in
-  Alcotest.(check bool) "byte-identical summary" true (sequential = parallel)
-
 let test_synchronizer_parity () =
   let sequential =
     Abe_synchronizer.Measure.bfs_comparison ~replications:4 ~seed:2 ~n:8
@@ -111,13 +84,16 @@ let test_synchronizer_parity () =
       ~driver:(Driver.Parallel { num_domains = 3 }) ~replications:4 ~seed:2
       ~n:8 ~delta:1. ()
   in
-  Alcotest.(check bool) "byte-identical report" true (sequential = parallel)
-
-let test_sweep_parity () =
-  let f n = n * 7 in
-  Alcotest.(check (list (pair int int))) "sweep parity"
-    (Exp.sweep [ 1; 2; 3; 4; 5 ] f)
-    (Exp.sweep ~driver:(Driver.Parallel { num_domains = 2 }) [ 1; 2; 3; 4; 5 ] f)
+  Alcotest.(check bool) "byte-identical report" true (sequential = parallel);
+  let family driver =
+    Abe_synchronizer.Measure.family ~driver ~seed:3
+      ~gamma_seed:(fun radius -> 7 + radius)
+      ~topology:(Abe_net.Topology.bidirectional_ring 8)
+      ~delay:(Abe_net.Delay_model.abe_exponential ~delta:1.) ~pulses:6
+      ~radii:[ 0; 1; 2 ] ()
+  in
+  Alcotest.(check bool) "identical family records" true
+    (family Driver.Sequential = family (Driver.Parallel { num_domains = 2 }))
 
 (* One configuration shared by four domains: each run takes a pooled
    network of its own, so the results are the sequential map's, in
@@ -157,11 +133,8 @@ let () =
             (election_parity (Driver.Parallel { num_domains = 2 }));
           Alcotest.test_case "election replicate, 5 domains" `Quick
             (election_parity (Driver.Parallel { num_domains = 5 }));
-          Alcotest.test_case "summarize" `Quick test_summarize_parity;
-          Alcotest.test_case "summarize_until" `Quick test_summarize_until_parity;
           Alcotest.test_case "synchronizer measurement" `Quick
             test_synchronizer_parity;
-          Alcotest.test_case "sweep" `Quick test_sweep_parity;
           Alcotest.test_case "one config, 4 domains" `Quick
             test_shared_config_parity ] );
       ( "properties",

@@ -19,15 +19,6 @@ let test_replicate () =
   Alcotest.(check (list int)) "replicate uses the seed list"
     (Exp.seeds ~base:1 ~count:5) results
 
-let test_summarize () =
-  let s = Exp.summarize ~base:1 ~count:50 (fun ~seed:_ -> 3.) in
-  Alcotest.(check (float 1e-9)) "constant mean" 3. s.Abe_prob.Stats.mean;
-  Alcotest.(check int) "count" 50 s.Abe_prob.Stats.n
-
-let test_sweep () =
-  let swept = Exp.sweep [ 1; 2; 3 ] (fun p -> p * p) in
-  Alcotest.(check (list (pair int int))) "pairs" [ (1, 1); (2, 4); (3, 9) ] swept
-
 let test_projections () =
   let data = [ 1.; 2.; 3.; 4. ] in
   Alcotest.(check (float 1e-9)) "mean_of" 2.5 (Exp.mean_of Fun.id data);
@@ -35,61 +26,6 @@ let test_projections () =
     (Exp.fraction_of (fun x -> x > 2.) data);
   let s = Exp.summary_of Fun.id data in
   Alcotest.(check int) "summary count" 4 s.Abe_prob.Stats.n
-
-let test_summarize_until_constant () =
-  (* Zero-variance measurements stop at the initial count. *)
-  let s =
-    Exp.summarize_until ~base:1 ~initial:5 ~relative_precision:0.1
-      (fun ~seed:_ -> 7.)
-  in
-  Alcotest.(check int) "stops at initial" 5 s.Abe_prob.Stats.n;
-  Alcotest.(check (float 1e-9)) "mean" 7. s.Abe_prob.Stats.mean
-
-let test_summarize_until_reaches_precision () =
-  let s =
-    Exp.summarize_until ~base:2 ~relative_precision:0.05 (fun ~seed ->
-        let rng = Abe_prob.Rng.create ~seed in
-        10. +. Abe_prob.Rng.normal rng ~mu:0. ~sigma:3.)
-  in
-  Alcotest.(check bool) "precision reached" true
-    (s.Abe_prob.Stats.ci95_half_width <= 0.05 *. s.Abe_prob.Stats.mean);
-  Alcotest.(check bool) "spent more than initial" true (s.Abe_prob.Stats.n > 10)
-
-let test_summarize_until_zero_mean_floor () =
-  (* A measurement whose mean is ~0 can never satisfy a purely relative
-     target: without a floor it burns the whole max_count budget. *)
-  let noise ~seed =
-    let rng = Abe_prob.Rng.create ~seed in
-    Abe_prob.Rng.normal rng ~mu:0. ~sigma:1.
-  in
-  let burned =
-    Exp.summarize_until ~base:5 ~max_count:200 ~relative_precision:0.05 noise
-  in
-  Alcotest.(check int) "no floor: budget burned" 200 burned.Abe_prob.Stats.n;
-  let floored =
-    Exp.summarize_until ~base:5 ~max_count:200 ~relative_precision:0.05
-      ~absolute_precision:0.5 noise
-  in
-  Alcotest.(check bool) "floor: stops early" true
-    (floored.Abe_prob.Stats.n < 200);
-  Alcotest.(check bool) "floor: precision honoured" true
-    (floored.Abe_prob.Stats.ci95_half_width <= 0.5);
-  match
-    Exp.summarize_until ~base:5 ~relative_precision:0.05
-      ~absolute_precision:(-1.) noise
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative absolute_precision accepted"
-
-let test_summarize_until_caps () =
-  (* High variance and an unreachable precision: stops at max_count. *)
-  let s =
-    Exp.summarize_until ~base:3 ~max_count:25 ~relative_precision:1e-6
-      (fun ~seed ->
-         let rng = Abe_prob.Rng.create ~seed in
-         Abe_prob.Rng.unit_float rng)
-  in
-  Alcotest.(check int) "capped" 25 s.Abe_prob.Stats.n
 
 let test_timeline_basic () =
   let rendered =
@@ -306,17 +242,7 @@ let () =
         [ Alcotest.test_case "seeds distinct" `Quick test_seeds_distinct;
           Alcotest.test_case "seeds deterministic" `Quick test_seeds_deterministic;
           Alcotest.test_case "replicate" `Quick test_replicate;
-          Alcotest.test_case "summarize" `Quick test_summarize;
-          Alcotest.test_case "sweep" `Quick test_sweep;
-          Alcotest.test_case "projections" `Quick test_projections;
-          Alcotest.test_case "summarize_until constant" `Quick
-            test_summarize_until_constant;
-          Alcotest.test_case "summarize_until precision" `Quick
-            test_summarize_until_reaches_precision;
-          Alcotest.test_case "summarize_until cap" `Quick
-            test_summarize_until_caps;
-          Alcotest.test_case "summarize_until zero-mean floor" `Quick
-            test_summarize_until_zero_mean_floor ] );
+          Alcotest.test_case "projections" `Quick test_projections ] );
       ( "timeline",
         [ Alcotest.test_case "basic" `Quick test_timeline_basic;
           Alcotest.test_case "later event wins" `Quick

@@ -74,9 +74,8 @@ let test_t_critical () =
     (Stats.t_critical_95 10_000)
 
 (* Regression: the critical value used to jump from 1.980 (df = 120)
-   straight to 1.96 (df >= 121), so ci95_half_width — and the
-   summarize_until stopping rule built on it — dropped discontinuously
-   when one more sample arrived.  The tail now interpolates in 1/df
+   straight to 1.96 (df >= 121), so ci95_half_width dropped
+   discontinuously when one more sample arrived.  The tail now interpolates in 1/df
    toward the normal limit: monotone non-increasing everywhere, always
    above 1.96, and continuous at the table edge. *)
 let test_t_critical_monotone () =

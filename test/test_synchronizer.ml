@@ -369,6 +369,24 @@ let test_measure_report () =
   Alcotest.(check bool) "abd-on-abe has violations" true
     (report.Measure.abd_on_abe.Measure.violations > 0)
 
+let test_measure_family () =
+  let n = 8 in
+  let members =
+    Measure.family ~seed:5 ~gamma_seed:(fun radius -> 10 + radius)
+      ~topology:(Topology.bidirectional_ring n)
+      ~delay:(Delay_model.abe_exponential ~delta:1.)
+      ~pulses:((n / 2) + 2) ~radii:[ 0; 1; 2 ] ()
+  in
+  Alcotest.(check bool) "alpha, beta, then gamma per radius" true
+    (List.map (fun m -> m.Measure.synchroniser) members
+     = Measure.[ Alpha; Beta; Gamma 0; Gamma 1; Gamma 2 ]);
+  List.iter
+    (fun (m : Measure.member) ->
+       Alcotest.(check bool) "correct" true m.correct;
+       Alcotest.(check bool) "at least n - 1 control messages per pulse" true
+         (m.control_per_pulse >= float_of_int (n - 1)))
+    members
+
 let prop_gamma_clustering_invariants =
   QCheck.Test.make ~name:"gamma clustering invariants on random trees"
     ~count:40
@@ -466,7 +484,9 @@ let () =
           Alcotest.test_case "violations on ABE" `Quick
             test_abd_sync_violations_on_abe;
           Alcotest.test_case "message free" `Quick test_abd_sync_message_free ] );
-      ("measure", [ Alcotest.test_case "bfs comparison (E6)" `Quick test_measure_report ]);
+      ( "measure",
+        [ Alcotest.test_case "bfs comparison (E6)" `Quick test_measure_report;
+          Alcotest.test_case "family (E6b)" `Quick test_measure_family ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_gamma_clustering_invariants;
