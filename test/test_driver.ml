@@ -84,7 +84,9 @@ let test_synchronizer_parity () =
       ~driver:(Driver.Parallel { num_domains = 3 }) ~replications:4 ~seed:2
       ~n:8 ~delta:1. ()
   in
-  Alcotest.(check bool) "byte-identical report" true (sequential = parallel);
+  Alcotest.(check bool) "byte-identical report" true (sequential = parallel)
+
+let test_family_parity () =
   let family driver =
     Abe_synchronizer.Measure.family ~driver ~seed:3
       ~gamma_seed:(fun radius -> 7 + radius)
@@ -94,6 +96,44 @@ let test_synchronizer_parity () =
   in
   Alcotest.(check bool) "identical family records" true
     (family Driver.Sequential = family (Driver.Parallel { num_domains = 2 }))
+
+(* The baseline elections the suite replicates beside the ABE election.
+   compare, not (=): an unelected asynchronous run has elected_at = nan. *)
+let test_baseline_parity () =
+  let parallel = Driver.Parallel { num_domains = 3 } in
+  let same label run =
+    let sequential = Exp.replicate ~base:21 ~count:6 run in
+    let parallel = Exp.replicate ~driver:parallel ~base:21 ~count:6 run in
+    Alcotest.(check bool) label true (compare sequential parallel = 0)
+  in
+  same "Itai-Rodeh" (fun ~seed -> Abe_election.Itai_rodeh.run ~seed ~n:7 ());
+  same "Chang-Roberts" (fun ~seed ->
+      Abe_election.Chang_roberts.run ~seed ~n:7 ());
+  same "Dolev-Klawe-Rodeh" (fun ~seed ->
+      Abe_election.Dolev_klawe_rodeh.run ~seed ~n:7 ());
+  same "Itai-Rodeh on ABE" (fun ~seed ->
+      Abe_election.Async_baselines.itai_rodeh ~seed ~n:7 ())
+
+(* Per-seed registries merged in seed order: the merged report, like the
+   results, does not depend on the driver. *)
+let test_merged_metrics_parity () =
+  let config = Abe_core.Runner.config ~n:6 ~a0:0.2 () in
+  let run driver =
+    let results, merged, _ =
+      Exp.replicate_merged ~driver ~base:31 ~count:6 (fun ~seed ~metrics ->
+          election_fingerprint (Abe_core.Runner.run ~metrics ~seed config))
+    in
+    (results, Abe_sim.Metrics.report_rows merged)
+  in
+  let sequential_results, sequential_rows = run Driver.Sequential in
+  let parallel_results, parallel_rows =
+    run (Driver.Parallel { num_domains = 4 })
+  in
+  Alcotest.(check bool) "identical results" true
+    (compare sequential_results parallel_results = 0);
+  Alcotest.(check bool) "metrics recorded" true (sequential_rows <> []);
+  Alcotest.(check (list (list string))) "identical merged report"
+    sequential_rows parallel_rows
 
 (* One configuration shared by four domains: each run takes a pooled
    network of its own, so the results are the sequential map's, in
@@ -133,8 +173,11 @@ let () =
             (election_parity (Driver.Parallel { num_domains = 2 }));
           Alcotest.test_case "election replicate, 5 domains" `Quick
             (election_parity (Driver.Parallel { num_domains = 5 }));
+          Alcotest.test_case "baseline replicate" `Quick test_baseline_parity;
+          Alcotest.test_case "merged metrics" `Quick test_merged_metrics_parity;
           Alcotest.test_case "synchronizer measurement" `Quick
             test_synchronizer_parity;
+          Alcotest.test_case "synchronizer family" `Quick test_family_parity;
           Alcotest.test_case "one config, 4 domains" `Quick
             test_shared_config_parity ] );
       ( "properties",
