@@ -33,8 +33,8 @@ let raw_engine ~events ~chains ~reps =
   let one () =
     let e = Engine.create ~limit_events:events () in
     for _ = 1 to chains do
-      let rec act () = ignore (Engine.schedule e ~delay:1.0 act) in
-      ignore (Engine.schedule e ~delay:1.0 act)
+      let rec act () = Engine.schedule e ~delay:1.0 act in
+      Engine.schedule e ~delay:1.0 act
     done;
     Gc.full_major ();
     let a0 = Gc.allocated_bytes () in

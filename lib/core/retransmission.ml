@@ -28,13 +28,12 @@ let simulate_arq ~rng ~p ~slot ~timeout =
     if Rng.bernoulli rng p then
       (* Frame survives: receiver gets it after the propagation slot and the
          (instant, reliable) acknowledgement stops the sender. *)
-      ignore
-        (Abe_sim.Engine.schedule engine ~delay:slot (fun () ->
-             received_at := sent_at +. slot;
-             Abe_sim.Engine.stop engine))
+      Abe_sim.Engine.schedule engine ~delay:slot (fun () ->
+          received_at := sent_at +. slot;
+          Abe_sim.Engine.stop engine)
     else
       (* Frame lost: the sender times out and tries again. *)
-      ignore (Abe_sim.Engine.schedule engine ~delay:timeout transmit)
+      Abe_sim.Engine.schedule engine ~delay:timeout transmit
   in
   transmit ();
   (match Abe_sim.Engine.run engine with

@@ -423,8 +423,8 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
            Monitor.reset m ~oracle ?clock ();
            m
          | Some { monitor = None; _ } | None ->
-           Monitor.create ~oracle ?clock ~fifo:false ~dynamic
-             ~topology:config.topology ~nodes:config.n ~links:config.n ())
+           Monitor.create ~oracle ?clock ~fifo:false ~dynamic ~nodes:config.n
+             ~links:config.n ())
       oracle
   in
   (* Shadow copy of all node states, to sample the ring-wide wake-up mass

@@ -5,15 +5,12 @@
 type dynamic_class =
   | Static
   | Dynamic
-  | Full_connectivity
-  | Rooted of int
 
 type t = {
   mutable oracle : Abe_sim.Oracle.t;
   fifo : bool;
   mutable clock : Clock.spec option;
   dynamic : dynamic_class;
-  topology : Topology.t option;
   mutable sent : int;
   mutable delivered : int;
   mutable lost : int;
@@ -24,23 +21,13 @@ type t = {
   last_tick_real : float array;          (* by node id: the last processed
                                             tick's real instant; nan = none *)
   last_tick_local : float array;         (* by node id: its local reading *)
-  link_live : bool array;                (* by link id, from observed events *)
-  node_crashed : bool array;             (* by node id, from observed events *)
 }
 
-let create ~oracle ?clock ?(fifo = false) ?(dynamic = Static) ?topology ~nodes
-    ~links () =
-  (match dynamic, topology with
-   | (Full_connectivity | Rooted _), None ->
-     invalid_arg "Monitor.create: connectivity classes need ?topology"
-   | Rooted root, Some _ when root < 0 || root >= nodes ->
-     invalid_arg "Monitor.create: Rooted root out of range"
-   | _ -> ());
+let create ~oracle ?clock ?(fifo = false) ?(dynamic = Static) ~nodes ~links () =
   { oracle;
     fifo;
     clock;
     dynamic;
-    topology;
     sent = 0;
     delivered = 0;
     lost = 0;
@@ -49,9 +36,7 @@ let create ~oracle ?clock ?(fifo = false) ?(dynamic = Static) ?topology ~nodes
     ticks = 0;
     last_delivered_seq = Array.make (max links 1) (-1);
     last_tick_real = Array.make (max nodes 1) nan;
-    last_tick_local = Array.make (max nodes 1) nan;
-    link_live = Array.make (max links 1) true;
-    node_crashed = Array.make (max nodes 1) false }
+    last_tick_local = Array.make (max nodes 1) nan }
 
 let reset t ~oracle ?clock () =
   t.oracle <- oracle;
@@ -64,9 +49,7 @@ let reset t ~oracle ?clock () =
   t.ticks <- 0;
   Array.fill t.last_delivered_seq 0 (Array.length t.last_delivered_seq) (-1);
   Array.fill t.last_tick_real 0 (Array.length t.last_tick_real) nan;
-  Array.fill t.last_tick_local 0 (Array.length t.last_tick_local) nan;
-  Array.fill t.link_live 0 (Array.length t.link_live) true;
-  Array.fill t.node_crashed 0 (Array.length t.node_crashed) false
+  Array.fill t.last_tick_local 0 (Array.length t.last_tick_local) nan
 
 (* Tolerance for the tick-rate check: rates between tick completions are
    exact for linear clocks, so only float rounding needs headroom. *)
@@ -113,86 +96,6 @@ let check_conservation t ~time ~(stats : Network.stats) ~in_flight =
       ~subject:"network" "in_flight=%d but observed events imply %d" in_flight
       expected_inflight
 
-(* Reachability over the {e live} subgraph — live links, non-crashed
-   nodes — as reconstructed from observed events.  Walked only at topology
-   changes, which are rare; O(nodes + links) per walk. *)
-let live_reach t topo ~root ~forward =
-  let n = Topology.node_count topo in
-  let seen = Array.make n false in
-  let stack = ref [ root ] in
-  seen.(root) <- true;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | u :: rest ->
-      stack := rest;
-      let links =
-        if forward then Topology.out_links topo u else Topology.in_links topo u
-      in
-      Array.iter
-        (fun (l : Topology.link) ->
-           let id = l.Topology.id in
-           if id >= 0 && id < Array.length t.link_live && t.link_live.(id)
-           then begin
-             let v = if forward then l.Topology.dst else l.Topology.src in
-             if (not t.node_crashed.(v)) && not seen.(v) then begin
-               seen.(v) <- true;
-               stack := v :: !stack
-             end
-           end)
-        links
-  done;
-  seen
-
-let live_nodes_unreached t seen =
-  let missing = ref [] in
-  Array.iteri
-    (fun v crashed -> if (not crashed) && not seen.(v) then missing := v :: !missing)
-    t.node_crashed;
-  List.rev !missing
-
-let check_connectivity t ~time =
-  match t.dynamic, t.topology with
-  | (Static | Dynamic), _ | _, None -> ()
-  | Full_connectivity, Some topo ->
-    (* The live subgraph must stay strongly connected: every live node
-       reaches — and is reached by — every other live node. *)
-    let root = ref (-1) in
-    Array.iteri
-      (fun v crashed -> if !root < 0 && not crashed then root := v)
-      t.node_crashed;
-    if !root >= 0 then begin
-      let fwd = live_reach t topo ~root:!root ~forward:true in
-      let bwd = live_reach t topo ~root:!root ~forward:false in
-      let both = Array.map2 ( && ) fwd bwd in
-      match live_nodes_unreached t both with
-      | [] -> ()
-      | missing ->
-        Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"connectivity"
-          ~subject:"network"
-          "live subgraph not strongly connected: node(s) %s cut off from \
-           node %d"
-          (String.concat "," (List.map string_of_int missing))
-          !root
-    end
-  | Rooted root, Some topo ->
-    (* Weaker guarantee: a spanning tree rooted at [root] must survive —
-       every live node stays reachable {e from} the root. *)
-    if t.node_crashed.(root) then
-      Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"connectivity"
-        ~subject:"network" "spanning-tree root %d crashed" root
-    else begin
-      let fwd = live_reach t topo ~root ~forward:true in
-      match live_nodes_unreached t fwd with
-      | [] -> ()
-      | missing ->
-        Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"connectivity"
-          ~subject:"network"
-          "node(s) %s no longer reachable from spanning-tree root %d"
-          (String.concat "," (List.map string_of_int missing))
-          root
-    end
-
 let static_violation t ~time what =
   if t.dynamic = Static then
     Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"dynamic-class"
@@ -206,25 +109,10 @@ let check_event t ~time (ev : Network.event) =
   | Link_drop _ ->
     t.link_dropped <- t.link_dropped + 1;
     static_violation t ~time "Link_drop"
-  | Crash { node } ->
-    if node >= 0 && node < Array.length t.node_crashed then
-      t.node_crashed.(node) <- true;
-    check_connectivity t ~time
-  | Revive { node } ->
-    static_violation t ~time "Revive";
-    if node >= 0 && node < Array.length t.node_crashed then
-      t.node_crashed.(node) <- false;
-    check_connectivity t ~time
-  | Link_down { link } ->
-    static_violation t ~time "Link_down";
-    let id = link.Topology.id in
-    if id >= 0 && id < Array.length t.link_live then t.link_live.(id) <- false;
-    check_connectivity t ~time
-  | Link_up { link } ->
-    static_violation t ~time "Link_up";
-    let id = link.Topology.id in
-    if id >= 0 && id < Array.length t.link_live then t.link_live.(id) <- true;
-    check_connectivity t ~time
+  | Crash _ -> ()
+  | Revive _ -> static_violation t ~time "Revive"
+  | Link_down _ -> static_violation t ~time "Link_down"
+  | Link_up _ -> static_violation t ~time "Link_up"
   | Deliver { link; seq; dst = _ } ->
     t.delivered <- t.delivered + 1;
     let id = link.Topology.id in

@@ -17,8 +17,7 @@
       increasing, and the observed rate between consecutive ticks lies in
       [\[s_low, s_high\]] (Definition 1.2; exact for linear clocks, modulo
       float rounding);
-    - {b dynamic-class} / {b connectivity}: per-{!dynamic_class} topology
-      invariants, below.
+    - {b dynamic-class}: a [Static] network sees no topology event, below.
 
     Violations go to the supplied {!Abe_sim.Oracle}; monitoring never
     perturbs the simulation. *)
@@ -31,18 +30,10 @@
       {b dynamic-class} violation.  (Crash-stop was always allowed: it
       removes a node, not a link schedule.)
     - [Dynamic]: topology rewriting is expected (churn); only the
-      accounting invariants apply — the graph may disconnect freely.
-    - [Full_connectivity]: after every topology change the {e live}
-      subgraph (non-crashed nodes, up links) must remain strongly
-      connected.
-    - [Rooted root]: weaker — every live node must stay reachable from
-      [root] (a rooted spanning tree survives); the root itself crashing
-      is a violation. *)
+      accounting invariants apply — the graph may disconnect freely. *)
 type dynamic_class =
   | Static
   | Dynamic
-  | Full_connectivity
-  | Rooted of int
 
 type t
 
@@ -51,7 +42,6 @@ val create :
   ?clock:Clock.spec ->
   ?fifo:bool ->
   ?dynamic:dynamic_class ->
-  ?topology:Topology.t ->
   nodes:int ->
   links:int ->
   unit ->
@@ -59,9 +49,7 @@ val create :
 (** [fifo] defaults to [false] (non-FIFO networks deliver out of order by
     design); pass the network's own [fifo] flag.  [clock] enables the drift
     checks and should be the network's [clock_spec].  [dynamic] defaults to
-    [Static]; the connectivity classes ([Full_connectivity], [Rooted])
-    additionally need [topology] (the network's own) to walk the live
-    subgraph — omitting it raises [Invalid_argument]. *)
+    [Static]. *)
 
 val reset : t -> oracle:Abe_sim.Oracle.t -> ?clock:Clock.spec -> unit -> unit
 (** Start a new run on the same network: the monitor reports to [oracle]

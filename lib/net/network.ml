@@ -77,7 +77,6 @@ module Make (P : PROTOCOL) = struct
     local_time : unit -> float;
     send : int -> P.message -> unit;
     stop : unit -> unit;
-    trace : string -> unit;
   }
 
   type handlers = {
@@ -374,10 +373,9 @@ module Make (P : PROTOCOL) = struct
       t.env_start.(i) <- t.occ.(0);
       t.env_completion.(i) <- t.busy.(dst.id);
       t.env_inc.(i) <- dst.incarnation;
-      ignore
-        (Engine.schedule_from t.engine ~tag:(node_class t dst.id)
-           ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
-           ~times:t.busy dst.id t.env_complete.(i))
+      Engine.schedule_from t.engine ~tag:(node_class t dst.id)
+        ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
+        ~times:t.busy dst.id t.env_complete.(i)
     end
 
   let grow_env_pool t filler =
@@ -495,19 +493,18 @@ module Make (P : PROTOCOL) = struct
            Causal.transit_at c ~link:link_id ~src:src.id
              ~dst:link.Topology.dst ~t_begin:t.env_sent_at
              ~t_end:t.env_arrival ~label:"msg" i);
-      ignore
-        (Engine.schedule_from t.engine ~tag:(link_class link)
-           ~footprint:
-             (if t.foot_on then
-                link_bit link_id lor node_bit link.Topology.dst
-              else 0)
-           ~times:t.env_arrival i t.env_arrive.(i))
+      Engine.schedule_from t.engine ~tag:(link_class link)
+        ~footprint:
+          (if t.foot_on then
+             link_bit link_id lor node_bit link.Topology.dst
+           else 0)
+        ~times:t.env_arrival i t.env_arrive.(i)
     end
 
   (* Context builder: [now] and [stop] close over the network alone, so a
      single shared pair serves every node — only the closures that really
-     capture per-node state ([local_time], [send], [trace]) are allocated
-     n times. *)
+     capture per-node state ([local_time], [send]) are allocated n
+     times. *)
   let context_builder t =
     let n = Array.length t.nodes in
     let now () = Engine.now t.engine in
@@ -522,11 +519,7 @@ module Make (P : PROTOCOL) = struct
           (let clock = Links.clock t.model node.id in
            fun () -> Clock.local_time clock ~real:(Engine.now t.engine));
         send = (fun link_index message -> send_from t node link_index message);
-        stop;
-        trace =
-          (fun message ->
-             Trace.record t.trace ~time:(Engine.now t.engine)
-               ~source:(Trace.Node node.id) message) }
+        stop }
 
   let free_tick t i =
     t.tc_next.(i) <- t.tc_free;
@@ -624,15 +617,13 @@ module Make (P : PROTOCOL) = struct
         t.tc_completion.(i) <- t.busy.(id);
         t.tc_inc.(i) <- chain_inc;
         let foot_on = t.foot_on in
-        ignore
-          (Engine.schedule_from t.engine ~tag
-             ~footprint:(if foot_on then t.foot_handler.(id) else 0)
-             ~times:t.busy id t.tc_run.(i));
+        Engine.schedule_from t.engine ~tag
+          ~footprint:(if foot_on then t.foot_handler.(id) else 0)
+          ~times:t.busy id t.tc_run.(i);
         Clock.advance_tick clock t.tick_time id;
-        ignore
-          (Engine.schedule_from t.engine ~tag
-             ~footprint:(if foot_on then node_bit id else 0)
-             ~times:t.tick_time id fire)
+        Engine.schedule_from t.engine ~tag
+          ~footprint:(if foot_on then node_bit id else 0)
+          ~times:t.tick_time id fire
       end
     in
     fire
@@ -640,10 +631,9 @@ module Make (P : PROTOCOL) = struct
   let start_ticks t id fire ~after =
     t.tick_time.(id) <- after;
     Clock.advance_tick (Links.clock t.model id) t.tick_time id;
-    ignore
-      (Engine.schedule_from t.engine ~tag:(node_class t id)
-         ~footprint:(if t.foot_on then node_bit id else 0)
-         ~times:t.tick_time id fire)
+    Engine.schedule_from t.engine ~tag:(node_class t id)
+      ~footprint:(if t.foot_on then node_bit id else 0)
+      ~times:t.tick_time id fire
 
   let set_link_up t link_id up =
     if link_id < 0 || link_id >= Array.length t.links then
@@ -833,14 +823,13 @@ module Make (P : PROTOCOL) = struct
            invalid_arg "Network.create: crash_times node out of range";
          if not (time >= 0. && Float.is_finite time) then
            invalid_arg "Network.create: crash time must be non-negative";
-         ignore
-           (Engine.schedule_at engine ~time (fun () ->
-                let node = t.nodes.(node_id) in
-                if not node.is_crashed then begin
-                  node.is_crashed <- true;
-                  node.incarnation <- node.incarnation + 1;
-                  emit t (Crash { node = node_id })
-                end)))
+         Engine.schedule_at engine ~time (fun () ->
+             let node = t.nodes.(node_id) in
+             if not node.is_crashed then begin
+               node.is_crashed <- true;
+               node.incarnation <- node.incarnation + 1;
+               emit t (Crash { node = node_id })
+             end))
       config.crash_times;
     List.iter
       (fun (node_id, time) ->
@@ -848,7 +837,7 @@ module Make (P : PROTOCOL) = struct
            invalid_arg "Network.create: revive_times node out of range";
          if not (time >= 0. && Float.is_finite time) then
            invalid_arg "Network.create: revive time must be non-negative";
-         ignore (Engine.schedule_at engine ~time (fun () -> revive t node_id)))
+         Engine.schedule_at engine ~time (fun () -> revive t node_id))
       config.revive_times;
     (* Link outage episodes may overlap (composed scenarios): a per-link
        depth counter makes the link live exactly when no episode covers the
@@ -866,14 +855,12 @@ module Make (P : PROTOCOL) = struct
            invalid_arg
              "Network.create: link_downs episode must satisfy \
               0 <= down_at < up_at (finite)";
-         ignore
-           (Engine.schedule_at engine ~time:down_at (fun () ->
-                down_depth.(link_id) <- down_depth.(link_id) + 1;
-                if down_depth.(link_id) = 1 then set_link_up t link_id false));
-         ignore
-           (Engine.schedule_at engine ~time:up_at (fun () ->
-                down_depth.(link_id) <- down_depth.(link_id) - 1;
-                if down_depth.(link_id) = 0 then set_link_up t link_id true)))
+         Engine.schedule_at engine ~time:down_at (fun () ->
+             down_depth.(link_id) <- down_depth.(link_id) + 1;
+             if down_depth.(link_id) = 1 then set_link_up t link_id false);
+         Engine.schedule_at engine ~time:up_at (fun () ->
+             down_depth.(link_id) <- down_depth.(link_id) - 1;
+             if down_depth.(link_id) = 0 then set_link_up t link_id true))
       config.link_downs
 
   let create ?reuse ?trace ?metrics ?scheduler ?causal ?observer

@@ -127,11 +127,13 @@ val default_config : topology:Topology.t -> delay:Delay_model.t -> config
 module Make (P : PROTOCOL) : sig
   type t
 
-  (** Capabilities available to a handler while it executes. *)
+  (** Capabilities available to a handler while it executes.  A handler
+      writes no trace entries of its own: the network's [trace] records
+      every message fate (see {!create}). *)
   type context = {
     node : int;          (** this node's index (accounting only) *)
     n : int;             (** network size — known to nodes, as in the paper *)
-    out_degree : int;
+    out_degree : int;    (** [send] link indices are [0 .. out_degree - 1] *)
     rng : Abe_prob.Rng.t;        (** this node's private random stream *)
     now : unit -> float;          (** real (global) time — not visible to
                                       realistic protocols; for measurement *)
@@ -139,7 +141,6 @@ module Make (P : PROTOCOL) : sig
     send : int -> P.message -> unit;
         (** [send i msg] transmits on the [i]-th outgoing link. *)
     stop : unit -> unit;          (** request simulation termination *)
-    trace : string -> unit;
   }
 
   type handlers = {

@@ -1,6 +1,6 @@
 (* The event store is an int-indexed arena in structure-of-arrays layout:
    timestamps in a flat [float array], actions in a parallel closure array,
-   and tag/eseq/lamport/generation/state in [int array]s, with freed slots
+   and tag/eseq/lamport/footprint in [int array]s, with freed slots
    recycled through a freelist ([ev_next]).  The priority queue holds arena
    indices only (see Pqueue), so the hot loop moves nothing but immediates
    and flat floats: executing one event on the fast path allocates nothing.
@@ -22,10 +22,9 @@
    [run] dispatches once per call between two loops: the fast loop, used
    when no metrics registry, causal recorder or scheduler is attached,
    performs no per-event observation branches at all; the observed loop
-   executes every event through [execute_next], which [step] shares, with
-   the metrics, the causal announcement and the scheduler's choice.  Both
-   pop in identical [(time, seq)] order, so executions are byte-identical
-   across loop choices. *)
+   executes every event with the metrics, the causal announcement and the
+   scheduler's choice.  Both pop in identical [(time, seq)] order, so
+   executions are byte-identical across loop choices. *)
 
 type candidate = {
   c_time : float;
@@ -58,22 +57,6 @@ type instruments = {
   m_executed : Metrics.counter;
   m_queue_depth : Metrics.histogram;
 }
-
-(* An event handle packs the slot's generation stamp above its arena
-   index: [(gen lsl slot_bits) lor slot].  The generation is bumped every
-   time a slot is freed (executed or cancelled-and-collected), so a stale
-   handle — to an event that already ran, even if its slot has since been
-   recycled — can never touch the wrong event. *)
-type event_id = int
-
-let slot_bits = 31
-let slot_mask = (1 lsl slot_bits) - 1
-let gen_mask = (1 lsl slot_bits) - 1
-
-(* Arena slot states. *)
-let st_free = 0
-let st_live = 1
-let st_cancelled = 2
 
 let null_action () = ()
 
@@ -126,8 +109,6 @@ type t = {
   mutable ev_eseq : int array;     (* the (priority, seq) key at enqueue *)
   mutable ev_lamport : int array;  (* 0 without a causal recorder *)
   mutable ev_foot : int array;     (* footprint bitmask; 0 = unknown *)
-  mutable ev_gen : int array;
-  mutable ev_state : int array;
   mutable ev_next : int array;     (* freelist link; -1 terminates *)
   mutable free_head : int;         (* -1 when the arena is full *)
   clock : float array;  (* length 1: a flat cell so advancing the virtual
@@ -137,7 +118,7 @@ type t = {
                            array *)
   mutable seq : int;
   mutable executed : int;
-  mutable live : int;  (* pending, non-cancelled events *)
+  mutable live : int;  (* pending events *)
   mutable max_depth : int;  (* high-water mark of [live] *)
   mutable wall : float;     (* host seconds accumulated inside [run] *)
   mutable stop_requested : bool;
@@ -164,8 +145,6 @@ let allocate () =
     ev_eseq = [||];
     ev_lamport = [||];
     ev_foot = [||];
-    ev_gen = [||];
-    ev_state = [||];
     ev_next = [||];
     free_head = -1;
     clock = [| 0. |];
@@ -185,16 +164,11 @@ let allocate () =
     wall_deadline = infinity }
 
 (* Back to virtual time 0 with nothing pending, keeping the capacity of
-   the arena, the heap and both rings.  Every slot still holding an event
-   is freed the way an executed one is: its generation moves on, so a
-   handle from an earlier run stays stale, and its action is dropped. *)
+   the arena, the heap and both rings.  Every slot goes back on the
+   freelist and its action is dropped. *)
 let reset t =
   t.free_head <- -1;
-  for slot = Array.length t.ev_gen - 1 downto 0 do
-    if t.ev_state.(slot) <> st_free then begin
-      t.ev_gen.(slot) <- (t.ev_gen.(slot) + 1) land gen_mask;
-      t.ev_state.(slot) <- st_free
-    end;
+  for slot = Array.length t.ev_next - 1 downto 0 do
     (* Lowest index first, as a fresh arena hands them out. *)
     t.ev_next.(slot) <- t.free_head;
     t.free_head <- slot
@@ -243,7 +217,7 @@ let create ?reuse ?metrics ?scheduler ?causal ?(limit_time = infinity)
 let now t = t.clock.(0)
 
 let grow_arena t =
-  let old = Array.length t.ev_gen in
+  let old = Array.length t.ev_next in
   let cap = max 64 (2 * old) in
   let time = Array.make cap 0. in
   Array.blit t.ev_time 0 time 0 old;
@@ -260,8 +234,6 @@ let grow_arena t =
   t.ev_eseq <- copy_int t.ev_eseq 0;
   t.ev_lamport <- copy_int t.ev_lamport 0;
   t.ev_foot <- copy_int t.ev_foot 0;
-  t.ev_gen <- copy_int t.ev_gen 0;
-  t.ev_state <- copy_int t.ev_state st_free;
   t.ev_next <- copy_int t.ev_next (-1);
   (* Chain the new slots into the freelist, lowest index first. *)
   for i = cap - 1 downto old do
@@ -279,28 +251,25 @@ let alloc_slot t =
   t.free_head <- Array.unsafe_get t.ev_next slot;
   slot
 
-(* Return an executed or collected-cancelled slot to the freelist.  The
-   generation bump invalidates outstanding handles.  The action stays in
-   the slot until the slot is reused or [release_actions] drops it: an
-   arena that outlives its runs sits in the major heap, where every
-   pointer store pays the write barrier, and the next [schedule] nearly
-   always reuses the slot at once (the freelist is LIFO). *)
+(* Return an executed slot to the freelist.  The action stays in the slot
+   until the slot is reused or [release_actions] drops it: an arena that
+   outlives its runs sits in the major heap, where every pointer store
+   pays the write barrier, and the next [schedule] nearly always reuses
+   the slot at once (the freelist is LIFO). *)
 let free_slot t slot =
-  Array.unsafe_set t.ev_gen slot
-    ((Array.unsafe_get t.ev_gen slot + 1) land gen_mask);
-  Array.unsafe_set t.ev_state slot st_free;
   Array.unsafe_set t.ev_next slot t.free_head;
   t.free_head <- slot
 
 (* Drop the actions left in free slots, so that a closure — and any
    message payload it captured — is collectable once [run] has returned,
-   not pinned until its slot happens to be recycled. *)
+   not pinned until its slot happens to be recycled.  A slot already
+   cleared takes no store: each one pays the write barrier. *)
 let release_actions t =
-  for slot = 0 to Array.length t.ev_state - 1 do
-    if
-      Array.unsafe_get t.ev_state slot = st_free
-      && Array.unsafe_get t.ev_action slot != null_action
-    then Array.unsafe_set t.ev_action slot null_action
+  let slot = ref t.free_head in
+  while !slot >= 0 do
+    if Array.unsafe_get t.ev_action !slot != null_action then
+      Array.unsafe_set t.ev_action !slot null_action;
+    slot := Array.unsafe_get t.ev_next !slot
   done
 
 (* [(time, seq)] of slot [a] orders before that of slot [b]. *)
@@ -362,7 +331,6 @@ let schedule_from t ~tag ~footprint ~times i action =
   Array.unsafe_set t.ev_foot slot footprint;
   Array.unsafe_set t.ev_eseq slot t.seq;
   Array.unsafe_set t.ev_lamport slot lamport;
-  Array.unsafe_set t.ev_state slot st_live;
   if time > clock then begin
     Array.unsafe_set t.ev_time slot time;
     if time >= Array.unsafe_get t.run_tail 0 then begin
@@ -380,8 +348,7 @@ let schedule_from t ~tag ~footprint ~times i action =
   end;
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
-  if t.live > t.max_depth then t.max_depth <- t.live;
-  (Array.unsafe_get t.ev_gen slot lsl slot_bits) lor slot
+  if t.live > t.max_depth then t.max_depth <- t.live
 
 let schedule_at t ?(tag = -1) ?(footprint = 0) ~time action =
   t.at.(0) <- time;
@@ -392,20 +359,6 @@ let schedule t ?(tag = -1) ?(footprint = 0) ~delay action =
     invalid_arg "Engine.schedule: delay must be non-negative and finite";
   t.at.(0) <- t.clock.(0) +. delay;
   schedule_from t ~tag ~footprint ~times:t.at 0 action
-
-let cancel t id =
-  let slot = id land slot_mask in
-  let gen = id lsr slot_bits in
-  if
-    slot < Array.length t.ev_gen
-    && t.ev_gen.(slot) = gen
-    && t.ev_state.(slot) = st_live
-  then begin
-    t.ev_state.(slot) <- st_cancelled;
-    t.live <- t.live - 1
-  end
-  (* Otherwise: already cancelled, or already executed (the slot's
-     generation moved on when it was freed) — a no-op either way. *)
 
 let stop t = t.stop_requested <- true
 
@@ -427,22 +380,11 @@ let announce t slot =
   | None -> ()
   | Some c -> Causal.enter_event c ~lamport:t.ev_lamport.(slot)
 
-(* Pop arena slots until a non-cancelled one is found ([-1] when drained);
-   cancelled slots are collected back into the freelist here. *)
-let rec pop_live_slot t =
-  let slot = pop_slot t in
-  if slot < 0 then -1
-  else if Array.unsafe_get t.ev_state slot = st_cancelled then begin
-    free_slot t slot;
-    pop_live_slot t
-  end
-  else slot
-
 (* Bound on the commutation-candidate set handed to a scheduler: keeps one
    decision O(max_candidates log queue) even under a wide window. *)
 let max_candidates = 64
 
-(* Scheduler path: gather the live events whose timestamps fall within
+(* Scheduler path: gather the pending events whose timestamps fall within
    [window] of the earliest one, let the scheduler choose among the
    per-tag-FIFO-eligible ones, and put the rest back untouched (original
    timestamp and sequence number, so their relative order is preserved).
@@ -458,11 +400,7 @@ let choose_from t sched slot0 =
       if s < 0 || not (t.ev_time.(s) <= bound) then List.rev acc
       else begin
         ignore (pop_slot t);
-        if t.ev_state.(s) = st_cancelled then begin
-          free_slot t s;
-          grab acc count
-        end
-        else grab (s :: acc) (count + 1)
+        grab (s :: acc) (count + 1)
       end
   in
   let entries = Array.of_list (slot0 :: grab [] 1) in
@@ -511,40 +449,6 @@ let choose_from t sched slot0 =
   t.clock.(0) <- Float.max t.clock.(0) t.ev_time.(slot);
   slot
 
-(* Execute the event due after [slot0], the earliest live slot just
-   popped: [slot0] itself, or the scheduler's choice among the candidates
-   it heads.  The event runs through the full observation surface, and
-   the executed slot is returned.  The slot is freed (generation bumped)
-   before the action runs, so a late [cancel] with the event's handle is a
-   guaranteed no-op. *)
-let execute_next t slot0 =
-  let slot =
-    match t.scheduler with
-    | None ->
-      t.clock.(0) <- t.ev_time.(slot0);
-      slot0
-    | Some sched -> choose_from t sched slot0
-  in
-  t.live <- t.live - 1;
-  t.executed <- t.executed + 1;
-  measure t ~depth:t.live;
-  announce t slot;
-  let action = t.ev_action.(slot) in
-  free_slot t slot;
-  action ();
-  slot
-
-(* The executed action is dropped as [step] returns, unless the action
-   itself has reused its slot. *)
-let step t =
-  let slot0 = pop_live_slot t in
-  if slot0 < 0 then false
-  else begin
-    let slot = execute_next t slot0 in
-    if t.ev_state.(slot) = st_free then t.ev_action.(slot) <- null_action;
-    true
-  end
-
 (* Coarse wall-clock deadline probe: the [gettimeofday] syscall is paid at
    most once per 1024 executed events, and never when no deadline is set,
    so the fast loop stays a float compare away from its deadline-free
@@ -566,7 +470,7 @@ let run_fast t =
     else if t.executed >= t.limit_events then Hit_event_limit
     else if past_wall_deadline t then Hit_wall_deadline
     else begin
-      let slot = pop_live_slot t in
+      let slot = pop_slot t in
       if slot < 0 then Drained
       else begin
         let time = Array.unsafe_get t.ev_time slot in
@@ -590,21 +494,36 @@ let run_fast t =
 
 (* The observed loop, with or without a scheduler: the time budget is
    checked against the earliest pending timestamp, before any reordering,
-   and a deferred event keeps its original queue key when put back. *)
+   and a deferred event keeps its original queue key when put back.  The
+   event that runs is the earliest slot itself, or the scheduler's choice
+   among the candidates it heads, with the full observation surface. *)
 let run_observed t =
   let rec loop () =
     if t.stop_requested then Stopped
     else if t.executed >= t.limit_events then Hit_event_limit
     else if past_wall_deadline t then Hit_wall_deadline
     else begin
-      let slot0 = pop_live_slot t in
+      let slot0 = pop_slot t in
       if slot0 < 0 then Drained
       else if t.ev_time.(slot0) > t.limit_time then begin
         Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(slot0) slot0;
         Hit_time_limit
       end
       else begin
-        ignore (execute_next t slot0);
+        let slot =
+          match t.scheduler with
+          | None ->
+            t.clock.(0) <- t.ev_time.(slot0);
+            slot0
+          | Some sched -> choose_from t sched slot0
+        in
+        t.live <- t.live - 1;
+        t.executed <- t.executed + 1;
+        measure t ~depth:t.live;
+        announce t slot;
+        let action = t.ev_action.(slot) in
+        free_slot t slot;
+        action ();
         loop ()
       end
     end

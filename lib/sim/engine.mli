@@ -15,14 +15,15 @@
 
     {b Representation.}  Events live in an int-indexed arena in
     structure-of-arrays layout (timestamps in a flat [float array], actions
-    in a parallel array, tag/seq/lamport/state in [int array]s) with freed
-    slots recycled through a freelist.  Pending events are held in three
+    in a parallel array, tag/seq/lamport/footprint in [int array]s) with
+    freed slots recycled through a freelist.  Pending events are held in three
     places — the same-instant lane, the run and a heap — each of which
     orders bare arena indices.  [run] picks one of two loops per call.
     When no metrics registry, causal recorder or scheduler is attached, it
     enters the fast loop, with no per-event observation branches and no
     per-event allocation; otherwise the observed loop, which executes each
-    event as {!step} does.  Both loops pop in identical [(time, seq)]
+    event through the metrics, the causal recorder and the scheduler.
+    Both loops pop in identical [(time, seq)]
     order, so executions are byte-identical whichever is selected.
 
     {b Same-instant lane and run.}  An event scheduled for exactly the
@@ -35,21 +36,14 @@
     sorted by [(time, seq)] without any work: the clock never runs
     backwards, run appends never go back in time, and sequence numbers
     rise, so each new entry's key is at least the previous one's.  Every
-    extraction ({!run}'s loops, {!step} and a scheduler's candidate
-    gathering) takes the least of the lane head, the run head and the heap
+    extraction ({!run}'s loops and a scheduler's candidate gathering)
+    takes the least of the lane head, the run head and the heap
     minimum, comparing the full [(time, seq)] key.  The execution order is
     therefore exactly the order a single heap would give, also when a
     budget or a scheduler puts an event back (it goes back into the heap
     under its original key). *)
 
 type t
-
-type event_id
-(** Handle for cancelling a scheduled event.  Handles are
-    generation-stamped: once the event has executed (or its cancelled slot
-    has been collected), the handle goes stale and {!cancel} through it is
-    a guaranteed no-op, even if the underlying arena slot has been
-    recycled for a new event. *)
 
 type outcome =
   | Drained  (** the event queue became empty *)
@@ -157,9 +151,7 @@ val create :
     every pending event is dropped without running, and the hooks,
     budgets and digest source become those of this call (none
     unless given again).  The reset engine executes exactly what a fresh
-    one would.  Generation stamps are the one thing that keeps counting:
-    a handle from before the reset is stale, and {!cancel} through it is
-    a no-op.  [e] may be in any state — mid-run after {!stop}, over a
+    one would.  [e] may be in any state — mid-run after {!stop}, over a
     budget, or abandoned by an exception — but no action of [e] may be
     executing, and an engine belongs to one domain at a time. *)
 
@@ -167,7 +159,7 @@ val now : t -> float
 (** Current virtual time. *)
 
 val schedule :
-  t -> ?tag:int -> ?footprint:int -> delay:float -> (unit -> unit) -> event_id
+  t -> ?tag:int -> ?footprint:int -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be
     non-negative and finite.  [tag] (default [-1]) is the scheduling class
     used by the scheduler's per-class FIFO constraint; it has no effect
@@ -176,7 +168,7 @@ val schedule :
     [tag], it is pure metadata with no effect on execution. *)
 
 val schedule_at :
-  t -> ?tag:int -> ?footprint:int -> time:float -> (unit -> unit) -> event_id
+  t -> ?tag:int -> ?footprint:int -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant.  [time] must be [>= now t] — except under a
     scheduler, where an already-overtaken [time] is clamped to [now]
     (reordering may legitimately advance the clock past a time computed
@@ -184,16 +176,12 @@ val schedule_at :
 
 val schedule_from :
   t -> tag:int -> footprint:int -> times:float array -> int ->
-  (unit -> unit) -> event_id
+  (unit -> unit) -> unit
 (** [schedule_from t ~tag ~footprint ~times i f] is
     [schedule_at t ~tag ~footprint ~time:times.(i) f], with the time read
     from the caller's flat array (as {!Pqueue.add_at} does): no float is
     boxed at the call and no optional argument is wrapped in [Some].  Hot
     per-event paths schedule through it. *)
-
-val cancel : t -> event_id -> unit
-(** Cancel a pending event; cancelling an executed or already-cancelled
-    event is a no-op. *)
 
 val stop : t -> unit
 (** Request termination: [run] returns {!Stopped} after the current action
@@ -214,11 +202,6 @@ val run : t -> outcome
     whatever it captured, is collectable from then on (during the run it
     may stay in its freed slot until the slot is reused). *)
 
-val step : t -> bool
-(** Execute a single event; [false] if the queue was empty.  Budgets are not
-    enforced by [step].  Like [run], it holds no executed action once it
-    returns. *)
-
 val executed_events : t -> int
 val pending_events : t -> int
 
@@ -233,7 +216,7 @@ type counters = {
   executed : int;
       (** events executed so far (same value as {!executed_events}) *)
   max_queue_depth : int;
-      (** high-water mark of pending, non-cancelled events *)
+      (** high-water mark of pending events *)
   wall_time : float;
       (** host wall-clock seconds accumulated inside {!run} calls *)
 }

@@ -16,9 +16,6 @@ type t = {
 
 let create () = { prio = [||]; seq = [||]; value = [||]; len = 0 }
 
-let length t = t.len
-let is_empty t = t.len = 0
-
 (* Heap positions are internal invariants (always < [t.len] <= capacity),
    so the sift loops skip the bounds checks. *)
 
@@ -65,25 +62,14 @@ let grow t =
   Array.blit t.value 0 value 0 t.len;
   t.value <- value
 
-(* Shared tail of [add]/[add_at]: slot [t.len] already holds the new
-   priority. *)
-let push t ~seq v =
+let[@inline] add_at t ~times ~seq v =
+  if t.len = Array.length t.prio then grow t;
   let i = t.len in
+  Array.unsafe_set t.prio i (Array.unsafe_get times v);
   Array.unsafe_set t.seq i seq;
   Array.unsafe_set t.value i v;
   t.len <- i + 1;
   sift_up t i
-
-let add t ~priority ~seq v =
-  if Float.is_nan priority then invalid_arg "Pqueue.add: NaN priority";
-  if t.len = Array.length t.prio then grow t;
-  t.prio.(t.len) <- priority;
-  push t ~seq v
-
-let[@inline] add_at t ~times ~seq v =
-  if t.len = Array.length t.prio then grow t;
-  Array.unsafe_set t.prio t.len (Array.unsafe_get times v);
-  push t ~seq v
 
 let min_value t = if t.len = 0 then -1 else t.value.(0)
 
@@ -121,14 +107,6 @@ let remove_root t =
       Array.unsafe_set t.value hole (Array.unsafe_get t.value last);
       sift_up t hole
     end
-  end
-
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let priority = t.prio.(0) and v = t.value.(0) in
-    remove_root t;
-    Some (priority, v)
   end
 
 let[@inline] pop_value t =

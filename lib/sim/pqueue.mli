@@ -15,11 +15,6 @@
 type t
 
 val create : unit -> t
-val length : t -> int
-val is_empty : t -> bool
-
-val add : t -> priority:float -> seq:int -> int -> unit
-(** Insert a payload.  [priority] must not be NaN. *)
 
 val add_at : t -> times:float array -> seq:int -> int -> unit
 (** [add_at t ~times ~seq v] inserts [v] with priority [times.(v)], read
@@ -32,12 +27,9 @@ val min_value : t -> int
 (** Payload of the minimum element without removing it; [-1] when empty.
     Allocation-free. *)
 
-val pop : t -> (float * int) option
-(** Remove and return the minimum element with its priority. *)
-
 val pop_value : t -> int
 (** Remove the minimum element and return its payload only; [-1] when
-    empty.  Allocation-free: the hot-loop variant of {!pop}. *)
+    empty.  Allocation-free. *)
 
 val clear : t -> unit
 (** Empty the heap in O(1), keeping its capacity for the entries that

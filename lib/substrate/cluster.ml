@@ -481,7 +481,7 @@ module Make (P : PROTOCOL) = struct
                        if !(worker_errors.(src)) = None then
                          worker_errors.(src) := Some msg)
                   telemetry
-              | Wire.Hello _ | Wire.Deliver _ | Wire.Shutdown -> ()
+              | Wire.Deliver _ | Wire.Shutdown -> ()
             in
             let scratch = Bytes.create 8192 in
             let read_from src =

@@ -3,7 +3,6 @@
 type trace = { span : int; lamport : int; at : float }
 
 type frame =
-  | Hello of { node : int }
   | Send of { link : int; payload : string; trace : trace option }
   | Deliver of { link : int; payload : string; trace : trace option }
   | Stop of { node : int; at_units : float }
@@ -28,8 +27,9 @@ let max_body = 16 * 1024 * 1024
 let trace_ext_tag = 0x01
 let trace_ext_len = 25 (* tag + span + lamport + at *)
 
+(* Kind 1 is unassigned: the decoder rejects it as an unknown kind.  Kind
+   numbers are wire format, so the others keep theirs. *)
 let kind_of = function
-  | Hello _ -> 1
   | Send _ -> 2
   | Deliver _ -> 3
   | Stop _ -> 4
@@ -38,7 +38,6 @@ let kind_of = function
   | Telemetry _ -> 7
 
 let body_length = function
-  | Hello _ -> 8
   | Send { payload; trace; _ } | Deliver { payload; trace; _ } ->
     8 + 4 + String.length payload
     + (match trace with Some _ -> trace_ext_len | None -> 0)
@@ -56,7 +55,6 @@ let encode frame =
   Bytes.set_uint8 b 6 (kind_of frame);
   let int64_at off v = Bytes.set_int64_be b off (Int64.of_int v) in
   (match frame with
-   | Hello { node } -> int64_at 7 node
    | Send { link; payload; trace } | Deliver { link; payload; trace } ->
      int64_at 7 link;
      Bytes.set_int32_be b 15 (Int32.of_int (String.length payload));
@@ -101,7 +99,6 @@ let decode_body s =
       else err "wire: kind %d body is %d bytes, expected %d" kind (len - 3) want
     in
     match kind with
-    | 1 -> expect 8 (fun () -> Hello { node = int_at 0 })
     | 2 | 3 ->
       if len - 3 < 12 then err "wire: truncated send/deliver body (%d bytes)" (len - 3)
       else
@@ -211,7 +208,6 @@ let pp_trace ppf = function
     Fmt.pf ppf ", trace(span=%d, lamport=%d, at=%g)" span lamport at
 
 let pp ppf = function
-  | Hello { node } -> Fmt.pf ppf "hello(node=%d)" node
   | Send { link; payload; trace } ->
     Fmt.pf ppf "send(link=%d, %d bytes%a)" link (String.length payload)
       pp_trace trace

@@ -25,7 +25,6 @@ type trace = { span : int; lamport : int; at : float }
     protocol-encoded payload: the codec is protocol-agnostic, the
     {!Cluster} functor owns payload encoding. *)
 type frame =
-  | Hello of { node : int }  (** worker -> router: ready *)
   | Send of { link : int; payload : string; trace : trace option }
       (** worker -> router: emit on local out-link index [link] *)
   | Deliver of { link : int; payload : string; trace : trace option }

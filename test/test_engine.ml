@@ -32,22 +32,6 @@ let test_clock_advances () =
   ignore (Engine.run engine);
   Alcotest.(check (list (float 1e-9))) "times" [ 2.; 5. ] (List.rev !seen)
 
-let test_cancel () =
-  let engine = Engine.create () in
-  let fired = ref false in
-  let id = Engine.schedule engine ~delay:1. (fun () -> fired := true) in
-  Engine.cancel engine id;
-  Alcotest.(check bool) "drained" true (Engine.run engine = Engine.Drained);
-  Alcotest.(check bool) "not fired" false !fired;
-  Alcotest.(check int) "no events executed" 0 (Engine.executed_events engine)
-
-let test_cancel_twice_harmless () =
-  let engine = Engine.create () in
-  let id = Engine.schedule engine ~delay:1. (fun () -> ()) in
-  Engine.cancel engine id;
-  Engine.cancel engine id;
-  Alcotest.(check int) "pending" 0 (Engine.pending_events engine)
-
 let test_stop_and_resume () =
   let engine = Engine.create () in
   let count = ref 0 in
@@ -107,43 +91,15 @@ let test_time_limit_resume_keeps_fifo () =
   (* A second resume re-pops and re-queues the same event once more. *)
   Alcotest.(check bool) "still over limit" true
     (Engine.run engine = Engine.Hit_time_limit);
-  (* [step] ignores the time budget: drain the deferred events and check
-     they still fire in scheduling order. *)
-  ignore (Engine.step engine);
-  ignore (Engine.step engine);
-  Alcotest.(check (list string)) "scheduling order survives resume"
-    [ "early"; "a"; "b" ] (List.rev !log)
-
-let test_cancel_after_execution_harmless () =
-  (* Regression: cancelling an event that already ran must be a no-op.  An
-     earlier representation marked the entry cancelled anyway, corrupting
-     the pending-event count. *)
-  let engine = Engine.create () in
-  let id = Engine.schedule engine ~delay:1. (fun () -> ()) in
-  ignore (Engine.run engine);
-  Engine.cancel engine id;
-  Alcotest.(check int) "pending uncorrupted" 0 (Engine.pending_events engine);
-  Alcotest.(check int) "executed uncorrupted" 1 (Engine.executed_events engine);
-  let fired = ref false in
-  ignore (Engine.schedule engine ~delay:1. (fun () -> fired := true));
-  Alcotest.(check int) "new event pending" 1 (Engine.pending_events engine);
-  Alcotest.(check bool) "drains" true (Engine.run engine = Engine.Drained);
-  Alcotest.(check bool) "new event fired" true !fired
-
-let test_stale_handle_misses_recycled_slot () =
-  (* The executed event's arena slot is recycled for the next schedule; the
-     stale handle's generation no longer matches, so cancelling it must not
-     touch the new occupant. *)
-  let engine = Engine.create () in
-  let stale = Engine.schedule engine ~delay:1. (fun () -> ()) in
-  ignore (Engine.run engine);
-  let fired = ref false in
-  ignore (Engine.schedule engine ~delay:1. (fun () -> fired := true));
-  Engine.cancel engine stale;
-  Alcotest.(check int) "occupant still pending" 1
+  (* Both deferred events stay queued: an event scheduled within the
+     budget after them still runs, and the budget still holds them back. *)
+  Engine.schedule engine ~delay:2. (fun () -> log := "mid" :: !log);
+  Alcotest.(check bool) "resume hits the limit again" true
+    (Engine.run engine = Engine.Hit_time_limit);
+  Alcotest.(check int) "deferred events still pending" 2
     (Engine.pending_events engine);
-  ignore (Engine.run engine);
-  Alcotest.(check bool) "occupant fired" true !fired
+  Alcotest.(check (list string)) "only in-budget events ran"
+    [ "early"; "mid" ] (List.rev !log)
 
 (* Builds the action in a helper so the test body holds no reference to the
    payload: after execution only the arena could keep it alive. *)
@@ -153,15 +109,40 @@ let weak_action w =
   fun () -> ignore (Bytes.length payload)
 
 let test_executed_action_released () =
-  (* Executing an event nulls its action slot, so the closure — and any
-     message payload it captures — must be collectable immediately, not
-     pinned until the slot happens to be recycled. *)
+  (* Once [run] returns, an executed event's closure — and any message
+     payload it captures — must be collectable while the engine lives on,
+     not pinned until the slot happens to be recycled. *)
   let engine = Engine.create () in
   let w = Weak.create 1 in
   ignore (Engine.schedule engine ~delay:1. (weak_action w));
   ignore (Engine.run engine);
   Gc.full_major ();
-  Alcotest.(check bool) "payload collected" false (Weak.check w 0)
+  Alcotest.(check bool) "payload collected" false (Weak.check w 0);
+  (* Used after the collection, so the engine itself was not garbage. *)
+  Alcotest.(check int) "engine still live" 1 (Engine.executed_events engine)
+
+let test_pending_actions_survive_stop () =
+  (* Only free slots drop their actions when [run] returns: on a warm
+     arena, a run stopped with events pending releases what it executed
+     and keeps every pending action. *)
+  let engine = Engine.create () in
+  for _ = 1 to 8 do
+    Engine.schedule engine ~delay:1. ignore
+  done;
+  ignore (Engine.run engine);
+  let w = Weak.create 1 in
+  let fired = ref 0 in
+  Engine.schedule engine ~delay:1. (weak_action w);
+  Engine.schedule engine ~delay:2. (fun () -> Engine.stop engine);
+  for k = 3 to 8 do
+    Engine.schedule engine ~delay:(float_of_int k) (fun () -> incr fired)
+  done;
+  Alcotest.(check bool) "stopped" true (Engine.run engine = Engine.Stopped);
+  Gc.full_major ();
+  Alcotest.(check bool) "executed payload collected" false (Weak.check w 0);
+  Alcotest.(check int) "six pending" 6 (Engine.pending_events engine);
+  Alcotest.(check bool) "resume drains" true (Engine.run engine = Engine.Drained);
+  Alcotest.(check int) "every pending action ran" 6 !fired
 
 let test_schedule_at () =
   let engine = Engine.create () in
@@ -185,15 +166,19 @@ let test_negative_delay_rejected () =
     (Invalid_argument "Engine.schedule: delay must be non-negative and finite")
     (fun () -> ignore (Engine.schedule engine ~delay:(-1.) (fun () -> ())))
 
-let test_step () =
-  let engine = Engine.create () in
-  let count = ref 0 in
-  ignore (Engine.schedule engine ~delay:1. (fun () -> incr count));
-  ignore (Engine.schedule engine ~delay:2. (fun () -> incr count));
-  Alcotest.(check bool) "step one" true (Engine.step engine);
-  Alcotest.(check int) "one executed" 1 !count;
-  Alcotest.(check bool) "step two" true (Engine.step engine);
-  Alcotest.(check bool) "nothing left" false (Engine.step engine)
+let test_nan_time_rejected () =
+  let nan_rejected label engine =
+    Alcotest.check_raises label
+      (Invalid_argument "Engine.schedule_at: time must be >= now")
+      (fun () -> Engine.schedule_at engine ~time:Float.nan ignore)
+  in
+  nan_rejected "without a scheduler" (Engine.create ());
+  (* A scheduler clamps an overtaken time to now, but NaN is not one. *)
+  nan_rejected "under a scheduler"
+    (Engine.create
+       ~scheduler:
+         { Engine.window = 1.; choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
+       ())
 
 let test_zero_delay_runs_now () =
   let engine = Engine.create () in
@@ -211,10 +196,10 @@ let test_zero_delay_runs_now () =
 
 let test_pending_count () =
   let engine = Engine.create () in
-  let a = Engine.schedule engine ~delay:1. (fun () -> ()) in
-  let _ = Engine.schedule engine ~delay:2. (fun () -> ()) in
+  Engine.schedule engine ~delay:1. (fun () -> Engine.stop engine);
+  Engine.schedule engine ~delay:2. (fun () -> ());
   Alcotest.(check int) "two pending" 2 (Engine.pending_events engine);
-  Engine.cancel engine a;
+  ignore (Engine.run engine);
   Alcotest.(check int) "one pending" 1 (Engine.pending_events engine);
   ignore (Engine.run engine);
   Alcotest.(check int) "none pending" 0 (Engine.pending_events engine)
@@ -276,16 +261,6 @@ let test_counters_stable_across_time_limit_resume () =
     (c2.Engine.wall_time >= c1.Engine.wall_time);
   Alcotest.(check int) "event preserved" 1 (Engine.pending_events engine)
 
-let test_counters_ignore_cancelled () =
-  let engine = Engine.create () in
-  let a = Engine.schedule engine ~delay:1. (fun () -> ()) in
-  let _ = Engine.schedule engine ~delay:2. (fun () -> ()) in
-  Engine.cancel engine a;
-  ignore (Engine.run engine);
-  let c = Engine.counters engine in
-  Alcotest.(check int) "only live event executed" 1 c.Engine.executed;
-  Alcotest.(check int) "depth counted both while live" 2 c.Engine.max_queue_depth
-
 let prop_many_events_ordered =
   QCheck.Test.make ~name:"random schedules execute in order" ~count:200
     QCheck.(list (float_range 0. 100.))
@@ -326,13 +301,11 @@ let test_now_event_after_queued_peers () =
    children one time unit ahead (as a perfect clock's tick does: they join
    the time-ordered run), then children at the given delays (0 lands in the
    same-instant lane; a delay shorter than the run's tail goes to the
-   heap), cancels the handles of earlier-scheduled events, and may stop the
-   run.  The reference keeps a plain pending list and always executes its
-   least [(time, seq)]. *)
+   heap), and may stop the run.  The reference keeps a plain pending list
+   and executes its least [(time, seq)] while the budgets allow. *)
 type entry = {
   round : int;
   children : float list;
-  cancels : int list;  (* indices into the events scheduled so far *)
   stop : bool;
 }
 
@@ -356,29 +329,27 @@ let reference_order prog =
   let earliest (t1, s1) (t2, s2) =
     if t1 < t2 || (t1 = t2 && s1 < s2) then (t1, s1) else (t2, s2)
   in
-  while !pending <> [] do
+  let within_budget () =
+    !pending <> []
+    && !executed < prog.max_events
+    && fst (List.fold_left earliest (List.hd !pending) !pending) <= prog.limit
+  in
+  while within_budget () do
     let ((time, id) as first) =
       List.fold_left earliest (List.hd !pending) !pending
     in
     pending := List.filter (fun e -> e <> first) !pending;
     clock := time;
     log := id :: !log;
-    if !executed < Array.length prog.script then begin
-      let e = prog.script.(!executed) in
-      List.iter add (entry_delays e);
-      List.iter
-        (fun k ->
-           let victim = k mod !scheduled in
-           pending := List.filter (fun (_, id) -> id <> victim) !pending)
-        e.cancels
-    end;
+    if !executed < Array.length prog.script then
+      List.iter add (entry_delays prog.script.(!executed));
     incr executed
   done;
   List.rev !log
 
 (* [By_run] takes the fast loop, [By_metrics] the observed loop with no
    scheduler, [By_scheduler] the observed loop with one. *)
-type drive = By_run | By_step | By_metrics | By_scheduler
+type drive = By_run | By_metrics | By_scheduler
 
 let engine_order drive prog =
   let scheduler =
@@ -387,65 +358,54 @@ let engine_order drive prog =
       Some
         { Engine.window = 1.5;
           choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
-    | By_run | By_step | By_metrics -> None
+    | By_run | By_metrics -> None
   in
   let metrics =
     match drive with
     | By_metrics -> Some (Metrics.create ())
-    | By_run | By_step | By_scheduler -> None
+    | By_run | By_scheduler -> None
   in
   let engine =
     Engine.create ?metrics ?scheduler ~limit_time:prog.limit
       ~limit_events:prog.max_events ()
   in
-  let handles = ref [||] and scheduled = ref 0 in
+  let scheduled = ref 0 in
   let log = ref [] and executed = ref 0 in
   let rec add delay =
     let id = !scheduled in
     incr scheduled;
-    let h = Engine.schedule engine ~delay (fun () -> fire id) in
-    if id >= Array.length !handles then
-      handles := Array.append !handles (Array.make (id + 1) h);
-    !handles.(id) <- h
+    Engine.schedule engine ~delay (fun () -> fire id)
   and fire id =
     log := id :: !log;
     if !executed < Array.length prog.script then begin
       let e = prog.script.(!executed) in
       List.iter add (entry_delays e);
-      List.iter
-        (fun k -> Engine.cancel engine !handles.(k mod !scheduled))
-        e.cancels;
       if e.stop then Engine.stop engine
     end;
     incr executed
   in
   List.iter add prog.roots;
-  (match drive with
-   | By_step -> while Engine.step engine do () done
-   | By_run | By_metrics | By_scheduler ->
-     (* Resume after every stop.  Past a budget, [step] (which ignores
-        budgets) executes one event and [run] is tried again: past the time
-        budget, every such [run] puts the event it popped back into the
-        heap, so later pops merge re-enqueued events with the rings. *)
-     let rec go () =
-       match Engine.run engine with
-       | Engine.Stopped -> go ()
-       | Engine.Hit_time_limit | Engine.Hit_event_limit ->
-         if Engine.step engine then go ()
-       | Engine.Drained | Engine.Hit_wall_deadline -> ()
-     in
-     go ());
+  (* Resume after every stop.  Past a budget, one more [run] must execute
+     nothing: past the time budget it pops the deferred event again and
+     puts it back into the heap. *)
+  let rec go () =
+    match Engine.run engine with
+    | Engine.Stopped -> go ()
+    | Engine.Hit_time_limit | Engine.Hit_event_limit ->
+      ignore (Engine.run engine)
+    | Engine.Drained | Engine.Hit_wall_deadline -> ()
+  in
+  go ();
   List.rev !log
 
 let program_gen =
   let open QCheck.Gen in
   let delay = oneofl [ 0.; 0.; 0.; 0.25; 0.5; 1.; 1.; 1.5; 2. ] in
   let entry =
-    map4
-      (fun round children cancels stop -> { round; children; cancels; stop })
+    map3
+      (fun round children stop -> { round; children; stop })
       (frequency [ (2, return 0); (1, int_range 1 4) ])
       (list_size (int_bound 3) delay)
-      (list_size (int_bound 1) nat)
       (frequency [ (1, return true); (9, return false) ])
   in
   map4
@@ -464,24 +424,27 @@ let print_program prog =
        (Array.to_list
           (Array.map
              (fun e ->
-                Printf.sprintf "{%dx1|%s|%s%s}" e.round
+                Printf.sprintf "{%dx1|%s%s}" e.round
                   (String.concat "," (List.map string_of_float e.children))
-                  (String.concat "," (List.map string_of_int e.cancels))
                   (if e.stop then "|stop" else ""))
              prog.script)))
 
 let prop_lane_exact =
   QCheck.Test.make
     ~name:
-      "same-instant lane keeps (time, seq) order: run, step, metrics, \
-       scheduler"
+      "same-instant lane keeps (time, seq) order: run, metrics, scheduler"
     ~count:300
     (QCheck.make ~print:print_program program_gen)
     (fun prog ->
-       let expected = reference_order prog in
+       (* Each program runs under its budgets and, so that every event of
+          a long program is checked too, without them. *)
        List.for_all
-         (fun drive -> engine_order drive prog = expected)
-         [ By_run; By_step; By_metrics; By_scheduler ])
+         (fun prog ->
+            let expected = reference_order prog in
+            List.for_all
+              (fun drive -> engine_order drive prog = expected)
+              [ By_run; By_metrics; By_scheduler ])
+         [ prog; { prog with limit = infinity; max_events = max_int } ])
 
 let test_wall_deadline_stops_run () =
   (* A self-perpetuating event chain: without the wall deadline this run
@@ -521,16 +484,15 @@ let test_wall_deadline_past_exits_promptly () =
 
 (* [create ~reuse]: an engine left over a budget with events pending comes
    back empty at time 0, its counters and budgets those of the new call;
-   its pending events never run, a handle from before the reset cannot
-   cancel anything, and the kept arena still grows past its capacity. *)
+   its pending events never run, and the kept arena still grows past its
+   capacity. *)
 let test_reuse_resets () =
   let e = Engine.create ~limit_events:10 () in
   let log = ref [] in
-  let handles =
-    List.init 40 (fun i ->
-        Engine.schedule e ~delay:(float_of_int (i + 1)) (fun () ->
-            log := (`Old, i) :: !log))
-  in
+  for i = 0 to 39 do
+    Engine.schedule e ~delay:(float_of_int (i + 1)) (fun () ->
+        log := (`Old, i) :: !log)
+  done;
   Alcotest.(check bool) "over budget" true (Engine.run e = Engine.Hit_event_limit);
   let e' = Engine.create ~reuse:e () in
   Alcotest.(check bool) "same engine" true (e' == e);
@@ -545,9 +507,7 @@ let test_reuse_resets () =
     (fun i time ->
        ignore (Engine.schedule_at e ~time (fun () -> log := (`New, i) :: !log)))
     times;
-  (* Stale handles: every one of them addresses a slot now reused. *)
-  List.iter (Engine.cancel e) handles;
-  Alcotest.(check int) "stale cancels are no-ops" 100 (Engine.pending_events e);
+  Alcotest.(check int) "new events pending" 100 (Engine.pending_events e);
   Alcotest.(check bool) "budget of the new call" true (Engine.run e = Engine.Drained);
   let expected =
     List.map snd
@@ -645,16 +605,11 @@ let () =
           Alcotest.test_case "zero delay" `Quick test_zero_delay_runs_now;
           Alcotest.test_case "now after queued peers" `Quick
             test_now_event_after_queued_peers ] );
-      ( "cancel",
-        [ Alcotest.test_case "cancel" `Quick test_cancel;
-          Alcotest.test_case "cancel twice" `Quick test_cancel_twice_harmless;
-          Alcotest.test_case "cancel after execution" `Quick
-            test_cancel_after_execution_harmless;
-          Alcotest.test_case "stale handle, recycled slot" `Quick
-            test_stale_handle_misses_recycled_slot ] );
       ( "arena",
         [ Alcotest.test_case "executed action is released" `Quick
             test_executed_action_released;
+          Alcotest.test_case "pending actions survive a stopped run" `Quick
+            test_pending_actions_survive_stop;
           Alcotest.test_case "reuse resets" `Quick test_reuse_resets;
           Alcotest.test_case "reuse after an abandoned run" `Quick
             test_reuse_abandoned_run;
@@ -670,7 +625,6 @@ let () =
           Alcotest.test_case "time limit" `Quick test_time_limit;
           Alcotest.test_case "time limit resume keeps fifo" `Quick
             test_time_limit_resume_keeps_fifo;
-          Alcotest.test_case "step" `Quick test_step;
           Alcotest.test_case "pending count" `Quick test_pending_count ] );
       ( "counters",
         [ Alcotest.test_case "zero on fresh engine" `Quick
@@ -679,13 +633,12 @@ let () =
           Alcotest.test_case "monotone across runs" `Quick
             test_counters_monotone_across_runs;
           Alcotest.test_case "stable across Hit_time_limit resume" `Quick
-            test_counters_stable_across_time_limit_resume;
-          Alcotest.test_case "cancelled events" `Quick
-            test_counters_ignore_cancelled ] );
+            test_counters_stable_across_time_limit_resume ] );
       ( "validation",
         [ Alcotest.test_case "schedule_at" `Quick test_schedule_at;
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;
-          Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected ]
+          Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected;
+          Alcotest.test_case "nan time rejected" `Quick test_nan_time_rejected ]
       );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

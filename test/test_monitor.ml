@@ -16,11 +16,9 @@ let stats () =
 
 let link0 = { Topology.id = 0; src = 0; dst = 1 }
 
-let monitor ?clock ?(fifo = false) ?dynamic ?topology ?(nodes = 2) ?(links = 2)
-    () =
+let monitor ?clock ?(fifo = false) ?dynamic ?(nodes = 2) ?(links = 2) () =
   let oracle = Abe_sim.Oracle.create () in
-  ( Monitor.create ~oracle ?clock ~fifo ?dynamic ?topology ~nodes ~links (),
-    oracle )
+  (Monitor.create ~oracle ?clock ~fifo ?dynamic ~nodes ~links (), oracle)
 
 let invariants oracle =
   List.map
@@ -257,78 +255,6 @@ let test_link_drop_conservation_violation () =
   Alcotest.(check bool) "conservation fired" true
     (List.mem "conservation" (invariants oracle))
 
-(* Connectivity oracles over a 3-ring (link i runs i -> i+1 mod 3). *)
-
-let ring3 () = Topology.ring 3
-
-let test_full_connectivity_violation () =
-  let m, oracle =
-    monitor ~dynamic:Monitor.Full_connectivity ~topology:(ring3 ()) ~nodes:3
-      ~links:3 ()
-  in
-  let obs = Monitor.observer m in
-  let st = stats () in
-  obs ~time:1. ~stats:st ~in_flight:0
-    (Network.Link_down { link = { Topology.id = 0; src = 0; dst = 1 } });
-  Alcotest.(check bool) "connectivity fired" true
-    (List.mem "connectivity" (invariants oracle))
-
-let test_full_connectivity_restored_clean () =
-  let m, oracle =
-    monitor ~dynamic:Monitor.Full_connectivity ~topology:(ring3 ()) ~nodes:3
-      ~links:3 ()
-  in
-  let obs = Monitor.observer m in
-  let st = stats () in
-  let l0 = { Topology.id = 0; src = 0; dst = 1 } in
-  obs ~time:1. ~stats:st ~in_flight:0 (Network.Link_down { link = l0 });
-  let before = List.length (invariants oracle) in
-  (* Once the link is back every topology-change instant is connected
-     again: no new violations after the restore. *)
-  obs ~time:2. ~stats:st ~in_flight:0 (Network.Link_up { link = l0 });
-  Alcotest.(check int) "no violation at restore" before
-    (List.length (invariants oracle))
-
-let test_rooted_connectivity () =
-  let m, oracle =
-    monitor ~dynamic:(Monitor.Rooted 0) ~topology:(ring3 ()) ~nodes:3 ~links:3
-      ()
-  in
-  let obs = Monitor.observer m in
-  let st = stats () in
-  (* Losing the link back into the root keeps every node reachable *from*
-     the root: the rooted (broadcast-tree) guarantee survives where full
-     strong connectivity would not. *)
-  obs ~time:1. ~stats:st ~in_flight:0
-    (Network.Link_down { link = { Topology.id = 2; src = 2; dst = 0 } });
-  Alcotest.(check bool) "rooted tolerates return-link loss" true
-    (Abe_sim.Oracle.is_clean oracle);
-  (* Losing an outbound tree link cuts nodes 1 and 2 off from the root. *)
-  obs ~time:2. ~stats:st ~in_flight:0
-    (Network.Link_down { link = { Topology.id = 0; src = 0; dst = 1 } });
-  Alcotest.(check bool) "rooted cut detected" true
-    (List.mem "connectivity" (invariants oracle))
-
-let test_rooted_root_crash () =
-  let m, oracle =
-    monitor ~dynamic:(Monitor.Rooted 0) ~topology:(ring3 ()) ~nodes:3 ~links:3
-      ()
-  in
-  let obs = Monitor.observer m in
-  let st = stats () in
-  obs ~time:1. ~stats:st ~in_flight:0 (Network.Crash { node = 0 });
-  Alcotest.(check bool) "root crash flagged" true
-    (List.mem "connectivity" (invariants oracle))
-
-let test_connectivity_requires_topology () =
-  let oracle = Abe_sim.Oracle.create () in
-  Alcotest.check_raises "missing topology rejected"
-    (Invalid_argument "Monitor.create: connectivity classes need ?topology")
-    (fun () ->
-       ignore
-         (Monitor.create ~oracle ~dynamic:Monitor.Full_connectivity ~nodes:2
-            ~links:2 ()))
-
 let () =
   Alcotest.run "monitor"
     [ ( "monitor",
@@ -353,13 +279,4 @@ let () =
           Alcotest.test_case "dynamic accepts churn stream" `Quick
             test_dynamic_accepts_churn_stream;
           Alcotest.test_case "link-drop conservation" `Quick
-            test_link_drop_conservation_violation;
-          Alcotest.test_case "full connectivity cut" `Quick
-            test_full_connectivity_violation;
-          Alcotest.test_case "full connectivity restored" `Quick
-            test_full_connectivity_restored_clean;
-          Alcotest.test_case "rooted spanning tree" `Quick
-            test_rooted_connectivity;
-          Alcotest.test_case "rooted root crash" `Quick test_rooted_root_crash;
-          Alcotest.test_case "connectivity needs topology" `Quick
-            test_connectivity_requires_topology ] ) ]
+            test_link_drop_conservation_violation ] ) ]

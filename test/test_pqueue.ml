@@ -1,18 +1,25 @@
 open Abe_sim
 
-(* The pqueue is now monomorphic (int payloads = arena indices) with
-   priorities read either from a boxed [~priority] or from a caller-owned
-   [~times] array.  The reference model throughout is a sorted association
-   list of [(priority, seq, value)] ordered by [(priority, seq)] — the
-   behaviour of the original generic implementation. *)
+(* The pqueue is monomorphic (int payloads = arena indices) with each
+   payload's priority read from a caller-owned [~times] array, as the
+   engine's arena does.  The reference model throughout is a sorted
+   association list of [(priority, seq, value)] ordered by
+   [(priority, seq)] — the behaviour of the original generic
+   implementation. *)
 
+(* Pop every payload, in order. *)
 let drain q =
   let rec go acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some (priority, value) -> go ((priority, value) :: acc)
+    match Pqueue.pop_value q with
+    | -1 -> List.rev acc
+    | v -> go (v :: acc)
   in
   go []
+
+(* Insert payloads [0 .. n-1] with priorities [times], each under its own
+   index as sequence number. *)
+let add_all q times =
+  Array.iteri (fun v _ -> Pqueue.add_at q ~times ~seq:v v) times
 
 (* [(priority, seq)] order, compared monomorphically. *)
 let model_compare ((p1 : float), (s1 : int), _) (p2, s2, _) =
@@ -35,64 +42,51 @@ let model_insert ((p, _, _) as entry) model =
 
 let test_ordering () =
   let q = Pqueue.create () in
-  List.iteri
-    (fun seq priority -> Pqueue.add q ~priority ~seq (int_of_float priority))
-    [ 5.; 1.; 3.; 2.; 4. ];
+  let times = [| 5.; 1.; 3.; 2.; 4. |] in
+  add_all q times;
   Alcotest.(check (list (float 1e-9)))
     "ascending" [ 1.; 2.; 3.; 4.; 5. ]
-    (List.map fst (drain q))
+    (List.map (fun v -> times.(v)) (drain q))
 
 let test_tie_break_by_seq () =
   let q = Pqueue.create () in
-  Pqueue.add q ~priority:1. ~seq:2 22;
-  Pqueue.add q ~priority:1. ~seq:1 11;
-  Pqueue.add q ~priority:1. ~seq:3 33;
-  Alcotest.(check (list int))
-    "fifo among ties" [ 11; 22; 33 ]
-    (List.map snd (drain q))
+  let times = Array.make 34 1. in
+  Pqueue.add_at q ~times ~seq:2 22;
+  Pqueue.add_at q ~times ~seq:1 11;
+  Pqueue.add_at q ~times ~seq:3 33;
+  Alcotest.(check (list int)) "fifo among ties" [ 11; 22; 33 ] (drain q)
 
 let test_empty () =
   let q = Pqueue.create () in
-  Alcotest.(check bool) "is_empty" true (Pqueue.is_empty q);
-  Alcotest.(check int) "length" 0 (Pqueue.length q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop q = None);
   Alcotest.(check int) "pop_value empty" (-1) (Pqueue.pop_value q);
   Alcotest.(check int) "min_value empty" (-1) (Pqueue.min_value q)
 
 let test_min_value () =
   let q = Pqueue.create () in
-  Pqueue.add q ~priority:3. ~seq:0 0;
-  Pqueue.add q ~priority:1. ~seq:1 1;
+  add_all q [| 3.; 1. |];
   Alcotest.(check int) "min value" 1 (Pqueue.min_value q);
-  Alcotest.(check int) "peek does not pop" 2 (Pqueue.length q)
+  Alcotest.(check (list int)) "peek does not pop" [ 1; 0 ] (drain q)
 
 let test_clear () =
   let q = Pqueue.create () in
-  for i = 0 to 9 do
-    Pqueue.add q ~priority:(float_of_int i) ~seq:i i
-  done;
+  add_all q (Array.init 10 float_of_int);
   Pqueue.clear q;
-  Alcotest.(check int) "cleared" 0 (Pqueue.length q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop q = None)
+  Alcotest.(check int) "cleared" (-1) (Pqueue.min_value q);
+  Alcotest.(check int) "pop none" (-1) (Pqueue.pop_value q)
 
 (* clear-then-reuse: the heap must behave like a fresh one after [clear],
    over the capacity it kept. *)
 let test_clear_then_reuse () =
   let q = Pqueue.create () in
-  for i = 0 to 99 do
-    Pqueue.add q ~priority:(float_of_int (100 - i)) ~seq:i i
-  done;
+  let times = Array.init 100 (fun i -> float_of_int (100 - i)) in
+  add_all q times;
   Pqueue.clear q;
   List.iteri
-    (fun seq priority -> Pqueue.add q ~priority ~seq (seq * 10))
+    (fun seq priority ->
+       times.(seq * 10) <- priority;
+       Pqueue.add_at q ~times ~seq (seq * 10))
     [ 2.; 1.; 3. ];
-  Alcotest.(check (list int)) "reused order" [ 10; 0; 20 ]
-    (List.map snd (drain q))
-
-let test_nan_rejected () =
-  let q = Pqueue.create () in
-  Alcotest.check_raises "nan" (Invalid_argument "Pqueue.add: NaN priority")
-    (fun () -> Pqueue.add q ~priority:Float.nan ~seq:0 0)
+  Alcotest.(check (list int)) "reused order" [ 10; 0; 20 ] (drain q)
 
 let test_add_at_reads_times () =
   let times = [| 3.0; 1.0; 2.0; 0.5 |] in
@@ -100,24 +94,20 @@ let test_add_at_reads_times () =
   for v = 0 to 3 do
     Pqueue.add_at q ~times ~seq:v v
   done;
-  Alcotest.(check (list int)) "ordered by times.(v)" [ 3; 1; 2; 0 ]
-    (List.map snd (drain q));
-  (* Mixing add_at with plain add must agree on ordering. *)
-  Pqueue.add_at q ~times ~seq:10 1;
-  Pqueue.add q ~priority:0.75 ~seq:11 99;
-  Alcotest.(check (list int)) "mixed" [ 99; 1 ] (List.map snd (drain q))
+  Alcotest.(check (list int)) "ordered by times.(v)" [ 3; 1; 2; 0 ] (drain q)
 
 let test_interleaved_ops () =
   let q = Pqueue.create () in
-  Pqueue.add q ~priority:2. ~seq:0 2;
-  Pqueue.add q ~priority:1. ~seq:1 1;
+  let times = [| 0.; 1.; 2.; 3.; 0.; 0.5 |] in
+  Pqueue.add_at q ~times ~seq:0 2;
+  Pqueue.add_at q ~times ~seq:1 1;
   Alcotest.(check int) "pop 1" 1 (Pqueue.pop_value q);
-  Pqueue.add q ~priority:0.5 ~seq:2 5;
-  Pqueue.add q ~priority:3. ~seq:3 3;
+  Pqueue.add_at q ~times ~seq:2 5;
+  Pqueue.add_at q ~times ~seq:3 3;
   Alcotest.(check int) "pop 5" 5 (Pqueue.pop_value q);
   Alcotest.(check int) "pop 2" 2 (Pqueue.pop_value q);
   Alcotest.(check int) "pop 3" 3 (Pqueue.pop_value q);
-  Alcotest.(check bool) "drained" true (Pqueue.is_empty q)
+  Alcotest.(check int) "drained" (-1) (Pqueue.pop_value q)
 
 (* --- properties: the heap agrees with the sorted-list model --------- *)
 
@@ -126,10 +116,10 @@ let prop_heap_sorts =
     QCheck.(list (float_range 0. 100.))
     (fun priorities ->
       let q = Pqueue.create () in
-      List.iteri (fun seq p -> Pqueue.add q ~priority:p ~seq seq) priorities;
+      add_all q (Array.of_list priorities);
       let expected =
         List.map
-          (fun (p, _, v) -> (p, v))
+          (fun (_, _, v) -> v)
           (model_sort (List.mapi (fun s p -> (p, s, s)) priorities))
       in
       drain q = expected)
@@ -139,11 +129,8 @@ let prop_ties_pop_in_seq_order =
     QCheck.(list (int_range 0 3))
     (fun buckets ->
       let q = Pqueue.create () in
-      List.iteri
-        (fun seq bucket ->
-          Pqueue.add q ~priority:(float_of_int bucket) ~seq seq)
-        buckets;
-      let popped = List.map snd (drain q) in
+      add_all q (Array.of_list (List.map float_of_int buckets));
+      let popped = drain q in
       let buckets_of = Array.of_list buckets in
       (* Within each priority bucket, values (= seqs) must be ascending. *)
       let by_bucket = Hashtbl.create 8 in
@@ -164,6 +151,7 @@ let prop_interleaved_matches_model =
     ~count:500
     QCheck.(list (option (int_range 0 4)))
     (fun ops ->
+      let times = Array.make (max 1 (List.length ops)) 0. in
       let q = Pqueue.create () in
       let model = ref [] in
       let seq = ref 0 in
@@ -176,23 +164,22 @@ let prop_interleaved_matches_model =
             model := []
           | Some k ->
             let p = float_of_int k in
-            Pqueue.add q ~priority:p ~seq:!seq !seq;
+            times.(!seq) <- p;
+            Pqueue.add_at q ~times ~seq:!seq !seq;
             model := model_insert (p, !seq, !seq) !model;
             incr seq
           | None -> (
-            match (!model, Pqueue.pop q) with
-            | [], None -> ()
-            | (p, _, v) :: rest, Some (p', v') ->
-              if not (p = p' && v = v') then ok := false;
+            match (!model, Pqueue.pop_value q) with
+            | [], -1 -> ()
+            | (p, _, v) :: rest, v' when v' >= 0 ->
+              if not (p = times.(v') && v = v') then ok := false;
               model := rest
             | _ -> ok := false))
         ops;
-      !ok
-      && Pqueue.length q = List.length !model
-      && drain q = List.map (fun (p, _, v) -> (p, v)) !model)
+      !ok && drain q = List.map (fun (_, _, v) -> v) !model)
 
-(* Same interleaving driven through the allocation-free entry points
-   ([add_at] + [pop_value]) with priorities in a shared times array. *)
+(* Same interleaving without clears, checking the payloads popped and the
+   ones left behind. *)
 let prop_add_at_matches_model =
   QCheck.Test.make ~name:"add_at/pop_value matches sorted-list model"
     ~count:500
@@ -221,21 +208,20 @@ let prop_add_at_matches_model =
               model := rest
             | _ -> ok := false))
         ops;
-      !ok && Pqueue.length q = List.length !model)
+      !ok && drain q = List.map (fun (_, _, v) -> v) !model)
 
 let prop_length_tracks =
   QCheck.Test.make ~name:"length tracks adds and pops" ~count:200
     QCheck.(list (float_range 0. 10.))
     (fun priorities ->
       let q = Pqueue.create () in
-      List.iteri (fun seq p -> Pqueue.add q ~priority:p ~seq seq) priorities;
+      add_all q (Array.of_list priorities);
       let n = List.length priorities in
-      Pqueue.length q = n
-      &&
-      (for _ = 1 to n / 2 do
-         ignore (Pqueue.pop q)
-       done;
-       Pqueue.length q = n - (n / 2)))
+      let popped = ref 0 in
+      for _ = 1 to n / 2 do
+        if Pqueue.pop_value q >= 0 then incr popped
+      done;
+      !popped = n / 2 && List.length (drain q) = n - (n / 2))
 
 let () =
   Alcotest.run "pqueue"
@@ -246,7 +232,6 @@ let () =
           Alcotest.test_case "min value" `Quick test_min_value;
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "clear then reuse" `Quick test_clear_then_reuse;
-          Alcotest.test_case "nan rejected" `Quick test_nan_rejected;
           Alcotest.test_case "add_at reads times" `Quick test_add_at_reads_times;
           Alcotest.test_case "interleaved" `Quick test_interleaved_ops ] );
       ( "properties",

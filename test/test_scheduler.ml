@@ -11,8 +11,8 @@ let pick_last ?(window = 1.) () =
 let test_default_unchanged () =
   (* No scheduler: schedule_at below now still raises, as before. *)
   let e = Engine.create () in
-  ignore (Engine.schedule_at e ~time:5. (fun () -> ()));
-  ignore (Engine.step e);
+  Engine.schedule_at e ~time:5. (fun () -> Engine.stop e);
+  Alcotest.(check bool) "stopped at 5" true (Engine.run e = Engine.Stopped);
   Alcotest.check_raises "past time rejected"
     (Invalid_argument "Engine.schedule_at: time must be >= now")
     (fun () -> ignore (Engine.schedule_at e ~time:1. (fun () -> ())))
@@ -22,10 +22,12 @@ let test_clamping_under_scheduler () =
   let e = Engine.create ~scheduler:(pick_last ()) () in
   let fired_at = ref [] in
   let note label () = fired_at := (label, Engine.now e) :: !fired_at in
-  ignore (Engine.schedule_at e ~time:5. (note "a"));
-  ignore (Engine.step e);
-  ignore (Engine.schedule_at e ~time:1. (note "b"));
-  ignore (Engine.step e);
+  Engine.schedule_at e ~time:5. (fun () ->
+      note "a" ();
+      Engine.stop e);
+  Alcotest.(check bool) "stopped after a" true (Engine.run e = Engine.Stopped);
+  Engine.schedule_at e ~time:1. (note "b");
+  Alcotest.(check bool) "b drains" true (Engine.run e = Engine.Drained);
   match List.rev !fired_at with
   | [ ("a", ta); ("b", tb) ] ->
     Alcotest.(check (float 1e-9)) "a at 5" 5. ta;

@@ -33,8 +33,7 @@ let frame_gen =
          nat nat (float_bound_inclusive 1e6))
   in
   oneof
-    [ map (fun node -> Wire.Hello { node }) nat;
-      map3
+    [ map3
         (fun link payload trace -> Wire.Send { link; payload; trace })
         nat payload trace;
       map3
@@ -67,8 +66,7 @@ let test_exact_round_trips () =
        match round_trip frame with
        | Ok frame' -> Alcotest.check frame_testable "round-trip" frame frame'
        | Error msg -> Alcotest.fail msg)
-    [ Wire.Hello { node = 0 };
-      Wire.Send { link = 3; payload = ""; trace = None };
+    [ Wire.Send { link = 3; payload = ""; trace = None };
       Wire.Send
         { link = 3;
           payload = "tok";
@@ -101,7 +99,7 @@ let test_truncated_rejected () =
 
 let test_version_mismatch_rejected () =
   let image = Bytes.of_string
-      (Bytes.to_string (Wire.encode (Wire.Hello { node = 9 })))
+      (Bytes.to_string (Wire.encode (Wire.Stop { node = 9; at_units = 0. })))
   in
   Bytes.set_uint8 image 5 (Wire.version + 1);
   let body = Bytes.sub_string image 4 (Bytes.length image - 4) in
@@ -117,6 +115,19 @@ let test_version_mismatch_rejected () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "bad magic accepted")
 
+(* Kind 1 is unassigned: a body of that kind, whatever its length, is an
+   unknown frame, not a short read of some other kind. *)
+let test_kind_one_unknown () =
+  let body = "\xAB" ^ String.make 1 (Char.chr Wire.version) ^ "\x01" in
+  List.iter
+    (fun payload ->
+       match Wire.decode_body (body ^ payload) with
+       | Error msg ->
+         Alcotest.(check bool) "names the kind" true
+           (contains ~affix:"unknown frame kind 1" msg)
+       | Ok f -> Alcotest.failf "kind 1 decoded as %a" Wire.pp f)
+    [ ""; String.make 8 '\x00' ]
+
 (* Version-1 bodies — no trace extension, no Telemetry kind — must keep
    decoding: the extension is strictly additive, so a v2 encoding of an
    unstamped frame re-labelled version 1 is exactly a v1 image. *)
@@ -129,8 +140,7 @@ let test_v1_still_decodes () =
        match Wire.decode_body body with
        | Ok frame' -> Alcotest.check frame_testable "v1 decode" frame frame'
        | Error msg -> Alcotest.fail msg)
-    [ Wire.Hello { node = 4 };
-      Wire.Send { link = 1; payload = "tok"; trace = None };
+    [ Wire.Send { link = 1; payload = "tok"; trace = None };
       Wire.Deliver { link = 0; payload = ""; trace = None };
       Wire.Stop { node = 0; at_units = 9.25 };
       Wire.Stats { node = 3; sent = 1; recv = 1; ticks = 1; aux = 0 };
@@ -174,8 +184,7 @@ let test_malformed_extension_poisons () =
 
 let test_reader_reassembles_fragments () =
   let frames =
-    [ Wire.Hello { node = 1 };
-      Wire.Send { link = 0; payload = "tok"; trace = None };
+    [ Wire.Send { link = 0; payload = "tok"; trace = None };
       Wire.Send
         { link = 0;
           payload = "tik";
@@ -477,6 +486,7 @@ let () =
             test_truncated_rejected;
           Alcotest.test_case "version mismatch rejected" `Quick
             test_version_mismatch_rejected;
+          Alcotest.test_case "kind 1 is unknown" `Quick test_kind_one_unknown;
           Alcotest.test_case "v1 bodies still decode" `Quick
             test_v1_still_decodes;
           Alcotest.test_case "malformed extension poisons" `Quick
