@@ -27,8 +27,6 @@ type variant = Alpha | Beta | Gamma | Abd
 val variant_of_string : string -> (variant, [ `Msg of string ]) result
 (** ["alpha" | "beta" | "gamma" | "abd"], or a parse error listing them. *)
 
-val variant_name : variant -> string
-
 type report = {
   variant : string;
   skew_bound : int option;       (** [None]: monotonicity-only (abd) *)

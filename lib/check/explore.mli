@@ -123,8 +123,6 @@ val replay_run :
     ["liveness-election"] violation when the replay again fails to
     elect).  Byte-identical to the run that produced the artifact. *)
 
-val forwarding_of_string : string -> (Abe_core.Runner.forwarding, string) result
-val string_of_forwarding : Abe_core.Runner.forwarding -> string
 val mode_name : mode -> string
 
 val to_repro :
@@ -147,6 +145,4 @@ val to_repro :
     values ([fairness] = the liveness bound, 0 when off) so the header
     round-trips through {!Repro.of_file} into the same configuration. *)
 
-val pp_mode : Format.formatter -> mode -> unit
-val pp_finding : Format.formatter -> finding -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -72,7 +72,7 @@ type 'v search = {
    candidate count, footprints and pre-decision state digest of every
    decision point on that trajectory.  Alternatives [1..k-1] at each
    point past the prefix become child prefixes — all of them plain, only
-   the non-commuting ones under POR (see {!expandable}).
+   the non-commuting ones under POR (see [expandable]).
 
    Pruning is by (digest, ordinal): two trajectories that reach the same
    state digest at the same decision ordinal head identical subtrees (up

@@ -4,22 +4,14 @@
     a footprint bitmask of the simulation entities (nodes, links) it can
     touch — see {!Abe_sim.Engine.candidate.c_foot}.  Candidates with
     disjoint non-zero footprints commute, so exploring both orders is
-    redundant; the explorer uses {!expandable} to decide which
-    alternatives are worth a child schedule. *)
-
-val expandable : int array -> int -> bool
-(** [expandable foots p] — should alternative pick [p] at a decision
-    point with candidate footprints [foots] (in candidate order) get its
-    own schedule?  [false] exactly when [foots.(p)] is non-zero (known)
-    and disjoint from every earlier candidate's non-zero footprint: the
-    [p]-first order then reaches the same state as an order already
-    scheduled, through swaps of commuting pairs.  A footprint of [0]
-    means unknown and conflicts with everything, so it is always
-    expanded and blocks skipping of later candidates — unannotated
-    events degrade the reduction, never its soundness.
-
-    @raise Invalid_argument if [p] is not in [1..length foots - 1]
-    (pick 0 is the default order, never a candidate for skipping). *)
+    redundant.  Alternative pick [p] at a decision point gets no schedule
+    of its own exactly when its footprint is non-zero (known) and disjoint
+    from every earlier candidate's non-zero footprint: the [p]-first order
+    then reaches the same state as an order already scheduled, through
+    swaps of commuting pairs.  A footprint of [0] means unknown and
+    conflicts with everything, so it is always expanded and blocks
+    skipping of later candidates — unannotated events degrade the
+    reduction, never its soundness. *)
 
 (** State-space coverage accounting of one exhaustive exploration. *)
 type coverage = {
@@ -30,7 +22,7 @@ type coverage = {
       (** decision points executed across all schedules — edges walked,
           counting revisits *)
   sleep_skips : int;
-      (** alternatives not scheduled because {!expandable} proved them
+      (** alternatives not scheduled because their footprints proved them
           commuting — the savings of the reduction *)
   collisions : int;
       (** digest keys observed with two different candidate counts: a
@@ -64,8 +56,8 @@ val search :
 (** The depth-first schedule search shared by [Explore]'s exhaustive mode
     and [Certify]: [search ~por ~window ~budget ~deadline run] runs
     [run] under a {!Schedulers.scripted} scheduler for each schedule
-    prefix, expanding untried alternatives ([por]: only those
-    {!expandable} allows) and pruning states already seen by
+    prefix, expanding untried alternatives ([por]: only those the
+    footprint rule above allows) and pruning states already seen by
     [(digest, ordinal)].  It stops at the first schedule whose [run]
     returns violations, after [budget] schedules, or once the wall clock
     passes [deadline] (a [Unix.gettimeofday] time). *)

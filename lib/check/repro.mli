@@ -44,9 +44,6 @@ type t = {
   slow_links : int list;
 }
 
-val version : int
-
-val output : out_channel -> t -> unit
 val to_file : string -> t -> unit
 
 val of_file : string -> (t, string) result

@@ -7,56 +7,18 @@ let retransmission_delay_mean ~p ~slot =
     invalid_arg "Analysis.retransmission_delay_mean: slot must be positive";
   slot *. k_avg ~p
 
-let activation_probability = Election.activation_probability
-
-let expected_ticks_to_activation ~a0 ~d = 1. /. activation_probability ~a0 ~d
-
-let sum_d ds = Array.fold_left ( + ) 0 ds
-
-let aggregate_activation_probability ~a0 ~ds =
-  if not (a0 > 0. && a0 < 1.) then
-    invalid_arg "Analysis.aggregate_activation_probability: a0 outside (0,1)";
-  1. -. ((1. -. a0) ** float_of_int (sum_d ds))
-
-let aggregate_all_idle ~a0 ~n =
-  if not (a0 > 0. && a0 < 1.) then
-    invalid_arg "Analysis: a0 outside (0,1)";
-  if n < 1 then invalid_arg "Analysis: n must be >= 1";
-  1. -. ((1. -. a0) ** float_of_int n)
-
-let activation_mass ~a0 ~n ~delta =
-  if not (delta > 0.) then invalid_arg "Analysis.activation_mass: delta must be > 0";
-  float_of_int n *. aggregate_all_idle ~a0 ~n *. delta
-
 let recommended_a0 ?(theta = 1.) n =
   if not (theta > 0.) then invalid_arg "Analysis.recommended_a0: theta must be > 0";
   if n < 2 then invalid_arg "Analysis.recommended_a0: n must be >= 2";
   Float.min 0.5 (theta /. float_of_int (n * n))
 
-let expected_ticks_to_first_activation ~a0 ~n =
-  1. /. aggregate_all_idle ~a0 ~n
-
-let harmonic n =
-  if n < 1 then invalid_arg "Analysis.harmonic: n must be >= 1";
-  let rec go acc k =
-    if k > n then acc else go (acc +. (1. /. float_of_int k)) (k + 1)
-  in
-  go 0. 1
-
 let chang_roberts_expected_messages ~n =
   if n < 2 then invalid_arg "Analysis.chang_roberts_expected_messages: n >= 2";
-  float_of_int n *. harmonic n
-
-let ir_phase_success_probability ~k ~n =
-  if k < 1 then invalid_arg "Analysis.ir_phase_success_probability: k >= 1";
-  if n < 1 then invalid_arg "Analysis.ir_phase_success_probability: n >= 1";
-  let fn = float_of_int n and fk = float_of_int k in
-  let total = ref 0. in
-  for v = 1 to n do
-    let below = float_of_int (v - 1) /. fn in
-    total := !total +. (fk /. fn *. (below ** (fk -. 1.)))
-  done;
-  !total
+  (* n times the harmonic number H_n. *)
+  let rec harmonic acc k =
+    if k > n then acc else harmonic (acc +. (1. /. float_of_int k)) (k + 1)
+  in
+  float_of_int n *. harmonic 0. 1
 
 let dkr_worst_case_messages ~n =
   if n < 2 then invalid_arg "Analysis.dkr_worst_case_messages: n >= 2";

@@ -9,50 +9,14 @@ val k_avg : p:float -> float
 val retransmission_delay_mean : p:float -> slot:float -> float
 (** Expected delay when each attempt takes [slot] time: [slot /. p]. *)
 
-val activation_probability : a0:float -> d:int -> float
-(** The election algorithm's wake-up probability, [1 - (1-a0)^d]. *)
-
-val expected_ticks_to_activation : a0:float -> d:int -> float
-(** Mean of the geometric waiting time of a single idle node,
-    [1 /. activation_probability]. *)
-
-val sum_d : int array -> int
-(** [Σ d_i] over the idle nodes — the quantity the adaptive schedule keeps
-    close to [n], making the aggregate wake-up rate constant over time. *)
-
-val aggregate_activation_probability : a0:float -> ds:int array -> float
-(** Probability that at least one of a set of idle nodes with watermarks
-    [ds] activates at a (synchronised) tick:
-    [1 - (1-a0)^(Σ d_i)].  With the schedule's invariant [Σ d_i ≈ n] this
-    is constant over the execution — the paper's stated design goal. *)
-
-val activation_mass : a0:float -> n:int -> delta:float -> float
-(** Expected number of activations during one token circulation of an
-    all-idle ring: [n * (1 - (1-a0)^n) * delta] (ticks per circulation ×
-    aggregate per-tick wake-up probability).  The election operates in its
-    linear regime when this is Θ(1) — see DESIGN.md §4b. *)
-
 val recommended_a0 : ?theta:float -> int -> float
 (** [recommended_a0 n] is the constant-activation-mass instantiation
     [θ/n²] (clamped to (0, 0.5]), under which the paper's average linear
     time and message complexity is observed.  [theta] defaults to 1. *)
 
-val expected_ticks_to_first_activation : a0:float -> n:int -> float
-(** Mean ticks until the first wake-up of an all-idle ring,
-    [1 / (1 - (1-a0)^n)]. *)
-
-val harmonic : int -> float
-(** [H_n = Σ_{k=1..n} 1/k].  Baseline prediction: Chang–Roberts has average
-    message complexity [n·H_n ≈ n ln n]. *)
-
 val chang_roberts_expected_messages : n:int -> float
-(** [n·H_n]: average message count of Chang–Roberts on a ring with random
-    identifier ordering. *)
-
-val ir_phase_success_probability : k:int -> n:int -> float
-(** Itai–Rodeh: probability that a phase with [k >= 1] contenders drawing
-    identifiers uniformly from [{1..n}] produces a unique maximum:
-    [Σ_{v=1..n} k (1/n) ((v-1)/n)^(k-1)]. *)
+(** [n·H_n], with [H_n = Σ_{k=1..n} 1/k]: average message count of
+    Chang–Roberts on a ring with random identifier ordering, [≈ n ln n]. *)
 
 val dkr_worst_case_messages : n:int -> float
 (** Dolev–Klawe–Rodeh deterministic bound, [n·log2 n + O(n)] — reported as

@@ -71,6 +71,5 @@ val receive : n:int -> state -> message -> state * reaction
 (** One message receipt, per the case analysis above.  Requires [n >= 2] and
     [1 <= hop <= n]. *)
 
-val pp_phase : Format.formatter -> phase -> unit
 val pp_state : Format.formatter -> state -> unit
 val pp_message : Format.formatter -> message -> unit

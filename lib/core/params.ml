@@ -13,10 +13,6 @@ let make ~delta ~gamma ~clock =
 
 let default = { delta = 1.; gamma = 0.; clock = Abe_net.Clock.perfect }
 
-let with_delta t delta = make ~delta ~gamma:t.gamma ~clock:t.clock
-let with_gamma t gamma = make ~delta:t.delta ~gamma ~clock:t.clock
-let with_clock t clock = make ~delta:t.delta ~gamma:t.gamma ~clock
-
 let tolerance = 1e-9
 
 let admits_delay t model =
@@ -26,9 +22,3 @@ let admits_processing t proc =
   match proc with
   | None -> true
   | Some dist -> Abe_prob.Dist.mean dist <= t.gamma *. (1. +. tolerance) +. tolerance
-
-let is_abd _t model = Abe_net.Delay_model.is_abd model
-
-let pp ppf t =
-  Fmt.pf ppf "ABE(delta=%g, gamma=%g, clock=[%g,%g])" t.delta t.gamma
-    t.clock.Abe_net.Clock.s_low t.clock.Abe_net.Clock.s_high

@@ -25,18 +25,8 @@ val default : t
 (** [delta = 1], [gamma = 0], perfect clocks — the baseline configuration of
     the experiments. *)
 
-val with_delta : t -> float -> t
-val with_gamma : t -> float -> t
-val with_clock : t -> Abe_net.Clock.spec -> t
-
 val admits_delay : t -> Abe_net.Delay_model.t -> bool
 (** The delay model's expected delay is at most [delta] (up to rounding). *)
 
 val admits_processing : t -> Abe_prob.Dist.t option -> bool
 (** The processing-time distribution's mean is at most [gamma]. *)
-
-val is_abd : t -> Abe_net.Delay_model.t -> bool
-(** The stricter ABD condition: the delay model has a hard upper bound.
-    Every ABD network is an ABE network; not vice versa. *)
-
-val pp : Format.formatter -> t -> unit

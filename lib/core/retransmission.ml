@@ -10,15 +10,18 @@ let check_params ~p ~slot =
     invalid_arg "Retransmission: success probability outside (0,1]";
   if not (slot > 0.) then invalid_arg "Retransmission: slot must be positive"
 
+(* Sample the model directly: attempts ~ Geometric(p), delay = slot *
+   attempts. *)
 let simulate_direct ~rng ~p ~slot =
-  check_params ~p ~slot;
   let attempts = Rng.geometric rng ~p in
   { attempts; delay = slot *. float_of_int attempts }
 
-let simulate_arq ~rng ~p ~slot ~timeout =
-  check_params ~p ~slot;
-  if not (timeout >= slot) then
-    invalid_arg "Retransmission.simulate_arq: timeout must be >= slot";
+(* Event-driven stop-and-wait through the discrete-event engine: the
+   sender transmits a frame (propagation time [slot], lost with probability
+   [1-p]) and retransmits when no acknowledgement arrived within one slot
+   (acknowledgements are instantaneous and reliable, as in the paper's
+   abstraction).  It samples the same law as [simulate_direct]. *)
+let simulate_arq ~rng ~p ~slot =
   let engine = Abe_sim.Engine.create () in
   let attempts = ref 0 in
   let received_at = ref nan in
@@ -33,7 +36,7 @@ let simulate_arq ~rng ~p ~slot ~timeout =
           Abe_sim.Engine.stop engine)
     else
       (* Frame lost: the sender times out and tries again. *)
-      Abe_sim.Engine.schedule engine ~delay:timeout transmit
+      Abe_sim.Engine.schedule engine ~delay:slot transmit
   in
   transmit ();
   (match Abe_sim.Engine.run engine with
@@ -61,7 +64,7 @@ let run_batch ?(arq = false) ~seed ~p ~slot ~messages () =
   let delay_stats = Stats.create () in
   for _ = 1 to messages do
     let result =
-      if arq then simulate_arq ~rng ~p ~slot ~timeout:slot
+      if arq then simulate_arq ~rng ~p ~slot
       else simulate_direct ~rng ~p ~slot
     in
     Stats.add attempt_stats (float_of_int result.attempts);

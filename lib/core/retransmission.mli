@@ -8,29 +8,12 @@
     not ABD, and experiment E1 checks the measured means against
     {!Analysis.k_avg}.
 
-    Two implementations are provided:
-
-    - {!simulate_direct} samples the geometric attempt count analytically;
-    - {!simulate_arq} drives an explicit stop-and-wait ARQ sender/receiver
-      pair through the discrete-event engine (lossy data frames, timeout,
-      retransmission), exercising the same machinery the network substrate
-      uses.  With [timeout = slot] the two coincide in distribution. *)
-
-type result = {
-  attempts : int;  (** transmissions used, >= 1 *)
-  delay : float;   (** time from first transmission to successful receipt *)
-}
-
-val simulate_direct : rng:Abe_prob.Rng.t -> p:float -> slot:float -> result
-(** Sample the model directly: [attempts ~ Geometric(p)],
-    [delay = slot * attempts]. *)
-
-val simulate_arq :
-  rng:Abe_prob.Rng.t -> p:float -> slot:float -> timeout:float -> result
-(** Event-driven stop-and-wait: the sender transmits a frame (propagation
-    time [slot], lost with probability [1-p]) and retransmits whenever no
-    acknowledgement arrived within [timeout] ([>= slot]; acknowledgements
-    are instantaneous and reliable, as in the paper's abstraction). *)
+    {!run_batch} samples each message's attempt count either analytically
+    or, with [~arq:true], through an explicit stop-and-wait ARQ
+    sender/receiver pair driven by the discrete-event engine (lossy data
+    frames, a one-slot timeout, retransmission), exercising the same
+    machinery the network substrate uses.  The two coincide in
+    distribution. *)
 
 type batch = {
   p : float;
@@ -44,7 +27,9 @@ type batch = {
 val run_batch :
   ?arq:bool -> seed:int -> p:float -> slot:float -> messages:int -> unit -> batch
 (** Send [messages] messages and summarise.  [arq = true] uses the
-    event-driven path (default [false]). *)
+    event-driven path (default [false]).  The [delay] of a message is the
+    time from its first transmission to its successful receipt:
+    [slot * attempts] either way. *)
 
 val delay_model : p:float -> slot:float -> Abe_net.Delay_model.t
 (** The corresponding per-link delay model, for plugging the lossy channel

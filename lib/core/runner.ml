@@ -49,7 +49,6 @@ type config = {
   proc_delay : Dist.t option;
   limit_time : float;
   limit_events : int;
-  crash_times : (int * float) list;
   fault : Faults.t;
   record_mass : bool;
   record_phases : bool;
@@ -99,7 +98,7 @@ let check_budgets ~limit_time ~limit_events =
 
 let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
     ?proc_delay ?(limit_time = 1e7) ?(limit_events = 200_000_000)
-    ?(crash_times = []) ?(fault = Faults.none) ?(record_mass = true)
+    ?(fault = Faults.none) ?(record_mass = true)
     ?(record_phases = true) ~n () =
   if n < 2 then invalid_arg "Runner.config: n must be >= 2";
   if not (a0 > 0. && a0 < 1.) then invalid_arg "Runner.config: a0 outside (0,1)";
@@ -129,11 +128,23 @@ let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
     link_delays;
   if not (Params.admits_processing params proc_delay) then
     invalid_arg "Runner.config: processing-time mean exceeds gamma";
+  (* The ring has nodes and links 0 .. n-1 (link i leaves node i). *)
+  let check_index what i =
+    if i < 0 || i >= n then
+      invalid_arg
+        (Printf.sprintf
+           "Runner.config: fault %s names %s %d, but the ring has %ss 0..%d"
+           fault.Faults.label what i what (n - 1))
+  in
+  List.iter (fun (node, _) -> check_index "node" node) fault.Faults.crashes;
+  List.iter (fun (node, _) -> check_index "node" node) fault.Faults.revivals;
+  List.iter (fun (link, _, _) -> check_index "link" link)
+    fault.Faults.link_downs;
   (* Admissibility is checked on the base models only: a fault scenario
      deliberately perturbs the network outside its advertised bounds —
      that is the point of injecting it. *)
   { n; a0; params; delay; link_delays; proc_delay; limit_time; limit_events;
-    crash_times; fault; record_mass; record_phases;
+    fault; record_mass; record_phases;
     topology = Topology.ring n;
     activation = activation_table ~n ~a0;
     pool = pool ~n ~delay ~link_delays ~fault }
@@ -355,7 +366,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
       with
       proc_delay = config.proc_delay;
       clock_spec = config.params.Params.clock;
-      crash_times = config.crash_times @ fault.Faults.crashes;
+      crash_times = fault.Faults.crashes;
       revive_times = fault.Faults.revivals;
       link_downs = fault.Faults.link_downs;
       loss_schedule = fault.Faults.loss_schedule;

@@ -24,15 +24,12 @@ type config = private {
   proc_delay : Abe_prob.Dist.t option; (** event processing time (mean γ) *)
   limit_time : float;                  (** simulation budget, real time *)
   limit_events : int;
-  crash_times : (int * float) list;
-      (** crash-stop failure injection, [(node, real time)].  The paper
-          assumes reliable nodes: a crashed node silently breaks the ring
-          (tokens die at it), so elections stall — see the failure-injection
-          tests. *)
   fault : Abe_net.Faults.t;
       (** fault-injection scenario, applied on top of the configuration:
           its delay episodes overlay every link, its loss schedule drives
-          per-link loss, its crashes extend [crash_times], and its rejoins
+          per-link loss, its crashes stop nodes (the paper assumes reliable
+          nodes: a crashed node silently breaks the ring, tokens die at it,
+          so elections stall), and its rejoins
           and link outages rewrite the topology over time (crash-recovery
           nodes rejoin with their election state reset; the monitor then
           checks the Dynamic invariant class).  Scenarios are exempt from
@@ -73,7 +70,6 @@ val config :
   ?proc_delay:Abe_prob.Dist.t option ->
   ?limit_time:float ->
   ?limit_events:int ->
-  ?crash_times:(int * float) list ->
   ?fault:Abe_net.Faults.t ->
   ?record_mass:bool ->
   ?record_phases:bool ->
@@ -86,9 +82,9 @@ val config :
 
     @raise Invalid_argument if the delay model's expected delay exceeds
     [params.delta] or the processing mean exceeds [params.gamma] — the
-    configuration would not be an honest ABE network — or if
-    [limit_time] is not positive (NaN included) or [limit_events] is not
-    positive. *)
+    configuration would not be an honest ABE network — if [limit_time]
+    is not positive (NaN included) or [limit_events] is not positive, or
+    if [fault] names a node or link outside the ring. *)
 
 val naive : config -> config
 (** The ablation of experiment E5: a copy of [config] whose idle nodes

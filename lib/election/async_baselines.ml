@@ -18,63 +18,6 @@ let default_delay delay =
   | Some d -> d
   | None -> Delay_model.abe_exponential ~delta:1.
 
-(* ------------------------------------------------------ Chang-Roberts *)
-
-module Cr_net = Network.Make (struct
-    type state = Chang_roberts.state
-    type message = int
-
-    let pp_state = Chang_roberts.pp_state
-    let pp_message = Format.pp_print_int
-  end)
-
-let chang_roberts ?delay ?(limit_time = 1e7) ?(limit_events = 100_000_000)
-    ~seed ~n () =
-  if n < 2 then invalid_arg "Async_baselines.chang_roberts: n must be >= 2";
-  let ids = Array.init n (fun i -> i + 1) in
-  Abe_prob.Rng.shuffle (Abe_prob.Rng.create ~seed) ids;
-  let elected_at = ref nan in
-  let leader = ref None in
-  let handlers : Cr_net.handlers =
-    { init =
-        (fun ctx ->
-           let id = ids.(ctx.Cr_net.node) in
-           ctx.Cr_net.send 0 id;
-           Chang_roberts.Contending { id });
-      on_tick = (fun _ctx st -> st);
-      on_message =
-        (fun ctx st candidate ->
-           let st', reaction = Chang_roberts.transition st candidate in
-           (match reaction with
-            | Chang_roberts.Forward -> ctx.Cr_net.send 0 candidate
-            | Chang_roberts.Win ->
-              elected_at := ctx.Cr_net.now ();
-              leader := Some ctx.Cr_net.node;
-              ctx.Cr_net.stop ()
-            | Chang_roberts.Drop -> ());
-           st') }
-  in
-  let config =
-    { (Cr_net.default_config ~topology:(Topology.ring n)
-         ~delay:(default_delay delay))
-      with Cr_net.ticks_enabled = false }
-  in
-  let net =
-    Cr_net.create ~limit_time ~limit_events ~seed:(seed + 1) config handlers
-  in
-  ignore (Cr_net.run net);
-  let leader_count =
-    Array.fold_left
-      (fun acc st ->
-         match st with Chang_roberts.Leader _ -> acc + 1 | _ -> acc)
-      0 (Cr_net.states net)
-  in
-  { elected = Option.is_some !leader;
-    leader = !leader;
-    leader_count;
-    elected_at = !elected_at;
-    messages = (Cr_net.stats net).Network.sent }
-
 (* --------------------------------------------------------- Itai-Rodeh *)
 
 module Ir_net = Network.Make (struct

@@ -1,18 +1,14 @@
-(** Baseline election algorithms on the {e ABE network substrate}.
+(** A baseline election algorithm on the {e ABE network substrate}.
 
-    The synchronous-ring versions ({!Itai_rodeh}, {!Chang_roberts}) measure
-    complexity in the model where their classical bounds are stated.  These
-    adapters run the same algorithms over {!Abe_net.Network} with random
-    (unbounded, mean-δ) delays, drifting clocks and the rest of the ABE
-    semantics, so that like-for-like comparisons with the paper's election
-    can also be made on a single substrate:
-
-    - Chang–Roberts is oblivious to timing: its message complexity is
-      unchanged by the ABE delays;
-    - Itai–Rodeh as presented for asynchronous rings requires FIFO
-      channels; the adapter enables per-link FIFO delivery (the paper's
-      election needs no such assumption — "the order of messages is
-      arbitrary between any pair of nodes"). *)
+    The synchronous-ring version ({!Itai_rodeh}) measures complexity in the
+    model where its classical bound is stated.  This adapter runs the same
+    algorithm over {!Abe_net.Network} with random (unbounded, mean-δ)
+    delays, drifting clocks and the rest of the ABE semantics, so that the
+    reproduction suite compares it with the paper's election on a single
+    substrate.  Itai–Rodeh as presented for asynchronous rings requires
+    FIFO channels; the adapter enables per-link FIFO delivery (the paper's
+    election needs no such assumption — "the order of messages is
+    arbitrary between any pair of nodes"). *)
 
 type outcome = {
   elected : bool;
@@ -21,18 +17,6 @@ type outcome = {
   elected_at : float;   (** real simulation time; [nan] if not elected *)
   messages : int;
 }
-
-val chang_roberts :
-  ?delay:Abe_net.Delay_model.t ->
-  ?limit_time:float ->
-  ?limit_events:int ->
-  seed:int ->
-  n:int ->
-  unit ->
-  outcome
-(** Chang–Roberts on a unidirectional ABE ring (non-FIFO, exponential
-    mean-1 delay by default).  Identifiers are a seed-derived random
-    permutation of [1..n]. *)
 
 val itai_rodeh :
   ?delay:Abe_net.Delay_model.t ->

@@ -5,7 +5,6 @@ type state =
 
 type reaction = Forward | Win | Drop
 
-(* Pure core, shared with the ABE-network adapter (Async_baselines). *)
 let transition state candidate =
   match state with
   | Leader _ -> (state, Drop)

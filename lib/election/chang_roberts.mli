@@ -23,8 +23,6 @@ type reaction = Forward | Win | Drop
 val transition : state -> int -> state * reaction
 (** React to an incoming candidate identifier. *)
 
-val pp_state : Format.formatter -> state -> unit
-
 type outcome = {
   elected : bool;
   leader : int option;  (** ring position of the max-identifier node *)

@@ -14,8 +14,6 @@ let add_row t row =
          (List.length t.columns) (List.length row));
   t.rows <- row :: t.rows
 
-let row_count t = List.length t.rows
-
 let field s =
   let needs_quoting =
     String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s

@@ -11,17 +11,10 @@ val create : columns:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the width differs from [columns]. *)
 
-val row_count : t -> int
 val to_string : t -> string
 val save : t -> path:string -> unit
-(** Write to a file, creating parent directories as needed. *)
-
-val field : string -> string
-(** Quote a single field per RFC 4180 (exposed for testing). *)
-
-val make_directories : string -> unit
-(** [mkdir -p]: create a directory and its missing parents.  Safe under
-    concurrent callers (losing the creation race to another domain or
-    process is success).
+(** Write to a file, creating missing parent directories first.  Safe
+    under concurrent callers (losing a directory's creation race to another
+    domain or process is success).
     @raise Invalid_argument if a path component exists and is not a
     directory. *)

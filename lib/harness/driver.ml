@@ -2,25 +2,9 @@ type t =
   | Sequential
   | Parallel of { num_domains : int }
 
-let sequential = Sequential
-
-let parallel ?num_domains () =
-  let num_domains =
-    match num_domains with
-    | Some d -> d
-    | None -> Domain.recommended_domain_count ()
-  in
-  if num_domains < 1 then
-    invalid_arg "Driver.parallel: num_domains must be >= 1";
-  Parallel { num_domains }
-
 let of_jobs jobs =
   if jobs < 1 then invalid_arg "Driver.of_jobs: jobs must be >= 1";
   if jobs = 1 then Sequential else Parallel { num_domains = jobs }
-
-let num_domains = function
-  | Sequential -> 1
-  | Parallel { num_domains } -> num_domains
 
 let pp ppf = function
   | Sequential -> Format.pp_print_string ppf "sequential"

@@ -16,19 +16,10 @@ type t =
   | Sequential
   | Parallel of { num_domains : int }
 
-val sequential : t
-
-val parallel : ?num_domains:int -> unit -> t
-(** [num_domains] defaults to [Domain.recommended_domain_count ()].
-    @raise Invalid_argument if [num_domains < 1]. *)
-
 val of_jobs : int -> t
 (** [of_jobs 1] is {!Sequential}; [of_jobs k] for [k > 1] is
     [Parallel {num_domains = k}].  This is the CLI [--jobs N] mapping.
     @raise Invalid_argument if [jobs < 1]. *)
-
-val num_domains : t -> int
-(** Worker count: 1 for {!Sequential}. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -27,14 +27,13 @@ type throughput = {
   replicates : int;
   events : int option;
   elapsed : float;
-  baseline_elapsed : float option;
 }
 
-let throughput ~label ~replicates ?events ?baseline_elapsed ~elapsed () =
+let throughput ~label ~replicates ?events ~elapsed () =
   if replicates < 0 then invalid_arg "Report.throughput: negative replicates";
   if not (elapsed >= 0.) then
     invalid_arg "Report.throughput: elapsed must be non-negative";
-  { label; replicates; events; elapsed; baseline_elapsed }
+  { label; replicates; events; elapsed }
 
 (* Avoid infinities on sub-resolution timings. *)
 let per_second count elapsed = float_of_int count /. Float.max elapsed 1e-9
@@ -44,20 +43,12 @@ let replicates_per_sec t = per_second t.replicates t.elapsed
 let events_per_sec t =
   Option.map (fun events -> per_second events t.elapsed) t.events
 
-let speedup t =
-  Option.map
-    (fun baseline -> baseline /. Float.max t.elapsed 1e-9)
-    t.baseline_elapsed
-
 let pp_throughput ppf t =
   Fmt.pf ppf "throughput: %s | %d replicates in %.3fs = %.1f replicates/s"
     t.label t.replicates t.elapsed (replicates_per_sec t);
   Option.iter
     (fun rate -> Fmt.pf ppf ", %.3g events/s" rate)
-    (events_per_sec t);
-  Option.iter
-    (fun s -> Fmt.pf ppf ", %.2fx vs sequential" s)
-    (speedup t)
+    (events_per_sec t)
 
 let metrics_table ?(title = "metrics") registry =
   let table =

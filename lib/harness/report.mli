@@ -19,9 +19,6 @@ val make :
   id:string -> claim:string -> expectation:string -> measured:string ->
   verdict:verdict -> claim
 
-val pp_verdict : Format.formatter -> verdict -> unit
-val pp_claim : Format.formatter -> claim -> unit
-
 val print_scoreboard : claim list -> unit
 (** Print the claims in order, then how many of them are
     {!Reproduced}. *)
@@ -30,34 +27,27 @@ val print_scoreboard : claim list -> unit
 
     Per-experiment execution-rate accounting for the driver-parallel
     harness: how many replicates (and engine events) ran, in how much
-    wall-clock time, optionally against a sequential baseline. *)
+    wall-clock time. *)
 
 type throughput = {
   label : string;             (** experiment label, e.g. "E3 sweep" *)
   replicates : int;
   events : int option;        (** total engine events, when known *)
   elapsed : float;            (** wall-clock seconds *)
-  baseline_elapsed : float option;
-      (** sequential wall-clock for the same work, for speedup *)
 }
 
 val throughput :
   label:string ->
   replicates:int ->
   ?events:int ->
-  ?baseline_elapsed:float ->
   elapsed:float ->
   unit ->
   throughput
 
-val replicates_per_sec : throughput -> float
-val events_per_sec : throughput -> float option
-val speedup : throughput -> float option
-(** [baseline_elapsed / elapsed], when a baseline is recorded. *)
-
 val pp_throughput : Format.formatter -> throughput -> unit
-(** One line, starting with ["throughput:"] — wall-clock dependent output,
-    so deterministic-output consumers (cram tests) filter on that prefix. *)
+(** One line, starting with ["throughput:"], with the rate of replicates
+    and, when known, of events — wall-clock dependent output, so
+    deterministic-output consumers (cram tests) filter on that prefix. *)
 
 val metrics_table : ?title:string -> Abe_sim.Metrics.t -> Table.t
 (** Render a metric registry as an aligned table (one row per metric,

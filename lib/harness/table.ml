@@ -22,15 +22,6 @@ let cell_float ?(decimals = 2) x =
 
 let cell_bool b = if b then "yes" else "no"
 
-let cell_rate ?(decimals = 1) v =
-  if Float.is_nan v then "-" else Printf.sprintf "%.*f/s" decimals v
-
-let cell_duration seconds =
-  if Float.is_nan seconds then "-"
-  else if seconds >= 1. then Printf.sprintf "%.2f s" seconds
-  else if seconds >= 1e-3 then Printf.sprintf "%.2f ms" (seconds *. 1e3)
-  else Printf.sprintf "%.0f us" (seconds *. 1e6)
-
 let cell_summary (s : Abe_prob.Stats.summary) =
   Printf.sprintf "%.2f ±%.2f" s.Abe_prob.Stats.mean
     s.Abe_prob.Stats.ci95_half_width
@@ -58,7 +49,6 @@ let render t =
   List.iter (fun row -> Buffer.add_string buffer (render_row row ^ "\n")) rows;
   Buffer.contents buffer
 
-let pp ppf t = Format.pp_print_string ppf (render t)
 
 let title t = t.title
 

@@ -16,14 +16,7 @@ val cell_bool : bool -> string
 val cell_summary : Abe_prob.Stats.summary -> string
 (** "mean ± ci95" form. *)
 
-val cell_rate : ?decimals:int -> float -> string
-(** Throughput cell, "[v]/s" form; "-" for [nan]. *)
-
-val cell_duration : float -> string
-(** Wall-clock cell with adaptive unit (s / ms / us); "-" for [nan]. *)
-
 val render : t -> string
-val pp : Format.formatter -> t -> unit
 val print : t -> unit
 (** Render to stdout with a trailing blank line. *)
 

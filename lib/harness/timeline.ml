@@ -4,9 +4,10 @@ type event = {
   glyph : char;
 }
 
-let render ?(width = 72) ?labels ~rows ~duration ~initial events =
+let width = 72
+
+let render ?labels ~rows ~duration ~initial events =
   if rows <= 0 then invalid_arg "Timeline.render: rows must be positive";
-  if width <= 0 then invalid_arg "Timeline.render: width must be positive";
   if not (duration > 0. && Float.is_finite duration) then
     invalid_arg "Timeline.render: duration must be positive and finite";
   List.iter

@@ -20,7 +20,6 @@ type event = {
 }
 
 val render :
-  ?width:int ->
   ?labels:(int -> string) ->
   rows:int ->
   duration:float ->
@@ -28,6 +27,6 @@ val render :
   event list ->
   string
 (** [render ~rows ~duration ~initial events] lays the events onto
-    [width]-column strips (default 72).  Events outside [\[0, duration\]] or
+    72-column strips.  Events outside [\[0, duration\]] or
     with an invalid row index are rejected.  Events are sorted internally;
     simultaneous events on the same row keep list order. *)

@@ -10,8 +10,6 @@ let spec ~s_low ~s_high =
 
 let perfect = { s_low = 1.; s_high = 1. }
 
-let drift_ratio s = s.s_high /. s.s_low
-
 (* [| rate; phase |], the phase being the local-time offset at real time
    0.  A flat float array, so [redraw] stores both draws without boxing
    either. *)
@@ -48,5 +46,3 @@ let[@inline] next_tick t ~after =
   if real > after then real else real_of_local t ~local:(candidate +. 1.)
 
 let advance_tick t times i = times.(i) <- next_tick t ~after:times.(i)
-
-let tick_interval t = 1. /. rate t

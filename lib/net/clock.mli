@@ -19,9 +19,6 @@ val perfect : spec
 val spec : s_low:float -> s_high:float -> spec
 (** Validated constructor. *)
 
-val drift_ratio : spec -> float
-(** [s_high /. s_low]. *)
-
 type t
 
 val create : spec -> rng:Abe_prob.Rng.t -> t
@@ -34,13 +31,8 @@ val redraw : t -> spec -> rng:Abe_prob.Rng.t -> unit
     bit the clock [create s ~rng] would have returned, and the call
     allocates nothing.  [create] is an allocation followed by [redraw]. *)
 
-val rate : t -> float
-
 val local_time : t -> real:float -> float
 (** Local clock reading at the given real time. *)
-
-val real_of_local : t -> local:float -> float
-(** Inverse of {!local_time}. *)
 
 val next_tick : t -> after:float -> float
 (** Real time of the first integer local-clock tick strictly after the given
@@ -51,6 +43,3 @@ val advance_tick : t -> float array -> int -> unit
     [next_tick c ~after:times.(i)].  The same computation in place, so a
     tick chain that keeps its pending instant in a flat array advances it
     without boxing a float across the call. *)
-
-val tick_interval : t -> float
-(** Real-time spacing of local ticks, [1 /. rate]. *)

@@ -55,7 +55,6 @@ let factor_at t ~now =
   !f
 
 let dist t = t.dist
-let sample t rng = Dist.sample t.dist rng
 
 (* Without episodes the factor is 1.0, and [x *. 1.0 = x] exactly, so
    skipping the scan changes no drawn delay. *)

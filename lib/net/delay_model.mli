@@ -53,17 +53,11 @@ val validate : t -> unit
 val episodes : t -> episode array
 val dist : t -> Abe_prob.Dist.t
 
-val sample : t -> Abe_prob.Rng.t -> float
-(** Draw from the base distribution, ignoring episodes.  Callers that
-    support fault injection should use {!sample_at}. *)
-
 val sample_at : t -> now:float -> Abe_prob.Rng.t -> float
-(** [sample_at t ~now rng] draws a base delay and multiplies it by
-    {!factor_at}[ t ~now].  With no episodes this consumes exactly the same
-    RNG stream and returns exactly the same value as {!sample}. *)
-
-val factor_at : t -> now:float -> float
-(** Active episode factor at time [now] (1.0 outside all episodes). *)
+(** [sample_at t ~now rng] draws a base delay and multiplies it by the
+    factor of the latest-starting episode containing [now] (1.0 outside
+    all episodes).  With no episodes this consumes exactly the same RNG
+    stream and returns exactly the same value as a draw from {!dist}. *)
 
 val expected_delay : t -> float
 (** The δ of Definition 1.1 (of the base distribution). *)
@@ -71,7 +65,6 @@ val expected_delay : t -> float
 val hard_bound : t -> float option
 (** The D of an ABD network, when one exists (base distribution only). *)
 
-val is_abd : t -> bool
-(** Bounded support {e and} no episodes. *)
-
 val pp : Format.formatter -> t -> unit
+(** Prefixed ["ABD"] when the base distribution has bounded support and
+    there are no episodes, ["ABE"] otherwise. *)

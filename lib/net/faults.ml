@@ -252,15 +252,6 @@ let compose a b =
     revivals = a.revivals @ b.revivals;
     truncated = a.truncated + b.truncated }
 
-let is_none t =
-  t.loss_schedule = None
-  && Array.length t.episodes = 0
-  && t.crashes = []
-  && t.link_downs = []
-  && t.revivals = []
-
-let label t = t.label
-
 let apply_delay t model =
   if Array.length t.episodes = 0 then model
   else
@@ -331,14 +322,3 @@ let of_string ~seed ~n ~delta s =
        | Error _ as e -> e)
   in
   go none parts
-
-let pp ppf t =
-  Fmt.pf ppf "fault[%s: %d episodes, %d crashes, %d rejoins, %d link-downs%s%s]"
-    t.label
-    (Array.length t.episodes)
-    (List.length t.crashes)
-    (List.length t.revivals)
-    (List.length t.link_downs)
-    (if t.loss_schedule = None then "" else ", loss schedule")
-    (if t.truncated = 0 then ""
-     else Printf.sprintf ", TRUNCATED ~%d events dropped" t.truncated)

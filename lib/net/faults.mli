@@ -31,8 +31,8 @@ type t = {
           by a cap {e derived from the requested horizon and rate} (four
           times the expected arrival count, plus slack, under an absolute
           ceiling) — it can only bind when the request itself asks for
-          millions of events, and then the overflow is counted here,
-          shown by {!pp} and emitted as the
+          millions of events, and then the overflow is counted here and
+          emitted as the
           ["faults/episodes_truncated"] metric by the runner, instead of
           being dropped silently.  {!compose} sums it. *)
 }
@@ -40,49 +40,12 @@ type t = {
 val none : t
 (** The empty scenario: applying it changes nothing. *)
 
-val bursty_loss : seed:int -> delta:float -> horizon:float -> t
-(** Bursts of 40% link loss: Exp(10δ) quiet gaps alternating with Exp(5δ)
-    bursts over [\[0, horizon)]. *)
-
-val delay_spikes : seed:int -> delta:float -> horizon:float -> t
-(** Episodes multiplying delays by ~15–35×: Exp(25δ) gaps, Exp(3δ)
-    durations. *)
-
-val heavy_tail : seed:int -> delta:float -> horizon:float -> t
-(** Episodes whose slowdown factor is drawn from a heavy-tailed (infinite
-    variance) distribution: most are mild, a few are extreme. *)
-
-val crash : node:int -> at:float -> t
-(** Crash-stop a single node at the given time. *)
-
-val crash_rejoin : node:int -> at:float -> rejoin_at:float -> t
-(** Crash a node at [at] and revive it at [rejoin_at > at].  The revived
-    node restarts from its initial protocol state (state reset); messages
-    addressed to it while down are dropped and accounted as crash drops. *)
-
-val link_down : link:int -> from_:float -> until:float -> t
-(** Take one link out of the topology over [\[from_, until)].  Messages
-    sent on a down link — and messages still in flight when the link goes
-    down — are dropped and accounted as link drops. *)
-
-val churn :
-  seed:int -> n:int -> delta:float -> horizon:float -> rate:float -> t
-(** Random churn at the given rate over a ring of [n] nodes and links:
-    events arrive with Exp(δ/rate) gaps; each takes a uniformly-chosen
-    link down for Exp(2δ) (two thirds of events) or crash-and-rejoins a
-    uniformly-chosen node for Exp(3δ) (one third).  Per-entity episodes
-    never overlap.  [rate = 0] yields a labelled no-op scenario.  The
-    generator owns RNG salt 4. *)
-
 val compose : t -> t -> t
 (** Union of both scenarios.  The combined loss schedule treats the
     operands as independent drop sources ([1-(1-f)(1-g)]) and validates
     each operand's output is a probability in [\[0,1]] at sample time —
     out-of-range operands can combine into an in-range product, which a
     downstream sample check could never catch. *)
-
-val is_none : t -> bool
-val label : t -> string
 
 val apply_delay : t -> Delay_model.t -> Delay_model.t
 (** Overlay this scenario's delay episodes on a link's delay model. *)
@@ -98,7 +61,19 @@ val of_string :
     given seed (episode trains cover a horizon of [200 * n * delta];
     plain ["crash"] kills node [n/2] at time [n * delta]; plain
     ["rejoin"] additionally revives it at [2n * delta]; plain ["churn"]
-    uses rate 0.1).  Parsing is a left inverse of {!label}:
-    [label (of_string (label f))] = [label f]. *)
+    uses rate 0.1).  Parsing is a left inverse of the [label] field:
+    [(of_string (of_string s).label).label] = [(of_string s).label].
 
-val pp : Format.formatter -> t -> unit
+    The generators behind the names: ["bursty-loss"] alternates Exp(10δ)
+    quiet gaps with Exp(5δ) bursts of 40% link loss; ["delay-spike"]
+    multiplies delays by ~15–35× over Exp(3δ) episodes Exp(25δ) apart;
+    ["heavy-tail"] draws each episode's slowdown from a heavy-tailed
+    (infinite variance) distribution.  ["rejoin"] revives the node with
+    its initial protocol state; messages addressed to it while down are
+    dropped and accounted as crash drops.  ["link-down"] drops messages
+    sent on the link during the outage and those in flight when it goes
+    down, accounted as link drops.  ["churn(r)"] takes a uniform link
+    down for Exp(2δ) (two thirds of events) or crash-and-rejoins a uniform
+    node for Exp(3δ) (one third), with Exp(δ/r) gaps; per-entity episodes
+    never overlap, and [r = 0] yields a labelled no-op.  It owns RNG salt
+    4. *)

@@ -174,4 +174,3 @@ let check_quiescence t ~time ~(outcome : Abe_sim.Engine.outcome) ~in_flight =
     (* The run was cut short; messages may legitimately be in flight. *)
     ()
 
-let oracle t = t.oracle

@@ -65,5 +65,3 @@ val check_quiescence :
 (** End-of-run check: a {!Abe_sim.Engine.Drained} outcome with messages
     still in flight is a {b quiescence} violation (an interrupted run —
     stopped or budget-limited — is not). *)
-
-val oracle : t -> Abe_sim.Oracle.t

@@ -106,9 +106,11 @@ type config = {
           exploring what breaks without them.  Default: none. *)
   revive_times : (int * float) list;
       (** crash-recovery: [(node, time)] pairs — at [time], if the node
-          is crashed, it rejoins with its protocol state reset (see
-          {!Make.revive}).  A revival of a live node is a no-op.
-          Default: none. *)
+          is crashed, it rejoins as a fresh process: busy horizon reset
+          to now, [init] re-run (state reset; init's sends happen), tick
+          chain restarted.  Events scheduled for the dead incarnation
+          (pending processing completions, the old tick chain) are inert.
+          A revival of a live node is a no-op.  Default: none. *)
   link_downs : (int * float * float) list;
       (** time-varying topology: [(link, down_at, up_at)] outage
           episodes with [0 <= down_at < up_at].  While a link is down,
@@ -295,14 +297,6 @@ module Make (P : PROTOCOL) : sig
       flips). *)
 
   val link_is_up : t -> int -> bool
-
-  val revive : t -> int -> unit
-  (** Crash-recovery, effective immediately: if the node is crashed it
-      rejoins as a fresh process — busy horizon reset to now, [init] re-run
-      (state reset; init's sends happen), tick chain restarted.  Events
-      scheduled for the dead incarnation (pending processing completions,
-      the old tick chain) are inert.  A revive of a live node is a
-      no-op. *)
 
   val envelopes_in_use : t -> int
   (** Message-envelope pool slots currently off the freelist.  At

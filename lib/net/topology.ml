@@ -86,7 +86,7 @@ let complete n =
   done;
   create ~nodes:n ~edges:!edges
 
-let grid_edges ~rows ~cols ~wrap =
+let grid_edges ~rows ~cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Topology.grid: empty grid";
   let id r c = (r * cols) + c in
   let edges = ref [] in
@@ -95,8 +95,6 @@ let grid_edges ~rows ~cols ~wrap =
       let add (r', c') =
         if r' >= 0 && r' < rows && c' >= 0 && c' < cols then
           edges := (id r c, id r' c') :: !edges
-        else if wrap then
-          edges := (id r c, id ((r' + rows) mod rows) ((c' + cols) mod cols)) :: !edges
       in
       add (r + 1, c);
       add (r - 1, c);
@@ -108,12 +106,7 @@ let grid_edges ~rows ~cols ~wrap =
 
 let grid ~rows ~cols =
   if rows * cols < 2 then invalid_arg "Topology.grid: needs at least 2 nodes";
-  create ~nodes:(rows * cols) ~edges:(grid_edges ~rows ~cols ~wrap:false)
-
-let torus ~rows ~cols =
-  if rows < 3 || cols < 3 then
-    invalid_arg "Topology.torus: needs at least 3 rows and 3 cols";
-  create ~nodes:(rows * cols) ~edges:(grid_edges ~rows ~cols ~wrap:true)
+  create ~nodes:(rows * cols) ~edges:(grid_edges ~rows ~cols)
 
 let hypercube ~dim =
   if dim < 1 then invalid_arg "Topology.hypercube: dim must be >= 1";
@@ -167,10 +160,6 @@ let bfs_dist ~n ~neighbours ~src =
 let directed_neighbours t v =
   Array.to_list (Array.map (fun l -> l.dst) t.out_by_node.(v))
 
-let undirected_neighbours t v =
-  directed_neighbours t v
-  @ Array.to_list (Array.map (fun l -> l.src) t.in_by_node.(v))
-
 type spanning_tree = {
   root : int;
   parent : int array;
@@ -207,28 +196,6 @@ let bfs_spanning_tree t ~root =
     children = Array.map (fun c -> Array.of_list (List.rev c)) children;
     depth }
 
-let is_strongly_connected t =
-  if t.nodes = 1 then true
-  else begin
-    let forward = bfs_dist ~n:t.nodes ~neighbours:(directed_neighbours t) ~src:0 in
-    let reverse_neighbours v =
-      Array.to_list (Array.map (fun l -> l.src) t.in_by_node.(v))
-    in
-    let backward = bfs_dist ~n:t.nodes ~neighbours:reverse_neighbours ~src:0 in
-    Array.for_all (fun d -> d >= 0) forward
-    && Array.for_all (fun d -> d >= 0) backward
-  end
-
-let is_connected t =
-  t.nodes = 1
-  ||
-  let dist = bfs_dist ~n:t.nodes ~neighbours:(undirected_neighbours t) ~src:0 in
-  Array.for_all (fun d -> d >= 0) dist
-
-let hop_distance t ~src ~dst =
-  let dist = bfs_dist ~n:t.nodes ~neighbours:(directed_neighbours t) ~src in
-  if dist.(dst) < 0 then None else Some dist.(dst)
-
 let diameter t =
   let worst = ref 0 in
   let connected = ref true in
@@ -239,6 +206,3 @@ let diameter t =
       dist
   done;
   if !connected then Some !worst else None
-
-let pp ppf t =
-  Fmt.pf ppf "topology(%d nodes, %d links)" t.nodes (Array.length t.all_links)

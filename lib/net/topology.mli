@@ -54,14 +54,13 @@ val complete : int -> t
 val grid : rows:int -> cols:int -> t
 (** Bidirectional 2-D mesh. *)
 
-val torus : rows:int -> cols:int -> t
 val hypercube : dim:int -> t
 val random_tree : n:int -> rng:Abe_prob.Rng.t -> t
 (** Uniform random attachment tree, bidirectional. *)
 
 val erdos_renyi : n:int -> p:float -> rng:Abe_prob.Rng.t -> t
 (** G(n,p) with bidirectional edges; the result may be disconnected —
-    check with {!is_connected}. *)
+    check with {!diameter}. *)
 
 (** {1 Queries} *)
 
@@ -77,14 +76,5 @@ val bfs_spanning_tree : t -> root:int -> spanning_tree
     @raise Invalid_argument if some node is unreachable from [root]. *)
 
 
-val is_strongly_connected : t -> bool
-val is_connected : t -> bool
-(** Weak (undirected) connectivity. *)
-
-val hop_distance : t -> src:int -> dst:int -> int option
-(** Directed BFS distance in hops. *)
-
 val diameter : t -> int option
 (** Maximum directed hop distance; [None] if not strongly connected. *)
-
-val pp : Format.formatter -> t -> unit

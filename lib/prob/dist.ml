@@ -6,9 +6,7 @@ type t =
   | Hyperexponential of { branches : (float * float) array }
   | Lomax of { alpha : float; scale : float }
   | Retransmission of { success : float; slot : float }
-  | Shifted of { base : t; offset : float }
   | Scaled of { base : t; factor : float }
-  | Mixture of (float * t) array
 
 let positive name x = if not (x > 0. && Float.is_finite x) then
     invalid_arg (Printf.sprintf "Dist.%s: must be positive and finite (got %g)" name x)
@@ -43,15 +41,7 @@ let rec validate = function
     positive "retransmission slot" slot;
     if not (success > 0. && success <= 1.) then
       invalid_arg "Dist.retransmission: success probability outside (0,1]"
-  | Shifted { base; offset } -> non_negative "shifted offset" offset; validate base
   | Scaled { base; factor } -> positive "scaled factor" factor; validate base
-  | Mixture branches ->
-    if Array.length branches = 0 then invalid_arg "Dist.mixture: no branches";
-    let total = Array.fold_left (fun acc (w, d) ->
-        positive "mixture weight" w; validate d; acc +. w)
-        0. branches
-    in
-    if Float.abs (total -. 1.) > 1e-9 then invalid_arg "Dist.mixture: weights must sum to 1"
 
 let checked d = validate d; d
 
@@ -78,9 +68,7 @@ let lomax ~alpha ~mean =
   checked (Lomax { alpha; scale = mean *. (alpha -. 1.) })
 
 let retransmission ~success ~slot = checked (Retransmission { success; slot })
-let shifted base ~offset = checked (Shifted { base; offset })
 let scaled base ~factor = checked (Scaled { base; factor })
-let mixture branches = checked (Mixture branches)
 
 let rec sample d rng =
   match d with
@@ -107,17 +95,7 @@ let rec sample d rng =
     scale *. ((u ** (-1. /. alpha)) -. 1.)
   | Retransmission { success; slot } ->
     slot *. float_of_int (Rng.geometric rng ~p:success)
-  | Shifted { base; offset } -> offset +. sample base rng
   | Scaled { base; factor } -> factor *. sample base rng
-  | Mixture branches ->
-    let u = Rng.unit_float rng in
-    let rec pick i acc =
-      if i = Array.length branches - 1 then snd branches.(i)
-      else
-        let w, d' = branches.(i) in
-        if u < acc +. w then d' else pick (i + 1) (acc +. w)
-    in
-    sample (pick 0 0.) rng
 
 let rec mean = function
   | Deterministic v -> v
@@ -128,10 +106,7 @@ let rec mean = function
     Array.fold_left (fun acc (w, m) -> acc +. (w *. m)) 0. branches
   | Lomax { alpha; scale } -> scale /. (alpha -. 1.)
   | Retransmission { success; slot } -> slot /. success
-  | Shifted { base; offset } -> offset +. mean base
   | Scaled { base; factor } -> factor *. mean base
-  | Mixture branches ->
-    Array.fold_left (fun acc (w, d) -> acc +. (w *. mean d)) 0. branches
 
 (* Second raw moment, used for variances of compound distributions. *)
 let rec second_moment = function
@@ -154,19 +129,8 @@ let rec second_moment = function
     let et = 1. /. p in
     let vart = (1. -. p) /. (p *. p) in
     Some (slot *. slot *. (vart +. (et *. et)))
-  | Shifted { base; offset } ->
-    Option.map
-      (fun m2 -> m2 +. (2. *. offset *. mean base) +. (offset *. offset))
-      (second_moment base)
   | Scaled { base; factor } ->
     Option.map (fun m2 -> factor *. factor *. m2) (second_moment base)
-  | Mixture branches ->
-    Array.fold_left
-      (fun acc (w, d) ->
-         match acc, second_moment d with
-         | Some acc, Some m2 -> Some (acc +. (w *. m2))
-         | _ -> None)
-      (Some 0.) branches
 
 let variance d =
   match second_moment d with
@@ -204,40 +168,16 @@ let rec cdf d x =
       (* Delay = slot * Geometric(p): a step function. *)
       let trials = Float.to_int (Float.floor (x /. slot)) in
       Some (1. -. ((1. -. success) ** float_of_int trials))
-    | Shifted { base; offset } -> cdf base (x -. offset)
     | Scaled { base; factor } -> cdf base (x /. factor)
-    | Mixture branches ->
-      Array.fold_left
-        (fun acc (w, d') ->
-           match acc, cdf d' x with
-           | Some acc, Some f -> Some (acc +. (w *. f))
-           | _ -> None)
-        (Some 0.) branches
 
 let rec support_upper_bound = function
   | Deterministic v -> Some v
   | Uniform { hi; _ } -> Some hi
   | Exponential _ | Erlang _ | Hyperexponential _ | Lomax _ | Retransmission _ -> None
-  | Shifted { base; offset } ->
-    Option.map (fun b -> b +. offset) (support_upper_bound base)
   | Scaled { base; factor } ->
     Option.map (fun b -> b *. factor) (support_upper_bound base)
-  | Mixture branches ->
-    Array.fold_left
-      (fun acc (_, d) ->
-         match acc, support_upper_bound d with
-         | Some a, Some b -> Some (Float.max a b)
-         | _ -> None)
-      (Some 0.) branches
 
 let bounded_support d = Option.is_some (support_upper_bound d)
-
-let with_mean d ~mean:target =
-  positive "with_mean target" target;
-  let current = mean d in
-  if current = 0. then invalid_arg "Dist.with_mean: distribution has zero mean";
-  if Float.abs (current -. target) < 1e-12 *. target then d
-  else scaled d ~factor:(target /. current)
 
 let same_mean_family ~mean:m =
   [ ("deterministic", deterministic m);
@@ -259,9 +199,6 @@ let rec pp ppf = function
       branches
   | Lomax { alpha; scale } -> Fmt.pf ppf "lomax(alpha=%g,scale=%g)" alpha scale
   | Retransmission { success; slot } -> Fmt.pf ppf "retx(p=%g,slot=%g)" success slot
-  | Shifted { base; offset } -> Fmt.pf ppf "%a+%g" pp base offset
   | Scaled { base; factor } -> Fmt.pf ppf "%g*%a" factor pp base
-  | Mixture branches ->
-    Fmt.pf ppf "mix(%a)" Fmt.(array ~sep:semi (pair ~sep:(any "*") float pp)) branches
 
 let to_string d = Fmt.str "%a" pp d

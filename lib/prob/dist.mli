@@ -31,12 +31,8 @@ type t =
           [slot] time and succeeds with probability [success]; the delay is
           [slot * number_of_attempts] where the attempt count is
           geometric.  Mean [slot /. success]; unbounded support. *)
-  | Shifted of { base : t; offset : float }
-      (** [base + offset], [offset >= 0]. *)
   | Scaled of { base : t; factor : float }
       (** [factor * base], [factor > 0]. *)
-  | Mixture of (float * t) array
-      (** Finite mixture; weights must be positive and sum to 1. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument if any parameter is out of range. *)
@@ -56,9 +52,7 @@ val lomax : alpha:float -> mean:float -> t
 (** Lomax with the given tail index [alpha > 1] and mean. *)
 
 val retransmission : success:float -> slot:float -> t
-val shifted : t -> offset:float -> t
 val scaled : t -> factor:float -> t
-val mixture : (float * t) array -> t
 
 (** {1 Sampling and moments} *)
 
@@ -77,7 +71,7 @@ val cv2 : t -> float option
 
 val cdf : t -> float -> float option
 (** [cdf d x] is [P(X <= x)] when a closed form exists ([None] for Erlang
-    with shape > 1 and for mixtures containing such components).  Used by
+    with shape > 1 and for scalings of it).  Used by
     the Kolmogorov–Smirnov checks in {!Ks}. *)
 
 val bounded_support : t -> bool
@@ -87,9 +81,6 @@ val bounded_support : t -> bool
 
 val support_upper_bound : t -> float option
 (** The least upper bound of the support, when finite. *)
-
-val with_mean : t -> mean:float -> t
-(** Rescale the distribution so that its mean becomes [mean] (> 0). *)
 
 val same_mean_family : mean:float -> (string * t) list
 (** The distribution family used by the robustness experiment (E9):

@@ -50,14 +50,14 @@ let loglog points =
 
 type growth = Constant | Logarithmic | Linear | Linearithmic | Quadratic
 
-let growth_to_string = function
-  | Constant -> "O(1)"
-  | Logarithmic -> "O(log n)"
-  | Linear -> "O(n)"
-  | Linearithmic -> "O(n log n)"
-  | Quadratic -> "O(n^2)"
-
-let pp_growth ppf g = Format.pp_print_string ppf (growth_to_string g)
+let pp_growth ppf g =
+  Format.pp_print_string ppf
+    (match g with
+     | Constant -> "O(1)"
+     | Logarithmic -> "O(log n)"
+     | Linear -> "O(n)"
+     | Linearithmic -> "O(n log n)"
+     | Quadratic -> "O(n^2)")
 
 let transform = function
   | Constant -> fun _ -> 1.

@@ -28,13 +28,9 @@ val loglog : (float * float) array -> line
 type growth = Constant | Logarithmic | Linear | Linearithmic | Quadratic
 
 val pp_growth : Format.formatter -> growth -> unit
-val growth_to_string : growth -> string
 
 val classify_growth : (float * float) array -> growth
 (** [classify_growth points] fits [y] against [1], [log x], [x],
     [x log x] and [x²] (each by proportional least squares on the
     transformed abscissa, with an intercept) and returns the model with the
     smallest residual sum of squares.  Points must have [x >= 2]. *)
-
-val residual_rss : (float * float) array -> growth -> float
-(** Residual sum of squares of the best fit under the given model. *)

@@ -36,7 +36,6 @@ let merge a b =
       total = a.total +. b.total }
   end
 
-let count t = t.n
 let total t = t.total
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
@@ -44,9 +43,6 @@ let stddev t = sqrt (variance t)
 
 let std_error t =
   if t.n = 0 then nan else stddev t /. sqrt (float_of_int t.n)
-
-let min_value t = t.min
-let max_value t = t.max
 
 (* Two-sided 95% Student-t critical values, indexed by degrees of freedom.
    Linear interpolation between table rows; converges to the normal 1.96. *)
@@ -110,7 +106,6 @@ let pp_summary ppf s =
     s.n s.mean s.ci95_half_width s.stddev s.min s.max
 
 let create_moments = create
-let merge_moments = merge
 
 module Reservoir = struct
   type r = {
@@ -131,9 +126,7 @@ module Reservoir = struct
     r.data.(r.len) <- x;
     r.len <- r.len + 1
 
-  let count r = r.len
   let mean r = mean r.stats
-  let stats r = merge_moments r.stats (create_moments ())
 
   let samples r = Array.sub r.data 0 r.len
 
@@ -185,11 +178,6 @@ module Histogram = struct
     end
 
   let counts h = Array.copy h.counts
-  let underflow h = h.underflow
-  let overflow h = h.overflow
-
-  let total h =
-    h.underflow + h.overflow + Array.fold_left ( + ) 0 h.counts
 
   let bin_bounds h i =
     if i < 0 || i >= Array.length h.counts then

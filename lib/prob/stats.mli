@@ -13,26 +13,15 @@ val merge : t -> t -> t
 (** [merge a b] is a fresh accumulator equivalent to having seen the samples
     of [a] followed by those of [b].  [a] and [b] are unchanged. *)
 
-val count : t -> int
 val total : t -> float
 val mean : t -> float
 (** Mean of the samples seen so far; [nan] if empty. *)
 
-val variance : t -> float
-(** Unbiased sample variance; [0.] with fewer than two samples. *)
-
-val stddev : t -> float
-val std_error : t -> float
-(** Standard error of the mean, [stddev /. sqrt count]. *)
-
-val min_value : t -> float
-val max_value : t -> float
-
 type summary = {
   n : int;
   mean : float;
-  stddev : float;
-  std_error : float;
+  stddev : float;  (** unbiased; [0.] with fewer than two samples *)
+  std_error : float;  (** of the mean, [stddev /. sqrt n] *)
   ci95_half_width : float;  (** half-width of the 95% confidence interval *)
   min : float;
   max : float;
@@ -44,13 +33,10 @@ val pp_summary : Format.formatter -> summary -> unit
 val ci95_half_width : t -> float
 (** Half-width of a 95% confidence interval for the mean, using a Student-t
     critical value for small sample counts and the normal approximation for
-    large ones. *)
-
-val t_critical_95 : int -> float
-(** Two-sided 95% Student-t critical value for the given degrees of
-    freedom (interpolated table; exact enough for reporting).  Strictly
-    monotone decreasing in [df], continuous past the last table row
-    (interpolating in [1/df] toward the normal limit 1.96). *)
+    large ones: the two-sided critical value for [df] degrees of freedom
+    is interpolated from a table, strictly decreasing in [df] and
+    continuous past the last row (interpolating in [1/df] toward the
+    normal limit 1.96). *)
 
 (** Sample-retaining accumulator with quantiles. *)
 module Reservoir : sig
@@ -58,9 +44,7 @@ module Reservoir : sig
 
   val create : unit -> r
   val add : r -> float -> unit
-  val count : r -> int
   val mean : r -> float
-  val stats : r -> t
   val quantile : r -> float -> float
   (** [quantile r q] for [q] in [\[0,1\]], by linear interpolation on the
       sorted samples.  [nan] if empty. *)
@@ -78,9 +62,7 @@ module Histogram : sig
   val create : lo:float -> hi:float -> bins:int -> h
   val add : h -> float -> unit
   val counts : h -> int array
-  val underflow : h -> int
-  val overflow : h -> int
-  val total : h -> int
-  val bin_bounds : h -> int -> float * float
   val pp : Format.formatter -> h -> unit
+  (** One line per bin with its bounds and count, then the underflow and
+      overflow counts when non-zero. *)
 end

@@ -74,7 +74,6 @@ type t = {
   mutable label_count : int;
   label_ids : (string, int) Hashtbl.t;
   mutable marks : mark_record list;  (* reverse recording order *)
-  mutable mark_count : int;
   mutable current : int;  (* span id; -1 = none *)
   mutable sink : int;  (* span id; -1 = none *)
   (* Engine integration: the executing engine event's Lamport time.  Spans
@@ -104,14 +103,12 @@ let create () =
     label_count = 0;
     label_ids = Hashtbl.create 16;
     marks = [];
-    mark_count = 0;
     current = -1;
     sink = -1;
     event_lamport = 0;
     occupants = [||] }
 
 let span_count t = t.span_count
-let mark_count t = t.mark_count
 
 let[@inline] int_at t id o =
   t.ints.(id lsr chunk_bits).((width * (id land chunk_mask)) + o)
@@ -132,8 +129,6 @@ let set_current t span =
   t.current <- (match span with None -> -1 | Some s -> s.id)
 
 let set_current_id t id = t.current <- id
-
-let current t = handle t t.current
 
 let set_sink t = t.sink <- t.current
 let sink t = handle t t.sink
@@ -280,8 +275,7 @@ let mark t ~node ~time label =
   t.marks <-
     { m_time = time; m_node = node; m_label = label;
       m_parent = handle t t.current }
-    :: t.marks;
-  t.mark_count <- t.mark_count + 1
+    :: t.marks
 
 (* A transit's endpoints. *)
 let src_at t id = int_at t id o_prev lsr end_bits
@@ -321,10 +315,6 @@ let shape s =
 
 let spans t = List.init t.span_count (fun id -> { recorder = t; id })
 let marks t = List.rev t.marks
-let mark_label m = m.m_label
-let mark_time m = m.m_time
-let mark_node m = m.m_node
-let mark_parent m = m.m_parent
 
 (* {2 Chrome trace-event export}
 

@@ -67,7 +67,6 @@ type shape =
 val create : unit -> t
 
 val span_count : t -> int
-val mark_count : t -> int
 
 (** {2 Engine integration}
 
@@ -158,8 +157,6 @@ val set_current : t -> span option -> unit
     inside it pick it up as their parent.  The network brackets every
     handler invocation with this. *)
 
-val current : t -> span option
-
 val set_sink : t -> unit
 (** Nominate the current span as the DAG's sink — the event whose
     completion time the critical path explains (the election). *)
@@ -187,10 +184,7 @@ type mark_record = private {
 }
 
 val marks : t -> mark_record list
-val mark_label : mark_record -> string
-val mark_time : mark_record -> float
-val mark_node : mark_record -> int
-val mark_parent : mark_record -> span option
+(** All marks, in recording order. *)
 
 (** {2 Export} *)
 

@@ -355,12 +355,6 @@ let entries t =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) all
 
-let names t = List.map fst (entries t)
-
-let is_empty t =
-  Hashtbl.length t.metrics = 0
-  && List.for_all (fun f -> Array.length f.members = 0) t.families
-
 let report_columns =
   [ "metric"; "kind"; "count"; "value"; "mean"; "p50"; "p90"; "p99"; "max" ]
 
@@ -388,8 +382,3 @@ let report_rows t =
            cell_float (quantile h 0.99);
            cell_float (hist_max h) ])
     (entries t)
-
-let pp ppf t =
-  List.iter
-    (fun row -> Fmt.pf ppf "%s@." (String.concat " " row))
-    (report_rows t)

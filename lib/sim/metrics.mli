@@ -53,7 +53,7 @@ type family
 (** Histograms indexed by an id (one per link, say), named
     [prefix ^ Printf.sprintf "%04d" i ^ suffix].  A family registers its
     members in one step and formats their names only when the registry is
-    listed ({!names}, {!report_rows}) or merged ({!merge_into}); everywhere
+    listed ({!report_rows}) or merged ({!merge_into}); everywhere
     else a member behaves exactly like a histogram registered under its
     name, which {!histogram} returns. *)
 
@@ -131,11 +131,6 @@ val merge_into : into:t -> t -> unit
     queries and the same rendered rows.
     @raise Invalid_argument on a kind clash between same-named metrics. *)
 
-val names : t -> string list
-(** Registered metric names, sorted. *)
-
-val is_empty : t -> bool
-
 (** {2 Rendering}
 
     The row set is deterministic: metrics sorted by name, floats
@@ -147,8 +142,4 @@ val report_columns : string list
 
 val report_rows : t -> string list list
 (** One row per metric, aligned with {!report_columns}; inapplicable
-    cells are ["-"]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Plain-text dump of {!report_rows} (one line per metric); the harness
-    renders the same rows as an aligned table. *)
+    cells are ["-"].  The harness renders them as an aligned table. *)

@@ -24,18 +24,6 @@ let reportf t ~time ~invariant ~subject fmt =
   Format.kasprintf (fun detail -> report t ~time ~invariant ~subject detail) fmt
 
 let violations t = List.rev t.stored
-let count t = t.total
-let dropped t = max 0 (t.total - t.capacity)
-let is_clean t = t.total = 0
 
 let pp_violation ppf v =
   Fmt.pf ppf "violation[%s] t=%.3f %s: %s" v.invariant v.time v.subject v.detail
-
-let pp ppf t =
-  if is_clean t then Fmt.pf ppf "oracle: clean"
-  else begin
-    Fmt.pf ppf "oracle: %d violation%s%s" t.total
-      (if t.total = 1 then "" else "s")
-      (if dropped t > 0 then Fmt.str " (first %d shown)" t.capacity else "");
-    List.iter (fun v -> Fmt.pf ppf "@.%a" pp_violation v) (violations t)
-  end

@@ -1,10 +1,10 @@
 (** Runtime invariant oracle: a sink for structured invariant violations.
 
     Monitors (see {!Abe_net.Monitor} and the checks in
-    {!Abe_core.Runner}) observe a simulation and {!report} every invariant
+    {!Abe_core.Runner}) observe a simulation and {!reportf} every invariant
     breach with its time, subject (node/link) and context, instead of
-    letting a broken run silently produce wrong statistics.  An oracle that
-    stays {!is_clean} certifies the invariants it was wired to check for
+    letting a broken run silently produce wrong statistics.  An oracle with
+    no {!violations} certifies the invariants it was wired to check for
     that execution.
 
     Reporting never raises and never perturbs the simulation: an oracle is
@@ -21,25 +21,16 @@ type violation = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Fresh oracle.  At most [capacity] (default 200) violations are stored;
-    further ones are counted but dropped (see {!dropped}). *)
-
-val report :
-  t -> time:float -> invariant:string -> subject:string -> string -> unit
+(** Fresh oracle.  The first [capacity] (default 200) violations are
+    stored; later ones are dropped. *)
 
 val reportf :
   t -> time:float -> invariant:string -> subject:string ->
   ('a, Format.formatter, unit, unit) format4 -> 'a
-(** [report] with a format string for the detail. *)
+(** Report a violation, with a format string for the detail. *)
 
 val violations : t -> violation list
-(** Stored violations in report order. *)
-
-val count : t -> int
-(** Total violations reported (including dropped ones). *)
-
-val dropped : t -> int
-val is_clean : t -> bool
+(** Stored violations in report order; [[]] certifies the invariants the
+    oracle was wired to check. *)
 
 val pp_violation : Format.formatter -> violation -> unit
-val pp : Format.formatter -> t -> unit

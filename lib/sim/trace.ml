@@ -12,7 +12,7 @@ type entry = {
 }
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   capacity : int;
   buffer : entry option array;
   mutable next : int;  (* ring-buffer write position *)
@@ -24,7 +24,6 @@ let create ?(capacity = 10_000) ~enabled () =
   { enabled; capacity; buffer = Array.make capacity None; next = 0; count = 0 }
 
 let enabled t = t.enabled
-let set_enabled t flag = t.enabled <- flag
 
 let record t ~time ?(kind = "note") ~source message =
   if t.enabled then begin

@@ -35,7 +35,6 @@ val create : ?capacity:int -> enabled:bool -> unit -> t
 (** Default capacity: 10_000 entries. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val record : t -> time:float -> ?kind:string -> source:source -> string -> unit
 (** Append an entry (no-op when disabled).  Default [kind]: ["note"]. *)
@@ -54,16 +53,12 @@ val length : t -> int
 val dropped : t -> int
 (** Number of entries discarded due to the capacity bound. *)
 
-val iter : (entry -> unit) -> t -> unit
-(** Visit retained entries in chronological (= recording) order without
-    materializing them; {!pp} and the JSONL exports stream through this. *)
-
 val entries : t -> entry list
-(** Entries in chronological (= recording) order ({!iter} collected into
-    a list — for tests and small traces). *)
+(** Entries in chronological (= recording) order, collected into a list —
+    for tests and small traces.  {!pp} and the JSONL exports stream over
+    the buffer instead. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_source : Format.formatter -> source -> unit
 
 val output_jsonl : out_channel -> t -> unit
 (** Export as JSON Lines: one object per entry, in order, with fields

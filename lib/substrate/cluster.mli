@@ -25,16 +25,13 @@
     descriptor before returning — also on the stall/timeout path. *)
 
 type spawn_mode =
-  | Domains  (** [Domain.spawn] per node: true parallelism, capped low *)
-  | Threads  (** systhreads: IO-bound workers, suited to many clusters *)
-
-val max_domain_workers : int
-(** Hard cap on [Domains]-mode cluster size: the OCaml runtime supports
-    on the order of a hundred live domains, and a cluster needs one per
-    node. *)
-
-val max_thread_workers : int
-(** Sanity cap on [Threads]-mode cluster size. *)
+  | Domains
+      (** [Domain.spawn] per node: true parallelism, capped at 64 nodes
+          (the OCaml runtime supports on the order of a hundred live
+          domains, and a cluster needs one per node) *)
+  | Threads
+      (** systhreads: IO-bound workers, suited to many clusters; a sanity
+          cap of 512 nodes *)
 
 val open_fd_count : unit -> int option
 (** Currently open file descriptors of the process (via [/proc/self/fd]);

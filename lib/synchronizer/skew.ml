@@ -6,7 +6,6 @@ type t = {
   skew_bound : int option;
   pulses : int array;
   mutable violations : Abe_sim.Oracle.violation list;  (* reversed *)
-  mutable count : int;
   mutable checked : int;
   mutable max_skew : int;
 }
@@ -19,12 +18,10 @@ let create ?skew_bound ~n () =
   { skew_bound;
     pulses = Array.make n 0;
     violations = [];
-    count = 0;
     checked = 0;
     max_skew = 0 }
 
 let record t ~time ~invariant ~node detail =
-  t.count <- t.count + 1;
   t.violations <-
     { Abe_sim.Oracle.time;
       invariant;
@@ -62,10 +59,5 @@ let observe t ~time event =
      | Some _ | None -> ())
 
 let violations t = List.rev t.violations
-let violation_count t = t.count
 let events_checked t = t.checked
 let max_skew t = t.max_skew
-
-let pulse t node =
-  check_node t "pulse" node;
-  t.pulses.(node)

@@ -45,8 +45,6 @@ val violations : t -> Abe_sim.Oracle.violation list
 (** Violations in observation order: invariant ["round-monotonicity"] or
     ["bounded-skew"], subject ["node N"]. *)
 
-val violation_count : t -> int
-
 val events_checked : t -> int
 (** Total events observed — certification coverage denominator. *)
 
@@ -55,6 +53,3 @@ val max_skew : t -> int
     (0 before the first arrival) — reported even when the bound check is
     disabled, so an ABD-on-ABE run shows {e how far} the hard-bound
     assumption was stretched. *)
-
-val pulse : t -> int -> int
-(** Last pulse the node was observed entering (0 before the first). *)

@@ -62,9 +62,7 @@ module Flood_max = struct
 
   let name = "flood-max"
 
-  let create_value ~node = node + 1
-
-  let init ~node ~n:_ ~out_degree:_ ~rng:_ = { value = create_value ~node }
+  let init ~node ~n:_ ~out_degree:_ ~rng:_ = { value = node + 1 }
 
   let pulse ~node:_ ~pulse:_ ~out_degree state ~inbox =
     let value = List.fold_left max state.value inbox in

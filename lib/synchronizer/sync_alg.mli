@@ -51,9 +51,6 @@ end
 module Flood_max : sig
   include S
 
-  val create_value : node:int -> int
-  (** The initial value of a node ([node + 1], so the expected global
-      maximum is [n]). *)
-
   val current_max : state -> int
+  (** Node [i] starts with value [i + 1], so the global maximum is [n]. *)
 end

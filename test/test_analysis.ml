@@ -18,91 +18,28 @@ let test_retransmission_delay () =
   Alcotest.(check (float 1e-12)) "slot scales" 8.
     (Analysis.retransmission_delay_mean ~p:0.25 ~slot:2.)
 
-let test_expected_ticks () =
-  Alcotest.(check (float 1e-9)) "reciprocal" (1. /. 0.3)
-    (Analysis.expected_ticks_to_activation ~a0:0.3 ~d:1)
-
-let test_sum_d () =
-  Alcotest.(check int) "sum" 10 (Analysis.sum_d [| 1; 2; 3; 4 |]);
-  Alcotest.(check int) "empty" 0 (Analysis.sum_d [||])
-
-let test_aggregate_activation () =
-  (* With sum d = n the aggregate equals the initial all-idle value:
-     the paper's invariant. *)
-  let a0 = 0.2 in
-  let initial = Analysis.aggregate_activation_probability ~a0 ~ds:(Array.make 8 1) in
-  let late = Analysis.aggregate_activation_probability ~a0 ~ds:[| 5; 3 |] in
-  Alcotest.(check (float 1e-12)) "invariant" initial late;
-  Alcotest.(check (float 1e-12)) "closed form" (1. -. (0.8 ** 8.)) initial
-
-let test_activation_mass () =
-  (* Small a0: mass ~ a0 n^2 delta. *)
-  let mass = Analysis.activation_mass ~a0:1e-6 ~n:100 ~delta:1. in
-  Alcotest.(check bool) "approximation" true (Float.abs (mass -. 0.01) < 1e-4);
-  (* recommended_a0 puts the mass near theta. *)
-  let n = 64 in
-  let a0 = Analysis.recommended_a0 ~theta:2. n in
-  let mass = Analysis.activation_mass ~a0 ~n ~delta:1. in
-  Alcotest.(check bool) "mass near theta" true (mass > 1.8 && mass <= 2.)
-
 let test_recommended_a0_clamped () =
   Alcotest.(check (float 1e-9)) "clamped at 0.5" 0.5
     (Analysis.recommended_a0 ~theta:100. 2);
   Alcotest.(check (float 1e-12)) "1/n^2" (1. /. 4096.)
     (Analysis.recommended_a0 64)
 
-let test_first_activation () =
-  (* n=1, a0=0.5: geometric mean 2 ticks. *)
-  Alcotest.(check (float 1e-9)) "single node" 2.
-    (Analysis.expected_ticks_to_first_activation ~a0:0.5 ~n:1);
-  Alcotest.(check bool) "more nodes, faster" true
-    (Analysis.expected_ticks_to_first_activation ~a0:0.01 ~n:10
-     > Analysis.expected_ticks_to_first_activation ~a0:0.01 ~n:100)
+(* The harmonic number H_n, through the Chang-Roberts prediction n H_n. *)
+let harmonic n = Analysis.chang_roberts_expected_messages ~n /. float_of_int n
 
 let test_harmonic () =
-  Alcotest.(check (float 1e-12)) "H_1" 1. (Analysis.harmonic 1);
+  Alcotest.(check (float 1e-12)) "H_2" 1.5 (harmonic 2);
   Alcotest.(check (float 1e-12)) "H_4" (1. +. 0.5 +. (1. /. 3.) +. 0.25)
-    (Analysis.harmonic 4);
+    (harmonic 4);
   (* H_n ~ ln n + gamma *)
   Alcotest.(check bool) "asymptotics" true
-    (Float.abs (Analysis.harmonic 10_000 -. (log 10_000. +. 0.5772)) < 1e-3)
+    (Float.abs (harmonic 10_000 -. (log 10_000. +. 0.5772)) < 1e-3)
 
 let test_chang_roberts_prediction () =
-  Alcotest.(check (float 1e-9)) "n * H_n" (8. *. Analysis.harmonic 8)
+  let h8 = List.fold_left (fun acc k -> acc +. (1. /. float_of_int k)) 0.
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+  Alcotest.(check (float 1e-9)) "n * H_n" (8. *. h8)
     (Analysis.chang_roberts_expected_messages ~n:8)
-
-let test_ir_phase_success () =
-  (* k=1: a single contender always wins its phase. *)
-  Alcotest.(check (float 1e-9)) "k=1" 1.
-    (Analysis.ir_phase_success_probability ~k:1 ~n:10);
-  (* k=2, n=2: ids from {1,2}; unique max unless both draw the same value:
-     P = 1/2. *)
-  Alcotest.(check (float 1e-9)) "k=2,n=2" 0.5
-    (Analysis.ir_phase_success_probability ~k:2 ~n:2);
-  (* Probabilities, and more contenders tie more. *)
-  let p2 = Analysis.ir_phase_success_probability ~k:2 ~n:16 in
-  let p8 = Analysis.ir_phase_success_probability ~k:8 ~n:16 in
-  Alcotest.(check bool) "valid probability" true (p2 > 0. && p2 <= 1.);
-  Alcotest.(check bool) "more contenders, lower success" true (p8 < p2)
-
-let test_ir_phase_success_monte_carlo () =
-  (* Cross-check the closed form against simulation. *)
-  let k = 3 and n = 8 in
-  let rng = Abe_prob.Rng.create ~seed:99 in
-  let trials = 200_000 in
-  let hits = ref 0 in
-  for _ = 1 to trials do
-    let draws = Array.init k (fun _ -> Abe_prob.Rng.int_range rng ~lo:1 ~hi:n) in
-    let maximum = Array.fold_left max 0 draws in
-    let winners =
-      Array.fold_left (fun c v -> if v = maximum then c + 1 else c) 0 draws
-    in
-    if winners = 1 then incr hits
-  done;
-  let measured = float_of_int !hits /. float_of_int trials in
-  let predicted = Analysis.ir_phase_success_probability ~k ~n in
-  Alcotest.(check bool) "closed form matches Monte Carlo" true
-    (Float.abs (measured -. predicted) < 0.005)
 
 let test_dkr_bound () =
   Alcotest.(check (float 1e-9)) "n(log2 n + 1)" (8. *. 4.)
@@ -115,9 +52,8 @@ let test_validation () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
   expect_invalid "k_avg p=0" (fun () -> Analysis.k_avg ~p:0.);
-  expect_invalid "harmonic 0" (fun () -> Analysis.harmonic 0);
-  expect_invalid "ir k=0" (fun () ->
-      Analysis.ir_phase_success_probability ~k:0 ~n:5)
+  expect_invalid "chang-roberts n=1" (fun () ->
+      Analysis.chang_roberts_expected_messages ~n:1)
 
 let () =
   Alcotest.run "analysis"
@@ -126,18 +62,10 @@ let () =
           Alcotest.test_case "series" `Quick test_k_avg_matches_series;
           Alcotest.test_case "delay mean" `Quick test_retransmission_delay ] );
       ( "activation",
-        [ Alcotest.test_case "expected ticks" `Quick test_expected_ticks;
-          Alcotest.test_case "sum_d" `Quick test_sum_d;
-          Alcotest.test_case "aggregate invariant" `Quick
-            test_aggregate_activation;
-          Alcotest.test_case "activation mass" `Quick test_activation_mass;
-          Alcotest.test_case "recommended a0" `Quick test_recommended_a0_clamped;
-          Alcotest.test_case "first activation" `Quick test_first_activation ] );
+        [ Alcotest.test_case "recommended a0" `Quick
+            test_recommended_a0_clamped ] );
       ( "baselines",
         [ Alcotest.test_case "harmonic" `Quick test_harmonic;
           Alcotest.test_case "chang-roberts" `Quick test_chang_roberts_prediction;
-          Alcotest.test_case "ir phase success" `Quick test_ir_phase_success;
-          Alcotest.test_case "ir monte carlo" `Slow
-            test_ir_phase_success_monte_carlo;
           Alcotest.test_case "dkr bound" `Quick test_dkr_bound ] );
       ("validation", [ Alcotest.test_case "errors" `Quick test_validation ]) ]

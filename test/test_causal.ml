@@ -74,7 +74,7 @@ let test_lamport_monotone () =
 let test_marks_cover_phases () =
   let outcome, causal = run_with_causal ~seed:1 () in
   let labels =
-    List.map Abe_sim.Causal.mark_label (Abe_sim.Causal.marks causal)
+    List.map (fun m -> m.Abe_sim.Causal.m_label) (Abe_sim.Causal.marks causal)
   in
   let count l = List.length (List.filter (String.equal l) labels) in
   Alcotest.(check int) "one activation mark" outcome.Runner.activations
@@ -252,9 +252,12 @@ let count_substring needle s =
    link become zero-length transit spans that no delivery names. *)
 let test_golden_lossy () =
   let fault =
-    Abe_net.Faults.compose
-      (Abe_net.Faults.bursty_loss ~seed:5 ~delta:1. ~horizon:200.)
-      (Abe_net.Faults.link_down ~link:3 ~from_:2. ~until:40.)
+    match
+      Abe_net.Faults.of_string ~seed:5 ~n:1 ~delta:1.
+        "bursty-loss+link-down(3@2:40)"
+    with
+    | Ok f -> f
+    | Error (`Msg m) -> Alcotest.fail m
   in
   let outcome, json, critpath = golden_run ~fault ~n:8 ~seed:5 () in
   Alcotest.(check bool) "no election in the budget" false

@@ -398,25 +398,25 @@ let test_skew_oracle_detects () =
   let o = Skew.create ~skew_bound:1 ~n:2 () in
   Skew.observe o ~time:0. (Skew.Pulse_entered { node = 0; pulse = 1 });
   Skew.observe o ~time:1. (Skew.Pulse_entered { node = 0; pulse = 2 });
-  Alcotest.(check int) "clean so far" 0 (Skew.violation_count o);
+  Alcotest.(check int) "clean so far" 0 (List.length (Skew.violations o));
   (* Skipping a round: 2 -> 4. *)
   Skew.observe o ~time:2. (Skew.Pulse_entered { node = 0; pulse = 4 });
-  Alcotest.(check int) "skip caught" 1 (Skew.violation_count o);
+  Alcotest.(check int) "skip caught" 1 (List.length (Skew.violations o));
   (* The trace tracks the faulty entry, so the next +1 step is clean: one
      fault, one violation. *)
   Skew.observe o ~time:3. (Skew.Pulse_entered { node = 0; pulse = 5 });
-  Alcotest.(check int) "no cascade" 1 (Skew.violation_count o);
+  Alcotest.(check int) "no cascade" 1 (List.length (Skew.violations o));
   (* Regression on the other node. *)
   Skew.observe o ~time:4. (Skew.Pulse_entered { node = 1; pulse = 1 });
   Skew.observe o ~time:5. (Skew.Pulse_entered { node = 1; pulse = 1 });
-  Alcotest.(check int) "revisit caught" 2 (Skew.violation_count o);
+  Alcotest.(check int) "revisit caught" 2 (List.length (Skew.violations o));
   (* Skew within the bound, then past it. *)
   Skew.observe o ~time:6.
     (Skew.Payload_received { node = 1; node_pulse = 1; payload_pulse = 2 });
-  Alcotest.(check int) "skew 1 allowed" 2 (Skew.violation_count o);
+  Alcotest.(check int) "skew 1 allowed" 2 (List.length (Skew.violations o));
   Skew.observe o ~time:7.
     (Skew.Payload_received { node = 1; node_pulse = 1; payload_pulse = 3 });
-  Alcotest.(check int) "skew 2 caught" 3 (Skew.violation_count o);
+  Alcotest.(check int) "skew 2 caught" 3 (List.length (Skew.violations o));
   Alcotest.(check int) "max skew tracked" 2 (Skew.max_skew o);
   Alcotest.(check int) "all events counted" 8 (Skew.events_checked o);
   let invariants =
@@ -429,7 +429,8 @@ let test_skew_oracle_detects () =
   let m = Skew.create ~n:1 () in
   Skew.observe m ~time:0.
     (Skew.Payload_received { node = 0; node_pulse = 1; payload_pulse = 9 });
-  Alcotest.(check int) "unbounded: no violation" 0 (Skew.violation_count m);
+  Alcotest.(check int) "unbounded: no violation" 0
+    (List.length (Skew.violations m));
   Alcotest.(check int) "unbounded: skew measured" 8 (Skew.max_skew m)
 
 let test_certify_family () =

@@ -10,9 +10,10 @@ let check_moments ?(samples = 200_000) ~name dist =
     if x < 0. then Alcotest.failf "%s: negative sample %g" name x;
     Stats.add stats x
   done;
-  let measured = Stats.mean stats in
+  let summary = Stats.summary stats in
+  let measured = summary.Stats.mean in
   let expected = Dist.mean dist in
-  let tolerance = (6. *. Stats.std_error stats) +. 1e-9 in
+  let tolerance = (6. *. summary.Stats.std_error) +. 1e-9 in
   if Float.abs (measured -. expected) > tolerance then
     Alcotest.failf "%s: mean %g, expected %g (tolerance %g)" name measured
       expected tolerance;
@@ -25,7 +26,7 @@ let check_moments ?(samples = 200_000) ~name dist =
   | None -> ()
   | Some _ when heavy_tail -> ()
   | Some v ->
-    let measured_v = Stats.variance stats in
+    let measured_v = summary.Stats.stddev ** 2. in
     let tol = 0.15 *. Float.max v 1e-6 in
     if Float.abs (measured_v -. v) > tol then
       Alcotest.failf "%s: variance %g, expected %g" name measured_v v
@@ -38,11 +39,7 @@ let moment_cases =
     ("hyperexp", Dist.hyperexponential_cv2 ~mean:1. ~cv2:4.);
     ("lomax", Dist.lomax ~alpha:2.5 ~mean:1.);
     ("retransmission", Dist.retransmission ~success:0.25 ~slot:0.5);
-    ("shifted", Dist.shifted (Dist.exponential ~mean:1.) ~offset:0.5);
-    ("scaled", Dist.scaled (Dist.uniform ~lo:0. ~hi:2.) ~factor:3.);
-    ( "mixture",
-      Dist.mixture
-        [| (0.3, Dist.deterministic 1.); (0.7, Dist.exponential ~mean:2.) |] ) ]
+    ("scaled", Dist.scaled (Dist.uniform ~lo:0. ~hi:2.) ~factor:3.) ]
 
 let test_moments () =
   List.iter (fun (name, dist) -> check_moments ~name dist) moment_cases
@@ -82,19 +79,9 @@ let test_support_bounds () =
     "retransmission is not ABD" false
     (Dist.bounded_support (Dist.retransmission ~success:0.5 ~slot:1.));
   Alcotest.(check (option (float 1e-9)))
-    "shifted scaled bound" (Some 8.)
+    "scaled bound" (Some 6.)
     (Dist.support_upper_bound
-       (Dist.shifted
-          (Dist.scaled (Dist.uniform ~lo:0. ~hi:2.) ~factor:3.)
-          ~offset:2.))
-
-let test_with_mean () =
-  List.iter
-    (fun (name, dist) ->
-       let rescaled = Dist.with_mean dist ~mean:5. in
-       if Float.abs (Dist.mean rescaled -. 5.) > 1e-9 then
-         Alcotest.failf "%s: with_mean failed (%g)" name (Dist.mean rescaled))
-    moment_cases
+       (Dist.scaled (Dist.uniform ~lo:0. ~hi:2.) ~factor:3.))
 
 let test_same_mean_family () =
   let family = Dist.same_mean_family ~mean:2. in
@@ -122,8 +109,6 @@ let test_validation_errors () =
       Dist.retransmission ~success:0. ~slot:1.);
   expect_invalid "retransmission p>1" (fun () ->
       Dist.retransmission ~success:1.5 ~slot:1.);
-  expect_invalid "mixture weights" (fun () ->
-      Dist.mixture [| (0.5, Dist.deterministic 1.) |]);
   expect_invalid "hyperexp cv2 < 1" (fun () ->
       Dist.hyperexponential_cv2 ~mean:1. ~cv2:0.5);
   expect_invalid "scaled factor 0" (fun () ->
@@ -159,10 +144,8 @@ let test_cdf_closed_forms () =
   (match Dist.cdf (Dist.erlang ~shape:4 ~mean:1.) 1. with
    | None -> ()
    | Some _ -> Alcotest.fail "erlang shape>1 should have no closed form");
-  (* Scaled/shifted compose. *)
+  (* Scaling composes with the base cdf. *)
   check "scaled" (Dist.scaled (Dist.exponential ~mean:1.) ~factor:2.) 2.
-    (1. -. exp (-1.));
-  check "shifted" (Dist.shifted (Dist.exponential ~mean:1.) ~offset:1.) 2.
     (1. -. exp (-1.))
 
 let test_cdf_monotone_and_bounded () =
@@ -252,13 +235,6 @@ let prop_samples_within_support =
             && match bound with None -> true | Some b -> x <= b +. 1e-9)
          (List.init 50 Fun.id))
 
-let prop_with_mean_sets_mean =
-  QCheck.Test.make ~name:"with_mean sets the mean" ~count:200
-    QCheck.(pair arbitrary_dist (float_range 0.1 50.))
-    (fun (dist, target) ->
-       Float.abs (Dist.mean (Dist.with_mean dist ~mean:target) -. target)
-       < 1e-6 *. target)
-
 let () =
   Alcotest.run "dist"
     [ ( "moments",
@@ -270,8 +246,7 @@ let () =
           Alcotest.test_case "cv2" `Quick test_cv2 ] );
       ("support", [ Alcotest.test_case "support bounds" `Quick test_support_bounds ]);
       ( "transforms",
-        [ Alcotest.test_case "with_mean" `Quick test_with_mean;
-          Alcotest.test_case "same-mean family" `Quick test_same_mean_family;
+        [ Alcotest.test_case "same-mean family" `Quick test_same_mean_family;
           Alcotest.test_case "hyperexp cv2=1" `Quick
             test_hyperexp_collapses_to_exponential ] );
       ( "validation",
@@ -289,4 +264,4 @@ let () =
       );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_samples_within_support; prop_with_mean_sets_mean ] ) ]
+          [ prop_samples_within_support ] ) ]

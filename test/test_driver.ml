@@ -22,16 +22,11 @@ let election_fingerprint (o : Abe_core.Runner.outcome) =
 
 let test_of_jobs () =
   Alcotest.(check bool) "1 is sequential" true (Driver.of_jobs 1 = Driver.Sequential);
-  Alcotest.(check int) "4 jobs, 4 domains" 4
-    (Driver.num_domains (Driver.of_jobs 4));
-  Alcotest.(check int) "sequential has one worker" 1
-    (Driver.num_domains Driver.Sequential);
-  (match Driver.of_jobs 0 with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "jobs=0 accepted");
-  match Driver.parallel ~num_domains:0 () with
+  Alcotest.(check bool) "4 jobs, 4 domains" true
+    (Driver.of_jobs 4 = Driver.Parallel { num_domains = 4 });
+  match Driver.of_jobs 0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "num_domains=0 accepted"
+  | _ -> Alcotest.fail "jobs=0 accepted"
 
 let test_map_matches_list_map () =
   let items = List.init 23 Fun.id in
@@ -146,7 +141,7 @@ let test_shared_config_parity () =
   in
   let sequential = List.map fingerprint seeds in
   let parallel =
-    Driver.map (Driver.parallel ~num_domains:4 ()) fingerprint seeds
+    Driver.map (Driver.of_jobs 4) fingerprint seeds
   in
   Alcotest.(check bool) "parallel equals sequential" true
     (compare sequential parallel = 0)

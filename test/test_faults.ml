@@ -1,5 +1,20 @@
 open Abe_net
 
+(* A scenario by its CLI name, for a ring of [n] nodes at expected delay
+   [delta]: episode trains cover a horizon of [200 * n * delta].  A
+   rejected name raises [Invalid_argument]. *)
+let scenario ?(seed = 1) ?(n = 8) ?(delta = 1.) spec =
+  match Faults.of_string ~seed ~n ~delta spec with
+  | Ok f -> f
+  | Error (`Msg m) -> invalid_arg m
+
+(* Applying the scenario changes nothing. *)
+let no_op f =
+  f.Faults.loss_schedule = None
+  && Array.length f.Faults.episodes = 0
+  && f.Faults.crashes = [] && f.Faults.link_downs = []
+  && f.Faults.revivals = []
+
 let episode_list fault =
   Array.to_list
     (Array.map
@@ -7,17 +22,17 @@ let episode_list fault =
        fault.Faults.episodes)
 
 let test_none () =
-  Alcotest.(check bool) "none is none" true (Faults.is_none Faults.none);
+  Alcotest.(check bool) "none is none" true (no_op Faults.none);
   let model = Delay_model.abd_deterministic ~delay:1. in
   Alcotest.(check bool) "apply_delay is identity for none" true
     (Faults.apply_delay Faults.none model == model)
 
 let test_determinism () =
-  let a = Faults.delay_spikes ~seed:7 ~delta:1. ~horizon:500. in
-  let b = Faults.delay_spikes ~seed:7 ~delta:1. ~horizon:500. in
+  let a = scenario ~seed:7 ~n:3 "delay-spike" in
+  let b = scenario ~seed:7 ~n:3 "delay-spike" in
   Alcotest.(check (list (triple (float 0.) (float 0.) (float 0.))))
     "same seed, same episodes" (episode_list a) (episode_list b);
-  let c = Faults.delay_spikes ~seed:8 ~delta:1. ~horizon:500. in
+  let c = scenario ~seed:8 ~n:3 "delay-spike" in
   Alcotest.(check bool) "different seed, different episodes" true
     (episode_list a <> episode_list c)
 
@@ -25,7 +40,7 @@ let test_episodes_well_formed () =
   List.iter
     (fun fault ->
        Alcotest.(check bool)
-         (Printf.sprintf "%s has episodes or schedule" (Faults.label fault))
+         (Printf.sprintf "%s has episodes or schedule" fault.Faults.label)
          true
          (Array.length fault.Faults.episodes > 0
           || fault.Faults.loss_schedule <> None);
@@ -39,19 +54,18 @@ let test_episodes_well_formed () =
                  && e.Delay_model.factor > 0.)
             then
               Alcotest.failf "%s: malformed episode [%g,%g)x%g"
-                (Faults.label fault) e.Delay_model.e_start
+                fault.Faults.label e.Delay_model.e_start
                 e.Delay_model.e_stop e.Delay_model.factor)
          fault.Faults.episodes;
        (* The overlaid models must pass the strict validation Network.create
           applies to every link. *)
        Delay_model.validate
          (Faults.apply_delay fault (Delay_model.abe_exponential ~delta:1.)))
-    [ Faults.bursty_loss ~seed:3 ~delta:1. ~horizon:1000.;
-      Faults.delay_spikes ~seed:3 ~delta:1. ~horizon:1000.;
-      Faults.heavy_tail ~seed:3 ~delta:1. ~horizon:1000. ]
+    (List.map (scenario ~seed:3 ~n:5)
+       [ "bursty-loss"; "delay-spike"; "heavy-tail" ])
 
 let test_bursty_loss_schedule () =
-  let fault = Faults.bursty_loss ~seed:5 ~delta:1. ~horizon:2000. in
+  let fault = scenario ~seed:5 ~n:10 "bursty-loss" in
   match fault.Faults.loss_schedule with
   | None -> Alcotest.fail "bursty loss must provide a schedule"
   | Some p ->
@@ -66,20 +80,22 @@ let test_bursty_loss_schedule () =
     Alcotest.(check bool) "some quiet time" true (!quiet > 0)
 
 let test_crash () =
-  let fault = Faults.crash ~node:3 ~at:12. in
+  let fault = scenario "crash(3@12)" in
   Alcotest.(check (list (pair int (float 0.)))) "crash recorded" [ (3, 12.) ]
     fault.Faults.crashes;
-  (match Faults.crash ~node:(-1) ~at:1. with
+  (match scenario "crash(-1@1)" with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "negative node must be rejected");
-  match Faults.crash ~node:0 ~at:Float.nan with
+  match scenario "crash(0@nan)" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "nan time must be rejected"
 
 let test_compose () =
-  let spikes = Faults.delay_spikes ~seed:2 ~delta:1. ~horizon:100. in
-  let loss = Faults.bursty_loss ~seed:2 ~delta:1. ~horizon:100. in
-  let both = Faults.compose spikes (Faults.compose loss (Faults.crash ~node:1 ~at:5.)) in
+  let spikes = scenario ~seed:2 ~n:1 "delay-spike" in
+  let loss = scenario ~seed:2 ~n:1 "bursty-loss" in
+  let both =
+    Faults.compose spikes (Faults.compose loss (scenario "crash(1@5)"))
+  in
   Alcotest.(check int) "episodes unioned"
     (Array.length spikes.Faults.episodes)
     (Array.length both.Faults.episodes);
@@ -88,7 +104,7 @@ let test_compose () =
   Alcotest.(check (list (pair int (float 0.)))) "crash kept" [ (1, 5.) ]
     both.Faults.crashes;
   Alcotest.(check bool) "neutral element" true
-    (Faults.is_none (Faults.compose Faults.none Faults.none))
+    (no_op (Faults.compose Faults.none Faults.none))
 
 let test_compose_loss_schedules () =
   let constant p =
@@ -102,67 +118,60 @@ let test_compose_loss_schedules () =
     Alcotest.(check (float 1e-12)) "independent composition" 0.75 (p 1.)
 
 let test_crash_rejoin () =
-  let fault = Faults.crash_rejoin ~node:2 ~at:3. ~rejoin_at:7. in
+  let fault = scenario "rejoin(2@3:7)" in
   Alcotest.(check (list (pair int (float 0.)))) "crash recorded" [ (2, 3.) ]
     fault.Faults.crashes;
   Alcotest.(check (list (pair int (float 0.)))) "revival recorded" [ (2, 7.) ]
     fault.Faults.revivals;
-  Alcotest.(check string) "label" "rejoin(2@3:7)" (Faults.label fault);
-  (match Faults.crash_rejoin ~node:2 ~at:7. ~rejoin_at:3. with
+  Alcotest.(check string) "label" "rejoin(2@3:7)" fault.Faults.label;
+  (match scenario "rejoin(2@7:3)" with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "rejoin before crash must be rejected");
-  (match Faults.crash_rejoin ~node:2 ~at:7. ~rejoin_at:7. with
+  (match scenario "rejoin(2@7:7)" with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "rejoin at the crash instant must be rejected");
-  match Faults.crash_rejoin ~node:(-1) ~at:1. ~rejoin_at:2. with
+  match scenario "rejoin(-1@1:2)" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative node must be rejected"
 
 let test_link_down () =
-  let fault = Faults.link_down ~link:4 ~from_:1. ~until:6. in
+  let fault = scenario "link-down(4@1:6)" in
   Alcotest.(check (list (triple int (float 0.) (float 0.))))
     "outage recorded" [ (4, 1., 6.) ] fault.Faults.link_downs;
-  Alcotest.(check string) "label" "link-down(4@1:6)" (Faults.label fault);
-  (match Faults.link_down ~link:4 ~from_:6. ~until:6. with
+  Alcotest.(check string) "label" "link-down(4@1:6)" fault.Faults.label;
+  (match scenario "link-down(4@6:6)" with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "empty episode must be rejected");
-  match Faults.link_down ~link:(-3) ~from_:1. ~until:2. with
+  match scenario "link-down(-3@1:2)" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative link must be rejected"
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_truncation_cap () =
   (* The generation cap is derived from horizon and rate, not a flat
      constant: a long-horizon episode train well past the old 4096-event
      cap is generated in full, nothing dropped. *)
-  let long = Faults.delay_spikes ~seed:1 ~delta:1. ~horizon:200_000. in
+  let long = scenario ~seed:1 ~n:1000 "delay-spike" in
   Alcotest.(check bool) "old flat cap would have truncated here" true
     (Array.length long.Faults.episodes > 4096);
   Alcotest.(check int) "no truncation on an honest request" 0
     long.Faults.truncated;
   (* Modest churn: cap never binds. *)
-  let calm = Faults.churn ~seed:1 ~n:8 ~delta:1. ~horizon:2000. ~rate:0.3 in
+  let calm = scenario ~seed:1 "churn(0.3)" in
   Alcotest.(check int) "calm churn untruncated" 0 calm.Faults.truncated;
   (* An absurd request — ~10^7 expected events — hits the absolute
      ceiling; the overflow is counted, not silent. *)
-  let wild = Faults.churn ~seed:1 ~n:8 ~delta:1. ~horizon:100. ~rate:1e5 in
+  let wild = scenario ~seed:1 "churn(100000)" in
   Alcotest.(check bool) "truncation counted" true (wild.Faults.truncated > 0);
   Alcotest.(check bool) "timeline still bounded" true
     (List.length wild.Faults.link_downs + List.length wild.Faults.crashes
      <= 262_144);
-  (* compose sums the counts and pp surfaces them. *)
+  (* compose sums the counts. *)
   let both = Faults.compose wild wild in
   Alcotest.(check int) "compose sums truncation"
-    (2 * wild.Faults.truncated) both.Faults.truncated;
-  let rendered = Format.asprintf "%a" Faults.pp wild in
-  Alcotest.(check bool) "pp warns" true (contains rendered "TRUNCATED")
+    (2 * wild.Faults.truncated) both.Faults.truncated
 
 let test_churn () =
-  let make seed = Faults.churn ~seed ~n:8 ~delta:1. ~horizon:2000. ~rate:0.3 in
+  let make seed = scenario ~seed "churn(0.3)" in
   let a = make 11 and b = make 11 and c = make 12 in
   Alcotest.(check (list (pair int (float 0.)))) "same seed, same crashes"
     a.Faults.crashes b.Faults.crashes;
@@ -187,10 +196,10 @@ let test_churn () =
        Alcotest.(check bool) "outages disjoint per link" true (from_ >= prev);
        Hashtbl.replace by_link l until)
     a.Faults.link_downs;
-  let zero = Faults.churn ~seed:11 ~n:8 ~delta:1. ~horizon:2000. ~rate:0. in
-  Alcotest.(check bool) "rate 0 is a no-op" true (Faults.is_none zero);
-  Alcotest.(check string) "no-op keeps its label" "churn(0)" (Faults.label zero);
-  match Faults.churn ~seed:1 ~n:8 ~delta:1. ~horizon:2000. ~rate:(-0.1) with
+  let zero = scenario ~seed:11 "churn(0)" in
+  Alcotest.(check bool) "rate 0 is a no-op" true (no_op zero);
+  Alcotest.(check string) "no-op keeps its label" "churn(0)" zero.Faults.label;
+  match scenario "churn(-0.1)" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative rate must be rejected"
 
@@ -223,12 +232,12 @@ let test_compose_validates_operands () =
 let test_of_string () =
   let parse s = Faults.of_string ~seed:1 ~n:8 ~delta:1. s in
   (match parse "none" with
-   | Ok f -> Alcotest.(check bool) "none" true (Faults.is_none f)
+   | Ok f -> Alcotest.(check bool) "none" true (no_op f)
    | Error (`Msg m) -> Alcotest.fail m);
   List.iter
     (fun name ->
        match parse name with
-       | Ok f -> Alcotest.(check string) "label" name (Faults.label f)
+       | Ok f -> Alcotest.(check string) "label" name f.Faults.label
        | Error (`Msg m) -> Alcotest.fail m)
     [ "bursty-loss"; "delay-spike"; "heavy-tail" ];
   (match parse "crash" with
@@ -244,7 +253,8 @@ let test_of_string () =
        [ (4, 16.) ] f.Faults.revivals
    | Error (`Msg m) -> Alcotest.fail m);
   (match parse "churn" with
-   | Ok f -> Alcotest.(check string) "plain churn rate" "churn(0.1)" (Faults.label f)
+   | Ok f ->
+     Alcotest.(check string) "plain churn rate" "churn(0.1)" f.Faults.label
    | Error (`Msg m) -> Alcotest.fail m);
   match parse "meteor-strike" with
   | Error (`Msg _) -> ()
@@ -270,12 +280,13 @@ let test_of_string_parameterized () =
        "outage parsed" [ (0, 1., 4.) ] f.Faults.link_downs
    | Error (`Msg m) -> Alcotest.fail m);
   (match parse "churn(0.2)" with
-   | Ok f -> Alcotest.(check string) "churn rate parsed" "churn(0.2)" (Faults.label f)
+   | Ok f ->
+     Alcotest.(check string) "churn rate parsed" "churn(0.2)" f.Faults.label
    | Error (`Msg m) -> Alcotest.fail m);
   (match parse "bursty-loss+rejoin(3@2:5)" with
    | Ok f ->
      Alcotest.(check string) "composition label" "bursty-loss+rejoin(3@2:5)"
-       (Faults.label f);
+       f.Faults.label;
      Alcotest.(check bool) "composition keeps schedule" true
        (f.Faults.loss_schedule <> None);
      Alcotest.(check (list (pair int (float 0.)))) "composition keeps revival"
@@ -325,11 +336,11 @@ let prop_label_roundtrip =
        match Faults.of_string ~seed:3 ~n:8 ~delta:1. spec with
        | Error (`Msg m) -> QCheck.Test.fail_reportf "%S failed to parse: %s" spec m
        | Ok f ->
-         (match Faults.of_string ~seed:3 ~n:8 ~delta:1. (Faults.label f) with
+         (match Faults.of_string ~seed:3 ~n:8 ~delta:1. f.Faults.label with
           | Error (`Msg m) ->
             QCheck.Test.fail_reportf "label %S of %S failed to parse: %s"
-              (Faults.label f) spec m
-          | Ok g -> Faults.label g = Faults.label f))
+              f.Faults.label spec m
+          | Ok g -> g.Faults.label = f.Faults.label))
 
 (* [sample_at] skips the episode scan when there are none; the draw must
    still equal the base distribution's bit for bit, on the same stream.
@@ -362,8 +373,6 @@ let test_sample_at_bits () =
     (fun (now, factor) ->
        let r1 = Abe_prob.Rng.create ~seed:23 in
        let r2 = Abe_prob.Rng.copy r1 in
-       Alcotest.(check (float 0.)) (Printf.sprintf "factor at %g" now) factor
-         (Delay_model.factor_at model ~now);
        Alcotest.(check int64) (Printf.sprintf "sample_at %g" now)
          (bits (Abe_prob.Dist.sample (Delay_model.dist model) r1 *. factor))
          (bits (Delay_model.sample_at model ~now r2)))
@@ -378,16 +387,14 @@ let test_factor_at () =
         [| { Delay_model.e_start = 10.; e_stop = 20.; factor = 3. };
            { Delay_model.e_start = 15.; e_stop = 18.; factor = 7. } |]
   in
-  Alcotest.(check (float 0.)) "outside" 1. (Delay_model.factor_at model ~now:5.);
-  Alcotest.(check (float 0.)) "first episode" 3.
-    (Delay_model.factor_at model ~now:12.);
-  Alcotest.(check (float 0.)) "latest-starting wins" 7.
-    (Delay_model.factor_at model ~now:16.);
-  Alcotest.(check (float 0.)) "after nested stop" 3.
-    (Delay_model.factor_at model ~now:19.);
-  Alcotest.(check (float 0.)) "stop exclusive" 1.
-    (Delay_model.factor_at model ~now:20.);
   let rng = Abe_prob.Rng.create ~seed:1 in
+  (* The base delay is exactly 2, so a draw is twice the active factor. *)
+  let factor_at ~now = Delay_model.sample_at model ~now rng /. 2. in
+  Alcotest.(check (float 0.)) "outside" 1. (factor_at ~now:5.);
+  Alcotest.(check (float 0.)) "first episode" 3. (factor_at ~now:12.);
+  Alcotest.(check (float 0.)) "latest-starting wins" 7. (factor_at ~now:16.);
+  Alcotest.(check (float 0.)) "after nested stop" 3. (factor_at ~now:19.);
+  Alcotest.(check (float 0.)) "stop exclusive" 1. (factor_at ~now:20.);
   Alcotest.(check (float 0.)) "sample_at multiplies" 6.
     (Delay_model.sample_at model ~now:12. rng)
 

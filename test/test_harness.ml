@@ -27,72 +27,60 @@ let test_projections () =
   let s = Exp.summary_of Fun.id data in
   Alcotest.(check int) "summary count" 4 s.Abe_prob.Stats.n
 
+(* Strips are 72 columns wide; over a duration of 72 each column is one
+   time unit.  [strip line] is the strip of a rendered row. *)
+let strip line = String.sub line (String.length line - 72) 72
+let cols n c = String.make n c
+
 let test_timeline_basic () =
   let rendered =
-    Timeline.render ~width:10 ~rows:2 ~duration:10. ~initial:'.'
-      [ { Timeline.time = 5.; row = 0; glyph = 'x' };
+    Timeline.render ~rows:2 ~duration:72. ~initial:'.'
+      [ { Timeline.time = 36.; row = 0; glyph = 'x' };
         { Timeline.time = 0.; row = 1; glyph = 'y' } ]
   in
-  let lines = String.split_on_char '
-' rendered in
+  let lines = String.split_on_char '\n' rendered in
   (match lines with
    | [ row0; row1; "" ] ->
      Alcotest.(check bool) "row 0 switches midway" true
-       (String.sub row0 (String.length row0 - 10) 10 = ".....xxxxx");
-     Alcotest.(check bool) "row 1 fully y" true
-       (String.sub row1 (String.length row1 - 10) 10 = "yyyyyyyyyy")
+       (strip row0 = cols 36 '.' ^ cols 36 'x');
+     Alcotest.(check bool) "row 1 fully y" true (strip row1 = cols 72 'y')
    | _ -> Alcotest.fail "expected two rows");
   ()
 
 let test_timeline_later_event_wins () =
   let rendered =
-    Timeline.render ~width:10 ~rows:1 ~duration:10. ~initial:'.'
-      [ { Timeline.time = 2.; row = 0; glyph = 'a' };
-        { Timeline.time = 6.; row = 0; glyph = 'b' } ]
+    Timeline.render ~rows:1 ~duration:72. ~initial:'.'
+      [ { Timeline.time = 14.; row = 0; glyph = 'a' };
+        { Timeline.time = 43.; row = 0; glyph = 'b' } ]
   in
   Alcotest.(check bool) "a then b" true
-    (let strip = List.hd (String.split_on_char '
-' rendered) in
-     let tail = String.sub strip (String.length strip - 10) 10 in
-     tail = "..aaaabbbb")
+    (strip (List.hd (String.split_on_char '\n' rendered))
+     = cols 14 '.' ^ cols 29 'a' ^ cols 29 'b')
 
-(* Boundary cases of the column mapping: an event exactly at
-   [t = duration] is valid and clamps to the last column, and a
-   one-column strip is entirely owned by whichever event applies last. *)
+(* Boundary case of the column mapping: an event exactly at
+   [t = duration] is valid and clamps to the last column. *)
 let test_timeline_boundaries () =
-  let last10 s = String.sub s (String.length s - 10) 10 in
   let rendered =
-    Timeline.render ~width:10 ~rows:1 ~duration:10. ~initial:'.'
-      [ { Timeline.time = 10.; row = 0; glyph = 'x' } ]
+    Timeline.render ~rows:1 ~duration:72. ~initial:'.'
+      [ { Timeline.time = 72.; row = 0; glyph = 'x' } ]
   in
   Alcotest.(check string) "event at t = duration paints last column only"
-    ".........x"
-    (last10 (List.hd (String.split_on_char '\n' rendered)));
-  let narrow =
-    Timeline.render ~width:1 ~rows:1 ~duration:5. ~initial:'.'
-      [ { Timeline.time = 0.; row = 0; glyph = 'a' };
-        { Timeline.time = 4.; row = 0; glyph = 'b' } ]
-  in
-  let strip = List.hd (String.split_on_char '\n' narrow) in
-  Alcotest.(check string) "width 1 collapses to the latest glyph" "b"
-    (String.sub strip (String.length strip - 1) 1)
+    (cols 71 '.' ^ "x")
+    (strip (List.hd (String.split_on_char '\n' rendered)))
 
 (* Two events at the same time on the same row: the sort is stable, so
    the later list element is applied last and wins the shared columns. *)
 let test_timeline_simultaneous_tie_break () =
   let render events =
-    let rendered =
-      Timeline.render ~width:10 ~rows:1 ~duration:10. ~initial:'.' events
-    in
-    let strip = List.hd (String.split_on_char '\n' rendered) in
-    String.sub strip (String.length strip - 10) 10
+    let rendered = Timeline.render ~rows:1 ~duration:72. ~initial:'.' events in
+    strip (List.hd (String.split_on_char '\n' rendered))
   in
-  let a = { Timeline.time = 5.; row = 0; glyph = 'a' } in
-  let b = { Timeline.time = 5.; row = 0; glyph = 'b' } in
-  Alcotest.(check string) "later list element wins" ".....bbbbb"
+  let a = { Timeline.time = 36.; row = 0; glyph = 'a' } in
+  let b = { Timeline.time = 36.; row = 0; glyph = 'b' } in
+  Alcotest.(check string) "later list element wins" (cols 36 '.' ^ cols 36 'b')
     (render [ a; b ]);
-  Alcotest.(check string) "order reversed, other glyph wins" ".....aaaaa"
-    (render [ b; a ])
+  Alcotest.(check string) "order reversed, other glyph wins"
+    (cols 36 '.' ^ cols 36 'a') (render [ b; a ])
 
 let test_timeline_validation () =
   let expect_invalid name f =
@@ -110,16 +98,23 @@ let test_timeline_validation () =
       Timeline.render ~rows:1 ~duration:0. ~initial:'.' [])
 
 let test_csv_quoting () =
-  Alcotest.(check string) "plain" "abc" (Csv.field "abc");
-  Alcotest.(check string) "comma" "\"a,b\"" (Csv.field "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Csv.field "a\"b");
-  Alcotest.(check string) "newline" "\"a\nb\"" (Csv.field "a\nb")
+  (* A field as rendered in a one-column CSV, without the header line and
+     the final newline. *)
+  let field s =
+    let csv = Csv.create ~columns:[ "x" ] in
+    Csv.add_row csv [ s ];
+    let rendered = Csv.to_string csv in
+    String.sub rendered 2 (String.length rendered - 3)
+  in
+  Alcotest.(check string) "plain" "abc" (field "abc");
+  Alcotest.(check string) "comma" "\"a,b\"" (field "a,b");
+  Alcotest.(check string) "quote" "\"a\"\"b\"" (field "a\"b");
+  Alcotest.(check string) "newline" "\"a\nb\"" (field "a\nb")
 
 let test_csv_roundtrip () =
   let csv = Csv.create ~columns:[ "n"; "label" ] in
   Csv.add_row csv [ "1"; "plain" ];
   Csv.add_row csv [ "2"; "with,comma" ];
-  Alcotest.(check int) "rows" 2 (Csv.row_count csv);
   Alcotest.(check string) "rendered"
     "n,label\n1,plain\n2,\"with,comma\"\n" (Csv.to_string csv)
 
@@ -184,7 +179,8 @@ let test_csv_save_concurrent () =
       (Sys.file_exists (Filename.concat nested (Printf.sprintf "out%d.csv" i)))
   done;
   (* Idempotent on an already-existing tree. *)
-  Csv.make_directories nested
+  let csv = Csv.create ~columns:[ "x" ] in
+  Csv.save csv ~path:(Filename.concat nested "again.csv")
 
 let test_table_to_csv () =
   let t = Table.create ~title:"demo" ~columns:[ "a"; "b" ] in

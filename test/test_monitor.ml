@@ -41,8 +41,9 @@ let test_consistent_stream_clean () =
   send_then_deliver obs st ~seq:1 ~t_send:1. ~t_deliver:2.;
   Monitor.check_quiescence m ~time:2. ~outcome:Abe_sim.Engine.Drained
     ~in_flight:0;
-  if not (Abe_sim.Oracle.is_clean oracle) then
-    Alcotest.failf "unexpected: %s" (Fmt.str "%a" Abe_sim.Oracle.pp oracle)
+  if Abe_sim.Oracle.violations oracle <> [] then
+    Alcotest.failf "unexpected: %a" Fmt.(list Abe_sim.Oracle.pp_violation)
+      (Abe_sim.Oracle.violations oracle)
 
 let test_conservation_violation () =
   let m, oracle = monitor () in
@@ -165,7 +166,7 @@ let test_tick_after_rejoin () =
   obs ~time:3. ~stats:st ~in_flight:0 (Network.Revive { node = 0 });
   tick obs st ~time:4. ~node:0 ~local_time:4.;
   Alcotest.(check bool) "a faithful clock across the gap is clean" true
-    (Abe_sim.Oracle.is_clean oracle);
+    (Abe_sim.Oracle.violations oracle = []);
   obs ~time:5. ~stats:st ~in_flight:0 (Network.Crash { node = 0 });
   obs ~time:6. ~stats:st ~in_flight:0 (Network.Revive { node = 0 });
   tick obs st ~time:7. ~node:0 ~local_time:3.;
@@ -207,7 +208,7 @@ let test_quiescence_violation () =
   Monitor.check_quiescence m2 ~time:9. ~outcome:Abe_sim.Engine.Stopped
     ~in_flight:3;
   Alcotest.(check bool) "stopped run not flagged" true
-    (Abe_sim.Oracle.is_clean oracle2)
+    (Abe_sim.Oracle.violations oracle2 = [])
 
 (* Dynamic classes: a Static monitor must flag any topology event, a
    Dynamic monitor must accept a full churn sequence as long as the
@@ -239,8 +240,9 @@ let test_dynamic_accepts_churn_stream () =
   obs ~time:2.5 ~stats:st ~in_flight:0 (Network.Revive { node = 0 });
   Monitor.check_quiescence m ~time:3. ~outcome:Abe_sim.Engine.Drained
     ~in_flight:0;
-  if not (Abe_sim.Oracle.is_clean oracle) then
-    Alcotest.failf "unexpected: %s" (Fmt.str "%a" Abe_sim.Oracle.pp oracle)
+  if Abe_sim.Oracle.violations oracle <> [] then
+    Alcotest.failf "unexpected: %a" Fmt.(list Abe_sim.Oracle.pp_violation)
+      (Abe_sim.Oracle.violations oracle)
 
 let test_link_drop_conservation_violation () =
   let m, oracle = monitor ~dynamic:Monitor.Dynamic () in

@@ -452,8 +452,9 @@ let test_crash_accounting_monitored () =
   Alcotest.(check int) "exact conservation at quiescence" stats.Network.sent
     (stats.Network.delivered + stats.Network.lost + stats.Network.crashed_drops);
   Alcotest.(check int) "nothing in flight" 0 (Net.in_flight net);
-  if not (Abe_sim.Oracle.is_clean oracle) then
-    Alcotest.failf "oracle: %s" (Fmt.str "%a" Abe_sim.Oracle.pp oracle)
+  if Abe_sim.Oracle.violations oracle <> [] then
+    Alcotest.failf "oracle: %a" Fmt.(list Abe_sim.Oracle.pp_violation)
+      (Abe_sim.Oracle.violations oracle)
 
 let test_crash_between_arrival_and_processing () =
   (* Deterministic delay 1, processing time 1: the message arrives at node 1
@@ -480,8 +481,9 @@ let test_crash_between_arrival_and_processing () =
   Alcotest.(check int) "nothing in flight" 0 (Net.in_flight net);
   Alcotest.(check (list (pair int (float 0.)))) "handler never ran" []
     (Net.state net 1).Proto.received;
-  if not (Abe_sim.Oracle.is_clean oracle) then
-    Alcotest.failf "oracle: %s" (Fmt.str "%a" Abe_sim.Oracle.pp oracle)
+  if Abe_sim.Oracle.violations oracle <> [] then
+    Alcotest.failf "oracle: %a" Fmt.(list Abe_sim.Oracle.pp_violation)
+      (Abe_sim.Oracle.violations oracle)
 
 let test_crash_tick_shutdown_monitored () =
   (* Tick chains must shut down at the crash and the clock checks must stay
@@ -498,8 +500,9 @@ let test_crash_tick_shutdown_monitored () =
     ((Net.state net 0).Proto.ticks <= 5);
   Alcotest.(check bool) "healthy node kept ticking" true
     ((Net.state net 1).Proto.ticks >= 30);
-  if not (Abe_sim.Oracle.is_clean oracle) then
-    Alcotest.failf "oracle: %s" (Fmt.str "%a" Abe_sim.Oracle.pp oracle)
+  if Abe_sim.Oracle.violations oracle <> [] then
+    Alcotest.failf "oracle: %a" Fmt.(list Abe_sim.Oracle.pp_violation)
+      (Abe_sim.Oracle.violations oracle)
 
 (* ---- dynamic topology: link outages and crash-recovery (tentpole) ---- *)
 

@@ -1,43 +1,31 @@
 open Abe_core
 
-let test_direct_structure () =
-  let rng = Abe_prob.Rng.create ~seed:1 in
-  for _ = 1 to 1000 do
-    let r = Retransmission.simulate_direct ~rng ~p:0.5 ~slot:2. in
-    if r.Retransmission.attempts < 1 then Alcotest.fail "attempts < 1";
-    Alcotest.(check (float 1e-9)) "delay = slot * attempts"
-      (2. *. float_of_int r.Retransmission.attempts)
-      r.Retransmission.delay
-  done
+(* Every message's delay is [slot * attempts], so a batch's delay summary
+   is its attempt summary scaled by the slot. *)
+let check_structure ~arq ~p ~slot =
+  let batch =
+    Retransmission.run_batch ~arq ~seed:1 ~p ~slot ~messages:1000 ()
+  in
+  let a = batch.Retransmission.attempts
+  and d = batch.Retransmission.delay in
+  if a.Abe_prob.Stats.min < 1. then Alcotest.fail "attempts < 1";
+  Alcotest.(check (float 1e-9)) "min delay = slot * min attempts"
+    (slot *. a.Abe_prob.Stats.min) d.Abe_prob.Stats.min;
+  Alcotest.(check (float 1e-9)) "max delay = slot * max attempts"
+    (slot *. a.Abe_prob.Stats.max) d.Abe_prob.Stats.max;
+  Alcotest.(check (float 1e-9)) "mean delay = slot * mean attempts" 1.
+    (d.Abe_prob.Stats.mean /. (slot *. a.Abe_prob.Stats.mean))
+
+let test_direct_structure () = check_structure ~arq:false ~p:0.5 ~slot:2.
 
 let test_direct_p1 () =
-  let rng = Abe_prob.Rng.create ~seed:2 in
-  for _ = 1 to 100 do
-    let r = Retransmission.simulate_direct ~rng ~p:1. ~slot:1. in
-    Alcotest.(check int) "always first attempt" 1 r.Retransmission.attempts
-  done
+  let batch =
+    Retransmission.run_batch ~seed:2 ~p:1. ~slot:1. ~messages:100 ()
+  in
+  Alcotest.(check (float 0.)) "always first attempt" 1.
+    batch.Retransmission.attempts.Abe_prob.Stats.max
 
-let test_arq_structure () =
-  let rng = Abe_prob.Rng.create ~seed:3 in
-  for _ = 1 to 500 do
-    let r = Retransmission.simulate_arq ~rng ~p:0.4 ~slot:1. ~timeout:1. in
-    (* With timeout = slot the ARQ delay is exactly slot * attempts. *)
-    Alcotest.(check (float 1e-9)) "delay structure"
-      (float_of_int r.Retransmission.attempts)
-      r.Retransmission.delay
-  done
-
-let test_arq_longer_timeout () =
-  let rng = Abe_prob.Rng.create ~seed:4 in
-  let r = ref (Retransmission.simulate_arq ~rng ~p:0.2 ~slot:1. ~timeout:3.) in
-  (* Find a run with retransmissions to check the timeout arithmetic. *)
-  while !r.Retransmission.attempts = 1 do
-    r := Retransmission.simulate_arq ~rng ~p:0.2 ~slot:1. ~timeout:3.
-  done;
-  let attempts = !r.Retransmission.attempts in
-  Alcotest.(check (float 1e-9)) "delay = (k-1)*timeout + slot"
-    ((float_of_int (attempts - 1) *. 3.) +. 1.)
-    !r.Retransmission.delay
+let test_arq_structure () = check_structure ~arq:true ~p:0.4 ~slot:1.
 
 let check_batch ~arq () =
   let batch =
@@ -86,22 +74,20 @@ let test_delay_model_mean () =
   let model = Retransmission.delay_model ~p:0.2 ~slot:1. in
   Alcotest.(check (float 1e-9)) "expected delay 1/p" 5.
     (Abe_net.Delay_model.expected_delay model);
-  Alcotest.(check bool) "unbounded (ABE, not ABD)" false
-    (Abe_net.Delay_model.is_abd model)
+  (* [pp] names the class: ABD needs bounded support and no episodes. *)
+  Alcotest.(check string) "unbounded (ABE, not ABD)" "ABE"
+    (String.sub (Fmt.str "%a" Abe_net.Delay_model.pp model) 0 3)
 
 let test_validation () =
-  let rng = Abe_prob.Rng.create ~seed:6 in
   let expect_invalid name f =
     match f () with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
   expect_invalid "p=0" (fun () ->
-      Retransmission.simulate_direct ~rng ~p:0. ~slot:1.);
+      Retransmission.run_batch ~seed:1 ~p:0. ~slot:1. ~messages:1 ());
   expect_invalid "slot=0" (fun () ->
-      Retransmission.simulate_direct ~rng ~p:0.5 ~slot:0.);
-  expect_invalid "timeout < slot" (fun () ->
-      Retransmission.simulate_arq ~rng ~p:0.5 ~slot:2. ~timeout:1.);
+      Retransmission.run_batch ~seed:1 ~p:0.5 ~slot:0. ~messages:1 ());
   expect_invalid "messages=0" (fun () ->
       Retransmission.run_batch ~seed:1 ~p:0.5 ~slot:1. ~messages:0 ())
 
@@ -129,8 +115,7 @@ let () =
     [ ( "sampling",
         [ Alcotest.test_case "direct structure" `Quick test_direct_structure;
           Alcotest.test_case "direct p=1" `Quick test_direct_p1;
-          Alcotest.test_case "arq structure" `Quick test_arq_structure;
-          Alcotest.test_case "arq timeout" `Quick test_arq_longer_timeout ] );
+          Alcotest.test_case "arq structure" `Quick test_arq_structure ] );
       ( "batches",
         [ Alcotest.test_case "direct batch (E1)" `Quick test_batch_direct;
           Alcotest.test_case "arq batch (E1)" `Quick test_batch_arq;

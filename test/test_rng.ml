@@ -149,7 +149,7 @@ let test_normal_moments () =
   Alcotest.(check bool) "mean near 3" true
     (Float.abs (Stats.mean stats -. 3.) < 0.05);
   Alcotest.(check bool) "stddev near 2" true
-    (Float.abs (Stats.stddev stats -. 2.) < 0.05)
+    (Float.abs ((Stats.summary stats).Stats.stddev -. 2.) < 0.05)
 
 let test_shuffle_permutation () =
   let rng = Rng.create ~seed:47 in

@@ -2,6 +2,12 @@ open Abe_core
 
 (* Most runner tests use small rings so a single run is milliseconds. *)
 
+(* A crash, rejoin or link-down scenario by its CLI name. *)
+let fault spec =
+  match Abe_net.Faults.of_string ~seed:0 ~n:8 ~delta:1. spec with
+  | Ok f -> f
+  | Error (`Msg m) -> invalid_arg m
+
 let run ?(n = 8) ?(a0 = 0.1) ?delay ?proc_delay ?params ~seed () =
   let config = Runner.config ~n ~a0 ?delay ?proc_delay ?params () in
   Runner.run ~seed config
@@ -119,6 +125,28 @@ let test_config_validation () =
         ~proc_delay:(Some (Abe_prob.Dist.exponential ~mean:1.))
         ())
 
+(* A fault naming a node or link outside the ring is rejected when the
+   configuration is built, naming the scenario, not at the first run. *)
+let test_fault_indices () =
+  Alcotest.check_raises "rejoin of node 9 on 8 nodes"
+    (Invalid_argument
+       "Runner.config: fault rejoin(9@2:5) names node 9, but the ring has \
+        nodes 0..7")
+    (fun () -> ignore (Runner.config ~n:8 ~fault:(fault "rejoin(9@2:5)") ()));
+  Alcotest.check_raises "crash of node 8 on 8 nodes"
+    (Invalid_argument
+       "Runner.config: fault crash(8@1) names node 8, but the ring has nodes \
+        0..7")
+    (fun () -> ignore (Runner.config ~n:8 ~fault:(fault "crash(8@1)") ()));
+  Alcotest.check_raises "outage of link 8 on 8 links"
+    (Invalid_argument
+       "Runner.config: fault link-down(8@1:2) names link 8, but the ring has \
+        links 0..7")
+    (fun () ->
+       ignore (Runner.config ~n:8 ~fault:(fault "link-down(8@1:2)") ()));
+  (* The last node and link are in range. *)
+  ignore (Runner.config ~n:8 ~fault:(fault "rejoin(7@2:5)+link-down(7@1:2)") ())
+
 let test_naive_variant_small_ring () =
   (* The naive constant-probability ablation still elects on small rings;
      its weakness is the heavy tail of the endgame, not small cases. *)
@@ -176,7 +204,7 @@ let test_crash_blocks_election () =
      elected — and the runner detects that at the crash instant, stopping
      with a structured stall reason instead of burning the time budget. *)
   let config =
-    Runner.config ~n:6 ~a0:0.2 ~limit_time:2_000. ~crash_times:[ (3, 2.) ] ()
+    Runner.config ~n:6 ~a0:0.2 ~limit_time:2_000. ~fault:(fault "crash(3@2)") ()
   in
   for seed = 1 to 5 do
     let o = Runner.run ~seed config in
@@ -196,7 +224,9 @@ let test_crash_after_election_harmless () =
   Alcotest.(check bool) "sanity: plain run elects" true plain.Runner.elected;
   let crash_late =
     Runner.config ~n:8 ~a0:0.1
-      ~crash_times:[ (0, plain.Runner.elected_at +. 100.) ]
+      ~fault:
+        (fault
+           (Printf.sprintf "crash(0@%.17g)" (plain.Runner.elected_at +. 100.)))
       ()
   in
   let o = Runner.run ~seed:41 crash_late in
@@ -272,11 +302,11 @@ let test_announce_matches_plain_election () =
     [ ("fault-free", 5, Runner.config ~n:8 ~a0:0.1 ());
       ( "rejoin(3@2:5)", 1,
         Runner.config ~n:8 ~a0
-          ~fault:(Faults.crash_rejoin ~node:3 ~at:2. ~rejoin_at:5.) () );
+          ~fault:(fault "rejoin(3@2:5)") () );
       ("heterogeneous links", 7, heterogeneous);
       ( "link-down(2@1:2)", 3,
         Runner.config ~n:8 ~a0
-          ~fault:(Faults.link_down ~link:2 ~from_:1. ~until:2.) () ) ]
+          ~fault:(fault "link-down(2@1:2)") () ) ]
 
 let test_announce_n2 () =
   (* Smallest ring: the announcement lap is 2 messages. *)
@@ -384,7 +414,7 @@ let test_rejoin_election_can_complete () =
      [2, 30), so elections can complete after the rejoin — active nodes
      whose token died at the crash site re-idle when the next token
      reaches them, and the rejoined node restarts from Idle. *)
-  let fault = Abe_net.Faults.crash_rejoin ~node:3 ~at:2. ~rejoin_at:30. in
+  let fault = fault "rejoin(3@2:30)" in
   let elected_after = ref 0 in
   for seed = 1 to 30 do
     let config = Runner.config ~n:6 ~a0:0.15 ~fault ~limit_time:3_000. () in
@@ -485,7 +515,7 @@ let test_announce_stall_matches_plain () =
   let config =
     Runner.config ~n:8
       ~a0:(Analysis.recommended_a0 ~theta:1. 8)
-      ~fault:(Abe_net.Faults.crash ~node:4 ~at:8.)
+      ~fault:(fault "crash(4@8)")
       ()
   in
   let plain = Runner.run ~check:true ~seed:1 config in
@@ -504,7 +534,7 @@ let test_announce_stall_matches_plain () =
     Runner.announce ~check:true ~seed:1
       (Runner.config ~n:8
          ~a0:(Analysis.recommended_a0 ~theta:1. 8)
-         ~fault:(Abe_net.Faults.crash ~node ~at:50.)
+         ~fault:(fault (Printf.sprintf "crash(%d@50)" node))
          ())
   in
   let passed = crash_at_50 3 and ahead = crash_at_50 7 in
@@ -636,12 +666,11 @@ let test_tick_decision_matches_reference () =
            sends := 0;
            let got = Runner.on_tick step () ~rng st in
            if got <> expected || (!sends = 1) <> activated then
-             Alcotest.failf "phase %a d=%d: runner %a (sent %d), reference %a"
-               Election.pp_phase phase d Election.pp_state got !sends
+             Alcotest.failf "state %a: runner %a (sent %d), reference %a"
+               Election.pp_state st Election.pp_state got !sends
                Election.pp_state expected;
            if Abe_prob.Rng.bits64 rng <> Abe_prob.Rng.bits64 reference then
-             Alcotest.failf "phase %a d=%d: streams diverged"
-               Election.pp_phase phase d
+             Alcotest.failf "state %a: streams diverged" Election.pp_state st
          done
        done)
     [ Election.Idle; Election.Active; Election.Passive; Election.Leader ]
@@ -806,7 +835,7 @@ let pooled_step variant ~config ~capped (seed, hook) =
               ?wall_deadline ~seed config))
   in
   ( outcome,
-    Option.map (Fmt.str "%a" Abe_sim.Metrics.pp) metrics,
+    Option.map Abe_sim.Metrics.report_rows metrics,
     Option.map causal_export causal,
     Option.map Abe_sim.Trace.to_jsonl trace,
     List.rev !choices )
@@ -976,6 +1005,7 @@ let () =
           Alcotest.test_case "mass samples" `Quick test_mass_samples_recorded ] );
       ( "configuration",
         [ Alcotest.test_case "validation" `Quick test_config_validation;
+          Alcotest.test_case "fault indices" `Quick test_fault_indices;
           Alcotest.test_case "naive variant" `Quick test_naive_variant_small_ring;
           Alcotest.test_case "budget exhaustion" `Quick
             test_budget_exhaustion_reported;

@@ -19,43 +19,43 @@ let sample_data seed count =
 
 let test_against_naive () =
   let values = sample_data 1 1_000 in
-  let s = feed values in
-  Alcotest.(check (float 1e-9)) "count" 1000. (float_of_int (Stats.count s));
-  Alcotest.(check (float 1e-9)) "mean" (naive_mean values) (Stats.mean s);
+  let s = Stats.summary (feed values) in
+  Alcotest.(check int) "count" 1000 s.Stats.n;
+  Alcotest.(check (float 1e-9)) "mean" (naive_mean values) s.Stats.mean;
   Alcotest.(check (float 1e-6)) "variance" (naive_variance values)
-    (Stats.variance s)
+    (s.Stats.stddev ** 2.)
 
 let test_empty () =
   let s = Stats.create () in
-  Alcotest.(check int) "count 0" 0 (Stats.count s);
+  Alcotest.(check int) "count 0" 0 (Stats.summary s).Stats.n;
   Alcotest.(check bool) "mean nan" true (Float.is_nan (Stats.mean s));
-  Alcotest.(check (float 0.)) "variance 0" 0. (Stats.variance s)
+  Alcotest.(check (float 0.)) "variance 0" 0. (Stats.summary s).Stats.stddev
 
 let test_single () =
-  let s = feed [| 42. |] in
-  Alcotest.(check (float 1e-9)) "mean" 42. (Stats.mean s);
-  Alcotest.(check (float 0.)) "variance" 0. (Stats.variance s);
-  Alcotest.(check (float 1e-9)) "min" 42. (Stats.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 42. (Stats.max_value s)
+  let s = Stats.summary (feed [| 42. |]) in
+  Alcotest.(check (float 1e-9)) "mean" 42. s.Stats.mean;
+  Alcotest.(check (float 0.)) "variance" 0. s.Stats.stddev;
+  Alcotest.(check (float 1e-9)) "min" 42. s.Stats.min;
+  Alcotest.(check (float 1e-9)) "max" 42. s.Stats.max
 
 let test_min_max_total () =
-  let s = feed [| 3.; -1.; 7.; 2. |] in
-  Alcotest.(check (float 1e-9)) "min" (-1.) (Stats.min_value s);
-  Alcotest.(check (float 1e-9)) "max" 7. (Stats.max_value s);
-  Alcotest.(check (float 1e-9)) "total" 11. (Stats.total s)
+  let t = feed [| 3.; -1.; 7.; 2. |] in
+  let s = Stats.summary t in
+  Alcotest.(check (float 1e-9)) "min" (-1.) s.Stats.min;
+  Alcotest.(check (float 1e-9)) "max" 7. s.Stats.max;
+  Alcotest.(check (float 1e-9)) "total" 11. (Stats.total t)
 
 let test_merge () =
   let values = sample_data 2 500 in
   let left = feed (Array.sub values 0 200) in
   let right = feed (Array.sub values 200 300) in
-  let merged = Stats.merge left right in
-  let whole = feed values in
-  Alcotest.(check int) "count" (Stats.count whole) (Stats.count merged);
-  Alcotest.(check (float 1e-9)) "mean" (Stats.mean whole) (Stats.mean merged);
-  Alcotest.(check (float 1e-6)) "variance" (Stats.variance whole)
-    (Stats.variance merged);
-  Alcotest.(check (float 1e-9)) "min" (Stats.min_value whole)
-    (Stats.min_value merged)
+  let merged = Stats.summary (Stats.merge left right) in
+  let whole = Stats.summary (feed values) in
+  Alcotest.(check int) "count" whole.Stats.n merged.Stats.n;
+  Alcotest.(check (float 1e-9)) "mean" whole.Stats.mean merged.Stats.mean;
+  Alcotest.(check (float 1e-6)) "variance" (whole.Stats.stddev ** 2.)
+    (merged.Stats.stddev ** 2.);
+  Alcotest.(check (float 1e-9)) "min" whole.Stats.min merged.Stats.min
 
 let test_merge_with_empty () =
   let s = feed [| 1.; 2.; 3. |] in
@@ -65,13 +65,21 @@ let test_merge_with_empty () =
   Alcotest.(check (float 1e-9)) "right empty" (Stats.mean s)
     (Stats.mean (Stats.merge s e))
 
+(* The Student-t critical value that [ci95_half_width] applies to [df]
+   degrees of freedom: the half-width over the standard error of [df + 1]
+   samples alternating 0 and 1. *)
+let t_critical_95 df =
+  let samples = Array.init (df + 1) (fun i -> float_of_int (i land 1)) in
+  let s = Stats.summary (feed samples) in
+  s.Stats.ci95_half_width /. s.Stats.std_error
+
 let test_t_critical () =
-  Alcotest.(check (float 1e-6)) "df=1" 12.706 (Stats.t_critical_95 1);
-  Alcotest.(check (float 1e-6)) "df=10" 2.228 (Stats.t_critical_95 10);
+  Alcotest.(check (float 1e-6)) "df=1" 12.706 (t_critical_95 1);
+  Alcotest.(check (float 1e-6)) "df=10" 2.228 (t_critical_95 10);
   Alcotest.(check (float 1e-6)) "df=120 exact table row" 1.980
-    (Stats.t_critical_95 120);
+    (t_critical_95 120);
   Alcotest.(check (float 1e-3)) "df large converges to normal" 1.96
-    (Stats.t_critical_95 10_000)
+    (t_critical_95 10_000)
 
 (* Regression: the critical value used to jump from 1.980 (df = 120)
    straight to 1.96 (df >= 121), so ci95_half_width dropped
@@ -81,7 +89,7 @@ let test_t_critical () =
 let test_t_critical_monotone () =
   let previous = ref infinity in
   for df = 1 to 2_000 do
-    let v = Stats.t_critical_95 df in
+    let v = t_critical_95 df in
     if v > !previous +. 1e-12 then
       Alcotest.failf "t critical not monotone at df=%d (%g > %g)" df v
         !previous;
@@ -90,7 +98,7 @@ let test_t_critical_monotone () =
     previous := v
   done;
   (* No discontinuity at the last table row. *)
-  let edge_gap = Stats.t_critical_95 120 -. Stats.t_critical_95 121 in
+  let edge_gap = t_critical_95 120 -. t_critical_95 121 in
   Alcotest.(check bool) "continuous at the table edge" true
     (edge_gap >= 0. && edge_gap < 1e-3)
 
@@ -131,7 +139,6 @@ let test_reservoir_growth () =
   for i = 1 to 10_000 do
     Stats.Reservoir.add r (float_of_int i)
   done;
-  Alcotest.(check int) "count" 10_000 (Stats.Reservoir.count r);
   Alcotest.(check int) "samples length" 10_000
     (Array.length (Stats.Reservoir.samples r))
 
@@ -140,24 +147,27 @@ let test_histogram () =
   List.iter (Stats.Histogram.add h) [ 0.; 1.9; 2.; 5.5; 9.99; -1.; 10.; 42. ];
   Alcotest.(check (array int)) "counts" [| 2; 1; 1; 0; 1 |]
     (Stats.Histogram.counts h);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Stats.Histogram.overflow h);
-  Alcotest.(check int) "total" 8 (Stats.Histogram.total h);
-  let lo, hi = Stats.Histogram.bin_bounds h 1 in
-  Alcotest.(check (float 1e-9)) "bin lo" 2. lo;
-  Alcotest.(check (float 1e-9)) "bin hi" 4. hi
+  (* The printed bins carry their bounds (bin 1 is [2, 4)); the last
+     lines count the samples outside them. *)
+  let lines = String.split_on_char '\n' (Fmt.str "%a" Stats.Histogram.pp h) in
+  Alcotest.(check string) "underflow" "underflow: 1" (List.nth lines 5);
+  Alcotest.(check string) "overflow" "overflow: 2" (List.nth lines 6);
+  let bin1 = Printf.sprintf "[%8.3g, %8.3g) %6d " 2. 4. 1 in
+  Alcotest.(check string) "bin 1 bounds" bin1
+    (String.sub (List.nth lines 1) 0 (String.length bin1))
 
 let prop_merge_equals_concat =
   QCheck.Test.make ~name:"merge == concatenation" ~count:300
     QCheck.(pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
     (fun (xs, ys) ->
        let a = feed (Array.of_list xs) and b = feed (Array.of_list ys) in
-       let merged = Stats.merge a b in
-       let whole = feed (Array.of_list (xs @ ys)) in
-       Stats.count merged = Stats.count whole
-       && (Stats.count whole = 0
-           || Float.abs (Stats.mean merged -. Stats.mean whole) < 1e-6)
-       && Float.abs (Stats.variance merged -. Stats.variance whole) < 1e-6)
+       let merged = Stats.summary (Stats.merge a b) in
+       let whole = Stats.summary (feed (Array.of_list (xs @ ys))) in
+       merged.Stats.n = whole.Stats.n
+       && (whole.Stats.n = 0
+           || Float.abs (merged.Stats.mean -. whole.Stats.mean) < 1e-6)
+       && Float.abs ((merged.Stats.stddev ** 2.) -. (whole.Stats.stddev ** 2.))
+          < 1e-6)
 
 let prop_quantile_monotone =
   QCheck.Test.make ~name:"quantiles monotone in q" ~count:200

@@ -310,7 +310,10 @@ let test_metrics_mirrored () =
   (match Elect_real.run ~metrics ~seed:3 (real_config ()) with
    | Error msg -> Alcotest.fail msg
    | Ok _ -> ());
-  let dump = Fmt.str "%a" Abe_sim.Metrics.pp metrics in
+  let dump =
+    String.concat "\n"
+      (List.map (String.concat " ") (Abe_sim.Metrics.report_rows metrics))
+  in
   List.iter
     (fun name ->
        Alcotest.(check bool) (name ^ " present") true
@@ -411,7 +414,7 @@ let test_merged_dag_telescopes () =
   let marks = Abe_sim.Causal.marks causal in
   let count lbl =
     List.length
-      (List.filter (fun m -> Abe_sim.Causal.mark_label m = lbl) marks)
+      (List.filter (fun m -> m.Abe_sim.Causal.m_label = lbl) marks)
   in
   Alcotest.(check bool) "an activation mark" true (count "activate" >= 1);
   Alcotest.(check int) "exactly one elected mark" 1 (count "elected")

@@ -23,14 +23,6 @@ let test_disabled_drops () =
   Trace.recordf t ~time:2. ~source:Trace.Sim "also %d" 42;
   Alcotest.(check int) "nothing recorded" 0 (Trace.length t)
 
-let test_toggle () =
-  let t = Trace.create ~enabled:false () in
-  Trace.set_enabled t true;
-  Trace.record t ~time:1. ~source:Trace.Sim "now";
-  Trace.set_enabled t false;
-  Trace.record t ~time:2. ~source:Trace.Sim "not";
-  Alcotest.(check int) "one entry" 1 (Trace.length t)
-
 let record_ints t n =
   for i = 1 to n do
     Trace.record t ~time:(float_of_int i) ~source:Trace.Sim (string_of_int i)
@@ -91,7 +83,7 @@ let test_recordf_disabled_is_lazy () =
       Format.pp_print_string ppf "side effect");
   Alcotest.(check int) "closure not run" 0 !evaluated;
   Alcotest.(check int) "nothing recorded" 0 (Trace.length t);
-  Trace.set_enabled t true;
+  let t = Trace.create ~enabled:true () in
   Trace.recordf t ~time:2. ~source:Trace.Sim "%t" (fun ppf ->
       incr evaluated;
       Format.pp_print_string ppf "side effect");
@@ -159,7 +151,6 @@ let () =
     [ ( "trace",
         [ Alcotest.test_case "basic" `Quick test_basic_recording;
           Alcotest.test_case "disabled" `Quick test_disabled_drops;
-          Alcotest.test_case "toggle" `Quick test_toggle;
           Alcotest.test_case "ring capacity" `Quick test_capacity_ring;
           Alcotest.test_case "wraparound boundaries" `Quick
             test_wraparound_boundaries;
