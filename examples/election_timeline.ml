@@ -28,7 +28,5 @@ let () =
      'p' passive, 'L' leader@.@."
     n;
   print_string
-    (Abe_harness.Timeline.render
-       ~labels:(Printf.sprintf "node %2d")
-       ~rows:n ~duration ~initial:'.' events);
+    (Abe_harness.Timeline.render ~rows:n ~duration ~initial:'.' events);
   Fmt.pr "@.%a@." Abe_core.Runner.pp_outcome outcome

@@ -8,16 +8,6 @@ type outcome = {
   messages : int;
 }
 
-let pp_outcome ppf o =
-  Fmt.pf ppf "elected=%b leader=%a time=%.3f messages=%d" o.elected
-    Fmt.(option ~none:(any "-") int)
-    o.leader o.elected_at o.messages
-
-let default_delay delay =
-  match delay with
-  | Some d -> d
-  | None -> Delay_model.abe_exponential ~delta:1.
-
 (* --------------------------------------------------------- Itai-Rodeh *)
 
 module Ir_net = Network.Make (struct
@@ -35,8 +25,7 @@ module Ir_net = Network.Make (struct
         t.Itai_rodeh.id t.Itai_rodeh.hop t.Itai_rodeh.bit
   end)
 
-let itai_rodeh ?delay ?(limit_time = 1e7) ?(limit_events = 100_000_000) ~seed
-    ~n () =
+let itai_rodeh ~seed ~n () =
   if n < 2 then invalid_arg "Async_baselines.itai_rodeh: n must be >= 2";
   let elected_at = ref nan in
   let leader = ref None in
@@ -64,7 +53,7 @@ let itai_rodeh ?delay ?(limit_time = 1e7) ?(limit_events = 100_000_000) ~seed
   in
   let config =
     { (Ir_net.default_config ~topology:(Topology.ring n)
-         ~delay:(default_delay delay))
+         ~delay:(Delay_model.abe_exponential ~delta:1.))
       with
       Ir_net.ticks_enabled = false;
       (* The asynchronous Itai-Rodeh algorithm assumes FIFO links — unlike
@@ -72,7 +61,8 @@ let itai_rodeh ?delay ?(limit_time = 1e7) ?(limit_events = 100_000_000) ~seed
       fifo = true }
   in
   let net =
-    Ir_net.create ~limit_time ~limit_events ~seed:(seed + 1) config handlers
+    Ir_net.create ~limit_time:1e7 ~limit_events:100_000_000 ~seed:(seed + 1)
+      config handlers
   in
   ignore (Ir_net.run net);
   let leader_count =

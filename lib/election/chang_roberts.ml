@@ -37,7 +37,7 @@ type outcome = {
   messages : int;
 }
 
-let run ?max_rounds ~seed ~n () =
+let run ~seed ~n () =
   if n < 2 then invalid_arg "Chang_roberts.run: n must be >= 2";
   (* Unique identifiers: a seed-determined random permutation of 1..n.
      The permutation is global setup, not node-local randomness — CR is an
@@ -63,7 +63,7 @@ let run ?max_rounds ~seed ~n () =
              st incoming) }
   in
   let ring = Ring.create ~seed:(seed + 1) ~n handlers in
-  let outcome = Ring.run ?max_rounds ring in
+  let outcome = Ring.run ring in
   let states = Ring.states ring in
   let leader =
     let found = ref None in

@@ -31,5 +31,5 @@ type outcome = {
   messages : int;
 }
 
-val run : ?max_rounds:int -> seed:int -> n:int -> unit -> outcome
+val run : seed:int -> n:int -> unit -> outcome
 val pp_outcome : Format.formatter -> outcome -> unit

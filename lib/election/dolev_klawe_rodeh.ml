@@ -39,7 +39,7 @@ type outcome = {
   messages : int;
 }
 
-let run ?max_rounds ~seed ~n () =
+let run ~seed ~n () =
   if n < 2 then invalid_arg "Dolev_klawe_rodeh.run: n must be >= 2";
   let ids = Array.init n (fun i -> i + 1) in
   Abe_prob.Rng.shuffle (Abe_prob.Rng.create ~seed) ids;
@@ -87,7 +87,7 @@ let run ?max_rounds ~seed ~n () =
              st incoming) }
   in
   let ring = Ring.create ~seed:(seed + 1) ~n handlers in
-  let outcome = Ring.run ?max_rounds ring in
+  let outcome = Ring.run ring in
   let states = Ring.states ring in
   let leader =
     let found = ref None in

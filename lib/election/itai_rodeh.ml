@@ -64,7 +64,7 @@ type outcome = {
   messages : int;
 }
 
-let run ?max_rounds ~seed ~n () =
+let run ~seed ~n () =
   if n < 2 then invalid_arg "Itai_rodeh.run: n must be >= 2";
   let handlers : Ring.handlers =
     { init =
@@ -88,7 +88,7 @@ let run ?max_rounds ~seed ~n () =
              st incoming) }
   in
   let ring = Ring.create ~seed ~n handlers in
-  let outcome = Ring.run ?max_rounds ring in
+  let outcome = Ring.run ring in
   let states = Ring.states ring in
   let leaders =
     Array.to_list states

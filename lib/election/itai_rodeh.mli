@@ -54,8 +54,8 @@ type outcome = {
   messages : int;        (** single-hop transmissions *)
 }
 
-val run : ?max_rounds:int -> seed:int -> n:int -> unit -> outcome
-(** One complete election.  Deterministic in [seed].
-    Default [max_rounds = 1_000_000]. *)
+val run : seed:int -> n:int -> unit -> outcome
+(** One complete election, stopped after 10{^ 6} rounds.  Deterministic
+    in [seed]. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

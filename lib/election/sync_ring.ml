@@ -112,7 +112,6 @@ module Make (P : PROTOCOL) = struct
     in
     loop ()
 
-  let state t i = t.states.(i)
   let states t = Array.copy t.states
   let round t = t.current_round
   let messages_sent t = t.total_messages

@@ -48,7 +48,6 @@ module Make (P : PROTOCOL) : sig
   (** Execute rounds until stopped, quiescent, or the limit (default
       [1_000_000]) is reached. *)
 
-  val state : t -> int -> P.state
   val states : t -> P.state array
   val round : t -> int
   val messages_sent : t -> int

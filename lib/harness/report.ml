@@ -25,11 +25,11 @@ let pp_claim ppf c =
 type throughput = {
   label : string;
   replicates : int;
-  events : int option;
+  events : int;
   elapsed : float;
 }
 
-let throughput ~label ~replicates ?events ~elapsed () =
+let throughput ~label ~replicates ~events ~elapsed () =
   if replicates < 0 then invalid_arg "Report.throughput: negative replicates";
   if not (elapsed >= 0.) then
     invalid_arg "Report.throughput: elapsed must be non-negative";
@@ -38,28 +38,22 @@ let throughput ~label ~replicates ?events ~elapsed () =
 (* Avoid infinities on sub-resolution timings. *)
 let per_second count elapsed = float_of_int count /. Float.max elapsed 1e-9
 
-let replicates_per_sec t = per_second t.replicates t.elapsed
-
-let events_per_sec t =
-  Option.map (fun events -> per_second events t.elapsed) t.events
-
 let pp_throughput ppf t =
-  Fmt.pf ppf "throughput: %s | %d replicates in %.3fs = %.1f replicates/s"
-    t.label t.replicates t.elapsed (replicates_per_sec t);
-  Option.iter
-    (fun rate -> Fmt.pf ppf ", %.3g events/s" rate)
-    (events_per_sec t)
+  Fmt.pf ppf
+    "throughput: %s | %d replicates in %.3fs = %.1f replicates/s, %.3g events/s"
+    t.label t.replicates t.elapsed (per_second t.replicates t.elapsed)
+    (per_second t.events t.elapsed)
 
-let metrics_table ?(title = "metrics") registry =
+let metrics_table registry =
   let table =
-    Table.create ~title ~columns:Abe_sim.Metrics.report_columns
+    Table.create ~title:"metrics" ~columns:Abe_sim.Metrics.report_columns
   in
   List.iter (Table.add_row table) (Abe_sim.Metrics.report_rows registry);
   table
 
-let critpath_table ?(title = "critical path vs n") rows =
+let critpath_table rows =
   let table =
-    Table.create ~title
+    Table.create ~title:"critical path vs n"
       ~columns:
         [ "n"; "elected_at"; "link"; "proc"; "idle"; "total"; "total/n";
           "hops" ]
@@ -91,9 +85,9 @@ let critpath_table ?(title = "critical path vs n") rows =
     rows;
   table
 
-let churn_table ?(title = "election under churn") rows =
+let churn_table rows =
   let table =
-    Table.create ~title
+    Table.create ~title:"election under churn"
       ~columns:
         [ "rate"; "reps"; "elected"; "success"; "time"; "link"; "proc";
           "idle"; "total" ]

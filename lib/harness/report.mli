@@ -32,45 +32,45 @@ val print_scoreboard : claim list -> unit
 type throughput = {
   label : string;             (** experiment label, e.g. "E3 sweep" *)
   replicates : int;
-  events : int option;        (** total engine events, when known *)
+  events : int;               (** total engine events *)
   elapsed : float;            (** wall-clock seconds *)
 }
 
 val throughput :
   label:string ->
   replicates:int ->
-  ?events:int ->
+  events:int ->
   elapsed:float ->
   unit ->
   throughput
 
 val pp_throughput : Format.formatter -> throughput -> unit
 (** One line, starting with ["throughput:"], with the rate of replicates
-    and, when known, of events — wall-clock dependent output, so
-    deterministic-output consumers (cram tests) filter on that prefix. *)
+    and of events — wall-clock dependent output, so deterministic-output
+    consumers (cram tests) filter on that prefix. *)
 
-val metrics_table : ?title:string -> Abe_sim.Metrics.t -> Table.t
-(** Render a metric registry as an aligned table (one row per metric,
-    sorted by name — see {!Abe_sim.Metrics.report_rows}).  The rendering
-    is deterministic: byte-identical registries yield byte-identical
-    tables, so a sequential/parallel metrics diff can [cmp] the output. *)
+val metrics_table : Abe_sim.Metrics.t -> Table.t
+(** Render a metric registry as an aligned table titled ["metrics"] (one
+    row per metric, sorted by name — see {!Abe_sim.Metrics.report_rows}).
+    The rendering is deterministic: byte-identical registries yield
+    byte-identical tables, so a sequential/parallel metrics diff can
+    [cmp] the output. *)
 
-val critpath_table :
-  ?title:string -> (int * Abe_sim.Critpath.breakdown list) list -> Table.t
-(** Critical-path scaling table: one row per [(n, replicate breakdowns)]
-    pair, reporting per-replicate means of the elected-at time, the
-    link/proc/idle attribution, the total (which telescopes to
-    elected-at), the per-node total (≈ constant under the paper's linear
-    claim) and the hop count.  Rows with no breakdowns (no replicate
-    elected) render as ["-"].  Deterministic in the input list. *)
+val critpath_table : (int * Abe_sim.Critpath.breakdown list) list -> Table.t
+(** Critical-path scaling table, titled ["critical path vs n"]: one row
+    per [(n, replicate breakdowns)] pair, reporting per-replicate means of
+    the elected-at time, the link/proc/idle attribution, the total (which
+    telescopes to elected-at), the per-node total (≈ constant under the
+    paper's linear claim) and the hop count.  Rows with no breakdowns (no
+    replicate elected) render as ["-"].  Deterministic in the input
+    list. *)
 
 val churn_table :
-  ?title:string ->
   (float * int * Abe_sim.Critpath.breakdown list) list -> Table.t
-(** Election-under-churn table: one row per [(churn rate, replicate
-    count, breakdowns of the replicates that elected)].  Reports the
-    election success frequency at that rate, the mean elected-at time
-    among successes, and the critical-path link/proc/idle attribution
-    (whose total telescopes exactly to elected-at).  All-failed rows
-    render the time columns as ["-"].  Deterministic in the input
-    list. *)
+(** Election-under-churn table, titled ["election under churn"]: one row
+    per [(churn rate, replicate count, breakdowns of the replicates that
+    elected)].  Reports the election success frequency at that rate, the
+    mean elected-at time among successes, and the critical-path
+    link/proc/idle attribution (whose total telescopes exactly to
+    elected-at).  All-failed rows render the time columns as ["-"].
+    Deterministic in the input list. *)

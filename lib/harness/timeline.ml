@@ -6,7 +6,7 @@ type event = {
 
 let width = 72
 
-let render ?labels ~rows ~duration ~initial events =
+let render ~rows ~duration ~initial events =
   if rows <= 0 then invalid_arg "Timeline.render: rows must be positive";
   if not (duration > 0. && Float.is_finite duration) then
     invalid_arg "Timeline.render: duration must be positive and finite";
@@ -34,15 +34,10 @@ let render ?labels ~rows ~duration ~initial events =
          Bytes.set strip col e.glyph
        done)
     ordered;
-  let label =
-    match labels with
-    | Some f -> f
-    | None -> Printf.sprintf "row %3d"
-  in
   let buffer = Buffer.create (rows * (width + 16)) in
   Array.iteri
     (fun row strip ->
-       Buffer.add_string buffer (label row);
+       Buffer.add_string buffer (Printf.sprintf "node %2d" row);
        Buffer.add_char buffer ' ';
        Buffer.add_bytes buffer strip;
        Buffer.add_char buffer '\n')

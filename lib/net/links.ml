@@ -7,8 +7,7 @@ type t = {
   clocks : Clock.t array;         (* by node id *)
   clock_rng : Rng.t;              (* the clock stream being drawn from *)
   mutable loss_rngs : Rng.t array;  (* by link id; empty when loss is off *)
-  mutable loss_probability : float;
-  mutable loss_schedule : (float -> float) option;
+  mutable loss_schedule : float -> float;  (* read only when loss is on *)
 }
 
 (* Validation is per-model, not per-link: a link sharing its
@@ -32,6 +31,7 @@ let rec validate_models models i =
    from a young value empties the minor heap, and the ones after it then
    find their placeholder already promoted. *)
 let no_model = Delay_model.abd_deterministic ~delay:0.
+let no_loss = Fun.const 0.
 
 let allocate topology =
   let blank = Rng.create ~seed:0 in
@@ -54,8 +54,7 @@ let allocate topology =
     clocks = fill clocks (fun () -> Clock.create Clock.perfect ~rng:blank);
     clock_rng = blank;
     loss_rngs = [||];
-    loss_probability = 0.;
-    loss_schedule = None }
+    loss_schedule = no_loss }
 
 (* Every stream in the DESIGN §6k order, split into [t]'s existing
    buffers: bit for bit what fresh [Rng.split]s of the same master would
@@ -78,59 +77,47 @@ let derive t ~seed ~clock_spec ~loss =
     Array.iter (fun into -> Rng.split_into master ~into) t.loss_rngs
   else t.loss_rngs <- Array.init links (fun _ -> Rng.split master)
 
-let create ?reuse ~seed ~clock_spec ?loss_schedule ~loss_probability
-    ~delay_of_link topology =
-  if not (loss_probability >= 0. && loss_probability <= 1.) then
-    Error "loss_probability outside [0,1]"
-  else
-    let links = Topology.links topology in
-    let t =
-      match reuse with
-      | None -> allocate topology
-      | Some t ->
-        if
-          Array.length t.models <> Array.length links
-          || Array.length t.clocks <> Topology.node_count topology
-        then invalid_arg "Links.create: reuse has another shape";
-        t
-    in
-    Array.iteri
-      (fun i link ->
-         (* Unchanged on every run of one configuration: skip the write
-            barrier. *)
-         let model = delay_of_link link in
-         if t.models.(i) != model then t.models.(i) <- model)
-      links;
-    match validate_models t.models 0 with
-    | Error _ as e -> e
-    | Ok () ->
-      derive t ~seed ~clock_spec
-        ~loss:(loss_probability <> 0. || loss_schedule <> None);
-      t.loss_probability <- loss_probability;
-      t.loss_schedule <- loss_schedule;
-      Ok t
+let create ?reuse ~seed ~clock_spec ?loss_schedule ~delay_of_link topology =
+  let links = Topology.links topology in
+  let t =
+    match reuse with
+    | None -> allocate topology
+    | Some t ->
+      if
+        Array.length t.models <> Array.length links
+        || Array.length t.clocks <> Topology.node_count topology
+      then invalid_arg "Links.create: reuse has another shape";
+      t
+  in
+  Array.iteri
+    (fun i link ->
+       (* Unchanged on every run of one configuration: skip the write
+          barrier. *)
+       let model = delay_of_link link in
+       if t.models.(i) != model then t.models.(i) <- model)
+    links;
+  match validate_models t.models 0 with
+  | Error _ as e -> e
+  | Ok () ->
+    derive t ~seed ~clock_spec ~loss:(loss_schedule <> None);
+    t.loss_schedule <- Option.value loss_schedule ~default:no_loss;
+    Ok t
 
 let[@inline] delay t link ~now =
   Delay_model.sample_at t.models.(link) ~now t.delay_rngs.(link)
 
 let draw_loss t link ~now =
-  let p =
-    match t.loss_schedule with
-    | None -> t.loss_probability
-    | Some schedule ->
-      let p = schedule now in
-      (* NaN fails both comparisons; p = 1 is legal — an always-drop
-         interval. *)
-      if not (p >= 0. && p <= 1.) then
-        invalid_arg
-          (Printf.sprintf
-             "Links: loss_schedule returned %g (outside [0,1]) at t=%g" p now);
-      p
-  in
+  let p = t.loss_schedule now in
+  (* NaN fails both comparisons; p = 1 is legal — an always-drop
+     interval. *)
+  if not (p >= 0. && p <= 1.) then
+    invalid_arg
+      (Printf.sprintf "Links: loss_schedule returned %g (outside [0,1]) at t=%g"
+         p now);
   p > 0. && Rng.bernoulli t.loss_rngs.(link) p
 
 (* Inlined so that a send on a loss-free network pays one length test and
-   no call (loss streams exist exactly when loss can be non-zero). *)
+   no call (loss streams exist exactly when a schedule is set). *)
 let[@inline] lost t link ~now =
   Array.length t.loss_rngs > 0 && draw_loss t link ~now
 

@@ -10,8 +10,8 @@
     + one delay stream per link, by link id;
     + a (handler, clock) pair per node, by node id — the clock stream
       draws the node's {!Clock} and nothing else;
-    + one loss stream per link, by link id — split only when the loss
-      probability is non-zero or a loss schedule is set.
+    + one loss stream per link, by link id — split only when a loss
+      schedule is set.
 
     New streams may only ever be appended: every seeded result depends on
     this order.
@@ -27,16 +27,19 @@ val create :
   seed:int ->
   clock_spec:Clock.spec ->
   ?loss_schedule:(float -> float) ->
-  loss_probability:float ->
   delay_of_link:(Topology.link -> Delay_model.t) ->
   Topology.t ->
   (t, string) result
 (** Split the streams, draw every node's clock from its clock stream, and
-    validate the model: every link's delay model (once per physically
-    distinct model — configs overwhelmingly share one model across all
-    links) and [loss_probability] in [\[0,1\]].  The error names the
-    offending link (["link 3: ..."]); callers prefix it with their own
-    name.
+    validate every link's delay model (once per physically distinct
+    model — configs overwhelmingly share one model across all links).  The
+    error names the offending link (["link 3: ..."]); callers prefix it
+    with their own name.
+
+    [loss_schedule] is the loss probability as a function of time, the
+    only loss input: [Fun.const p] is constant loss [p].  Without it no
+    message is lost.  Its values are checked where they are consumed, by
+    {!lost}.
 
     [reuse] re-derives an earlier model of the same shape in place and
     returns it: every delay model is looked up again, every stream is
@@ -54,10 +57,11 @@ val delay : t -> int -> now:float -> float
 
 val lost : t -> int -> now:float -> bool
 (** [lost t link ~now] is the loss verdict of a message sent on [link] at
-    [now]: the schedule's value at [now] (or the constant probability),
-    then a Bernoulli draw on the link's loss stream.  A probability of 0
-    draws nothing.  Schedules are arbitrary closures, so their value is
-    checked here, where it is consumed.
+    [now]: the schedule's value at [now], then a Bernoulli draw on the
+    link's loss stream.  Without a schedule it is [false] at the cost of
+    one length test; a probability of 0 draws nothing.  Schedules are
+    arbitrary closures, so their value is checked here, where it is
+    consumed.
     @raise Invalid_argument if the schedule returns a value outside
     [\[0,1\]]. *)
 

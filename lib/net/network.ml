@@ -43,7 +43,6 @@ module Config = struct
     proc_delay : Dist.t option;
     clock_spec : Clock.spec;
     fifo : bool;
-    loss_probability : float;
     loss_schedule : (float -> float) option;
     crash_times : (int * float) list;
     revive_times : (int * float) list;
@@ -57,7 +56,6 @@ module Config = struct
       proc_delay = None;
       clock_spec = Clock.perfect;
       fifo = false;
-      loss_probability = 0.;
       loss_schedule = None;
       crash_times = [];
       revive_times = [];
@@ -875,7 +873,6 @@ module Make (P : PROTOCOL) = struct
       match
         Links.create ?reuse:(Option.map (fun t -> t.model) reuse) ~seed
           ~clock_spec:config.clock_spec ?loss_schedule:config.loss_schedule
-          ~loss_probability:config.loss_probability
           ~delay_of_link:config.delay_of_link topo
       with
       | Ok model -> model

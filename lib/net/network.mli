@@ -83,20 +83,17 @@ type config = {
       (** event-processing time distribution (mean γ); [None] = instant *)
   clock_spec : Clock.spec;
   fifo : bool;
-  loss_probability : float;
-      (** per-message drop probability for failure-injection tests;
-          the ABE model itself folds losses into the delay
-          (Section 1(iii)), so this defaults to 0. *)
   loss_schedule : (float -> float) option;
-      (** time-varying loss probability for fault injection: when set, it
-          overrides [loss_probability]; the returned value must lie in
-          [\[0,1]] and is validated at every sample ([Invalid_argument]
-          otherwise — schedules are arbitrary closures, so the output can
-          only be checked where it is consumed).  Loss draws come from a
-          dedicated per-link RNG stream ({!Links}), so any schedule
-          (including the constant-0 one) leaves delay draws
-          byte-identical.
-          Default: [None]. *)
+      (** per-message drop probability as a function of time, for fault
+          injection; [Some (Fun.const p)] is constant loss [p].  The ABE
+          model itself folds losses into the delay (Section 1(iii)), so
+          the default is [None]: nothing is lost.  The returned value must
+          lie in [\[0,1]] and is validated at every sample
+          ([Invalid_argument] otherwise — schedules are arbitrary
+          closures, so the output can only be checked where it is
+          consumed).  Loss draws come from a dedicated per-link RNG stream
+          ({!Links}), so any schedule (including the constant-0 one)
+          leaves delay draws byte-identical. *)
   crash_times : (int * float) list;
       (** crash failure injection: [(node, time)] pairs — from [time] on,
           the node processes no events (messages to it are counted in
@@ -159,7 +156,6 @@ module Make (P : PROTOCOL) : sig
     proc_delay : Abe_prob.Dist.t option;
     clock_spec : Clock.spec;
     fifo : bool;
-    loss_probability : float;
     loss_schedule : (float -> float) option;
     crash_times : (int * float) list;
     revive_times : (int * float) list;
@@ -188,9 +184,9 @@ module Make (P : PROTOCOL) : sig
       from [seed]; installing an [observer] consumes no randomness and
       changes no stream; streams, delays and loss verdicts come from
       {!Links}.  Every link's delay model is validated (see
-      {!Links.create}), as are [proc_delay], [loss_probability] and
-      [crash_times]; invalid configuration raises [Invalid_argument] here
-      rather than deep inside a run.
+      {!Links.create}), as are [proc_delay] and [crash_times]; invalid
+      configuration raises [Invalid_argument] here rather than deep inside
+      a run.
 
       When a [metrics] registry is supplied the network (and its engine)
       record into it: counters ["net/sent"], ["net/delivered"],

@@ -66,11 +66,6 @@ let bidirectional_ring n =
 
 let both (a, b) = [ (a, b); (b, a) ]
 
-let line n =
-  if n < 2 then invalid_arg "Topology.line: needs at least 2 nodes";
-  create ~nodes:n
-    ~edges:(List.concat_map both (List.init (n - 1) (fun i -> (i, i + 1))))
-
 let star n =
   if n < 2 then invalid_arg "Topology.star: needs at least 2 nodes";
   create ~nodes:n

@@ -44,9 +44,6 @@ val ring : int -> t
     [n >= 2].  Link [i] is the link out of node [i]. *)
 
 val bidirectional_ring : int -> t
-val line : int -> t
-(** Bidirectional path [0 - 1 - ... - n-1]. *)
-
 val star : int -> t
 (** Node 0 is the hub; bidirectional spokes. *)
 

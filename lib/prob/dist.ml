@@ -6,7 +6,6 @@ type t =
   | Hyperexponential of { branches : (float * float) array }
   | Lomax of { alpha : float; scale : float }
   | Retransmission of { success : float; slot : float }
-  | Scaled of { base : t; factor : float }
 
 let positive name x = if not (x > 0. && Float.is_finite x) then
     invalid_arg (Printf.sprintf "Dist.%s: must be positive and finite (got %g)" name x)
@@ -14,7 +13,7 @@ let positive name x = if not (x > 0. && Float.is_finite x) then
 let non_negative name x = if not (x >= 0. && Float.is_finite x) then
     invalid_arg (Printf.sprintf "Dist.%s: must be non-negative and finite (got %g)" name x)
 
-let rec validate = function
+let validate = function
   | Deterministic v -> non_negative "deterministic" v
   | Uniform { lo; hi } ->
     non_negative "uniform lo" lo;
@@ -41,7 +40,6 @@ let rec validate = function
     positive "retransmission slot" slot;
     if not (success > 0. && success <= 1.) then
       invalid_arg "Dist.retransmission: success probability outside (0,1]"
-  | Scaled { base; factor } -> positive "scaled factor" factor; validate base
 
 let checked d = validate d; d
 
@@ -68,9 +66,8 @@ let lomax ~alpha ~mean =
   checked (Lomax { alpha; scale = mean *. (alpha -. 1.) })
 
 let retransmission ~success ~slot = checked (Retransmission { success; slot })
-let scaled base ~factor = checked (Scaled { base; factor })
 
-let rec sample d rng =
+let sample d rng =
   match d with
   | Deterministic v -> v
   | Uniform { lo; hi } -> Rng.float_range rng ~lo ~hi
@@ -95,9 +92,8 @@ let rec sample d rng =
     scale *. ((u ** (-1. /. alpha)) -. 1.)
   | Retransmission { success; slot } ->
     slot *. float_of_int (Rng.geometric rng ~p:success)
-  | Scaled { base; factor } -> factor *. sample base rng
 
-let rec mean = function
+let mean = function
   | Deterministic v -> v
   | Uniform { lo; hi } -> 0.5 *. (lo +. hi)
   | Exponential { mean } -> mean
@@ -106,10 +102,9 @@ let rec mean = function
     Array.fold_left (fun acc (w, m) -> acc +. (w *. m)) 0. branches
   | Lomax { alpha; scale } -> scale /. (alpha -. 1.)
   | Retransmission { success; slot } -> slot /. success
-  | Scaled { base; factor } -> factor *. mean base
 
 (* Second raw moment, used for variances of compound distributions. *)
-let rec second_moment = function
+let second_moment = function
   | Deterministic v -> Some (v *. v)
   | Uniform { lo; hi } -> Some (((lo *. lo) +. (lo *. hi) +. (hi *. hi)) /. 3.)
   | Exponential { mean } -> Some (2. *. mean *. mean)
@@ -129,8 +124,6 @@ let rec second_moment = function
     let et = 1. /. p in
     let vart = (1. -. p) /. (p *. p) in
     Some (slot *. slot *. (vart +. (et *. et)))
-  | Scaled { base; factor } ->
-    Option.map (fun m2 -> factor *. factor *. m2) (second_moment base)
 
 let variance d =
   match second_moment d with
@@ -168,14 +161,11 @@ let rec cdf d x =
       (* Delay = slot * Geometric(p): a step function. *)
       let trials = Float.to_int (Float.floor (x /. slot)) in
       Some (1. -. ((1. -. success) ** float_of_int trials))
-    | Scaled { base; factor } -> cdf base (x /. factor)
 
-let rec support_upper_bound = function
+let support_upper_bound = function
   | Deterministic v -> Some v
   | Uniform { hi; _ } -> Some hi
   | Exponential _ | Erlang _ | Hyperexponential _ | Lomax _ | Retransmission _ -> None
-  | Scaled { base; factor } ->
-    Option.map (fun b -> b *. factor) (support_upper_bound base)
 
 let bounded_support d = Option.is_some (support_upper_bound d)
 
@@ -188,7 +178,7 @@ let same_mean_family ~mean:m =
     ("lomax-2.5", lomax ~alpha:2.5 ~mean:m);
     ("retransmission-p=0.25", retransmission ~success:0.25 ~slot:(m *. 0.25)) ]
 
-let rec pp ppf = function
+let pp ppf = function
   | Deterministic v -> Fmt.pf ppf "det(%g)" v
   | Uniform { lo; hi } -> Fmt.pf ppf "unif[%g,%g]" lo hi
   | Exponential { mean } -> Fmt.pf ppf "exp(mean=%g)" mean
@@ -199,6 +189,3 @@ let rec pp ppf = function
       branches
   | Lomax { alpha; scale } -> Fmt.pf ppf "lomax(alpha=%g,scale=%g)" alpha scale
   | Retransmission { success; slot } -> Fmt.pf ppf "retx(p=%g,slot=%g)" success slot
-  | Scaled { base; factor } -> Fmt.pf ppf "%g*%a" factor pp base
-
-let to_string d = Fmt.str "%a" pp d

@@ -31,8 +31,6 @@ type t =
           [slot] time and succeeds with probability [success]; the delay is
           [slot * number_of_attempts] where the attempt count is
           geometric.  Mean [slot /. success]; unbounded support. *)
-  | Scaled of { base : t; factor : float }
-      (** [factor * base], [factor > 0]. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument if any parameter is out of range. *)
@@ -52,7 +50,6 @@ val lomax : alpha:float -> mean:float -> t
 (** Lomax with the given tail index [alpha > 1] and mean. *)
 
 val retransmission : success:float -> slot:float -> t
-val scaled : t -> factor:float -> t
 
 (** {1 Sampling and moments} *)
 
@@ -89,4 +86,3 @@ val same_mean_family : mean:float -> (string * t) list
     with the given mean. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

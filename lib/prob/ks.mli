@@ -22,9 +22,6 @@ type verdict = {
   accept : bool;  (** [d_statistic <= threshold] *)
 }
 
-val test : samples:float array -> cdf:(float -> float) -> alpha:float -> verdict
-(** Full test at significance level [alpha]. *)
-
 val test_dist :
   samples:float array -> dist:Dist.t -> alpha:float -> verdict option
 (** Convenience wrapper testing against {!Dist.cdf}; [None] when the

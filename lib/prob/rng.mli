@@ -81,6 +81,3 @@ val normal : t -> mu:float -> sigma:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element.  Requires a non-empty array. *)

@@ -4,39 +4,19 @@ type t = {
   mutable m2 : float;  (* sum of squared deviations from the running mean *)
   mutable min : float;
   mutable max : float;
-  mutable total : float;
 }
 
 let create () =
-  { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity; total = 0. }
+  { n = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity }
 
 let add t x =
   t.n <- t.n + 1;
-  t.total <- t.total +. x;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let na = float_of_int a.n and nb = float_of_int b.n in
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. nb /. (na +. nb)) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. (na +. nb)) in
-    { n;
-      mean;
-      m2;
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-      total = a.total +. b.total }
-  end
-
-let total t = t.total
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 let stddev t = sqrt (variance t)

@@ -9,11 +9,6 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val merge : t -> t -> t
-(** [merge a b] is a fresh accumulator equivalent to having seen the samples
-    of [a] followed by those of [b].  [a] and [b] are unchanged. *)
-
-val total : t -> float
 val mean : t -> float
 (** Mean of the samples seen so far; [nan] if empty. *)
 

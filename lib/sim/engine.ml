@@ -350,15 +350,15 @@ let schedule_from t ~tag ~footprint ~times i action =
   t.live <- t.live + 1;
   if t.live > t.max_depth then t.max_depth <- t.live
 
-let schedule_at t ?(tag = -1) ?(footprint = 0) ~time action =
+let schedule_at t ~time action =
   t.at.(0) <- time;
-  schedule_from t ~tag ~footprint ~times:t.at 0 action
+  schedule_from t ~tag:(-1) ~footprint:0 ~times:t.at 0 action
 
-let schedule t ?(tag = -1) ?(footprint = 0) ~delay action =
+let schedule t ~delay action =
   if not (delay >= 0. && Float.is_finite delay) then
     invalid_arg "Engine.schedule: delay must be non-negative and finite";
   t.at.(0) <- t.clock.(0) +. delay;
-  schedule_from t ~tag ~footprint ~times:t.at 0 action
+  schedule_from t ~tag:(-1) ~footprint:0 ~times:t.at 0 action
 
 let stop t = t.stop_requested <- true
 

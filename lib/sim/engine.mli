@@ -158,17 +158,12 @@ val create :
 val now : t -> float
 (** Current virtual time. *)
 
-val schedule :
-  t -> ?tag:int -> ?footprint:int -> delay:float -> (unit -> unit) -> unit
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be
-    non-negative and finite.  [tag] (default [-1]) is the scheduling class
-    used by the scheduler's per-class FIFO constraint; it has no effect
-    without a scheduler.  [footprint] (default [0] = unknown) is the
-    entity bitmask surfaced to schedulers as {!candidate.c_foot}; like
-    [tag], it is pure metadata with no effect on execution. *)
+    non-negative and finite.  The event has no scheduling class and an
+    unknown footprint ({!schedule_from} with [tag = -1], [footprint = 0]). *)
 
-val schedule_at :
-  t -> ?tag:int -> ?footprint:int -> time:float -> (unit -> unit) -> unit
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant.  [time] must be [>= now t] — except under a
     scheduler, where an already-overtaken [time] is clamped to [now]
     (reordering may legitimately advance the clock past a time computed
@@ -177,11 +172,15 @@ val schedule_at :
 val schedule_from :
   t -> tag:int -> footprint:int -> times:float array -> int ->
   (unit -> unit) -> unit
-(** [schedule_from t ~tag ~footprint ~times i f] is
-    [schedule_at t ~tag ~footprint ~time:times.(i) f], with the time read
-    from the caller's flat array (as {!Pqueue.add_at} does): no float is
-    boxed at the call and no optional argument is wrapped in [Some].  Hot
-    per-event paths schedule through it. *)
+(** [schedule_from t ~tag ~footprint ~times i f] runs [f] at [times.(i)],
+    under the rules of {!schedule_at}, with the time read from the
+    caller's flat array (as {!Pqueue.add_at} does): no float is boxed at
+    the call.  Hot per-event paths schedule through it.  [tag] is the
+    scheduling class used by the scheduler's per-class FIFO constraint
+    ([-1]: none); it has no effect without a scheduler.  [footprint]
+    ([0] = unknown) is the entity bitmask surfaced to schedulers as
+    {!candidate.c_foot}; like [tag], it is pure metadata with no effect on
+    execution. *)
 
 val stop : t -> unit
 (** Request termination: [run] returns {!Stopped} after the current action

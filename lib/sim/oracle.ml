@@ -8,16 +8,15 @@ type violation = {
 type t = {
   mutable stored : violation list;  (* newest first *)
   mutable total : int;
-  capacity : int;
 }
 
-let create ?(capacity = 200) () =
-  if capacity < 1 then invalid_arg "Oracle.create: capacity must be >= 1";
-  { stored = []; total = 0; capacity }
+let capacity = 200
+
+let create () = { stored = []; total = 0 }
 
 let report t ~time ~invariant ~subject detail =
   t.total <- t.total + 1;
-  if t.total <= t.capacity then
+  if t.total <= capacity then
     t.stored <- { time; invariant; subject; detail } :: t.stored
 
 let reportf t ~time ~invariant ~subject fmt =

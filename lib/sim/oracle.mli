@@ -20,9 +20,9 @@ type violation = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Fresh oracle.  The first [capacity] (default 200) violations are
-    stored; later ones are dropped. *)
+val create : unit -> t
+(** Fresh oracle.  The first 200 violations are stored; later ones are
+    dropped. *)
 
 val reportf :
   t -> time:float -> invariant:string -> subject:string ->

@@ -121,8 +121,3 @@ let to_jsonl t =
     t;
   Option.iter (Buffer.add_string buffer) (truncation_json t);
   Buffer.contents buffer
-
-let clear t =
-  Array.fill t.buffer 0 t.capacity None;
-  t.next <- 0;
-  t.count <- 0

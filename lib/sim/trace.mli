@@ -69,4 +69,3 @@ val output_jsonl : out_channel -> t -> unit
 val to_jsonl : t -> string
 (** Same serialisation as {!output_jsonl}, as a string. *)
 
-val clear : t -> unit

@@ -19,21 +19,11 @@ let open_fd_count () =
 type config = {
   topology : Topology.t;
   delay_of_link : Topology.link -> Delay_model.t;
-  loss_probability : float;
   clock_spec : Clock.spec;
   scale : float;
   wall_timeout : float;
   spawn_mode : spawn_mode;
 }
-
-let default_config ~topology ~delay =
-  { topology;
-    delay_of_link = (fun _ -> delay);
-    loss_probability = 0.;
-    clock_spec = Clock.perfect;
-    scale = 0.005;
-    wall_timeout = 60.;
-    spawn_mode = Domains }
 
 type outcome = {
   stopped : bool;
@@ -296,7 +286,6 @@ module Make (P : PROTOCOL) = struct
          same coins as Network. *)
       match
         Links.create ~seed ~clock_spec:config.clock_spec
-          ~loss_probability:config.loss_probability
           ~delay_of_link:config.delay_of_link topo
       with
       | Error msg -> Error ("cluster: " ^ msg)

@@ -11,10 +11,11 @@
     emulates ABE link behaviour in wall-clock time.  Each accepted frame
     draws a transit delay from the link's {!Abe_net.Delay_model} (in
     simulated-time units, converted by [scale] seconds per unit) and is
-    held in a {!Holdq} until due; per-link Bernoulli loss drops frames
-    before they are held.  Streams, delays and loss verdicts all come from
-    {!Abe_net.Links}, the link model the simulator uses, so a worker's
-    activation coin sequence is draw-for-draw the simulator's.
+    held in a {!Holdq} until due, unless {!Abe_net.Links.lost} drops it
+    first.  A cluster sets no loss schedule, so that verdict is always
+    false and costs one length test.  Streams, delays and loss verdicts all
+    come from {!Abe_net.Links}, the link model the simulator uses, so a
+    worker's activation coin sequence is draw-for-draw the simulator's.
 
     Workers tick at the integer local times of their {!Abe_net.Clock}
     (absolute wall deadlines derived from the shared start instant, so
@@ -40,18 +41,12 @@ val open_fd_count : unit -> int option
 type config = {
   topology : Abe_net.Topology.t;
   delay_of_link : Abe_net.Topology.link -> Abe_net.Delay_model.t;
-  loss_probability : float;
   clock_spec : Abe_net.Clock.spec;
   scale : float;  (** wall seconds per simulated-time unit, > 0 *)
   wall_timeout : float;
       (** wall seconds before the router abandons the run, > 0 *)
   spawn_mode : spawn_mode;
 }
-
-val default_config :
-  topology:Abe_net.Topology.t -> delay:Abe_net.Delay_model.t -> config
-(** No loss, perfect clocks, [scale = 0.005], [wall_timeout = 60],
-    [Domains] workers. *)
 
 type outcome = {
   stopped : bool;        (** a worker requested global stop *)

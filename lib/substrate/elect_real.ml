@@ -2,20 +2,19 @@ open Abe_core
 
 type config = {
   election : Runner.config;
-  loss_probability : float;
   scale : float;
   wall_timeout : float;
   spawn_mode : Cluster.spawn_mode;
 }
 
-let config ?a0 ?params ?delay ?(loss_probability = 0.) ?(scale = 0.005)
+let config ?a0 ?params ?delay ?(scale = 0.005)
     ?(wall_timeout = 60.) ?(spawn_mode = Cluster.Domains) ~n () =
   let election = Runner.config ?a0 ?params ?delay ~n () in
   if election.Runner.params.Params.gamma > 0. then
     invalid_arg
       "Elect_real.config: the real backend does not emulate processing time \
        (gamma must be 0)";
-  { election; loss_probability; scale; wall_timeout; spawn_mode }
+  { election; scale; wall_timeout; spawn_mode }
 
 type outcome = {
   elected : bool;
@@ -58,7 +57,6 @@ let run ?metrics ?telemetry ?snapshots ~seed config =
   let cluster_config =
     { Cluster.topology = election.Runner.topology;
       delay_of_link = (fun _ -> election.Runner.delay);
-      loss_probability = config.loss_probability;
       clock_spec = election.Runner.params.Params.clock;
       scale = config.scale;
       wall_timeout = config.wall_timeout;

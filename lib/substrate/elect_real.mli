@@ -13,7 +13,6 @@
 type config = private {
   election : Abe_core.Runner.config;
       (** ring size, [a0], parameters, delay model and the ring itself *)
-  loss_probability : float;
   scale : float;  (** wall seconds per simulated time unit *)
   wall_timeout : float;
   spawn_mode : Cluster.spawn_mode;
@@ -23,7 +22,6 @@ val config :
   ?a0:float ->
   ?params:Abe_core.Params.t ->
   ?delay:Abe_net.Delay_model.t ->
-  ?loss_probability:float ->
   ?scale:float ->
   ?wall_timeout:float ->
   ?spawn_mode:Cluster.spawn_mode ->

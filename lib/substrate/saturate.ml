@@ -21,7 +21,7 @@ let percentile sorted q =
   if len = 0 then nan
   else sorted.(min (len - 1) (int_of_float (q *. float_of_int (len - 1))))
 
-let run ?(a0 = 0.3) ?params ?(scale = 0.005) ?(wall_timeout = 30.)
+let run ?(a0 = 0.3) ?(scale = 0.005) ?(wall_timeout = 30.)
     ?telemetry_out ~n ~elections ~concurrency ~seed () =
   if elections < 1 then Error "saturate: elections must be >= 1"
   else if concurrency < 1 || concurrency > 256 then
@@ -33,7 +33,7 @@ let run ?(a0 = 0.3) ?params ?(scale = 0.005) ?(wall_timeout = 30.)
           threads (cap 2048); lower n or concurrency"
          concurrency n (n * concurrency))
   else begin
-    match Elect_real.config ~a0 ?params ~scale ~wall_timeout
+    match Elect_real.config ~a0 ~scale ~wall_timeout
             ~spawn_mode:Cluster.Threads ~n ()
     with
     | exception Invalid_argument msg -> Error msg

@@ -27,7 +27,6 @@ type report = {
 
 val run :
   ?a0:float ->
-  ?params:Abe_core.Params.t ->
   ?scale:float ->
   ?wall_timeout:float ->
   ?telemetry_out:out_channel ->

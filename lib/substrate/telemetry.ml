@@ -26,8 +26,8 @@ type mark_record = { mk_span : int; mk_at : float; mk_label : string }
 let proc_bytes = 42
 let mark_header_bytes = 25
 
-(* Flush worker blobs into a fresh frame past this size; far below
-   [Wire.max_body] so a chunk always fits one frame. *)
+(* Flush worker blobs into a fresh frame past this size; far below the
+   wire's 16 MiB body bound, so a chunk always fits one frame. *)
 let chunk_bytes = 1 lsl 20
 
 let encode_proc buf p =

@@ -47,10 +47,6 @@ val version : int
 val min_version : int
 (** Oldest version {!decode_body} still accepts. *)
 
-val max_body : int
-(** Upper bound on an accepted body length; a larger length prefix is
-    treated as stream corruption. *)
-
 val encode : frame -> bytes
 (** Complete wire image: length prefix, header, body. *)
 

@@ -54,8 +54,7 @@ module Make (A : Sync_alg.S) = struct
       Hashtbl.remove w.inbox pulse;
       List.rev messages
 
-  let run ?proc_delay ?(clock_spec = Clock.perfect) ?(limit_time = infinity)
-      ?(limit_events = max_int) ?scheduler ?oracle ~seed ~topology ~delay
+  let run ?(limit_events = max_int) ?scheduler ?oracle ~seed ~topology ~delay
       ~pulses ~window () =
     if pulses < 1 then invalid_arg "Abd_sync.run: pulses must be >= 1";
     if window < 1 then invalid_arg "Abd_sync.run: window must be >= 1";
@@ -137,14 +136,9 @@ module Make (A : Sync_alg.S) = struct
                incr violation_count;
              w) }
     in
-    let config =
-      { (Net.default_config ~topology ~delay) with
-        Net.proc_delay;
-        clock_spec;
-        ticks_enabled = true }
-    in
     let net =
-      Net.create ?scheduler ~limit_time ~limit_events ~seed config handlers
+      Net.create ?scheduler ~limit_events ~seed
+        (Net.default_config ~topology ~delay) handlers
     in
     net_ref := Some net;
     let outcome = Net.run net in

@@ -17,7 +17,9 @@
     messages per round; staying below that bound forces ABD assumptions.
 
     Pulse windows are measured in clock ticks: a node advances to the next
-    pulse every [window] local ticks. *)
+    pulse every [window] local ticks.  [run] uses perfect clocks and
+    instant processing; {!required_window} sizes a window for drifting
+    clocks too. *)
 
 module Make (A : Sync_alg.S) : sig
   type run = {
@@ -29,9 +31,6 @@ module Make (A : Sync_alg.S) : sig
   }
 
   val run :
-    ?proc_delay:Abe_prob.Dist.t ->
-    ?clock_spec:Abe_net.Clock.spec ->
-    ?limit_time:float ->
     ?limit_events:int ->
     ?scheduler:Abe_sim.Engine.scheduler ->
     ?oracle:Skew.t ->

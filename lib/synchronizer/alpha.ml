@@ -72,8 +72,7 @@ module Make (A : Sync_alg.S) = struct
       Hashtbl.remove w.inbox pulse;
       List.rev messages
 
-  let run ?proc_delay ?(clock_spec = Clock.perfect) ?(limit_time = infinity)
-      ?(limit_events = max_int) ?scheduler ?oracle ~seed ~topology ~delay
+  let run ?(limit_events = max_int) ?scheduler ?oracle ~seed ~topology ~delay
       ~pulses () =
     if pulses < 1 then invalid_arg "Alpha.run: pulses must be >= 1";
     let n = Topology.node_count topology in
@@ -174,13 +173,10 @@ module Make (A : Sync_alg.S) = struct
              w) }
     in
     let config =
-      { (Net.default_config ~topology ~delay) with
-        Net.proc_delay;
-        clock_spec;
-        ticks_enabled = false }
+      { (Net.default_config ~topology ~delay) with Net.ticks_enabled = false }
     in
     let net =
-      Net.create ?scheduler ~limit_time ~limit_events ~seed config handlers
+      Net.create ?scheduler ~limit_events ~seed config handlers
     in
     let outcome = Net.run net in
     let completed =

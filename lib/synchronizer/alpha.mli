@@ -28,9 +28,6 @@ module Make (A : Sync_alg.S) : sig
   }
 
   val run :
-    ?proc_delay:Abe_prob.Dist.t ->
-    ?clock_spec:Abe_net.Clock.spec ->
-    ?limit_time:float ->
     ?limit_events:int ->
     ?scheduler:Abe_sim.Engine.scheduler ->
     ?oracle:Skew.t ->
@@ -45,6 +42,9 @@ module Make (A : Sync_alg.S) : sig
       exploration, see {!Abe_sim.Engine}); an [oracle] receives a
       {!Skew.Pulse_entered} event at every pulse transition and a
       {!Skew.Payload_received} at every payload arrival — certify with
-      [skew_bound = 1].  Neither perturbs the run.
+      [skew_bound = 1].  Neither perturbs the run.  Processing is instant
+      and no node ticks or reads a clock, so [delay] is the run's only
+      timing parameter, as in Theorem 1; the same holds for {!Beta} and
+      {!Gamma}.
       @raise Invalid_argument if the topology is not symmetric. *)
 end

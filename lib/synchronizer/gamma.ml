@@ -161,8 +161,7 @@ module Make (A : Sync_alg.S) = struct
 
   let count table key = Option.value ~default:0 (Hashtbl.find_opt table key)
 
-  let run ?proc_delay ?(clock_spec = Clock.perfect) ?(limit_time = infinity)
-      ?(limit_events = max_int) ?scheduler ?oracle ~seed ~topology ~delay
+  let run ?(limit_events = max_int) ?scheduler ?oracle ~seed ~topology ~delay
       ~pulses ~radius () =
     if pulses < 1 then invalid_arg "Gamma.run: pulses must be >= 1";
     let n = Topology.node_count topology in
@@ -329,13 +328,10 @@ module Make (A : Sync_alg.S) = struct
         on_message }
     in
     let config =
-      { (Net.default_config ~topology ~delay) with
-        Net.proc_delay;
-        clock_spec;
-        ticks_enabled = false }
+      { (Net.default_config ~topology ~delay) with Net.ticks_enabled = false }
     in
     let net =
-      Net.create ?scheduler ~limit_time ~limit_events ~seed config handlers
+      Net.create ?scheduler ~limit_events ~seed config handlers
     in
     let outcome = Net.run net in
     let completed =

@@ -45,9 +45,6 @@ module Make (A : Sync_alg.S) : sig
   }
 
   val run :
-    ?proc_delay:Abe_prob.Dist.t ->
-    ?clock_spec:Abe_net.Clock.spec ->
-    ?limit_time:float ->
     ?limit_events:int ->
     ?scheduler:Abe_sim.Engine.scheduler ->
     ?oracle:Skew.t ->

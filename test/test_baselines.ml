@@ -148,13 +148,6 @@ let test_async_ir_elects_with_fifo () =
       Alcotest.failf "seed %d: %d leaders" seed o.Async_baselines.leader_count
   done
 
-let test_async_on_heavy_tail_delays () =
-  let delay =
-    Abe_net.Delay_model.of_dist (Abe_prob.Dist.lomax ~alpha:2.5 ~mean:1.)
-  in
-  let ir = Async_baselines.itai_rodeh ~delay ~seed:3 ~n:10 () in
-  Alcotest.(check bool) "ir elects" true ir.Async_baselines.elected
-
 let prop_ir_unique_leader =
   QCheck.Test.make ~name:"Itai-Rodeh never elects two leaders" ~count:60
     QCheck.(pair (int_range 2 24) small_int)
@@ -199,9 +192,7 @@ let () =
       ("growth", [ Alcotest.test_case "shapes" `Slow test_growth_shapes ]);
       ( "async-adapters",
         [ Alcotest.test_case "IR on ABE with FIFO" `Quick
-            test_async_ir_elects_with_fifo;
-          Alcotest.test_case "heavy-tail delays" `Quick
-            test_async_on_heavy_tail_delays ] );
+            test_async_ir_elects_with_fifo ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_ir_unique_leader; prop_cr_leader_position; prop_dkr_unique ] ) ]

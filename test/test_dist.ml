@@ -38,8 +38,7 @@ let moment_cases =
     ("erlang", Dist.erlang ~shape:4 ~mean:2.);
     ("hyperexp", Dist.hyperexponential_cv2 ~mean:1. ~cv2:4.);
     ("lomax", Dist.lomax ~alpha:2.5 ~mean:1.);
-    ("retransmission", Dist.retransmission ~success:0.25 ~slot:0.5);
-    ("scaled", Dist.scaled (Dist.uniform ~lo:0. ~hi:2.) ~factor:3.) ]
+    ("retransmission", Dist.retransmission ~success:0.25 ~slot:0.5) ]
 
 let test_moments () =
   List.iter (fun (name, dist) -> check_moments ~name dist) moment_cases
@@ -77,11 +76,7 @@ let test_support_bounds () =
     (Dist.bounded_support (Dist.deterministic 1.));
   Alcotest.(check bool)
     "retransmission is not ABD" false
-    (Dist.bounded_support (Dist.retransmission ~success:0.5 ~slot:1.));
-  Alcotest.(check (option (float 1e-9)))
-    "scaled bound" (Some 6.)
-    (Dist.support_upper_bound
-       (Dist.scaled (Dist.uniform ~lo:0. ~hi:2.) ~factor:3.))
+    (Dist.bounded_support (Dist.retransmission ~success:0.5 ~slot:1.))
 
 let test_same_mean_family () =
   let family = Dist.same_mean_family ~mean:2. in
@@ -110,9 +105,7 @@ let test_validation_errors () =
   expect_invalid "retransmission p>1" (fun () ->
       Dist.retransmission ~success:1.5 ~slot:1.);
   expect_invalid "hyperexp cv2 < 1" (fun () ->
-      Dist.hyperexponential_cv2 ~mean:1. ~cv2:0.5);
-  expect_invalid "scaled factor 0" (fun () ->
-      Dist.scaled (Dist.deterministic 1.) ~factor:0.)
+      Dist.hyperexponential_cv2 ~mean:1. ~cv2:0.5)
 
 let test_hyperexp_collapses_to_exponential () =
   match Dist.hyperexponential_cv2 ~mean:2. ~cv2:1. with
@@ -124,7 +117,7 @@ let test_pp_smoke () =
   List.iter
     (fun (_, dist) ->
        Alcotest.(check bool) "printable" true
-         (String.length (Dist.to_string dist) > 0))
+         (String.length (Fmt.to_to_string Dist.pp dist) > 0))
     moment_cases
 
 let test_cdf_closed_forms () =
@@ -143,10 +136,7 @@ let test_cdf_closed_forms () =
   check "retransmission step" (Dist.retransmission ~success:0.5 ~slot:1.) 2.5 0.75;
   (match Dist.cdf (Dist.erlang ~shape:4 ~mean:1.) 1. with
    | None -> ()
-   | Some _ -> Alcotest.fail "erlang shape>1 should have no closed form");
-  (* Scaling composes with the base cdf. *)
-  check "scaled" (Dist.scaled (Dist.exponential ~mean:1.) ~factor:2.) 2.
-    (1. -. exp (-1.))
+   | Some _ -> Alcotest.fail "erlang shape>1 should have no closed form")
 
 let test_cdf_monotone_and_bounded () =
   List.iter
@@ -220,7 +210,7 @@ let arbitrary_dist =
           (fun p -> Dist.retransmission ~success:(0.05 +. (0.9 *. p)) ~slot:1.)
           (float_bound_exclusive 1.) ]
   in
-  QCheck.make base ~print:Dist.to_string
+  QCheck.make base ~print:(Fmt.to_to_string Dist.pp)
 
 let prop_samples_within_support =
   QCheck.Test.make ~name:"samples within declared support" ~count:200

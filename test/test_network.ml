@@ -108,7 +108,7 @@ let test_fifo_preserves_order () =
 
 let test_loss_accounting () =
   let config =
-    { (burst_config ~fifo:false) with Net.loss_probability = 0.5 }
+    { (burst_config ~fifo:false) with Net.loss_schedule = Some (Fun.const 0.5) }
   in
   let net = Net.create ~seed:9 config burst_handlers in
   ignore (Net.run net);
@@ -118,6 +118,32 @@ let test_loss_accounting () =
     (stats.Network.delivered + stats.Network.lost);
   Alcotest.(check bool) "some lost" true (stats.Network.lost > 20);
   Alcotest.(check bool) "some delivered" true (stats.Network.delivered > 20)
+
+(* One constant-loss run, pinned: the stats and the trace of the burst
+   (seed 11, loss 0.3) are the digests recorded when [Network.config] had
+   a constant loss-probability field beside the schedule.  A constant
+   schedule draws from the same loss stream with the same Bernoulli
+   probability, so it reproduces both. *)
+let test_constant_loss_golden () =
+  let trace = Abe_sim.Trace.create ~enabled:true () in
+  let config =
+    { (burst_config ~fifo:false) with Net.loss_schedule = Some (Fun.const 0.3) }
+  in
+  let net = Net.create ~trace ~seed:11 config burst_handlers in
+  ignore (Net.run net);
+  let s = Net.stats net in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let stats =
+    Printf.sprintf "%d %d %d %d %d %d [%s] [%s]" s.Network.sent
+      s.Network.delivered s.Network.lost s.Network.crashed_drops
+      s.Network.link_drops s.Network.ticks (ints s.Network.sent_per_node)
+      (ints s.Network.delivered_per_node)
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "stats md5" "26855e5fef2e64a9d1b54ca4452ce2c8"
+    (md5 stats);
+  Alcotest.(check string) "trace md5" "cd953f9e605df255a8f4b0c2cb22b225"
+    (md5 (Abe_sim.Trace.to_jsonl trace))
 
 let test_processing_delay_serialises () =
   (* Three messages arrive at node 1 at t=1 (deterministic delay); handling
@@ -277,16 +303,14 @@ let test_crash_validation () =
    every message delivered in a lossy run arrives at exactly the time it
    arrives in the loss-free run. *)
 let test_loss_delay_decoupling () =
-  let arrivals ~loss =
-    let config =
-      { (burst_config ~fifo:false) with Net.loss_probability = loss }
-    in
+  let arrivals loss_schedule =
+    let config = { (burst_config ~fifo:false) with Net.loss_schedule } in
     let net = Net.create ~seed:41 config burst_handlers in
     ignore (Net.run net);
     (Net.state net 1).Proto.received
   in
-  let reference = arrivals ~loss:0. in
-  let lossy = arrivals ~loss:0.4 in
+  let reference = arrivals None in
+  let lossy = arrivals (Some (Fun.const 0.4)) in
   Alcotest.(check int) "reference delivers all" 100 (List.length reference);
   Alcotest.(check bool) "lossy run lost some" true (List.length lossy < 100);
   Alcotest.(check bool) "lossy run delivered some" true (List.length lossy > 0);
@@ -363,13 +387,23 @@ let test_link_model_validation () =
            (String.starts_with ~prefix:"Network.create: link 1: " msg)
        | _ -> Alcotest.failf "expected rejection of factor %g" factor)
     [ Float.nan; -2.; 0.; Float.infinity ];
+  (* A loss probability out of range is the schedule's value, checked when
+     a send samples it: a network that sends nothing accepts it, and the
+     burst's first send (during [create]'s init) rejects it. *)
   List.iter
-    (fun loss_probability ->
-       let config = { (burst_config ~fifo:false) with Net.loss_probability } in
+    (fun p ->
+       let config =
+         { (burst_config ~fifo:false) with
+           Net.loss_schedule = Some (Fun.const p) }
+       in
+       ignore (Net.create ~seed:1 config (recorder ()));
        match Net.create ~seed:1 config burst_handlers with
-       | exception Invalid_argument _ -> ()
-       | _ ->
-         Alcotest.failf "loss probability %g must be rejected" loss_probability)
+       | exception Invalid_argument msg ->
+         Alcotest.(check bool)
+           (Printf.sprintf "rejected at the sample (%s)" msg)
+           true
+           (String.starts_with ~prefix:"Links: loss_schedule returned" msg)
+       | _ -> Alcotest.failf "loss probability %g must be rejected" p)
     [ -0.1; 1.5; Float.nan ]
 
 let count_events events kind =
@@ -390,7 +424,7 @@ let test_observer_sees_every_event () =
   let events = ref [] in
   let observer ~time:_ ~stats:_ ~in_flight:_ ev = events := ev :: !events in
   let config =
-    { (burst_config ~fifo:false) with Net.loss_probability = 0.3 }
+    { (burst_config ~fifo:false) with Net.loss_schedule = Some (Fun.const 0.3) }
   in
   let net = Net.create ~observer ~seed:17 config burst_handlers in
   ignore (Net.run net);
@@ -650,7 +684,7 @@ let test_pool_occupancy_zero_at_quiescence () =
     (fun (what, crash_times, revive_times, link_downs) ->
        let config =
          { (burst_config ~fifo:false) with
-           Net.loss_probability = 0.3;
+           Net.loss_schedule = Some (Fun.const 0.3);
            crash_times;
            revive_times;
            link_downs }
@@ -777,7 +811,8 @@ let prop_conservation =
     QCheck.(pair small_int (float_bound_inclusive 0.8))
     (fun (seed, loss) ->
        let config =
-         { (burst_config ~fifo:false) with Net.loss_probability = loss }
+         { (burst_config ~fifo:false) with
+           Net.loss_schedule = Some (Fun.const loss) }
        in
        let net = Net.create ~seed config burst_handlers in
        ignore (Net.run net);
@@ -795,7 +830,8 @@ let test_links_layout () =
   List.iter
     (fun (seed, delay, handler, clock, loss) ->
        match
-         Links.create ~seed ~clock_spec:Clock.perfect ~loss_probability:0.5
+         Links.create ~seed ~clock_spec:Clock.perfect
+           ~loss_schedule:(Fun.const 0.5)
            ~delay_of_link:(fun _ -> Delay_model.abd_deterministic ~delay:1.)
            (Topology.ring 4)
        with
@@ -856,9 +892,9 @@ let prop_links_replay =
   in
   let loss_of kind p =
     match kind with
-    | 0 -> (0., None)
-    | 1 -> (p, None)
-    | _ -> (0., Some (fun t -> if t < 1. then p else 1. -. p))
+    | 0 -> None
+    | 1 -> Some (Fun.const p)
+    | _ -> Some (fun t -> if t < 1. then p else 1. -. p)
   in
   let gen =
     QCheck.Gen.(
@@ -880,10 +916,10 @@ let prop_links_replay =
        let delay_of_link (link : Topology.link) =
          models.(link.Topology.id mod 2)
        in
-       let loss_probability, loss_schedule = loss_of loss p in
+       let loss_schedule = loss_of loss p in
        let config =
          { (Net.default_config ~topology ~delay:models.(0)) with
-           Net.delay_of_link; loss_probability; loss_schedule;
+           Net.delay_of_link; loss_schedule;
            ticks_enabled = false }
        in
        let sends = ref [] in
@@ -900,7 +936,7 @@ let prop_links_replay =
        ignore (Net.run net);
        match
          Links.create ~seed ~clock_spec:Clock.perfect ?loss_schedule
-           ~loss_probability ~delay_of_link topology
+           ~delay_of_link topology
        with
        | Error msg -> QCheck.Test.fail_report msg
        | Ok replay ->
@@ -924,7 +960,7 @@ let reuse_config ~n ~fifo ~lossy ~drift ~gamma =
        ~delay:(Delay_model.abe_exponential ~delta:0.5))
     with
     Net.fifo;
-    loss_probability = (if lossy then 0.2 else 0.);
+    loss_schedule = (if lossy then Some (Fun.const 0.2) else None);
     proc_delay = (if gamma then Some (Abe_prob.Dist.exponential ~mean:0.2) else None);
     clock_spec =
       (if drift then Clock.spec ~s_low:0.8 ~s_high:1.25 else Clock.perfect);
@@ -1096,7 +1132,7 @@ let golden_config =
        ~delay:(Delay_model.abd_deterministic ~delay:1.))
     with
     Net.proc_delay = Some (Abe_prob.Dist.deterministic 0.25);
-    loss_probability = 0.2;
+    loss_schedule = Some (Fun.const 0.2);
     link_downs = [ (0, 3.5, 5.5) ];
     crash_times = [ (0, 7.5) ];
     revive_times = [ (0, 9.) ] }
@@ -1246,7 +1282,9 @@ let () =
           Alcotest.test_case "bad link" `Quick test_send_bad_link_rejected;
           Alcotest.test_case "non-fifo reorders" `Quick test_non_fifo_reorders;
           Alcotest.test_case "fifo preserves" `Quick test_fifo_preserves_order;
-          Alcotest.test_case "loss accounting" `Quick test_loss_accounting ] );
+          Alcotest.test_case "loss accounting" `Quick test_loss_accounting;
+          Alcotest.test_case "constant loss golden" `Quick
+            test_constant_loss_golden ] );
       ( "nodes",
         [ Alcotest.test_case "processing serialises" `Quick
             test_processing_delay_serialises;

@@ -162,14 +162,6 @@ let test_shuffle_permutation () =
   Alcotest.(check bool) "not identity (overwhelming probability)" true
     (arr <> Array.init 100 Fun.id)
 
-let test_pick () =
-  let rng = Rng.create ~seed:53 in
-  let arr = [| 10; 20; 30 |] in
-  for _ = 1 to 100 do
-    let v = Rng.pick rng arr in
-    Alcotest.(check bool) "picked element member" true (Array.mem v arr)
-  done
-
 let test_invalid_args () =
   let rng = Rng.create ~seed:59 in
   Alcotest.check_raises "int 0" (Invalid_argument "Rng.int: bound must be positive")
@@ -183,8 +175,6 @@ let test_invalid_args () =
   Alcotest.check_raises "geometric 0"
     (Invalid_argument "Rng.geometric: p outside (0,1]") (fun () ->
         ignore (Rng.geometric rng ~p:0.));
-  Alcotest.check_raises "pick empty" (Invalid_argument "Rng.pick: empty array")
-    (fun () -> ignore (Rng.pick rng [||]));
   Alcotest.check_raises "int_range inverted"
     (Invalid_argument "Rng.int_range: requires lo <= hi") (fun () ->
         ignore (Rng.int_range rng ~lo:2 ~hi:1))
@@ -385,7 +375,6 @@ let () =
           Alcotest.test_case "normal moments" `Quick test_normal_moments ] );
       ( "utilities",
         [ Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
-          Alcotest.test_case "pick member" `Quick test_pick;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

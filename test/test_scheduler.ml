@@ -61,8 +61,11 @@ let test_per_tag_fifo () =
   let e = Engine.create ~scheduler:(pick_last ~window:1. ()) () in
   let order = ref [] in
   let note label () = order := label :: !order in
-  ignore (Engine.schedule_at e ~tag:7 ~time:1.0 (note "first@7"));
-  ignore (Engine.schedule_at e ~tag:7 ~time:1.1 (note "second@7"));
+  let class_7 time label =
+    Engine.schedule_from e ~tag:7 ~footprint:0 ~times:[| time |] 0 (note label)
+  in
+  class_7 1.0 "first@7";
+  class_7 1.1 "second@7";
   ignore (Engine.schedule_at e ~time:1.2 (note "free"));
   ignore (Engine.run e);
   let order = List.rev !order in

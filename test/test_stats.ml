@@ -39,31 +39,11 @@ let test_single () =
   Alcotest.(check (float 1e-9)) "max" 42. s.Stats.max
 
 let test_min_max_total () =
-  let t = feed [| 3.; -1.; 7.; 2. |] in
-  let s = Stats.summary t in
+  let s = Stats.summary (feed [| 3.; -1.; 7.; 2. |]) in
   Alcotest.(check (float 1e-9)) "min" (-1.) s.Stats.min;
   Alcotest.(check (float 1e-9)) "max" 7. s.Stats.max;
-  Alcotest.(check (float 1e-9)) "total" 11. (Stats.total t)
-
-let test_merge () =
-  let values = sample_data 2 500 in
-  let left = feed (Array.sub values 0 200) in
-  let right = feed (Array.sub values 200 300) in
-  let merged = Stats.summary (Stats.merge left right) in
-  let whole = Stats.summary (feed values) in
-  Alcotest.(check int) "count" whole.Stats.n merged.Stats.n;
-  Alcotest.(check (float 1e-9)) "mean" whole.Stats.mean merged.Stats.mean;
-  Alcotest.(check (float 1e-6)) "variance" (whole.Stats.stddev ** 2.)
-    (merged.Stats.stddev ** 2.);
-  Alcotest.(check (float 1e-9)) "min" whole.Stats.min merged.Stats.min
-
-let test_merge_with_empty () =
-  let s = feed [| 1.; 2.; 3. |] in
-  let e = Stats.create () in
-  Alcotest.(check (float 1e-9)) "left empty" (Stats.mean s)
-    (Stats.mean (Stats.merge e s));
-  Alcotest.(check (float 1e-9)) "right empty" (Stats.mean s)
-    (Stats.mean (Stats.merge s e))
+  Alcotest.(check (float 1e-9)) "total" 11.
+    (s.Stats.mean *. float_of_int s.Stats.n)
 
 (* The Student-t critical value that [ci95_half_width] applies to [df]
    degrees of freedom: the half-width over the standard error of [df + 1]
@@ -156,19 +136,6 @@ let test_histogram () =
   Alcotest.(check string) "bin 1 bounds" bin1
     (String.sub (List.nth lines 1) 0 (String.length bin1))
 
-let prop_merge_equals_concat =
-  QCheck.Test.make ~name:"merge == concatenation" ~count:300
-    QCheck.(pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
-    (fun (xs, ys) ->
-       let a = feed (Array.of_list xs) and b = feed (Array.of_list ys) in
-       let merged = Stats.summary (Stats.merge a b) in
-       let whole = Stats.summary (feed (Array.of_list (xs @ ys))) in
-       merged.Stats.n = whole.Stats.n
-       && (whole.Stats.n = 0
-           || Float.abs (merged.Stats.mean -. whole.Stats.mean) < 1e-6)
-       && Float.abs ((merged.Stats.stddev ** 2.) -. (whole.Stats.stddev ** 2.))
-          < 1e-6)
-
 let prop_quantile_monotone =
   QCheck.Test.make ~name:"quantiles monotone in q" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 1 50) (float_range (-10.) 10.))
@@ -190,9 +157,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "single" `Quick test_single;
           Alcotest.test_case "min/max/total" `Quick test_min_max_total ] );
-      ( "merge",
-        [ Alcotest.test_case "split halves" `Quick test_merge;
-          Alcotest.test_case "with empty" `Quick test_merge_with_empty ] );
       ( "confidence",
         [ Alcotest.test_case "t critical" `Quick test_t_critical;
           Alcotest.test_case "t critical monotone" `Quick
@@ -206,4 +170,4 @@ let () =
       ("histogram", [ Alcotest.test_case "binning" `Quick test_histogram ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_merge_equals_concat; prop_quantile_monotone ] ) ]
+          [ prop_quantile_monotone ] ) ]

@@ -98,7 +98,7 @@ let test_multiple_messages_same_round () =
   let ring = Ring.create ~seed:1 ~n:3 handlers in
   ignore (Ring.run ring);
   Alcotest.(check (list int)) "delivered in sending order" [ 1; 2; 3 ]
-    (Ring.state ring 1)
+    (Ring.states ring).(1)
 
 let test_rng_is_per_node () =
   let draws = Array.make 4 0 in

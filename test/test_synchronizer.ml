@@ -94,19 +94,6 @@ let test_alpha_control_cost_theorem1 () =
   Alcotest.(check int) "one ack per payload" r.Alpha_bfs.payload_messages
     r.Alpha_bfs.ack_messages
 
-let test_alpha_correct_under_drift_and_proc () =
-  let n = 8 in
-  let topology = Topology.bidirectional_ring n in
-  let r =
-    Alpha_bfs.run
-      ~proc_delay:(Abe_prob.Dist.exponential ~mean:0.1)
-      ~clock_spec:(Clock.spec ~s_low:0.5 ~s_high:2.)
-      ~seed:5 ~topology ~delay:abe_delay ~pulses:((n / 2) + 2) ()
-  in
-  Alcotest.(check bool) "completed" true r.Alpha_bfs.completed;
-  Alcotest.(check bool) "correct" true
-    (Array.map Sync_alg.Bfs.distance r.Alpha_bfs.states = ring_distances n)
-
 let test_alpha_rejects_asymmetric () =
   match
     Alpha_bfs.run ~seed:1 ~topology:(Topology.ring 4) ~delay:abe_delay
@@ -281,19 +268,6 @@ let test_gamma_interpolates_cost () =
          (r.Gamma_bfs.control_per_pulse >= float_of_int (n - 1)))
     [ 0; 1; 2; 20 ]
 
-let test_gamma_under_drift_and_processing () =
-  let n = 10 in
-  let topology = Topology.bidirectional_ring n in
-  let r =
-    Gamma_bfs.run
-      ~proc_delay:(Abe_prob.Dist.exponential ~mean:0.1)
-      ~clock_spec:(Clock.spec ~s_low:0.5 ~s_high:2.)
-      ~seed:31 ~topology ~delay:abe_delay ~pulses:((n / 2) + 2) ~radius:1 ()
-  in
-  Alcotest.(check bool) "completed" true r.Gamma_bfs.completed;
-  Alcotest.(check bool) "correct" true
-    (Array.map Sync_alg.Bfs.distance r.Gamma_bfs.states = ring_distances n)
-
 let test_required_window () =
   (* Perfect clocks: window ~ hard bound + slack. *)
   (match Abd_sync.required_window ~hard_bound:2. ~clock_spec:Clock.perfect ~pulses:50 with
@@ -448,8 +422,6 @@ let () =
             test_alpha_flood_correct_on_abe;
           Alcotest.test_case "Theorem 1 control cost" `Quick
             test_alpha_control_cost_theorem1;
-          Alcotest.test_case "drift + processing" `Quick
-            test_alpha_correct_under_drift_and_proc;
           Alcotest.test_case "asymmetric rejected" `Quick
             test_alpha_rejects_asymmetric ] );
       ( "beta",
@@ -474,9 +446,7 @@ let () =
             test_gamma_bfs_correct_on_abe;
           Alcotest.test_case "grid" `Quick test_gamma_on_grid;
           Alcotest.test_case "cost interpolation" `Quick
-            test_gamma_interpolates_cost;
-          Alcotest.test_case "drift + processing" `Quick
-            test_gamma_under_drift_and_processing ] );
+            test_gamma_interpolates_cost ] );
       ( "abd-sync",
         [ Alcotest.test_case "required window" `Quick test_required_window;
           Alcotest.test_case "zero violations on ABD" `Quick

@@ -28,13 +28,6 @@ let test_bidirectional_ring_n2 () =
   let t = Topology.bidirectional_ring 2 in
   Alcotest.(check int) "two links, deduped" 2 (Topology.link_count t)
 
-let test_line () =
-  let t = Topology.line 4 in
-  Alcotest.(check int) "links" 6 (Topology.link_count t);
-  Alcotest.(check (option int)) "diameter" (Some 3) (Topology.diameter t);
-  Alcotest.(check int) "end degree" 1 (Topology.out_degree t 0);
-  Alcotest.(check int) "middle degree" 2 (Topology.out_degree t 1)
-
 let test_star () =
   let t = Topology.star 5 in
   Alcotest.(check int) "hub degree" 4 (Topology.out_degree t 0);
@@ -202,8 +195,7 @@ let () =
           Alcotest.test_case "not symmetric" `Quick
             test_unidirectional_not_symmetric ] );
       ( "families",
-        [ Alcotest.test_case "line" `Quick test_line;
-          Alcotest.test_case "star" `Quick test_star;
+        [ Alcotest.test_case "star" `Quick test_star;
           Alcotest.test_case "complete" `Quick test_complete;
           Alcotest.test_case "grid" `Quick test_grid;
           Alcotest.test_case "hypercube" `Quick test_hypercube;

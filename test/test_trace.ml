@@ -90,19 +90,6 @@ let test_recordf_disabled_is_lazy () =
   Alcotest.(check int) "closure runs when enabled" 1 !evaluated;
   Alcotest.(check int) "recorded when enabled" 1 (Trace.length t)
 
-let test_clear () =
-  let t = Trace.create ~capacity:2 ~enabled:true () in
-  record_ints t 3;  (* wrapped: count > capacity *)
-  Trace.clear t;
-  Alcotest.(check int) "empty" 0 (Trace.length t);
-  Alcotest.(check int) "dropped reset" 0 (Trace.dropped t);
-  Alcotest.(check bool) "no entries" true (Trace.entries t = []);
-  (* Recording after clear restarts seq from 0 and fills from the start. *)
-  record_ints t 2;
-  Alcotest.(check (list int)) "seq restarts" [ 0; 1 ]
-    (List.map (fun e -> e.Trace.seq) (Trace.entries t));
-  Alcotest.(check (list string)) "entries after clear" [ "1"; "2" ] (messages t)
-
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
@@ -157,7 +144,6 @@ let () =
           Alcotest.test_case "recordf" `Quick test_recordf_formats;
           Alcotest.test_case "recordf disabled is lazy" `Quick
             test_recordf_disabled_is_lazy;
-          Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "pp" `Quick test_pp_smoke;
           Alcotest.test_case "jsonl" `Quick test_jsonl;
           Alcotest.test_case "jsonl truncation" `Quick test_jsonl_truncation ] )
