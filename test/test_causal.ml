@@ -269,6 +269,56 @@ let test_golden_lossy () =
   check_golden "lossy" (json, critpath)
     ("0c43fd4c683f820bf890dba32f611ae6", "none")
 
+(* sim-observed's configuration, every hook on: at n = 48 the run records
+   about 6,100 spans, so it crosses many chunk boundaries of the
+   recorder.  The span export, the critical path and every metric row are
+   pinned. *)
+let test_golden_observed () =
+  let n = 48 in
+  let config =
+    Runner.config ~n ~a0:(Analysis.recommended_a0 ~theta:1. n)
+      ~params:Params.default ()
+  in
+  let metrics = Abe_sim.Metrics.create () in
+  let causal = Abe_sim.Causal.create () in
+  let outcome = Runner.run ~metrics ~causal ~check:true ~seed:1 config in
+  Alcotest.(check bool) "elected" true outcome.Runner.elected;
+  Alcotest.(check int) "spans" 6000 (Abe_sim.Causal.span_count causal);
+  let file = Filename.temp_file "abe_golden" ".json" in
+  let json =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+         let oc = open_out_bin file in
+         Abe_sim.Causal.output_trace_json oc causal;
+         close_out oc;
+         let ic = open_in_bin file in
+         let json = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         json)
+  in
+  let critpath =
+    match Abe_sim.Critpath.analyze causal with
+    | None -> "none"
+    | Some b -> Format.asprintf "%a" Abe_sim.Critpath.pp b
+  in
+  check_golden "n=48 observed" (json, critpath)
+    ("06691f672a70b4e5aec004e0b68276e1", 
+       "critpath: total=120.995 link=40.550 proc=0.000 idle=80.445 hops=48 spans=97");
+  let rows = Abe_sim.Metrics.report_rows metrics in
+  let line = String.concat " " in
+  Alcotest.(check (list string)) "engine rows"
+    [ "engine/executed counter 11808 - - - - - -";
+      "engine/queue_depth histogram 11808 - 48.279 47.2584 47.2584 50 50" ]
+    (List.filter_map
+       (fun row ->
+          if String.starts_with ~prefix:"engine/" (List.hd row) then
+            Some (line row)
+          else None)
+       rows);
+  Alcotest.(check string) "metric rows md5" "701493ea414d1c0c54422b231c653042"
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map line rows))))
+
 (* Retention: with every hook on (sim-observed's configuration), a run
    keeps its spans in major-heap chunks and promotes next to nothing:
    ~0.6 words per event in the dev profile, where a DAG of per-span heap
@@ -435,6 +485,8 @@ let () =
           Alcotest.test_case "golden ring" `Quick test_golden_ring;
           Alcotest.test_case "golden proc delay" `Quick test_golden_proc_delay;
           Alcotest.test_case "golden lossy" `Quick test_golden_lossy;
+          Alcotest.test_case "golden observed n=48" `Quick
+            test_golden_observed;
           Alcotest.test_case "retention" `Quick test_retention;
           Alcotest.test_case "many labels" `Quick test_many_labels;
           Alcotest.test_case "span words" `Quick test_span_words ]

@@ -208,6 +208,82 @@ let test_engine_instrumentation () =
   Alcotest.(check int) "engine/executed counter" n1
     (Metrics.counter_value (Metrics.counter m1 "engine/executed"))
 
+exception Boom
+
+(* Event [k] (counting from 1) schedules [k mod 4] children until 60
+   events have been scheduled, so the queue depth rises, falls and ends
+   at 0. *)
+let depth_program e ~on_event =
+  let scheduled = ref 0 and fired = ref 0 in
+  let rec spawn delay =
+    if !scheduled < 60 then begin
+      incr scheduled;
+      Abe_sim.Engine.schedule e ~delay event
+    end
+  and event () =
+    incr fired;
+    on_event !fired;
+    for j = 1 to !fired mod 4 do
+      spawn (0.25 *. float_of_int j)
+    done
+  in
+  for j = 1 to 6 do
+    spawn (0.5 *. float_of_int j)
+  done
+
+let engine_rows m =
+  List.filter_map
+    (fun row ->
+       if String.starts_with ~prefix:"engine/" (List.hd row) then
+         Some (String.concat " " row)
+       else None)
+    (Metrics.report_rows m)
+
+let check_engine_metrics what e m rows =
+  Alcotest.(check int) (what ^ ": engine/executed")
+    (Abe_sim.Engine.executed_events e)
+    (Metrics.counter_value (Metrics.counter m "engine/executed"));
+  Alcotest.(check (list string)) (what ^ ": rows") rows (engine_rows m)
+
+(* The engine's metrics reach the registry on every exit from [run]: a
+   run cut by its event budget, one ended by [Engine.stop] and one whose
+   action raises, each followed by another run.  The rows are pinned. *)
+let test_engine_metrics_every_exit () =
+  let module E = Abe_sim.Engine in
+  let cut =
+    [ "engine/executed counter 25 - - - - - -";
+      "engine/queue_depth histogram 25 - 11.24 10.834 16.7084 18 18" ]
+  in
+  let full =
+    [ "engine/executed counter 60 - - - - - -";
+      "engine/queue_depth histogram 60 - 13 12.8839 21.6681 23.6292 24" ]
+  in
+  let m = Metrics.create () in
+  let e = E.create ~metrics:m ~limit_events:25 () in
+  depth_program e ~on_event:ignore;
+  Alcotest.(check bool) "budget hit" true (E.run e = E.Hit_event_limit);
+  check_engine_metrics "budget" e m cut;
+  Alcotest.(check bool) "budget still hit" true (E.run e = E.Hit_event_limit);
+  check_engine_metrics "budget, run again" e m cut;
+  let m = Metrics.create () in
+  let e = E.create ~metrics:m () in
+  depth_program e ~on_event:(fun k -> if k = 25 then E.stop e);
+  Alcotest.(check bool) "stopped" true (E.run e = E.Stopped);
+  check_engine_metrics "stop" e m cut;
+  Alcotest.(check bool) "resumed" true (E.run e = E.Drained);
+  check_engine_metrics "stop, resumed" e m full;
+  let m = Metrics.create () in
+  let e = E.create ~metrics:m () in
+  depth_program e ~on_event:(fun k -> if k = 25 then raise Boom);
+  Alcotest.check_raises "action raises" Boom (fun () ->
+      ignore (E.run e : E.outcome));
+  check_engine_metrics "raise" e m cut;
+  Alcotest.(check bool) "resumed" true (E.run e = E.Drained);
+  (* The raising event scheduled no children. *)
+  check_engine_metrics "raise, resumed" e m
+    [ "engine/executed counter 60 - - - - - -";
+      "engine/queue_depth histogram 60 - 12.8 12.8839 19.8697 23 23" ]
+
 (* Reference model: the sparse Hashtbl histogram the dense one replaced,
    with its bucketing formula, quantile walk, merge and row rendering. *)
 module Reference = struct
@@ -493,6 +569,8 @@ let () =
           Alcotest.test_case "report rows" `Quick test_report_rows;
           Alcotest.test_case "engine instrumentation" `Quick
             test_engine_instrumentation;
+          Alcotest.test_case "engine metrics on every exit" `Quick
+            test_engine_metrics_every_exit;
           Alcotest.test_case "bucket table" `Quick test_bucket_table;
           Alcotest.test_case "observe rejects infinity" `Quick
             test_observe_rejects_infinity;
