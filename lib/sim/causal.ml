@@ -18,10 +18,12 @@ type shape =
    - [t_begin], [t_busy] (a transit stores its [t_begin]) and [t_end].
 
    That is 48 bytes per span, and no pointer is written, so no write
-   barrier is paid.  Chunks are never copied, and each one is larger than
-   the minor heap's largest block, so it is allocated straight into the
-   major heap: a long run promotes next to nothing as it grows. *)
-let chunk_bits = 9
+   barrier is paid.  A chunk holds 64 spans: each of its arrays is 192
+   words, under the minor heap's largest block (256 words), so a chunk is
+   allocated in the minor heap.  A recorder that lives for one election
+   dies there with its chunks; one that outlives a minor collection has
+   them promoted once, and chunks are never copied again. *)
+let chunk_bits = 6
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 
@@ -36,7 +38,6 @@ let o_meta = 2
 let cause_bits = 32
 let cause_mask = (1 lsl cause_bits) - 1
 let id_limit = 1 lsl 31
-let lamport_limit = 1 lsl 31
 
 let[@inline] order_lamport order = order lsr cause_bits
 let[@inline] order_cause order = (order land cause_mask) - 1
@@ -56,23 +57,34 @@ let kind_mask = 3
 let label_shift = 2
 let label_limit = 1 lsl 30
 let track_shift = 32
-let track_limit = 1 lsl 31
 
 let[@inline] meta_kind meta = meta land kind_mask
 let[@inline] meta_label meta = (meta lsr label_shift) land (label_limit - 1)
 let[@inline] meta_track meta = meta lsr track_shift
 
-(* The physical-equality fast path of label interning scans this many of
-   the first interned labels before hashing. *)
+(* On a miss of the one-entry label cache, interning scans this many of
+   the first interned labels by physical equality before hashing. *)
 let label_scan = 8
+
+(* The label cache's empty key: no caller can pass this string. *)
+let no_label = String.make 1 '\000'
 
 type t = {
   mutable ints : int array array;  (* by chunk *)
   mutable floats : float array array;  (* by chunk *)
+  (* The chunk of the span recorded last (empty before the first), so
+     recording writes its row without going through the spines. *)
+  mutable last_ints : int array;
+  mutable last_floats : float array;
   mutable span_count : int;
   mutable labels : string array;  (* by label id *)
   mutable label_count : int;
   label_ids : (string, int) Hashtbl.t;
+  (* The label passed last and its id: callers pass a few literals, the
+     same one many times in a row (a tick round's spans are all "tick"),
+     so most lookups are one physical comparison. *)
+  mutable cached_label : string;
+  mutable cached_id : int;
   mutable marks : mark_record list;  (* reverse recording order *)
   mutable current : int;  (* span id; -1 = none *)
   mutable sink : int;  (* span id; -1 = none *)
@@ -98,10 +110,14 @@ and mark_record = {
 let create () =
   { ints = [||];
     floats = [||];
+    last_ints = [||];
+    last_floats = [||];
     span_count = 0;
     labels = [||];
     label_count = 0;
     label_ids = Hashtbl.create 16;
+    cached_label = no_label;
+    cached_id = 0;
     marks = [];
     current = -1;
     sink = -1;
@@ -154,35 +170,32 @@ let intern t label =
     Hashtbl.add t.label_ids label id;
     id
 
-(* The id of [label], interned on first sight.  Callers pass a handful of
-   literals over and over, so those are found by physical equality before
-   any hashing. *)
-let label_id t label =
+(* The id of [label], interned on first sight. *)
+let label_miss t label =
   let i =
     scan_labels t.labels label 0 (Stdlib.min t.label_count label_scan)
   in
-  if i >= 0 then i else intern t label
+  let id = if i >= 0 then i else intern t label in
+  t.cached_label <- label;
+  t.cached_id <- id;
+  id
 
-let check_id what id =
-  if id < 0 || id >= track_limit then
-    invalid_arg (Printf.sprintf "Causal: %s %d out of range" what id)
+let[@inline] label_id t label =
+  if label == t.cached_label then t.cached_id else label_miss t label
 
-let[@inline] meta t ~kind ~track ~label =
-  check_id "track" track;
-  (track lsl track_shift) lor (label_id t label lsl label_shift) lor kind
+(* The range checks of the packing: tracks, endpoints and Lamport times
+   take 31 bits, so one is in range exactly when its bits from the 31st
+   up are clear (a negative value has them set). *)
+let out_of_range what id =
+  invalid_arg (Printf.sprintf "Causal: %s %d out of range" what id)
+
+let[@inline] check_id what id =
+  if id lsr end_bits <> 0 then out_of_range what id
+
+let bad_lamport l =
+  invalid_arg (Printf.sprintf "Causal: Lamport time %d out of range" l)
 
 let lamport_at t id = order_lamport (int_at t id o_order)
-
-(* One more than the maximum Lamport time among the parents and the
-   executing engine event. *)
-let span_lamport t ~cause ~prev =
-  let l = t.event_lamport in
-  let l = if cause < 0 then l else Stdlib.max l (lamport_at t cause) in
-  let l = if prev < 0 then l else Stdlib.max l (lamport_at t prev) in
-  let l = l + 1 in
-  if l < 0 || l >= lamport_limit then
-    invalid_arg (Printf.sprintf "Causal: Lamport time %d out of range" l);
-  l
 
 (* A spine of chunks with room for chunk [c]: only the spine of chunk
    pointers is ever copied. *)
@@ -194,41 +207,59 @@ let grown spine c empty =
     bigger
   end
 
-(* Claim the next id, opening a chunk when the last one is full. *)
-let next_id t =
-  let id = t.span_count in
-  if id land chunk_mask = 0 then begin
-    if id >= id_limit then invalid_arg "Causal: too many spans";
-    let c = id lsr chunk_bits in
-    t.ints <- grown t.ints c [||];
-    t.floats <- grown t.floats c [||];
-    t.ints.(c) <- Array.make (width * chunk_size) 0;
-    t.floats.(c) <- Array.create_float (width * chunk_size)
-  end;
-  t.span_count <- id + 1;
-  id
+(* Open the chunk of span [id], the first of its chunk. *)
+let open_chunk t id =
+  if id >= id_limit then invalid_arg "Causal: too many spans";
+  let c = id lsr chunk_bits in
+  let ints = Array.make (width * chunk_size) 0
+  and floats = Array.create_float (width * chunk_size) in
+  t.ints <- grown t.ints c [||];
+  t.floats <- grown t.floats c [||];
+  t.ints.(c) <- ints;
+  t.floats.(c) <- floats;
+  t.last_ints <- ints;
+  t.last_floats <- floats
 
-let[@inline] record t ~meta ~cause ~prev ~stored_prev ~t_begin ~t_busy
-    ~t_end =
-  let lamport = span_lamport t ~cause ~prev in
-  let id = next_id t in
-  let c = id lsr chunk_bits and i = width * (id land chunk_mask) in
-  let ints = t.ints.(c) in
-  ints.(i + o_order) <- (lamport lsl cause_bits) lor (cause + 1);
-  ints.(i + o_prev) <- stored_prev;
+(* [Stdlib.max] is polymorphic: a call into the runtime's comparison. *)
+let[@inline] imax (a : int) b = if a >= b then a else b
+
+(* Write span [t.span_count] in one pass and return its id.  Its Lamport
+   time is one more than the maximum among the executing engine event,
+   [floor] (the cause's, or -1) and the program-order predecessor [prev]
+   when [prev_is_parent]. *)
+let[@inline] record t ~floor ~cause ~prev ~prev_is_parent ~meta ~t_begin
+    ~t_busy ~t_end =
+  let l = imax t.event_lamport floor in
+  let l =
+    if prev_is_parent && prev >= 0 then imax l (lamport_at t prev) else l
+  in
+  let l = l + 1 in
+  if l lsr end_bits <> 0 then bad_lamport l;
+  let id = t.span_count in
+  if id land chunk_mask = 0 then open_chunk t id;
+  t.span_count <- id + 1;
+  let i = width * (id land chunk_mask) in
+  let ints = t.last_ints in
+  ints.(i + o_order) <- (l lsl cause_bits) lor (cause + 1);
+  ints.(i + o_prev) <- prev;
   ints.(i + o_meta) <- meta;
-  let floats = t.floats.(c) in
+  let floats = t.last_floats in
   floats.(i) <- t_begin;
   floats.(i + 1) <- t_busy;
   floats.(i + 2) <- t_end;
   id
 
 let[@inline] record_transit t ~link ~src ~dst ~t_begin ~t_end ~label =
-  let meta = meta t ~kind:transit_kind ~track:link ~label in
+  check_id "track" link;
+  let label = label_id t label in
   check_id "src" src;
   check_id "dst" dst;
-  record t ~meta ~cause:t.current ~prev:(-1)
-    ~stored_prev:((src lsl end_bits) lor dst) ~t_begin ~t_busy:t_begin ~t_end
+  let cause = t.current in
+  record t
+    ~floor:(if cause < 0 then -1 else lamport_at t cause)
+    ~cause ~prev:((src lsl end_bits) lor dst) ~prev_is_parent:false
+    ~meta:((link lsl track_shift) lor (label lsl label_shift) lor transit_kind)
+    ~t_begin ~t_busy:t_begin ~t_end
 
 let[@inline] transit_at t ~link ~src ~dst ~t_begin ~t_end ~label i =
   record_transit t ~link ~src ~dst ~t_begin:t_begin.(i) ~t_end:t_end.(i)
@@ -238,26 +269,35 @@ let transit t ~link ~src ~dst ~t_begin ~t_end ~label =
   { recorder = t;
     id = record_transit t ~link ~src ~dst ~t_begin ~t_end ~label }
 
+let grow_occupants t node =
+  let occupants = Array.make (max 64 (2 * (node + 1))) (-1) in
+  Array.blit t.occupants 0 occupants 0 (Array.length t.occupants);
+  t.occupants <- occupants
+
 let[@inline] record_process t ~cause ~node ~label ~t_begin ~t_busy ~t_end =
-  let meta = meta t ~kind:process_kind ~track:node ~label in
-  if cause >= 0 then begin
-    let ints = t.ints.(cause lsr chunk_bits)
-    and i = (width * (cause land chunk_mask)) + o_meta in
-    let m = ints.(i) in
-    if meta_kind m = transit_kind then
-      ints.(i) <- m land lnot kind_mask lor delivered_kind
-  end;
-  if node >= Array.length t.occupants then begin
-    let occupants = Array.make (max 64 (2 * (node + 1))) (-1) in
-    Array.blit t.occupants 0 occupants 0 (Array.length t.occupants);
-    t.occupants <- occupants
-  end;
+  check_id "track" node;
+  let label = label_id t label in
+  (* One visit to the cause's row reads its Lamport time and marks a
+     transit delivered. *)
+  let floor =
+    if cause < 0 then -1
+    else begin
+      let ints = t.ints.(cause lsr chunk_bits)
+      and i = width * (cause land chunk_mask) in
+      let m = ints.(i + o_meta) in
+      if meta_kind m = transit_kind then
+        ints.(i + o_meta) <- m land lnot kind_mask lor delivered_kind;
+      order_lamport ints.(i + o_order)
+    end
+  in
+  if node >= Array.length t.occupants then grow_occupants t node;
   (* Parent order is the critical-path tie-break: the message cause comes
      before the program-order predecessor, so when both end exactly at
      [t_busy] the path follows the message chain. *)
-  let prev = t.occupants.(node) in
   let id =
-    record t ~meta ~cause ~prev ~stored_prev:prev ~t_begin ~t_busy ~t_end
+    record t ~floor ~cause ~prev:t.occupants.(node) ~prev_is_parent:true
+      ~meta:((node lsl track_shift) lor (label lsl label_shift) lor process_kind)
+      ~t_begin ~t_busy ~t_end
   in
   t.occupants.(node) <- id;
   id

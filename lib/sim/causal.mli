@@ -30,13 +30,16 @@
     afterwards.
 
     {b Representation.}  The recorder keeps the DAG in row-major chunks
-    of 512 spans indexed by span id: per chunk, one [int array] of
+    of 64 spans indexed by span id: per chunk, one [int array] of
     three-word rows (Lamport time and cause packed; the program-order
     predecessor, or a transit's endpoints; track, interned label id and
     kind packed) and one [float array] of three-word rows (begin, busy
-    and end instants).  That is 48 bytes per span, written without a
-    pointer store.  Chunks are never copied; the node occupants, the
-    current span and the sink are ids.  Recording a span therefore
+    and end instants).  That is 48 bytes per span, written in one pass
+    without a pointer store.  Each array of a chunk is 192 words, small
+    enough for the minor heap, so a recorder that lives for one run dies
+    there with its chunks; one that survives a minor collection has its
+    chunks promoted once.  Chunks are never copied; the node occupants,
+    the current span and the sink are ids.  Recording a span therefore
     allocates no per-span heap block the recorder keeps: a {!span} is a
     small handle (recorder, id) built when one is returned, and
     {!spans}, {!parents} and {!shape} are built from the rows on each
@@ -44,10 +47,14 @@
     was when {!shape} was called.
 
     Labels are interned per recorder, so any number of distinct labels
-    reads back unchanged.  The packing bounds what a recorder holds:
-    node and link ids below 2{^31}, fewer than 2{^31} spans, Lamport
-    times below 2{^31} and fewer than 2{^30} distinct labels; recording
-    beyond a bound raises [Invalid_argument]. *)
+    reads back unchanged.  The recorder remembers the label passed last:
+    a caller that passes the same string literal span after span (the
+    network's ["tick"], ["recv"] and ["msg"]) has it found by one
+    physical comparison, and any other string is looked up by value.
+    The packing bounds what a recorder holds: node and link ids below
+    2{^31}, fewer than 2{^31} spans, Lamport times below 2{^31} and fewer
+    than 2{^30} distinct labels; recording beyond a bound raises
+    [Invalid_argument]. *)
 
 type t
 (** A span recorder.  Not thread-safe: one recorder per run, like a

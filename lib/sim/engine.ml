@@ -22,9 +22,12 @@
    [run] dispatches once per call between two loops: the fast loop, used
    when no metrics registry, causal recorder or scheduler is attached,
    performs no per-event observation branches at all; the observed loop
-   executes every event with the metrics, the causal announcement and the
-   scheduler's choice.  Both pop in identical [(time, seq)] order, so
-   executions are byte-identical across loop choices. *)
+   executes every event with the metrics tally, the causal announcement
+   and the scheduler's choice.  Both pop in identical [(time, seq)] order,
+   so executions are byte-identical across loop choices.  The metrics
+   tally costs one array increment per event (a count per queue depth;
+   the executed count is the engine's own), and [run] folds it into the
+   registry on its way out, returning or raising. *)
 
 type candidate = {
   c_time : float;
@@ -51,7 +54,7 @@ type counters = {
   wall_time : float;
 }
 
-(* Pre-resolved metric handles, so the observed loop never touches the
+(* Pre-resolved metric handles, so folding the tally never touches the
    registry's name table. *)
 type instruments = {
   m_executed : Metrics.counter;
@@ -125,6 +128,10 @@ type t = {
   mutable digest_source : (unit -> int) option;
   (* Hooks and budgets: installed by every [create], pooled or fresh. *)
   mutable instruments : instruments option;
+  (* The metrics tally since the last fold: [depths.(d)] events fired with
+     [d] events pending, and [folded] is [executed] at the last fold. *)
+  mutable depths : int array;
+  mutable folded : int;
   mutable scheduler : scheduler option;
   mutable causal : Causal.t option;
   mutable limit_time : float;
@@ -157,6 +164,8 @@ let allocate () =
     stop_requested = false;
     digest_source = None;
     instruments = None;
+    depths = [||];
+    folded = 0;
     scheduler = None;
     causal = None;
     limit_time = infinity;
@@ -182,6 +191,7 @@ let reset t =
   t.clock.(0) <- 0.;
   t.seq <- 0;
   t.executed <- 0;
+  t.folded <- 0;
   t.live <- 0;
   t.max_depth <- 0;
   t.wall <- 0.;
@@ -364,14 +374,31 @@ let stop t = t.stop_requested <- true
 
 let set_digest_source t f = t.digest_source <- Some f
 
-(* Record one executed event; [depth] is the pending-event count at the
+let grow_depths t depth =
+  let depths = Array.make (max 64 (2 * depth)) 0 in
+  Array.blit t.depths 0 depths 0 (Array.length t.depths);
+  t.depths <- depths
+
+(* Tally one executed event; [depth] is the pending-event count at the
    instant the event fired. *)
 let measure t ~depth =
   match t.instruments with
   | None -> ()
+  | Some _ ->
+    if depth >= Array.length t.depths then grow_depths t depth;
+    t.depths.(depth) <- t.depths.(depth) + 1
+
+(* Move the tally into the registry and clear it. *)
+let fold_metrics t =
+  match t.instruments with
+  | None -> ()
   | Some i ->
-    Metrics.incr i.m_executed;
-    Metrics.observe_int i.m_queue_depth depth
+    if t.executed > t.folded then begin
+      Metrics.incr ~by:(t.executed - t.folded) i.m_executed;
+      t.folded <- t.executed;
+      Metrics.observe_int_counts i.m_queue_depth t.depths;
+      Array.fill t.depths 0 (Array.length t.depths) 0
+    end
 
 (* Tell the span recorder that an engine event is executing, so spans it
    records inherit the event's Lamport time. *)
@@ -536,8 +563,15 @@ let run t =
   let outcome =
     if t.instruments == None && t.causal == None && t.scheduler == None then
       run_fast t
-    else run_observed t
+    else
+      match run_observed t with
+      | outcome -> outcome
+      | exception e ->
+        let backtrace = Printexc.get_raw_backtrace () in
+        fold_metrics t;
+        Printexc.raise_with_backtrace e backtrace
   in
+  fold_metrics t;
   release_actions t;
   t.wall <- t.wall +. (Unix.gettimeofday () -. started);
   outcome

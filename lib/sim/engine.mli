@@ -124,17 +124,22 @@ val create :
     probed every 1024 executed events, so overshoot is bounded by one
     coarse block even inside a single long run.
 
-    When a [metrics] registry is supplied the engine records into it at
-    every executed event: counter ["engine/executed"] and histogram
-    ["engine/queue_depth"] (pending events at each firing instant).
-    Recording draws no randomness and cannot perturb the execution.
+    When a [metrics] registry is supplied the engine measures every
+    executed event: counter ["engine/executed"] and histogram
+    ["engine/queue_depth"] (pending events at each firing instant).  It
+    tallies them in integers of its own and folds the tally into the
+    registry when {!run} returns or an action's exception leaves it, so
+    the registry holds the same rows as if each event had been recorded
+    at once, and an action that reads these two metrics sees them as of
+    the start of the current {!run}.  Recording draws no randomness and
+    cannot perturb the execution.
 
     When a [causal] span recorder is supplied, every scheduled event is
     stamped with a Lamport time ({!Causal.scheduling_lamport} of the
     event executing at scheduling time), and the recorder is told — via
     {!Causal.enter_event}, with the event's Lamport stamp — that an event
-    is executing just before each action runs.  Like metrics, this is pure observation: byte-identical
-    executions.
+    is executing just before each action runs.  Like metrics, this is
+    pure observation: byte-identical executions.
 
     Without [scheduler] the engine behaves exactly as before the scheduler
     abstraction existed — same code path, byte-identical executions.  With

@@ -245,15 +245,37 @@ let observe h x =
   if x > 0. then add_count h (bucket_of x) 1 else h.zero <- h.zero + 1;
   tally h x
 
+let[@inline] int_bucket k =
+  if k < Array.length small_buckets then small_buckets.(k)
+  else log_bucket (float_of_int k)
+
 let observe_int h k =
-  let x = float_of_int k in
-  if k > 0 then
-    add_count h
-      (if k < Array.length small_buckets then small_buckets.(k)
-       else log_bucket x)
-      1
-  else h.zero <- h.zero + 1;
-  tally h x
+  if k > 0 then add_count h (int_bucket k) 1 else h.zero <- h.zero + 1;
+  tally h (float_of_int k)
+
+let observe_int_counts h counts =
+  if Array.exists (fun c -> c < 0) counts then
+    invalid_arg "Metrics.observe_int_counts: negative count";
+  let total = ref 0 and sum = ref 0 and lo = ref (-1) and hi = ref (-1) in
+  Array.iteri
+    (fun k c ->
+       if c > 0 then begin
+         if k > 0 then add_count h (int_bucket k) c
+         else h.zero <- h.zero + c;
+         total := !total + c;
+         sum := !sum + (k * c);
+         if !lo < 0 then lo := k;
+         hi := k
+       end)
+    counts;
+  if !total > 0 then begin
+    h.total <- h.total + !total;
+    let s = h.stats in
+    s.(0) <- s.(0) +. float_of_int !sum;
+    let lo = float_of_int !lo and hi = float_of_int !hi in
+    if lo < s.(1) then s.(1) <- lo;
+    if hi > s.(2) then s.(2) <- hi
+  end
 
 let hist_count h = h.total
 let hist_sum h = h.stats.(0)

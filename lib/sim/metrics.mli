@@ -92,6 +92,15 @@ val observe_int : histogram -> int -> unit
     integer samples on hot paths: queue depths, in-flight counts, hop
     counts. *)
 
+val observe_int_counts : histogram -> int array -> unit
+(** [observe_int_counts h counts] records [counts.(k)] observations of
+    [k] for every index [k], in one pass: the same buckets, count, min
+    and max as that many {!observe_int} calls, and the same sum as long
+    as the histogram's sum stays an integer below 2{^53} (the sum of the
+    samples is added once, as an integer).  For a tally kept as counts by
+    value, such as the engine's queue depths.
+    @raise Invalid_argument on a negative count. *)
+
 val bucket_of : float -> int
 (** The geometric bucket of a positive finite value:
     [floor (log x *. 8. /. log 2.)], so bucket [i] holds

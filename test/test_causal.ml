@@ -320,9 +320,11 @@ let test_golden_observed () =
     (Digest.to_hex (Digest.string (String.concat "\n" (List.map line rows))))
 
 (* Retention: with every hook on (sim-observed's configuration), a run
-   keeps its spans in major-heap chunks and promotes next to nothing:
-   ~0.6 words per event in the dev profile, where a DAG of per-span heap
-   blocks promotes ~12.5. *)
+   promotes at most 2 words per event.  The recorder's 64-span chunks are
+   allocated in the minor heap and promoted only when a minor collection
+   falls inside the election that records them: these 20 elections
+   promote ~1.8 words per event in the dev profile, where a DAG of
+   per-span heap blocks promotes ~12.5. *)
 let test_retention () =
   let n = 48 in
   let config =
@@ -468,6 +470,204 @@ let test_span_words () =
            per_span)
     [ 1; 2; 3 ]
 
+(* Model test: random recordings over a few nodes and links, checked span
+   by span against a plain list model.  A recording is longer than three
+   chunks of the recorder, and causes reach back across chunk
+   boundaries. *)
+module Model = struct
+  module C = Abe_sim.Causal
+
+  (* A cause: none, or the span [back] places before the newest one
+     (modulo the span count). *)
+  type op =
+    | Enter of int  (* an engine event with this Lamport time *)
+    | Current of int option  (* [set_current_id] to a span, or none *)
+    | Process_at of { cause : int option; node : int; label : int; at : int }
+    | Process of { cause : int option; node : int; label : int; at : int }
+    | Transit_at of { link : int; src : int; dst : int; label : int; at : int }
+    | Transit of { link : int; src : int; dst : int; label : int; at : int }
+
+  (* Label pool: the network's literals, fresh copies of them (equal, but
+     not physically equal) and more distinct labels than the physical
+     scan covers. *)
+  let labels =
+    Array.append
+      [| "tick"; "recv"; "msg"; String.concat "" [ "ti"; "ck" ];
+         String.concat "" [ "m"; "sg" ] |]
+      (Array.init 12 (Printf.sprintf "label-%d"))
+
+  let nodes = 4
+  let links = 6
+
+  type span = {
+    lamport : int;
+    parents : int list;
+    shape : C.shape;  (* [delivered] as of the end of the recording *)
+    label : string;
+    t_begin : float;
+    t_busy : float;
+    t_end : float;
+  }
+
+  let op_gen =
+    let open QCheck.Gen in
+    let cause = opt ~ratio:0.6 (int_range 0 300) in
+    let label = int_bound (Array.length labels - 1) in
+    let at = int_bound 1000 in
+    frequency
+      [ (1, map (fun l -> Enter l) (int_bound 2000));
+        (1, map (fun c -> Current c) (opt (int_range 0 300)));
+        (4, map4 (fun cause node label at -> Process_at { cause; node; label; at })
+              cause (int_bound (nodes - 1)) label at);
+        (1, map4 (fun cause node label at -> Process { cause; node; label; at })
+              cause (int_bound (nodes - 1)) label at);
+        (3, map4 (fun (link, src) dst label at ->
+               Transit_at { link; src; dst; label; at })
+              (pair (int_bound (links - 1)) (int_bound (nodes - 1)))
+              (int_bound (nodes - 1)) label at);
+        (1, map4 (fun (link, src) dst label at ->
+               Transit { link; src; dst; label; at })
+              (pair (int_bound (links - 1)) (int_bound (nodes - 1)))
+              (int_bound (nodes - 1)) label at) ]
+
+  let print_op = function
+    | Enter l -> Printf.sprintf "enter %d" l
+    | Current c ->
+      Printf.sprintf "current %s"
+        (match c with None -> "none" | Some b -> string_of_int b)
+    | Process_at { cause; node; label; at } | Process { cause; node; label; at } ->
+      Printf.sprintf "process cause=%s node=%d label=%d at=%d"
+        (match cause with None -> "none" | Some b -> string_of_int b)
+        node label at
+    | Transit_at { link; src; dst; label; at } | Transit { link; src; dst; label; at } ->
+      Printf.sprintf "transit link=%d %d->%d label=%d at=%d" link src dst
+        label at
+
+  (* The instants of a span at [at]: begin <= busy <= end, in eighths. *)
+  let instants at =
+    let b = float_of_int at /. 8. in
+    (b, b +. 0.125, b +. 0.375)
+
+  (* Run [ops] on a recorder and on the model side by side; return both. *)
+  let run ops =
+    let c = C.create () in
+    let model = ref [||] in
+    let count () = Array.length !model in
+    let resolve = function
+      | None -> -1
+      | Some back -> if count () = 0 then -1 else count () - 1 - (back mod count ())
+    in
+    let event_lamport = ref 0 and current = ref (-1) in
+    let occupants = Array.make nodes (-1) in
+    let lamport_of id = if id < 0 then -1 else !model.(id).lamport in
+    let add span = model := Array.append !model [| span |] in
+    let handle id = List.nth (C.spans c) id in
+    let arrays (b, busy, e) = ([| b |], [| busy |], [| e |]) in
+    let process ~by_id ~cause ~node ~label ~at =
+      let cause = resolve cause in
+      let (b, busy, e) as times = instants at in
+      let prev = occupants.(node) in
+      let id =
+        if by_id then begin
+          let tb, tbusy, te = arrays times in
+          C.process_at c ~cause ~node ~label:labels.(label) ~t_begin:tb
+            ~t_busy:tbusy ~t_end:te 0
+        end
+        else
+          C.span_id
+            (C.process c
+               ?cause:(if cause < 0 then None else Some (handle cause))
+               ~node ~label:labels.(label) ~t_begin:b ~t_busy:busy ~t_end:e ())
+      in
+      (if cause >= 0 then
+         match !model.(cause).shape with
+         | C.Transit_shape s ->
+           !model.(cause) <-
+             { !model.(cause) with shape = C.Transit_shape { s with delivered = true } }
+         | C.Process_shape _ -> ());
+      add
+        { lamport =
+            1 + max !event_lamport (max (lamport_of cause) (lamport_of prev));
+          parents = List.filter (fun p -> p >= 0) [ cause; prev ];
+          shape = C.Process_shape { node; t_busy = busy };
+          label = labels.(label); t_begin = b; t_busy = busy; t_end = e };
+      occupants.(node) <- count () - 1;
+      id
+    in
+    let transit ~by_id ~link ~src ~dst ~label ~at =
+      let (b, _, e) = instants at in
+      let id =
+        if by_id then
+          C.transit_at c ~link ~src ~dst ~t_begin:[| b |] ~t_end:[| e |]
+            ~label:labels.(label) 0
+        else
+          C.span_id
+            (C.transit c ~link ~src ~dst ~t_begin:b ~t_end:e
+               ~label:labels.(label))
+      in
+      add
+        { lamport = 1 + max !event_lamport (lamport_of !current);
+          parents = (if !current >= 0 then [ !current ] else []);
+          shape = C.Transit_shape { link; src; dst; delivered = false };
+          label = labels.(label); t_begin = b; t_busy = b; t_end = e };
+      id
+    in
+    List.iter
+      (fun op ->
+         let expect id =
+           if id <> count () - 1 then
+             QCheck.Test.fail_reportf "span id %d, expected %d" id (count () - 1)
+         in
+         match op with
+         | Enter l ->
+           C.enter_event c ~lamport:l;
+           event_lamport := l;
+           current := -1
+         | Current s ->
+           let id = resolve s in
+           C.set_current_id c id;
+           current := id
+         | Process_at { cause; node; label; at } ->
+           expect (process ~by_id:true ~cause ~node ~label ~at)
+         | Process { cause; node; label; at } ->
+           expect (process ~by_id:false ~cause ~node ~label ~at)
+         | Transit_at { link; src; dst; label; at } ->
+           expect (transit ~by_id:true ~link ~src ~dst ~label ~at)
+         | Transit { link; src; dst; label; at } ->
+           expect (transit ~by_id:false ~link ~src ~dst ~label ~at))
+      ops;
+    (c, !model)
+
+  let agrees (c, model) =
+    let spans = Array.of_list (C.spans c) in
+    if C.span_count c <> Array.length model || Array.length spans <> Array.length model
+    then QCheck.Test.fail_reportf "%d spans, model has %d" (C.span_count c)
+        (Array.length model);
+    Array.iteri
+      (fun id m ->
+         let s = spans.(id) in
+         let fail what = QCheck.Test.fail_reportf "span %d: %s differs" id what in
+         if C.span_id s <> id then fail "id";
+         if C.lamport s <> m.lamport then fail "lamport";
+         if List.map C.span_id (C.parents s) <> m.parents then fail "parents";
+         if C.shape s <> m.shape then fail "shape";
+         if C.label s <> m.label then fail "label";
+         if C.span_begin s <> m.t_begin then fail "begin";
+         if C.span_end s <> m.t_end then fail "end";
+         match C.shape s with
+         | C.Process_shape { t_busy; _ } -> if t_busy <> m.t_busy then fail "busy"
+         | C.Transit_shape _ -> ())
+      model;
+    true
+end
+
+let prop_model =
+  QCheck.Test.make ~name:"recorder matches a list model" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(list Model.print_op)
+       QCheck.Gen.(list_size (int_range 350 500) Model.op_gen))
+    (fun ops -> Model.agrees (Model.run ops))
+
 let () =
   Alcotest.run "causal"
     [ ( "causal",
@@ -489,5 +689,6 @@ let () =
             test_golden_observed;
           Alcotest.test_case "retention" `Quick test_retention;
           Alcotest.test_case "many labels" `Quick test_many_labels;
-          Alcotest.test_case "span words" `Quick test_span_words ]
+          Alcotest.test_case "span words" `Quick test_span_words;
+          QCheck_alcotest.to_alcotest prop_model ]
       ) ]

@@ -489,6 +489,48 @@ let prop_observe_int_matches_observe =
             quantiles
        && Metrics.hist_sum hi = Metrics.hist_sum hf)
 
+(* [observe_int_counts h counts] is [counts.(k)] calls of [observe_int h k]
+   for every [k], after any earlier integer samples: same rows, quantiles
+   and sum.  The counts reach past the small-integer table. *)
+let prop_observe_int_counts_matches_observe_int =
+  let counts =
+    QCheck.Gen.(
+      map Array.of_list
+        (list_size (int_range 0 5000) (frequency [ (3, return 0); (1, int_bound 5) ])))
+  and earlier = QCheck.Gen.(list_size (int_range 0 20) (int_range (-50) 10_000)) in
+  QCheck.Test.make ~name:"observe_int_counts matches observe_int" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list int) (array int))
+       QCheck.Gen.(pair earlier counts))
+    (fun (earlier, counts) ->
+       let bulk = Metrics.create () and single = Metrics.create () in
+       let hb = Metrics.histogram bulk "h" and hs = Metrics.histogram single "h" in
+       List.iter
+         (fun k ->
+            Metrics.observe_int hb k;
+            Metrics.observe_int hs k)
+         earlier;
+       Metrics.observe_int_counts hb counts;
+       Array.iteri
+         (fun k c ->
+            for _ = 1 to c do
+              Metrics.observe_int hs k
+            done)
+         counts;
+       Metrics.report_rows bulk = Metrics.report_rows single
+       && List.for_all
+            (fun q ->
+               let a = Metrics.quantile hb q and b = Metrics.quantile hs q in
+               a = b || (Float.is_nan a && Float.is_nan b))
+            quantiles
+       && Metrics.hist_sum hb = Metrics.hist_sum hs)
+
+let test_observe_int_counts_rejects_negative () =
+  let h = Metrics.histogram (Metrics.create ()) "h" in
+  Alcotest.check_raises "negative count"
+    (Invalid_argument "Metrics.observe_int_counts: negative count") (fun () ->
+      Metrics.observe_int_counts h [| 1; -1 |])
+
 (* A histogram family lists, renders and merges exactly like the named
    histograms it stands for, and [histogram] finds its members. *)
 let test_family_matches_named () =
@@ -577,4 +619,8 @@ let () =
           Alcotest.test_case "family matches named histograms" `Quick
             test_family_matches_named;
           QCheck_alcotest.to_alcotest prop_dense_matches_reference;
-          QCheck_alcotest.to_alcotest prop_observe_int_matches_observe ] ) ]
+          Alcotest.test_case "observe_int_counts rejects negative counts"
+            `Quick test_observe_int_counts_rejects_negative;
+          QCheck_alcotest.to_alcotest prop_observe_int_matches_observe;
+          QCheck_alcotest.to_alcotest
+            prop_observe_int_counts_matches_observe_int ] ) ]
