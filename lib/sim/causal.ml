@@ -224,16 +224,10 @@ let open_chunk t id =
 let[@inline] imax (a : int) b = if a >= b then a else b
 
 (* Write span [t.span_count] in one pass and return its id.  Its Lamport
-   time is one more than the maximum among the executing engine event,
-   [floor] (the cause's, or -1) and the program-order predecessor [prev]
-   when [prev_is_parent]. *)
-let[@inline] record t ~floor ~cause ~prev ~prev_is_parent ~meta ~t_begin
-    ~t_busy ~t_end =
-  let l = imax t.event_lamport floor in
-  let l =
-    if prev_is_parent && prev >= 0 then imax l (lamport_at t prev) else l
-  in
-  let l = l + 1 in
+   time is one more than the maximum of the executing engine event's and
+   [floor], the parents' maximum (-1 without parents). *)
+let[@inline] record t ~floor ~cause ~prev ~meta ~t_begin ~t_busy ~t_end =
+  let l = imax t.event_lamport floor + 1 in
   if l lsr end_bits <> 0 then bad_lamport l;
   let id = t.span_count in
   if id land chunk_mask = 0 then open_chunk t id;
@@ -257,7 +251,7 @@ let[@inline] record_transit t ~link ~src ~dst ~t_begin ~t_end ~label =
   let cause = t.current in
   record t
     ~floor:(if cause < 0 then -1 else lamport_at t cause)
-    ~cause ~prev:((src lsl end_bits) lor dst) ~prev_is_parent:false
+    ~cause ~prev:((src lsl end_bits) lor dst)
     ~meta:((link lsl track_shift) lor (label lsl label_shift) lor transit_kind)
     ~t_begin ~t_busy:t_begin ~t_end
 
@@ -279,7 +273,7 @@ let[@inline] record_process t ~cause ~node ~label ~t_begin ~t_busy ~t_end =
   let label = label_id t label in
   (* One visit to the cause's row reads its Lamport time and marks a
      transit delivered. *)
-  let floor =
+  let cause_lamport =
     if cause < 0 then -1
     else begin
       let ints = t.ints.(cause lsr chunk_bits)
@@ -294,8 +288,13 @@ let[@inline] record_process t ~cause ~node ~label ~t_begin ~t_busy ~t_end =
   (* Parent order is the critical-path tie-break: the message cause comes
      before the program-order predecessor, so when both end exactly at
      [t_busy] the path follows the message chain. *)
+  let prev = t.occupants.(node) in
+  let floor =
+    if prev < 0 then cause_lamport
+    else imax cause_lamport (lamport_at t prev)
+  in
   let id =
-    record t ~floor ~cause ~prev:t.occupants.(node) ~prev_is_parent:true
+    record t ~floor ~cause ~prev
       ~meta:((node lsl track_shift) lor (label lsl label_shift) lor process_kind)
       ~t_begin ~t_busy ~t_end
   in
