@@ -696,6 +696,66 @@ let test_tick_regime_allocation () =
     Alcotest.failf "%g minor words per event over %d events (bound 1)"
       per_event !events
 
+(* ------------------------------------------------------- token regime *)
+
+(* perfbench's sim-tokens ring: n = 2000, δ = 0.1/n, a0 = 1/n, so tokens
+   lap the ring between tick rounds; the O(n^2) mass samples and the phase
+   log are off.  With processing delay the run is cut at time 4: a hop's
+   processing then takes thousands of times its transit, and the election
+   does not finish in a test's time. *)
+let token_config ?(gamma = 0.) ?(clock = Abe_net.Clock.perfect) () =
+  let n = 2000 in
+  let inv_n = 1. /. float_of_int n in
+  let params = Params.make ~delta:(0.1 *. inv_n) ~gamma ~clock in
+  let proc_delay =
+    if gamma > 0. then Some (Abe_prob.Dist.exponential ~mean:gamma) else None
+  in
+  Runner.config ~n ~a0:inv_n ~params ~proc_delay
+    ~limit_time:(if gamma > 0. then 4. else 1e7)
+    ~record_mass:false ~record_phases:false ()
+
+(* (events, messages, ticks, elected_at bits, leader) of three seeds under
+   perfect clocks, clock rates spread 1000-fold (the CLI's --drift 1000)
+   and processing delay γ = 0.2.  Any change to the order in which the
+   engine executes a tick round — the first one included — shows in them. *)
+let test_token_goldens () =
+  let spread = sqrt 1000. in
+  let settings =
+    [ ( "perfect",
+        token_config (),
+        [ (1, (8364, 2000, 2182, 4607611858196869292L, 216));
+          (2, (18636, 2000, 7318, 4615394041769722670L, 1928));
+          (3, (7354, 2000, 1677, 4605745465544454780L, 282)) ] );
+      ( "drift 1000",
+        token_config
+          ~clock:(Abe_net.Clock.spec ~s_low:(1. /. spread) ~s_high:spread)
+          (),
+        [ (1, (30102, 4000, 11051, 4600038926378667761L, 1320));
+          (2, (38660, 6000, 13330, 4601144641300992301L, 1557));
+          (3, (38814, 6000, 13407, 4601238462187445607L, 1434)) ] );
+      ( "gamma 0.2",
+        token_config ~gamma:0.2 (),
+        [ (1, (15637, 34, 7573, 9221120237041090561L, -1));
+          (2, (15673, 27, 7623, 9221120237041090561L, -1));
+          (3, (15703, 51, 7606, 9221120237041090561L, -1)) ] ) ]
+  in
+  let pin = Alcotest.(pair int (pair int (pair int (pair int64 int)))) in
+  List.iter
+    (fun (name, config, expected) ->
+       List.iter
+         (fun (seed, (events, messages, ticks, elected_at, leader)) ->
+            let o = Runner.run ~seed config in
+            Alcotest.check pin
+              (Printf.sprintf "%s seed %d" name seed)
+              (events, (messages, (ticks, (elected_at, leader))))
+              ( o.Runner.executed_events,
+                ( o.Runner.messages,
+                  ( o.Runner.ticks,
+                    ( Int64.bits_of_float o.Runner.elected_at,
+                      Option.value o.Runner.leader ~default:(-1) ) ) ) ))
+         expected)
+    settings
+
 (* ------------------------------------------------------ pooled rings *)
 
 let test_budget_validation () =
@@ -1026,6 +1086,8 @@ let () =
             test_tick_decision_matches_reference;
           Alcotest.test_case "tick regime allocation" `Quick
             test_tick_regime_allocation ] );
+      ( "token regime",
+        [ Alcotest.test_case "n=2000 goldens" `Quick test_token_goldens ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_safety_unique_leader;
