@@ -389,8 +389,10 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
      spuriously.  Logical invariants — conservation, FIFO, hop soundness,
      unique leader — are exactly what schedule exploration is for and stay
      on. *)
+  (* The hooks below are matched in place, and the clock is read only
+     where a hook that is on uses it: a closure passed to [Option.iter], or
+     a time read for nothing, is an allocation per message. *)
   let instruments = Option.map instruments_of metrics in
-  let record f = Option.iter f instruments in
   (* A fault scenario whose generation cap bound is simulating a calmer
      network than requested; surface the drop count where dashboards can
      see it. *)
@@ -410,8 +412,11 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
   let informed = Array.make (if announce then config.n else 0) false in
   (* Phase transitions as causal marks: instantaneous annotations attached
      to the handler span in which they happened. *)
-  let cmark ~node ~time label =
-    Option.iter (fun c -> Abe_sim.Causal.mark c ~node ~time label) causal
+  let cmark ctx label =
+    match causal with
+    | None -> ()
+    | Some c ->
+      Abe_sim.Causal.mark c ~node:ctx.Net.node ~time:(ctx.Net.now ()) label
   in
   (* Tokens in circulation: born at activation, absorbed at purge or
      election (forwarding keeps the token alive). *)
@@ -476,19 +481,20 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
   (* Each sample walks the whole shadow ring, and samples are taken per
      knockout/purge — O(n^2) over an election, which is why huge-ring
      benchmarks opt out via [record_mass = false]. *)
-  let sample_mass time =
+  let sample_mass ctx =
     if config.record_mass then begin
+      (* A loop, not [Array.iter]: the counters stay in registers. *)
       let sum_d = ref 0 and non_passive = ref 0 in
-      Array.iter
-        (fun st ->
-           match st.Election.phase with
-           | Election.Idle | Election.Active ->
-             sum_d := !sum_d + st.Election.d;
-             incr non_passive
-           | Election.Passive | Election.Leader -> ())
-        shadow;
+      for node = 0 to Array.length shadow - 1 do
+        let st = shadow.(node) in
+        match st.Election.phase with
+        | Election.Idle | Election.Active ->
+          sum_d := !sum_d + st.Election.d;
+          incr non_passive
+        | Election.Passive | Election.Leader -> ()
+      done;
       counters.mass_samples <-
-        (time, !sum_d, !non_passive) :: counters.mass_samples
+        (ctx.Net.now (), !sum_d, !non_passive) :: counters.mass_samples
     end
   in
   (* Election-layer reaction to dynamic-network events, layered over the
@@ -559,54 +565,64 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
       moved =
         (fun ctx before after ->
            shadow.(ctx.Net.node) <- after;
-           record_phase (ctx.Net.now ()) ctx.Net.node before after);
+           if config.record_phases then
+             record_phase (ctx.Net.now ()) ctx.Net.node before after);
       mark =
         (fun ctx m ~traversed ->
-           let time = ctx.Net.now () in
-           cmark ~node:ctx.Net.node ~time (mark_label m);
+           cmark ctx (mark_label m);
            match m with
            | Activate ->
+             let time = ctx.Net.now () in
              counters.activations <- counters.activations + 1;
              counters.activation_times <- time :: counters.activation_times;
-             record (fun i ->
-                 Abe_sim.Metrics.incr i.m_activations;
-                 Abe_sim.Metrics.observe i.m_activation_time time;
-                 Abe_sim.Metrics.observe_int i.m_live_tokens (live_tokens ()))
+             (match instruments with
+              | None -> ()
+              | Some i ->
+                Abe_sim.Metrics.incr i.m_activations;
+                Abe_sim.Metrics.observe i.m_activation_time time;
+                Abe_sim.Metrics.observe_int i.m_live_tokens (live_tokens ()))
            | Knockout ->
              counters.knockouts <- counters.knockouts + 1;
-             record (fun i -> Abe_sim.Metrics.incr i.m_knockouts);
-             sample_mass time
+             (match instruments with
+              | None -> ()
+              | Some i -> Abe_sim.Metrics.incr i.m_knockouts);
+             sample_mass ctx
            | Purge ->
              counters.purges <- counters.purges + 1;
-             record (fun i ->
-                 Abe_sim.Metrics.incr i.m_purges;
-                 Abe_sim.Metrics.observe_int i.m_live_tokens (live_tokens ()));
-             sample_mass time
+             (match instruments with
+              | None -> ()
+              | Some i ->
+                Abe_sim.Metrics.incr i.m_purges;
+                Abe_sim.Metrics.observe_int i.m_live_tokens (live_tokens ()));
+             sample_mass ctx
            | Elected ->
+             let time = ctx.Net.now () in
              counters.elections <- counters.elections + 1;
-             record (fun i ->
-                 Abe_sim.Metrics.set_gauge i.m_elected_at time;
-                 Abe_sim.Metrics.set_gauge i.m_hops_at_election
-                   (float_of_int traversed));
-             Option.iter
-               (fun o ->
-                  if traversed <> config.n then
-                    Abe_sim.Oracle.reportf o ~time
-                      ~invariant:"election-soundness"
-                      ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                      "elected by a token that traversed %d of %d links"
-                      traversed config.n;
-                  if counters.elections > 1 then
-                    Abe_sim.Oracle.reportf o ~time ~invariant:"unique-leader"
-                      ~subject:(Printf.sprintf "node %d" ctx.Net.node)
-                      "election #%d in one run" counters.elections)
-               oracle;
+             (match instruments with
+              | None -> ()
+              | Some i ->
+                Abe_sim.Metrics.set_gauge i.m_elected_at time;
+                Abe_sim.Metrics.set_gauge i.m_hops_at_election
+                  (float_of_int traversed));
+             (match oracle with
+              | None -> ()
+              | Some o ->
+                if traversed <> config.n then
+                  Abe_sim.Oracle.reportf o ~time
+                    ~invariant:"election-soundness"
+                    ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+                    "elected by a token that traversed %d of %d links"
+                    traversed config.n;
+                if counters.elections > 1 then
+                  Abe_sim.Oracle.reportf o ~time ~invariant:"unique-leader"
+                    ~subject:(Printf.sprintf "node %d" ctx.Net.node)
+                    "election #%d in one run" counters.elections);
              counters.elected_at <- time;
              counters.leader <- Some ctx.Net.node;
              (* The electing delivery's handler span is the critical-path
                 sink: its completion is the elected-at instant. *)
              Option.iter Abe_sim.Causal.set_sink causal;
-             sample_mass time;
+             sample_mass ctx;
              if announce then send_announce ctx else ctx.Net.stop ());
       send =
         (fun ctx ~hop ~traversed ->
@@ -629,15 +645,16 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
         (fun ctx st -> function
            | Token { hop; traversed } ->
              note_recv ctx.Net.node hop;
-             record (fun i ->
-                 Abe_sim.Metrics.observe_int i.m_token_hops hop);
+             (match instruments with
+              | None -> ()
+              | Some i -> Abe_sim.Metrics.observe_int i.m_token_hops hop);
              on_token sim ctx st ~hop ~traversed
            | Announce ->
              informed.(ctx.Net.node) <- true;
              if st.Election.phase = Election.Leader then begin
                (* The lap is closed: everyone is informed. *)
                counters.informed_at <- ctx.Net.now ();
-               cmark ~node:ctx.Net.node ~time:counters.informed_at "informed";
+               cmark ctx "informed";
                ctx.Net.stop ()
              end
              else send_announce ctx;

@@ -65,6 +65,108 @@ end
 
 include Config
 
+(* Ordering a run's first tick round.  Every node's first tick lands at a
+   random instant (a uniform phase over its own rate), so [reset] orders
+   the node ids by [(instant, id)] before scheduling them, and every tick
+   of the round is appended to the engine's run.  A counting sort into n
+   buckets over [[min, max]], stable by id, leaves only the order inside
+   each bucket to settle: by insertion when it holds a few ids, as for
+   spread-out instants, by heapsort when it holds more, as for instants
+   clustered by widely spread clock rates.  Expected O(n), worst case
+   O(n log n); the scratch arrays are the network's, so a warm reset
+   allocates nothing here.  Top-level functions over the arrays, so that
+   no closure is built per reset. *)
+
+(* Node [a]'s first tick orders before node [b]'s. *)
+let[@inline] tick_before (times : float array) a b =
+  let ta = Array.unsafe_get times a and tb = Array.unsafe_get times b in
+  ta < tb || (ta = tb && a < b)
+
+let insertion_sort times order lo hi =
+  for k = lo + 1 to hi - 1 do
+    let v = order.(k) in
+    let j = ref (k - 1) in
+    while !j >= lo && tick_before times v order.(!j) do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- v
+  done
+
+(* Restore the max-heap order of [order.(lo) .. order.(lo + len - 1)]
+   below heap position [root]. *)
+let rec sift_down times order lo len root =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let child =
+      if
+        child + 1 < len
+        && tick_before times order.(lo + child) order.(lo + child + 1)
+      then child + 1
+      else child
+    in
+    let v = order.(lo + root) in
+    if tick_before times v order.(lo + child) then begin
+      order.(lo + root) <- order.(lo + child);
+      order.(lo + child) <- v;
+      sift_down times order lo len child
+    end
+  end
+
+let heap_sort times order lo hi =
+  let len = hi - lo in
+  for root = (len / 2) - 1 downto 0 do
+    sift_down times order lo len root
+  done;
+  for last = len - 1 downto 1 do
+    let v = order.(lo) in
+    order.(lo) <- order.(lo + last);
+    order.(lo + last) <- v;
+    sift_down times order lo last 0
+  done
+
+(* The bucket of instant [x] among [n] over [[lo, lo + (n-1)/scale]]:
+   monotone in [x], clamped against rounding. *)
+let[@inline] bucket ~lo ~scale n x =
+  let b = int_of_float ((x -. lo) *. scale) in
+  if b < 0 then 0 else if b >= n then n - 1 else b
+
+(* [order.(0 .. n-1)] := the ids [0 .. n-1] by [(times.(id), id)], with
+   [ends] (length n + 1) as the buckets' scratch.  The instants are finite
+   and not NaN. *)
+let order_ticks times order ends =
+  let n = Array.length order in
+  let lo = ref infinity and hi = ref neg_infinity in
+  for id = 0 to n - 1 do
+    let x = times.(id) in
+    if x < !lo then lo := x;
+    if x > !hi then hi := x
+  done;
+  let lo = !lo in
+  let scale = if !hi > lo then float_of_int (n - 1) /. (!hi -. lo) else 0. in
+  Array.fill ends 0 (n + 1) 0;
+  for id = 0 to n - 1 do
+    let b = bucket ~lo ~scale n times.(id) in
+    ends.(b + 1) <- ends.(b + 1) + 1
+  done;
+  for b = 1 to n do
+    ends.(b) <- ends.(b) + ends.(b - 1)
+  done;
+  (* [ends.(b)] is now bucket [b]'s first position; placing its ids in
+     id order moves it to the bucket's end. *)
+  for id = 0 to n - 1 do
+    let b = bucket ~lo ~scale n times.(id) in
+    order.(ends.(b)) <- id;
+    ends.(b) <- ends.(b) + 1
+  done;
+  let start = ref 0 in
+  for b = 0 to n - 1 do
+    let stop = ends.(b) in
+    if stop - !start > 16 then heap_sort times order !start stop
+    else if stop - !start > 1 then insertion_sort times order !start stop;
+    start := stop
+  done
+
 module Make (P : PROTOCOL) = struct
   type context = {
     node : int;
@@ -148,6 +250,10 @@ module Make (P : PROTOCOL) = struct
                                        scheduler *)
     busy : float array;             (* by node id: occupied-until instant *)
     tick_time : float array;        (* by node id: pending tick's instant *)
+    tick_order : int array;         (* [reset]'s scratch: node ids by first
+                                       tick instant *)
+    tick_ends : int array;          (* [reset]'s scratch: bucket bounds,
+                                       length n + 1 *)
     mutable tick_fire : (unit -> unit) array;
                                     (* by node id: the tick chain of
                                        incarnation 0; built with the first
@@ -158,6 +264,8 @@ module Make (P : PROTOCOL) = struct
     mutable causal : Causal.t option;
     mutable observer : observer option;
     mutable instruments : instruments option;
+    mutable ticks_folded : int;     (* [net_stats.ticks] already added to
+                                       ["net/ticks"] *)
     mutable inflight : int;
     mutable msg_seq : int;          (* per-network send sequence number *)
     (* Message envelope pool.  All arrays share the same capacity;
@@ -491,7 +599,7 @@ module Make (P : PROTOCOL) = struct
            Causal.transit_at c ~link:link_id ~src:src.id
              ~dst:link.Topology.dst ~t_begin:t.env_sent_at
              ~t_end:t.env_arrival ~label:"msg" i);
-      Engine.schedule_from t.engine ~tag:(link_class link)
+      Engine.schedule_arrival t.engine ~tag:(link_class link)
         ~footprint:
           (if t.foot_on then
              link_bit link_id lor node_bit link.Topology.dst
@@ -530,9 +638,6 @@ module Make (P : PROTOCOL) = struct
     let node = t.nodes.(id) in
     if (not node.is_crashed) && node.incarnation = t.tc_inc.(i) then begin
       t.net_stats.ticks <- t.net_stats.ticks + 1;
-      (match t.instruments with
-       | None -> ()
-       | Some ins -> Metrics.incr ins.m_ticks);
       (match t.observer with
        | None -> ()
        | Some _ ->
@@ -596,6 +701,16 @@ module Make (P : PROTOCOL) = struct
      chain event per node is pending at a time; the completion, which can
      overlap with later ticks, goes through the tick-completion pool.
 
+     A tick is scheduled through [Engine.schedule_from], so it joins the
+     engine's time-ordered run whenever its instant is not before the
+     run's tail.  [reset] schedules the first round in instant order, and
+     with equal clock rates every later round fires and reschedules in
+     that same order, so no tick of a perfect-clock run reaches the heap.
+     Message arrivals go through [Engine.schedule_arrival] and never join
+     the run: one that did would move its tail past the round being
+     rescheduled.  Clocks of different rates reorder their ticks from
+     round to round, and such ticks do reach the heap.
+
      The chain is bound to the incarnation it was started under: a fire
      still pending from before a crash must die even if the node has
      since rejoined (the rejoin starts a {e new} chain, and two live
@@ -626,9 +741,14 @@ module Make (P : PROTOCOL) = struct
     in
     fire
 
-  let start_ticks t id fire ~after =
+  (* A chain's first tick: the node's first integer local instant after
+     [after], computed into [tick_time] and scheduled apart, so that
+     [reset] can schedule a whole round in instant order. *)
+  let first_tick t id ~after =
     t.tick_time.(id) <- after;
-    Clock.advance_tick (Links.clock t.model id) t.tick_time id;
+    Clock.advance_tick (Links.clock t.model id) t.tick_time id
+
+  let schedule_tick t id fire =
     Engine.schedule_from t.engine ~tag:(node_class t id)
       ~footprint:(if t.foot_on then node_bit id else 0)
       ~times:t.tick_time id fire
@@ -661,10 +781,11 @@ module Make (P : PROTOCOL) = struct
       t.busy.(node_id) <- tnow;
       emit t (Revive { node = node_id });
       t.states.(node_id) <- t.handlers.init t.contexts.(node_id);
-      if t.config.ticks_enabled then
-        start_ticks t node_id
+      if t.config.ticks_enabled then begin
+        first_tick t node_id ~after:tnow;
+        schedule_tick t node_id
           (tick_chain t node_id ~chain_inc:node.incarnation)
-          ~after:tnow
+      end
     end
 
   (* Tracing off: a disabled trace records nothing, so one slot is
@@ -693,6 +814,8 @@ module Make (P : PROTOCOL) = struct
         foot_handler = [||];
         busy = Array.make n 0.;
         tick_time = Array.make n 0.;
+        tick_order = Array.make n 0;
+        tick_ends = Array.make (n + 1) 0;
         tick_fire = [||];
         occ = [| 0. |];
         net_stats =
@@ -708,6 +831,7 @@ module Make (P : PROTOCOL) = struct
         causal = None;
         observer = None;
         instruments = None;
+        ticks_folded = 0;
         inflight = 0;
         msg_seq = 0;
         env_msg = [||];
@@ -767,6 +891,7 @@ module Make (P : PROTOCOL) = struct
     t.causal <- causal;
     t.observer <- observer;
     t.instruments <- instruments;
+    t.ticks_folded <- 0;
     t.foot_on <- scheduled;
     (* Footprint masks feed the pluggable scheduler only; every read is
        behind [foot_on], so the default path skips the O(links) out-link
@@ -812,7 +937,17 @@ module Make (P : PROTOCOL) = struct
           t.tick_fire.(id) <- tick_chain t id ~chain_inc:0
         done
       end;
-      Array.iteri (fun id fire -> start_ticks t id fire ~after:0.) t.tick_fire
+      (* The round in [(instant, id)] order: each tick is appended to the
+         engine's run, and the round's block of sequence numbers executes
+         exactly as the same block in id order would, ties included. *)
+      for id = 0 to n - 1 do
+        first_tick t id ~after:0.
+      done;
+      order_ticks t.tick_time t.tick_order t.tick_ends;
+      for k = 0 to n - 1 do
+        let id = t.tick_order.(k) in
+        schedule_tick t id t.tick_fire.(id)
+      done
     end;
     let engine = t.engine in
     List.iter
@@ -908,7 +1043,27 @@ module Make (P : PROTOCOL) = struct
       ~scheduled:(scheduler <> None) config handlers;
     t
 
-  let run t = Engine.run t.engine
+  (* ["net/ticks"] mirrors [net_stats.ticks]: added once on every exit
+     from [run], returning or raising, instead of once per tick. *)
+  let fold_ticks t =
+    match t.instruments with
+    | None -> ()
+    | Some ins ->
+      let ticks = t.net_stats.ticks in
+      if ticks > t.ticks_folded then begin
+        Metrics.incr ~by:(ticks - t.ticks_folded) ins.m_ticks;
+        t.ticks_folded <- ticks
+      end
+
+  let run t =
+    match Engine.run t.engine with
+    | outcome ->
+      fold_ticks t;
+      outcome
+    | exception e ->
+      let backtrace = Printexc.get_raw_backtrace () in
+      fold_ticks t;
+      Printexc.raise_with_backtrace e backtrace
   let counters t = Engine.counters t.engine
   let state t i = t.states.(i)
   let states t = Array.copy t.states

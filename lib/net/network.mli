@@ -196,9 +196,11 @@ module Make (P : PROTOCOL) : sig
       ["net/link/NNNN/latency"] per link id (one
       {!Abe_sim.Metrics.histogram_family}); and ["net/in_flight"]
       (in-flight message count observed at every send and at every
-      message leaving flight).  Like tracing and observers, recording
-      draws no randomness: every outcome is byte-identical with and
-      without a registry.
+      message leaving flight).  ["net/ticks"] equals [(stats t).ticks]
+      whenever {!run} is not executing: it is added to once on every exit
+      from {!run}, returning or raising, as the engine folds its own
+      metrics.  Like tracing and observers, recording draws no randomness:
+      every outcome is byte-identical with and without a registry.
 
       Every message fate reaches the stats, the metrics, the observer and
       an enabled [trace] alike.  The trace gets one entry per fate: a
@@ -263,6 +265,9 @@ module Make (P : PROTOCOL) : sig
       (physical equality: share the [Topology.t] value). *)
 
   val run : t -> Abe_sim.Engine.outcome
+  (** {!Abe_sim.Engine.run} on the network's engine, then ["net/ticks"]
+      brought up to date (see {!create}). *)
+
   val counters : t -> Abe_sim.Engine.counters
   (** Engine instrumentation for this network's run(s): events executed,
       event-queue high-water mark and host wall-clock time — the raw

@@ -9,9 +9,12 @@
    [(time, seq)].  An event scheduled for exactly the current clock instant
    goes into the same-instant lane, a FIFO ring of arena indices.  A future
    event whose time is at least that of the run's tail is appended to the
-   run, a second FIFO ring: a tick round of perfect clocks is a stream of
-   such events, all at the next integer instant.  Every other future event
-   goes into the heap.  Neither ring needs ordering work: the clock is
+   run, a second FIFO ring: the tick chains of a network are such a
+   stream, its first round scheduled in instant order and every later
+   round of equal-rate clocks rescheduled in that order.  A message arrival
+   ([schedule_arrival]) never joins the run, since its random instant
+   would move the tail past a round still being rescheduled.  Every other
+   future event goes into the heap.  Neither ring needs ordering work: the clock is
    monotone, run appends never go back in time, and [seq] rises, so each
    ring's entries are appended in ascending [(time, seq)] order.  Every
    pop ([pop_slot], and [min_slot] for the scheduler's candidate grab)
@@ -31,8 +34,6 @@
 
 type candidate = {
   c_time : float;
-  c_seq : int;
-  c_tag : int;
   c_foot : int;
 }
 
@@ -324,8 +325,11 @@ let pop_slot t =
   else Pqueue.pop_value t.queue
 
 (* Every scheduling entry point ends here.  The time is read from a flat
-   array so that no float crosses a call boundary boxed. *)
-let schedule_from t ~tag ~footprint ~times i action =
+   array so that no float crosses a call boundary boxed.  [onto_run] is
+   false for message arrivals: their instants are random, and one
+   appended to the run past the tick round's instant would move its tail
+   forward and send every later tick of the round to the heap. *)
+let[@inline] enqueue t ~onto_run ~tag ~footprint ~times i action =
   let time = times.(i) in
   let clock = Array.unsafe_get t.clock 0 in
   if not (time >= clock) && (Float.is_nan time || t.scheduler == None) then
@@ -343,7 +347,7 @@ let schedule_from t ~tag ~footprint ~times i action =
   Array.unsafe_set t.ev_lamport slot lamport;
   if time > clock then begin
     Array.unsafe_set t.ev_time slot time;
-    if time >= Array.unsafe_get t.run_tail 0 then begin
+    if onto_run && time >= Array.unsafe_get t.run_tail 0 then begin
       Array.unsafe_set t.run_tail 0 time;
       push t.run slot
     end
@@ -359,6 +363,12 @@ let schedule_from t ~tag ~footprint ~times i action =
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   if t.live > t.max_depth then t.max_depth <- t.live
+
+let schedule_from t ~tag ~footprint ~times i action =
+  enqueue t ~onto_run:true ~tag ~footprint ~times i action
+
+let schedule_arrival t ~tag ~footprint ~times i action =
+  enqueue t ~onto_run:false ~tag ~footprint ~times i action
 
 let schedule_at t ~time action =
   t.at.(0) <- time;
@@ -455,8 +465,7 @@ let choose_from t sched slot0 =
         Array.map
           (fun i ->
              let s = entries.(i) in
-             { c_time = t.ev_time.(s); c_seq = t.ev_eseq.(s);
-               c_tag = t.ev_tag.(s); c_foot = t.ev_foot.(s) })
+             { c_time = t.ev_time.(s); c_foot = t.ev_foot.(s) })
           eligible
       in
       let digest =

@@ -30,9 +30,11 @@
     current clock instant — a zero delay, such as a handler completion with
     no processing time — skips the heap and joins a FIFO lane.  A future
     event whose time is at least that of the last event appended to the
-    run joins the run, a second FIFO: the ticks of perfect clocks, which
-    all land on the next integer instant in scheduling order, go there.
-    Every other future event goes into the heap.  Both FIFOs are always
+    run joins the run, a second FIFO: a tick round scheduled in instant
+    order goes there, and so does each later round of clocks with equal
+    rates, which fires and reschedules in the same order.  An event
+    scheduled through {!schedule_arrival} never joins the run.  Every
+    other future event goes into the heap.  Both FIFOs are always
     sorted by [(time, seq)] without any work: the clock never runs
     backwards, run appends never go back in time, and sequence numbers
     rise, so each new entry's key is at least the previous one's.  Every
@@ -87,8 +89,6 @@ type outcome =
 
 type candidate = {
   c_time : float;  (** scheduled timestamp *)
-  c_seq : int;     (** global scheduling sequence number *)
-  c_tag : int;     (** scheduling class; [-1] = unconstrained *)
   c_foot : int;
       (** footprint bitmask over the (node, link) entities the event's
           action touches, as declared at {!schedule} time.  [0] means
@@ -186,6 +186,15 @@ val schedule_from :
     ([0] = unknown) is the entity bitmask surfaced to schedulers as
     {!candidate.c_foot}; like [tag], it is pure metadata with no effect on
     execution. *)
+
+val schedule_arrival :
+  t -> tag:int -> footprint:int -> times:float array -> int ->
+  (unit -> unit) -> unit
+(** {!schedule_from} for an event at a random instant, such as a message
+    arrival: the event joins the same-instant lane or the heap, never the
+    run, so it cannot move the run's tail past the instant of a tick round
+    still being scheduled.  Where an event waits changes no execution:
+    every pop merges the three on the full [(time, seq)] key. *)
 
 val stop : t -> unit
 (** Request termination: [run] returns {!Stopped} after the current action

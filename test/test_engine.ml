@@ -301,26 +301,32 @@ let test_now_event_after_queued_peers () =
    children one time unit ahead (as a perfect clock's tick does: they join
    the time-ordered run), then children at the given delays (0 lands in the
    same-instant lane; a delay shorter than the run's tail goes to the
-   heap), and may stop the run.  The reference keeps a plain pending list
-   and executes its least [(time, seq)] while the budgets allow. *)
+   heap), and may stop the run.  A child is scheduled through
+   [Engine.schedule] or, as a message arrival is, through
+   [Engine.schedule_arrival], which never joins the run.  The reference
+   keeps a plain pending list and executes its least [(time, seq)] while
+   the budgets allow. *)
+type child = { delay : float; arrival : bool }
+
 type entry = {
   round : int;
-  children : float list;
+  children : child list;
   stop : bool;
 }
 
 type program = {
-  roots : float list;
+  roots : child list;
   script : entry array;
   limit : float;  (* the engine's [limit_time] *)
   max_events : int;  (* the engine's [limit_events] *)
 }
 
-let entry_delays e = List.init e.round (fun _ -> 1.) @ e.children
+let entry_children e =
+  List.init e.round (fun _ -> { delay = 1.; arrival = false }) @ e.children
 
 let reference_order prog =
   let pending = ref [] and scheduled = ref 0 and clock = ref 0. in
-  let add delay =
+  let add { delay; _ } =
     pending := (!clock +. delay, !scheduled) :: !pending;
     incr scheduled
   in
@@ -342,7 +348,7 @@ let reference_order prog =
     clock := time;
     log := id :: !log;
     if !executed < Array.length prog.script then
-      List.iter add (entry_delays prog.script.(!executed));
+      List.iter add (entry_children prog.script.(!executed));
     incr executed
   done;
   List.rev !log
@@ -369,17 +375,22 @@ let engine_order drive prog =
     Engine.create ?metrics ?scheduler ~limit_time:prog.limit
       ~limit_events:prog.max_events ()
   in
-  let scheduled = ref 0 in
+  let scheduled = ref 0 and at = [| 0. |] in
   let log = ref [] and executed = ref 0 in
-  let rec add delay =
+  let rec add { delay; arrival } =
     let id = !scheduled in
     incr scheduled;
-    Engine.schedule engine ~delay (fun () -> fire id)
+    if arrival then begin
+      at.(0) <- Engine.now engine +. delay;
+      Engine.schedule_arrival engine ~tag:(-1) ~footprint:0 ~times:at 0
+        (fun () -> fire id)
+    end
+    else Engine.schedule engine ~delay (fun () -> fire id)
   and fire id =
     log := id :: !log;
     if !executed < Array.length prog.script then begin
       let e = prog.script.(!executed) in
-      List.iter add (entry_delays e);
+      List.iter add (entry_children e);
       if e.stop then Engine.stop engine
     end;
     incr executed
@@ -400,7 +411,12 @@ let engine_order drive prog =
 
 let program_gen =
   let open QCheck.Gen in
-  let delay = oneofl [ 0.; 0.; 0.; 0.25; 0.5; 1.; 1.; 1.5; 2. ] in
+  let delay =
+    map2
+      (fun delay arrival -> { delay; arrival })
+      (oneofl [ 0.; 0.; 0.; 0.25; 0.5; 1.; 1.; 1.5; 2. ])
+      bool
+  in
   let entry =
     map3
       (fun round children stop -> { round; children; stop })
@@ -416,16 +432,19 @@ let program_gen =
     (oneofl [ 1.; 2.5; 4.; infinity ])
     (oneofl [ 5; 30; max_int ])
 
+let print_child c =
+  Printf.sprintf "%s%g" (if c.arrival then "a" else "") c.delay
+
 let print_program prog =
   Printf.sprintf "roots=[%s] limit=%g max_events=%d script=[%s]"
-    (String.concat ";" (List.map string_of_float prog.roots))
+    (String.concat ";" (List.map print_child prog.roots))
     prog.limit prog.max_events
     (String.concat "; "
        (Array.to_list
           (Array.map
              (fun e ->
                 Printf.sprintf "{%dx1|%s%s}" e.round
-                  (String.concat "," (List.map string_of_float e.children))
+                  (String.concat "," (List.map print_child e.children))
                   (if e.stop then "|stop" else ""))
              prog.script)))
 

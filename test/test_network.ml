@@ -1117,6 +1117,66 @@ let test_message_path_allocation () =
   if words > 3. then
     Alcotest.failf "token ring: %g minor words per event (bound 3)" words
 
+(* ---- "net/ticks" on every exit from [run] ---- *)
+
+exception Tick_boom
+
+(* ["net/ticks"] is added once per exit from [Net.run], and must equal the
+   stats' tick count after each: a run cut by its event budget and run
+   again, one stopped by a tick handler and resumed, and one whose tick
+   handler raises and is resumed.  A resumed run ends at the time budget,
+   as tick chains never drain. *)
+let test_ticks_metric_every_exit () =
+  let config =
+    Net.default_config ~topology:(Topology.ring 4)
+      ~delay:(Delay_model.abe_exponential ~delta:1.)
+  in
+  let ticked = ref 0 in
+  let on_tick stop_or_raise ctx st =
+    incr ticked;
+    if !ticked = 10 then stop_or_raise ctx;
+    st
+  in
+  let check what net m ~ticks =
+    let stats = (Net.stats net).Network.ticks in
+    Alcotest.(check int) (what ^ ": stats") ticks stats;
+    Alcotest.(check int) (what ^ ": net/ticks") stats
+      (Abe_sim.Metrics.counter_value
+         (Abe_sim.Metrics.counter m "net/ticks"))
+  in
+  let m = Abe_sim.Metrics.create () in
+  let net =
+    Net.create ~metrics:m ~limit_events:25 ~seed:1 config (recorder ())
+  in
+  Alcotest.(check bool) "budget hit" true
+    (Net.run net = Abe_sim.Engine.Hit_event_limit);
+  check "budget" net m ~ticks:12;
+  ignore (Net.run net : Abe_sim.Engine.outcome);
+  check "budget, run again" net m ~ticks:12;
+  let m = Abe_sim.Metrics.create () in
+  ticked := 0;
+  let net =
+    Net.create ~metrics:m ~limit_time:6. ~seed:1 config
+      (recorder ~on_tick:(on_tick (fun ctx -> ctx.Net.stop ())) ())
+  in
+  Alcotest.(check bool) "stopped" true (Net.run net = Abe_sim.Engine.Stopped);
+  check "stop" net m ~ticks:10;
+  Alcotest.(check bool) "resumed" true
+    (Net.run net = Abe_sim.Engine.Hit_time_limit);
+  check "stop, resumed" net m ~ticks:24;
+  let m = Abe_sim.Metrics.create () in
+  ticked := 0;
+  let net =
+    Net.create ~metrics:m ~limit_time:6. ~seed:1 config
+      (recorder ~on_tick:(on_tick (fun _ -> raise Tick_boom)) ())
+  in
+  Alcotest.check_raises "tick handler raises" Tick_boom (fun () ->
+      ignore (Net.run net : Abe_sim.Engine.outcome));
+  check "raise" net m ~ticks:10;
+  Alcotest.(check bool) "resumed" true
+    (Net.run net = Abe_sim.Engine.Hit_time_limit);
+  check "raise, resumed" net m ~ticks:24
+
 (* ---- golden: every message fate through every hook ---- *)
 
 (* Two nodes, each sending its tick count on every tick, with delay 1 and
@@ -1331,7 +1391,9 @@ let () =
         [ Alcotest.test_case "sees every event" `Quick
             test_observer_sees_every_event ] );
       ( "golden",
-        [ Alcotest.test_case "every message fate" `Quick test_golden_fates ] );
+        [ Alcotest.test_case "every message fate" `Quick test_golden_fates;
+          Alcotest.test_case "net/ticks on every exit" `Quick
+            test_ticks_metric_every_exit ] );
       ( "determinism",
         [ Alcotest.test_case "seeded" `Quick test_determinism;
           Alcotest.test_case "loss/delay decoupled" `Quick
