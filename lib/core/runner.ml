@@ -389,9 +389,6 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
      spuriously.  Logical invariants — conservation, FIFO, hop soundness,
      unique leader — are exactly what schedule exploration is for and stay
      on. *)
-  (* The hooks below are matched in place, and the clock is read only
-     where a hook that is on uses it: a closure passed to [Option.iter], or
-     a time read for nothing, is an allocation per message. *)
   let instruments = Option.map instruments_of metrics in
   (* A fault scenario whose generation cap bound is simulating a calmer
      network than requested; surface the drop count where dashboards can
@@ -411,7 +408,10 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
      lap; a rejoin forgets it along with the rest of the node's state. *)
   let informed = Array.make (if announce then config.n else 0) false in
   (* Phase transitions as causal marks: instantaneous annotations attached
-     to the handler span in which they happened. *)
+     to the handler span in which they happened.  Here and in [sim] below
+     the hooks are matched in place, and the clock is read only where a
+     hook that is on uses it: a closure passed to [Option.iter], or a boxed
+     time read for nothing, is an allocation per message. *)
   let cmark ctx label =
     match causal with
     | None -> ()

@@ -1064,6 +1064,7 @@ module Make (P : PROTOCOL) = struct
       let backtrace = Printexc.get_raw_backtrace () in
       fold_ticks t;
       Printexc.raise_with_backtrace e backtrace
+
   let counters t = Engine.counters t.engine
   let state t i = t.states.(i)
   let states t = Array.copy t.states

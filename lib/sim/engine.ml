@@ -11,11 +11,12 @@
    event whose time is at least that of the run's tail is appended to the
    run, a second FIFO ring: the tick chains of a network are such a
    stream, its first round scheduled in instant order and every later
-   round of equal-rate clocks rescheduled in that order.  A message arrival
-   ([schedule_arrival]) never joins the run, since its random instant
-   would move the tail past a round still being rescheduled.  Every other
-   future event goes into the heap.  Neither ring needs ordering work: the clock is
-   monotone, run appends never go back in time, and [seq] rises, so each
+   round of equal-rate clocks rescheduled in that order.  A message
+   arrival ([schedule_arrival]) never joins the run, since its random
+   instant would move the tail past a round still being rescheduled.
+   Every other future event goes into the heap.  Neither ring needs
+   ordering work: the clock is monotone, run appends never go back in
+   time, and [seq] rises, so each
    ring's entries are appended in ascending [(time, seq)] order.  Every
    pop ([pop_slot], and [min_slot] for the scheduler's candidate grab)
    takes the least of the lane head, the run head and the heap minimum on
@@ -326,9 +327,7 @@ let pop_slot t =
 
 (* Every scheduling entry point ends here.  The time is read from a flat
    array so that no float crosses a call boundary boxed.  [onto_run] is
-   false for message arrivals: their instants are random, and one
-   appended to the run past the tick round's instant would move its tail
-   forward and send every later tick of the round to the heap. *)
+   false for message arrivals, which never join the run (see above). *)
 let[@inline] enqueue t ~onto_run ~tag ~footprint ~times i action =
   let time = times.(i) in
   let clock = Array.unsafe_get t.clock 0 in
