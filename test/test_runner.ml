@@ -698,13 +698,13 @@ let test_tick_regime_allocation () =
 
 (* ------------------------------------------------------- token regime *)
 
-(* perfbench's sim-tokens ring: n = 2000, δ = 0.1/n, a0 = 1/n, so tokens
-   lap the ring between tick rounds; the O(n^2) mass samples and the phase
-   log are off.  With processing delay the run is cut at time 4: a hop's
-   processing then takes thousands of times its transit, and the election
-   does not finish in a test's time. *)
-let token_config ?(gamma = 0.) ?(clock = Abe_net.Clock.perfect) () =
-  let n = 2000 in
+(* perfbench's sim-tokens ring: n = 2000 by default, δ = 0.1/n, a0 = 1/n,
+   so tokens lap the ring between tick rounds; the O(n^2) mass samples and
+   the phase log are off.  With processing delay the run is cut at time 4:
+   a hop's processing then takes thousands of times its transit, and the
+   election does not finish in a test's time. *)
+let token_config ?(n = 2000) ?(gamma = 0.) ?(clock = Abe_net.Clock.perfect)
+    () =
   let inv_n = 1. /. float_of_int n in
   let params = Params.make ~delta:(0.1 *. inv_n) ~gamma ~clock in
   let proc_delay =
@@ -716,8 +716,9 @@ let token_config ?(gamma = 0.) ?(clock = Abe_net.Clock.perfect) () =
 
 (* (events, messages, ticks, elected_at bits, leader) of three seeds under
    perfect clocks, clock rates spread 1000-fold (the CLI's --drift 1000)
-   and processing delay γ = 0.2.  Any change to the order in which the
-   engine executes a tick round — the first one included — shows in them. *)
+   and processing delay γ = 0.2, and of seed 1 on a perfect n = 10^4 ring.
+   Any change to the order in which the engine executes a tick round — the
+   first one included — shows in them. *)
 let test_token_goldens () =
   let spread = sqrt 1000. in
   let settings =
@@ -733,6 +734,9 @@ let test_token_goldens () =
         [ (1, (30102, 4000, 11051, 4600038926378667761L, 1320));
           (2, (38660, 6000, 13330, 4601144641300992301L, 1557));
           (3, (38814, 6000, 13407, 4601238462187445607L, 1434)) ] );
+      ( "n=10000 perfect",
+        token_config ~n:10_000 (),
+        [ (1, (24158, 10000, 2079, 4596731509748980398L, 4198)) ] );
       ( "gamma 0.2",
         token_config ~gamma:0.2 (),
         [ (1, (15637, 34, 7573, 9221120237041090561L, -1));
