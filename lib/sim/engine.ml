@@ -54,6 +54,7 @@ type counters = {
   executed : int;
   max_queue_depth : int;
   wall_time : float;
+  heap_inserts : int;
 }
 
 (* Pre-resolved metric handles, so folding the tally never touches the
@@ -125,6 +126,7 @@ type t = {
   mutable executed : int;
   mutable live : int;  (* pending events *)
   mutable max_depth : int;  (* high-water mark of [live] *)
+  mutable heap_inserts : int;
   mutable wall : float;     (* host seconds accumulated inside [run] *)
   mutable stop_requested : bool;
   mutable digest_source : (unit -> int) option;
@@ -162,6 +164,7 @@ let allocate () =
     executed = 0;
     live = 0;
     max_depth = 0;
+    heap_inserts = 0;
     wall = 0.;
     stop_requested = false;
     digest_source = None;
@@ -196,6 +199,7 @@ let reset t =
   t.folded <- 0;
   t.live <- 0;
   t.max_depth <- 0;
+  t.heap_inserts <- 0;
   t.wall <- 0.;
   t.stop_requested <- false;
   t.digest_source <- None
@@ -325,6 +329,11 @@ let pop_slot t =
   end
   else Pqueue.pop_value t.queue
 
+(* Every event that waits in the heap goes in here, counted. *)
+let[@inline] heap_add t ~seq slot =
+  t.heap_inserts <- t.heap_inserts + 1;
+  Pqueue.add_at t.queue ~times:t.ev_time ~seq slot
+
 (* Every scheduling entry point ends here.  The time is read from a flat
    array so that no float crosses a call boundary boxed.  [onto_run] is
    false for message arrivals, which never join the run (see above). *)
@@ -350,7 +359,7 @@ let[@inline] enqueue t ~onto_run ~tag ~footprint ~times i action =
       Array.unsafe_set t.run_tail 0 time;
       push t.run slot
     end
-    else Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.seq slot
+    else heap_add t ~seq:t.seq slot
   end
   else begin
     (* Now, or — under a reordering scheduler, whose clock may have raced
@@ -478,7 +487,7 @@ let choose_from t sched slot0 =
   Array.iteri
     (fun i s ->
        if i <> chosen_index then
-         Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(s) s)
+         heap_add t ~seq:t.ev_eseq.(s) s)
     entries;
   let slot = entries.(chosen_index) in
   t.clock.(0) <- Float.max t.clock.(0) t.ev_time.(slot);
@@ -510,7 +519,7 @@ let run_fast t =
       else begin
         let time = Array.unsafe_get t.ev_time slot in
         if time > t.limit_time then begin
-          Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(slot) slot;
+          heap_add t ~seq:t.ev_eseq.(slot) slot;
           Hit_time_limit
         end
         else begin
@@ -541,7 +550,7 @@ let run_observed t =
       let slot0 = pop_slot t in
       if slot0 < 0 then Drained
       else if t.ev_time.(slot0) > t.limit_time then begin
-        Pqueue.add_at t.queue ~times:t.ev_time ~seq:t.ev_eseq.(slot0) slot0;
+        heap_add t ~seq:t.ev_eseq.(slot0) slot0;
         Hit_time_limit
       end
       else begin
@@ -590,4 +599,7 @@ let max_queue_depth t = t.max_depth
 let wall_time t = t.wall
 
 let counters t =
-  { executed = t.executed; max_queue_depth = t.max_depth; wall_time = t.wall }
+  { executed = t.executed;
+    max_queue_depth = t.max_depth;
+    wall_time = t.wall;
+    heap_inserts = t.heap_inserts }

@@ -232,6 +232,10 @@ type counters = {
       (** high-water mark of pending events *)
   wall_time : float;
       (** host wall-clock seconds accumulated inside {!run} calls *)
+  heap_inserts : int;
+      (** events put into the heap: futures that could not join the
+          same-instant lane or the run, and events a budget or a
+          scheduler put back *)
 }
 
 val counters : t -> counters

@@ -1117,6 +1117,38 @@ let test_message_path_allocation () =
   if words > 3. then
     Alcotest.failf "token ring: %g minor words per event (bound 3)" words
 
+(* ---- where events wait ---- *)
+
+(* With perfect clocks and instant processing, every tick round is
+   appended to the engine's run and every handler completion joins its
+   same-instant lane, so the only events that wait in the heap are message
+   arrivals: one heap insert per message sent, at n = 48 in the CLI's
+   default regime and at n = 2000 in the token regime (δ = 0.1/n).  A
+   tick round scheduled out of instant order puts ticks there too.  The
+   runs end at their event budget, which puts nothing back. *)
+let test_heap_holds_only_arrivals () =
+  List.iter
+    (fun (n, delta, events) ->
+       let config =
+         Null_net.default_config ~topology:(Topology.ring n)
+           ~delay:(Delay_model.abe_exponential ~delta)
+       in
+       for seed = 1 to 3 do
+         let net =
+           Null_net.create ~limit_events:events ~seed config token_handlers
+         in
+         ignore (Null_net.run net : Abe_sim.Engine.outcome);
+         let sent = (Null_net.stats net).Network.sent in
+         let ticks = (Null_net.stats net).Network.ticks in
+         if ticks < 2 * n then
+           Alcotest.failf "n=%d seed %d: %d ticks" n seed ticks;
+         Alcotest.(check int)
+           (Printf.sprintf "n=%d seed %d: heap inserts" n seed)
+           sent
+           (Null_net.counters net).Abe_sim.Engine.heap_inserts
+       done)
+    [ (48, 1., 20_000); (2000, 0.1 /. 2000., 100_000) ]
+
 (* ---- "net/ticks" on every exit from [run] ---- *)
 
 exception Tick_boom
@@ -1409,6 +1441,9 @@ let () =
             test_tick_cycle_allocation_free;
           Alcotest.test_case "message path" `Quick
             test_message_path_allocation ] );
+      ( "engine queues",
+        [ Alcotest.test_case "only arrivals wait in the heap" `Quick
+            test_heap_holds_only_arrivals ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_conservation; prop_links_replay ] ) ]
