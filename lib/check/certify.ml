@@ -56,15 +56,6 @@ let run ?(window = Schedulers.default_window) ?(budget = 200)
   let topology = Abe_net.Topology.bidirectional_ring n in
   let delay = Abe_net.Delay_model.abe_exponential ~delta:1.0 in
   let skew_bound = match variant with Alpha | Beta | Gamma -> Some 1 | Abd -> None in
-  let abd_window =
-    lazy
-      (match
-         Abd_sync.required_window ~hard_bound:2.0
-           ~clock_spec:Abe_net.Clock.perfect ~pulses
-       with
-       | Some w -> w
-       | None -> assert false (* perfect clocks never preclude a window *))
-  in
   let run_once ~scheduler ~oracle =
     match variant with
     | Alpha ->
@@ -81,7 +72,7 @@ let run ?(window = Schedulers.default_window) ?(budget = 200)
         .Gamma_bfs.completed
     | Abd ->
       (Abd_bfs.run ~limit_events ~scheduler ~oracle ~seed ~topology ~delay
-         ~pulses ~window:(Lazy.force abd_window) ())
+         ~pulses ~window:(Abd_sync.required_window ~hard_bound:2.0) ())
         .Abd_bfs.completed
   in
   let deadline =

@@ -1,20 +1,11 @@
 open Abe_net
 
-let required_window ~hard_bound ~clock_spec ~pulses =
+let required_window ~hard_bound =
   if not (hard_bound >= 0.) then
     invalid_arg "Abd_sync.required_window: hard_bound must be non-negative";
-  if pulses < 1 then invalid_arg "Abd_sync.required_window: pulses must be >= 1";
-  let s_low = clock_spec.Clock.s_low and s_high = clock_spec.Clock.s_high in
-  let t = float_of_int pulses in
-  (* Worst case over the horizon: the sender's clock runs at s_low, the
-     receiver's at s_high, with one local unit of initial phase skew on each
-     side.  The pulse-p message must arrive before the receiver's pulse
-     window closes; the constraint is tightest at the last pulse. *)
-  let slope = (t /. s_high) -. ((t -. 1.) /. s_low) in
-  if slope <= 0. then None
-  else
-    let needed = (hard_bound +. (2. /. s_low)) /. slope in
-    Some (int_of_float (Float.ceil needed) + 1)
+  (* A message must arrive before the receiver's pulse window closes,
+     with one tick of initial phase skew on each side. *)
+  int_of_float (Float.ceil (hard_bound +. 2.)) + 1
 
 module Make (A : Sync_alg.S) = struct
   type wire = Bundle of { pulse : int; body : A.message }

@@ -18,8 +18,7 @@
 
     Pulse windows are measured in clock ticks: a node advances to the next
     pulse every [window] local ticks.  [run] uses perfect clocks and
-    instant processing; {!required_window} sizes a window for drifting
-    clocks too. *)
+    instant processing, and {!required_window} sizes a window for them. *)
 
 module Make (A : Sync_alg.S) : sig
   type run = {
@@ -48,10 +47,8 @@ module Make (A : Sync_alg.S) : sig
       reports how far the hard-bound assumption stretched. *)
 end
 
-val required_window :
-  hard_bound:float -> clock_spec:Abe_net.Clock.spec -> pulses:int -> int option
-(** Smallest safe pulse window (in ticks) for a network whose delays are
-    bounded by [hard_bound], covering initial clock-phase skew and rate
-    drift accumulated over [pulses] pulses.  [None] when the drift is too
-    large for the horizon — no window can keep the slowest and fastest
-    clocks aligned that long without resynchronisation. *)
+val required_window : hard_bound:float -> int
+(** Smallest safe pulse window (in ticks) on perfect clocks for a network
+    whose delays are bounded by [hard_bound], covering one tick of initial
+    phase skew on each side: [⌈hard_bound + 2⌉ + 1].
+    @raise Invalid_argument if [hard_bound] is negative or NaN. *)

@@ -41,13 +41,7 @@ let bfs_comparison ?(driver = Abe_harness.Driver.Sequential) ?(replications = 20
   (* The contrasting ABD network: same mean delay, hard bound 2δ. *)
   let abd_delay = Delay_model.abd_uniform ~bound:(2. *. delta) in
   let hard_bound = Option.get (Delay_model.hard_bound abd_delay) in
-  let window =
-    match
-      Abd_sync.required_window ~hard_bound ~clock_spec:Clock.perfect ~pulses
-    with
-    | Some w -> w
-    | None -> assert false  (* perfect clocks never preclude a window *)
-  in
+  let window = Abd_sync.required_window ~hard_bound in
   let reference = Ref_bfs.run ~seed ~topology ~pulses in
   let expected = distances reference.Ref_bfs.states in
   let alpha =

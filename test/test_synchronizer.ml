@@ -269,27 +269,15 @@ let test_gamma_interpolates_cost () =
     [ 0; 1; 2; 20 ]
 
 let test_required_window () =
-  (* Perfect clocks: window ~ hard bound + slack. *)
-  (match Abd_sync.required_window ~hard_bound:2. ~clock_spec:Clock.perfect ~pulses:50 with
-   | Some w -> Alcotest.(check bool) "reasonable window" true (w >= 3 && w <= 8)
-   | None -> Alcotest.fail "perfect clocks must admit a window");
-  (* Heavy drift over a long horizon: impossible. *)
-  (match
-     Abd_sync.required_window ~hard_bound:2.
-       ~clock_spec:(Clock.spec ~s_low:0.5 ~s_high:2.) ~pulses:100
-   with
-   | None -> ()
-   | Some w -> Alcotest.failf "expected None, got window %d" w)
+  (* The hard bound plus one tick of phase skew on each side, plus one. *)
+  Alcotest.(check int) "hard bound 2" 5 (Abd_sync.required_window ~hard_bound:2.)
 
 let test_abd_sync_zero_violations_on_abd () =
   let n = 10 in
   let topology = Topology.bidirectional_ring n in
   let pulses = (n / 2) + 2 in
   let abd_delay = Delay_model.abd_uniform ~bound:2. in
-  let window =
-    Option.get
-      (Abd_sync.required_window ~hard_bound:2. ~clock_spec:Clock.perfect ~pulses)
-  in
+  let window = Abd_sync.required_window ~hard_bound:2. in
   for seed = 1 to 10 do
     let r = Abd_bfs.run ~seed ~topology ~delay:abd_delay ~pulses ~window () in
     Alcotest.(check bool) "completed" true r.Abd_bfs.completed;
@@ -307,10 +295,7 @@ let test_abd_sync_violations_on_abe () =
   let n = 16 in
   let topology = Topology.bidirectional_ring n in
   let pulses = (n / 2) + 2 in
-  let window =
-    Option.get
-      (Abd_sync.required_window ~hard_bound:2. ~clock_spec:Clock.perfect ~pulses)
-  in
+  let window = Abd_sync.required_window ~hard_bound:2. in
   let total_violations = ref 0 in
   for seed = 1 to 20 do
     let r = Abd_bfs.run ~seed ~topology ~delay:abe_delay ~pulses ~window () in
