@@ -270,8 +270,8 @@ module Make (P : PROTOCOL) : sig
 
   val counters : t -> Abe_sim.Engine.counters
   (** Engine instrumentation for this network's run(s): events executed,
-      event-queue high-water mark and host wall-clock time — the raw
-      material for the harness throughput reports. *)
+      event-queue high-water mark, heap inserts and host wall-clock time —
+      the raw material for the harness throughput reports. *)
 
   val now : t -> float
   val state : t -> int -> P.state

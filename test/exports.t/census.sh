@@ -1,7 +1,7 @@
 #!/bin/sh
 # The export census: every [val] declared in lib/*/*.mli that no source
-# under lib/, bin/, bench/, examples/ or perfbench/ names as a whole word
-# (as [grep -w] matches), apart from the value's own .ml and .mli.  Such a
+# under lib/, bin/, examples/ or perfbench/ names as a whole word (as
+# [grep -w] matches), apart from the value's own .ml and .mli.  Such a
 # value is exported for the tests alone.
 #
 # A second pass catches what the word pass misses when a value's name is
@@ -20,7 +20,7 @@ set -e
 cd "${1:-.}"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-find -L lib bin bench examples perfbench \
+find -L lib bin examples perfbench \
   \( -name _build -o -name .bench_build \) -prune -o \
   \( -name '*.ml' -o -name '*.mli' \) -type f -print | sort > "$tmp/sources"
 while read -r f; do
