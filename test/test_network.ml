@@ -679,9 +679,25 @@ let test_rejoin_receives_and_ticks () =
 let test_pool_occupancy_zero_at_quiescence () =
   (* Regression for the drop-path audit: every exit path — delivery, loss,
      crash drop, stale incarnation, link drop — must release its pooled
-     envelope, so at quiescence the freelists hold the whole pool again. *)
+     envelope, so at quiescence the freelists hold the whole pool again.
+     The ticking cases add processing time (γ = 0.6 against a tick period
+     of 1), so tick completions and messages are pending together and a
+     crash leaves tick completions of a dead incarnation behind; crashing
+     both nodes at t = 20 ends the tick chains so the run drains. *)
+  let ticking_handlers =
+    recorder
+      ~init_send:(fun ctx ->
+          if ctx.Net.node = 0 then
+            for i = 1 to 100 do
+              ctx.Net.send 0 i
+            done)
+      ~on_tick:(fun ctx st ->
+          ctx.Net.send 0 st.Proto.ticks;
+          st)
+      ()
+  in
   List.iter
-    (fun (what, crash_times, revive_times, link_downs) ->
+    (fun (what, ticking, crash_times, revive_times, link_downs) ->
        let config =
          { (burst_config ~fifo:false) with
            Net.loss_schedule = Some (Fun.const 0.3);
@@ -689,7 +705,16 @@ let test_pool_occupancy_zero_at_quiescence () =
            revive_times;
            link_downs }
        in
-       let net = Net.create ~seed:61 config burst_handlers in
+       let config, handlers =
+         if ticking then
+           ( { config with
+               Net.ticks_enabled = true;
+               proc_delay = Some (Abe_prob.Dist.exponential ~mean:0.6);
+               crash_times = crash_times @ [ (0, 20.); (1, 20.) ] },
+             ticking_handlers )
+         else (config, burst_handlers)
+       in
+       let net = Net.create ~seed:61 config handlers in
        Alcotest.(check bool)
          (Printf.sprintf "%s: pool in use mid-run" what)
          true
@@ -704,6 +729,9 @@ let test_pool_occupancy_zero_at_quiescence () =
          stats.Network.sent
          (stats.Network.delivered + stats.Network.lost
           + stats.Network.crashed_drops + stats.Network.link_drops);
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: ticks processed" what)
+         ticking (stats.Network.ticks > 0);
        Alcotest.(check int)
          (Printf.sprintf "%s: envelope pool fully released" what)
          0 (Net.envelopes_in_use net);
@@ -713,10 +741,14 @@ let test_pool_occupancy_zero_at_quiescence () =
        Alcotest.(check int)
          (Printf.sprintf "%s: in-flight zero" what)
          0 (Net.in_flight net))
-    [ ("crash", [ (1, 4.) ], [], []);
-      ("crash+rejoin", [ (1, 4.) ], [ (1, 9.) ], []);
-      ("link outage", [], [], [ (0, 3., 8.) ]);
-      ("crash+outage", [ (1, 4.) ], [ (1, 9.) ], [ (0, 2., 6.) ]) ]
+    [ ("crash", false, [ (1, 4.) ], [], []);
+      ("crash+rejoin", false, [ (1, 4.) ], [ (1, 9.) ], []);
+      ("link outage", false, [], [], [ (0, 3., 8.) ]);
+      ("crash+outage", false, [ (1, 4.) ], [ (1, 9.) ], [ (0, 2., 6.) ]);
+      ("ticking crash", true, [], [], []);
+      ("ticking crash+rejoin", true, [ (1, 4.) ], [ (1, 9.) ], []);
+      ("ticking crash+outage", true, [ (1, 4.) ], [ (1, 9.) ],
+       [ (0, 2., 6.) ]) ]
 
 let test_loss_schedule_bounds () =
   (* Both bounds of [0,1] are legal probabilities; anything outside is

@@ -344,6 +344,53 @@ let fail_violation ~seed ~scenario v =
   Alcotest.failf "seed %d, %s: %s" seed scenario
     (Fmt.str "%a" Abe_sim.Oracle.pp_violation v)
 
+(* (mass samples, phase transitions, md5 of both) over seeds 1..20 of an
+   n = 16 ring under each fault.  A rejoin resets the node's state and so
+   its share of the wake-up mass; crashes, rejoins and churn all move the
+   samples, and floats are pinned to the bit by [%h]. *)
+let test_faulted_mass_goldens () =
+  let n = 16 in
+  let fingerprint scenario =
+    let buf = Buffer.create 4096 in
+    let samples = ref 0 and transitions = ref 0 in
+    for seed = 1 to 20 do
+      let config =
+        Runner.config ~n ~a0:0.2 ~limit_events:200_000
+          ~fault:(fault_of scenario ~seed ~n) ()
+      in
+      let o = Runner.run ~seed config in
+      Printf.bprintf buf "seed %d\n" seed;
+      Array.iter
+        (fun (t, sum_d, k) -> Printf.bprintf buf "m %h %d %d\n" t sum_d k)
+        o.Runner.mass_samples;
+      Array.iter
+        (fun (t, node, phase) ->
+           Printf.bprintf buf "p %h %d %d\n" t node
+             (match phase with
+              | Election.Idle -> 0
+              | Election.Active -> 1
+              | Election.Passive -> 2
+              | Election.Leader -> 3))
+        o.Runner.phase_transitions;
+      samples := !samples + Array.length o.Runner.mass_samples;
+      transitions := !transitions + Array.length o.Runner.phase_transitions
+    done;
+    let md5 = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+    (!samples, (!transitions, md5))
+  in
+  List.iter
+    (fun (scenario, expected) ->
+       Alcotest.(check (pair int (pair int string))) scenario expected
+         (fingerprint scenario))
+    [ ("none", (1571, (2842, "06479a5ce22b94a18273cd6180593e78")));
+      ("crash(2@5)", (319, (528, "d5827176189f83bab9680eb7b776aac6")));
+      ( "rejoin(2@5:9)",
+        (11361, (22478, "7994d88cc4f6232ada96269273cd01f8")) );
+      ( "rejoin(1@2:5)+rejoin(3@4:30)",
+        (23346, (46587, "fdb36496e77f6eb7d7818215759e9430")) );
+      ( "churn(0.2)",
+        (40644, (84898, "2ec359eb35ba6eb55dca289d9385da52")) ) ]
+
 let test_checked_runs_clean () =
   (* 200 checked runs across fault scenarios.  Faults break the liveness
      guarantee — a lost token can stall the election forever (the active
@@ -1066,7 +1113,9 @@ let () =
         [ Alcotest.test_case "crash blocks election" `Quick
             test_crash_blocks_election;
           Alcotest.test_case "late crash harmless" `Quick
-            test_crash_after_election_harmless ] );
+            test_crash_after_election_harmless;
+          Alcotest.test_case "faulted mass goldens" `Quick
+            test_faulted_mass_goldens ] );
       ( "oracle",
         [ Alcotest.test_case "200 checked runs clean" `Quick
             test_checked_runs_clean;
