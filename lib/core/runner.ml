@@ -19,12 +19,11 @@ module Net = Network.Make (struct
       | Announce -> Format.pp_print_string ppf "<announce>"
   end)
 
-(* One pooled ring: a network of the configuration's topology, the
-   runner's shadow copy of its node states and, once a checked run has
-   used the ring, its monitor; all three are reset when taken. *)
+(* One pooled ring: a network of the configuration's topology and, once a
+   checked run has used the ring, its monitor; both are reset when
+   taken. *)
 type entry = {
   net : Net.t;
-  shadow : Election.state array;
   monitor : Monitor.t option;
 }
 
@@ -297,6 +296,8 @@ type counters = {
   mutable leader : int option;
   mutable elections : int;
   mutable activation_times : float list;
+  mutable mass : int;  (* the wake-up mass Σd over non-passive nodes *)
+  mutable non_passive : int;
   mutable mass_samples : (float * int * int) list;
   mutable phase_transitions : (float * int * Election.phase) list;
   mutable announce_messages : int;
@@ -339,13 +340,25 @@ let mix h v =
   let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D land max_int in
   z lxor (z lsr 32)
 
+(* A node's share of the wake-up mass: its watermark while it is idle or
+   active, nothing once passive or leader. *)
+let mass_of st =
+  match st.Election.phase with
+  | Election.Idle | Election.Active -> st.Election.d
+  | Election.Passive | Election.Leader -> 0
+
+let non_passive_of st =
+  match st.Election.phase with
+  | Election.Idle | Election.Active -> 1
+  | Election.Passive | Election.Leader -> 0
+
 (* One wiring for every simulated variant: the naive ablation differs
    from the paper's algorithm only in its configuration's activation
    table ([naive]), and announce mode only in what [Elected] does — it
    starts the announcement lap instead of stopping, and the lap's return
    to the leader is the run's goal. *)
 let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
-    ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed config =
+    ?(forwarding = Paper) ?(wall_deadline = infinity) ~seed (config : config) =
   let counters =
     { activations = 0;
       knockouts = 0;
@@ -354,6 +367,8 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
       leader = None;
       elections = 0;
       activation_times = [];
+      mass = config.n * mass_of Election.initial;
+      non_passive = config.n * non_passive_of Election.initial;
       mass_samples = [];
       phase_transitions = [];
       announce_messages = 0;
@@ -424,7 +439,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
     counters.activations - counters.purges - counters.elections
   in
   (* A pooled ring when one is free: its network is reset by [Net.create]
-     below, its shadow and monitor here. *)
+     below, its monitor here. *)
   let pooled = take config.pool in
   let monitor =
     Option.map
@@ -442,15 +457,6 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
            Monitor.create ~oracle ?clock ~fifo:false ~dynamic ~nodes:config.n
              ~links:config.n ())
       oracle
-  in
-  (* Shadow copy of all node states, to sample the ring-wide wake-up mass
-     Σ d over non-passive nodes whenever the phase distribution changes. *)
-  let shadow =
-    match pooled with
-    | Some { shadow; _ } ->
-      Array.fill shadow 0 config.n Election.initial;
-      shadow
-    | None -> Array.make config.n Election.initial
   in
   (* In-flight token multiset for the exploration digest: an
      order-independent sum of per-message keys (destination, hop), added
@@ -478,31 +484,27 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
       counters.phase_transitions <-
         (time, node, after.Election.phase) :: counters.phase_transitions
   in
-  (* Each sample walks the whole shadow ring, and samples are taken per
-     knockout/purge — O(n^2) over an election, which is why huge-ring
-     benchmarks opt out via [record_mass = false]. *)
+  (* The mass samples read running sums, which every state change moves:
+     a sample is O(1). *)
+  let move_mass before after =
+    counters.mass <- counters.mass + mass_of after - mass_of before;
+    counters.non_passive <-
+      counters.non_passive + non_passive_of after - non_passive_of before
+  in
   let sample_mass ctx =
-    if config.record_mass then begin
-      (* A loop, not [Array.iter]: the counters stay in registers. *)
-      let sum_d = ref 0 and non_passive = ref 0 in
-      for node = 0 to Array.length shadow - 1 do
-        let st = shadow.(node) in
-        match st.Election.phase with
-        | Election.Idle | Election.Active ->
-          sum_d := !sum_d + st.Election.d;
-          incr non_passive
-        | Election.Passive | Election.Leader -> ()
-      done;
+    if config.record_mass then
       counters.mass_samples <-
-        (ctx.Net.now (), !sum_d, !non_passive) :: counters.mass_samples
-    end
+        (ctx.Net.now (), counters.mass, counters.non_passive)
+        :: counters.mass_samples
   in
   (* Election-layer reaction to dynamic-network events, layered over the
      monitor's observer (observers stay pure probes — neither layer draws
      randomness or schedules anything except the stall stop below):
 
      - [Revive]: the node rejoined with its protocol state reset, so the
-       shadow ring (mass sampling, digests) must reset with it;
+       mass sums and the phase log move with it.  The network emits
+       [Revive] before [init] runs, so [Net.state] still holds the old
+       state;
      - [Crash] of a node with no scheduled rejoin that the run's goal
        still needs: on a unidirectional ring the election token must
        traverse {e every} link, and so must the announcement, so a
@@ -510,7 +512,9 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
        with a structured reason instead of burning the whole time budget
        on it. *)
   let stall = ref None in
-  let stop_engine = ref (fun () -> ()) in
+  (* This run's network, once built: fault events fire only inside
+     [Net.run]. *)
+  let running = ref None in
   let revivable =
     List.fold_left
       (fun acc (node, _) -> if List.mem node acc then acc else node :: acc)
@@ -527,8 +531,12 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
         (fun ~time ~stats ~in_flight ev ->
            (match (ev : Network.event) with
             | Network.Revive { node } ->
-              record_phase time node shadow.(node) Election.initial;
-              shadow.(node) <- Election.initial;
+              Option.iter
+                (fun net ->
+                   let before = Net.state net node in
+                   move_mass before Election.initial;
+                   record_phase time node before Election.initial)
+                !running;
               if announce then informed.(node) <- false
             | Network.Crash { node } ->
               (* Before the election every node is needed; afterwards, in
@@ -545,7 +553,9 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
                         complete" node time
                        (if counters.elections = 0 then "ring election"
                         else "announcement lap"));
-                !stop_engine ()
+                Option.iter
+                  (fun net -> Abe_sim.Engine.stop (Net.engine net))
+                  !running
               end
             | _ -> ());
            match monitor_observer with
@@ -564,7 +574,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
       forwarding;
       moved =
         (fun ctx before after ->
-           shadow.(ctx.Net.node) <- after;
+           move_mass before after;
            if config.record_phases then
              record_phase (ctx.Net.now ()) ctx.Net.node before after);
       mark =
@@ -675,9 +685,9 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
   in
   (* Back to the pool however the run ends; the next taker resets it. *)
   Fun.protect ~finally:(fun () ->
-      give config.pool { net; shadow; monitor = kept })
+      give config.pool { net; monitor = kept })
   @@ fun () ->
-  (stop_engine := fun () -> Abe_sim.Engine.stop (Net.engine net));
+  running := Some net;
   (* State digest for exploration-time pruning: a 62-bit avalanche hash of
      the canonical state — per-node phase and watermark, the election
      counters, the network's conservation counters (drop classes
@@ -687,17 +697,17 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
   if scheduler <> None then begin
     Abe_sim.Engine.set_digest_source (Net.engine net) (fun () ->
         let h = ref 0x3C79AC492BA7B653 in
-        Array.iter
-          (fun st ->
-             let phase =
-               match st.Election.phase with
-               | Election.Idle -> 0
-               | Election.Active -> 1
-               | Election.Passive -> 2
-               | Election.Leader -> 3
-             in
-             h := mix !h ((st.Election.d * 4) + phase))
-          shadow;
+        for node = 0 to config.n - 1 do
+          let st = Net.state net node in
+          let phase =
+            match st.Election.phase with
+            | Election.Idle -> 0
+            | Election.Active -> 1
+            | Election.Passive -> 2
+            | Election.Leader -> 3
+          in
+          h := mix !h ((st.Election.d * 4) + phase)
+        done;
         h := mix !h counters.activations;
         h := mix !h counters.knockouts;
         h := mix !h counters.purges;

@@ -212,19 +212,23 @@ module Make (P : PROTOCOL) = struct
     m_in_flight : Metrics.histogram;
   }
 
-  (* In-flight messages and pending tick completions live in pooled
-     envelopes: structure-of-arrays slots recycled through freelists, each
-     slot carrying a preallocated action closure (capturing only the
-     network and the slot index).  A send therefore reuses an envelope and
-     schedules a pre-built closure instead of allocating a fresh closure
-     over a fresh tuple of fields.  The pools are global, not per-link:
-     their size tracks the in-flight high-water mark of the whole network,
-     not [links x depth] (per-link pools would cost O(links) memory even
-     on an idle ring of 10^6 nodes).
+  (* Every pending handler execution is a {e job} in one pool: a message
+     from its send to its completion, or a tick from its fire to its
+     completion (Definition 1.3 bounds both by γ).  The pool is
+     structure-of-arrays slots recycled through a freelist, each slot
+     carrying preallocated closures (capturing only the network and the
+     slot index): a message's arrival, a message's completion and a
+     tick's completion, one per kind so that neither path branches on the
+     kind.  A send therefore reuses a slot and schedules a pre-built
+     closure instead of allocating a fresh closure over a fresh tuple of
+     fields.  The pool is global, not per-link: its size tracks the
+     high-water mark of pending jobs in the whole network, not
+     [links x depth] (per-link pools would cost O(links) memory even on an
+     idle ring of 10^6 nodes).
 
      With no hook attached the tick cycle allocates nothing.  A tick's
      instant, its completion instant and a message's arrival instant sit
-     in flat arrays ([tick_time], [busy], [env_arrival]) and reach the
+     in flat arrays ([tick_time], [busy], [job_begin]) and reach the
      engine through [Engine.schedule_from] and the clock through
      [Clock.advance_tick], so no float is boxed on the way; node states
      sit in [states] with no option box; and hooks are matched in place,
@@ -268,37 +272,36 @@ module Make (P : PROTOCOL) = struct
                                        ["net/ticks"] *)
     mutable inflight : int;
     mutable msg_seq : int;          (* per-network send sequence number *)
-    (* Message envelope pool.  All arrays share the same capacity;
-       [env_free] heads a freelist threaded through [env_next]. *)
-    mutable env_msg : P.message array;
-    mutable env_filler : P.message option;  (* overwrites freed slots so a
-                                               delivered payload is not
-                                               retained by the pool *)
-    mutable env_link : int array;
-    mutable env_seq : int array;
-    mutable env_dst : int array;
-    mutable env_sent_at : float array;
-    mutable env_arrival : float array;
-    mutable env_start : float array;
-    mutable env_completion : float array;
-    mutable env_cause : int array;  (* transit span id; -1 = none *)
-    mutable env_inc : int array;    (* destination incarnation at arrival *)
-    mutable env_arrive : (unit -> unit) array;
-    mutable env_complete : (unit -> unit) array;
-    mutable env_next : int array;
-    mutable env_free : int;
-    (* Tick-completion pool.  Distinct from the per-node [tick_time]
-       scratch because completions overlap: when processing time exceeds
-       the tick period, several tick completions are pending on one node
-       at once. *)
-    mutable tc_node : int array;
-    mutable tc_tick : float array;
-    mutable tc_start : float array;
-    mutable tc_completion : float array;
-    mutable tc_inc : int array;     (* node incarnation at scheduling *)
-    mutable tc_run : (unit -> unit) array;
-    mutable tc_next : int array;
-    mutable tc_free : int;
+    (* The job pool.  Every array but [job_msg] has the pool's capacity;
+       [job_free] heads a freelist threaded through [job_next].  A tick
+       job is distinct from the per-node [tick_time] scratch because
+       completions overlap: when processing time exceeds the tick period,
+       several tick completions are pending on one node at once. *)
+    mutable job_node : int array;   (* the node whose handler runs *)
+    mutable job_begin : float array;
+                                    (* a message's arrival, a tick's
+                                       instant *)
+    mutable job_start : float array;
+    mutable job_completion : float array;
+    mutable job_inc : int array;    (* node incarnation at occupancy *)
+    mutable job_next : int array;
+    mutable job_free : int;
+    mutable job_arrive : (unit -> unit) array;
+    mutable job_deliver : (unit -> unit) array;
+    mutable job_tick : (unit -> unit) array;
+    (* Message jobs only. *)
+    mutable job_msg : P.message array;
+                                    (* grown when a message is stored: a
+                                       tick job has no payload to fill a
+                                       new column with *)
+    mutable job_filler : P.message option;
+                                    (* overwrites freed slots so a delivered
+                                       payload is not retained by the
+                                       pool *)
+    mutable job_link : int array;
+    mutable job_seq : int array;
+    mutable job_sent_at : float array;
+    mutable job_cause : int array;  (* transit span id; -1 = none *)
   }
 
   let now t = Engine.now t.engine
@@ -415,54 +418,57 @@ module Make (P : PROTOCOL) = struct
   let[@inline] set_state t id st =
     if t.states.(id) != st then t.states.(id) <- st
 
-  let free_envelope t i =
-    (match t.env_filler with Some m -> t.env_msg.(i) <- m | None -> ());
-    t.env_cause.(i) <- -1;
-    t.env_next.(i) <- t.env_free;
-    t.env_free <- i
+  let free_job t i =
+    t.job_next.(i) <- t.job_free;
+    t.job_free <- i
+
+  let free_message t i =
+    (match t.job_filler with Some m -> t.job_msg.(i) <- m | None -> ());
+    t.job_cause.(i) <- -1;
+    free_job t i
 
   (* Runs at the message's processing-completion instant: the delivery
-     proper.  Envelope [i] is released before the handler runs, so sends
-     from inside the handler can reuse it immediately. *)
-  let complete_slot t i =
-    let dst = t.nodes.(t.env_dst.(i)) in
-    let message = t.env_msg.(i) in
-    if dst.is_crashed || dst.incarnation <> t.env_inc.(i) then begin
+     proper.  Job [i] is released before the handler runs, so sends from
+     inside the handler can reuse it immediately. *)
+  let deliver_job t i =
+    let dst = t.nodes.(t.job_node.(i)) in
+    let message = t.job_msg.(i) in
+    if dst.is_crashed || dst.incarnation <> t.job_inc.(i) then begin
       (* Crashed between arrival and processing — or crashed {e and}
          rejoined: a completion scheduled under a dead incarnation must
          not deliver into the revived node's fresh state. *)
-      account t Crash_dropped t.env_link.(i) ~seq:t.env_seq.(i) ~node:dst.id
+      account t Crash_dropped t.job_link.(i) ~seq:t.job_seq.(i) ~node:dst.id
         message;
-      free_envelope t i
+      free_message t i
     end
     else begin
-      account t Delivered t.env_link.(i) ~seq:t.env_seq.(i) ~node:dst.id
+      account t Delivered t.job_link.(i) ~seq:t.job_seq.(i) ~node:dst.id
         message;
       (match t.causal with
        | None -> ()
        | Some c ->
          Causal.set_current_id c
-           (Causal.process_at c ~cause:t.env_cause.(i) ~node:dst.id
-              ~label:"recv" ~t_begin:t.env_arrival ~t_busy:t.env_start
-              ~t_end:t.env_completion i));
+           (Causal.process_at c ~cause:t.job_cause.(i) ~node:dst.id
+              ~label:"recv" ~t_begin:t.job_begin ~t_busy:t.job_start
+              ~t_end:t.job_completion i));
       let ctx = t.contexts.(dst.id) in
-      free_envelope t i;
+      free_message t i;
       set_state t dst.id (t.handlers.on_message ctx t.states.(dst.id) message)
     end
 
   (* Runs at the message's arrival instant: queue behind the destination's
      earlier work and schedule the processing completion. *)
-  let arrive_slot t i =
-    let dst = t.nodes.(t.env_dst.(i)) in
-    let link_id = t.env_link.(i) in
+  let arrive_job t i =
+    let dst = t.nodes.(t.job_node.(i)) in
+    let link_id = t.job_link.(i) in
     if dst.is_crashed || not t.link_up.(link_id) then begin
       (* The link died with this message in flight, or the destination is
-         down: drop at the arrival instant, releasing the envelope like
-         every other exit path.  A dead link takes precedence. *)
+         down: drop at the arrival instant, releasing the job like every
+         other exit path.  A dead link takes precedence. *)
       account t
         (if t.link_up.(link_id) then Crash_dropped else Link_dropped)
-        link_id ~seq:t.env_seq.(i) ~node:dst.id t.env_msg.(i);
-      free_envelope t i
+        link_id ~seq:t.job_seq.(i) ~node:dst.id t.job_msg.(i);
+      free_message t i
     end
     else begin
       (match t.instruments with
@@ -470,67 +476,93 @@ module Make (P : PROTOCOL) = struct
        | Some ins ->
          (* Link transit time of a message reaching a live node; processing
             queueing at the destination is not included. *)
-         let latency = now t -. t.env_sent_at.(i) in
+         let latency = now t -. t.job_sent_at.(i) in
          Metrics.observe ins.m_latency latency;
          Metrics.observe (Metrics.member ins.m_link_latency link_id) latency);
       let arrival = now t in
       occupy t dst ~arrival;
-      t.env_arrival.(i) <- arrival;
-      t.env_start.(i) <- t.occ.(0);
-      t.env_completion.(i) <- t.busy.(dst.id);
-      t.env_inc.(i) <- dst.incarnation;
+      t.job_begin.(i) <- arrival;
+      t.job_start.(i) <- t.occ.(0);
+      t.job_completion.(i) <- t.busy.(dst.id);
+      t.job_inc.(i) <- dst.incarnation;
       Engine.schedule_from t.engine ~tag:(node_class t dst.id)
         ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
-        ~times:t.busy dst.id t.env_complete.(i)
+        ~times:t.busy dst.id t.job_deliver.(i)
     end
 
-  let grow_env_pool t filler =
-    let old = Array.length t.env_seq in
+  (* Runs at a tick's processing-completion instant: deliver the tick to
+     the handler. *)
+  let tick_job t i =
+    let id = t.job_node.(i) in
+    let node = t.nodes.(id) in
+    if (not node.is_crashed) && node.incarnation = t.job_inc.(i) then begin
+      t.net_stats.ticks <- t.net_stats.ticks + 1;
+      (match t.observer with
+       | None -> ()
+       | Some _ ->
+         emit t
+           (Tick
+              { node = id;
+                local_time =
+                  Clock.local_time (Links.clock t.model id)
+                    ~real:t.job_completion.(i) }));
+      (match t.causal with
+       | None -> ()
+       | Some c ->
+         Causal.set_current_id c
+           (Causal.process_at c ~cause:(-1) ~node:id ~label:"tick"
+              ~t_begin:t.job_begin ~t_busy:t.job_start ~t_end:t.job_completion
+              i));
+      let ctx = t.contexts.(id) in
+      free_job t i;
+      set_state t id (t.handlers.on_tick ctx t.states.(id))
+    end
+    else free_job t i
+
+  let grow_pool t =
+    let old = Array.length t.job_next in
     let cap = max 16 (2 * old) in
-    let msg = Array.make cap filler in
-    Array.blit t.env_msg 0 msg 0 old;
-    t.env_msg <- msg;
-    let copy_int src =
-      let a = Array.make cap 0 in
+    let grow src fill =
+      let a = Array.make cap fill in
       Array.blit src 0 a 0 old;
       a
     in
-    let copy_float src =
-      let a = Array.make cap 0. in
-      Array.blit src 0 a 0 old;
-      a
-    in
-    t.env_link <- copy_int t.env_link;
-    t.env_seq <- copy_int t.env_seq;
-    t.env_dst <- copy_int t.env_dst;
-    t.env_sent_at <- copy_float t.env_sent_at;
-    t.env_arrival <- copy_float t.env_arrival;
-    t.env_start <- copy_float t.env_start;
-    t.env_completion <- copy_float t.env_completion;
-    let cause = Array.make cap (-1) in
-    Array.blit t.env_cause 0 cause 0 old;
-    t.env_cause <- cause;
-    t.env_inc <- copy_int t.env_inc;
-    let arrive = Array.make cap ignore in
-    Array.blit t.env_arrive 0 arrive 0 old;
-    t.env_arrive <- arrive;
-    let complete = Array.make cap ignore in
-    Array.blit t.env_complete 0 complete 0 old;
-    t.env_complete <- complete;
-    t.env_next <- copy_int t.env_next;
+    t.job_node <- grow t.job_node 0;
+    t.job_begin <- grow t.job_begin 0.;
+    t.job_start <- grow t.job_start 0.;
+    t.job_completion <- grow t.job_completion 0.;
+    t.job_inc <- grow t.job_inc 0;
+    t.job_next <- grow t.job_next 0;
+    t.job_arrive <- grow t.job_arrive ignore;
+    t.job_deliver <- grow t.job_deliver ignore;
+    t.job_tick <- grow t.job_tick ignore;
+    t.job_link <- grow t.job_link 0;
+    t.job_seq <- grow t.job_seq 0;
+    t.job_sent_at <- grow t.job_sent_at 0.;
+    t.job_cause <- grow t.job_cause (-1);
     for i = cap - 1 downto old do
-      t.env_arrive.(i) <- (fun () -> arrive_slot t i);
-      t.env_complete.(i) <- (fun () -> complete_slot t i);
-      t.env_next.(i) <- t.env_free;
-      t.env_free <- i
+      t.job_arrive.(i) <- (fun () -> arrive_job t i);
+      t.job_deliver.(i) <- (fun () -> deliver_job t i);
+      t.job_tick.(i) <- (fun () -> tick_job t i);
+      free_job t i
     done
 
-  let alloc_envelope t message =
-    if t.env_free < 0 then grow_env_pool t message;
-    if t.env_filler = None then t.env_filler <- Some message;
-    let i = t.env_free in
-    t.env_free <- t.env_next.(i);
+  let alloc_job t =
+    if t.job_free < 0 then grow_pool t;
+    let i = t.job_free in
+    t.job_free <- t.job_next.(i);
     i
+
+  (* The payload column catches up with the pool's capacity when a message
+     is stored, the first message becoming the filler. *)
+  let store_message t i message =
+    if i >= Array.length t.job_msg then begin
+      if t.job_filler = None then t.job_filler <- Some message;
+      let msg = Array.make (Array.length t.job_next) message in
+      Array.blit t.job_msg 0 msg 0 (Array.length t.job_msg);
+      t.job_msg <- msg
+    end;
+    t.job_msg.(i) <- message
 
   let send_from t src link_index message =
     let out = Topology.out_links t.config.topology src.id in
@@ -580,31 +612,30 @@ module Make (P : PROTOCOL) = struct
         end
         else arrival
       in
-      let i = alloc_envelope t message in
-      t.env_msg.(i) <- message;
-      t.env_link.(i) <- link_id;
-      t.env_seq.(i) <- seq;
-      t.env_dst.(i) <- link.Topology.dst;
-      t.env_sent_at.(i) <- sent_at;
+      let i = alloc_job t in
+      store_message t i message;
+      t.job_link.(i) <- link_id;
+      t.job_seq.(i) <- seq;
+      t.job_node.(i) <- link.Topology.dst;
+      t.job_sent_at.(i) <- sent_at;
       (* The arrival event resets this to the instant it runs at. *)
-      t.env_arrival.(i) <- arrival;
+      t.job_begin.(i) <- arrival;
       (* The transit span is the message's causal identity: created inside
          the sending handler (so its parent is the sender's process span)
-         and stored in the envelope, whose delivery span names it as
-         cause. *)
-      t.env_cause.(i) <-
+         and stored in the job, whose delivery span names it as cause. *)
+      t.job_cause.(i) <-
         (match t.causal with
          | None -> -1
          | Some c ->
            Causal.transit_at c ~link:link_id ~src:src.id
-             ~dst:link.Topology.dst ~t_begin:t.env_sent_at
-             ~t_end:t.env_arrival ~label:"msg" i);
+             ~dst:link.Topology.dst ~t_begin:t.job_sent_at
+             ~t_end:t.job_begin ~label:"msg" i);
       Engine.schedule_arrival t.engine ~tag:(link_class link)
         ~footprint:
           (if t.foot_on then
              link_bit link_id lor node_bit link.Topology.dst
            else 0)
-        ~times:t.env_arrival i t.env_arrive.(i)
+        ~times:t.job_begin i t.job_arrive.(i)
     end
 
   (* Context builder: [now] and [stop] close over the network alone, so a
@@ -627,79 +658,13 @@ module Make (P : PROTOCOL) = struct
         send = (fun link_index message -> send_from t node link_index message);
         stop }
 
-  let free_tick t i =
-    t.tc_next.(i) <- t.tc_free;
-    t.tc_free <- i
-
-  (* Runs at a tick's processing-completion instant: deliver the tick to
-     the handler. *)
-  let tick_complete t i =
-    let id = t.tc_node.(i) in
-    let node = t.nodes.(id) in
-    if (not node.is_crashed) && node.incarnation = t.tc_inc.(i) then begin
-      t.net_stats.ticks <- t.net_stats.ticks + 1;
-      (match t.observer with
-       | None -> ()
-       | Some _ ->
-         emit t
-           (Tick
-              { node = id;
-                local_time =
-                  Clock.local_time (Links.clock t.model id)
-                    ~real:t.tc_completion.(i) }));
-      (match t.causal with
-       | None -> ()
-       | Some c ->
-         Causal.set_current_id c
-           (Causal.process_at c ~cause:(-1) ~node:id ~label:"tick"
-              ~t_begin:t.tc_tick ~t_busy:t.tc_start ~t_end:t.tc_completion i));
-      let ctx = t.contexts.(id) in
-      free_tick t i;
-      set_state t id (t.handlers.on_tick ctx t.states.(id))
-    end
-    else free_tick t i
-
-  let grow_tc_pool t =
-    let old = Array.length t.tc_node in
-    let cap = max 16 (2 * old) in
-    let copy_int src =
-      let a = Array.make cap 0 in
-      Array.blit src 0 a 0 old;
-      a
-    in
-    let copy_float src =
-      let a = Array.make cap 0. in
-      Array.blit src 0 a 0 old;
-      a
-    in
-    t.tc_node <- copy_int t.tc_node;
-    t.tc_tick <- copy_float t.tc_tick;
-    t.tc_start <- copy_float t.tc_start;
-    t.tc_completion <- copy_float t.tc_completion;
-    t.tc_inc <- copy_int t.tc_inc;
-    let run = Array.make cap ignore in
-    Array.blit t.tc_run 0 run 0 old;
-    t.tc_run <- run;
-    t.tc_next <- copy_int t.tc_next;
-    for i = cap - 1 downto old do
-      t.tc_run.(i) <- (fun () -> tick_complete t i);
-      t.tc_next.(i) <- t.tc_free;
-      t.tc_free <- i
-    done
-
-  let alloc_tick t =
-    if t.tc_free < 0 then grow_tc_pool t;
-    let i = t.tc_free in
-    t.tc_free <- t.tc_next.(i);
-    i
-
   (* Tick generation: one self-rescheduling event chain per node, firing at
      the node's integer local-clock times.  Ticks queue behind other work on
      the node (they are local events with processing time γ).  The chain
      reuses a single [fire] closure per node — the pending tick's instant
      lives in [t.tick_time.(id)], which is safe scratch because at most one
      chain event per node is pending at a time; the completion, which can
-     overlap with later ticks, goes through the tick-completion pool.
+     overlap with later ticks, is a job of the pool.
 
      A tick is scheduled through [Engine.schedule_from], so it joins the
      engine's time-ordered run whenever its instant is not before the
@@ -723,16 +688,16 @@ module Make (P : PROTOCOL) = struct
       if (not node.is_crashed) && node.incarnation = chain_inc then begin
         let tick_time = t.tick_time.(id) in
         occupy t node ~arrival:tick_time;
-        let i = alloc_tick t in
-        t.tc_node.(i) <- id;
-        t.tc_tick.(i) <- tick_time;
-        t.tc_start.(i) <- t.occ.(0);
-        t.tc_completion.(i) <- t.busy.(id);
-        t.tc_inc.(i) <- chain_inc;
+        let i = alloc_job t in
+        t.job_node.(i) <- id;
+        t.job_begin.(i) <- tick_time;
+        t.job_start.(i) <- t.occ.(0);
+        t.job_completion.(i) <- t.busy.(id);
+        t.job_inc.(i) <- chain_inc;
         let foot_on = t.foot_on in
         Engine.schedule_from t.engine ~tag
           ~footprint:(if foot_on then t.foot_handler.(id) else 0)
-          ~times:t.busy id t.tc_run.(i);
+          ~times:t.busy id t.job_tick.(i);
         Clock.advance_tick clock t.tick_time id;
         Engine.schedule_from t.engine ~tag
           ~footprint:(if foot_on then node_bit id else 0)
@@ -834,47 +799,37 @@ module Make (P : PROTOCOL) = struct
         ticks_folded = 0;
         inflight = 0;
         msg_seq = 0;
-        env_msg = [||];
-        env_filler = None;
-        env_link = [||];
-        env_seq = [||];
-        env_dst = [||];
-        env_sent_at = [||];
-        env_arrival = [||];
-        env_start = [||];
-        env_completion = [||];
-        env_cause = [||];
-        env_inc = [||];
-        env_arrive = [||];
-        env_complete = [||];
-        env_next = [||];
-        env_free = -1;
-        tc_node = [||];
-        tc_tick = [||];
-        tc_start = [||];
-        tc_completion = [||];
-        tc_inc = [||];
-        tc_run = [||];
-        tc_next = [||];
-        tc_free = -1 }
+        job_node = [||];
+        job_begin = [||];
+        job_start = [||];
+        job_completion = [||];
+        job_inc = [||];
+        job_next = [||];
+        job_free = -1;
+        job_arrive = [||];
+        job_deliver = [||];
+        job_tick = [||];
+        job_msg = [||];
+        job_filler = None;
+        job_link = [||];
+        job_seq = [||];
+        job_sent_at = [||];
+        job_cause = [||] }
     in
     t.contexts <- Array.map (context_builder t) t.nodes;
     t
 
   (* Every pool slot back on its freelist, lowest index first (as a fresh
      pool hands them out), and no payload or span kept alive. *)
-  let release_pools t =
-    let cap = Array.length t.env_next in
-    (match t.env_filler with Some m -> Array.fill t.env_msg 0 cap m | None -> ());
-    Array.fill t.env_cause 0 cap (-1);
-    t.env_free <- -1;
+  let release_pool t =
+    (match t.job_filler with
+     | Some m -> Array.fill t.job_msg 0 (Array.length t.job_msg) m
+     | None -> ());
+    let cap = Array.length t.job_next in
+    Array.fill t.job_cause 0 cap (-1);
+    t.job_free <- -1;
     for i = cap - 1 downto 0 do
-      t.env_next.(i) <- t.env_free;
-      t.env_free <- i
-    done;
-    t.tc_free <- -1;
-    for i = Array.length t.tc_next - 1 downto 0 do
-      free_tick t i
+      free_job t i
     done
 
   (* Time 0 of a run: the engine is already reset, so no event of an
@@ -923,7 +878,7 @@ module Make (P : PROTOCOL) = struct
     Array.fill s.delivered_per_node 0 n 0;
     t.inflight <- 0;
     t.msg_seq <- 0;
-    release_pools t;
+    release_pool t;
     (* In node order: [init] may send. *)
     if Array.length t.states = n then
       Array.iteri (fun id ctx -> t.states.(id) <- handlers.init ctx) t.contexts
@@ -1077,18 +1032,12 @@ module Make (P : PROTOCOL) = struct
 
   (* Pool-occupancy introspection, for leak regression tests: slots not on
      the freelist.  O(pool) freelist walk — diagnostics, not a hot path. *)
-  let free_count next free =
-    let count = ref 0 in
-    let i = ref free in
-    while !i >= 0 do
-      incr count;
-      i := next.(!i)
-    done;
-    !count
-
   let envelopes_in_use t =
-    Array.length t.env_seq - free_count t.env_next t.env_free
-
-  let tick_completions_in_use t =
-    Array.length t.tc_node - free_count t.tc_next t.tc_free
+    let in_use = ref (Array.length t.job_next) in
+    let i = ref t.job_free in
+    while !i >= 0 do
+      decr in_use;
+      i := t.job_next.(!i)
+    done;
+    !in_use
 end

@@ -300,10 +300,9 @@ module Make (P : PROTOCOL) : sig
   val link_is_up : t -> int -> bool
 
   val envelopes_in_use : t -> int
-  (** Message-envelope pool slots currently off the freelist.  At
-      quiescence this must equal {!in_flight} — and both must be 0 — under
-      every fault scenario; the leak regression tests pin this. *)
-
-  val tick_completions_in_use : t -> int
-  (** Tick-completion pool slots currently off the freelist. *)
+  (** Job-pool slots currently off the freelist: every pending handler
+      execution, that is every message in flight or awaiting its
+      processing completion and every tick awaiting its completion.  It
+      reads 0 at quiescence, as {!in_flight} does, under every fault
+      scenario; the leak regression tests pin this. *)
 end

@@ -679,7 +679,7 @@ let test_rejoin_receives_and_ticks () =
 let test_pool_occupancy_zero_at_quiescence () =
   (* Regression for the drop-path audit: every exit path — delivery, loss,
      crash drop, stale incarnation, link drop — must release its pooled
-     envelope, so at quiescence the freelists hold the whole pool again.
+     job, so at quiescence the freelist holds the whole pool again.
      The ticking cases add processing time (γ = 0.6 against a tick period
      of 1), so tick completions and messages are pending together and a
      crash leaves tick completions of a dead incarnation behind; crashing
@@ -733,11 +733,8 @@ let test_pool_occupancy_zero_at_quiescence () =
          (Printf.sprintf "%s: ticks processed" what)
          ticking (stats.Network.ticks > 0);
        Alcotest.(check int)
-         (Printf.sprintf "%s: envelope pool fully released" what)
+         (Printf.sprintf "%s: pool fully released" what)
          0 (Net.envelopes_in_use net);
-       Alcotest.(check int)
-         (Printf.sprintf "%s: tick pool fully released" what)
-         0 (Net.tick_completions_in_use net);
        Alcotest.(check int)
          (Printf.sprintf "%s: in-flight zero" what)
          0 (Net.in_flight net))
@@ -1046,8 +1043,7 @@ let reuse_run ?reuse config (seed, budget, scheduled) =
         c.Abe_sim.Engine.executed,
         c.Abe_sim.Engine.max_queue_depth,
         Net.in_flight net,
-        Net.envelopes_in_use net,
-        Net.tick_completions_in_use net ),
+        Net.envelopes_in_use net ),
       List.init n (fun i -> (Net.crashed net i, Net.incarnation net i)),
       List.init n (fun i -> Net.link_is_up net i) ) )
 
