@@ -51,9 +51,16 @@ let reset t ~oracle ?clock () =
   Array.fill t.last_tick_real 0 (Array.length t.last_tick_real) nan;
   Array.fill t.last_tick_local 0 (Array.length t.last_tick_local) nan
 
-(* Tolerance for the tick-rate check: rates between tick completions are
-   exact for linear clocks, so only float rounding needs headroom. *)
-let rate_eps = 1e-9
+(* Relative tolerance for the tick-rate check.  A linear clock's rate
+   between two completions is exact, so only the rounding of the two
+   readings needs headroom: each is off by about an ulp of the larger
+   instant, which over a real gap [gap] is a relative error of a few
+   [epsilon_float *. instant /. gap] — past t = 2^23 that exceeds 1e-9 at
+   a gap of 1.  Inlined, so that the check boxes no float per tick. *)
+let[@inline] rate_tolerance ~time ~local_time ~gap =
+  let time = Float.abs time and local_time = Float.abs local_time in
+  4. *. epsilon_float *. (if time > local_time then time else local_time)
+  /. gap
 
 let link_subject (link : Topology.link) =
   Printf.sprintf "link %d (%d->%d)" link.Topology.id link.Topology.src
@@ -143,10 +150,12 @@ let check_event t ~time (ev : Network.event) =
              function of real time and keeps running while the node is
              down. *)
           if time > prev_real then begin
-            let rate = (local_time -. prev_local) /. (time -. prev_real) in
+            let gap = time -. prev_real in
+            let rate = (local_time -. prev_local) /. gap in
+            let eps = rate_tolerance ~time ~local_time ~gap in
             if
-              rate < spec.Clock.s_low *. (1. -. rate_eps)
-              || rate > spec.Clock.s_high *. (1. +. rate_eps)
+              rate < spec.Clock.s_low *. (1. -. eps)
+              || rate > spec.Clock.s_high *. (1. +. eps)
             then
               Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"clock-drift"
                 ~subject:(node_subject node)

@@ -130,6 +130,32 @@ let test_clock_drift_violation () =
   in
   Alcotest.(check int) "exactly one drift violation" 1 drift_count
 
+(* Perfect clocks read exact rates only up to rounding: two readings
+   past t = 2^23, where an ulp is 1.9e-9, at completion instants off the
+   integers (processing time γ > 0) give an observed rate 1.7e-9 above 1.
+   That is rounding, not drift; a rate off by far more than the rounding
+   is still reported, near 2^23 and at small t alike. *)
+let test_clock_rounding_near_2_23 () =
+  let m, oracle = monitor ~clock:Clock.perfect ~nodes:3 () in
+  let obs = Monitor.observer m in
+  let st = stats () in
+  let phase = 0x1.46f9eec80979ap-1 in
+  List.iter
+    (fun time -> tick obs st ~time ~node:0 ~local_time:(time +. phase))
+    [ 0x1.ffffff786b167p+22; 0x1.000000cf90a67p+23 ];
+  Alcotest.(check (list string)) "rounding alone is clean" []
+    (invariants oracle);
+  tick obs st ~time:8388607.5 ~node:1 ~local_time:8388608.;
+  tick obs st ~time:8388608.5 ~node:1 ~local_time:(8388609. +. 1e-7);
+  tick obs st ~time:1.5 ~node:2 ~local_time:2.;
+  tick obs st ~time:2.5 ~node:2 ~local_time:(3. +. 1e-8);
+  Alcotest.(check (list (pair string string)))
+    "rates outside [1, 1] reported"
+    [ ("clock-drift", "node 1"); ("clock-drift", "node 2") ]
+    (List.map
+       (fun v -> Abe_sim.Oracle.(v.invariant, v.subject))
+       (Abe_sim.Oracle.violations oracle))
+
 let violations oracle =
   List.map
     (fun v ->
@@ -270,6 +296,8 @@ let () =
           Alcotest.test_case "clock monotonicity" `Quick
             test_clock_monotonicity_violation;
           Alcotest.test_case "clock drift" `Quick test_clock_drift_violation;
+          Alcotest.test_case "clock rounding near 2^23" `Quick
+            test_clock_rounding_near_2_23;
           Alcotest.test_case "quiescence" `Quick test_quiescence_violation;
           Alcotest.test_case "clock report text" `Quick test_clock_report_text;
           Alcotest.test_case "tick after rejoin" `Quick test_tick_after_rejoin;
