@@ -127,7 +127,10 @@ let window_term =
     "Commutation window: pending events within WINDOW of the earliest \
      one are reorderable candidates."
   in
-  Arg.(value & opt float 0.5 & info [ "window" ] ~docv:"WINDOW" ~doc)
+  Arg.(
+    value
+    & opt float Abe_check.Schedulers.default_window
+    & info [ "window" ] ~docv:"WINDOW" ~doc)
 
 let scale_term ~default =
   let doc =

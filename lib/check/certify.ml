@@ -44,9 +44,8 @@ let certified r = r.violations = [] && r.coverage.Por.complete
    against a scheduler choice wedging the tick-driven abd variant. *)
 let limit_events = 200_000
 
-let run ?(window = Schedulers.default_window) ?(budget = 200)
-    ?(time_budget = infinity) ?(por = true) ?pulses ?(radius = 1) ~seed ~n
-    variant =
+let run ~window ~budget ?(time_budget = infinity) ~por ?pulses ~radius ~seed
+    ~n variant =
   if n < 3 then invalid_arg "Certify.run: n must be >= 3";
   if budget < 1 then invalid_arg "Certify.run: budget must be >= 1";
   if not (time_budget > 0.) then

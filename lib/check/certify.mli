@@ -46,22 +46,24 @@ val certified : report -> bool
 (** No violations {e and} the exploration completed (budget not hit). *)
 
 val run :
-  ?window:float ->
-  ?budget:int ->
+  window:float ->
+  budget:int ->
   ?time_budget:float ->
-  ?por:bool ->
+  por:bool ->
   ?pulses:int ->
-  ?radius:int ->
+  radius:int ->
   seed:int ->
   n:int ->
   variant ->
   report
 (** Certify one variant on the [n]-ring ([n >= 3]), δ = 1 exponential
     delays ([Abd]: plus the pulse window sized for the contrasting 2δ hard
-    bound, as in [Measure]).  [pulses] defaults to [n/2 + 2] (BFS
-    terminates), [radius] (gamma only) to 1, [budget] to 200 schedules,
-    [por] to [true], [time_budget] (seconds of host time) to unlimited.
-    Deterministic in [seed] for a given budget when no time budget binds. *)
+    bound, as in [Measure]), exploring up to [budget] schedules of
+    commutation [window], with partial-order reduction when [por].
+    [radius] is the gamma variant's clustering radius.  [pulses] defaults to
+    [n/2 + 2] (BFS terminates), [time_budget] (seconds of host time) to
+    unlimited.  Deterministic in [seed] for a given budget when no time
+    budget binds. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One line mirroring [Explore.pp_report]:

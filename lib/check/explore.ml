@@ -293,9 +293,7 @@ let run_quantile ~window ~budget ~deadline ~forwarding ~liveness ~tail ~seed
 
 (* ----------------------------------------------------------- entry *)
 
-let run ?metrics ?(driver = Abe_harness.Driver.Sequential)
-    ?(window = Schedulers.default_window) ?(budget = 1000)
-    ?(time_budget = infinity) ?(forwarding = Abe_core.Runner.Paper)
+let run ?metrics ~driver ~window ~budget ?(time_budget = infinity) ~forwarding
     ?(liveness = 0) ~mode ~seed config =
   if budget < 1 then invalid_arg "Explore: budget must be >= 1";
   let deadline =

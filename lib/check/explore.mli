@@ -63,20 +63,21 @@ type report = {
 
 val run :
   ?metrics:Abe_sim.Metrics.t ->
-  ?driver:Abe_harness.Driver.t ->
-  ?window:float ->
-  ?budget:int ->
+  driver:Abe_harness.Driver.t ->
+  window:float ->
+  budget:int ->
   ?time_budget:float ->
-  ?forwarding:Abe_core.Runner.forwarding ->
+  forwarding:Abe_core.Runner.forwarding ->
   ?liveness:int ->
   mode:mode ->
   seed:int ->
   Abe_core.Runner.config ->
   report
-(** Search up to [budget] schedules (default 1000) or [time_budget] wall
-    seconds (default unlimited), stopping at the first violation.
-    [driver] (default sequential) parallelises fuzz batches only — the
-    DFS and the subset enumeration are inherently sequential.
+(** Search up to [budget] schedules or [time_budget] wall seconds
+    (default unlimited), stopping at the first violation, under
+    schedulers of commutation [window] (see {!Schedulers}) and the given
+    [forwarding] rule.  [driver] parallelises fuzz batches only — the DFS
+    and the subset enumeration are inherently sequential.
 
     [liveness] (default 0 = off) is the fairness bound: each schedule is
     capped at that many engine events and must elect within them, else it

@@ -25,16 +25,16 @@ let create ?(capacity = 10_000) ~enabled () =
 
 let enabled t = t.enabled
 
-let record t ~time ?(kind = "note") ~source message =
+let record t ~time ~kind ~source message =
   if t.enabled then begin
     t.buffer.(t.next) <- Some { seq = t.count; time; kind; source; message };
     t.next <- (t.next + 1) mod t.capacity;
     t.count <- t.count + 1
   end
 
-let recordf t ~time ?kind ~source fmt =
+let recordf t ~time ~kind ~source fmt =
   if t.enabled then
-    Format.kasprintf (fun message -> record t ~time ?kind ~source message) fmt
+    Format.kasprintf (fun message -> record t ~time ~kind ~source message) fmt
   else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
 let length t = min t.count t.capacity

@@ -36,13 +36,13 @@ val create : ?capacity:int -> enabled:bool -> unit -> t
 
 val enabled : t -> bool
 
-val record : t -> time:float -> ?kind:string -> source:source -> string -> unit
-(** Append an entry (no-op when disabled).  Default [kind]: ["note"]. *)
+val record : t -> time:float -> kind:string -> source:source -> string -> unit
+(** Append an entry (no-op when disabled). *)
 
 val recordf :
   t ->
   time:float ->
-  ?kind:string ->
+  kind:string ->
   source:source ->
   ('a, Format.formatter, unit, unit) format4 ->
   'a

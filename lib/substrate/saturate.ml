@@ -21,8 +21,8 @@ let percentile sorted q =
   if len = 0 then nan
   else sorted.(min (len - 1) (int_of_float (q *. float_of_int (len - 1))))
 
-let run ?(a0 = 0.3) ?(scale = 0.005) ?(wall_timeout = 30.)
-    ?telemetry_out ~n ~elections ~concurrency ~seed () =
+let run ~a0 ~scale ~wall_timeout ?telemetry_out ~n ~elections ~concurrency
+    ~seed () =
   if elections < 1 then Error "saturate: elections must be >= 1"
   else if concurrency < 1 || concurrency > 256 then
     Error "saturate: concurrency outside [1,256]"

@@ -26,9 +26,9 @@ type report = {
 }
 
 val run :
-  ?a0:float ->
-  ?scale:float ->
-  ?wall_timeout:float ->
+  a0:float ->
+  scale:float ->
+  wall_timeout:float ->
   ?telemetry_out:out_channel ->
   n:int ->
   elections:int ->

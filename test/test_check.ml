@@ -111,9 +111,15 @@ let test_ddmin_empty () =
 
 let config n = Abe_core.Runner.config ~n ~a0:0.32 ()
 
+(* What the CLI passes [Explore.run] unless told otherwise. *)
+let sequential = Abe_harness.Driver.Sequential
+let window = Schedulers.default_window
+let paper = Abe_core.Runner.Paper
+
 let test_fuzz_finds_stale_max () =
   let report =
-    Explore.run ~budget:64 ~forwarding:Abe_core.Runner.Stale_max
+    Explore.run ~driver:sequential ~window ~budget:64
+      ~forwarding:Abe_core.Runner.Stale_max
       ~mode:(Explore.Fuzz { flip = 0.25 }) ~seed:1 (config 5)
   in
   match report.Explore.finding with
@@ -127,7 +133,8 @@ let test_fuzz_finds_stale_max () =
 
 let test_fuzz_artifact_replays () =
   let report =
-    Explore.run ~budget:64 ~forwarding:Abe_core.Runner.Stale_max
+    Explore.run ~driver:sequential ~window ~budget:64
+      ~forwarding:Abe_core.Runner.Stale_max
       ~mode:(Explore.Fuzz { flip = 0.25 }) ~seed:1 (config 5)
   in
   match report.Explore.finding with
@@ -148,7 +155,7 @@ let test_fuzz_artifact_replays () =
 let test_fuzz_clean_on_paper_forwarding () =
   (* Same search against the unmutated protocol: nothing to find. *)
   let report =
-    Explore.run ~budget:64 ~forwarding:Abe_core.Runner.Paper
+    Explore.run ~driver:sequential ~window ~budget:64 ~forwarding:paper
       ~mode:(Explore.Fuzz { flip = 0.25 }) ~seed:1 (config 5)
   in
   Alcotest.(check bool) "clean" true (report.Explore.finding = None);
@@ -157,7 +164,8 @@ let test_fuzz_clean_on_paper_forwarding () =
 let test_fuzz_driver_independent () =
   let run driver =
     let report =
-      Explore.run ~driver ~budget:64 ~forwarding:Abe_core.Runner.Stale_max
+      Explore.run ~driver ~window ~budget:64
+        ~forwarding:Abe_core.Runner.Stale_max
         ~mode:(Explore.Fuzz { flip = 0.25 }) ~seed:1 (config 5)
     in
     ( report.Explore.schedules,
@@ -173,8 +181,8 @@ let test_fuzz_driver_independent () =
 let test_exhaustive_clean_and_deterministic () =
   let run () =
     let r =
-      Explore.run ~budget:60 ~mode:(Explore.Exhaustive { por = false })
-        ~seed:1 (config 3)
+      Explore.run ~driver:sequential ~window ~budget:60 ~forwarding:paper
+        ~mode:(Explore.Exhaustive { por = false }) ~seed:1 (config 3)
     in
     (r.Explore.schedules, r.Explore.pruned, r.Explore.finding = None)
   in
@@ -187,7 +195,8 @@ let test_exhaustive_clean_and_deterministic () =
 
 let test_por_reduces_and_completes () =
   let explore por budget =
-    Explore.run ~budget ~mode:(Explore.Exhaustive { por }) ~seed:1 (config 3)
+    Explore.run ~driver:sequential ~window ~budget ~forwarding:paper
+      ~mode:(Explore.Exhaustive { por }) ~seed:1 (config 3)
   in
   let plain = explore false 5000 in
   let por = explore true 5000 in
@@ -223,7 +232,8 @@ let test_por_parity_qcheck =
     (fun (seed, n) ->
        let explore por =
          let r =
-           Explore.run ~budget:3000 ~forwarding:Abe_core.Runner.Stale_max
+           Explore.run ~driver:sequential ~window ~budget:3000
+             ~forwarding:Abe_core.Runner.Stale_max
              ~mode:(Explore.Exhaustive { por }) ~seed (config n)
          in
          Option.map (fun f -> f.Explore.invariant) r.Explore.finding
@@ -234,7 +244,8 @@ let test_exhaustive_finding_replays () =
   (* Deviations come from the executed picks of the violating trajectory,
      so replaying them must reproduce the identical violation list. *)
   let report =
-    Explore.run ~budget:300 ~forwarding:Abe_core.Runner.Stale_max
+    Explore.run ~driver:sequential ~window ~budget:300
+      ~forwarding:Abe_core.Runner.Stale_max
       ~mode:(Explore.Exhaustive { por = true }) ~seed:2 (config 5)
   in
   match report.Explore.finding with
@@ -272,7 +283,8 @@ let test_exhaustive_finding_replays () =
 
 let test_liveness_catches_drop_token () =
   let report =
-    Explore.run ~budget:8 ~forwarding:Abe_core.Runner.Drop_token
+    Explore.run ~driver:sequential ~window ~budget:8
+      ~forwarding:Abe_core.Runner.Drop_token
       ~liveness:5000 ~mode:(Explore.Exhaustive { por = true }) ~seed:1
       (config 3)
   in
@@ -307,8 +319,9 @@ let test_liveness_clean_on_paper () =
   (* Under the default fairness bound every fair schedule of the real
      protocol elects: the liveness checker must stay silent. *)
   let report =
-    Explore.run ~budget:40 ~liveness:20000
-      ~mode:(Explore.Exhaustive { por = true }) ~seed:1 (config 3)
+    Explore.run ~driver:sequential ~window ~budget:40 ~forwarding:paper
+      ~liveness:20000 ~mode:(Explore.Exhaustive { por = true }) ~seed:1
+      (config 3)
   in
   Alcotest.(check bool) "clean" true (report.Explore.finding = None)
 
@@ -333,8 +346,8 @@ let test_liveness_warm_schedule () =
        let config = Abe_core.Runner.config ~n ~a0:0.1 () in
        let explore budget () =
          ignore
-           (Explore.run ~budget ~liveness ~mode:(Explore.Fuzz { flip = 0. })
-              ~seed:1 config)
+           (Explore.run ~driver:sequential ~window ~budget ~forwarding:paper
+              ~liveness ~mode:(Explore.Fuzz { flip = 0. }) ~seed:1 config)
        in
        let per_schedule = (words_of (explore 3) -. words_of (explore 1)) /. 2. in
        let clamped = Abe_core.Runner.with_limit_events config liveness in
@@ -353,8 +366,8 @@ let test_liveness_warm_schedule () =
 
 let test_quantile_clean () =
   let report =
-    Explore.run ~budget:10 ~mode:(Explore.Quantile { tail = 25. }) ~seed:1
-      (config 3)
+    Explore.run ~driver:sequential ~window ~budget:10 ~forwarding:paper
+      ~mode:(Explore.Quantile { tail = 25. }) ~seed:1 (config 3)
   in
   Alcotest.(check bool) "clean under slowed links" true
     (report.Explore.finding = None);
@@ -377,7 +390,7 @@ let test_apply_slow_links () =
 let test_explore_metrics () =
   let registry = Abe_sim.Metrics.create () in
   let _report =
-    Explore.run ~metrics:registry ~budget:64
+    Explore.run ~metrics:registry ~driver:sequential ~window ~budget:64
       ~forwarding:Abe_core.Runner.Stale_max
       ~mode:(Explore.Fuzz { flip = 0.25 }) ~seed:1 (config 5)
   in
@@ -436,7 +449,10 @@ let test_skew_oracle_detects () =
 let test_certify_family () =
   List.iter
     (fun variant ->
-       let r = Certify.run ~budget:400 ~seed:1 ~n:3 variant in
+       let r =
+         Certify.run ~window ~budget:400 ~por:true ~radius:1 ~seed:1 ~n:3
+           variant
+       in
        Alcotest.(check bool)
          (r.Certify.variant ^ " certified")
          true (Certify.certified r);
@@ -462,8 +478,11 @@ let test_certify_family () =
     Certify.[ Alpha; Beta; Gamma; Abd ]
 
 let test_certify_por_reduces () =
-  let plain = Certify.run ~budget:400 ~por:false ~seed:1 ~n:3 Certify.Alpha in
-  let por = Certify.run ~budget:400 ~por:true ~seed:1 ~n:3 Certify.Alpha in
+  let certify por =
+    Certify.run ~window ~budget:400 ~por ~radius:1 ~seed:1 ~n:3 Certify.Alpha
+  in
+  let plain = certify false in
+  let por = certify true in
   Alcotest.(check bool) "both certified" true
     (Certify.certified plain && Certify.certified por);
   Alcotest.(check bool) "por explores fewer schedules" true

@@ -467,8 +467,8 @@ let test_snapshot_stream () =
 
 let test_saturate_micro () =
   match
-    Saturate.run ~a0:0.3 ~scale:0.001 ~n:3 ~elections:8 ~concurrency:4
-      ~seed:100 ()
+    Saturate.run ~a0:0.3 ~scale:0.001 ~wall_timeout:30. ~n:3 ~elections:8
+      ~concurrency:4 ~seed:100 ()
   with
   | Error msg -> Alcotest.fail msg
   | Ok r ->

@@ -2,7 +2,7 @@ open Abe_sim
 
 let test_basic_recording () =
   let t = Trace.create ~enabled:true () in
-  Trace.record t ~time:1. ~source:(Trace.Node 0) "hello";
+  Trace.record t ~time:1. ~kind:"note" ~source:(Trace.Node 0) "hello";
   Trace.record t ~time:2. ~kind:"send" ~source:(Trace.Link 1) "world";
   Alcotest.(check int) "length" 2 (Trace.length t);
   Alcotest.(check int) "dropped" 0 (Trace.dropped t);
@@ -19,13 +19,14 @@ let test_basic_recording () =
 
 let test_disabled_drops () =
   let t = Trace.create ~enabled:false () in
-  Trace.record t ~time:1. ~source:Trace.Sim "ignored";
-  Trace.recordf t ~time:2. ~source:Trace.Sim "also %d" 42;
+  Trace.record t ~time:1. ~kind:"note" ~source:Trace.Sim "ignored";
+  Trace.recordf t ~time:2. ~kind:"note" ~source:Trace.Sim "also %d" 42;
   Alcotest.(check int) "nothing recorded" 0 (Trace.length t)
 
 let record_ints t n =
   for i = 1 to n do
-    Trace.record t ~time:(float_of_int i) ~source:Trace.Sim (string_of_int i)
+    Trace.record t ~time:(float_of_int i) ~kind:"note" ~source:Trace.Sim
+      (string_of_int i)
   done
 
 let messages t = List.map (fun e -> e.Trace.message) (Trace.entries t)
@@ -46,7 +47,7 @@ let test_wraparound_boundaries () =
   Alcotest.(check int) "full, nothing dropped" 0 (Trace.dropped t);
   Alcotest.(check (list string)) "full buffer order" [ "1"; "2"; "3"; "4" ]
     (messages t);
-  Trace.record t ~time:5. ~source:Trace.Sim "5";
+  Trace.record t ~time:5. ~kind:"note" ~source:Trace.Sim "5";
   Alcotest.(check int) "one dropped at wrap" 1 (Trace.dropped t);
   Alcotest.(check (list string)) "order across the wrap point"
     [ "2"; "3"; "4"; "5" ] (messages t);
@@ -78,13 +79,13 @@ let test_recordf_formats () =
 let test_recordf_disabled_is_lazy () =
   let t = Trace.create ~enabled:false () in
   let evaluated = ref 0 in
-  Trace.recordf t ~time:1. ~source:Trace.Sim "%t" (fun ppf ->
+  Trace.recordf t ~time:1. ~kind:"note" ~source:Trace.Sim "%t" (fun ppf ->
       incr evaluated;
       Format.pp_print_string ppf "side effect");
   Alcotest.(check int) "closure not run" 0 !evaluated;
   Alcotest.(check int) "nothing recorded" 0 (Trace.length t);
   let t = Trace.create ~enabled:true () in
-  Trace.recordf t ~time:2. ~source:Trace.Sim "%t" (fun ppf ->
+  Trace.recordf t ~time:2. ~kind:"note" ~source:Trace.Sim "%t" (fun ppf ->
       incr evaluated;
       Format.pp_print_string ppf "side effect");
   Alcotest.(check int) "closure runs when enabled" 1 !evaluated;
@@ -108,7 +109,7 @@ let test_jsonl () =
   let t = Trace.create ~enabled:true () in
   Trace.record t ~time:1.5 ~kind:"send" ~source:(Trace.Node 2) "tok 3";
   Trace.record t ~time:2.25 ~kind:"loss" ~source:(Trace.Link 7) "he said \"hi\"";
-  Trace.record t ~time:3. ~source:Trace.Sim "done";
+  Trace.record t ~time:3. ~kind:"note" ~source:Trace.Sim "done";
   let lines = String.split_on_char '\n' (String.trim (Trace.to_jsonl t)) in
   Alcotest.(check int) "one line per entry" 3 (List.length lines);
   Alcotest.(check string) "node entry"
