@@ -51,16 +51,12 @@ let reset t ~oracle ?clock () =
   Array.fill t.last_tick_real 0 (Array.length t.last_tick_real) nan;
   Array.fill t.last_tick_local 0 (Array.length t.last_tick_local) nan
 
-(* Relative tolerance for the tick-rate check.  A linear clock's rate
+(* Headroom of the tick-rate check, in ulps.  A linear clock's rate
    between two completions is exact, so only the rounding of the two
    readings needs headroom: each is off by about an ulp of the larger
-   instant, which over a real gap [gap] is a relative error of a few
-   [epsilon_float *. instant /. gap] — past t = 2^23 that exceeds 1e-9 at
-   a gap of 1.  Inlined, so that the check boxes no float per tick. *)
-let[@inline] rate_tolerance ~time ~local_time ~gap =
-  let time = Float.abs time and local_time = Float.abs local_time in
-  4. *. epsilon_float *. (if time > local_time then time else local_time)
-  /. gap
+   instant, whatever the gap between them.  A fixed relative tolerance
+   cannot hold that: past t = 2^23 an ulp is 1.9e-9 of a gap of 1. *)
+let rounding = 4. *. epsilon_float
 
 let link_subject (link : Topology.link) =
   Printf.sprintf "link %d (%d->%d)" link.Topology.id link.Topology.src
@@ -150,17 +146,22 @@ let check_event t ~time (ev : Network.event) =
              function of real time and keeps running while the node is
              down. *)
           if time > prev_real then begin
-            let gap = time -. prev_real in
-            let rate = (local_time -. prev_local) /. gap in
-            let eps = rate_tolerance ~time ~local_time ~gap in
+            let gap = time -. prev_real
+            and advance = local_time -. prev_local in
+            (* The rate bounds, multiplied out by the gap: no division
+               unless the rate is reported. *)
+            let slack =
+              let a = Float.abs time and b = Float.abs local_time in
+              rounding *. if a > b then a else b
+            in
             if
-              rate < spec.Clock.s_low *. (1. -. eps)
-              || rate > spec.Clock.s_high *. (1. +. eps)
+              advance < spec.Clock.s_low *. (gap -. slack)
+              || advance > spec.Clock.s_high *. (gap +. slack)
             then
               Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"clock-drift"
                 ~subject:(node_subject node)
-                "observed rate %.9f outside [%g, %g]" rate spec.Clock.s_low
-                spec.Clock.s_high
+                "observed rate %.9f outside [%g, %g]" (advance /. gap)
+                spec.Clock.s_low spec.Clock.s_high
           end
       end;
       t.last_tick_real.(node) <- time;
