@@ -15,7 +15,7 @@ let check_window window =
   if not (Float.is_finite window) || window < 0. then
     invalid_arg "Schedulers: window must be finite and non-negative"
 
-let fuzz ?(window = default_window) ~flip ~seed () =
+let fuzz ~window ~flip ~seed () =
   check_window window;
   if not (flip >= 0. && flip <= 1.) then
     invalid_arg "Schedulers.fuzz: flip probability outside [0,1]";
@@ -36,7 +36,7 @@ let fuzz ?(window = default_window) ~flip ~seed () =
   in
   ({ Abe_sim.Engine.window; choose }, fun () -> List.rev !recorded)
 
-let replay ?(window = default_window) deviations =
+let replay ~window deviations =
   check_window window;
   let table = Hashtbl.create 16 in
   List.iter
@@ -62,7 +62,7 @@ type observation = {
   foots : int array array;  (* candidate footprints at each point *)
 }
 
-let scripted ?(window = default_window) ~prefix () =
+let scripted ~window ~prefix () =
   check_window window;
   Array.iter
     (fun p -> if p < 0 then invalid_arg "Schedulers.scripted: negative pick")
@@ -91,4 +91,4 @@ let scripted ?(window = default_window) ~prefix () =
         picks = Array.of_list (List.rev !picks);
         foots = Array.of_list (List.rev !foots) } )
 
-let quantile ?(window = default_window) () = replay ~window []
+let quantile ~window () = replay ~window []

@@ -15,11 +15,12 @@ type deviations = (int * int) list
     where the pick was non-zero, in increasing ordinal order. *)
 
 val default_window : float
-(** Commutation window used when none is given: [0.5] (half the default
-    expected message delay). *)
+(** The CLI's default commutation window: [0.5] (half the default
+    expected message delay).  Every scheduler below considers the pending
+    events within [window] of the earliest one. *)
 
 val fuzz :
-  ?window:float ->
+  window:float ->
   flip:float ->
   seed:int ->
   unit ->
@@ -34,7 +35,7 @@ val fuzz :
     @raise Invalid_argument if [flip] is outside [0,1] or [window] is
     negative or not finite. *)
 
-val replay : ?window:float -> deviations -> Abe_sim.Engine.scheduler
+val replay : window:float -> deviations -> Abe_sim.Engine.scheduler
 (** Scripted replay of a recorded schedule: at ordinal [d] pick the
     recorded value, or 0 when [d] is not in the list.  Picks that are out
     of range for the candidate set actually offered fall back to 0 (this
@@ -58,7 +59,7 @@ type observation = {
 }
 
 val scripted :
-  ?window:float ->
+  window:float ->
   prefix:int array ->
   unit ->
   Abe_sim.Engine.scheduler * (unit -> observation)
@@ -70,7 +71,7 @@ val scripted :
     reconverge to visited states, and the footprints to skip alternatives
     that provably commute with every earlier candidate ({!Por}). *)
 
-val quantile : ?window:float -> unit -> Abe_sim.Engine.scheduler
+val quantile : window:float -> unit -> Abe_sim.Engine.scheduler
 (** The delay-quantile adversary's scheduler: always the default pick.
     It exists so adversary runs execute in scheduler mode — same clamping
     and monitoring semantics as fuzz/replay runs, keeping their artifacts

@@ -354,7 +354,7 @@ let test_liveness_warm_schedule () =
        let checked_run () =
          ignore
            (Abe_core.Runner.run
-              ~scheduler:(Schedulers.replay ~window:Schedulers.default_window [])
+              ~scheduler:(Schedulers.replay ~window [])
               ~check:true ~seed:1 clamped)
        in
        checked_run ();

@@ -125,6 +125,7 @@ let test_single_candidate_not_consulted () =
 (* ------------------------------------------------- runner integration *)
 
 let config n = Abe_core.Runner.config ~n ~a0:0.32 ()
+let window = Abe_check.Schedulers.default_window
 
 let strip_wall (o : Abe_core.Runner.outcome) =
   ( o.Abe_core.Runner.elected,
@@ -139,7 +140,7 @@ let strip_wall (o : Abe_core.Runner.outcome) =
 let test_fuzz_deterministic () =
   let run () =
     let scheduler, recorded =
-      Abe_check.Schedulers.fuzz ~flip:0.25 ~seed:7 ()
+      Abe_check.Schedulers.fuzz ~window ~flip:0.25 ~seed:7 ()
     in
     let o = Abe_core.Runner.run ~scheduler ~check:true ~seed:3 (config 5) in
     (strip_wall o, recorded ())
@@ -149,12 +150,14 @@ let test_fuzz_deterministic () =
   Alcotest.(check bool) "deviations equal" true (snd a = snd b)
 
 let test_replay_reproduces_fuzz () =
-  let scheduler, recorded = Abe_check.Schedulers.fuzz ~flip:0.25 ~seed:7 () in
+  let scheduler, recorded =
+    Abe_check.Schedulers.fuzz ~window ~flip:0.25 ~seed:7 ()
+  in
   let fuzzed = Abe_core.Runner.run ~scheduler ~check:true ~seed:3 (config 5) in
   let deviations = recorded () in
   let replayed =
     Abe_core.Runner.run
-      ~scheduler:(Abe_check.Schedulers.replay deviations)
+      ~scheduler:(Abe_check.Schedulers.replay ~window deviations)
       ~check:true ~seed:3 (config 5)
   in
   Alcotest.(check bool) "replay = fuzz" true
@@ -165,7 +168,7 @@ let test_replay_empty_is_default_pick () =
      oracle-clean: scheduler mode does not break the protocol. *)
   let o =
     Abe_core.Runner.run
-      ~scheduler:(Abe_check.Schedulers.replay [])
+      ~scheduler:(Abe_check.Schedulers.replay ~window [])
       ~check:true ~seed:3 (config 5)
   in
   Alcotest.(check bool) "elected" true o.Abe_core.Runner.elected;
@@ -173,7 +176,7 @@ let test_replay_empty_is_default_pick () =
 
 let test_scripted_observes () =
   let scheduler, observe =
-    Abe_check.Schedulers.scripted ~prefix:[||] ()
+    Abe_check.Schedulers.scripted ~window ~prefix:[||] ()
   in
   let _o = Abe_core.Runner.run ~scheduler ~check:true ~seed:3 (config 4) in
   let obs = observe () in
