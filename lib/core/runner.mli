@@ -37,10 +37,11 @@ type config = private {
           advertised bounds is their purpose.  Default:
           {!Abe_net.Faults.none}. *)
   record_mass : bool;
-      (** sample the wake-up mass Σd at every knockout/purge.  Each sample
-          walks all [n] shadow states, so an election costs O(n²) in
-          bookkeeping alone; huge-ring benchmarks set this to [false]
-          (outcome [mass_samples] is then empty).  Default [true]. *)
+      (** sample the wake-up mass Σd and the non-passive count at every
+          knockout, purge and election.  Both are running sums, so a
+          sample is O(1); [false] only skips keeping the samples (outcome
+          [mass_samples] is then empty), which huge-ring benchmarks do for
+          the memory.  Default [true]. *)
   record_phases : bool;
       (** accumulate the per-transition phase log.  O(1) per transition but
           O(n) memory; [false] leaves outcome [phase_transitions] empty.
@@ -238,7 +239,7 @@ val run :
     a [--time-budget].
 
     {b Reuse.}  A configuration builds each ring once: a run takes a
-    network (and the shadow ring of its node states) from the
+    network (and the monitor of its last checked run) from the
     configuration's {!pool}, resets it in place — streams and clocks
     re-derived from [seed], engine and pools emptied, this run's hooks
     installed ({!Abe_net.Network.Make.create}) — and gives it back when

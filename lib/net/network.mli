@@ -246,7 +246,7 @@ module Make (P : PROTOCOL) : sig
       is reset ({!Abe_sim.Engine.create}), its streams and clocks are
       re-derived from [seed] in place ({!Links.create}), and every other
       piece of state — node liveness and incarnations, busy horizons,
-      link membership, statistics, pending envelopes — goes back to its
+      link membership, statistics, pending jobs — goes back to its
       fresh value, whatever state [net] was left in (stopped, over a
       budget, past its wall deadline or abandoned by an exception).  The
       [config], [handlers] and hooks of this call replace those of the
@@ -256,11 +256,11 @@ module Make (P : PROTOCOL) : sig
       physical records from run to run, and so are their [rng] streams,
       now carrying this seed's draws.
 
-      [net] keeps the memory of its largest run (arena, heap, envelope
-      and tick pools) and, until its next [create], references to the
-      last run's [handlers] and hooks.  A network belongs to one domain
-      at a time: reuse must not overlap a run of [net], nor happen from
-      inside one of its handlers.
+      [net] keeps the memory of its largest run (arena, heap, job pool)
+      and, until its next [create], references to the last run's
+      [handlers] and hooks.  A network belongs to one domain at a time:
+      reuse must not overlap a run of [net], nor happen from inside one
+      of its handlers.
       @raise Invalid_argument if [reuse] was built over another topology
       (physical equality: share the [Topology.t] value). *)
 
