@@ -51,11 +51,12 @@ let reset t ~oracle ?clock () =
   Array.fill t.last_tick_real 0 (Array.length t.last_tick_real) nan;
   Array.fill t.last_tick_local 0 (Array.length t.last_tick_local) nan
 
-(* Headroom of the tick-rate check, in ulps.  A linear clock's rate
-   between two completions is exact, so only the rounding of the two
-   readings needs headroom: each is off by about an ulp of the larger
-   instant, whatever the gap between them.  A fixed relative tolerance
-   cannot hold that: past t = 2^23 an ulp is 1.9e-9 of a gap of 1. *)
+(* Headroom of the tick-rate check: 4 ulps of the larger reading.  A
+   linear clock's rate between two completions is exact, so only the
+   rounding of the two readings needs headroom, and each is off by about
+   an ulp of the larger instant, whatever the gap between them.  A fixed
+   relative tolerance cannot hold that: past t = 2^23 an ulp is 1.9e-9 of
+   a gap of 1. *)
 let rounding = 4. *. epsilon_float
 
 let link_subject (link : Topology.link) =
