@@ -115,6 +115,45 @@ let test_version_mismatch_rejected () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "bad magic accepted")
 
+(* The wire image of one frame of each kind, byte for byte: the codec's
+   layout is pinned here, not only its round trip. *)
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i ->
+         Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_wire_goldens () =
+  List.iter
+    (fun (frame, want) ->
+       Alcotest.(check string)
+         (Fmt.to_to_string Wire.pp frame)
+         want
+         (hex (Bytes.to_string (Wire.encode frame))))
+    [ (Wire.Send { link = 1; payload = "tok"; trace = None },
+       "00000012ab0202000000000000000100000003746f6b");
+      ( Wire.Send
+          { link = 2;
+            payload = "ab";
+            trace = Some { Wire.span = 7; lamport = 9; at = 1.5 } },
+        "0000002aab02020000000000000002000000026162010000"
+        ^ "00000000000700000000000000093ff8000000000000" );
+      (Wire.Deliver { link = 3; payload = "tok"; trace = None },
+       "00000012ab0203000000000000000300000003746f6b");
+      ( Wire.Deliver
+          { link = 0;
+            payload = "";
+            trace = Some { Wire.span = 12; lamport = 40; at = 7.25 } },
+        "00000028ab02030000000000000000000000000100000000"
+        ^ "0000000c0000000000000028401d000000000000" );
+      (Wire.Stop { node = 2; at_units = 121.5 },
+       "00000013ab02040000000000000002405e600000000000");
+      ( Wire.Stats { node = 1; sent = 2; recv = 3; ticks = 4; aux = 5 },
+        "0000002bab02050000000000000001000000000000000200"
+        ^ "0000000000000300000000000000040000000000000005" );
+      (Wire.Telemetry { node = 2; records = "rec" },
+       "0000000eab02070000000000000002726563");
+      (Wire.Shutdown, "00000003ab0206") ]
+
 (* Kind 1 is unassigned: a body of that kind, whatever its length, is an
    unknown frame, not a short read of some other kind. *)
 let test_kind_one_unknown () =
@@ -307,9 +346,11 @@ let test_worker_cap_error () =
 
 let test_metrics_mirrored () =
   let metrics = Abe_sim.Metrics.create () in
-  (match Elect_real.run ~metrics ~seed:3 (real_config ()) with
-   | Error msg -> Alcotest.fail msg
-   | Ok _ -> ());
+  let o =
+    match Elect_real.run ~metrics ~seed:3 (real_config ()) with
+    | Error msg -> Alcotest.fail msg
+    | Ok o -> o
+  in
   let dump =
     String.concat "\n"
       (List.map (String.concat " ") (Abe_sim.Metrics.report_rows metrics))
@@ -319,7 +360,23 @@ let test_metrics_mirrored () =
        Alcotest.(check bool) (name ^ " present") true
          (contains ~affix:name dump))
     [ "real/sent"; "real/delivered"; "real/lost"; "real/ticks";
-      "real/in_flight"; "real/fidelity/max_drift" ]
+      "real/in_flight"; "real/fidelity/max_drift" ];
+  (* Every accepted frame is delivered, lost or still held, and the
+     counters agree with the outcome they summarise. *)
+  let open Abe_sim.Metrics in
+  let count name = counter_value (counter metrics name) in
+  let in_flight =
+    match gauge_value (gauge metrics "real/in_flight") with
+    | Some v -> int_of_float v
+    | None -> Alcotest.fail "real/in_flight never set"
+  in
+  Alcotest.(check int) "sent = delivered + lost + in_flight"
+    (count "real/sent")
+    (count "real/delivered" + count "real/lost" + in_flight);
+  Alcotest.(check int) "ticks as in the outcome" o.Elect_real.ticks
+    (count "real/ticks");
+  Alcotest.(check int) "delivered as in the outcome" o.Elect_real.delivered
+    (count "real/delivered")
 
 (* fd hygiene: a full run — including the timeout path, where no election
    ever happens — must return the process to its starting fd count. *)
@@ -490,6 +547,7 @@ let () =
           Alcotest.test_case "version mismatch rejected" `Quick
             test_version_mismatch_rejected;
           Alcotest.test_case "kind 1 is unknown" `Quick test_kind_one_unknown;
+          Alcotest.test_case "goldens" `Quick test_wire_goldens;
           Alcotest.test_case "v1 bodies still decode" `Quick
             test_v1_still_decodes;
           Alcotest.test_case "malformed extension poisons" `Quick
