@@ -6,17 +6,23 @@ type frame =
   | Send of { link : int; payload : string; trace : trace option }
   | Deliver of { link : int; payload : string; trace : trace option }
   | Stop of { node : int; at_units : float }
-  | Stats of { node : int; sent : int; recv : int; ticks : int; aux : int }
+  | Stats of {
+      node : int;
+      sent : int;
+      recv : int;
+      ticks : int;
+      activations : int;
+    }
   | Telemetry of { node : int; records : string }
   | Shutdown
 
 let magic = '\xAB'
 
 (* Version 2 added the optional trace-context extension on Send/Deliver
-   and the Telemetry frame kind.  Version-1 bodies (no extension) still
-   decode: the extension is purely additive. *)
+   and the Telemetry frame kind.  Both ends of every socketpair are the
+   same binary and no frame outlives its run, so only this version
+   decodes. *)
 let version = 2
-let min_version = 1
 
 (* Payloads are protocol messages (a few bytes); 16 MiB is far beyond any
    legitimate frame and close enough to catch a corrupt length prefix
@@ -70,12 +76,12 @@ let encode frame =
    | Stop { node; at_units } ->
      int64_at 7 node;
      Bytes.set_int64_be b 15 (Int64.bits_of_float at_units)
-   | Stats { node; sent; recv; ticks; aux } ->
+   | Stats { node; sent; recv; ticks; activations } ->
      int64_at 7 node;
      int64_at 15 sent;
      int64_at 23 recv;
      int64_at 31 ticks;
-     int64_at 39 aux
+     int64_at 39 activations
    | Telemetry { node; records } ->
      int64_at 7 node;
      Bytes.blit_string records 0 b 15 (String.length records)
@@ -88,9 +94,8 @@ let decode_body s =
   if len < 3 then err "wire: truncated header (%d bytes)" len
   else if s.[0] <> magic then
     err "wire: bad magic byte 0x%02x" (Char.code s.[0])
-  else if Char.code s.[1] < min_version || Char.code s.[1] > version then
-    err "wire: version %d, expected %d..%d" (Char.code s.[1]) min_version
-      version
+  else if Char.code s.[1] <> version then
+    err "wire: version %d, expected %d" (Char.code s.[1]) version
   else
     let kind = Char.code s.[2] in
     let int_at off = Int64.to_int (String.get_int64_be s (off + 3)) in
@@ -139,7 +144,7 @@ let decode_body s =
               sent = int_at 8;
               recv = int_at 16;
               ticks = int_at 24;
-              aux = int_at 32 })
+              activations = int_at 32 })
     | 6 -> expect 0 (fun () -> Shutdown)
     | 7 ->
       if len - 3 < 8 then err "wire: truncated telemetry body (%d bytes)" (len - 3)
@@ -215,9 +220,9 @@ let pp ppf = function
     Fmt.pf ppf "deliver(link=%d, %d bytes%a)" link (String.length payload)
       pp_trace trace
   | Stop { node; at_units } -> Fmt.pf ppf "stop(node=%d, t=%g)" node at_units
-  | Stats { node; sent; recv; ticks; aux } ->
-    Fmt.pf ppf "stats(node=%d, sent=%d, recv=%d, ticks=%d, aux=%d)" node sent
-      recv ticks aux
+  | Stats { node; sent; recv; ticks; activations } ->
+    Fmt.pf ppf "stats(node=%d, sent=%d, recv=%d, ticks=%d, activations=%d)"
+      node sent recv ticks activations
   | Telemetry { node; records } ->
     Fmt.pf ppf "telemetry(node=%d, %d bytes)" node (String.length records)
   | Shutdown -> Fmt.pf ppf "shutdown"

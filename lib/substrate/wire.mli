@@ -12,9 +12,10 @@
 
     Version 2 adds an optional trace-context extension to [Send] and
     [Deliver] — 25 bytes after the payload: tag [0x01], span id, Lamport
-    clock, send timestamp — plus the [Telemetry] frame kind.  Version-1
-    bodies (no extension) still decode; a partial or unknown extension is
-    stream corruption and poisons the reader. *)
+    clock, send timestamp — plus the [Telemetry] frame kind.  A partial or
+    unknown extension is stream corruption and poisons the reader.  Both
+    ends of a socketpair are the same binary and no frame is ever stored,
+    so a frame of any other version is rejected. *)
 
 (** Trace context piggybacked on a data frame: the sending span's
     identity, the sender's Lamport clock at emission, and the send time
@@ -22,8 +23,8 @@
 type trace = { span : int; lamport : int; at : float }
 
 (** Control plane of a cluster.  [Send]/[Deliver] carry an opaque
-    protocol-encoded payload: the codec is protocol-agnostic, the
-    {!Cluster} functor owns payload encoding. *)
+    payload: the codec does not look inside it ({!Elect_real} encodes the
+    election's token). *)
 type frame =
   | Send of { link : int; payload : string; trace : trace option }
       (** worker -> router: emit on local out-link index [link] *)
@@ -34,7 +35,13 @@ type frame =
   | Stop of { node : int; at_units : float }
       (** worker -> router: request global stop (election reached) at
           elapsed simulated time [at_units] *)
-  | Stats of { node : int; sent : int; recv : int; ticks : int; aux : int }
+  | Stats of {
+      node : int;
+      sent : int;
+      recv : int;
+      ticks : int;
+      activations : int;
+    }
       (** worker -> router: final counters, sent once after [Shutdown] *)
   | Telemetry of { node : int; records : string }
       (** worker -> router: opaque span-record blob (see {!Telemetry}),
@@ -42,10 +49,8 @@ type frame =
   | Shutdown  (** router -> worker: stop after sending [Stats] *)
 
 val version : int
-(** Wire format version carried in every header. *)
-
-val min_version : int
-(** Oldest version {!decode_body} still accepts. *)
+(** Wire format version carried in every header, and the only one
+    {!decode_body} accepts. *)
 
 val encode : frame -> bytes
 (** Complete wire image: length prefix, header, body. *)

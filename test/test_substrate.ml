@@ -43,8 +43,8 @@ let frame_gen =
         (fun node at -> Wire.Stop { node; at_units = at })
         nat (float_bound_inclusive 1e6);
       map
-        (fun (node, sent, recv, ticks, aux) ->
-           Wire.Stats { node; sent; recv; ticks; aux })
+        (fun (node, sent, recv, ticks, activations) ->
+           Wire.Stats { node; sent; recv; ticks; activations })
         (tup5 nat nat nat nat nat);
       map2
         (fun node records -> Wire.Telemetry { node; records })
@@ -78,7 +78,7 @@ let test_exact_round_trips () =
           payload = "";
           trace = Some { Wire.span = 0; lamport = 0; at = 0. } };
       Wire.Stop { node = 7; at_units = 44.632 };
-      Wire.Stats { node = 1; sent = 2; recv = 3; ticks = 4; aux = 5 };
+      Wire.Stats { node = 1; sent = 2; recv = 3; ticks = 4; activations = 5 };
       Wire.Telemetry { node = 2; records = String.make 42 '\x01' };
       Wire.Shutdown ]
 
@@ -97,17 +97,22 @@ let test_truncated_rejected () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "oversized body accepted")
 
+(* Only the version the encoder writes decodes, the one before it
+   included. *)
 let test_version_mismatch_rejected () =
   let image = Bytes.of_string
       (Bytes.to_string (Wire.encode (Wire.Stop { node = 9; at_units = 0. })))
   in
-  Bytes.set_uint8 image 5 (Wire.version + 1);
-  let body = Bytes.sub_string image 4 (Bytes.length image - 4) in
-  (match Wire.decode_body body with
-   | Error msg ->
-     Alcotest.(check bool) "names the version" true
-       (contains ~affix:"version" msg)
-   | Ok _ -> Alcotest.fail "wrong version accepted");
+  List.iter
+    (fun v ->
+       Bytes.set_uint8 image 5 v;
+       let body = Bytes.sub_string image 4 (Bytes.length image - 4) in
+       match Wire.decode_body body with
+       | Error msg ->
+         Alcotest.(check bool) "names the version" true
+           (contains ~affix:"version" msg)
+       | Ok _ -> Alcotest.failf "version %d accepted" v)
+    [ Wire.version + 1; Wire.version - 1 ];
   (* Bad magic too. *)
   Bytes.set image 4 'Z';
   Bytes.set_uint8 image 5 Wire.version;
@@ -147,7 +152,8 @@ let test_wire_goldens () =
         ^ "0000000c0000000000000028401d000000000000" );
       (Wire.Stop { node = 2; at_units = 121.5 },
        "00000013ab02040000000000000002405e600000000000");
-      ( Wire.Stats { node = 1; sent = 2; recv = 3; ticks = 4; aux = 5 },
+      ( Wire.Stats
+          { node = 1; sent = 2; recv = 3; ticks = 4; activations = 5 },
         "0000002bab02050000000000000001000000000000000200"
         ^ "0000000000000300000000000000040000000000000005" );
       (Wire.Telemetry { node = 2; records = "rec" },
@@ -166,24 +172,6 @@ let test_kind_one_unknown () =
            (contains ~affix:"unknown frame kind 1" msg)
        | Ok f -> Alcotest.failf "kind 1 decoded as %a" Wire.pp f)
     [ ""; String.make 8 '\x00' ]
-
-(* Version-1 bodies — no trace extension, no Telemetry kind — must keep
-   decoding: the extension is strictly additive, so a v2 encoding of an
-   unstamped frame re-labelled version 1 is exactly a v1 image. *)
-let test_v1_still_decodes () =
-  List.iter
-    (fun frame ->
-       let image = Bytes.of_string (Bytes.to_string (Wire.encode frame)) in
-       Bytes.set_uint8 image 5 Wire.min_version;
-       let body = Bytes.sub_string image 4 (Bytes.length image - 4) in
-       match Wire.decode_body body with
-       | Ok frame' -> Alcotest.check frame_testable "v1 decode" frame frame'
-       | Error msg -> Alcotest.fail msg)
-    [ Wire.Send { link = 1; payload = "tok"; trace = None };
-      Wire.Deliver { link = 0; payload = ""; trace = None };
-      Wire.Stop { node = 0; at_units = 9.25 };
-      Wire.Stats { node = 3; sent = 1; recv = 1; ticks = 1; aux = 0 };
-      Wire.Shutdown ]
 
 (* A body whose length prefix is self-consistent but whose trailing
    bytes are a partial trace extension is stream corruption: decode must
@@ -229,7 +217,7 @@ let test_reader_reassembles_fragments () =
           payload = "tik";
           trace = Some { Wire.span = 3; lamport = 5; at = 2.5 } };
       Wire.Telemetry { node = 1; records = "blob" };
-      Wire.Stats { node = 1; sent = 10; recv = 9; ticks = 8; aux = 1 };
+      Wire.Stats { node = 1; sent = 10; recv = 9; ticks = 8; activations = 1 };
       Wire.Shutdown ]
   in
   let stream =
@@ -548,8 +536,6 @@ let () =
             test_version_mismatch_rejected;
           Alcotest.test_case "kind 1 is unknown" `Quick test_kind_one_unknown;
           Alcotest.test_case "goldens" `Quick test_wire_goldens;
-          Alcotest.test_case "v1 bodies still decode" `Quick
-            test_v1_still_decodes;
           Alcotest.test_case "malformed extension poisons" `Quick
             test_malformed_extension_poisons;
           Alcotest.test_case "reader reassembles fragments" `Quick
