@@ -87,15 +87,14 @@ let join t =
 
 let spawn mode t body =
   match
-    Array.iteri
-      (fun id _ ->
-         let body () = body id in
-         t.handles.(id) <-
-           Some
-             (match mode with
-              | Domains -> D (Domain.spawn body)
-              | Threads -> T (Thread.create body ())))
-      t.pairs
+    for id = 0 to Array.length t.pairs - 1 do
+      let body () = body id in
+      t.handles.(id) <-
+        Some
+          (match mode with
+           | Domains -> D (Domain.spawn body)
+           | Threads -> T (Thread.create body ()))
+    done
   with
   | () -> Ok ()
   | exception e ->

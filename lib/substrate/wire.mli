@@ -57,7 +57,7 @@ val encode : frame -> bytes
 
 val decode_body : string -> (frame, string) result
 (** Decode one frame body (without the length prefix).  Rejects bad magic,
-    unknown version, unknown kind, truncated bodies, malformed trace
+    any other version, unknown kind, truncated bodies, malformed trace
     extensions and trailing bytes. *)
 
 (** {1 Stream reassembly}
