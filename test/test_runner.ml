@@ -1081,6 +1081,82 @@ let test_warm_checked_constant () =
     Alcotest.failf "%g words at n=4000, %g at n=250 (slack %g)" large small
       slack
 
+(* Each configuration's runs with no scheduler against the same runs
+   under a scheduler that always picks the earliest event.  The second
+   kind pops in pure [(time, seq)] order, one engine event at a time;
+   the first may run a same-instant completion inside the event that
+   schedules it.  Both must show exactly the same: the outcome, the
+   engine's counts, the trace and, with metrics and spans on, every
+   metric row and every span.  A faulted ring may never elect, so its
+   runs stop at 2 x 10^5 events; at gamma = 0.2 no completion falls at
+   its arrival instant, the control. *)
+let in_order_configs () =
+  let cli n = Runner.config ~n ~a0:(Analysis.recommended_a0 ~theta:1. n) in
+  let faulted n ?limit_events scenario seed =
+    cli n ?limit_events ~fault:(fault_of scenario ~seed ~n) ()
+  in
+  [ ("n=48", fun _ -> cli 48 ());
+    ( "deterministic delay",
+      fun _ ->
+        cli 8 ~delay:(Abe_net.Delay_model.abd_deterministic ~delay:1.) () );
+    ( "clock rates in [1, 4]",
+      fun _ ->
+        cli 16
+          ~params:
+            (Params.make ~delta:1. ~gamma:0.
+               ~clock:(Abe_net.Clock.spec ~s_low:1. ~s_high:4.))
+          () );
+    ("crash(2@5)", faulted 8 ~limit_events:200_000 "crash(2@5)");
+    ("rejoin(2@5:9)", faulted 8 ~limit_events:200_000 "rejoin(2@5:9)");
+    ("churn(0.2)", faulted 16 ~limit_events:200_000 "churn(0.2)");
+    ("bursty-loss", faulted 16 ~limit_events:200_000 "bursty-loss");
+    ("cut at 777 events", fun _ -> cli 8 ~limit_events:777 ());
+    ( "gamma 0.2",
+      fun _ ->
+        cli 32
+          ~params:
+            (Params.make ~delta:1. ~gamma:0.2 ~clock:Abe_net.Clock.perfect)
+          ~proc_delay:(Some (Abe_prob.Dist.exponential ~mean:0.2))
+          () ) ]
+
+let test_claimed_equal_in_order () =
+  let shown ~hooks ~in_order ~seed config =
+    let metrics = if hooks then Some (Abe_sim.Metrics.create ()) else None in
+    let causal = if hooks then Some (Abe_sim.Causal.create ()) else None in
+    let trace = Abe_sim.Trace.create ~enabled:true () in
+    let scheduler =
+      if in_order then Some (Abe_check.Schedulers.replay ~window:0. [])
+      else None
+    in
+    let o = Runner.run ~trace ?metrics ?causal ?scheduler ~seed config in
+    let span s =
+      Abe_sim.Causal.
+        (span_id s, lamport s, label s, span_begin s, span_end s)
+    in
+    ( Fmt.str "%a at %h" Runner.pp_outcome o o.Runner.elected_at,
+      (o.Runner.executed_events, o.Runner.max_queue_depth),
+      Abe_sim.Trace.to_jsonl trace,
+      Option.map Abe_sim.Metrics.report_rows metrics,
+      Option.map (fun c -> List.map span (Abe_sim.Causal.spans c)) causal )
+  in
+  List.iter
+    (fun (name, config_of) ->
+       for seed = 1 to 20 do
+         let config = config_of seed in
+         List.iter
+           (fun hooks ->
+              let claimed = shown ~hooks ~in_order:false ~seed config
+              and in_order = shown ~hooks ~in_order:true ~seed config in
+              if compare claimed in_order <> 0 then
+                let headline (s, (events, depth), _, _, _) =
+                  Printf.sprintf "%s, %d events, depth %d" s events depth
+                in
+                Alcotest.failf "%s, seed %d, hooks %b: %s, in order %s" name
+                  seed hooks (headline claimed) (headline in_order))
+           [ false; true ]
+       done)
+    (in_order_configs ())
+
 let () =
   Alcotest.run "runner"
     [ ( "correctness",
@@ -1165,6 +1241,9 @@ let () =
             test_tick_decision_matches_reference;
           Alcotest.test_case "tick regime allocation" `Quick
             test_tick_regime_allocation ] );
+      ( "same-instant completions",
+        [ Alcotest.test_case "equal to in-order runs" `Quick
+            test_claimed_equal_in_order ] );
       ( "token regime",
         [ Alcotest.test_case "n=2000 goldens" `Quick test_token_goldens;
           Alcotest.test_case "allocation" `Quick
