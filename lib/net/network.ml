@@ -485,9 +485,12 @@ module Make (P : PROTOCOL) = struct
       t.job_start.(i) <- t.occ.(0);
       t.job_completion.(i) <- t.busy.(dst.id);
       t.job_inc.(i) <- dst.incarnation;
-      Engine.schedule_from t.engine ~tag:(node_class t dst.id)
-        ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
-        ~times:t.busy dst.id t.job_deliver.(i)
+      if t.busy.(dst.id) = arrival && Engine.claim_now t.engine then
+        deliver_job t i
+      else
+        Engine.schedule_from t.engine ~tag:(node_class t dst.id)
+          ~footprint:(if t.foot_on then t.foot_handler.(dst.id) else 0)
+          ~times:t.busy dst.id t.job_deliver.(i)
     end
 
   (* Runs at a tick's processing-completion instant: deliver the tick to
@@ -680,6 +683,11 @@ module Make (P : PROTOCOL) = struct
      still pending from before a crash must die even if the node has
      since rejoined (the rejoin starts a {e new} chain, and two live
      chains would corrupt the shared [tick_time] scratch). *)
+  let schedule_tick_job t ~tag id i =
+    Engine.schedule_from t.engine ~tag
+      ~footprint:(if t.foot_on then t.foot_handler.(id) else 0)
+      ~times:t.busy id t.job_tick.(i)
+
   let tick_chain t id ~chain_inc =
     let tag = node_class t id in
     let clock = Links.clock t.model id in
@@ -694,14 +702,15 @@ module Make (P : PROTOCOL) = struct
         t.job_start.(i) <- t.occ.(0);
         t.job_completion.(i) <- t.busy.(id);
         t.job_inc.(i) <- chain_inc;
-        let foot_on = t.foot_on in
-        Engine.schedule_from t.engine ~tag
-          ~footprint:(if foot_on then t.foot_handler.(id) else 0)
-          ~times:t.busy id t.job_tick.(i);
+        let same_instant = t.busy.(id) = tick_time in
+        if not same_instant then schedule_tick_job t ~tag id i;
         Clock.advance_tick clock t.tick_time id;
         Engine.schedule_from t.engine ~tag
-          ~footprint:(if foot_on then node_bit id else 0)
-          ~times:t.tick_time id fire
+          ~footprint:(if t.foot_on then node_bit id else 0)
+          ~times:t.tick_time id fire;
+        if same_instant then
+          if Engine.claim_now t.engine then tick_job t i
+          else schedule_tick_job t ~tag id i
       end
     in
     fire

@@ -129,6 +129,7 @@ type t = {
   mutable heap_inserts : int;
   mutable wall : float;     (* host seconds accumulated inside [run] *)
   mutable stop_requested : bool;
+  mutable running : bool;   (* inside [run] *)
   mutable digest_source : (unit -> int) option;
   (* Hooks and budgets: installed by every [create], pooled or fresh. *)
   mutable instruments : instruments option;
@@ -167,6 +168,7 @@ let allocate () =
     heap_inserts = 0;
     wall = 0.;
     stop_requested = false;
+    running = false;
     digest_source = None;
     instruments = None;
     depths = [||];
@@ -202,6 +204,7 @@ let reset t =
   t.heap_inserts <- 0;
   t.wall <- 0.;
   t.stop_requested <- false;
+  t.running <- false;
   t.digest_source <- None
 
 let create ?reuse ?metrics ?scheduler ?causal ?(limit_time = infinity)
@@ -574,20 +577,59 @@ let run_observed t =
   in
   loop ()
 
+(* The next pop of either loop, taken early by the executing action for
+   a follow-up it would schedule at the current instant as its last step.
+   The follow-up would be the next event popped exactly when no stop or
+   budget ends the loop first and no pending event precedes it: nothing
+   in the lane, and neither the run's head nor the heap's minimum due at
+   this instant (a pending event is never due earlier).  A yes counts the
+   follow-up as scheduled and popped at once — its sequence number, the
+   depth it would have reached, its execution, and in the observed loop
+   its depth tally and its Lamport announcement — and the caller runs it.
+   Under a scheduler every pop is a decision the scheduler may own, so
+   the answer is always no. *)
+let claim_now t =
+  t.running && t.scheduler == None && (not t.stop_requested)
+  && t.executed < t.limit_events
+  && (not (past_wall_deadline t))
+  && t.lane.len = 0
+  && begin
+    let clock = Array.unsafe_get t.clock 0 in
+    let run = t.run in
+    (run.len = 0 || Array.unsafe_get t.ev_time (peek run) > clock)
+    &&
+    let h = Pqueue.min_value t.queue in
+    h < 0 || Array.unsafe_get t.ev_time h > clock
+  end
+  && begin
+    t.seq <- t.seq + 1;
+    if t.live >= t.max_depth then t.max_depth <- t.live + 1;
+    t.executed <- t.executed + 1;
+    measure t ~depth:t.live;
+    (match t.causal with
+     | None -> ()
+     | Some c -> Causal.enter_event c ~lamport:(Causal.scheduling_lamport c));
+    true
+  end
+
 let run t =
   let started = Unix.gettimeofday () in
   t.stop_requested <- false;
+  t.running <- true;
   let outcome =
-    if t.instruments == None && t.causal == None && t.scheduler == None then
-      run_fast t
-    else
-      match run_observed t with
-      | outcome -> outcome
-      | exception e ->
-        let backtrace = Printexc.get_raw_backtrace () in
-        fold_metrics t;
-        Printexc.raise_with_backtrace e backtrace
+    match
+      if t.instruments == None && t.causal == None && t.scheduler == None then
+        run_fast t
+      else run_observed t
+    with
+    | outcome -> outcome
+    | exception e ->
+      let backtrace = Printexc.get_raw_backtrace () in
+      t.running <- false;
+      fold_metrics t;
+      Printexc.raise_with_backtrace e backtrace
   in
+  t.running <- false;
   fold_metrics t;
   release_actions t;
   t.wall <- t.wall +. (Unix.gettimeofday () -. started);

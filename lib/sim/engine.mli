@@ -196,6 +196,20 @@ val schedule_arrival :
     still being scheduled.  Where an event waits changes no execution:
     every pop merges the three on the full [(time, seq)] key. *)
 
+val claim_now : t -> bool
+(** [claim_now t], called by an executing action as its {e last} step,
+    asks whether a follow-up due at the current instant may run inside
+    that action instead of being scheduled.  The answer is yes exactly
+    when the follow-up would be the next event [run] pops: inside {!run},
+    with no scheduler attached, no {!stop} requested, the event budget
+    not spent, the wall-deadline probe passing, and no pending event due
+    at the current instant.  On yes the engine counts the follow-up as
+    scheduled and executed — its sequence number, the queue depth it
+    would have reached, {!executed_events}, and with hooks its
+    ["engine/queue_depth"] sample and its Lamport announcement — and the
+    caller must run it at once; on no the caller schedules it as usual.
+    Either way the execution is byte-identical. *)
+
 val stop : t -> unit
 (** Request termination: [run] returns {!Stopped} after the current action
     finishes. *)
