@@ -465,6 +465,179 @@ let prop_lane_exact =
               [ By_run; By_metrics; By_scheduler ])
          [ prog; { prog with limit = infinity; max_events = max_int } ])
 
+(* [Engine.claim_now] against plain scheduling.  Event k (in execution
+   order) follows script entry k, if there is one: it schedules children
+   at delays on a half-unit grid, so that instants tie across events and
+   with the roots, may stop the run or raise, and may end with a
+   same-instant follow-up.  A program runs twice, once offering every
+   follow-up to [claim_now] (running it at once on yes) and once
+   scheduling every one of them at delay 0; both must execute the same
+   events in the same order at the same Lamport times, with the same
+   counts, outcomes and queue-depth rows. *)
+type claim_entry = {
+  spawn : child list;
+  follow : bool;  (* end with a same-instant follow-up *)
+  halt : bool;    (* call [Engine.stop] *)
+  raises : bool;  (* raise after spawning, so no follow-up *)
+}
+
+type claim_program = {
+  starts : child list;
+  steps : claim_entry array;
+  cut : int;  (* the engine's [limit_events] *)
+}
+
+exception Boom
+
+type claim_drive = Fast | With_metrics | With_causal | With_scheduler
+
+let claim_drives = [ Fast; With_metrics; With_causal; With_scheduler ]
+
+let claim_run ~claim drive prog =
+  let metrics =
+    if drive = With_metrics then Some (Metrics.create ()) else None
+  in
+  let causal = if drive = With_causal then Some (Causal.create ()) else None in
+  let scheduler =
+    if drive = With_scheduler then
+      Some
+        { Engine.window = 0.; choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
+    else None
+  in
+  let engine =
+    Engine.create ?metrics ?causal ?scheduler ~limit_events:prog.cut ()
+  in
+  let scheduled = ref 0 and executed = ref 0 and at = [| 0. |] in
+  let log = ref [] in
+  let fresh () =
+    let id = !scheduled in
+    incr scheduled;
+    id
+  in
+  let rec add { delay; arrival } =
+    let id = fresh () in
+    if arrival then begin
+      at.(0) <- Engine.now engine +. delay;
+      Engine.schedule_arrival engine ~tag:(-1) ~footprint:0 ~times:at 0
+        (fun () -> fire id)
+    end
+    else Engine.schedule engine ~delay (fun () -> fire id)
+  and fire id =
+    let lamport =
+      match causal with
+      | None -> 0
+      | Some c -> Causal.scheduling_lamport c
+    in
+    log := `Event (id, Engine.now engine, lamport) :: !log;
+    let k = !executed in
+    incr executed;
+    if k < Array.length prog.steps then begin
+      let e = prog.steps.(k) in
+      List.iter add e.spawn;
+      if e.halt then Engine.stop engine;
+      if e.raises then raise Boom;
+      if e.follow then begin
+        let id = fresh () in
+        if claim && Engine.claim_now engine then fire id
+        else Engine.schedule engine ~delay:0. (fun () -> fire id)
+      end
+    end
+  in
+  List.iter add prog.starts;
+  let rec go () =
+    match Engine.run engine with
+    | Engine.Stopped ->
+      log := `Outcome "stopped" :: !log;
+      go ()
+    | Engine.Hit_event_limit ->
+      log := `Outcome "event limit" :: !log;
+      ignore (Engine.run engine)
+    | Engine.Drained -> log := `Outcome "drained" :: !log
+    | Engine.Hit_time_limit | Engine.Hit_wall_deadline ->
+      log := `Outcome "unexpected" :: !log
+    | exception Boom ->
+      log := `Outcome "raised" :: !log;
+      go ()
+  in
+  go ();
+  ( List.rev !log,
+    (Engine.executed_events engine, Engine.max_queue_depth engine),
+    Engine.pending_events engine,
+    Option.map Metrics.report_rows metrics )
+
+let claim_program_gen =
+  let open QCheck.Gen in
+  let child =
+    map2
+      (fun delay arrival -> { delay; arrival })
+      (oneofl [ 0.; 0.; 0.5; 1.; 1.; 1.; 2. ])
+      bool
+  in
+  let entry =
+    map4
+      (fun spawn follow halt raises -> { spawn; follow; halt; raises })
+      (list_size (int_bound 3) child)
+      (frequency [ (3, return true); (1, return false) ])
+      (frequency [ (1, return true); (12, return false) ])
+      (frequency [ (1, return true); (12, return false) ])
+  in
+  map3
+    (fun starts steps cut -> { starts; steps = Array.of_list steps; cut })
+    (list_size (int_range 1 6) child)
+    (list_size (int_bound 60) entry)
+    (frequency [ (1, return max_int); (2, int_range 1 80) ])
+
+let print_claim_program prog =
+  Printf.sprintf "starts=[%s] cut=%d steps=[%s]"
+    (String.concat ";" (List.map print_child prog.starts))
+    prog.cut
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun e ->
+                Printf.sprintf "{%s%s%s%s}"
+                  (String.concat "," (List.map print_child e.spawn))
+                  (if e.follow then "|follow" else "")
+                  (if e.halt then "|stop" else "")
+                  (if e.raises then "|raise" else ""))
+             prog.steps)))
+
+let prop_claim_exact =
+  QCheck.Test.make
+    ~name:"claimed follow-ups execute as scheduled ones: every loop"
+    ~count:500
+    (QCheck.make ~print:print_claim_program claim_program_gen)
+    (fun prog ->
+       List.for_all
+         (fun drive ->
+            claim_run ~claim:true drive prog = claim_run ~claim:false drive prog)
+         claim_drives)
+
+(* A claim says yes only for the very next pop: not outside [run], not
+   with a peer due at the same instant, and not under a scheduler. *)
+let test_claim_now_cases () =
+  let claims ?scheduler ~peer () =
+    let engine = Engine.create ?scheduler () in
+    let answer = ref None in
+    Engine.schedule engine ~delay:1. (fun () ->
+        answer := Some (Engine.claim_now engine));
+    if peer then Engine.schedule engine ~delay:1. ignore;
+    ignore (Engine.run engine : Engine.outcome);
+    let inline = if !answer = Some true then 1 else 0 in
+    Alcotest.(check int) "executed" (1 + Bool.to_int peer + inline)
+      (Engine.executed_events engine);
+    Alcotest.(check bool) "outside run" false (Engine.claim_now engine);
+    !answer
+  in
+  Alcotest.(check (option bool)) "alone" (Some true) (claims ~peer:false ());
+  Alcotest.(check (option bool)) "peer at the same instant" (Some false)
+    (claims ~peer:true ());
+  Alcotest.(check (option bool)) "under a scheduler" (Some false)
+    (claims ~peer:false
+       ~scheduler:
+         { Engine.window = 0.; choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
+       ())
+
 let test_wall_deadline_stops_run () =
   (* A self-perpetuating event chain: without the wall deadline this run
      never drains. *)
@@ -623,7 +796,9 @@ let () =
           Alcotest.test_case "clock advances" `Quick test_clock_advances;
           Alcotest.test_case "zero delay" `Quick test_zero_delay_runs_now;
           Alcotest.test_case "now after queued peers" `Quick
-            test_now_event_after_queued_peers ] );
+            test_now_event_after_queued_peers;
+          Alcotest.test_case "claim only the next pop" `Quick
+            test_claim_now_cases ] );
       ( "arena",
         [ Alcotest.test_case "executed action is released" `Quick
             test_executed_action_released;
@@ -661,4 +836,4 @@ let () =
       );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_many_events_ordered; prop_lane_exact ] ) ]
+          [ prop_many_events_ordered; prop_lane_exact; prop_claim_exact ] ) ]
