@@ -59,7 +59,7 @@ type worker = {
    into drift) and frames from the router.  Exits on [Shutdown] or router
    EOF, answering with a final [Stats] frame either way. *)
 let worker election (w : worker) =
-  let sent = ref 0 and recv = ref 0 and ticks = ref 0 in
+  let sent = ref 0 and ticks = ref 0 in
   let activations = ref 0 and stop_sent = ref false in
   let now_units () = (Unix.gettimeofday () -. w.start_wall) /. w.scale in
   let send_frame f = Cluster.write_all w.fd (Wire.encode f) in
@@ -138,7 +138,6 @@ let worker election (w : worker) =
                match Wire.next reader with
                | Ok None -> drained := true
                | Ok (Some (Wire.Deliver { payload; trace; _ })) ->
-                 incr recv;
                  if String.length payload <> 16 then
                    failwith
                      (Printf.sprintf "node %d: undecodable payload" w.node);
@@ -181,7 +180,6 @@ let worker election (w : worker) =
       (Wire.Stats
          { node = w.node;
            sent = !sent;
-           recv = !recv;
            ticks = !ticks;
            activations = !activations })
   with _ -> ()
@@ -333,7 +331,7 @@ let run ?metrics ?telemetry ?snapshots ~seed (config : config) =
       end
     | Wire.Stop { node; at_units } ->
       if !stop_request = None then stop_request := Some (node, at_units)
-    | Wire.Stats { node; sent = s; ticks = t; activations = a; _ } ->
+    | Wire.Stats { node; sent = s; ticks = t; activations = a } ->
       if node >= 0 && node < n && worker_stats.(node) = None then begin
         worker_stats.(node) <- Some (s, t, a);
         incr stats_count

@@ -9,7 +9,6 @@ type frame =
   | Stats of {
       node : int;
       sent : int;
-      recv : int;
       ticks : int;
       activations : int;
     }
@@ -48,7 +47,7 @@ let body_length = function
     8 + 4 + String.length payload
     + (match trace with Some _ -> trace_ext_len | None -> 0)
   | Stop _ -> 16
-  | Stats _ -> 40
+  | Stats _ -> 32
   | Telemetry { records; _ } -> 8 + String.length records
   | Shutdown -> 0
 
@@ -76,12 +75,11 @@ let encode frame =
    | Stop { node; at_units } ->
      int64_at 7 node;
      Bytes.set_int64_be b 15 (Int64.bits_of_float at_units)
-   | Stats { node; sent; recv; ticks; activations } ->
+   | Stats { node; sent; ticks; activations } ->
      int64_at 7 node;
      int64_at 15 sent;
-     int64_at 23 recv;
-     int64_at 31 ticks;
-     int64_at 39 activations
+     int64_at 23 ticks;
+     int64_at 31 activations
    | Telemetry { node; records } ->
      int64_at 7 node;
      Bytes.blit_string records 0 b 15 (String.length records)
@@ -138,13 +136,12 @@ let decode_body s =
             { node = int_at 0;
               at_units = Int64.float_of_bits (String.get_int64_be s 11) })
     | 5 ->
-      expect 40 (fun () ->
+      expect 32 (fun () ->
           Stats
             { node = int_at 0;
               sent = int_at 8;
-              recv = int_at 16;
-              ticks = int_at 24;
-              activations = int_at 32 })
+              ticks = int_at 16;
+              activations = int_at 24 })
     | 6 -> expect 0 (fun () -> Shutdown)
     | 7 ->
       if len - 3 < 8 then err "wire: truncated telemetry body (%d bytes)" (len - 3)
@@ -220,9 +217,9 @@ let pp ppf = function
     Fmt.pf ppf "deliver(link=%d, %d bytes%a)" link (String.length payload)
       pp_trace trace
   | Stop { node; at_units } -> Fmt.pf ppf "stop(node=%d, t=%g)" node at_units
-  | Stats { node; sent; recv; ticks; activations } ->
-    Fmt.pf ppf "stats(node=%d, sent=%d, recv=%d, ticks=%d, activations=%d)"
-      node sent recv ticks activations
+  | Stats { node; sent; ticks; activations } ->
+    Fmt.pf ppf "stats(node=%d, sent=%d, ticks=%d, activations=%d)" node sent
+      ticks activations
   | Telemetry { node; records } ->
     Fmt.pf ppf "telemetry(node=%d, %d bytes)" node (String.length records)
   | Shutdown -> Fmt.pf ppf "shutdown"

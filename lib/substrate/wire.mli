@@ -38,7 +38,6 @@ type frame =
   | Stats of {
       node : int;
       sent : int;
-      recv : int;
       ticks : int;
       activations : int;
     }

@@ -43,9 +43,9 @@ let frame_gen =
         (fun node at -> Wire.Stop { node; at_units = at })
         nat (float_bound_inclusive 1e6);
       map
-        (fun (node, sent, recv, ticks, activations) ->
-           Wire.Stats { node; sent; recv; ticks; activations })
-        (tup5 nat nat nat nat nat);
+        (fun (node, sent, ticks, activations) ->
+           Wire.Stats { node; sent; ticks; activations })
+        (quad nat nat nat nat);
       map2
         (fun node records -> Wire.Telemetry { node; records })
         nat payload;
@@ -78,7 +78,7 @@ let test_exact_round_trips () =
           payload = "";
           trace = Some { Wire.span = 0; lamport = 0; at = 0. } };
       Wire.Stop { node = 7; at_units = 44.632 };
-      Wire.Stats { node = 1; sent = 2; recv = 3; ticks = 4; activations = 5 };
+      Wire.Stats { node = 1; sent = 2; ticks = 4; activations = 5 };
       Wire.Telemetry { node = 2; records = String.make 42 '\x01' };
       Wire.Shutdown ]
 
@@ -152,10 +152,9 @@ let test_wire_goldens () =
         ^ "0000000c0000000000000028401d000000000000" );
       (Wire.Stop { node = 2; at_units = 121.5 },
        "00000013ab02040000000000000002405e600000000000");
-      ( Wire.Stats
-          { node = 1; sent = 2; recv = 3; ticks = 4; activations = 5 },
-        "0000002bab02050000000000000001000000000000000200"
-        ^ "0000000000000300000000000000040000000000000005" );
+      ( Wire.Stats { node = 1; sent = 2; ticks = 4; activations = 5 },
+        "00000023ab02050000000000000001000000000000000200"
+        ^ "000000000000040000000000000005" );
       (Wire.Telemetry { node = 2; records = "rec" },
        "0000000eab02070000000000000002726563");
       (Wire.Shutdown, "00000003ab0206") ]
@@ -217,7 +216,7 @@ let test_reader_reassembles_fragments () =
           payload = "tik";
           trace = Some { Wire.span = 3; lamport = 5; at = 2.5 } };
       Wire.Telemetry { node = 1; records = "blob" };
-      Wire.Stats { node = 1; sent = 10; recv = 9; ticks = 8; activations = 1 };
+      Wire.Stats { node = 1; sent = 10; ticks = 8; activations = 1 };
       Wire.Shutdown ]
   in
   let stream =
