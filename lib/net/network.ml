@@ -221,7 +221,10 @@ module Make (P : PROTOCOL) = struct
      tick's completion, one per kind so that neither path branches on the
      kind.  A send therefore reuses a slot and schedules a pre-built
      closure instead of allocating a fresh closure over a fresh tuple of
-     fields.  The pool is global, not per-link: its size tracks the
+     fields.  A completion that falls at its arrival or tick instant (every
+     one at γ = 0) is offered to [Engine.claim_now] and, when the engine
+     agrees, runs at once inside that event, not from the engine's lane.
+     The pool is global, not per-link: its size tracks the
      high-water mark of pending jobs in the whole network, not
      [links x depth] (per-link pools would cost O(links) memory even on an
      idle ring of 10^6 nodes).
@@ -457,7 +460,9 @@ module Make (P : PROTOCOL) = struct
     end
 
   (* Runs at the message's arrival instant: queue behind the destination's
-     earlier work and schedule the processing completion. *)
+     earlier work and schedule the processing completion, or run it here
+     when it falls at this instant and the engine lets this event claim
+     it. *)
   let arrive_job t i =
     let dst = t.nodes.(t.job_node.(i)) in
     let link_id = t.job_link.(i) in
@@ -661,13 +666,24 @@ module Make (P : PROTOCOL) = struct
         send = (fun link_index message -> send_from t node link_index message);
         stop }
 
+  (* Schedule tick job [i]'s completion at its node's busy horizon. *)
+  let schedule_tick_job t ~tag id i =
+    Engine.schedule_from t.engine ~tag
+      ~footprint:(if t.foot_on then t.foot_handler.(id) else 0)
+      ~times:t.busy id t.job_tick.(i)
+
   (* Tick generation: one self-rescheduling event chain per node, firing at
      the node's integer local-clock times.  Ticks queue behind other work on
      the node (they are local events with processing time γ).  The chain
      reuses a single [fire] closure per node — the pending tick's instant
      lives in [t.tick_time.(id)], which is safe scratch because at most one
      chain event per node is pending at a time; the completion, which can
-     overlap with later ticks, is a job of the pool.
+     overlap with later ticks, is a job of the pool.  A completion at the
+     fire instant is claimed only after the next tick is scheduled, since
+     the pop it replaces would follow the fire; if the engine refuses, the
+     completion is scheduled behind that tick, which changes no order, as
+     the two instants differ and nothing comes between them.  A later
+     completion is scheduled before the next tick, as always.
 
      A tick is scheduled through [Engine.schedule_from], so it joins the
      engine's time-ordered run whenever its instant is not before the
@@ -683,11 +699,6 @@ module Make (P : PROTOCOL) = struct
      still pending from before a crash must die even if the node has
      since rejoined (the rejoin starts a {e new} chain, and two live
      chains would corrupt the shared [tick_time] scratch). *)
-  let schedule_tick_job t ~tag id i =
-    Engine.schedule_from t.engine ~tag
-      ~footprint:(if t.foot_on then t.foot_handler.(id) else 0)
-      ~times:t.busy id t.job_tick.(i)
-
   let tick_chain t id ~chain_inc =
     let tag = node_class t id in
     let clock = Links.clock t.model id in

@@ -28,7 +28,10 @@
    performs no per-event observation branches at all; the observed loop
    executes every event with the metrics tally, the causal announcement
    and the scheduler's choice.  Both pop in identical [(time, seq)] order,
-   so executions are byte-identical across loop choices.  The metrics
+   so executions are byte-identical across loop choices.  An action may
+   also take the next pop early for a follow-up at the current instant
+   ([claim_now]): such an event is counted where the loop would count it
+   but never enters the lane, so the loop saves a pass.  The metrics
    tally costs one array increment per event (a count per queue depth;
    the executed count is the engine's own), and [run] folds it into the
    registry on its way out, returning or raising. *)

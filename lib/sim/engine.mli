@@ -43,7 +43,9 @@
     minimum, comparing the full [(time, seq)] key.  The execution order is
     therefore exactly the order a single heap would give, also when a
     budget or a scheduler puts an event back (it goes back into the heap
-    under its original key). *)
+    under its original key).  A follow-up that an action runs at once
+    after {!claim_now} said yes never enters the lane: it is counted as
+    if it had passed through it. *)
 
 type t
 
