@@ -353,27 +353,33 @@ let reference_order prog =
   done;
   List.rev !log
 
-(* [By_run] takes the fast loop, [By_metrics] the observed loop with no
-   scheduler, [By_scheduler] the observed loop with one. *)
-type drive = By_run | By_metrics | By_scheduler
+(* [By_run] takes the fast loop, [By_metrics] and [By_causal] the
+   observed loop with no scheduler, [By_scheduler] the observed loop with
+   one, which always picks the earliest candidate. *)
+type drive = By_run | By_metrics | By_causal | By_scheduler
 
-let engine_order drive prog =
+let drives = [ By_run; By_metrics; By_causal; By_scheduler ]
+
+(* A fresh engine driven as [drive], with its metrics registry and span
+   recorder, if any. *)
+let driven_engine drive ?limit_time ~limit_events () =
+  let metrics = if drive = By_metrics then Some (Metrics.create ()) else None in
+  let causal = if drive = By_causal then Some (Causal.create ()) else None in
   let scheduler =
-    match drive with
-    | By_scheduler ->
+    if drive = By_scheduler then
       Some
         { Engine.window = 1.5;
           choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
-    | By_run | By_metrics -> None
+    else None
   in
-  let metrics =
-    match drive with
-    | By_metrics -> Some (Metrics.create ())
-    | By_run | By_scheduler -> None
-  in
-  let engine =
-    Engine.create ?metrics ?scheduler ~limit_time:prog.limit
-      ~limit_events:prog.max_events ()
+  ( Engine.create ?metrics ?causal ?scheduler ?limit_time ~limit_events (),
+    metrics,
+    causal )
+
+let engine_order drive prog =
+  let engine, _, _ =
+    driven_engine drive ~limit_time:prog.limit ~limit_events:prog.max_events
+      ()
   in
   let scheduled = ref 0 and at = [| 0. |] in
   let log = ref [] and executed = ref 0 in
@@ -462,7 +468,7 @@ let prop_lane_exact =
             let expected = reference_order prog in
             List.for_all
               (fun drive -> engine_order drive prog = expected)
-              [ By_run; By_metrics; By_scheduler ])
+              drives)
          [ prog; { prog with limit = infinity; max_events = max_int } ])
 
 (* [Engine.claim_now] against plain scheduling.  Event k (in execution
@@ -489,24 +495,8 @@ type claim_program = {
 
 exception Boom
 
-type claim_drive = Fast | With_metrics | With_causal | With_scheduler
-
-let claim_drives = [ Fast; With_metrics; With_causal; With_scheduler ]
-
 let claim_run ~claim drive prog =
-  let metrics =
-    if drive = With_metrics then Some (Metrics.create ()) else None
-  in
-  let causal = if drive = With_causal then Some (Causal.create ()) else None in
-  let scheduler =
-    if drive = With_scheduler then
-      Some
-        { Engine.window = 0.; choose = (fun ~now:_ ~state_digest:_ _ -> 0) }
-    else None
-  in
-  let engine =
-    Engine.create ?metrics ?causal ?scheduler ~limit_events:prog.cut ()
-  in
+  let engine, metrics, causal = driven_engine drive ~limit_events:prog.cut () in
   let scheduled = ref 0 and executed = ref 0 and at = [| 0. |] in
   let log = ref [] in
   let fresh () =
@@ -611,7 +601,7 @@ let prop_claim_exact =
        List.for_all
          (fun drive ->
             claim_run ~claim:true drive prog = claim_run ~claim:false drive prog)
-         claim_drives)
+         drives)
 
 (* A claim says yes only for the very next pop: not outside [run], not
    with a peer due at the same instant, and not under a scheduler. *)
