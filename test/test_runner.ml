@@ -1241,7 +1241,7 @@ let () =
             test_tick_decision_matches_reference;
           Alcotest.test_case "tick regime allocation" `Quick
             test_tick_regime_allocation ] );
-      ( "same-instant completions",
+      ( "same-instant",
         [ Alcotest.test_case "equal to in-order runs" `Quick
             test_claimed_equal_in_order ] );
       ( "token regime",
