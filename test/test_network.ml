@@ -1288,7 +1288,7 @@ let event_line ~time ~(stats : Network.stats) ~in_flight ev =
     stats.Network.sent stats.delivered stats.lost stats.link_drops
     stats.crashed_drops in_flight
 
-let golden_fates () =
+let golden_fates ?(config = golden_config) () =
   let metrics = Abe_sim.Metrics.create () in
   let trace = Abe_sim.Trace.create ~enabled:true () in
   let causal = Abe_sim.Causal.create () in
@@ -1298,7 +1298,7 @@ let golden_fates () =
   in
   let net =
     Net.create ~metrics ~trace ~causal ~observer ~limit_time:12. ~seed:5
-      golden_config golden_handlers
+      config golden_handlers
   in
   let outcome = Net.run net in
   let rows =
@@ -1395,6 +1395,30 @@ let test_golden_fates () =
   Alcotest.(check string) "trace md5" "883194e981ed22f9bacc1e873a6c22e7" (md5 trace);
   Alcotest.(check string) "span md5" "0f889836c24be924a5844e068c195de5" (md5 spans)
 
+(* The same run at γ = 0: every tick and every delivery completes at the
+   instant of its fire or arrival, the path where the completion runs
+   inside the event that schedules it.  With no processing gap nothing
+   dies mid-processing, so the crash drops all fall at the arrival.  The
+   observer lines (each tick's local reading included), the metrics rows
+   and the span JSON are pinned by md5. *)
+let test_golden_fates_gamma0 () =
+  let outcome, rows, trace, events, spans =
+    golden_fates ~config:{ golden_config with Net.proc_delay = None } ()
+  in
+  Alcotest.(check bool) "hits the time limit" true
+    (outcome = Abe_sim.Engine.Hit_time_limit);
+  Alcotest.(check (list string)) "trace kinds"
+    [ "send 21"; "recv 14"; "loss 3"; "link-drop 3"; "crash-drop 1" ]
+    (trace_kinds trace);
+  Alcotest.(check string) "observer md5" "f1be3b25c0154ac856e0ded3dbc8b287"
+    (md5 (String.concat "\n" events));
+  Alcotest.(check string) "metrics md5" "e78f2ba515ae38a5e727aadba0a7b2e0"
+    (md5 (String.concat "\n" rows));
+  Alcotest.(check string) "trace md5" "cfdc2542ece22952aa4b7331bba7f6ce"
+    (md5 trace);
+  Alcotest.(check string) "span md5" "32355057ffe5d5a1d12f724bb5094fee"
+    (md5 spans)
+
 let () =
   Alcotest.run "network"
     [ ( "delivery",
@@ -1452,6 +1476,8 @@ let () =
             test_observer_sees_every_event ] );
       ( "golden",
         [ Alcotest.test_case "every message fate" `Quick test_golden_fates;
+          Alcotest.test_case "every fate at gamma 0" `Quick
+            test_golden_fates_gamma0;
           Alcotest.test_case "net/ticks on every exit" `Quick
             test_ticks_metric_every_exit ] );
       ( "determinism",
