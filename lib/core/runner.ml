@@ -528,14 +528,14 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
       monitor_observer
     else
       Some
-        (fun ~time ~stats ~in_flight ev ->
+        (fun ~at ~stats ~in_flight ev ->
            (match (ev : Network.event) with
             | Network.Revive { node } ->
               Option.iter
                 (fun net ->
                    let before = Net.state net node in
                    move_mass before Election.initial;
-                   record_phase time node before Election.initial)
+                   record_phase at.(0) node before Election.initial)
                 !running;
               if announce then informed.(node) <- false
             | Network.Crash { node } ->
@@ -550,7 +550,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
                   Some
                     (Printf.sprintf
                        "node %d crashed with no rejoin at t=%g: %s cannot \
-                        complete" node time
+                        complete" node at.(0)
                        (if counters.elections = 0 then "ring election"
                         else "announcement lap"));
                 Option.iter
@@ -560,7 +560,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
             | _ -> ());
            match monitor_observer with
            | None -> ()
-           | Some f -> f ~time ~stats ~in_flight ev)
+           | Some f -> f ~at ~stats ~in_flight ev)
   in
   let send_announce ctx =
     counters.announce_messages <- counters.announce_messages + 1;

@@ -67,13 +67,16 @@ let link_subject (link : Topology.link) =
    tick. *)
 let node_subject node = Printf.sprintf "node %d" node
 
-let check_conservation t ~time ~(stats : Network.stats) ~in_flight =
+(* The checks read the instant from the observer's [at] array, and only
+   a report boxes it: a checked run's observer calls allocate nothing. *)
+
+let check_conservation t ~at ~(stats : Network.stats) ~in_flight =
   if
     stats.sent
     <> stats.delivered + stats.lost + stats.crashed_drops + stats.link_drops
        + in_flight
   then
-    Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"conservation"
+    Abe_sim.Oracle.reportf t.oracle ~time:at.(0) ~invariant:"conservation"
       ~subject:"network"
       "sent=%d <> delivered=%d + lost=%d + crashed_drops=%d + link_drops=%d \
        + in_flight=%d"
@@ -87,7 +90,7 @@ let check_conservation t ~time ~(stats : Network.stats) ~in_flight =
     || stats.lost <> t.lost || stats.crashed_drops <> t.dropped
     || stats.link_drops <> t.link_dropped
   then
-    Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"accounting"
+    Abe_sim.Oracle.reportf t.oracle ~time:at.(0) ~invariant:"accounting"
       ~subject:"network"
       "stats (%d,%d,%d,%d,%d) disagree with observed events (%d,%d,%d,%d,%d)"
       stats.sent stats.delivered stats.lost stats.crashed_drops
@@ -96,40 +99,41 @@ let check_conservation t ~time ~(stats : Network.stats) ~in_flight =
     t.sent - t.delivered - t.lost - t.dropped - t.link_dropped
   in
   if in_flight <> expected_inflight then
-    Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"accounting"
+    Abe_sim.Oracle.reportf t.oracle ~time:at.(0) ~invariant:"accounting"
       ~subject:"network" "in_flight=%d but observed events imply %d" in_flight
       expected_inflight
 
-let static_violation t ~time what =
+let static_violation t ~at what =
   if t.dynamic = Static then
-    Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"dynamic-class"
+    Abe_sim.Oracle.reportf t.oracle ~time:at.(0) ~invariant:"dynamic-class"
       ~subject:"network" "%s event in a Static-class network" what
 
-let check_event t ~time (ev : Network.event) =
+let check_event t ~at (ev : Network.event) =
   match ev with
   | Send _ -> t.sent <- t.sent + 1
   | Loss _ -> t.lost <- t.lost + 1
   | Crash_drop _ -> t.dropped <- t.dropped + 1
   | Link_drop _ ->
     t.link_dropped <- t.link_dropped + 1;
-    static_violation t ~time "Link_drop"
+    static_violation t ~at "Link_drop"
   | Crash _ -> ()
-  | Revive _ -> static_violation t ~time "Revive"
-  | Link_down _ -> static_violation t ~time "Link_down"
-  | Link_up _ -> static_violation t ~time "Link_up"
+  | Revive _ -> static_violation t ~at "Revive"
+  | Link_down _ -> static_violation t ~at "Link_down"
+  | Link_up _ -> static_violation t ~at "Link_up"
   | Deliver { link; seq; dst = _ } ->
     t.delivered <- t.delivered + 1;
     let id = link.Topology.id in
     if t.fifo && id >= 0 && id < Array.length t.last_delivered_seq then begin
       if seq <= t.last_delivered_seq.(id) then
-        Abe_sim.Oracle.reportf t.oracle ~time ~invariant:"fifo"
+        Abe_sim.Oracle.reportf t.oracle ~time:at.(0) ~invariant:"fifo"
           ~subject:(link_subject link)
           "delivered seq %d after seq %d" seq t.last_delivered_seq.(id);
       t.last_delivered_seq.(id) <- seq
     end
-  | Tick { node; local_time } ->
+  | Tick { node } ->
     t.ticks <- t.ticks + 1;
     if node >= 0 && node < Array.length t.last_tick_real then begin
+      let time = at.(0) and local_time = at.(1) in
       let prev_real = t.last_tick_real.(node)
       and prev_local = t.last_tick_local.(node) in
       if not (Float.is_nan prev_real) then begin
@@ -170,9 +174,9 @@ let check_event t ~time (ev : Network.event) =
     end
 
 let observer t : Network.observer =
- fun ~time ~stats ~in_flight ev ->
-  check_event t ~time ev;
-  check_conservation t ~time ~stats ~in_flight
+ fun ~at ~stats ~in_flight ev ->
+  check_event t ~at ev;
+  check_conservation t ~at ~stats ~in_flight
 
 let check_quiescence t ~time ~(outcome : Abe_sim.Engine.outcome) ~in_flight =
   match outcome with

@@ -58,7 +58,10 @@ val reset : t -> oracle:Abe_sim.Oracle.t -> ?clock:Clock.spec -> unit -> unit
     pooled network can keep its monitor. *)
 
 val observer : t -> Network.observer
-(** The observer to pass to {!Network.Make.create}. *)
+(** The observer to pass to {!Network.Make.create}.  It reads the instant
+    and a tick's clock reading from the network's [at] array and boxes
+    the instant only to report a violation, so a clean checked run's
+    observer calls allocate nothing. *)
 
 val check_quiescence :
   t -> time:float -> outcome:Abe_sim.Engine.outcome -> in_flight:int -> unit

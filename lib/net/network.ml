@@ -18,13 +18,13 @@ type event =
   | Loss of { link : Topology.link; seq : int }
   | Crash_drop of { link : Topology.link; seq : int; dst : int }
   | Link_drop of { link : Topology.link; seq : int }
-  | Tick of { node : int; local_time : float }
+  | Tick of { node : int }
   | Crash of { node : int }
   | Revive of { node : int }
   | Link_down of { link : Topology.link }
   | Link_up of { link : Topology.link }
 
-type observer = time:float -> stats:stats -> in_flight:int -> event -> unit
+type observer = at:float array -> stats:stats -> in_flight:int -> event -> unit
 
 module type PROTOCOL = sig
   type state
@@ -224,6 +224,8 @@ module Make (P : PROTOCOL) = struct
      fields.  A completion that falls at its arrival or tick instant (every
      one at γ = 0) is offered to [Engine.claim_now] and, when the engine
      agrees, runs at once inside that event, not from the engine's lane.
+     A claimed tick takes no slot at all: nothing of it outlives its fire
+     event.  A claimed delivery keeps the slot its message travelled in.
      The pool is global, not per-link: its size tracks the
      high-water mark of pending jobs in the whole network, not
      [links x depth] (per-link pools would cost O(links) memory even on an
@@ -235,7 +237,10 @@ module Make (P : PROTOCOL) = struct
      engine through [Engine.schedule_from] and the clock through
      [Clock.advance_tick], so no float is boxed on the way; node states
      sit in [states] with no option box; and hooks are matched in place,
-     not through capturing [Option.iter] closures. *)
+     not through capturing [Option.iter] closures.  An observed tick
+     allocates nothing either: its event is built once per node
+     ([tick_events]), and the instant and the clock reading reach the
+     observer in the flat array [obs_at]. *)
   type t = {
     engine : Engine.t;
     mutable config : config;
@@ -266,6 +271,10 @@ module Make (P : PROTOCOL) = struct
                                        incarnation 0; built with the first
                                        ticking run *)
     occ : float array;              (* length 1: [occupy]'s start result *)
+    obs_at : float array;           (* length 2: the observer's [at] *)
+    mutable tick_events : event array;
+                                    (* by node id: its [Tick]; built with
+                                       the first observed run *)
     net_stats : stats;
     mutable trace : Trace.t;
     mutable causal : Causal.t option;
@@ -309,10 +318,16 @@ module Make (P : PROTOCOL) = struct
 
   let now t = Engine.now t.engine
 
+  (* The observer call: the instant goes through [obs_at], so that no
+     float is boxed for it. *)
+  let[@inline] observe t f ev =
+    t.obs_at.(0) <- Engine.now t.engine;
+    f ~at:t.obs_at ~stats:t.net_stats ~in_flight:t.inflight ev
+
   let emit t ev =
     match t.observer with
     | None -> ()
-    | Some f -> f ~time:(now t) ~stats:t.net_stats ~in_flight:t.inflight ev
+    | Some f -> observe t f ev
 
   (* What becomes of a message: it is [Sent], then leaves flight exactly
      once — [Delivered], [Lost], dropped by a dead link (at the send or at
@@ -353,7 +368,7 @@ module Make (P : PROTOCOL) = struct
      | None -> ()
      | Some f ->
        let link = t.links.(link_id) in
-       f ~time:(now t) ~stats:s ~in_flight:t.inflight
+       observe t f
          (match fate with
           | Sent -> Send { link; seq }
           | Delivered -> Deliver { link; seq; dst = node }
@@ -498,34 +513,43 @@ module Make (P : PROTOCOL) = struct
           ~times:t.busy dst.id t.job_deliver.(i)
     end
 
-  (* Runs at a tick's processing-completion instant: deliver the tick to
-     the handler. *)
+  (* A tick at its processing-completion instant: counted, shown to the
+     observer with the node's clock reading, given its span, and handed to
+     the handler.  Its begin, busy and end instants are [t_begin.(i)],
+     [t_busy.(i)] and [t_end.(i)]: a job's columns, or [t.occ] at index 0
+     for a tick claimed at its fire instant, where all three are that
+     instant.  The caller has checked the node's incarnation. *)
+  let tick_body t id ~t_begin ~t_busy ~t_end i =
+    t.net_stats.ticks <- t.net_stats.ticks + 1;
+    (match t.observer with
+     | None -> ()
+     | Some f ->
+       let at = t.obs_at in
+       (* The engine's clock is the completion instant itself unless a
+          scheduler ran the completion late; read from the flat column,
+          the instant is not boxed. *)
+       at.(0) <- (if t.foot_on then Engine.now t.engine else t_end.(i));
+       at.(1) <- Clock.local_time (Links.clock t.model id) ~real:t_end.(i);
+       f ~at ~stats:t.net_stats ~in_flight:t.inflight t.tick_events.(id));
+    (match t.causal with
+     | None -> ()
+     | Some c ->
+       Causal.set_current_id c
+         (Causal.process_at c ~cause:(-1) ~node:id ~label:"tick" ~t_begin
+            ~t_busy ~t_end i));
+    set_state t id (t.handlers.on_tick t.contexts.(id) t.states.(id))
+
+  (* Runs at a waiting tick's completion instant.  Job [i] is released
+     first, so sends from inside the handler can reuse it; freeing a slot
+     touches only the freelist, so its columns still read the same until
+     the next [alloc_job]. *)
   let tick_job t i =
     let id = t.job_node.(i) in
     let node = t.nodes.(id) in
-    if (not node.is_crashed) && node.incarnation = t.job_inc.(i) then begin
-      t.net_stats.ticks <- t.net_stats.ticks + 1;
-      (match t.observer with
-       | None -> ()
-       | Some _ ->
-         emit t
-           (Tick
-              { node = id;
-                local_time =
-                  Clock.local_time (Links.clock t.model id)
-                    ~real:t.job_completion.(i) }));
-      (match t.causal with
-       | None -> ()
-       | Some c ->
-         Causal.set_current_id c
-           (Causal.process_at c ~cause:(-1) ~node:id ~label:"tick"
-              ~t_begin:t.job_begin ~t_busy:t.job_start ~t_end:t.job_completion
-              i));
-      let ctx = t.contexts.(id) in
-      free_job t i;
-      set_state t id (t.handlers.on_tick ctx t.states.(id))
-    end
-    else free_job t i
+    free_job t i;
+    if (not node.is_crashed) && node.incarnation = t.job_inc.(i) then
+      tick_body t id ~t_begin:t.job_begin ~t_busy:t.job_start
+        ~t_end:t.job_completion i
 
   let grow_pool t =
     let old = Array.length t.job_next in
@@ -666,8 +690,16 @@ module Make (P : PROTOCOL) = struct
         send = (fun link_index message -> send_from t node link_index message);
         stop }
 
-  (* Schedule tick job [i]'s completion at its node's busy horizon. *)
-  let schedule_tick_job t ~tag id i =
+  (* A tick completion that waits: a job of the pool, for the tick of
+     [tick_time] just occupying node [id], scheduled at the node's busy
+     horizon. *)
+  let[@inline] schedule_tick_job t ~tag id ~inc tick_time =
+    let i = alloc_job t in
+    t.job_node.(i) <- id;
+    t.job_begin.(i) <- tick_time;
+    t.job_start.(i) <- t.occ.(0);
+    t.job_completion.(i) <- t.busy.(id);
+    t.job_inc.(i) <- inc;
     Engine.schedule_from t.engine ~tag
       ~footprint:(if t.foot_on then t.foot_handler.(id) else 0)
       ~times:t.busy id t.job_tick.(i)
@@ -677,13 +709,15 @@ module Make (P : PROTOCOL) = struct
      the node (they are local events with processing time γ).  The chain
      reuses a single [fire] closure per node — the pending tick's instant
      lives in [t.tick_time.(id)], which is safe scratch because at most one
-     chain event per node is pending at a time; the completion, which can
-     overlap with later ticks, is a job of the pool.  A completion at the
-     fire instant is claimed only after the next tick is scheduled, since
-     the pop it replaces would follow the fire; if the engine refuses, the
-     completion is scheduled behind that tick, which changes no order, as
-     the two instants differ and nothing comes between them.  A later
-     completion is scheduled before the next tick, as always.
+     chain event per node is pending at a time.  A completion at the fire
+     instant is claimed only after the next tick is scheduled, since the
+     pop it replaces would follow the fire; a claimed completion runs there
+     and then, reading its instants from [t.occ], and takes no job.  A
+     completion that waits — a later one, or one the engine refuses — is
+     a job of the pool, since it can overlap with later ticks.  A later
+     completion is scheduled before the next tick, as always; a refused
+     one behind it, which changes no order, as the two instants differ and
+     nothing comes between them.
 
      A tick is scheduled through [Engine.schedule_from], so it joins the
      engine's time-ordered run whenever its instant is not before the
@@ -707,21 +741,17 @@ module Make (P : PROTOCOL) = struct
       if (not node.is_crashed) && node.incarnation = chain_inc then begin
         let tick_time = t.tick_time.(id) in
         occupy t node ~arrival:tick_time;
-        let i = alloc_job t in
-        t.job_node.(i) <- id;
-        t.job_begin.(i) <- tick_time;
-        t.job_start.(i) <- t.occ.(0);
-        t.job_completion.(i) <- t.busy.(id);
-        t.job_inc.(i) <- chain_inc;
         let same_instant = t.busy.(id) = tick_time in
-        if not same_instant then schedule_tick_job t ~tag id i;
+        if not same_instant then
+          schedule_tick_job t ~tag id ~inc:chain_inc tick_time;
         Clock.advance_tick clock t.tick_time id;
         Engine.schedule_from t.engine ~tag
           ~footprint:(if t.foot_on then node_bit id else 0)
           ~times:t.tick_time id fire;
         if same_instant then
-          if Engine.claim_now t.engine then tick_job t i
-          else schedule_tick_job t ~tag id i
+          if Engine.claim_now t.engine then
+            tick_body t id ~t_begin:t.occ ~t_busy:t.occ ~t_end:t.occ 0
+          else schedule_tick_job t ~tag id ~inc:chain_inc tick_time
       end
     in
     fire
@@ -803,6 +833,8 @@ module Make (P : PROTOCOL) = struct
         tick_ends = Array.make (n + 1) 0;
         tick_fire = [||];
         occ = [| 0. |];
+        obs_at = [| 0.; 0. |];
+        tick_events = [||];
         net_stats =
           { sent = 0;
             delivered = 0;
@@ -865,6 +897,8 @@ module Make (P : PROTOCOL) = struct
     t.trace <- (match trace with Some tr -> tr | None -> no_trace ());
     t.causal <- causal;
     t.observer <- observer;
+    if observer <> None && Array.length t.tick_events <> n then
+      t.tick_events <- Array.init n (fun node -> Tick { node });
     t.instruments <- instruments;
     t.ticks_folded <- 0;
     t.foot_on <- scheduled;

@@ -48,9 +48,10 @@ type event =
   | Link_drop of { link : Topology.link; seq : int }
       (** the message's link was down — at send, or at arrival for a
           message in flight when the link died *)
-  | Tick of { node : int; local_time : float }
-      (** a tick was processed; [local_time] is the node's clock reading at
-          the processing instant *)
+  | Tick of { node : int }
+      (** a tick was processed; the node's clock reading at the processing
+          instant is the observer's [at.(1)].  Each node's [Tick] is built
+          once and passed to every call for that node. *)
   | Crash of { node : int }
   | Revive of { node : int }
       (** crash-recovery: the node rejoined with its state reset; emitted
@@ -59,10 +60,15 @@ type event =
   | Link_down of { link : Topology.link }
   | Link_up of { link : Topology.link }
 
-type observer = time:float -> stats:stats -> in_flight:int -> event -> unit
+type observer = at:float array -> stats:stats -> in_flight:int -> event -> unit
 (** Called synchronously after the network's own accounting for the event
-    has been updated, with the network's live [stats] record and in-flight
-    count — so invariants such as message conservation
+    has been updated.  [at.(0)] is the instant of the event, and for a
+    [Tick] [at.(1)] is the node's clock reading at that instant; other
+    events leave [at.(1)] unspecified.  [at] is the network's scratch,
+    valid only during the call: read the values, never keep the array.
+    The instants travel in a flat array so that observing boxes no float.
+    [stats] and the in-flight count are the network's live ones — so
+    invariants such as message conservation
     ([sent = delivered + lost + crashed_drops + link_drops + in_flight])
     must hold at {e every} call.  Observers are read-only probes: they must
     not send, schedule or otherwise perturb the simulation (see

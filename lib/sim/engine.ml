@@ -236,7 +236,10 @@ let create ?reuse ?metrics ?scheduler ?causal ?(limit_time = infinity)
   t.wall_deadline <- wall_deadline;
   t
 
-let now t = t.clock.(0)
+(* Inlined, so a caller in another module copies the instant into its own
+   flat array without boxing it (release builds; the dev profile's
+   [-opaque] inlines nothing across modules). *)
+let[@inline] now t = t.clock.(0)
 
 let grow_arena t =
   let old = Array.length t.ev_next in
@@ -354,7 +357,12 @@ let[@inline] enqueue t ~onto_run ~tag ~footprint ~times i action =
     | Some c -> Causal.scheduling_lamport c
   in
   let slot = alloc_slot t in
-  Array.unsafe_set t.ev_action slot action;
+  (* A chain's reschedule nearly always gets back the slot its own event
+     just freed, closure included (the freelist is LIFO and [free_slot]
+     keeps the action), so the store and its write barrier are skipped
+     then, as [Network]'s [set_state] skips an unchanged state. *)
+  if Array.unsafe_get t.ev_action slot != action then
+    Array.unsafe_set t.ev_action slot action;
   Array.unsafe_set t.ev_tag slot tag;
   Array.unsafe_set t.ev_foot slot footprint;
   Array.unsafe_set t.ev_eseq slot t.seq;

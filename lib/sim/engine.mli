@@ -163,7 +163,10 @@ val create :
     executing, and an engine belongs to one domain at a time. *)
 
 val now : t -> float
-(** Current virtual time. *)
+(** Current virtual time.  Marked [[@inline]]: a release build inlines it
+    across modules, so a caller that stores the instant in a flat float
+    array boxes nothing.  The dev profile compiles with [-opaque], where
+    the result crosses the call boxed. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay] must be

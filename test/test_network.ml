@@ -422,7 +422,7 @@ let count_events events kind =
 
 let test_observer_sees_every_event () =
   let events = ref [] in
-  let observer ~time:_ ~stats:_ ~in_flight:_ ev = events := ev :: !events in
+  let observer ~at:_ ~stats:_ ~in_flight:_ ev = events := ev :: !events in
   let config =
     { (burst_config ~fifo:false) with Net.loss_schedule = Some (Fun.const 0.3) }
   in
@@ -953,7 +953,8 @@ let prop_links_replay =
        in
        let sends = ref [] in
        let outcome = Hashtbl.create 64 in
-       let observer ~time ~stats:_ ~in_flight:_ (ev : Network.event) =
+       let observer ~at ~stats:_ ~in_flight:_ (ev : Network.event) =
+         let time = at.(0) in
          match ev with
          | Network.Send { link; seq } ->
            sends := (seq, link.Topology.id, time) :: !sends
@@ -1015,8 +1016,9 @@ let reuse_handlers : Net.handlers =
 
 let reuse_run ?reuse config (seed, budget, scheduled) =
   let events = ref [] in
-  let observer ~time ~stats:_ ~in_flight ev =
-    events := (time, in_flight, ev) :: !events
+  let observer ~at ~stats:_ ~in_flight ev =
+    let reading = match ev with Network.Tick _ -> Some at.(1) | _ -> None in
+    events := (at.(0), reading, in_flight, ev) :: !events
   in
   let scheduler =
     if scheduled then
@@ -1267,7 +1269,7 @@ let golden_handlers : Net.handlers =
          if ctx.Net.now () < 11. then ctx.Net.send 0 st.Proto.ticks;
          { st with Proto.ticks = st.Proto.ticks + 1 }) }
 
-let event_line ~time ~(stats : Network.stats) ~in_flight ev =
+let event_line ~at ~(stats : Network.stats) ~in_flight ev =
   let id (l : Topology.link) = l.Topology.id in
   let what =
     match ev with
@@ -1278,13 +1280,13 @@ let event_line ~time ~(stats : Network.stats) ~in_flight ev =
     | Crash_drop { link; seq; dst } ->
       Printf.sprintf "crash-drop l%d #%d n%d" (id link) seq dst
     | Link_drop { link; seq } -> Printf.sprintf "link-drop l%d #%d" (id link) seq
-    | Tick { node; local_time } -> Printf.sprintf "tick n%d %g" node local_time
+    | Tick { node } -> Printf.sprintf "tick n%d %g" node at.(1)
     | Crash { node } -> Printf.sprintf "crash n%d" node
     | Revive { node } -> Printf.sprintf "revive n%d" node
     | Link_down { link } -> Printf.sprintf "link-down l%d" (id link)
     | Link_up { link } -> Printf.sprintf "link-up l%d" (id link)
   in
-  Printf.sprintf "%g %s | %d/%d/%d/%d/%d in-flight %d" time what
+  Printf.sprintf "%g %s | %d/%d/%d/%d/%d in-flight %d" at.(0) what
     stats.Network.sent stats.delivered stats.lost stats.link_drops
     stats.crashed_drops in_flight
 
@@ -1293,8 +1295,8 @@ let golden_fates ?(config = golden_config) () =
   let trace = Abe_sim.Trace.create ~enabled:true () in
   let causal = Abe_sim.Causal.create () in
   let events = ref [] in
-  let observer ~time ~stats ~in_flight ev =
-    events := event_line ~time ~stats ~in_flight ev :: !events
+  let observer ~at ~stats ~in_flight ev =
+    events := event_line ~at ~stats ~in_flight ev :: !events
   in
   let net =
     Net.create ~metrics ~trace ~causal ~observer ~limit_time:12. ~seed:5

@@ -1085,9 +1085,13 @@ let test_warm_checked_constant () =
    under a scheduler that always picks the earliest event.  The second
    kind pops in pure [(time, seq)] order, one engine event at a time;
    the first may run a same-instant completion inside the event that
-   schedules it.  Both must show exactly the same: the outcome, the
-   engine's counts, the trace and, with metrics and spans on, every
-   metric row and every span.  A faulted ring may never elect, so its
+   schedules it, a claimed tick taking no job at all.  Both must show
+   exactly the same: the outcome, the engine's counts, the trace and,
+   with metrics, spans and the oracle on, every metric row, every span
+   and every violation, so the oracle's observer sees the claimed ticks
+   in one run and the job path in the other.  (Under a scheduler the
+   monitor's clock-rate check is off; the gamma = 0 golden in
+   test_network pins the ticks' clock readings.)  A faulted ring may never elect, so its
    runs stop at 2 x 10^5 events; at gamma = 0.2 no completion falls at
    its arrival instant, the control. *)
 let in_order_configs () =
@@ -1128,7 +1132,9 @@ let test_claimed_equal_in_order () =
       if in_order then Some (Abe_check.Schedulers.replay ~window:0. [])
       else None
     in
-    let o = Runner.run ~trace ?metrics ?causal ?scheduler ~seed config in
+    let o =
+      Runner.run ~trace ?metrics ?causal ?scheduler ~check:hooks ~seed config
+    in
     let span s =
       Abe_sim.Causal.
         (span_id s, lamport s, label s, span_begin s, span_end s)
@@ -1137,7 +1143,8 @@ let test_claimed_equal_in_order () =
       (o.Runner.executed_events, o.Runner.max_queue_depth),
       Abe_sim.Trace.to_jsonl trace,
       Option.map Abe_sim.Metrics.report_rows metrics,
-      Option.map (fun c -> List.map span (Abe_sim.Causal.spans c)) causal )
+      Option.map (fun c -> List.map span (Abe_sim.Causal.spans c)) causal,
+      List.map (Fmt.str "%a" Abe_sim.Oracle.pp_violation) o.Runner.violations )
   in
   List.iter
     (fun (name, config_of) ->
@@ -1148,7 +1155,7 @@ let test_claimed_equal_in_order () =
               let claimed = shown ~hooks ~in_order:false ~seed config
               and in_order = shown ~hooks ~in_order:true ~seed config in
               if compare claimed in_order <> 0 then
-                let headline (s, (events, depth), _, _, _) =
+                let headline (s, (events, depth), _, _, _, _) =
                   Printf.sprintf "%s, %d events, depth %d" s events depth
                 in
                 Alcotest.failf "%s, seed %d, hooks %b: %s, in order %s" name
