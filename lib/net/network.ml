@@ -897,7 +897,7 @@ module Make (P : PROTOCOL) = struct
     t.trace <- (match trace with Some tr -> tr | None -> no_trace ());
     t.causal <- causal;
     t.observer <- observer;
-    if observer <> None && Array.length t.tick_events <> n then
+    if Option.is_some observer && Array.length t.tick_events <> n then
       t.tick_events <- Array.init n (fun node -> Tick { node });
     t.instruments <- instruments;
     t.ticks_folded <- 0;
