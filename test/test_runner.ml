@@ -807,6 +807,76 @@ let test_token_goldens () =
          expected)
     settings
 
+(* Every export of a smaller token-regime ring (n = 200, δ = 0.1/n,
+   a0 = 1/n) with the trace, metrics, spans and the oracle on, pinned by
+   md5 over seeds 1..3 and 80: the trace's <hop> payloads, every hop's marks and
+   counters and the spans they annotate.  A change to how a token or a
+   reaction is represented must leave these bytes alone. *)
+let token_exports ~seed =
+  let config = token_config ~n:200 () in
+  let trace = Abe_sim.Trace.create ~capacity:100_000 ~enabled:true () in
+  let metrics = Abe_sim.Metrics.create () in
+  let causal = Abe_sim.Causal.create () in
+  let o = Runner.run ~trace ~metrics ~causal ~check:true ~seed config in
+  let file = Filename.temp_file "abe_tokens" ".json" in
+  let spans =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+         let oc = open_out_bin file in
+         Abe_sim.Causal.output_trace_json oc causal;
+         close_out oc;
+         let ic = open_in_bin file in
+         let json = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         json)
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  ( Fmt.str "%a at %h, %d violations" Runner.pp_outcome o o.Runner.elected_at
+      (List.length o.Runner.violations),
+    ( md5 (Abe_sim.Trace.to_jsonl trace),
+      ( md5
+          (String.concat "\n"
+             (List.map (String.concat " ")
+                (Abe_sim.Metrics.report_rows metrics))),
+        md5 spans ) ) )
+
+let test_token_export_md5s () =
+  let pin = Alcotest.(pair string (pair string (pair string string))) in
+  List.iter
+    (fun (seed, expected) ->
+       Alcotest.check pin (Printf.sprintf "seed %d" seed) expected
+         (token_exports ~seed))
+    [ ( 1,
+        ( "elected=true leader=30 time=0.135 messages=200 activations=1 \
+           knockouts=199 purges=0 ticks=27 at 0x1.14117260d19fdp-3, 0 \
+           violations",
+          ( "b565c5fd2873c49e0f7ddc29099dff91",
+            ( "17a63bb7746e688153623d69919f502c",
+              "c29f1c38cde041554258299fae9aab29" ) ) ) );
+      ( 2,
+        ( "elected=true leader=168 time=0.824 messages=200 activations=1 \
+           knockouts=199 purges=0 ticks=150 at 0x1.a604bbc737ad2p-1, 0 \
+           violations",
+          ( "37d0d68f4002a5a646a139e60ae3a4b6",
+            ( "2e093558df969a715fe7d8a883e1952e",
+              "cfedcdbabff9e8a1cfa5759f757eb5b5" ) ) ) );
+      ( 3,
+        ( "elected=true leader=185 time=0.166 messages=200 activations=1 \
+           knockouts=199 purges=0 ticks=43 at 0x1.549d7ddece0a6p-3, 0 \
+           violations",
+          ( "ead274b1f439174f1a78277bb8d13ae0",
+            ( "b6463a5fa705c1dab5d252c762c7f253",
+              "ee76a418c3dc8278530d183569838900" ) ) ) );
+      (* Seven activations: collisions and orphan purges. *)
+      ( 80,
+        ( "elected=true leader=16 time=10.442 messages=800 activations=7 \
+           knockouts=199 purges=6 ticks=2103 at 0x1.4e2386cdf5fdfp+3, 0 \
+           violations",
+          ( "d430feb7b27838f371007b869e528998",
+            ( "2fe2b7090e8d04542317947cf2720091",
+              "cf9be6bd8344a005767173b9cd736d0a" ) ) ) ) ]
+
 (* The token regime's message path takes no closure and no clock read per
    message for a hook that is off: a warm n = 2000 run allocates at most 5
    minor words per event (the token, the election's reaction and the
@@ -1253,6 +1323,8 @@ let () =
             test_claimed_equal_in_order ] );
       ( "token regime",
         [ Alcotest.test_case "n=2000 goldens" `Quick test_token_goldens;
+          Alcotest.test_case "n=200 export md5s" `Quick
+            test_token_export_md5s;
           Alcotest.test_case "allocation" `Quick
             test_token_regime_allocation ] );
       ( "properties",
