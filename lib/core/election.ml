@@ -7,10 +7,15 @@ type state = {
 
 type message = int
 
-type reaction =
-  | Forward of message
-  | Purge
-  | Elected
+type reaction = Forward | Purge | Elected
+
+(* [passive.(d)]: the one passive state with watermark [d], shared by
+   every node, every run and every domain of a configuration (states are
+   immutable). *)
+type rule = {
+  n : int;
+  passive : state array;
+}
 
 let initial = { phase = Idle; d = 1 }
 
@@ -28,35 +33,56 @@ let tick_decision ~a0 ~rng state =
       ({ state with phase = Active }, true)
     else (state, false)
 
-let receive ~n state hop =
-  if n < 2 then invalid_arg "Election.receive: n must be >= 2";
-  if hop < 1 || hop > n then
-    invalid_arg (Printf.sprintf "Election.receive: hop %d outside [1,%d]" hop n);
-  (* [d] only boosts the activation probability; the forwarded counter is
-     [hop + 1], the true link count.  Forwarding [d + 1] (an earlier bug)
-     let a stale watermark inflate a token's hop count past the links it
-     had traversed — a path to a false leader. *)
-  let state = { state with d = max state.d hop } in
+let rule ~n =
+  if n < 2 then invalid_arg "Election.rule: n must be >= 2";
+  { n; passive = Array.init (n + 1) (fun d -> { phase = Passive; d }) }
+
+let check_hop rule hop =
+  if hop < 1 || hop > rule.n then
+    invalid_arg
+      (Printf.sprintf "Election: hop %d outside [1,%d]" hop rule.n)
+
+(* What the message does next depends only on the receiver's phase and on
+   whether the token has come all the way round: [receive] below gives the
+   receiver's new state. *)
+let reaction rule state hop =
+  check_hop rule hop;
+  match state.phase with
+  | Idle | Passive -> if hop = rule.n then Purge else Forward
+  | Active -> if hop = rule.n then Elected else Purge
+  | Leader -> Purge
+
+(* [d] only boosts the activation probability; the forwarded counter is
+   [hop + 1], the true link count.  Forwarding [d + 1] (an earlier bug) let
+   a stale watermark inflate a token's hop count past the links it had
+   traversed — a path to a false leader.
+
+   Every forward returns a shared passive record, or the state it was
+   given when the watermark stays: a hop allocates nothing, and the
+   ring's state arrays, which outlive their runs, never point into the
+   minor heap for a knockout.  Only a purge at an active node, an
+   election and an orphan that raises an idle watermark build a
+   record. *)
+let receive rule state hop =
+  check_hop rule hop;
+  let d = if hop > state.d then hop else state.d in
   match state.phase with
   | Idle ->
-    if hop = n then
+    if hop = rule.n then
       (* An orphan token that circumnavigated without meeting an active
          node (its origin has since been knocked out and re-idled).  It
-         carries no further information — [d] is already raised to [n] —
-         and forwarding would push the counter past [n], so purge.  The
-         node stays idle: with the origin idle too, someone must still be
-         able to activate. *)
-      (state, Purge)
-    else ({ state with phase = Passive }, Forward (hop + 1))
-  | Passive ->
-    if hop = n then (state, Purge) else (state, Forward (hop + 1))
-  | Active ->
-    if hop = n then ({ state with phase = Leader }, Elected)
-    else ({ state with phase = Idle }, Purge)
+         carries no further information — [d] is raised to [n] — and
+         forwarding would push the counter past [n], so purge.  The node
+         stays idle: with the origin idle too, someone must still be able
+         to activate. *)
+      if d = state.d then state else { phase = Idle; d }
+    else rule.passive.(d)
+  | Passive -> if d = state.d then state else rule.passive.(d)
+  | Active -> { phase = (if hop = rule.n then Leader else Idle); d }
   | Leader ->
     (* A leader never receives in a well-formed run: its own token was the
        last message on the ring.  Treat defensively as a purge. *)
-    (state, Purge)
+    if d = state.d then state else { phase = Leader; d }
 
 let pp_phase ppf = function
   | Idle -> Format.pp_print_string ppf "idle"

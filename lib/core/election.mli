@@ -33,9 +33,10 @@
     roughly constant as nodes get knocked out — the key to linear average
     time and message complexity.
 
-    This module is pure: {!tick_decision} and {!receive} are side-effect
-    free state transformers, directly testable; the simulation wiring lives
-    in {!Runner}. *)
+    This module is pure: {!tick_decision}, {!receive} and {!reaction} are
+    side-effect free, directly testable; the simulation wiring lives in
+    {!Runner}, which applies {!receive} and {!reaction} to every token for
+    both backends. *)
 
 type phase = Idle | Active | Passive | Leader
 
@@ -47,11 +48,21 @@ type state = {
 type message = int
 (** A hop counter in [1 .. n]. *)
 
-(** Reaction of a node to an incoming message. *)
+(** What a receipt does with the message.  A forward always carries
+    [<hop + 1>], so the reaction names no counter, and like a state it is an
+    immediate value: a receipt allocates nothing for it. *)
 type reaction =
-  | Forward of message  (** pass [<hop + 1>] to the successor *)
-  | Purge               (** swallow the message (collision or orphan) *)
-  | Elected             (** own token returned: leader *)
+  | Forward  (** pass [<hop + 1>] to the successor *)
+  | Purge    (** swallow the message (collision or orphan) *)
+  | Elected  (** own token returned: leader *)
+
+type rule
+(** The receipt rule on a ring of known size [n], with one shared passive
+    state per watermark [d] in [1 .. n].  Built once per configuration;
+    immutable, so any number of runs and domains may share it. *)
+
+val rule : n:int -> rule
+(** @raise Invalid_argument unless [n >= 2]. *)
 
 val initial : state
 (** [{ phase = Idle; d = 1 }]. *)
@@ -67,9 +78,21 @@ val tick_decision : a0:float -> rng:Abe_prob.Rng.t -> state -> state * bool
     probability looked up in a per-configuration table; this function is
     the reference that tests compare it against. *)
 
-val receive : n:int -> state -> message -> state * reaction
-(** One message receipt, per the case analysis above.  Requires [n >= 2] and
-    [1 <= hop <= n]. *)
+val receive : rule -> state -> message -> state
+(** The receiver's state after one message receipt, per the case analysis
+    above.  Allocation-free on every forward: a node knocked out or kept
+    passive gets the rule's shared passive record for its watermark, and
+    a receipt that leaves the watermark where it was returns the state it
+    was given.  Only a purge at an active node, an election and an orphan
+    that raises an idle node's watermark build a new record.
+    @raise Invalid_argument unless [1 <= hop <= n]. *)
+
+val reaction : rule -> state -> message -> reaction
+(** What the same receipt does with the message, read from the state
+    {e before} it: an idle or passive node forwards unless [hop = n]
+    (an orphan, purged), an active node is elected by [hop = n] and purges
+    any other token, a leader purges.
+    @raise Invalid_argument unless [1 <= hop <= n]. *)
 
 val pp_state : Format.formatter -> state -> unit
 val pp_message : Format.formatter -> message -> unit

@@ -1,12 +1,21 @@
 open Abe_prob
 open Abe_net
 
-(* A token is the election hop counter plus [traversed], the links it has
-   actually crossed: only the hop-soundness check reads the tag, so tagging
-   cannot change the execution.  [Announce] is the announce-mode lap. *)
-type message =
-  | Token of { hop : Election.message; traversed : int }
-  | Announce
+(* A message is an immediate int, so a send allocates nothing for it.  A
+   token packs the election hop counter (the low 31 bits) and [traversed],
+   the links it has actually crossed (the bits above): only the
+   hop-soundness check reads the tag, so tagging cannot change the
+   execution.  Both stay below 2^31: a hop is at most [n], which [config]
+   bounds, and so is [traversed], since every forward raises the counter.
+   [announce] (negative) is the announce-mode lap. *)
+type message = int
+
+let hop_bits = 31
+let hop_mask = (1 lsl hop_bits) - 1
+let announce_message = -1
+let[@inline] token ~hop ~traversed = (traversed lsl hop_bits) lor hop
+let[@inline] hop_of message = message land hop_mask
+let[@inline] traversed_of message = message lsr hop_bits
 
 module Net = Network.Make (struct
     type state = Election.state
@@ -14,9 +23,10 @@ module Net = Network.Make (struct
 
     let pp_state = Election.pp_state
 
-    let pp_message ppf = function
-      | Token { hop; _ } -> Election.pp_message ppf hop
-      | Announce -> Format.pp_print_string ppf "<announce>"
+    let pp_message ppf message =
+      if message = announce_message then
+        Format.pp_print_string ppf "<announce>"
+      else Election.pp_message ppf (hop_of message)
   end)
 
 (* One pooled ring: a network of the configuration's topology and, once a
@@ -34,8 +44,8 @@ type pool = {
   free : entry list Atomic.t;
       (* networks not in use: a lock-free stack, so each domain running
          this configuration takes a network of its own *)
-  passive : Election.state array;
-      (* [passive.(d)]: the one passive state with watermark [d]; see
+  rule : Election.rule;
+      (* the receipt rule with its shared passive states: see
          [on_token] *)
 }
 
@@ -86,8 +96,7 @@ let pool ~n ~delay ~link_delays ~fault =
              (* On [Topology.ring n] the link out of node i has id i. *)
              | Some models -> models.(i)));
     free = Atomic.make [];
-    passive =
-      Array.init (n + 1) (fun d -> { Election.phase = Election.Passive; d }) }
+    rule = Election.rule ~n }
 
 let check_budgets ~limit_time ~limit_events =
   if not (limit_time > 0.) then
@@ -100,6 +109,7 @@ let config ?(a0 = 0.3) ?(params = Params.default) ?delay ?link_delays
     ?(fault = Faults.none) ?(record_mass = true)
     ?(record_phases = true) ~n () =
   if n < 2 then invalid_arg "Runner.config: n must be >= 2";
+  if n > hop_mask then invalid_arg "Runner.config: n must be below 2^31";
   if not (a0 > 0. && a0 < 1.) then invalid_arg "Runner.config: a0 outside (0,1)";
   check_budgets ~limit_time ~limit_events;
   let delay =
@@ -229,7 +239,7 @@ let mark_label = function
 type 'ctx step = {
   n : int;
   activation : float array;  (* by watermark d; see [activation_table] *)
-  passive : Election.state array;  (* by watermark d; see [pool] *)
+  rule : Election.rule;
   forwarding : forwarding;
   moved : 'ctx -> Election.state -> Election.state -> unit;
   mark : 'ctx -> mark -> traversed:int -> unit;
@@ -239,7 +249,7 @@ type 'ctx step = {
 
 let step (config : config) ~send ~mark ~unsound =
   { n = config.n; activation = config.activation;
-    passive = config.pool.passive; forwarding = Paper;
+    rule = config.pool.rule; forwarding = Paper;
     moved = (fun _ _ _ -> ()); mark; send; unsound }
 
 (* [Election.tick_decision] with the coin's probability looked up, not
@@ -257,25 +267,18 @@ let on_tick w ctx ~rng st =
     st'
   | Election.Idle | Election.Active | Election.Passive | Election.Leader -> st
 
+(* A forward allocates nothing: [Election.receive] hands back a shared
+   passive record or the state it was given, and the reaction is an
+   immediate. *)
 let on_token w ctx st ~hop ~traversed =
   if hop <> traversed then w.unsound ctx ~hop ~traversed;
-  let st', reaction = Election.receive ~n:w.n st hop in
-  (* Knockouts and passive forwards are nearly every transition.  Sharing
-     one record per watermark keeps the ring's state arrays, which live
-     as long as their pooled network, from pointing into the minor heap:
-     otherwise every such record would be promoted, only to die at the
-     next reset. *)
-  let st' =
-    match st'.Election.phase with
-    | Election.Passive -> w.passive.(st'.Election.d)
-    | Election.Idle | Election.Active | Election.Leader -> st'
-  in
+  let st' = Election.receive w.rule st hop in
   w.moved ctx st st';
-  (match reaction with
-   | Election.Forward hop' ->
+  (match Election.reaction w.rule st hop with
+   | Election.Forward ->
      if st.Election.phase = Election.Idle then w.mark ctx Knockout ~traversed;
      (match w.forwarding with
-      | Paper -> w.send ctx ~hop:hop' ~traversed:(traversed + 1)
+      | Paper -> w.send ctx ~hop:(hop + 1) ~traversed:(traversed + 1)
       | Stale_max ->
         (* Seeded bug: a stale watermark inflates the counter. *)
         w.send ctx
@@ -283,7 +286,8 @@ let on_token w ctx st ~hop ~traversed =
           ~traversed:(traversed + 1)
       | Drop_token ->
         (* Seeded liveness bug: the token dies after its second link. *)
-        if traversed < 2 then w.send ctx ~hop:hop' ~traversed:(traversed + 1))
+        if traversed < 2 then
+          w.send ctx ~hop:(hop + 1) ~traversed:(traversed + 1))
    | Election.Purge -> w.mark ctx Purge ~traversed
    | Election.Elected -> w.mark ctx Elected ~traversed);
   st'
@@ -565,12 +569,12 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
   let send_announce ctx =
     counters.announce_messages <- counters.announce_messages + 1;
     Option.iter (fun c -> Abe_sim.Metrics.incr c) announce_counter;
-    ctx.Net.send 0 Announce
+    ctx.Net.send 0 announce_message
   in
   let sim =
     { n = config.n;
       activation = config.activation;
-      passive = config.pool.passive;
+      rule = config.pool.rule;
       forwarding;
       moved =
         (fun ctx before after ->
@@ -636,7 +640,7 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
              if announce then send_announce ctx else ctx.Net.stop ());
       send =
         (fun ctx ~hop ~traversed ->
-           ctx.Net.send 0 (Token { hop; traversed });
+           ctx.Net.send 0 (token ~hop ~traversed);
            note_send (successor ctx.Net.node) hop);
       unsound =
         (fun ctx ~hop ~traversed ->
@@ -652,14 +656,8 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
     { init = (fun _ctx -> Election.initial);
       on_tick = (fun ctx st -> on_tick sim ctx ~rng:ctx.Net.rng st);
       on_message =
-        (fun ctx st -> function
-           | Token { hop; traversed } ->
-             note_recv ctx.Net.node hop;
-             (match instruments with
-              | None -> ()
-              | Some i -> Abe_sim.Metrics.observe_int i.m_token_hops hop);
-             on_token sim ctx st ~hop ~traversed
-           | Announce ->
+        (fun ctx st message ->
+           if message = announce_message then begin
              informed.(ctx.Net.node) <- true;
              if st.Election.phase = Election.Leader then begin
                (* The lap is closed: everyone is informed. *)
@@ -668,7 +666,16 @@ let run_with ~announce ?trace ?metrics ?scheduler ?causal ?(check = false)
                ctx.Net.stop ()
              end
              else send_announce ctx;
-             st) }
+             st
+           end
+           else begin
+             let hop = hop_of message in
+             note_recv ctx.Net.node hop;
+             (match instruments with
+              | None -> ()
+              | Some i -> Abe_sim.Metrics.observe_int i.m_token_hops hop);
+             on_token sim ctx st ~hop ~traversed:(traversed_of message)
+           end) }
   in
   let net =
     Net.create

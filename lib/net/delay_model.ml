@@ -61,6 +61,13 @@ let dist t = t.dist
 let sample_at t ~now rng =
   if Array.length t.episodes = 0 then Dist.sample t.dist rng
   else Dist.sample t.dist rng *. factor_at t ~now
+
+(* Inlined, so that a caller holding [now] unboxed boxes it only for a
+   model with episodes. *)
+let[@inline] sample_into t ~now rng dst i =
+  if Array.length t.episodes = 0 then Dist.sample_into t.dist rng dst i
+  else dst.(i) <- sample_at t ~now rng
+
 let expected_delay t = Dist.mean t.dist
 let hard_bound t = Dist.support_upper_bound t.dist
 let is_abd t = Dist.bounded_support t.dist && Array.length t.episodes = 0

@@ -59,6 +59,12 @@ val sample_at : t -> now:float -> Abe_prob.Rng.t -> float
     all episodes).  With no episodes this consumes exactly the same RNG
     stream and returns exactly the same value as a draw from {!dist}. *)
 
+val sample_into :
+  t -> now:float -> Abe_prob.Rng.t -> float array -> int -> unit
+(** [sample_into t ~now rng dst i] stores [sample_at t ~now rng] in
+    [dst.(i)]: the same draw, and with no episodes on an exponential no
+    float boxed across the call. *)
+
 val expected_delay : t -> float
 (** The δ of Definition 1.1 (of the base distribution). *)
 

@@ -106,6 +106,9 @@ let create ?reuse ~seed ~clock_spec ?loss_schedule ~delay_of_link topology =
 let[@inline] delay t link ~now =
   Delay_model.sample_at t.models.(link) ~now t.delay_rngs.(link)
 
+let[@inline] delay_into t link ~now dst i =
+  Delay_model.sample_into t.models.(link) ~now t.delay_rngs.(link) dst i
+
 let draw_loss t link ~now =
   let p = t.loss_schedule now in
   (* NaN fails both comparisons; p = 1 is legal — an always-drop

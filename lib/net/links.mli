@@ -55,6 +55,10 @@ val delay : t -> int -> now:float -> float
 (** [delay t link ~now] draws the delay of a message sent on [link] at
     time [now] ({!Delay_model.sample_at} on the link's delay stream). *)
 
+val delay_into : t -> int -> now:float -> float array -> int -> unit
+(** [delay_into t link ~now dst i] stores [delay t link ~now] in [dst.(i)]:
+    the same draw, written where the caller keeps it ({!Delay_model.sample_into}). *)
+
 val lost : t -> int -> now:float -> bool
 (** [lost t link ~now] is the loss verdict of a message sent on [link] at
     [now]: the schedule's value at [now], then a Bernoulli draw on the

@@ -608,11 +608,14 @@ module Make (P : PROTOCOL) = struct
     t.msg_seq <- seq + 1;
     (* The delay is drawn unconditionally, before any loss draw (see
        {!Links}), so the delays of delivered messages are byte-identical
-       whether or not loss is enabled. *)
-    (* One reading of the clock for the whole send: [Engine.now] returns a
-       boxed float. *)
+       whether or not loss is enabled.  It is drawn into the job's arrival
+       column, so that no float is boxed on its way there; a message that
+       never flies hands its job straight back, which leaves the freelist
+       as it was.  The clock is read once for the whole send, from the
+       engine's flat cell. *)
     let sent_at = now t in
-    let delay = Links.delay t.model link_id ~now:sent_at in
+    let i = alloc_job t in
+    Links.delay_into t.model link_id ~now:sent_at t.job_begin i;
     (* Every message first enters flight (Send), and a dropped or lost one
        leaves it again immediately — so the conservation equation holds at
        both observer calls. *)
@@ -621,6 +624,7 @@ module Make (P : PROTOCOL) = struct
        stream is untouched by this branch ever existing. *)
     if (not t.link_up.(link_id)) || Links.lost t.model link_id ~now:sent_at
     then begin
+      free_job t i;
       let fate = if t.link_up.(link_id) then Lost else Link_dropped in
       account t fate link_id ~seq ~node:src.id message;
       (* A dropped or lost message still happened causally: record a
@@ -635,7 +639,7 @@ module Make (P : PROTOCOL) = struct
              ~label:(match fate with Lost -> "loss" | _ -> "link-drop"))
     end
     else begin
-      let arrival = sent_at +. delay in
+      let arrival = sent_at +. t.job_begin.(i) in
       let arrival =
         if t.config.fifo then begin
           let adjusted = Float.max arrival t.last_delivery.(link_id) in
@@ -644,7 +648,6 @@ module Make (P : PROTOCOL) = struct
         end
         else arrival
       in
-      let i = alloc_job t in
       store_message t i message;
       t.job_link.(i) <- link_id;
       t.job_seq.(i) <- seq;

@@ -93,6 +93,15 @@ let sample d rng =
   | Retransmission { success; slot } ->
     slot *. float_of_int (Rng.geometric rng ~p:success)
 
+(* The exponential, the ABE delay of every simulated workload, reaches
+   [dst] without a boxed float; any other law goes through [sample]. *)
+let sample_into d rng dst i =
+  match d with
+  | Exponential { mean } -> Rng.exponential_into rng ~mean dst i
+  | Deterministic _ | Uniform _ | Erlang _ | Hyperexponential _ | Lomax _
+  | Retransmission _ ->
+    dst.(i) <- sample d rng
+
 let mean = function
   | Deterministic v -> v
   | Uniform { lo; hi } -> 0.5 *. (lo +. hi)

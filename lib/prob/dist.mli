@@ -56,6 +56,10 @@ val retransmission : success:float -> slot:float -> t
 val sample : t -> Rng.t -> float
 (** Draw one value.  Always non-negative. *)
 
+val sample_into : t -> Rng.t -> float array -> int -> unit
+(** [sample_into d rng dst i] stores [sample d rng] in [dst.(i)]: the same
+    draw, and for an exponential no float boxed across the call. *)
+
 val mean : t -> float
 (** Analytic expected value. *)
 

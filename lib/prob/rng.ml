@@ -132,10 +132,12 @@ let[@inline] bernoulli t p =
 
 let bernoulli_at t probs i = bernoulli t probs.(i)
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   if not (mean > 0.) then invalid_arg "Rng.exponential: mean must be positive";
   (* Inverse transform; 1 - u avoids log 0. *)
   -. mean *. log (1. -. unit_float t)
+
+let exponential_into t ~mean dst i = dst.(i) <- exponential t ~mean
 
 let geometric t ~p =
   if not (p > 0. && p <= 1.) then invalid_arg "Rng.geometric: p outside (0,1]";

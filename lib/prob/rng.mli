@@ -71,6 +71,10 @@ val bernoulli_at : t -> float array -> int -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean ([mean > 0]). *)
 
+val exponential_into : t -> mean:float -> float array -> int -> unit
+(** [exponential_into t ~mean dst i] stores [exponential t ~mean] in
+    [dst.(i)]: the same draw, with no float boxed across the call. *)
+
 val geometric : t -> p:float -> int
 (** [geometric t ~p] is the number of Bernoulli([p]) trials up to and
     including the first success (support [{1, 2, ...}], mean [1/p]).
