@@ -6,8 +6,9 @@
 
 type pool
 (** What a configuration builds once for all its runs: each link's delay
-    model under the fault's overlay, one shared record per passive node
-    state, and the networks kept for reuse (see "Reuse" under {!run}). *)
+    model under the fault's overlay, the election's receipt rule
+    ({!Election.rule}, with one shared record per passive state), and the
+    networks kept for reuse (see "Reuse" under {!run}). *)
 
 type config = private {
   n : int;                             (** ring size (known to all nodes) *)

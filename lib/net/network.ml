@@ -75,7 +75,8 @@ include Config
    clustered by widely spread clock rates.  Expected O(n), worst case
    O(n log n); the scratch arrays are the network's, so a warm reset
    allocates nothing here.  Top-level functions over the arrays, so that
-   no closure is built per reset. *)
+   no closure is built per reset.  Each instant is bucketed once: its
+   bucket waits in a scratch array between the count and the placement. *)
 
 (* Node [a]'s first tick orders before node [b]'s. *)
 let[@inline] tick_before (times : float array) a b =
@@ -132,9 +133,9 @@ let[@inline] bucket ~lo ~scale n x =
   if b < 0 then 0 else if b >= n then n - 1 else b
 
 (* [order.(0 .. n-1)] := the ids [0 .. n-1] by [(times.(id), id)], with
-   [ends] (length n + 1) as the buckets' scratch.  The instants are finite
-   and not NaN. *)
-let order_ticks times order ends =
+   [ends] (length n + 1) and [buckets] (length n) as scratch.  The instants
+   are finite and not NaN. *)
+let order_ticks times order ends buckets =
   let n = Array.length order in
   let lo = ref infinity and hi = ref neg_infinity in
   for id = 0 to n - 1 do
@@ -147,6 +148,7 @@ let order_ticks times order ends =
   Array.fill ends 0 (n + 1) 0;
   for id = 0 to n - 1 do
     let b = bucket ~lo ~scale n times.(id) in
+    buckets.(id) <- b;
     ends.(b + 1) <- ends.(b + 1) + 1
   done;
   for b = 1 to n do
@@ -155,9 +157,10 @@ let order_ticks times order ends =
   (* [ends.(b)] is now bucket [b]'s first position; placing its ids in
      id order moves it to the bucket's end. *)
   for id = 0 to n - 1 do
-    let b = bucket ~lo ~scale n times.(id) in
-    order.(ends.(b)) <- id;
-    ends.(b) <- ends.(b) + 1
+    let b = buckets.(id) in
+    let k = ends.(b) in
+    order.(k) <- id;
+    ends.(b) <- k + 1
   done;
   let start = ref 0 in
   for b = 0 to n - 1 do
@@ -237,7 +240,12 @@ module Make (P : PROTOCOL) = struct
      engine through [Engine.schedule_from] and the clock through
      [Clock.advance_tick], so no float is boxed on the way; node states
      sit in [states] with no option box; and hooks are matched in place,
-     not through capturing [Option.iter] closures.  An observed tick
+     not through capturing [Option.iter] closures.  A message's delay is
+     drawn into its job's [job_begin] ([Links.delay_into]), which then
+     holds its arrival instant, so the message path boxes no float either
+     where [Engine.now] inlines (release builds): with an immediate
+     payload, such as the election's tokens, a hop allocates nothing.  An
+     observed tick
      allocates nothing either: its event is built once per node
      ([tick_events]), and the instant and the clock reading reach the
      observer in the flat array [obs_at]. *)
@@ -266,6 +274,8 @@ module Make (P : PROTOCOL) = struct
                                        tick instant *)
     tick_ends : int array;          (* [reset]'s scratch: bucket bounds,
                                        length n + 1 *)
+    tick_bucket : int array;        (* [reset]'s scratch: by node id, the
+                                       bucket of its first tick *)
     mutable tick_fire : (unit -> unit) array;
                                     (* by node id: the tick chain of
                                        incarnation 0; built with the first
@@ -834,6 +844,7 @@ module Make (P : PROTOCOL) = struct
         tick_time = Array.make n 0.;
         tick_order = Array.make n 0;
         tick_ends = Array.make (n + 1) 0;
+        tick_bucket = Array.make n 0;
         tick_fire = [||];
         occ = [| 0. |];
         obs_at = [| 0.; 0. |];
@@ -915,15 +926,11 @@ module Make (P : PROTOCOL) = struct
               (fun acc (link : Topology.link) -> acc lor link_bit link.Topology.id)
               (node_bit id)
               (Topology.out_links config.topology id));
-    Array.iter
-      (fun node ->
-         node.is_crashed <- false;
-         node.incarnation <- 0)
-      t.nodes;
     Array.fill t.last_delivery 0 link_count 0.;
     Array.fill t.link_up 0 link_count true;
     Array.fill t.down_depth 0 link_count 0;
-    Array.fill t.busy 0 n 0.;
+    (* The per-node counts are zero before any [init] runs: an observer of
+       a send from [init] reads them. *)
     let s = t.net_stats in
     s.sent <- 0;
     s.delivered <- 0;
@@ -936,26 +943,35 @@ module Make (P : PROTOCOL) = struct
     t.inflight <- 0;
     t.msg_seq <- 0;
     release_pool t;
-    (* In node order: [init] may send. *)
-    if Array.length t.states = n then
-      Array.iteri (fun id ctx -> t.states.(id) <- handlers.init ctx) t.contexts
-    else t.states <- Array.map handlers.init t.contexts;
-    if config.ticks_enabled then begin
-      if Array.length t.tick_fire <> n then begin
-        (* [ignore] is static: [Array.make] from a young closure would
-           first empty the minor heap. *)
-        t.tick_fire <- Array.make n ignore;
-        for id = 0 to n - 1 do
-          t.tick_fire.(id) <- tick_chain t id ~chain_inc:0
-        done
-      end;
+    let ticking = config.ticks_enabled in
+    if ticking && Array.length t.tick_fire <> n then begin
+      (* [ignore] is static: [Array.make] from a young closure would first
+         empty the minor heap. *)
+      t.tick_fire <- Array.make n ignore;
+      for id = 0 to n - 1 do
+        t.tick_fire.(id) <- tick_chain t id ~chain_inc:0
+      done
+    end;
+    (* A fresh network's states come from [init] itself. *)
+    let warm = Array.length t.states = n in
+    if not warm then t.states <- Array.map handlers.init t.contexts;
+    (* One pass over the nodes, in node order since [init] may send: each
+       node back up, idle and in its first incarnation, its state back to
+       [init]'s (stored only when it changed, as [set_state] does) and its
+       first tick instant computed. *)
+    for id = 0 to n - 1 do
+      let node = t.nodes.(id) in
+      node.is_crashed <- false;
+      node.incarnation <- 0;
+      t.busy.(id) <- 0.;
+      if warm then set_state t id (handlers.init t.contexts.(id));
+      if ticking then first_tick t id ~after:0.
+    done;
+    if ticking then begin
       (* The round in [(instant, id)] order: each tick is appended to the
          engine's run, and the round's block of sequence numbers executes
          exactly as the same block in id order would, ties included. *)
-      for id = 0 to n - 1 do
-        first_tick t id ~after:0.
-      done;
-      order_ticks t.tick_time t.tick_order t.tick_ends;
+      order_ticks t.tick_time t.tick_order t.tick_ends t.tick_bucket;
       for k = 0 to n - 1 do
         let id = t.tick_order.(k) in
         schedule_tick t id t.tick_fire.(id)
