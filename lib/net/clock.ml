@@ -26,6 +26,17 @@ let redraw t s ~rng =
   end;
   Abe_prob.Rng.unit_float_into rng t 1
 
+(* A perfect clock draws only its phase, the split stream's first draw. *)
+let redraw_split t s ~master ~scratch =
+  if s.s_low = s.s_high then begin
+    t.(0) <- s.s_low;
+    Abe_prob.Rng.split_unit_float_into master t 1
+  end
+  else begin
+    Abe_prob.Rng.split_into master ~into:scratch;
+    redraw t s ~rng:scratch
+  end
+
 let create s ~rng =
   let t = Array.make 2 0. in
   redraw t s ~rng;

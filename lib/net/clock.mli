@@ -26,10 +26,15 @@ val create : spec -> rng:Abe_prob.Rng.t -> t
     initial phase uniform in [\[0, 1)] local units, so ticks of different
     nodes are not aligned. *)
 
-val redraw : t -> spec -> rng:Abe_prob.Rng.t -> unit
-(** [redraw c s ~rng] draws [c] again in place: afterwards [c] is bit for
-    bit the clock [create s ~rng] would have returned, and the call
-    allocates nothing.  [create] is an allocation followed by [redraw]. *)
+val redraw_split :
+  t -> spec -> master:Abe_prob.Rng.t -> scratch:Abe_prob.Rng.t -> unit
+(** [redraw_split c s ~master ~scratch] draws [c] again in place from the
+    stream [Abe_prob.Rng.split master] would return: afterwards [c] is bit
+    for bit the clock [create s ~rng:(Abe_prob.Rng.split master)] would
+    have returned, [master] has advanced as that split advances it, and
+    the call allocates nothing.  Drifting clocks split into [scratch],
+    whose contents are then undefined; a perfect clock, which draws only
+    its phase, builds no stream at all. *)
 
 val local_time : t -> real:float -> float
 (** Local clock reading at the given real time. *)

@@ -5,7 +5,8 @@ type t = {
   delay_rngs : Rng.t array;       (* by link id *)
   handler_rngs : Rng.t array;     (* by node id *)
   clocks : Clock.t array;         (* by node id *)
-  clock_rng : Rng.t;              (* the clock stream being drawn from *)
+  clock_rng : Rng.t;              (* the drifting clock stream being
+                                     drawn from *)
   mutable loss_rngs : Rng.t array;  (* by link id; empty when loss is off *)
   mutable loss_schedule : float -> float;  (* read only when loss is on *)
 }
@@ -60,14 +61,14 @@ let allocate topology =
    buffers: bit for bit what fresh [Rng.split]s of the same master would
    give, and no allocation unless loss streams appear for the first time.
    A clock keeps only what it drew, so the one [clock_rng] buffer serves
-   every node's clock stream in turn. *)
+   every drifting clock's stream in turn; a perfect clock draws its phase
+   without building a stream. *)
 let derive t ~seed ~clock_spec ~loss =
   let master = Rng.create ~seed in
   Array.iter (fun into -> Rng.split_into master ~into) t.delay_rngs;
   for id = 0 to Array.length t.clocks - 1 do
     Rng.split_into master ~into:t.handler_rngs.(id);
-    Rng.split_into master ~into:t.clock_rng;
-    Clock.redraw t.clocks.(id) clock_spec ~rng:t.clock_rng
+    Clock.redraw_split t.clocks.(id) clock_spec ~master ~scratch:t.clock_rng
   done;
   (* The loss block is last, so skipping it when loss is off cannot
      shift any earlier stream; [lost] never draws at probability 0. *)

@@ -68,15 +68,16 @@ include Config
 (* Ordering a run's first tick round.  Every node's first tick lands at a
    random instant (a uniform phase over its own rate), so [reset] orders
    the node ids by [(instant, id)] before scheduling them, and every tick
-   of the round is appended to the engine's run.  A counting sort into n
-   buckets over [[min, max]], stable by id, leaves only the order inside
-   each bucket to settle: by insertion when it holds a few ids, as for
-   spread-out instants, by heapsort when it holds more, as for instants
-   clustered by widely spread clock rates.  Expected O(n), worst case
-   O(n log n); the scratch arrays are the network's, so a warm reset
-   allocates nothing here.  Top-level functions over the arrays, so that
-   no closure is built per reset.  Each instant is bucketed once: its
-   bucket waits in a scratch array between the count and the placement. *)
+   of the round is appended to the engine's run.  A bucket sort into n
+   buckets over [[min, max]] leaves only the order inside each bucket to
+   settle: by insertion when it holds a few ids, as for spread-out
+   instants, by heapsort when it holds more, as for instants clustered by
+   widely spread clock rates.  Each instant is bucketed once, onto its
+   bucket's list (a head per bucket, a link per id), and the lists are
+   read out in bucket order.  Expected O(n), worst case O(n log n); the
+   scratch arrays are the network's, so a warm reset allocates nothing
+   here.  Top-level functions over the arrays, so that no closure is
+   built per reset. *)
 
 (* Node [a]'s first tick orders before node [b]'s. *)
 let[@inline] tick_before (times : float array) a b =
@@ -133,9 +134,9 @@ let[@inline] bucket ~lo ~scale n x =
   if b < 0 then 0 else if b >= n then n - 1 else b
 
 (* [order.(0 .. n-1)] := the ids [0 .. n-1] by [(times.(id), id)], with
-   [ends] (length n + 1) and [buckets] (length n) as scratch.  The instants
-   are finite and not NaN. *)
-let order_ticks times order ends buckets =
+   [heads] and [next] (length n each) as scratch.  The instants are finite
+   and not NaN. *)
+let order_ticks times order heads next =
   let n = Array.length order in
   let lo = ref infinity and hi = ref neg_infinity in
   for id = 0 to n - 1 do
@@ -145,29 +146,28 @@ let order_ticks times order ends buckets =
   done;
   let lo = !lo in
   let scale = if !hi > lo then float_of_int (n - 1) /. (!hi -. lo) else 0. in
-  Array.fill ends 0 (n + 1) 0;
-  for id = 0 to n - 1 do
-    let b = bucket ~lo ~scale n times.(id) in
-    buckets.(id) <- b;
-    ends.(b + 1) <- ends.(b + 1) + 1
-  done;
-  for b = 1 to n do
-    ends.(b) <- ends.(b) + ends.(b - 1)
-  done;
-  (* [ends.(b)] is now bucket [b]'s first position; placing its ids in
-     id order moves it to the bucket's end. *)
-  for id = 0 to n - 1 do
-    let b = buckets.(id) in
-    let k = ends.(b) in
-    order.(k) <- id;
-    ends.(b) <- k + 1
-  done;
-  let start = ref 0 in
   for b = 0 to n - 1 do
-    let stop = ends.(b) in
-    if stop - !start > 16 then heap_sort times order !start stop
-    else if stop - !start > 1 then insertion_sort times order !start stop;
-    start := stop
+    heads.(b) <- -1
+  done;
+  (* In descending id order, so that each list reads in ascending id
+     order. *)
+  for id = n - 1 downto 0 do
+    let b = bucket ~lo ~scale n times.(id) in
+    next.(id) <- heads.(b);
+    heads.(b) <- id
+  done;
+  let k = ref 0 in
+  for b = 0 to n - 1 do
+    let start = !k in
+    let id = ref heads.(b) in
+    while !id >= 0 do
+      order.(!k) <- !id;
+      incr k;
+      id := next.(!id)
+    done;
+    let stop = !k in
+    if stop - start > 16 then heap_sort times order start stop
+    else if stop - start > 1 then insertion_sort times order start stop
   done
 
 module Make (P : PROTOCOL) = struct
@@ -272,10 +272,10 @@ module Make (P : PROTOCOL) = struct
     tick_time : float array;        (* by node id: pending tick's instant *)
     tick_order : int array;         (* [reset]'s scratch: node ids by first
                                        tick instant *)
-    tick_ends : int array;          (* [reset]'s scratch: bucket bounds,
-                                       length n + 1 *)
-    tick_bucket : int array;        (* [reset]'s scratch: by node id, the
-                                       bucket of its first tick *)
+    tick_heads : int array;         (* [reset]'s scratch: by bucket, the
+                                       first id on its list *)
+    tick_next : int array;          (* [reset]'s scratch: by node id, the
+                                       next id on its bucket's list *)
     mutable tick_fire : (unit -> unit) array;
                                     (* by node id: the tick chain of
                                        incarnation 0; built with the first
@@ -843,8 +843,8 @@ module Make (P : PROTOCOL) = struct
         busy = Array.make n 0.;
         tick_time = Array.make n 0.;
         tick_order = Array.make n 0;
-        tick_ends = Array.make (n + 1) 0;
-        tick_bucket = Array.make n 0;
+        tick_heads = Array.make n 0;
+        tick_next = Array.make n 0;
         tick_fire = [||];
         occ = [| 0. |];
         obs_at = [| 0.; 0. |];
@@ -971,7 +971,7 @@ module Make (P : PROTOCOL) = struct
       (* The round in [(instant, id)] order: each tick is appended to the
          engine's run, and the round's block of sequence numbers executes
          exactly as the same block in id order would, ties included. *)
-      order_ticks t.tick_time t.tick_order t.tick_ends t.tick_bucket;
+      order_ticks t.tick_time t.tick_order t.tick_heads t.tick_next;
       for k = 0 to n - 1 do
         let id = t.tick_order.(k) in
         schedule_tick t id t.tick_fire.(id)

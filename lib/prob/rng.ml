@@ -85,6 +85,19 @@ let split t =
   split_into t ~into;
   into
 
+(* [unit_float] of [split t]'s first draw reads only the child's words 0
+   and 3, so only their two SplitMix64 words are mixed.  [seed_into]'s
+   all-zero guard cannot fire: the mix is a bijection that fixes 0, and
+   the words it mixes into words 0 and 3 differ by 3 x golden_gamma. *)
+let golden_gamma3 = Int64.mul 3L golden_gamma
+
+let split_unit_float_into t dst i =
+  let z1 = Int64.add (bits64 t) golden_gamma in
+  let s0 = splitmix64_mix z1 in
+  let s3 = splitmix64_mix (Int64.add z1 golden_gamma3) in
+  let first = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  dst.(i) <- Int64.to_float (Int64.shift_right_logical first 11) *. 0x1.0p-53
+
 let[@inline] unit_float t =
   (* Top 53 bits, scaled to [0,1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in

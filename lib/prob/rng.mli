@@ -31,6 +31,12 @@ val split_into : t -> into:t -> unit
     bit for bit the stream [split t] would have returned.  It allocates
     nothing, so a pooled network re-derives its streams in place. *)
 
+val split_unit_float_into : t -> float array -> int -> unit
+(** [split_unit_float_into t dst i] stores in [dst.(i)] the first
+    [unit_float] of the stream [split t] would return, and advances [t] as
+    [split] does, without building that stream: a perfect clock's phase is
+    that one draw. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

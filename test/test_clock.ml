@@ -99,6 +99,31 @@ let prop_tick_monotone_chain =
        in
        chain 0. 20)
 
+(* [redraw_split] gives the clock [create] draws from a fresh split, and
+   leaves the parent where that split leaves it: a perfect clock, drawn
+   without a stream, and a drifting one. *)
+let test_redraw_split () =
+  List.iter
+    (fun spec ->
+       let reference = rng () and master = rng () in
+       let c = Clock.create spec ~rng:(rng ()) in
+       let scratch = Abe_prob.Rng.create ~seed:0 in
+       for i = 1 to 200 do
+         let want = Clock.create spec ~rng:(Abe_prob.Rng.split reference) in
+         Clock.redraw_split c spec ~master ~scratch;
+         List.iter
+           (fun real ->
+              let got = Clock.local_time c ~real
+              and expected = Clock.local_time want ~real in
+              if Int64.bits_of_float got <> Int64.bits_of_float expected then
+                Alcotest.failf "draw %d: local time %h at %g, want %h" i got
+                  real expected)
+           [ 0.; 1.; 12.5 ]
+       done;
+       Alcotest.(check int64) "parent where split leaves it"
+         (Abe_prob.Rng.bits64 reference) (Abe_prob.Rng.bits64 master))
+    [ Clock.perfect; Clock.spec ~s_low:0.5 ~s_high:2. ]
+
 let () =
   Alcotest.run "clock"
     [ ( "clock",
@@ -110,6 +135,7 @@ let () =
           Alcotest.test_case "inverse" `Quick test_inverse;
           Alcotest.test_case "next tick" `Quick test_next_tick_strictly_after;
           Alcotest.test_case "tick spacing" `Quick test_tick_sequence_spacing;
-          Alcotest.test_case "fast clock" `Quick test_fast_clock_ticks_more ] );
+          Alcotest.test_case "fast clock" `Quick test_fast_clock_ticks_more;
+          Alcotest.test_case "redraw from a split" `Quick test_redraw_split ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_tick_monotone_chain ] ) ]

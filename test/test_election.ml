@@ -308,9 +308,10 @@ let reference_receive ~n (st : Election.state) hop =
 (* Over random rings, states and hops, [Election.receive] and
    [Election.reaction] give the reference's state and reaction, and a
    forward sends the reference's counter through [Runner.on_token].  It
-   catches, for instance, a receive that returns the shared passive record
-   or the given state without raising d to a larger hop (a stale d), a
-   shared record looked up at the old watermark, or a forward of d + 1. *)
+   catches a record handed back with a stale d: a leader returned as it
+   was given when a larger hop arrives fails here and in no other case of
+   this file; so does the shared passive record looked up at the old
+   watermark (which the orphan case also catches). *)
 let prop_rule_matches_reference =
   let phases =
     [| Election.Idle; Election.Active; Election.Passive; Election.Leader |]

@@ -251,6 +251,34 @@ let test_kat_floats () =
     [ true; true; true; true; true; false; true; false ]
     (List.init 8 (fun _ -> Rng.bool rng))
 
+(* A perfect clock's phase: [split_unit_float_into] draws what the first
+   [unit_float] of [split] draws and leaves the parent where [split] leaves
+   it, over a thousand consecutive splits of each of three seeds; and the
+   exponential stored by [exponential_into] is the one [exponential]
+   returns. *)
+let test_kat_split_draws () =
+  List.iter
+    (fun seed ->
+       let reference = Rng.create ~seed and parent = Rng.create ~seed in
+       let cell = [| 0. |] in
+       for i = 1 to 1_000 do
+         let want = Rng.unit_float (Rng.split reference) in
+         Rng.split_unit_float_into parent cell 0;
+         if Int64.bits_of_float cell.(0) <> Int64.bits_of_float want then
+           Alcotest.failf "seed %d, split %d: %h, split's first draw %h" seed
+             i cell.(0) want
+       done;
+       Alcotest.(check int64) "parent where split leaves it"
+         (Rng.bits64 reference) (Rng.bits64 parent);
+       for i = 1 to 1_000 do
+         let want = Rng.exponential reference ~mean:0.25 in
+         Rng.exponential_into parent ~mean:0.25 cell 0;
+         if Int64.bits_of_float cell.(0) <> Int64.bits_of_float want then
+           Alcotest.failf "seed %d, exponential %d: %h, want %h" seed i
+             cell.(0) want
+       done)
+    [ 0; 42; max_int ]
+
 (* [int] masks each draw to the smallest all-ones word covering
    [bound - 1] and rejects candidates >= [bound]; the mask and the
    rejection both decide which words are consumed. *)
@@ -354,7 +382,9 @@ let () =
         [ Alcotest.test_case "seeded streams" `Quick test_kat_seeds;
           Alcotest.test_case "split children" `Quick test_kat_split;
           Alcotest.test_case "float and int draws" `Quick test_kat_floats;
-          Alcotest.test_case "int bounds" `Quick test_kat_int_bounds ] );
+          Alcotest.test_case "int bounds" `Quick test_kat_int_bounds;
+          Alcotest.test_case "split and flat draws" `Quick
+            test_kat_split_draws ] );
       ( "allocation",
         [ Alcotest.test_case "bool and int draws" `Quick test_draws_allocation_free;
           Alcotest.test_case "split" `Quick test_split_allocation ] );
