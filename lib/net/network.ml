@@ -135,35 +135,37 @@ let[@inline] bucket ~lo ~scale n x =
 
 (* [order.(0 .. n-1)] := the ids [0 .. n-1] by [(times.(id), id)], with
    [heads] and [next] (length n each) as scratch.  The instants are finite
-   and not NaN. *)
+   and not NaN.  Every index is in range by construction (ids and buckets
+   lie in [0, n), and exactly n ids are read out), so the loops skip the
+   bounds checks. *)
 let order_ticks times order heads next =
   let n = Array.length order in
   let lo = ref infinity and hi = ref neg_infinity in
   for id = 0 to n - 1 do
-    let x = times.(id) in
+    let x = Array.unsafe_get times id in
     if x < !lo then lo := x;
     if x > !hi then hi := x
   done;
   let lo = !lo in
   let scale = if !hi > lo then float_of_int (n - 1) /. (!hi -. lo) else 0. in
   for b = 0 to n - 1 do
-    heads.(b) <- -1
+    Array.unsafe_set heads b (-1)
   done;
   (* In descending id order, so that each list reads in ascending id
      order. *)
   for id = n - 1 downto 0 do
-    let b = bucket ~lo ~scale n times.(id) in
-    next.(id) <- heads.(b);
-    heads.(b) <- id
+    let b = bucket ~lo ~scale n (Array.unsafe_get times id) in
+    Array.unsafe_set next id (Array.unsafe_get heads b);
+    Array.unsafe_set heads b id
   done;
   let k = ref 0 in
   for b = 0 to n - 1 do
     let start = !k in
-    let id = ref heads.(b) in
+    let id = ref (Array.unsafe_get heads b) in
     while !id >= 0 do
-      order.(!k) <- !id;
+      Array.unsafe_set order !k !id;
       incr k;
-      id := next.(!id)
+      id := Array.unsafe_get next !id
     done;
     let stop = !k in
     if stop - start > 16 then heap_sort times order start stop
@@ -317,9 +319,10 @@ module Make (P : PROTOCOL) = struct
                                        tick job has no payload to fill a
                                        new column with *)
     mutable job_filler : P.message option;
-                                    (* overwrites freed slots so a delivered
-                                       payload is not retained by the
-                                       pool *)
+                                    (* overwrites the payloads left in
+                                       freed slots when [run] returns, so
+                                       that the pool retains no delivered
+                                       payload past its run *)
     mutable job_link : int array;
     mutable job_seq : int array;
     mutable job_sent_at : float array;
@@ -450,8 +453,11 @@ module Make (P : PROTOCOL) = struct
     t.job_next.(i) <- t.job_free;
     t.job_free <- i
 
+  (* The payload stays in the freed slot until the slot is reused or [run]
+     returns ([release_payloads]), as an executed action stays in the
+     engine's arena: a network that outlives its runs sits in the major
+     heap, where every pointer store pays the write barrier. *)
   let free_message t i =
-    (match t.job_filler with Some m -> t.job_msg.(i) <- m | None -> ());
     t.job_cause.(i) <- -1;
     free_job t i
 
@@ -1083,14 +1089,29 @@ module Make (P : PROTOCOL) = struct
         t.ticks_folded <- ticks
       end
 
+  (* The payloads left in free slots, overwritten by the filler: a slot
+     already holding it takes no store. *)
+  let release_payloads t =
+    match t.job_filler with
+    | None -> ()
+    | Some filler ->
+      let i = ref t.job_free in
+      while !i >= 0 do
+        if !i < Array.length t.job_msg && t.job_msg.(!i) != filler then
+          t.job_msg.(!i) <- filler;
+        i := t.job_next.(!i)
+      done
+
   let run t =
     match Engine.run t.engine with
     | outcome ->
       fold_ticks t;
+      release_payloads t;
       outcome
     | exception e ->
       let backtrace = Printexc.get_raw_backtrace () in
       fold_ticks t;
+      release_payloads t;
       Printexc.raise_with_backtrace e backtrace
 
   let counters t = Engine.counters t.engine

@@ -1149,6 +1149,50 @@ let test_message_path_allocation () =
   if words > 2. then
     Alcotest.failf "token ring: %g minor words per event (bound 2)" words
 
+(* A delivered payload stays in its freed job slot only while the run
+   goes on: once [run] returns, it is collectable while the network lives
+   on.  The first payload stored is the pool's filler and stays. *)
+module Boxed = struct
+  type state = unit
+  type message = Bytes.t
+
+  let pp_state ppf () = Fmt.string ppf "()"
+  let pp_message ppf b = Fmt.int ppf (Bytes.length b)
+end
+
+module Boxed_net = Network.Make (Boxed)
+
+(* Builds the payload in a helper, so that only the network can keep it
+   alive. *)
+let weak_payload w =
+  let payload = Bytes.create 4096 in
+  Weak.set w 0 (Some payload);
+  payload
+
+let test_delivered_payload_released () =
+  let w = Weak.create 1 in
+  let handlers =
+    { Boxed_net.init =
+        (fun ctx ->
+           if ctx.Boxed_net.node = 0 then begin
+             ctx.Boxed_net.send 0 Bytes.empty;
+             ctx.Boxed_net.send 0 (weak_payload w)
+           end);
+      on_message = (fun _ s _ -> s);
+      on_tick = (fun _ s -> s) }
+  in
+  let config =
+    { (Boxed_net.default_config ~topology:(Topology.ring 2)
+         ~delay:(Delay_model.abe_exponential ~delta:1.))
+      with Boxed_net.ticks_enabled = false }
+  in
+  let net = Boxed_net.create ~seed:1 config handlers in
+  ignore (Boxed_net.run net : Abe_sim.Engine.outcome);
+  Gc.full_major ();
+  Alcotest.(check bool) "payload collected" false (Weak.check w 0);
+  Alcotest.(check int) "both delivered, network still live" 2
+    (Boxed_net.stats net).Network.delivered
+
 (* ---- where events wait ---- *)
 
 (* With perfect clocks and instant processing, every tick round is
@@ -1463,6 +1507,8 @@ let () =
             test_rejoin_receives_and_ticks;
           Alcotest.test_case "pool occupancy returns to zero" `Quick
             test_pool_occupancy_zero_at_quiescence;
+          Alcotest.test_case "delivered payload released" `Quick
+            test_delivered_payload_released;
           Alcotest.test_case "config validation" `Quick
             test_dynamic_config_validation ] );
       ( "monitored crashes",
