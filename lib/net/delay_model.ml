@@ -57,16 +57,11 @@ let factor_at t ~now =
 let dist t = t.dist
 
 (* Without episodes the factor is 1.0, and [x *. 1.0 = x] exactly, so
-   skipping the scan changes no drawn delay. *)
-let sample_at t ~now rng =
-  if Array.length t.episodes = 0 then Dist.sample t.dist rng
-  else Dist.sample t.dist rng *. factor_at t ~now
-
-(* Inlined, so that a caller holding [now] unboxed boxes it only for a
-   model with episodes. *)
+   skipping the scan changes no drawn delay.  Inlined, so that a caller
+   holding [now] unboxed boxes it only for a model with episodes. *)
 let[@inline] sample_into t ~now rng dst i =
-  if Array.length t.episodes = 0 then Dist.sample_into t.dist rng dst i
-  else dst.(i) <- sample_at t ~now rng
+  Dist.sample_into t.dist rng dst i;
+  if Array.length t.episodes > 0 then dst.(i) <- dst.(i) *. factor_at t ~now
 
 let expected_delay t = Dist.mean t.dist
 let hard_bound t = Dist.support_upper_bound t.dist

@@ -53,17 +53,14 @@ val validate : t -> unit
 val episodes : t -> episode array
 val dist : t -> Abe_prob.Dist.t
 
-val sample_at : t -> now:float -> Abe_prob.Rng.t -> float
-(** [sample_at t ~now rng] draws a base delay and multiplies it by the
-    factor of the latest-starting episode containing [now] (1.0 outside
-    all episodes).  With no episodes this consumes exactly the same RNG
-    stream and returns exactly the same value as a draw from {!dist}. *)
-
 val sample_into :
   t -> now:float -> Abe_prob.Rng.t -> float array -> int -> unit
-(** [sample_into t ~now rng dst i] stores [sample_at t ~now rng] in
-    [dst.(i)]: the same draw, and with no episodes on an exponential no
-    float boxed across the call. *)
+(** [sample_into t ~now rng dst i] draws a base delay, multiplies it by
+    the factor of the latest-starting episode containing [now] (1.0
+    outside all episodes) and stores it in [dst.(i)], so that the caller
+    keeps it flat: with no episodes on an exponential no float is boxed
+    across the call.  With no episodes this consumes exactly the same RNG
+    stream and stores exactly the same value as a draw from {!dist}. *)
 
 val expected_delay : t -> float
 (** The δ of Definition 1.1 (of the base distribution). *)

@@ -104,9 +104,6 @@ let create ?reuse ~seed ~clock_spec ?loss_schedule ~delay_of_link topology =
     t.loss_schedule <- Option.value loss_schedule ~default:no_loss;
     Ok t
 
-let[@inline] delay t link ~now =
-  Delay_model.sample_at t.models.(link) ~now t.delay_rngs.(link)
-
 let[@inline] delay_into t link ~now dst i =
   Delay_model.sample_into t.models.(link) ~now t.delay_rngs.(link) dst i
 

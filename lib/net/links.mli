@@ -51,13 +51,11 @@ val create :
     physical values, now carrying the new seed's draws.
     @raise Invalid_argument if [reuse] has another node or link count. *)
 
-val delay : t -> int -> now:float -> float
-(** [delay t link ~now] draws the delay of a message sent on [link] at
-    time [now] ({!Delay_model.sample_at} on the link's delay stream). *)
-
 val delay_into : t -> int -> now:float -> float array -> int -> unit
-(** [delay_into t link ~now dst i] stores [delay t link ~now] in [dst.(i)]:
-    the same draw, written where the caller keeps it ({!Delay_model.sample_into}). *)
+(** [delay_into t link ~now dst i] draws the delay of a message sent on
+    [link] at time [now] into [dst.(i)] ({!Delay_model.sample_into} on the
+    link's delay stream), so that a simulated send keeps it flat in its
+    job's arrival column. *)
 
 val lost : t -> int -> now:float -> bool
 (** [lost t link ~now] is the loss verdict of a message sent on [link] at

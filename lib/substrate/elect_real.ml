@@ -271,6 +271,8 @@ let run ?metrics ?telemetry ?snapshots ~seed (config : config) =
       Array.fill pending 0 n 0
     end
   in
+  (* The one cell delays are drawn into: only the router draws. *)
+  let drawn = [| 0. |] in
   let handle_frame src frame =
     match (frame : Wire.frame) with
     | Wire.Send { link; payload; trace } ->
@@ -290,7 +292,8 @@ let run ?metrics ?telemetry ?snapshots ~seed (config : config) =
           let now_units =
             (Unix.gettimeofday () -. start_wall) /. config.scale
           in
-          let delay = Links.delay model link_id ~now:now_units in
+          Links.delay_into model link_id ~now:now_units drawn 0;
+          let delay = drawn.(0) in
           if Links.lost model link_id ~now:now_units then begin
             incr lost;
             decr in_flight;

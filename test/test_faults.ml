@@ -342,11 +342,17 @@ let prop_label_roundtrip =
               f.Faults.label spec m
           | Ok g -> g.Faults.label = f.Faults.label))
 
-(* [sample_at] skips the episode scan when there are none; the draw must
+(* A model's draw, read back from the cell [sample_into] stores it in. *)
+let sample model ~now rng =
+  let cell = [| 0. |] in
+  Delay_model.sample_into model ~now rng cell 0;
+  cell.(0)
+
+(* [sample_into] skips the episode scan when there are none; the draw must
    still equal the base distribution's bit for bit, on the same stream.
    With overlapping episodes, passed out of order, the latest-starting
    one covering [now] scales the same base draw. *)
-let test_sample_at_bits () =
+let test_sample_into_bits () =
   let bits = Int64.bits_of_float in
   List.iter
     (fun model ->
@@ -356,7 +362,7 @@ let test_sample_at_bits () =
        for i = 1 to 200 do
          Alcotest.(check int64) "no episodes: Dist.sample bits"
            (bits (Abe_prob.Dist.sample dist r1))
-           (bits (Delay_model.sample_at model ~now:(float_of_int i) r2))
+           (bits (sample model ~now:(float_of_int i) r2))
        done)
     [ Delay_model.abe_exponential ~delta:0.7;
       Delay_model.abd_uniform ~bound:3.;
@@ -373,9 +379,9 @@ let test_sample_at_bits () =
     (fun (now, factor) ->
        let r1 = Abe_prob.Rng.create ~seed:23 in
        let r2 = Abe_prob.Rng.copy r1 in
-       Alcotest.(check int64) (Printf.sprintf "sample_at %g" now)
+       Alcotest.(check int64) (Printf.sprintf "sample_into %g" now)
          (bits (Abe_prob.Dist.sample (Delay_model.dist model) r1 *. factor))
-         (bits (Delay_model.sample_at model ~now r2)))
+         (bits (sample model ~now r2)))
     [ (5., 1.); (12., 3.); (15.5, 7.); (16.5, 11.); (17.5, 7.); (25., 3.);
       (30., 1.) ]
 
@@ -389,14 +395,14 @@ let test_factor_at () =
   in
   let rng = Abe_prob.Rng.create ~seed:1 in
   (* The base delay is exactly 2, so a draw is twice the active factor. *)
-  let factor_at ~now = Delay_model.sample_at model ~now rng /. 2. in
+  let factor_at ~now = sample model ~now rng /. 2. in
   Alcotest.(check (float 0.)) "outside" 1. (factor_at ~now:5.);
   Alcotest.(check (float 0.)) "first episode" 3. (factor_at ~now:12.);
   Alcotest.(check (float 0.)) "latest-starting wins" 7. (factor_at ~now:16.);
   Alcotest.(check (float 0.)) "after nested stop" 3. (factor_at ~now:19.);
   Alcotest.(check (float 0.)) "stop exclusive" 1. (factor_at ~now:20.);
-  Alcotest.(check (float 0.)) "sample_at multiplies" 6.
-    (Delay_model.sample_at model ~now:12. rng)
+  Alcotest.(check (float 0.)) "sample_into multiplies" 6.
+    (sample model ~now:12. rng)
 
 let () =
   Alcotest.run "faults"
@@ -423,5 +429,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest [ prop_label_roundtrip ] );
       ( "delay episodes",
         [ Alcotest.test_case "factor_at" `Quick test_factor_at;
-          Alcotest.test_case "sample_at bit-identical" `Quick
-            test_sample_at_bits ] ) ]
+          Alcotest.test_case "sample_into bit-identical" `Quick
+            test_sample_into_bits ] ) ]

@@ -972,7 +972,9 @@ let prop_links_replay =
        | Ok replay ->
          List.for_all
            (fun (seq, link, time) ->
-              let delay = Links.delay replay link ~now:time in
+              let drawn = [| 0. |] in
+              Links.delay_into replay link ~now:time drawn 0;
+              let delay = drawn.(0) in
               let lost = Links.lost replay link ~now:time in
               match Hashtbl.find_opt outcome seq with
               | Some None -> lost
