@@ -39,8 +39,7 @@ let rule ~n =
 
 let check_hop rule hop =
   if hop < 1 || hop > rule.n then
-    invalid_arg
-      (Printf.sprintf "Election: hop %d outside [1,%d]" hop rule.n)
+    invalid_arg (Printf.sprintf "Election: hop %d outside [1,%d]" hop rule.n)
 
 (* What the message does next depends only on the receiver's phase and on
    whether the token has come all the way round: [receive] below gives the

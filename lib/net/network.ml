@@ -247,10 +247,9 @@ module Make (P : PROTOCOL) = struct
      holds its arrival instant, so the message path boxes no float either
      where [Engine.now] inlines (release builds): with an immediate
      payload, such as the election's tokens, a hop allocates nothing.  An
-     observed tick
-     allocates nothing either: its event is built once per node
-     ([tick_events]), and the instant and the clock reading reach the
-     observer in the flat array [obs_at]. *)
+     observed tick allocates nothing either: its event is built once per
+     node ([tick_events]), and the instant and the clock reading reach
+     the observer in the flat array [obs_at]. *)
   type t = {
     engine : Engine.t;
     mutable config : config;

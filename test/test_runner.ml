@@ -882,8 +882,8 @@ let test_token_export_md5s () =
    reaction, and the delay is drawn straight into the job's arrival column.
    What is left in this profile, whose [-opaque] inlines nothing across
    modules, is [Engine.now] boxing the instant it returns, at the send and
-   at the arrival (about 4 words a hop, 0.9 a warm n = 2000 run's event;
-   a release build allocates none of it).  The bound is 1 minor word per
+   at the arrival: about 4 words a hop, 0.88 minor words per event of a
+   warm run here, none in a release build.  The bound is 1 minor word per
    event. *)
 let test_token_regime_allocation () =
   let config = token_config () in
