@@ -64,9 +64,12 @@ let copy = Bytes.copy
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
+(* xoshiro256++'s output reads state words 0 and 3 only. *)
+let[@inline] output s0 s3 = Int64.add (rotl (Int64.add s0 s3) 23) s0
+
 let[@inline] bits64 t =
   let s0 = word t 0 and s1 = word t 1 and s2 = word t 2 and s3 = word t 3 in
-  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let result = output s0 s3 in
   let tmp = Int64.shift_left s1 17 in
   let s2 = Int64.logxor s2 s0 in
   let s3 = Int64.logxor s3 s1 in
@@ -85,6 +88,14 @@ let split t =
   split_into t ~into;
   into
 
+(* Top 53 bits, scaled to [0,1). *)
+let[@inline] unit_of_word w =
+  Int64.to_float (Int64.shift_right_logical w 11) *. 0x1.0p-53
+
+let[@inline] unit_float t = unit_of_word (bits64 t)
+
+let unit_float_into t dst i = dst.(i) <- unit_float t
+
 (* [unit_float] of [split t]'s first draw reads only the child's words 0
    and 3, so only their two SplitMix64 words are mixed.  [seed_into]'s
    all-zero guard cannot fire: the mix is a bijection that fixes 0, and
@@ -95,15 +106,7 @@ let split_unit_float_into t dst i =
   let z1 = Int64.add (bits64 t) golden_gamma in
   let s0 = splitmix64_mix z1 in
   let s3 = splitmix64_mix (Int64.add z1 golden_gamma3) in
-  let first = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
-  dst.(i) <- Int64.to_float (Int64.shift_right_logical first 11) *. 0x1.0p-53
-
-let[@inline] unit_float t =
-  (* Top 53 bits, scaled to [0,1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
-
-let unit_float_into t dst i = dst.(i) <- unit_float t
+  dst.(i) <- unit_of_word (output s0 s3)
 
 let float t bound =
   if not (bound > 0. && Float.is_finite bound) then
