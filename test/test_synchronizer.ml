@@ -346,6 +346,151 @@ let test_measure_family () =
          (m.control_per_pulse >= float_of_int (n - 1)))
     members
 
+(* Golden: the md5s of every synchroniser's run records, oracle verdicts
+   and event order over 210 runs — five topologies, BFS and flood-max,
+   seeds 1-3, ABE exponential delays (plus ABD uniform delays for the ABD
+   synchroniser).  A pass-through scheduler (it offers every pending event
+   and always picks the earliest) records the order in which the engine
+   executes events; it changes nothing in the run. *)
+type kind = Alpha | Beta | Gamma of int | Abd of int
+
+(* A run record flattened to the fields every synchroniser reports. *)
+let record_fields ~pp_state ~states ~pulses ~payload ~acks ~tree ~preferred
+    ~clusters ~violations ~completed ~control_per_pulse =
+  Fmt.str "[%a] pulses=%d payload=%d acks=%d tree=%d preferred=%d \
+           clusters=%d violations=%d completed=%b control/pulse=%h"
+    Fmt.(array ~sep:comma pp_state)
+    states pulses payload acks tree preferred clusters violations completed
+    control_per_pulse
+
+module Golden (A : Sync_alg.S) = struct
+  module Alpha_a = Alpha.Make (A)
+  module Beta_a = Beta.Make (A)
+  module Gamma_a = Gamma.Make (A)
+  module Abd_a = Abd_sync.Make (A)
+
+  let fields = record_fields ~pp_state:A.pp_state
+
+  let run ~scheduler ~oracle ~seed ~topology ~delay ~pulses = function
+    | Alpha ->
+      let r = Alpha_a.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses () in
+      fields ~states:r.Alpha_a.states ~pulses:r.Alpha_a.pulses
+        ~payload:r.Alpha_a.payload_messages ~acks:r.Alpha_a.ack_messages
+        ~tree:0 ~preferred:r.Alpha_a.safe_messages
+        ~clusters:(Topology.node_count topology) ~violations:0
+        ~completed:r.Alpha_a.completed
+        ~control_per_pulse:r.Alpha_a.control_per_pulse
+    | Beta ->
+      let r = Beta_a.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses () in
+      fields ~states:r.Beta_a.states ~pulses:r.Beta_a.pulses
+        ~payload:r.Beta_a.payload_messages ~acks:r.Beta_a.ack_messages
+        ~tree:r.Beta_a.tree_messages ~preferred:0 ~clusters:1 ~violations:0
+        ~completed:r.Beta_a.completed
+        ~control_per_pulse:r.Beta_a.control_per_pulse
+    | Gamma radius ->
+      let r =
+        Gamma_a.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses ~radius ()
+      in
+      fields ~states:r.Gamma_a.states ~pulses:r.Gamma_a.pulses
+        ~payload:r.Gamma_a.payload_messages ~acks:r.Gamma_a.ack_messages
+        ~tree:r.Gamma_a.tree_messages ~preferred:r.Gamma_a.preferred_messages
+        ~clusters:r.Gamma_a.clusters ~violations:0
+        ~completed:r.Gamma_a.completed
+        ~control_per_pulse:r.Gamma_a.control_per_pulse
+    | Abd window ->
+      let r =
+        Abd_a.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses ~window ()
+      in
+      fields ~states:r.Abd_a.states ~pulses:r.Abd_a.pulses
+        ~payload:r.Abd_a.payload_messages ~acks:0 ~tree:0 ~preferred:0
+        ~clusters:0 ~violations:r.Abd_a.violations ~completed:r.Abd_a.completed
+        ~control_per_pulse:0.
+end
+
+module Golden_bfs = Golden (Sync_alg.Bfs)
+module Golden_flood = Golden (Sync_alg.Flood_max)
+
+let golden_topologies =
+  let rec connected_er seed =
+    let t =
+      Topology.erdos_renyi ~n:10 ~p:0.3 ~rng:(Abe_prob.Rng.create ~seed)
+    in
+    if Topology.diameter t = None then connected_er (seed + 1) else t
+  in
+  [ Topology.bidirectional_ring 8;
+    Topology.grid ~rows:3 ~cols:4;
+    Topology.hypercube ~dim:3;
+    Topology.random_tree ~n:12 ~rng:(Abe_prob.Rng.create ~seed:12);
+    connected_er 1 ]
+
+(* The three md5s (run records, oracle counts, event order) of one kind
+   over every topology, algorithm and seed. *)
+let golden_md5s kind ~delay =
+  let records = Buffer.create 4096
+  and oracles = Buffer.create 4096
+  and order = Buffer.create 65536 in
+  let scheduler =
+    { Abe_sim.Engine.window = 1e9;
+      choose =
+        (fun ~now ~state_digest:_ candidates ->
+           let c = candidates.(0) in
+           Printf.bprintf order "%h %h %d %d;" now c.Abe_sim.Engine.c_time
+             c.Abe_sim.Engine.c_foot (Array.length candidates);
+           0) }
+  in
+  List.iter
+    (fun topology ->
+       List.iter
+         (fun run ->
+            for seed = 1 to 3 do
+              let skew_bound =
+                match kind with Abd _ -> None | Alpha | Beta | Gamma _ -> Some 1
+              in
+              let oracle =
+                Skew.create ?skew_bound ~n:(Topology.node_count topology) ()
+              in
+              Buffer.add_string records
+                (run ~scheduler ~oracle ~seed ~topology ~delay ~pulses:6 kind);
+              Printf.bprintf oracles "%d %d %d;" (Skew.events_checked oracle)
+                (Skew.max_skew oracle)
+                (List.length (Skew.violations oracle));
+              Buffer.add_char order '|'
+            done)
+         [ Golden_bfs.run; Golden_flood.run ])
+    golden_topologies;
+  let md5 b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  (md5 records, md5 oracles, md5 order)
+
+let test_golden () =
+  let abd = Abd (Abd_sync.required_window ~hard_bound:2.) in
+  let abd_delay = Delay_model.abd_uniform ~bound:2. in
+  List.iter
+    (fun (label, kind, delay, expected) ->
+       let records, oracles, order = golden_md5s kind ~delay in
+       Alcotest.(check (list string)) label expected [ records; oracles; order ])
+    (* α's rows equal γ's at radius 0: one-node clusters are α. *)
+    [ ( "alpha", Alpha, abe_delay,
+        [ "05f6b0e3bd4324171eb9f71c89f29b02"; "7659e0c644f2faf030f3f15021134dac";
+          "9220443320227a8fe96e8998ad8c2ed3" ] );
+      ( "beta", Beta, abe_delay,
+        [ "a7562a6504dcb8ec5a5fd6876e80e068"; "c891df2a7d0ede6c85ca6b141157239f";
+          "914bcbc138440fa4d41b203243c06fd8" ] );
+      ( "gamma 0", Gamma 0, abe_delay,
+        [ "05f6b0e3bd4324171eb9f71c89f29b02"; "7659e0c644f2faf030f3f15021134dac";
+          "9220443320227a8fe96e8998ad8c2ed3" ] );
+      ( "gamma 1", Gamma 1, abe_delay,
+        [ "4673bcdfe44cdd6d34719bdcb35dd8ca"; "c891df2a7d0ede6c85ca6b141157239f";
+          "5a73c105d5af64a1d68e33221d1871f7" ] );
+      ( "gamma 2", Gamma 2, abe_delay,
+        [ "b768e503221f071555ff5a510e2d4230"; "c891df2a7d0ede6c85ca6b141157239f";
+          "2b7e3b2c8a13681b0a03d1b750d135ce" ] );
+      ( "abd on ABE", abd, abe_delay,
+        [ "130bc17bf078bfb5eee84f562a2c8f70"; "88ea52a72d014528775c77aba0234a19";
+          "3e5841c0e866b04fda480d0de5f1de0e" ] );
+      ( "abd on ABD", abd, abd_delay,
+        [ "cc5aa521091db560b3a1ca07277d8b4c"; "f01f08d3d2cd2a66d833925f9b2a5cb9";
+          "e0c91211cb06666ef64ad916d441ca3e" ] ) ]
+
 let prop_gamma_clustering_invariants =
   QCheck.Test.make ~name:"gamma clustering invariants on random trees"
     ~count:40
@@ -442,6 +587,9 @@ let () =
       ( "measure",
         [ Alcotest.test_case "bfs comparison (E6)" `Quick test_measure_report;
           Alcotest.test_case "family (E6b)" `Quick test_measure_family ] );
+      ( "golden",
+        [ Alcotest.test_case "run records, oracle and event order md5s" `Quick
+            test_golden ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_gamma_clustering_invariants;
