@@ -855,12 +855,12 @@ let family_command =
       List.iter
         (fun m ->
            Abe_harness.Table.add_row table
-             [ (match m.synchroniser with
-                | Alpha -> "alpha"
-                | Beta -> "beta"
+             [ (match m.kind with
                 | Gamma radius ->
-                  Printf.sprintf "gamma r=%d (%d clusters)" radius m.clusters);
-               Abe_harness.Table.cell_float m.control_per_pulse;
+                  Printf.sprintf "gamma r=%d (%d clusters)" radius
+                    m.run.clusters
+                | kind -> Abe_synchronizer.Synchronizer.name kind);
+               Abe_harness.Table.cell_float m.run.control_per_pulse;
                Abe_harness.Table.cell_bool m.correct ])
         members;
       Abe_harness.Table.print table;
@@ -1169,19 +1169,24 @@ let certify_command =
     Arg.(value & flag & info [ "no-por" ] ~doc)
   in
   let run n seed variant pulses radius budget time_budget no_por window () =
-    let* variants =
-      if variant = "all" then Ok Abe_check.Certify.[ Alpha; Beta; Gamma; Abd ]
-      else
-        Result.map
-          (fun v -> [ v ])
-          (of_msg (Abe_check.Certify.variant_of_string variant))
+    let module S = Abe_synchronizer.Synchronizer in
+    (* The ABD window is sized for the contrasting 2δ hard bound, as in
+       Measure. *)
+    let all = S.[ Alpha; Beta; Gamma radius; Abd (required_window ~hard_bound:2.0) ] in
+    let* kinds =
+      match List.filter (fun k -> variant = "all" || S.name k = variant) all with
+      | [] ->
+        Error
+          (Printf.sprintf
+             "unknown synchroniser %S (expected alpha, beta, gamma or abd)"
+             variant)
+      | kinds -> Ok kinds
     in
     let reports =
       List.map
-        (fun v ->
-           Abe_check.Certify.run ~window ~budget ?time_budget
-             ~por:(not no_por) ?pulses ~radius ~seed ~n v)
-        variants
+        (Abe_check.Certify.run ~window ~budget ?time_budget ~por:(not no_por)
+           ?pulses ~seed ~n)
+        kinds
     in
     List.iter (fun r -> Fmt.pr "@[<v>%a@]@." Abe_check.Certify.pp_report r) reports;
     let failed =

@@ -438,11 +438,11 @@ let e6b_synchronizer_family { driver; print; _ } =
   let n = 32 in
   let delay = Abe_net.Delay_model.abe_exponential ~delta:1. in
   let name ~beta m =
-    match m.synchroniser with
-    | Alpha -> "alpha"
+    match m.kind with
     | Beta -> beta
     | Gamma radius ->
-      Printf.sprintf "gamma (radius %d, %d clusters)" radius m.clusters
+      Printf.sprintf "gamma (radius %d, %d clusters)" radius m.run.clusters
+    | kind -> Abe_synchronizer.Synchronizer.name kind
   in
   let ring =
     family ~driver ~seed:61_000 ~gamma_seed:(fun radius -> 61_010 + radius)
@@ -462,10 +462,10 @@ let e6b_synchronizer_family { driver; print; _ } =
     (fun m ->
        Table.add_row table
          [ name ~beta:"beta (tree)" m;
-           Table.cell_float ~decimals:1 m.control_per_pulse;
-           Table.cell_int m.acks;
-           Table.cell_int m.tree;
-           Table.cell_int m.preferred;
+           Table.cell_float ~decimals:1 m.run.control_per_pulse;
+           Table.cell_int m.run.acks;
+           Table.cell_int m.run.tree;
+           Table.cell_int m.run.preferred;
            Table.cell_bool m.correct ])
     ring;
   print table;
@@ -488,16 +488,16 @@ let e6b_synchronizer_family { driver; print; _ } =
     (fun m ->
        Table.add_row dense_table
          [ name ~beta:"beta" m;
-           Table.cell_float ~decimals:1 m.control_per_pulse;
+           Table.cell_float ~decimals:1 m.run.control_per_pulse;
            Table.cell_bool m.correct ])
     dense;
   print dense_table;
-  let dense_per_pulse v =
-    (List.find (fun m -> m.synchroniser = v) dense).control_per_pulse
+  let dense_per_pulse kind =
+    (List.find (fun m -> m.kind = kind) dense).run.control_per_pulse
   in
   let floor_ok =
     List.for_all
-      (fun m -> m.correct && m.control_per_pulse >= float_of_int (n - 1))
+      (fun m -> m.correct && m.run.control_per_pulse >= float_of_int (n - 1))
       ring
     && List.for_all (fun m -> m.correct) dense
     && dense_per_pulse Beta < dense_per_pulse Alpha
@@ -820,7 +820,9 @@ let e13_synchronised_vs_native ({ scale; print; _ } as setting) =
      column is the measured round count multiplied by the measured
      control-per-pulse of the cheapest correct synchroniser we have
      (beta); the floor column uses Theorem 1's n directly. *)
-  let module Beta_bfs = Abe_synchronizer.Beta.Make (Abe_synchronizer.Sync_alg.Bfs) in
+  let module Sync_bfs =
+    Abe_synchronizer.Synchronizer.Make (Abe_synchronizer.Sync_alg.Bfs)
+  in
   let table =
     Table.create
       ~title:
@@ -843,12 +845,12 @@ let e13_synchronised_vs_native ({ scale; print; _ } as setting) =
        (* Beta's control rate per simulated round on this ring (measured
           over a short run; it is deterministic: acks + 2(n-1) tree). *)
        let beta =
-         Beta_bfs.run ~seed:(98_500 + n)
+         Sync_bfs.run ~seed:(98_500 + n)
            ~topology:(Abe_net.Topology.bidirectional_ring n)
            ~delay:(Abe_net.Delay_model.abe_exponential ~delta:1.)
-           ~pulses:5 ()
+           ~pulses:5 Beta
        in
-       let beta_rate = beta.Beta_bfs.control_per_pulse in
+       let beta_rate = beta.control_per_pulse in
        let native =
          Exp.mean_of messages_of (elections setting ~base:(99_000 + n) ~n ())
        in

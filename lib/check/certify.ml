@@ -1,28 +1,5 @@
 open Abe_synchronizer
-module Bfs = Sync_alg.Bfs
-module Alpha_bfs = Alpha.Make (Bfs)
-module Beta_bfs = Beta.Make (Bfs)
-module Gamma_bfs = Gamma.Make (Bfs)
-module Abd_bfs = Abd_sync.Make (Bfs)
-
-type variant = Alpha | Beta | Gamma | Abd
-
-let variant_name = function
-  | Alpha -> "alpha"
-  | Beta -> "beta"
-  | Gamma -> "gamma"
-  | Abd -> "abd"
-
-let variant_of_string = function
-  | "alpha" -> Ok Alpha
-  | "beta" -> Ok Beta
-  | "gamma" -> Ok Gamma
-  | "abd" -> Ok Abd
-  | s ->
-    Error
-      (`Msg
-         (Printf.sprintf
-            "unknown synchroniser %S (expected alpha, beta, gamma or abd)" s))
+module Sync_bfs = Synchronizer.Make (Sync_alg.Bfs)
 
 type report = {
   variant : string;
@@ -37,15 +14,16 @@ type report = {
   violations : Abe_sim.Oracle.violation list;
 }
 
-let certified r = r.violations = [] && r.coverage.Por.complete
+let certified r =
+  r.violations = [] && r.coverage.Por.complete && r.completed_runs = r.schedules
 
 (* Events are plentiful under exploration (every pulse of every node plus
-   every payload), but the BFS payload is sparse; this bound only guards
-   against a scheduler choice wedging the tick-driven abd variant. *)
+   every payload), but the BFS payload is sparse; this bound guards
+   against a scheduler choice wedging the tick-driven abd variant.  A run
+   it cuts did not complete, so its variant is not certified. *)
 let limit_events = 200_000
 
-let run ~window ~budget ?(time_budget = infinity) ~por ?pulses ~radius ~seed
-    ~n variant =
+let run ~window ~budget ?(time_budget = infinity) ~por ?pulses ~seed ~n kind =
   if n < 3 then invalid_arg "Certify.run: n must be >= 3";
   if budget < 1 then invalid_arg "Certify.run: budget must be >= 1";
   if not (time_budget > 0.) then
@@ -54,25 +32,10 @@ let run ~window ~budget ?(time_budget = infinity) ~por ?pulses ~radius ~seed
   if pulses < 1 then invalid_arg "Certify.run: pulses must be >= 1";
   let topology = Abe_net.Topology.bidirectional_ring n in
   let delay = Abe_net.Delay_model.abe_exponential ~delta:1.0 in
-  let skew_bound = match variant with Alpha | Beta | Gamma -> Some 1 | Abd -> None in
-  let run_once ~scheduler ~oracle =
-    match variant with
-    | Alpha ->
-      (Alpha_bfs.run ~limit_events ~scheduler ~oracle ~seed ~topology ~delay
-         ~pulses ())
-        .Alpha_bfs.completed
-    | Beta ->
-      (Beta_bfs.run ~limit_events ~scheduler ~oracle ~seed ~topology ~delay
-         ~pulses ())
-        .Beta_bfs.completed
-    | Gamma ->
-      (Gamma_bfs.run ~limit_events ~scheduler ~oracle ~seed ~topology ~delay
-         ~pulses ~radius ())
-        .Gamma_bfs.completed
-    | Abd ->
-      (Abd_bfs.run ~limit_events ~scheduler ~oracle ~seed ~topology ~delay
-         ~pulses ~window:(Abd_sync.required_window ~hard_bound:2.0) ())
-        .Abd_bfs.completed
+  let skew_bound =
+    match kind with
+    | Synchronizer.Alpha | Beta | Gamma _ -> Some 1
+    | Abd _ -> None
   in
   let deadline =
     if Float.is_finite time_budget then Unix.gettimeofday () +. time_budget
@@ -87,7 +50,11 @@ let run ~window ~budget ?(time_budget = infinity) ~por ?pulses ~radius ~seed
   let r =
     Por.search ~por ~window ~budget ~deadline (fun scheduler ->
         let oracle = Skew.create ?skew_bound ~n () in
-        if run_once ~scheduler ~oracle then incr completed_runs;
+        if
+          (Sync_bfs.run ~limit_events ~scheduler ~oracle ~seed ~topology
+             ~delay ~pulses kind)
+            .Sync_bfs.completed
+        then incr completed_runs;
         events_checked := !events_checked + Skew.events_checked oracle;
         max_skew := max !max_skew (Skew.max_skew oracle);
         Skew.violations oracle)
@@ -95,7 +62,7 @@ let run ~window ~budget ?(time_budget = infinity) ~por ?pulses ~radius ~seed
   let deviations, violations =
     match r.Por.finding with None -> ([], []) | Some (_, d, v) -> (d, v)
   in
-  { variant = variant_name variant;
+  { variant = Synchronizer.name kind;
     skew_bound;
     schedules = r.Por.schedules;
     pruned = r.Por.pruned;
@@ -116,9 +83,9 @@ let pp_report ppf r =
      | None -> ", monotonicity only")
     r.schedules r.pruned r.completed_runs r.schedules r.events_checked
     r.max_skew
-    (if r.violations = [] then
-       if r.coverage.Por.complete then "certified" else "clean (truncated)"
-     else "VIOLATED")
+    (if r.violations <> [] then "VIOLATED"
+     else if certified r then "certified"
+     else "clean (truncated)")
     Por.pp_coverage r.coverage;
   if r.violations <> [] then begin
     Fmt.pf ppf "@,  deviations: %s"

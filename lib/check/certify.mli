@@ -22,11 +22,6 @@
     reported with the schedule's executed deviations (replayable with
     {!Schedulers.replay}). *)
 
-type variant = Alpha | Beta | Gamma | Abd
-
-val variant_of_string : string -> (variant, [ `Msg of string ]) result
-(** ["alpha" | "beta" | "gamma" | "abd"], or a parse error listing them. *)
-
 type report = {
   variant : string;
   skew_bound : int option;       (** [None]: monotonicity-only (abd) *)
@@ -43,7 +38,8 @@ type report = {
 }
 
 val certified : report -> bool
-(** No violations {e and} the exploration completed (budget not hit). *)
+(** No violations, the exploration completed (budget not hit) {e and}
+    every explored run completed (none was cut at the event limit). *)
 
 val run :
   window:float ->
@@ -51,16 +47,14 @@ val run :
   ?time_budget:float ->
   por:bool ->
   ?pulses:int ->
-  radius:int ->
   seed:int ->
   n:int ->
-  variant ->
+  Abe_synchronizer.Synchronizer.kind ->
   report
-(** Certify one variant on the [n]-ring ([n >= 3]), δ = 1 exponential
-    delays ([Abd]: plus the pulse window sized for the contrasting 2δ hard
-    bound, as in [Measure]), exploring up to [budget] schedules of
-    commutation [window], with partial-order reduction when [por].
-    [radius] is the gamma variant's clustering radius.  [pulses] defaults to
+(** Certify one synchroniser on the [n]-ring ([n >= 3]) with δ = 1
+    exponential delays, exploring up to [budget] schedules of commutation
+    [window], with partial-order reduction when [por].  α, β and γ are held
+    to skew bound 1, ABD to monotonicity only.  [pulses] defaults to
     [n/2 + 2] (BFS terminates), [time_budget] (seconds of host time) to
     unlimited.  Deterministic in [seed] for a given budget when no time
     budget binds. *)
@@ -68,4 +62,5 @@ val run :
 val pp_report : Format.formatter -> report -> unit
 (** One line mirroring [Explore.pp_report]:
     [certify[alpha]: 12 schedules, ... , max skew 1, certified] followed by
-    coverage and, on a violation, the violation lines. *)
+    coverage and, on a violation, the violation lines.  A clean report
+    that is not {!certified} reads [clean (truncated)]. *)

@@ -51,24 +51,17 @@ val bfs_comparison :
 (** BFS broadcast on the bidirectional ring of [n] nodes, [delta] the
     expected-delay bound; pulse count [n/2 + 2] (enough for BFS to
     terminate).  The ABD-synchroniser variants aggregate payload/violation
-    totals over [replications] (default 20) independent runs, executed by
-    [driver] (default sequential; the report is identical under any
-    driver); [correct] means every replication matched the reference. *)
+    totals over [replications] (default 20) independent runs.  Every run,
+    α's and β's included, is executed by [driver] (default sequential; the
+    report is identical under any driver); [correct] means every
+    replication matched the reference. *)
 
 (** {1 The α/β/γ family} *)
 
-type synchroniser = Alpha | Beta | Gamma of int  (** cluster radius *)
-
-(** One synchroniser's BFS run.  α has no tree traffic and counts its
-    safe messages as [preferred], one cluster per node; β has no
-    preferred links and one cluster. *)
+(** One synchroniser's BFS run. *)
 type member = {
-  synchroniser : synchroniser;
-  control_per_pulse : float;
-  acks : int;
-  tree : int;
-  preferred : int;
-  clusters : int;
+  kind : Synchronizer.kind;
+  run : Synchronizer.Make(Sync_alg.Bfs).run;
   correct : bool;  (** node states match the synchronous reference *)
 }
 

@@ -3,10 +3,11 @@
     A synchronous algorithm proceeds in pulses: in every pulse a node
     consumes the messages sent to it in the previous pulse and emits
     messages on outgoing links.  The same algorithm can be executed on the
-    {!Reference} synchronous engine (ground truth), over the {!Alpha}
-    synchroniser (correct on any asynchronous/ABE network, at the Theorem-1
-    cost of ≥ n messages per round) or over the timeout-based {!Abd_sync}
-    synchroniser (message-free, correct only under a hard delay bound). *)
+    {!Reference} synchronous engine (ground truth) or over a
+    {!Synchronizer}: α, β or γ (correct on any asynchronous/ABE network,
+    at the Theorem-1 cost of ≥ n messages per round) or the timeout-based
+    ABD synchroniser (message-free, correct only under a hard delay
+    bound). *)
 
 module type S = sig
   type state

@@ -1,5 +1,13 @@
 open Abe_net
 
+type kind = Alpha | Beta | Gamma of int | Abd of int
+
+let name = function
+  | Alpha -> "alpha"
+  | Beta -> "beta"
+  | Gamma _ -> "gamma"
+  | Abd _ -> "abd"
+
 type clustering = {
   cluster_of : int array;
   cluster_count : int;
@@ -18,12 +26,14 @@ let check_symmetric topology =
        in
        if not back_exists then
          invalid_arg
-           (Printf.sprintf "Gamma: topology not symmetric (no back-link %d -> %d)"
+           (Printf.sprintf
+              "Synchronizer: topology not symmetric (no back-link %d -> %d)"
               link.Topology.dst link.Topology.src))
     (Topology.links topology)
 
 let cluster topology ~radius =
-  if radius < 0 then invalid_arg "Gamma.cluster: radius must be non-negative";
+  if radius < 0 then
+    invalid_arg "Synchronizer.cluster: radius must be non-negative";
   check_symmetric topology;
   let n = Topology.node_count topology in
   let cluster_of = Array.make n (-1) in
@@ -59,8 +69,6 @@ let cluster topology ~radius =
       done
     end
   done;
-  if Array.exists (fun c -> c < 0) cluster_of then
-    invalid_arg "Gamma.cluster: topology not connected";
   (* One preferred undirected link per adjacent cluster pair: the
      lexicographically smallest crossing edge. *)
   let best : (int * int, int * int) Hashtbl.t = Hashtbl.create 16 in
@@ -83,6 +91,13 @@ let cluster topology ~radius =
     tree_children = Array.map (fun c -> Array.of_list (List.rev c)) children;
     preferred = Hashtbl.fold (fun _ pair acc -> pair :: acc) best [] }
 
+let required_window ~hard_bound =
+  if not (hard_bound >= 0.) then
+    invalid_arg "Synchronizer.required_window: hard_bound must be non-negative";
+  (* A message must arrive before the receiver's pulse window closes,
+     with one tick of initial phase skew on each side. *)
+  int_of_float (Float.ceil (hard_bound +. 2.)) + 1
+
 module Make (A : Sync_alg.S) = struct
   type wire =
     | Payload of { pulse : int; from : int; body : A.message }
@@ -93,24 +108,27 @@ module Make (A : Sync_alg.S) = struct
     | Done of int           (* subtree fully released-ready (up the tree) *)
     | Pulse of int          (* release next pulse (down the tree) *)
 
-  type wstate = {
+  (* One mutable record per node, threaded through the network functor
+     unchanged.  An ABD node uses only the frame and [ticks]. *)
+  type node = {
     self : int;
     mutable alg : A.state;
-    mutable pulse : int;
+    mutable pulse : int;      (* current pulse, 1-based; 0 before the first *)
     mutable unacked : int;
+    mutable ticks : int;
     mutable ready_sent : bool;
     mutable done_sent : bool;
     mutable cluster_safe : bool;  (* for the current pulse *)
     mutable finished : bool;
-    inbox : (int, A.message list) Hashtbl.t;
+    inbox : (int, A.message list) Hashtbl.t;  (* future/current pulses *)
     readies : (int, int) Hashtbl.t;
     neighbor_safes : (int, int) Hashtbl.t;
     dones : (int, int) Hashtbl.t;
-    early_cluster_safe : (int, bool) Hashtbl.t;
+    early_cluster_safe : (int, unit) Hashtbl.t;
   }
 
   module Net = Network.Make (struct
-      type state = wstate
+      type state = node
       type message = wire
 
       let pp_state ppf w =
@@ -130,16 +148,18 @@ module Make (A : Sync_alg.S) = struct
   type run = {
     states : A.state array;
     pulses : int;
-    payload_messages : int;
-    ack_messages : int;
-    tree_messages : int;
-    preferred_messages : int;
-    control_messages : int;
-    control_per_pulse : float;
+    payload : int;
+    acks : int;
+    tree : int;
+    preferred : int;
     clusters : int;
+    violations : int;
     completed : bool;
+    control_per_pulse : float;
   }
 
+  (* For every node, the out-link index leading to a given neighbour —
+     needed to route acknowledgements and tree messages. *)
   let reverse_routes topology =
     Array.init (Topology.node_count topology) (fun v ->
         let table = Hashtbl.create 8 in
@@ -162,36 +182,63 @@ module Make (A : Sync_alg.S) = struct
   let count table key = Option.value ~default:0 (Hashtbl.find_opt table key)
 
   let run ?(limit_events = max_int) ?scheduler ?oracle ~seed ~topology ~delay
-      ~pulses ~radius () =
-    if pulses < 1 then invalid_arg "Gamma.run: pulses must be >= 1";
+      ~pulses kind =
+    if pulses < 1 then invalid_arg "Synchronizer.run: pulses must be >= 1";
     let n = Topology.node_count topology in
-    let clustering = cluster topology ~radius in
-    let routes = reverse_routes topology in
+    (* The message-driven kinds coordinate over cluster trees: α is γ with
+       one-node clusters; β is one cluster, the BFS tree from node 0, whose
+       root releases the next pulse as soon as the tree reports ready.  ABD
+       nodes only tick. *)
+    let coordinate c =
+      (0, c.tree_parent, c.tree_children, c.preferred, c.cluster_count)
+    in
+    let window, parent, children, preferred_links, clusters =
+      match kind with
+      | Alpha -> coordinate (cluster topology ~radius:0)
+      | Gamma radius -> coordinate (cluster topology ~radius)
+      | Beta ->
+        check_symmetric topology;
+        let tree = Topology.bfs_spanning_tree topology ~root:0 in
+        (0, tree.parent, tree.children, [], 1)
+      | Abd window ->
+        if window < 1 then invalid_arg "Synchronizer.run: window must be >= 1";
+        (window, Array.make n (-1), Array.make n [||], [], 0)
+    in
+    let ticking = window > 0 and root_releases = kind = Beta in
     (* Preferred-link peers of each node. *)
     let peers = Array.make n [] in
     List.iter
       (fun (a, b) ->
          peers.(a) <- b :: peers.(a);
          peers.(b) <- a :: peers.(b))
-      clustering.preferred;
+      preferred_links;
+    (* ABD acknowledges nothing, so it routes nothing back. *)
+    let routes = if ticking then [||] else reverse_routes topology in
     let payload_count = ref 0 in
     let ack_count = ref 0 in
     let tree_count = ref 0 in
     let preferred_count = ref 0 in
+    let violation_count = ref 0 in
     let finished_count = ref 0 in
-    let parent v = clustering.tree_parent.(v) in
-    let children v = clustering.tree_children.(v) in
+    let net_ref = ref None in
     let send_to ctx w neighbour wire =
       ctx.Net.send (Hashtbl.find routes.(w.self) neighbour) wire
+    in
+    let tree_send ctx w neighbour wire =
+      incr tree_count;
+      send_to ctx w neighbour wire
     in
     let observe time event =
       Option.iter (fun o -> Skew.observe o ~time event) oracle
     in
     let rec enter_pulse (ctx : Net.context) w p =
       if p > pulses then begin
-        w.finished <- true;
-        incr finished_count;
-        if !finished_count = n then ctx.Net.stop ()
+        if not w.finished then begin
+          w.finished <- true;
+          incr finished_count;
+          (* A ticking network stops once it has also drained (on_tick). *)
+          if !finished_count = n && not ticking then ctx.Net.stop ()
+        end
       end
       else begin
         w.pulse <- p;
@@ -213,31 +260,33 @@ module Make (A : Sync_alg.S) = struct
              incr payload_count;
              ctx.Net.send link_index (Payload { pulse = p; from = w.self; body }))
           sends;
-        check_ready ctx w;
-        check_done ctx w
+        if not ticking then begin
+          check_ready ctx w;
+          check_done ctx w
+        end
       end
+    (* Convergecast up the cluster tree: a node is ready once its payloads
+       are acknowledged and its children are ready. *)
     and check_ready ctx w =
       if
         (not w.ready_sent) && (not w.finished) && w.unacked = 0
-        && count w.readies w.pulse = Array.length (children w.self)
+        && count w.readies w.pulse = Array.length children.(w.self)
       then begin
         w.ready_sent <- true;
         Hashtbl.remove w.readies w.pulse;
-        if parent w.self < 0 then declare_cluster_safe ctx w w.pulse
-        else begin
-          incr tree_count;
-          send_to ctx w (parent w.self) (Ready w.pulse)
-        end
+        if parent.(w.self) >= 0 then
+          tree_send ctx w parent.(w.self) (Ready w.pulse)
+        else if root_releases then release ctx w
+        else declare_cluster_safe ctx w w.pulse
       end
+    (* γ: the cluster is safe; tell the cluster and the adjacent clusters.
+       Runs at every cluster node, triggered from the root downward. *)
     and declare_cluster_safe ctx w p =
-      (* Runs at every cluster node, triggered from the root downward. *)
       if p = w.pulse then w.cluster_safe <- true
-      else Hashtbl.replace w.early_cluster_safe p true;
+      else Hashtbl.replace w.early_cluster_safe p ();
       Array.iter
-        (fun child ->
-           incr tree_count;
-           send_to ctx w child (Cluster_safe p))
-        (children w.self);
+        (fun child -> tree_send ctx w child (Cluster_safe p))
+        children.(w.self);
       List.iter
         (fun peer ->
            incr preferred_count;
@@ -248,35 +297,36 @@ module Make (A : Sync_alg.S) = struct
       if
         (not w.done_sent) && (not w.finished) && w.cluster_safe
         && count w.neighbor_safes w.pulse = List.length peers.(w.self)
-        && count w.dones w.pulse = Array.length (children w.self)
+        && count w.dones w.pulse = Array.length children.(w.self)
       then begin
         w.done_sent <- true;
         Hashtbl.remove w.neighbor_safes w.pulse;
         Hashtbl.remove w.dones w.pulse;
-        if parent w.self < 0 then release ctx w
-        else begin
-          incr tree_count;
-          send_to ctx w (parent w.self) (Done w.pulse)
-        end
+        if parent.(w.self) < 0 then release ctx w
+        else tree_send ctx w parent.(w.self) (Done w.pulse)
       end
     and release ctx w =
       let next = w.pulse + 1 in
-      Array.iter
-        (fun child ->
-           incr tree_count;
-           send_to ctx w child (Pulse next))
-        (children w.self);
+      Array.iter (fun child -> tree_send ctx w child (Pulse next)) children.(w.self);
       enter_pulse ctx w next
-    and on_message ctx w wire =
+    in
+    let on_message ctx w wire =
       (match wire with
        | Payload { pulse = q; from; body } ->
          observe (ctx.Net.now ())
            (Skew.Payload_received
               { node = w.self; node_pulse = w.pulse; payload_pulse = q });
-         let previous = Option.value ~default:[] (Hashtbl.find_opt w.inbox q) in
-         Hashtbl.replace w.inbox q (body :: previous);
-         incr ack_count;
-         send_to ctx w from (Ack q)
+         (* Buffer for the pulse it belongs to; a payload for a pulse its
+            receiver already left breaks the synchroniser (ABD on ABE
+            delays) and is dropped. *)
+         if q >= w.pulse then
+           Hashtbl.replace w.inbox q
+             (body :: Option.value ~default:[] (Hashtbl.find_opt w.inbox q))
+         else incr violation_count;
+         if not ticking then begin
+           incr ack_count;
+           send_to ctx w from (Ack q)
+         end
        | Ack q ->
          if q = w.pulse && not w.finished then begin
            w.unacked <- w.unacked - 1;
@@ -285,8 +335,7 @@ module Make (A : Sync_alg.S) = struct
        | Ready q ->
          bump w.readies q;
          if q = w.pulse then check_ready ctx w
-       | Cluster_safe q ->
-         declare_cluster_safe ctx w q
+       | Cluster_safe q -> declare_cluster_safe ctx w q
        | Neighbor_safe q ->
          bump w.neighbor_safes q;
          if q = w.pulse then check_done ctx w
@@ -294,45 +343,55 @@ module Make (A : Sync_alg.S) = struct
          bump w.dones q;
          if q = w.pulse then check_done ctx w
        | Pulse q ->
-         Array.iter
-           (fun child ->
-              incr tree_count;
-              send_to ctx w child (Pulse q))
-           (children w.self);
+         Array.iter (fun child -> tree_send ctx w child (Pulse q)) children.(w.self);
          enter_pulse ctx w q);
       w
     in
-    let handlers : Net.handlers =
-      { init =
-          (fun ctx ->
-             let w =
-               { self = ctx.Net.node;
-                 alg =
-                   A.init ~node:ctx.Net.node ~n
-                     ~out_degree:ctx.Net.out_degree ~rng:ctx.Net.rng;
-                 pulse = 0;
-                 unacked = 0;
-                 ready_sent = false;
-                 done_sent = false;
-                 cluster_safe = false;
-                 finished = false;
-                 inbox = Hashtbl.create 8;
-                 readies = Hashtbl.create 8;
-                 neighbor_safes = Hashtbl.create 8;
-                 dones = Hashtbl.create 8;
-                 early_cluster_safe = Hashtbl.create 8 }
-             in
-             enter_pulse ctx w 1;
-             w);
-        on_tick = (fun _ctx w -> w);
-        on_message }
+    (* ABD: enter pulse 1 at the first tick, then advance every [window]
+       ticks; once everyone is done and the network has drained, halt the
+       otherwise endless tick stream.  Only ABD networks tick. *)
+    let on_tick ctx w =
+      w.ticks <- w.ticks + 1;
+      if not w.finished then begin
+        if w.ticks = 1 then enter_pulse ctx w 1
+        else if (w.ticks - 1) mod window = 0 then enter_pulse ctx w (w.pulse + 1)
+      end;
+      (if !finished_count = n then
+         match !net_ref with
+         | Some net when Net.in_flight net = 0 -> ctx.Net.stop ()
+         | Some _ | None -> ());
+      w
+    in
+    let init ctx =
+      let w =
+        { self = ctx.Net.node;
+          alg =
+            A.init ~node:ctx.Net.node ~n ~out_degree:ctx.Net.out_degree
+              ~rng:ctx.Net.rng;
+          pulse = 0;
+          unacked = 0;
+          ticks = 0;
+          ready_sent = false;
+          done_sent = false;
+          cluster_safe = false;
+          finished = false;
+          inbox = Hashtbl.create 8;
+          readies = Hashtbl.create 8;
+          neighbor_safes = Hashtbl.create 8;
+          dones = Hashtbl.create 8;
+          early_cluster_safe = Hashtbl.create 8 }
+      in
+      if not ticking then enter_pulse ctx w 1;
+      w
     in
     let config =
-      { (Net.default_config ~topology ~delay) with Net.ticks_enabled = false }
+      { (Net.default_config ~topology ~delay) with Net.ticks_enabled = ticking }
     in
     let net =
-      Net.create ?scheduler ~limit_events ~seed config handlers
+      Net.create ?scheduler ~limit_events ~seed config
+        { Net.init; on_message; on_tick }
     in
+    net_ref := Some net;
     let outcome = Net.run net in
     let completed =
       !finished_count = n
@@ -345,12 +404,12 @@ module Make (A : Sync_alg.S) = struct
     let control = !ack_count + !tree_count + !preferred_count in
     { states = Array.map (fun w -> w.alg) (Net.states net);
       pulses;
-      payload_messages = !payload_count;
-      ack_messages = !ack_count;
-      tree_messages = !tree_count;
-      preferred_messages = !preferred_count;
-      control_messages = control;
-      control_per_pulse = float_of_int control /. float_of_int pulses;
-      clusters = clustering.cluster_count;
-      completed }
+      payload = !payload_count;
+      acks = !ack_count;
+      tree = !tree_count;
+      preferred = !preferred_count;
+      clusters;
+      violations = !violation_count;
+      completed;
+      control_per_pulse = float_of_int control /. float_of_int pulses }
 end

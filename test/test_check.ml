@@ -450,8 +450,7 @@ let test_certify_family () =
   List.iter
     (fun variant ->
        let r =
-         Certify.run ~window ~budget:400 ~por:true ~radius:1 ~seed:1 ~n:3
-           variant
+         Certify.run ~window ~budget:400 ~por:true ~seed:1 ~n:3 variant
        in
        Alcotest.(check bool)
          (r.Certify.variant ^ " certified")
@@ -475,11 +474,13 @@ let test_certify_family () =
            true
            (r.Certify.max_skew <= bound)
        | None -> ())
-    Certify.[ Alpha; Beta; Gamma; Abd ]
+    Abe_synchronizer.Synchronizer.
+      [ Alpha; Beta; Gamma 1; Abd (required_window ~hard_bound:2.) ]
 
 let test_certify_por_reduces () =
   let certify por =
-    Certify.run ~window ~budget:400 ~por ~radius:1 ~seed:1 ~n:3 Certify.Alpha
+    Certify.run ~window ~budget:400 ~por ~seed:1 ~n:3
+      Abe_synchronizer.Synchronizer.Alpha
   in
   let plain = certify false in
   let por = certify true in

@@ -3,12 +3,8 @@ open Abe_synchronizer
 
 module Ref_bfs = Reference.Make (Sync_alg.Bfs)
 module Ref_flood = Reference.Make (Sync_alg.Flood_max)
-module Alpha_bfs = Alpha.Make (Sync_alg.Bfs)
-module Alpha_flood = Alpha.Make (Sync_alg.Flood_max)
-module Beta_bfs = Beta.Make (Sync_alg.Bfs)
-module Beta_flood = Beta.Make (Sync_alg.Flood_max)
-module Abd_bfs = Abd_sync.Make (Sync_alg.Bfs)
-module Gamma_bfs = Gamma.Make (Sync_alg.Bfs)
+module Sync_bfs = Synchronizer.Make (Sync_alg.Bfs)
+module Sync_flood = Synchronizer.Make (Sync_alg.Flood_max)
 
 let ring_distances n =
   Array.init n (fun i -> Some (min i (n - i)))
@@ -61,22 +57,22 @@ let test_alpha_bfs_correct_on_abe () =
   let n = 10 in
   let topology = Topology.bidirectional_ring n in
   let pulses = (n / 2) + 2 in
-  let r = Alpha_bfs.run ~seed:2 ~topology ~delay:abe_delay ~pulses () in
-  Alcotest.(check bool) "completed" true r.Alpha_bfs.completed;
+  let r = Sync_bfs.run ~seed:2 ~topology ~delay:abe_delay ~pulses Alpha in
+  Alcotest.(check bool) "completed" true r.Sync_bfs.completed;
   Alcotest.(check bool) "distances match reference" true
-    (Array.map Sync_alg.Bfs.distance r.Alpha_bfs.states = ring_distances n)
+    (Array.map Sync_alg.Bfs.distance r.Sync_bfs.states = ring_distances n)
 
 let test_alpha_flood_correct_on_abe () =
   let n = 8 in
   let topology = Topology.bidirectional_ring n in
   let r =
-    Alpha_flood.run ~seed:3 ~topology ~delay:abe_delay ~pulses:((n / 2) + 1) ()
+    Sync_flood.run ~seed:3 ~topology ~delay:abe_delay ~pulses:((n / 2) + 1) Alpha
   in
-  Alcotest.(check bool) "completed" true r.Alpha_flood.completed;
+  Alcotest.(check bool) "completed" true r.Sync_flood.completed;
   Array.iter
     (fun st ->
        Alcotest.(check int) "max is n" n (Sync_alg.Flood_max.current_max st))
-    r.Alpha_flood.states
+    r.Sync_flood.states
 
 let test_alpha_control_cost_theorem1 () =
   (* Theorem 1's shape: the alpha synchroniser spends >= n control messages
@@ -85,19 +81,19 @@ let test_alpha_control_cost_theorem1 () =
   let n = 12 in
   let topology = Topology.bidirectional_ring n in
   let pulses = 8 in
-  let r = Alpha_bfs.run ~seed:4 ~topology ~delay:abe_delay ~pulses () in
+  let r = Sync_bfs.run ~seed:4 ~topology ~delay:abe_delay ~pulses Alpha in
   Alcotest.(check bool) "control per pulse >= n" true
-    (r.Alpha_bfs.control_per_pulse >= float_of_int n);
+    (r.Sync_bfs.control_per_pulse >= float_of_int n);
   Alcotest.(check int) "safes = 2m * pulses"
     (Topology.link_count topology * pulses)
-    r.Alpha_bfs.safe_messages;
-  Alcotest.(check int) "one ack per payload" r.Alpha_bfs.payload_messages
-    r.Alpha_bfs.ack_messages
+    r.Sync_bfs.preferred;
+  Alcotest.(check int) "one ack per payload" r.Sync_bfs.payload
+    r.Sync_bfs.acks
 
 let test_alpha_rejects_asymmetric () =
   match
-    Alpha_bfs.run ~seed:1 ~topology:(Topology.ring 4) ~delay:abe_delay
-      ~pulses:2 ()
+    Sync_bfs.run ~seed:1 ~topology:(Topology.ring 4) ~delay:abe_delay
+      ~pulses:2 Alpha
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection of unidirectional ring"
@@ -106,22 +102,22 @@ let test_beta_bfs_correct_on_abe () =
   let n = 10 in
   let topology = Topology.bidirectional_ring n in
   let pulses = (n / 2) + 2 in
-  let r = Beta_bfs.run ~seed:6 ~topology ~delay:abe_delay ~pulses () in
-  Alcotest.(check bool) "completed" true r.Beta_bfs.completed;
+  let r = Sync_bfs.run ~seed:6 ~topology ~delay:abe_delay ~pulses Beta in
+  Alcotest.(check bool) "completed" true r.Sync_bfs.completed;
   Alcotest.(check bool) "distances match reference" true
-    (Array.map Sync_alg.Bfs.distance r.Beta_bfs.states = ring_distances n)
+    (Array.map Sync_alg.Bfs.distance r.Sync_bfs.states = ring_distances n)
 
 let test_beta_flood_correct_on_abe () =
   let n = 8 in
   let topology = Topology.bidirectional_ring n in
   let r =
-    Beta_flood.run ~seed:7 ~topology ~delay:abe_delay ~pulses:((n / 2) + 1) ()
+    Sync_flood.run ~seed:7 ~topology ~delay:abe_delay ~pulses:((n / 2) + 1) Beta
   in
-  Alcotest.(check bool) "completed" true r.Beta_flood.completed;
+  Alcotest.(check bool) "completed" true r.Sync_flood.completed;
   Array.iter
     (fun st ->
        Alcotest.(check int) "max is n" n (Sync_alg.Flood_max.current_max st))
-    r.Beta_flood.states
+    r.Sync_flood.states
 
 let test_beta_tree_cost () =
   (* Tree control cost: exactly 2(n-1) tree messages per completed
@@ -131,51 +127,51 @@ let test_beta_tree_cost () =
   let n = 12 in
   let topology = Topology.bidirectional_ring n in
   let pulses = 6 in
-  let r = Beta_bfs.run ~seed:8 ~topology ~delay:abe_delay ~pulses () in
+  let r = Sync_bfs.run ~seed:8 ~topology ~delay:abe_delay ~pulses Beta in
   Alcotest.(check int) "tree messages = 2(n-1) * pulses"
     (2 * (n - 1) * pulses)
-    r.Beta_bfs.tree_messages;
-  Alcotest.(check int) "one ack per payload" r.Beta_bfs.payload_messages
-    r.Beta_bfs.ack_messages;
+    r.Sync_bfs.tree;
+  Alcotest.(check int) "one ack per payload" r.Sync_bfs.payload
+    r.Sync_bfs.acks;
   (* Theorem 1: still at least n-1 control messages per pulse. *)
   Alcotest.(check bool) "control/pulse >= n-1" true
-    (r.Beta_bfs.control_per_pulse >= float_of_int (n - 1))
+    (r.Sync_bfs.control_per_pulse >= float_of_int (n - 1))
 
 let test_beta_cheaper_than_alpha () =
   let n = 16 in
   let topology = Topology.bidirectional_ring n in
   let pulses = 10 in
-  let alpha = Alpha_bfs.run ~seed:9 ~topology ~delay:abe_delay ~pulses () in
-  let beta = Beta_bfs.run ~seed:9 ~topology ~delay:abe_delay ~pulses () in
+  let alpha = Sync_bfs.run ~seed:9 ~topology ~delay:abe_delay ~pulses Alpha in
+  let beta = Sync_bfs.run ~seed:9 ~topology ~delay:abe_delay ~pulses Beta in
   Alcotest.(check bool) "beta control below alpha" true
-    (beta.Beta_bfs.control_messages < alpha.Alpha_bfs.control_messages)
+    (beta.Sync_bfs.control_per_pulse < alpha.Sync_bfs.control_per_pulse)
 
 let test_beta_on_tree_topology () =
   let rng = Abe_prob.Rng.create ~seed:4 in
   let topology = Topology.random_tree ~n:15 ~rng in
-  let r = Beta_bfs.run ~seed:10 ~topology ~delay:abe_delay ~pulses:16 () in
-  Alcotest.(check bool) "completed" true r.Beta_bfs.completed;
+  let r = Sync_bfs.run ~seed:10 ~topology ~delay:abe_delay ~pulses:16 Beta in
+  Alcotest.(check bool) "completed" true r.Sync_bfs.completed;
   (* Compare against the reference on the same topology. *)
   let reference = Ref_bfs.run ~seed:10 ~topology ~pulses:16 in
   Alcotest.(check bool) "matches reference" true
-    (Array.map Sync_alg.Bfs.distance r.Beta_bfs.states
+    (Array.map Sync_alg.Bfs.distance r.Sync_bfs.states
      = Array.map Sync_alg.Bfs.distance reference.Ref_bfs.states)
 
 let test_beta_rejects_disconnected () =
   let rng = Abe_prob.Rng.create ~seed:5 in
   let topology = Topology.erdos_renyi ~n:10 ~p:0. ~rng in
-  match Beta_bfs.run ~seed:1 ~topology ~delay:abe_delay ~pulses:2 () with
+  match Sync_bfs.run ~seed:1 ~topology ~delay:abe_delay ~pulses:2 Beta with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection of disconnected topology"
 
 let test_gamma_clustering_structure () =
   let topology = Topology.bidirectional_ring 12 in
-  let c = Gamma.cluster topology ~radius:1 in
+  let c = Synchronizer.cluster topology ~radius:1 in
   Alcotest.(check int) "every node clustered" 12
-    (Array.length c.Gamma.cluster_of);
+    (Array.length c.Synchronizer.cluster_of);
   (* Radius-1 balls on a ring have at most 3 nodes. *)
-  let sizes = Array.make c.Gamma.cluster_count 0 in
-  Array.iter (fun cl -> sizes.(cl) <- sizes.(cl) + 1) c.Gamma.cluster_of;
+  let sizes = Array.make c.Synchronizer.cluster_count 0 in
+  Array.iter (fun cl -> sizes.(cl) <- sizes.(cl) + 1) c.Synchronizer.cluster_of;
   Array.iter
     (fun s -> if s < 1 || s > 3 then Alcotest.failf "cluster size %d" s)
     sizes;
@@ -183,30 +179,30 @@ let test_gamma_clustering_structure () =
   let tree_edges =
     Array.fold_left
       (fun acc ch -> acc + Array.length ch)
-      0 c.Gamma.tree_children
+      0 c.Synchronizer.tree_children
   in
-  Alcotest.(check int) "tree edges" (12 - c.Gamma.cluster_count) tree_edges;
+  Alcotest.(check int) "tree edges" (12 - c.Synchronizer.cluster_count) tree_edges;
   (* Preferred links connect distinct adjacent clusters. *)
   List.iter
     (fun (a, b) ->
-       if c.Gamma.cluster_of.(a) = c.Gamma.cluster_of.(b) then
+       if c.Synchronizer.cluster_of.(a) = c.Synchronizer.cluster_of.(b) then
          Alcotest.fail "preferred link inside a cluster")
-    c.Gamma.preferred
+    c.Synchronizer.preferred
 
 let test_gamma_radius_zero_all_singletons () =
   let topology = Topology.bidirectional_ring 8 in
-  let c = Gamma.cluster topology ~radius:0 in
-  Alcotest.(check int) "n clusters" 8 c.Gamma.cluster_count;
+  let c = Synchronizer.cluster topology ~radius:0 in
+  Alcotest.(check int) "n clusters" 8 c.Synchronizer.cluster_count;
   (* Every adjacent pair of singleton clusters shares a preferred link. *)
   Alcotest.(check int) "preferred = undirected edges" 8
-    (List.length c.Gamma.preferred)
+    (List.length c.Synchronizer.preferred)
 
 let test_gamma_big_radius_one_cluster () =
   let topology = Topology.bidirectional_ring 8 in
-  let c = Gamma.cluster topology ~radius:10 in
-  Alcotest.(check int) "one cluster" 1 c.Gamma.cluster_count;
+  let c = Synchronizer.cluster topology ~radius:10 in
+  Alcotest.(check int) "one cluster" 1 c.Synchronizer.cluster_count;
   Alcotest.(check (list (pair int int))) "no preferred links" []
-    c.Gamma.preferred
+    c.Synchronizer.preferred
 
 let test_gamma_bfs_correct_on_abe () =
   List.iter
@@ -215,27 +211,27 @@ let test_gamma_bfs_correct_on_abe () =
        let topology = Topology.bidirectional_ring n in
        let pulses = (n / 2) + 2 in
        let r =
-         Gamma_bfs.run ~seed:(20 + radius) ~topology ~delay:abe_delay ~pulses
-           ~radius ()
+         Sync_bfs.run ~seed:(20 + radius) ~topology ~delay:abe_delay ~pulses
+           (Gamma radius)
        in
        Alcotest.(check bool)
          (Printf.sprintf "radius %d completed" radius)
-         true r.Gamma_bfs.completed;
+         true r.Sync_bfs.completed;
        Alcotest.(check bool)
          (Printf.sprintf "radius %d correct" radius)
          true
-         (Array.map Sync_alg.Bfs.distance r.Gamma_bfs.states = ring_distances n))
+         (Array.map Sync_alg.Bfs.distance r.Sync_bfs.states = ring_distances n))
     [ 0; 1; 2; 6 ]
 
 let test_gamma_on_grid () =
   let topology = Topology.grid ~rows:3 ~cols:4 in
   let r =
-    Gamma_bfs.run ~seed:5 ~topology ~delay:abe_delay ~pulses:8 ~radius:1 ()
+    Sync_bfs.run ~seed:5 ~topology ~delay:abe_delay ~pulses:8 (Gamma 1)
   in
-  Alcotest.(check bool) "completed" true r.Gamma_bfs.completed;
+  Alcotest.(check bool) "completed" true r.Sync_bfs.completed;
   let reference = Ref_bfs.run ~seed:5 ~topology ~pulses:8 in
   Alcotest.(check bool) "matches reference" true
-    (Array.map Sync_alg.Bfs.distance r.Gamma_bfs.states
+    (Array.map Sync_alg.Bfs.distance r.Sync_bfs.states
      = Array.map Sync_alg.Bfs.distance reference.Ref_bfs.states)
 
 let test_gamma_interpolates_cost () =
@@ -245,46 +241,46 @@ let test_gamma_interpolates_cost () =
   let topology = Topology.bidirectional_ring n in
   let pulses = 10 in
   let run radius =
-    Gamma_bfs.run ~seed:7 ~topology ~delay:abe_delay ~pulses ~radius ()
+    Sync_bfs.run ~seed:7 ~topology ~delay:abe_delay ~pulses (Gamma radius)
   in
   let single = run 20 in
-  Alcotest.(check int) "one cluster" 1 single.Gamma_bfs.clusters;
+  Alcotest.(check int) "one cluster" 1 single.Sync_bfs.clusters;
   Alcotest.(check int) "tree messages 4(n-1) per pulse"
     (4 * (n - 1) * pulses)
-    single.Gamma_bfs.tree_messages;
+    single.Sync_bfs.tree;
   Alcotest.(check int) "no preferred messages" 0
-    single.Gamma_bfs.preferred_messages;
+    single.Sync_bfs.preferred;
   let singletons = run 0 in
-  Alcotest.(check int) "n clusters" n singletons.Gamma_bfs.clusters;
-  Alcotest.(check int) "no tree messages" 0 singletons.Gamma_bfs.tree_messages;
+  Alcotest.(check int) "n clusters" n singletons.Sync_bfs.clusters;
+  Alcotest.(check int) "no tree messages" 0 singletons.Sync_bfs.tree;
   Alcotest.(check int) "preferred 2n per pulse" (2 * n * pulses)
-    singletons.Gamma_bfs.preferred_messages;
+    singletons.Sync_bfs.preferred;
   List.iter
     (fun radius ->
        let r = run radius in
        Alcotest.(check bool)
          (Printf.sprintf "radius %d floor" radius)
          true
-         (r.Gamma_bfs.control_per_pulse >= float_of_int (n - 1)))
+         (r.Sync_bfs.control_per_pulse >= float_of_int (n - 1)))
     [ 0; 1; 2; 20 ]
 
 let test_required_window () =
   (* The hard bound plus one tick of phase skew on each side, plus one. *)
-  Alcotest.(check int) "hard bound 2" 5 (Abd_sync.required_window ~hard_bound:2.)
+  Alcotest.(check int) "hard bound 2" 5 (Synchronizer.required_window ~hard_bound:2.)
 
 let test_abd_sync_zero_violations_on_abd () =
   let n = 10 in
   let topology = Topology.bidirectional_ring n in
   let pulses = (n / 2) + 2 in
   let abd_delay = Delay_model.abd_uniform ~bound:2. in
-  let window = Abd_sync.required_window ~hard_bound:2. in
+  let window = Synchronizer.required_window ~hard_bound:2. in
   for seed = 1 to 10 do
-    let r = Abd_bfs.run ~seed ~topology ~delay:abd_delay ~pulses ~window () in
-    Alcotest.(check bool) "completed" true r.Abd_bfs.completed;
+    let r = Sync_bfs.run ~seed ~topology ~delay:abd_delay ~pulses (Abd window) in
+    Alcotest.(check bool) "completed" true r.Sync_bfs.completed;
     Alcotest.(check int) "zero violations under the hard bound" 0
-      r.Abd_bfs.violations;
+      r.Sync_bfs.violations;
     Alcotest.(check bool) "correct result" true
-      (Array.map Sync_alg.Bfs.distance r.Abd_bfs.states = ring_distances n)
+      (Array.map Sync_alg.Bfs.distance r.Sync_bfs.states = ring_distances n)
   done
 
 let test_abd_sync_violations_on_abe () =
@@ -295,11 +291,11 @@ let test_abd_sync_violations_on_abe () =
   let n = 16 in
   let topology = Topology.bidirectional_ring n in
   let pulses = (n / 2) + 2 in
-  let window = Abd_sync.required_window ~hard_bound:2. in
+  let window = Synchronizer.required_window ~hard_bound:2. in
   let total_violations = ref 0 in
   for seed = 1 to 20 do
-    let r = Abd_bfs.run ~seed ~topology ~delay:abe_delay ~pulses ~window () in
-    total_violations := !total_violations + r.Abd_bfs.violations
+    let r = Sync_bfs.run ~seed ~topology ~delay:abe_delay ~pulses (Abd window) in
+    total_violations := !total_violations + r.Sync_bfs.violations
   done;
   Alcotest.(check bool) "late messages appear on ABE delays" true
     (!total_violations > 0)
@@ -310,11 +306,11 @@ let test_abd_sync_message_free () =
   let topology = Topology.bidirectional_ring n in
   let pulses = (n / 2) + 2 in
   let abd_delay = Delay_model.abd_uniform ~bound:2. in
-  let r = Abd_bfs.run ~seed:2 ~topology ~delay:abd_delay ~pulses ~window:6 () in
+  let r = Sync_bfs.run ~seed:2 ~topology ~delay:abd_delay ~pulses (Abd 6) in
   Alcotest.(check bool) "payload below n per pulse" true
-    (r.Abd_bfs.payload_messages < n * pulses);
+    (r.Sync_bfs.payload < n * pulses);
   (* BFS sends each link once: exactly 2n payload messages on the ring. *)
-  Alcotest.(check int) "bfs payload = 2n" (2 * n) r.Abd_bfs.payload_messages
+  Alcotest.(check int) "bfs payload = 2n" (2 * n) r.Sync_bfs.payload
 
 let test_measure_report () =
   let report = Measure.bfs_comparison ~seed:1 ~n:16 ~delta:1. () in
@@ -337,13 +333,13 @@ let test_measure_family () =
       ~pulses:((n / 2) + 2) ~radii:[ 0; 1; 2 ] ()
   in
   Alcotest.(check bool) "alpha, beta, then gamma per radius" true
-    (List.map (fun m -> m.Measure.synchroniser) members
-     = Measure.[ Alpha; Beta; Gamma 0; Gamma 1; Gamma 2 ]);
+    (List.map (fun m -> m.Measure.kind) members
+     = Synchronizer.[ Alpha; Beta; Gamma 0; Gamma 1; Gamma 2 ]);
   List.iter
     (fun (m : Measure.member) ->
        Alcotest.(check bool) "correct" true m.correct;
        Alcotest.(check bool) "at least n - 1 control messages per pulse" true
-         (m.control_per_pulse >= float_of_int (n - 1)))
+         (m.run.control_per_pulse >= float_of_int (n - 1)))
     members
 
 (* Golden: the md5s of every synchroniser's run records, oracle verdicts
@@ -352,59 +348,17 @@ let test_measure_family () =
    synchroniser).  A pass-through scheduler (it offers every pending event
    and always picks the earliest) records the order in which the engine
    executes events; it changes nothing in the run. *)
-type kind = Alpha | Beta | Gamma of int | Abd of int
-
-(* A run record flattened to the fields every synchroniser reports. *)
-let record_fields ~pp_state ~states ~pulses ~payload ~acks ~tree ~preferred
-    ~clusters ~violations ~completed ~control_per_pulse =
-  Fmt.str "[%a] pulses=%d payload=%d acks=%d tree=%d preferred=%d \
-           clusters=%d violations=%d completed=%b control/pulse=%h"
-    Fmt.(array ~sep:comma pp_state)
-    states pulses payload acks tree preferred clusters violations completed
-    control_per_pulse
-
 module Golden (A : Sync_alg.S) = struct
-  module Alpha_a = Alpha.Make (A)
-  module Beta_a = Beta.Make (A)
-  module Gamma_a = Gamma.Make (A)
-  module Abd_a = Abd_sync.Make (A)
+  module S = Synchronizer.Make (A)
 
-  let fields = record_fields ~pp_state:A.pp_state
-
-  let run ~scheduler ~oracle ~seed ~topology ~delay ~pulses = function
-    | Alpha ->
-      let r = Alpha_a.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses () in
-      fields ~states:r.Alpha_a.states ~pulses:r.Alpha_a.pulses
-        ~payload:r.Alpha_a.payload_messages ~acks:r.Alpha_a.ack_messages
-        ~tree:0 ~preferred:r.Alpha_a.safe_messages
-        ~clusters:(Topology.node_count topology) ~violations:0
-        ~completed:r.Alpha_a.completed
-        ~control_per_pulse:r.Alpha_a.control_per_pulse
-    | Beta ->
-      let r = Beta_a.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses () in
-      fields ~states:r.Beta_a.states ~pulses:r.Beta_a.pulses
-        ~payload:r.Beta_a.payload_messages ~acks:r.Beta_a.ack_messages
-        ~tree:r.Beta_a.tree_messages ~preferred:0 ~clusters:1 ~violations:0
-        ~completed:r.Beta_a.completed
-        ~control_per_pulse:r.Beta_a.control_per_pulse
-    | Gamma radius ->
-      let r =
-        Gamma_a.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses ~radius ()
-      in
-      fields ~states:r.Gamma_a.states ~pulses:r.Gamma_a.pulses
-        ~payload:r.Gamma_a.payload_messages ~acks:r.Gamma_a.ack_messages
-        ~tree:r.Gamma_a.tree_messages ~preferred:r.Gamma_a.preferred_messages
-        ~clusters:r.Gamma_a.clusters ~violations:0
-        ~completed:r.Gamma_a.completed
-        ~control_per_pulse:r.Gamma_a.control_per_pulse
-    | Abd window ->
-      let r =
-        Abd_a.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses ~window ()
-      in
-      fields ~states:r.Abd_a.states ~pulses:r.Abd_a.pulses
-        ~payload:r.Abd_a.payload_messages ~acks:0 ~tree:0 ~preferred:0
-        ~clusters:0 ~violations:r.Abd_a.violations ~completed:r.Abd_a.completed
-        ~control_per_pulse:0.
+  (* A run record flattened to a line. *)
+  let run ~scheduler ~oracle ~seed ~topology ~delay ~pulses kind =
+    let r = S.run ~scheduler ~oracle ~seed ~topology ~delay ~pulses kind in
+    Fmt.str "[%a] pulses=%d payload=%d acks=%d tree=%d preferred=%d \
+             clusters=%d violations=%d completed=%b control/pulse=%h"
+      Fmt.(array ~sep:comma A.pp_state)
+      r.S.states r.S.pulses r.S.payload r.S.acks r.S.tree r.S.preferred
+      r.S.clusters r.S.violations r.S.completed r.S.control_per_pulse
 end
 
 module Golden_bfs = Golden (Sync_alg.Bfs)
@@ -444,7 +398,9 @@ let golden_md5s kind ~delay =
          (fun run ->
             for seed = 1 to 3 do
               let skew_bound =
-                match kind with Abd _ -> None | Alpha | Beta | Gamma _ -> Some 1
+                match kind with
+                | Synchronizer.Abd _ -> None
+                | Alpha | Beta | Gamma _ -> Some 1
               in
               let oracle =
                 Skew.create ?skew_bound ~n:(Topology.node_count topology) ()
@@ -462,7 +418,8 @@ let golden_md5s kind ~delay =
   (md5 records, md5 oracles, md5 order)
 
 let test_golden () =
-  let abd = Abd (Abd_sync.required_window ~hard_bound:2.) in
+  let open Synchronizer in
+  let abd = Abd (required_window ~hard_bound:2.) in
   let abd_delay = Delay_model.abd_uniform ~bound:2. in
   List.iter
     (fun (label, kind, delay, expected) ->
@@ -498,22 +455,22 @@ let prop_gamma_clustering_invariants =
     (fun (n, radius, seed) ->
        let rng = Abe_prob.Rng.create ~seed in
        let topology = Topology.random_tree ~n ~rng in
-       let c = Gamma.cluster topology ~radius in
+       let c = Synchronizer.cluster topology ~radius in
        (* Every node clustered; tree edges = n - clusters; preferred links
           cross clusters; parents are in the same cluster. *)
-       Array.for_all (fun cl -> cl >= 0 && cl < c.Gamma.cluster_count)
-         c.Gamma.cluster_of
+       Array.for_all (fun cl -> cl >= 0 && cl < c.Synchronizer.cluster_count)
+         c.Synchronizer.cluster_of
        && Array.fold_left (fun acc ch -> acc + Array.length ch) 0
-            c.Gamma.tree_children
-          = n - c.Gamma.cluster_count
+            c.Synchronizer.tree_children
+          = n - c.Synchronizer.cluster_count
        && List.for_all
-            (fun (a, b) -> c.Gamma.cluster_of.(a) <> c.Gamma.cluster_of.(b))
-            c.Gamma.preferred
+            (fun (a, b) -> c.Synchronizer.cluster_of.(a) <> c.Synchronizer.cluster_of.(b))
+            c.Synchronizer.preferred
        && Array.for_all Fun.id
             (Array.init n (fun v ->
-                 c.Gamma.tree_parent.(v) < 0
-                 || c.Gamma.cluster_of.(c.Gamma.tree_parent.(v))
-                    = c.Gamma.cluster_of.(v))))
+                 c.Synchronizer.tree_parent.(v) < 0
+                 || c.Synchronizer.cluster_of.(c.Synchronizer.tree_parent.(v))
+                    = c.Synchronizer.cluster_of.(v))))
 
 let prop_alpha_deterministic =
   QCheck.Test.make ~name:"alpha runs are seed-deterministic" ~count:10
@@ -521,11 +478,11 @@ let prop_alpha_deterministic =
     (fun seed ->
        let topology = Topology.bidirectional_ring 6 in
        let run () =
-         Alpha_bfs.run ~seed ~topology ~delay:abe_delay ~pulses:5 ()
+         Sync_bfs.run ~seed ~topology ~delay:abe_delay ~pulses:5 Alpha
        in
        let a = run () and b = run () in
-       a.Alpha_bfs.payload_messages = b.Alpha_bfs.payload_messages
-       && a.Alpha_bfs.control_messages = b.Alpha_bfs.control_messages)
+       a.Sync_bfs.payload = b.Sync_bfs.payload
+       && a.Sync_bfs.control_per_pulse = b.Sync_bfs.control_per_pulse)
 
 let prop_reference_flood_always_max =
   QCheck.Test.make ~name:"flood-max converges on connected topologies"
