@@ -1197,7 +1197,7 @@ let certify_command =
       Error
         (Printf.sprintf "certify: %s not certified"
            (String.concat ", "
-              (List.map (fun r -> r.Abe_check.Certify.variant) failed)))
+              (List.map (fun r -> r.Abe_check.Certify.synchroniser) failed)))
   in
   command "certify"
     ~doc:

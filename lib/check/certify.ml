@@ -2,7 +2,7 @@ open Abe_synchronizer
 module Sync_bfs = Synchronizer.Make (Sync_alg.Bfs)
 
 type report = {
-  variant : string;
+  synchroniser : string;
   skew_bound : int option;
   schedules : int;
   pruned : int;
@@ -62,7 +62,7 @@ let run ~window ~budget ?(time_budget = infinity) ~por ?pulses ~seed ~n kind =
   let deviations, violations =
     match r.Por.finding with None -> ([], []) | Some (_, d, v) -> (d, v)
   in
-  { variant = Synchronizer.name kind;
+  { synchroniser = Synchronizer.name kind;
     skew_bound;
     schedules = r.Por.schedules;
     pruned = r.Por.pruned;
@@ -77,7 +77,7 @@ let pp_report ppf r =
   Fmt.pf ppf
     "certify[%s%s]: %d schedule(s), %d pruned, %d/%d runs completed, %d \
      event(s) checked, max skew %d, %s@,  coverage: %a"
-    r.variant
+    r.synchroniser
     (match r.skew_bound with
      | Some b -> Printf.sprintf ", skew<=%d" b
      | None -> ", monotonicity only")

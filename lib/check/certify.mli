@@ -23,7 +23,7 @@
     {!Schedulers.replay}). *)
 
 type report = {
-  variant : string;
+  synchroniser : string;         (** [Synchronizer.name] of the kind *)
   skew_bound : int option;       (** [None]: monotonicity-only (abd) *)
   schedules : int;               (** schedules executed *)
   pruned : int;                  (** schedules cut by the seen-state table *)

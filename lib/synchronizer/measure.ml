@@ -32,19 +32,16 @@ type member = {
 
 let distances states = Array.map Sync_alg.Bfs.distance states
 
-(* Runs [(kind, delay, seed)] through [driver], each checked against the
-   reference distances.  Runs are independent, and the driver returns them
-   in input order, so the result is the same under any driver. *)
-let members driver ~expected ~topology ~pulses runs =
-  Abe_harness.Driver.map driver
-    (fun (kind, delay, seed) ->
-       let run = Sync_bfs.run ~seed ~topology ~delay ~pulses kind in
-       { kind; run; correct = distances run.Sync_bfs.states = expected })
-    runs
+(* One run, checked against the reference distances.  Runs are
+   independent, and a driver returns them in input order, so whatever
+   gathers them is the same under any driver. *)
+let measure ~expected ~topology ~pulses (kind, delay, seed) =
+  let run = Sync_bfs.run ~seed ~topology ~delay ~pulses kind in
+  { kind; run; correct = distances run.Sync_bfs.states = expected }
 
 (* Totals over a variant's replications; control per pulse is the mean of
    the runs'. *)
-let variant label (members : member list) =
+let summarise label (members : member list) =
   let sum f = List.fold_left (fun acc m -> acc + f m.run) 0 members in
   let control = sum (fun r -> r.Sync_bfs.acks + r.tree + r.preferred) in
   let pulses = sum (fun r -> r.Sync_bfs.pulses) in
@@ -70,41 +67,41 @@ let bfs_comparison ?(driver = Abe_harness.Driver.Sequential) ?(replications = 20
   let hard_bound = Option.get (Delay_model.hard_bound abd_delay) in
   let window = Synchronizer.required_window ~hard_bound in
   let reference = Ref_bfs.run ~seed ~topology ~pulses in
+  let expected = distances reference.Ref_bfs.states in
   (* The ABD synchroniser variants aggregate several replications: BFS is
      deliberately sparse, so a single run exposes few messages to the delay
      tail; totals over replications make the violation count a stable
      observable. *)
-  let abd ~delay ~seed =
-    List.init replications (fun rep -> (Synchronizer.Abd window, delay, seed + rep))
+  let abd label ~delay ~seed =
+    List.init replications (fun rep ->
+        (label, (Synchronizer.Abd window, delay, seed + rep)))
   in
   let runs =
-    members driver ~expected:(distances reference.Ref_bfs.states) ~topology
-      ~pulses
-      ((Synchronizer.Alpha, abe_delay, seed + 1)
-       :: (Synchronizer.Beta, abe_delay, seed + 2)
-       :: (abd ~delay:abd_delay ~seed:(seed + 1000)
-           @ abd ~delay:abe_delay ~seed:(seed + 2000)))
+    Abe_harness.Driver.map driver
+      (fun (label, run) -> (label, measure ~expected ~topology ~pulses run))
+      (("alpha on ABE", (Synchronizer.Alpha, abe_delay, seed + 1))
+       :: ("beta on ABE", (Synchronizer.Beta, abe_delay, seed + 2))
+       :: (abd "ABD-sync on ABD" ~delay:abd_delay ~seed:(seed + 1000)
+           @ abd "ABD-sync on ABE" ~delay:abe_delay ~seed:(seed + 2000)))
   in
-  let alpha, beta, abd_runs =
-    match runs with
-    | alpha :: beta :: abd_runs -> (alpha, beta, abd_runs)
-    | _ -> assert false
+  let variant label =
+    summarise label
+      (List.filter_map (fun (l, m) -> if l = label then Some m else None) runs)
   in
-  let on_abd = List.filteri (fun i _ -> i < replications) abd_runs in
-  let on_abe = List.filteri (fun i _ -> i >= replications) abd_runs in
   { n;
     pulses;
     window;
     reference_payload = reference.Ref_bfs.payload_messages;
-    alpha_on_abe = variant "alpha on ABE" [ alpha ];
-    beta_on_abe = variant "beta on ABE" [ beta ];
-    abd_on_abd = variant "ABD-sync on ABD" on_abd;
-    abd_on_abe = variant "ABD-sync on ABE" on_abe }
+    alpha_on_abe = variant "alpha on ABE";
+    beta_on_abe = variant "beta on ABE";
+    abd_on_abd = variant "ABD-sync on ABD";
+    abd_on_abe = variant "ABD-sync on ABE" }
 
 let family ?(driver = Abe_harness.Driver.Sequential) ~seed ~gamma_seed
     ~topology ~delay ~pulses ~radii () =
   let expected = distances (Ref_bfs.run ~seed ~topology ~pulses).Ref_bfs.states in
-  members driver ~expected ~topology ~pulses
+  Abe_harness.Driver.map driver
+    (measure ~expected ~topology ~pulses)
     ((Synchronizer.Alpha, delay, seed + 1)
      :: (Synchronizer.Beta, delay, seed + 2)
      :: List.map

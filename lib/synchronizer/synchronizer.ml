@@ -124,7 +124,6 @@ module Make (A : Sync_alg.S) = struct
     readies : (int, int) Hashtbl.t;
     neighbor_safes : (int, int) Hashtbl.t;
     dones : (int, int) Hashtbl.t;
-    early_cluster_safe : (int, unit) Hashtbl.t;
   }
 
   module Net = Network.Make (struct
@@ -246,8 +245,7 @@ module Make (A : Sync_alg.S) = struct
           (Skew.Pulse_entered { node = w.self; pulse = p });
         w.ready_sent <- false;
         w.done_sent <- false;
-        w.cluster_safe <- Hashtbl.mem w.early_cluster_safe p;
-        Hashtbl.remove w.early_cluster_safe p;
+        w.cluster_safe <- false;
         let inbox = take_inbox w (p - 1) in
         let alg', sends =
           A.pulse ~node:w.self ~pulse:p ~out_degree:ctx.Net.out_degree w.alg
@@ -260,10 +258,7 @@ module Make (A : Sync_alg.S) = struct
              incr payload_count;
              ctx.Net.send link_index (Payload { pulse = p; from = w.self; body }))
           sends;
-        if not ticking then begin
-          check_ready ctx w;
-          check_done ctx w
-        end
+        if not ticking then check_ready ctx w
       end
     (* Convergecast up the cluster tree: a node is ready once its payloads
        are acknowledged and its children are ready. *)
@@ -277,22 +272,24 @@ module Make (A : Sync_alg.S) = struct
         if parent.(w.self) >= 0 then
           tree_send ctx w parent.(w.self) (Ready w.pulse)
         else if root_releases then release ctx w
-        else declare_cluster_safe ctx w w.pulse
+        else declare_cluster_safe ctx w
       end
     (* γ: the cluster is safe; tell the cluster and the adjacent clusters.
-       Runs at every cluster node, triggered from the root downward. *)
-    and declare_cluster_safe ctx w p =
-      if p = w.pulse then w.cluster_safe <- true
-      else Hashtbl.replace w.early_cluster_safe p ();
+       Runs at every cluster node, triggered from the root downward.  A
+       node always hears it in the pulse it reported ready for: its
+       parent's done, and so the next pulse, waits for the node's own
+       done. *)
+    and declare_cluster_safe ctx w =
+      w.cluster_safe <- true;
       Array.iter
-        (fun child -> tree_send ctx w child (Cluster_safe p))
+        (fun child -> tree_send ctx w child (Cluster_safe w.pulse))
         children.(w.self);
       List.iter
         (fun peer ->
            incr preferred_count;
-           send_to ctx w peer (Neighbor_safe p))
+           send_to ctx w peer (Neighbor_safe w.pulse))
         peers.(w.self);
-      if p = w.pulse then check_done ctx w
+      check_done ctx w
     and check_done ctx w =
       if
         (not w.done_sent) && (not w.finished) && w.cluster_safe
@@ -335,7 +332,7 @@ module Make (A : Sync_alg.S) = struct
        | Ready q ->
          bump w.readies q;
          if q = w.pulse then check_ready ctx w
-       | Cluster_safe q -> declare_cluster_safe ctx w q
+       | Cluster_safe _ -> declare_cluster_safe ctx w
        | Neighbor_safe q ->
          bump w.neighbor_safes q;
          if q = w.pulse then check_done ctx w
@@ -378,8 +375,7 @@ module Make (A : Sync_alg.S) = struct
           inbox = Hashtbl.create 8;
           readies = Hashtbl.create 8;
           neighbor_safes = Hashtbl.create 8;
-          dones = Hashtbl.create 8;
-          early_cluster_safe = Hashtbl.create 8 }
+          dones = Hashtbl.create 8 }
       in
       if not ticking then enter_pulse ctx w 1;
       w

@@ -453,24 +453,24 @@ let test_certify_family () =
          Certify.run ~window ~budget:400 ~por:true ~seed:1 ~n:3 variant
        in
        Alcotest.(check bool)
-         (r.Certify.variant ^ " certified")
+         (r.Certify.synchroniser ^ " certified")
          true (Certify.certified r);
        Alcotest.(check int)
-         (r.Certify.variant ^ " no violations")
+         (r.Certify.synchroniser ^ " no violations")
          0
          (List.length r.Certify.violations);
        Alcotest.(check bool)
-         (r.Certify.variant ^ " events checked")
+         (r.Certify.synchroniser ^ " events checked")
          true (r.Certify.events_checked > 0);
        Alcotest.(check int)
-         (r.Certify.variant ^ " all runs completed")
+         (r.Certify.synchroniser ^ " all runs completed")
          r.Certify.schedules r.Certify.completed_runs;
        (* alpha/beta/gamma hold the synchroniser skew bound even across
           reordered schedules; abd merely never regresses a round. *)
        match r.Certify.skew_bound with
        | Some bound ->
          Alcotest.(check bool)
-           (r.Certify.variant ^ " skew within bound")
+           (r.Certify.synchroniser ^ " skew within bound")
            true
            (r.Certify.max_skew <= bound)
        | None -> ())
