@@ -1172,9 +1172,13 @@ let certify_command =
     let module S = Abe_synchronizer.Synchronizer in
     (* The ABD window is sized for the contrasting 2δ hard bound, as in
        Measure. *)
-    let all = S.[ Alpha; Beta; Gamma radius; Abd (required_window ~hard_bound:2.0) ] in
+    let all =
+      S.[ Alpha; Beta; Gamma radius; Abd (required_window ~hard_bound:2.0) ]
+    in
     let* kinds =
-      match List.filter (fun k -> variant = "all" || S.name k = variant) all with
+      match
+        List.filter (fun k -> variant = "all" || S.name k = variant) all
+      with
       | [] ->
         Error
           (Printf.sprintf

@@ -304,7 +304,9 @@ module Make (A : Sync_alg.S) = struct
       end
     and release ctx w =
       let next = w.pulse + 1 in
-      Array.iter (fun child -> tree_send ctx w child (Pulse next)) children.(w.self);
+      Array.iter
+        (fun child -> tree_send ctx w child (Pulse next))
+        children.(w.self);
       enter_pulse ctx w next
     in
     let on_message ctx w wire =
@@ -340,7 +342,9 @@ module Make (A : Sync_alg.S) = struct
          bump w.dones q;
          if q = w.pulse then check_done ctx w
        | Pulse q ->
-         Array.iter (fun child -> tree_send ctx w child (Pulse q)) children.(w.self);
+         Array.iter
+           (fun child -> tree_send ctx w child (Pulse q))
+           children.(w.self);
          enter_pulse ctx w q);
       w
     in
@@ -351,7 +355,8 @@ module Make (A : Sync_alg.S) = struct
       w.ticks <- w.ticks + 1;
       if not w.finished then begin
         if w.ticks = 1 then enter_pulse ctx w 1
-        else if (w.ticks - 1) mod window = 0 then enter_pulse ctx w (w.pulse + 1)
+        else if (w.ticks - 1) mod window = 0 then
+          enter_pulse ctx w (w.pulse + 1)
       end;
       (if !finished_count = n then
          match !net_ref with
