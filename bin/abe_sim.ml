@@ -1170,6 +1170,9 @@ let certify_command =
   in
   let run n seed variant pulses radius budget time_budget no_por window () =
     let module S = Abe_synchronizer.Synchronizer in
+    let* () =
+      if radius < 0 then Error "certify: --radius must be >= 0" else Ok ()
+    in
     (* The ABD window is sized for the contrasting 2δ hard bound, as in
        Measure. *)
     let all =

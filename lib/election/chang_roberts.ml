@@ -14,17 +14,9 @@ let transition state candidate =
     else if candidate > id then (Relaying { id }, Forward)
     else (state, Drop)
 
-let pp_state ppf = function
-  | Contending { id } -> Fmt.pf ppf "contending(%d)" id
-  | Relaying { id } -> Fmt.pf ppf "relaying(%d)" id
-  | Leader { id } -> Fmt.pf ppf "leader(%d)" id
-
 module Proto = struct
   type nonrec state = state
   type message = int  (* a candidate identifier *)
-
-  let pp_state = pp_state
-  let pp_message = Format.pp_print_int
 end
 
 module Ring = Sync_ring.Make (Proto)

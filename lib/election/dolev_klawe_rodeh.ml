@@ -14,18 +14,6 @@ type state =
 module Proto = struct
   type nonrec state = state
   type nonrec message = message
-
-  let pp_state ppf = function
-    | Active { cv; phase; pending } ->
-      Fmt.pf ppf "active(cv=%d,phase=%d,pending=%a)" cv phase
-        Fmt.(option ~none:(any "-") int)
-        pending
-    | Passive -> Fmt.pf ppf "passive"
-    | Leader { cv; phase } -> Fmt.pf ppf "leader(cv=%d,phase=%d)" cv phase
-
-  let pp_message ppf = function
-    | First v -> Fmt.pf ppf "first(%d)" v
-    | Second v -> Fmt.pf ppf "second(%d)" v
 end
 
 module Ring = Sync_ring.Make (Proto)

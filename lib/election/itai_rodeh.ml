@@ -15,14 +15,6 @@ type state = phase_state
 module Proto = struct
   type nonrec state = state
   type message = token
-
-  let pp_state ppf = function
-    | Active { phase; id } -> Fmt.pf ppf "active(phase=%d,id=%d)" phase id
-    | Passive -> Fmt.pf ppf "passive"
-    | Leader { phase } -> Fmt.pf ppf "leader(phase=%d)" phase
-
-  let pp_message ppf t =
-    Fmt.pf ppf "(phase=%d,id=%d,hop=%d,bit=%b)" t.phase t.id t.hop t.bit
 end
 
 module Ring = Sync_ring.Make (Proto)

@@ -1,9 +1,6 @@
 module type PROTOCOL = sig
   type state
   type message
-
-  val pp_state : Format.formatter -> state -> unit
-  val pp_message : Format.formatter -> message -> unit
 end
 
 module Make (P : PROTOCOL) = struct

@@ -5,9 +5,6 @@ open Abe_election
 module Counter = struct
   type state = int list  (* values seen, newest first *)
   type message = int
-
-  let pp_state ppf s = Fmt.pf ppf "seen=%d" (List.length s)
-  let pp_message = Format.pp_print_int
 end
 
 module Ring = Sync_ring.Make (Counter)
