@@ -12,13 +12,46 @@ let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------ command *)
 
+(* Every subcommand prints through [Format.std_formatter].  A write or a
+   flush that fails there (a full disk, a closed pipe) is kept instead of
+   raised, so that the run goes on and writes every file it was asked
+   for.  The returned function flushes standard output and gives the
+   first failure. *)
+let defer_stdout_failures () =
+  let failure = ref None in
+  let keep f =
+    try f () with Sys_error message ->
+      if Option.is_none !failure then failure := Some message
+  in
+  let out = Format.pp_get_formatter_out_functions Format.std_formatter () in
+  Format.pp_set_formatter_out_functions Format.std_formatter
+    { out with
+      out_string = (fun s i n -> keep (fun () -> out.out_string s i n));
+      out_flush = (fun () -> keep out.out_flush) };
+  fun () ->
+    keep (fun () ->
+        Format.pp_print_flush Format.std_formatter ();
+        flush stdout);
+    !failure
+
 (* Every run function takes a final [()], so the whole run happens inside
    [guard].  File I/O failures (unwritable output paths, unreadable replay
-   artifacts) and the libraries' input validation ([Invalid_argument])
-   exit with a one-line error and code 124, never a backtrace. *)
+   artifacts, a failed write to standard output) and the libraries' input
+   validation ([Invalid_argument]) exit with a one-line error and code
+   124, never a backtrace. *)
 let command name ~doc term =
   let guard run =
-    try run () with Sys_error message | Invalid_argument message ->
+    let stdout_failure = defer_stdout_failures () in
+    let result =
+      try run () with Sys_error message | Invalid_argument message ->
+        Error message
+    in
+    match stdout_failure () with
+    | None -> result
+    | Some message ->
+      (* What standard output still buffers cannot be written: drop it,
+         so that the flush at exit does not fail a second time. *)
+      close_out_noerr stdout;
       Error message
   in
   Cmd.v (Cmd.info name ~doc) Term.(term_result' (const guard $ term))

@@ -57,6 +57,7 @@ let to_csv t =
   List.iter (Csv.add_row csv) (List.rev t.rows);
   csv
 
-let print t =
-  print_string (render t);
-  print_newline ()
+(* Through [Format.std_formatter], as every other line the CLI prints,
+   so that the two stay in order and one formatter carries all of
+   standard output. *)
+let print t = Format.printf "%s@." (render t)

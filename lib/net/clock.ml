@@ -49,11 +49,30 @@ let[@inline] local_time t ~real = (rate t *. real) +. phase t
 
 let[@inline] real_of_local t ~local = (local -. phase t) /. rate t
 
-let[@inline] next_tick t ~after =
-  let local_now = local_time t ~real:after in
-  let candidate = Float.floor local_now +. 1. in
-  let real = real_of_local t ~local:candidate in
-  (* Guard against rounding collapsing the tick onto [after] itself. *)
-  if real > after then real else real_of_local t ~local:(candidate +. 1.)
+let first_tick t times locals i =
+  let after = times.(i) in
+  let local = Float.floor (local_time t ~real:after) +. 1. in
+  let real = real_of_local t ~local in
+  if real > after then begin
+    locals.(i) <- local;
+    times.(i) <- real
+  end
+  else begin
+    let local = local +. 1. in
+    locals.(i) <- local;
+    times.(i) <- real_of_local t ~local
+  end
 
-let advance_tick t times i = times.(i) <- next_tick t ~after:times.(i)
+(* Below 2^50 the round trip [local_time (real_of_local k)] is within half
+   a unit of [k] (four roundings of at most 2^-53 relative each), so the
+   general rule's floor reads [k - 1] or [k]. *)
+let exact_below = 0x1p50
+
+let[@inline] step_tick t times locals i =
+  let local = Array.unsafe_get locals i +. 1. in
+  let real = real_of_local t ~local in
+  if local < exact_below && real > Array.unsafe_get times i then begin
+    Array.unsafe_set locals i local;
+    Array.unsafe_set times i real
+  end
+  else first_tick t times locals i

@@ -39,12 +39,26 @@ val redraw_split :
 val local_time : t -> real:float -> float
 (** Local clock reading at the given real time. *)
 
-val next_tick : t -> after:float -> float
-(** Real time of the first integer local-clock tick strictly after the given
-    real time. *)
+val first_tick : t -> float array -> float array -> int -> unit
+(** [first_tick c times locals i] replaces [times.(i)] with the real time
+    of the first integer local-clock tick strictly after it, and sets
+    [locals.(i)] to that integer: the next integer above the clock's
+    reading at [times.(i)], or the one after it where rounding maps that
+    integer back onto [times.(i)] itself.  The general rule, for a chain's
+    first tick.  The instants travel in flat arrays, so no float is boxed
+    across the call. *)
 
-val advance_tick : t -> float array -> int -> unit
-(** [advance_tick c times i] replaces [times.(i)] with
-    [next_tick c ~after:times.(i)].  The same computation in place, so a
-    tick chain that keeps its pending instant in a flat array advances it
-    without boxing a float across the call. *)
+val step_tick : t -> float array -> float array -> int -> unit
+(** [step_tick c times locals i], where [times.(i)] is the tick of
+    integer local reading [locals.(i)] (as {!first_tick} or [step_tick]
+    left them), moves both to the next tick: reading [k + 1] at real time
+    [(k + 1 - phase) / rate].  The result is bit for bit what
+    {!first_tick} gives from [times.(i)].  Rounding keeps the clock's
+    reading at the tick of [k] within half a unit of [k] while
+    [k + 1 < 2^50], so the general rule's floor reads [k - 1] or [k], and
+    both of its branches then land on [k + 1], provided that instant is
+    strictly after the tick of [k].  Where either condition fails — local
+    readings near 2^52, where consecutive integers stop mapping to
+    distinct instants — [step_tick] falls back to {!first_tick}.  It
+    allocates nothing, pays no [floor] and, in a release build, inlines
+    into its caller. *)

@@ -240,7 +240,7 @@ module Make (P : PROTOCOL) = struct
      instant, its completion instant and a message's arrival instant sit
      in flat arrays ([tick_time], [busy], [job_begin]) and reach the
      engine through [Engine.schedule_from] and the clock through
-     [Clock.advance_tick], so no float is boxed on the way; node states
+     [Clock.step_tick], so no float is boxed on the way; node states
      sit in [states] with no option box; and hooks are matched in place,
      not through capturing [Option.iter] closures.  A message's delay is
      drawn into its job's [job_begin] ([Links.delay_into]), which then
@@ -271,6 +271,8 @@ module Make (P : PROTOCOL) = struct
                                        scheduler *)
     busy : float array;             (* by node id: occupied-until instant *)
     tick_time : float array;        (* by node id: pending tick's instant *)
+    tick_local : float array;       (* by node id: pending tick's integer
+                                       local reading *)
     tick_order : int array;         (* [reset]'s scratch: node ids by first
                                        tick instant *)
     tick_heads : int array;         (* [reset]'s scratch: by bucket, the
@@ -726,8 +728,13 @@ module Make (P : PROTOCOL) = struct
      the node's integer local-clock times.  Ticks queue behind other work on
      the node (they are local events with processing time γ).  The chain
      reuses a single [fire] closure per node — the pending tick's instant
-     lives in [t.tick_time.(id)], which is safe scratch because at most one
-     chain event per node is pending at a time.  A completion at the fire
+     lives in [t.tick_time.(id)] and its integer local reading in
+     [t.tick_local.(id)], which are safe scratch because at most one chain
+     event per node is pending at a time.  A fire steps both to the next
+     integer in closed form ([Clock.step_tick]: one add and one divide, no
+     [floor]), which equals the general first-tick rule from the pending
+     instant; [first_tick] (reset, revive) keeps the general rule.  A
+     completion at the fire
      instant is claimed only after the next tick is scheduled, since the
      pop it replaces would follow the fire; a claimed completion runs there
      and then, reading its instants from [t.occ], and takes no job.  A
@@ -750,7 +757,8 @@ module Make (P : PROTOCOL) = struct
      The chain is bound to the incarnation it was started under: a fire
      still pending from before a crash must die even if the node has
      since rejoined (the rejoin starts a {e new} chain, and two live
-     chains would corrupt the shared [tick_time] scratch). *)
+     chains would corrupt the shared [tick_time] and [tick_local]
+     scratch). *)
   let tick_chain t id ~chain_inc =
     let tag = node_class t id in
     let clock = Links.clock t.model id in
@@ -762,7 +770,7 @@ module Make (P : PROTOCOL) = struct
         let same_instant = t.busy.(id) = tick_time in
         if not same_instant then
           schedule_tick_job t ~tag id ~inc:chain_inc tick_time;
-        Clock.advance_tick clock t.tick_time id;
+        Clock.step_tick clock t.tick_time t.tick_local id;
         Engine.schedule_from t.engine ~tag
           ~footprint:(if t.foot_on then node_bit id else 0)
           ~times:t.tick_time id fire;
@@ -775,11 +783,12 @@ module Make (P : PROTOCOL) = struct
     fire
 
   (* A chain's first tick: the node's first integer local instant after
-     [after], computed into [tick_time] and scheduled apart, so that
-     [reset] can schedule a whole round in instant order. *)
+     [after], by the general rule, computed into [tick_time] and
+     [tick_local] and scheduled apart, so that [reset] can schedule a
+     whole round in instant order. *)
   let first_tick t id ~after =
     t.tick_time.(id) <- after;
-    Clock.advance_tick (Links.clock t.model id) t.tick_time id
+    Clock.first_tick (Links.clock t.model id) t.tick_time t.tick_local id
 
   let schedule_tick t id fire =
     Engine.schedule_from t.engine ~tag:(node_class t id)
@@ -847,6 +856,7 @@ module Make (P : PROTOCOL) = struct
         foot_handler = [||];
         busy = Array.make n 0.;
         tick_time = Array.make n 0.;
+        tick_local = Array.make n 0.;
         tick_order = Array.make n 0;
         tick_heads = Array.make n 0;
         tick_next = Array.make n 0;

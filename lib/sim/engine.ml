@@ -31,7 +31,15 @@
    so executions are byte-identical across loop choices.  An action may
    also take the next pop early for a follow-up at the current instant
    ([claim_now]): such an event is counted where the loop would count it
-   but never enters the lane, so the loop saves a pass.  The metrics
+   but never enters the lane, so the loop saves a pass.
+
+   Before each pop, and in [claim_now], the engine compares [executed]
+   with one integer, the gate.  Below it no budget test can end the run:
+   [stop] closes the gate, it never lies past [limit_events], and with a
+   wall deadline it lies at the next multiple of 1024, where the deadline
+   probe falls.  At or past it the stop, event-limit and deadline tests
+   run in that order ([over_budget]) and re-arm it; [run] closes it on
+   entry.  The metrics
    tally costs one array increment per event (a count per queue depth;
    the executed count is the engine's own), and [run] folds it into the
    registry on its way out, returning or raising. *)
@@ -92,7 +100,7 @@ let grow_ring r =
   r.slots <- slots;
   r.head <- 0
 
-let push r slot =
+let[@inline] push r slot =
   if r.len = Array.length r.slots then grow_ring r;
   Array.unsafe_set r.slots
     ((r.head + r.len) land (Array.length r.slots - 1))
@@ -101,7 +109,7 @@ let push r slot =
 
 let[@inline] peek r = Array.unsafe_get r.slots r.head
 
-let drop r =
+let[@inline] drop r =
   r.head <- (r.head + 1) land (Array.length r.slots - 1);
   r.len <- r.len - 1
 
@@ -132,6 +140,9 @@ type t = {
   mutable heap_inserts : int;
   mutable wall : float;     (* host seconds accumulated inside [run] *)
   mutable stop_requested : bool;
+  mutable gate : int;       (* [executed] below it: no stop requested, the
+                               event budget not spent and no deadline
+                               probe due; see [over_budget] *)
   mutable running : bool;   (* inside [run] *)
   mutable digest_source : (unit -> int) option;
   (* Hooks and budgets: installed by every [create], pooled or fresh. *)
@@ -171,6 +182,7 @@ let allocate () =
     heap_inserts = 0;
     wall = 0.;
     stop_requested = false;
+    gate = 0;
     running = false;
     digest_source = None;
     instruments = None;
@@ -207,6 +219,7 @@ let reset t =
   t.heap_inserts <- 0;
   t.wall <- 0.;
   t.stop_requested <- false;
+  t.gate <- 0;
   t.running <- false;
   t.digest_source <- None
 
@@ -268,9 +281,11 @@ let grow_arena t =
 
 (* Arena slots handed around internally (freelist heads, queue pops) are
    within capacity by construction, so arena accesses on the hot path skip
-   the bounds checks. *)
+   the bounds checks.  The small helpers of every schedule and pop (these,
+   the rings', [measure] and [Pqueue.min_value]) are [@inline]: without
+   flambda each would otherwise be a call, a few per tick. *)
 
-let alloc_slot t =
+let[@inline] alloc_slot t =
   if t.free_head < 0 then grow_arena t;
   let slot = t.free_head in
   t.free_head <- Array.unsafe_get t.ev_next slot;
@@ -402,7 +417,9 @@ let schedule t ~delay action =
   t.at.(0) <- t.clock.(0) +. delay;
   schedule_from t ~tag:(-1) ~footprint:0 ~times:t.at 0 action
 
-let stop t = t.stop_requested <- true
+let stop t =
+  t.stop_requested <- true;
+  t.gate <- 0
 
 let set_digest_source t f = t.digest_source <- Some f
 
@@ -413,7 +430,7 @@ let grow_depths t depth =
 
 (* Tally one executed event; [depth] is the pending-event count at the
    instant the event fired. *)
-let measure t ~depth =
+let[@inline] measure t ~depth =
   match t.instruments with
   | None -> ()
   | Some _ ->
@@ -507,15 +524,26 @@ let choose_from t sched slot0 =
   t.clock.(0) <- Float.max t.clock.(0) t.ev_time.(slot);
   slot
 
-(* Coarse wall-clock deadline probe: the [gettimeofday] syscall is paid at
-   most once per 1024 executed events, and never when no deadline is set,
-   so the fast loop stays a float compare away from its deadline-free
-   cost.  Checked before the pop, so an over-deadline run stops without
-   consuming another event. *)
-let past_wall_deadline t =
-  t.wall_deadline < infinity
-  && t.executed land 1023 = 0
-  && Unix.gettimeofday () > t.wall_deadline
+(* The budget tests, in their order, for a pop or a claim at or past the
+   gate: why the run ends, or [None] with the gate re-armed.  The deadline
+   probe pays the [gettimeofday] syscall at most once per 1024 executed
+   events, and never when no deadline is set; it runs before the pop, so
+   an over-deadline run stops without consuming another event. *)
+let over_budget t =
+  if t.stop_requested then Some Stopped
+  else if t.executed >= t.limit_events then Some Hit_event_limit
+  else if
+    t.wall_deadline < infinity
+    && t.executed land 1023 = 0
+    && Unix.gettimeofday () > t.wall_deadline
+  then Some Hit_wall_deadline
+  else begin
+    t.gate <-
+      (if t.wall_deadline < infinity then
+         Int.min t.limit_events ((t.executed lor 1023) + 1)
+       else t.limit_events);
+    None
+  end
 
 (* The monomorphic fast loop: no metrics, causal recorder or scheduler —
    and therefore not a single observation branch per event.  Identical
@@ -524,10 +552,9 @@ let past_wall_deadline t =
    [eseq] so it is not demoted behind same-priority peers on resume. *)
 let run_fast t =
   let rec loop () =
-    if t.stop_requested then Stopped
-    else if t.executed >= t.limit_events then Hit_event_limit
-    else if past_wall_deadline t then Hit_wall_deadline
-    else begin
+    match if t.executed < t.gate then None else over_budget t with
+    | Some outcome -> outcome
+    | None ->
       let slot = pop_slot t in
       if slot < 0 then Drained
       else begin
@@ -546,7 +573,6 @@ let run_fast t =
           loop ()
         end
       end
-    end
   in
   loop ()
 
@@ -557,10 +583,9 @@ let run_fast t =
    among the candidates it heads, with the full observation surface. *)
 let run_observed t =
   let rec loop () =
-    if t.stop_requested then Stopped
-    else if t.executed >= t.limit_events then Hit_event_limit
-    else if past_wall_deadline t then Hit_wall_deadline
-    else begin
+    match if t.executed < t.gate then None else over_budget t with
+    | Some outcome -> outcome
+    | None ->
       let slot0 = pop_slot t in
       if slot0 < 0 then Drained
       else if t.ev_time.(slot0) > t.limit_time then begin
@@ -584,7 +609,6 @@ let run_observed t =
         action ();
         loop ()
       end
-    end
   in
   loop ()
 
@@ -600,9 +624,8 @@ let run_observed t =
    Under a scheduler every pop is a decision the scheduler may own, so
    the answer is always no. *)
 let claim_now t =
-  t.running && t.scheduler == None && (not t.stop_requested)
-  && t.executed < t.limit_events
-  && (not (past_wall_deadline t))
+  t.running && t.scheduler == None
+  && (t.executed < t.gate || Option.is_none (over_budget t))
   && t.lane.len = 0
   && begin
     let clock = Array.unsafe_get t.clock 0 in
@@ -626,6 +649,8 @@ let claim_now t =
 let run t =
   let started = Unix.gettimeofday () in
   t.stop_requested <- false;
+  (* Closed, so the first pop runs the full tests, which arm it. *)
+  t.gate <- 0;
   t.running <- true;
   let outcome =
     match

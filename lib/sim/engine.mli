@@ -45,7 +45,17 @@
     budget or a scheduler puts an event back (it goes back into the heap
     under its original key).  A follow-up that an action runs at once
     after {!claim_now} said yes never enters the lane: it is counted as
-    if it had passed through it. *)
+    if it had passed through it.
+
+    {b Budgets.}  Each pop of either loop and each {!claim_now} first
+    compares {!executed_events} with one integer gate, set so that below
+    it no stop is requested, the event budget is not spent and no
+    wall-deadline probe is due.  Only at or past the gate does the engine
+    test, in this order, a requested {!stop}, the event budget and the
+    deadline (the probe, at every multiple of 1024 executed events), and
+    re-arm the gate: at [limit_events], or with a deadline at the next
+    multiple of 1024.  {!stop} closes the gate, and so does {!run} on
+    entry. *)
 
 type t
 

@@ -71,7 +71,7 @@ let[@inline] add_at t ~times ~seq v =
   t.len <- i + 1;
   sift_up t i
 
-let min_value t = if t.len = 0 then -1 else t.value.(0)
+let[@inline] min_value t = if t.len = 0 then -1 else t.value.(0)
 
 (* Bottom-up deletion: run a hole from the root down the min-child path to
    a leaf (one comparison and one element copy per level), then drop the

@@ -104,25 +104,29 @@ let worker election (w : worker) =
   in
   (try
      let st = ref Election.initial in
-     let tick_time = ref (Clock.next_tick w.clock ~after:0.) in
+     (* The pending tick's instant and its integer local reading: the
+        first by the general rule, every later one stepped, as the
+        simulator's tick chains do. *)
+     let tick_time = [| 0. |] and tick_local = [| 0. |] in
+     Clock.first_tick w.clock tick_time tick_local 0;
      let reader = Wire.reader () in
      let scratch = Bytes.create 4096 in
      let running = ref true in
      while !running do
-       let deadline = w.start_wall +. (!tick_time *. w.scale) in
+       let deadline = w.start_wall +. (tick_time.(0) *. w.scale) in
        let timeout = deadline -. Unix.gettimeofday () in
        if timeout <= 0. then begin
          incr ticks;
          Option.iter
            (fun r ->
               Telemetry.Recorder.begin_proc r ~kind:`Tick
-                ~scheduled:!tick_time ~now:(now_units ()) ())
+                ~scheduled:tick_time.(0) ~now:(now_units ()) ())
            recorder;
          st := Runner.on_tick step () ~rng:w.rng !st;
          Option.iter
            (fun r -> Telemetry.Recorder.finish_proc r ~now:(now_units ()))
            recorder;
-         tick_time := Clock.next_tick w.clock ~after:!tick_time
+         Clock.step_tick w.clock tick_time tick_local 0
        end
        else begin
          match Unix.select [ w.fd ] [] [] timeout with

@@ -660,10 +660,148 @@ let test_wall_deadline_past_exits_promptly () =
   let outcome = Engine.run engine in
   Alcotest.(check bool) "hit wall deadline" true
     (outcome = Engine.Hit_wall_deadline);
-  (* An already-expired deadline is noticed within one probe interval. *)
-  Alcotest.(check bool) "at most one probe interval of events" true
-    (Engine.executed_events engine <= 1025)
+  (* An already-expired deadline is noticed at the first probe, before
+     the first pop. *)
+  Alcotest.(check int) "no event executed" 0 (Engine.executed_events engine);
+  Alcotest.(check bool) "a resumed run stops there too" true
+    (Engine.run engine = Engine.Hit_wall_deadline);
+  Alcotest.(check int) "still none" 0 (Engine.executed_events engine)
 
+(* The gate: a stop requested inside a claimed follow-up closes it at
+   once, so the run stops before its next pop, and a claim after the stop
+   is refused.  The run resumes where it stopped. *)
+let test_stop_inside_claim () =
+  let engine = Engine.create () in
+  let log = ref [] and reclaim = ref None in
+  Engine.schedule engine ~delay:1. (fun () ->
+      log := "fire" :: !log;
+      if Engine.claim_now engine then begin
+        log := "claimed" :: !log;
+        Engine.stop engine;
+        reclaim := Some (Engine.claim_now engine)
+      end);
+  Engine.schedule engine ~delay:2. (fun () -> log := "next" :: !log);
+  Alcotest.(check bool) "stopped" true (Engine.run engine = Engine.Stopped);
+  Alcotest.(check (option bool)) "claim after the stop" (Some false) !reclaim;
+  Alcotest.(check int) "fire and its claim" 2 (Engine.executed_events engine);
+  Alcotest.(check (list string)) "nothing popped after the stop"
+    [ "fire"; "claimed" ] (List.rev !log);
+  Alcotest.(check bool) "resume drains" true (Engine.run engine = Engine.Drained);
+  Alcotest.(check (list string)) "then the next event"
+    [ "fire"; "claimed"; "next" ] (List.rev !log);
+  Alcotest.(check int) "all three" 3 (Engine.executed_events engine)
+
+(* A γ = 0 ring: every completion falls at its tick or arrival instant,
+   so nearly every one is claimed inside its fire or arrival event.
+   Eight nodes with drifting clocks; node 0 starts a token, a delivery
+   forwards it, and one tick in 16 starts another. *)
+module Token = struct
+  type state = unit
+  type message = unit
+
+  let pp_state ppf () = Fmt.string ppf "()"
+  let pp_message ppf () = Fmt.string ppf "()"
+end
+
+module Token_ring = Abe_net.Network.Make (Token)
+
+(* The ring run to virtual time 40 under [limit_events], with its metrics
+   when [observed] (the observed loop) or not (the fast loop).  The first
+   handler that runs with [stop_at] events or more executed calls
+   [Engine.stop]; every stop is resumed.  Returns each handler call as
+   (node, kind, instant), the outcomes and the executed count. *)
+let token_ring ?limit_events ?stop_at ~observed () =
+  let open Abe_net in
+  let log = ref [] and stopped = ref false in
+  let net = ref None in
+  let note (ctx : Token_ring.context) kind =
+    log := (ctx.node, kind, ctx.now ()) :: !log;
+    match !net, stop_at with
+    | Some net, Some k when not !stopped ->
+      let engine = Token_ring.engine net in
+      if Engine.executed_events engine >= k then begin
+        stopped := true;
+        Engine.stop engine
+      end
+    | _ -> ()
+  in
+  let handlers =
+    { Token_ring.init =
+        (fun ctx -> if ctx.node = 0 then ctx.send 0 ());
+      on_message =
+        (fun ctx () () ->
+           note ctx `Deliver;
+           ctx.send 0 ());
+      on_tick =
+        (fun ctx () ->
+           note ctx `Tick;
+           if Abe_prob.Rng.int ctx.rng 16 = 0 then ctx.send 0 ()) }
+  in
+  let config =
+    { (Token_ring.default_config ~topology:(Topology.ring 8)
+         ~delay:(Delay_model.abe_exponential ~delta:1.))
+      with Token_ring.clock_spec = Clock.spec ~s_low:0.8 ~s_high:1.25 }
+  in
+  let metrics = if observed then Some (Metrics.create ()) else None in
+  let ring =
+    Token_ring.create ?metrics ~limit_time:40. ?limit_events ~seed:3 config
+      handlers
+  in
+  net := Some ring;
+  let rec go outcomes =
+    match Token_ring.run ring with
+    | Engine.Stopped -> go (Engine.Stopped :: outcomes)
+    | outcome -> List.rev (outcome :: outcomes)
+  in
+  let outcomes = go [] in
+  (List.rev !log, outcomes, Engine.executed_events (Token_ring.engine ring))
+
+let rec is_prefix a b =
+  match a, b with
+  | [], _ -> true
+  | x :: a, y :: b -> x = y && is_prefix a b
+  | _ :: _, [] -> false
+
+(* The gate against [limit_events] and [Engine.stop] on the γ = 0 ring, in
+   both loops.  Cut by the event budget at any count, a run executes
+   exactly that many events, its handler calls a prefix of the uncut
+   run's, and a further [run] executes nothing.  Stopped from a handler
+   at any count — inside a claimed completion, at γ = 0 — and resumed, it
+   ends as the uncut run ends. *)
+let test_gate_on_claimed_ring () =
+  List.iter
+    (fun observed ->
+       let full_log, full_outcomes, full_executed =
+         token_ring ~observed ()
+       in
+       Alcotest.(check bool) "uncut run ends at its time budget" true
+         (full_outcomes = [ Engine.Hit_time_limit ]);
+       let counts =
+         List.init 200 (fun k -> k + 1)
+         @ List.init (full_executed / 97) (fun k -> 200 + (97 * k))
+       in
+       List.iter
+         (fun cut ->
+            if cut < full_executed then begin
+              let log, outcomes, executed =
+                token_ring ~limit_events:cut ~observed ()
+              in
+              if outcomes <> [ Engine.Hit_event_limit ] || executed <> cut
+              then
+                Alcotest.failf "cut at %d: %d executed" cut executed;
+              if not (is_prefix log full_log) then
+                Alcotest.failf "cut at %d: not a prefix of the uncut run" cut;
+              let log', outcomes', executed' =
+                token_ring ~stop_at:cut ~observed ()
+              in
+              if
+                log' <> full_log || executed' <> full_executed
+                || outcomes' <> [ Engine.Stopped; Engine.Hit_time_limit ]
+              then
+                Alcotest.failf "stopped at %d: resumed run differs" cut
+            end)
+         counts)
+    [ false; true ]
 (* [create ~reuse]: an engine left over a budget with events pending comes
    back empty at time 0, its counters and budgets those of the new call;
    its pending events never run, and the kept arena still grows past its
@@ -749,12 +887,16 @@ let test_reuse_abandoned_run () =
 
 (* Minor words allocated by a run of [events] events on [e], reset in
    place, of one self-rescheduling chain per entry of [delays]. *)
-let minor_words_of_run e ~delays ~events =
+let minor_words_of_run ?wall_deadline ?(claim = false) e ~delays ~events =
   let before = Gc.minor_words () in
-  let e = Engine.create ~reuse:e ~limit_events:events () in
+  let e = Engine.create ~reuse:e ?wall_deadline ~limit_events:events () in
   Array.iter
     (fun delay ->
-       let rec act () = ignore (Engine.schedule e ~delay act) in
+       let rec act () =
+         ignore (Engine.schedule e ~delay act);
+         (* A claimed follow-up that does nothing. *)
+         if claim then ignore (Engine.claim_now e : bool)
+       in
        ignore (Engine.schedule e ~delay act))
     delays;
   Alcotest.(check bool) "event limit reached" true
@@ -762,18 +904,29 @@ let minor_words_of_run e ~delays ~events =
   Gc.minor_words () -. before
 
 (* The fast loop allocates nothing per event, on the time-ordered run
-   (equal delays) and on the heap (varied delays): on a warm engine a run
-   of twice the events allocates exactly the same minor words, all of it
-   per-run set-up. *)
+   (equal delays) and on the heap (varied delays), with every event
+   claiming a follow-up or not, and with a wall deadline to probe or not:
+   on a warm engine a run of twice the events allocates exactly the same
+   minor words, all of it per-run set-up. *)
 let test_fast_loop_allocates_nothing () =
   let chains = 64 in
+  let far = Unix.gettimeofday () +. 3600. in
   List.iter
     (fun (label, delays) ->
-       let e = Engine.create () in
-       ignore (minor_words_of_run e ~delays ~events:100_000);
-       let short = minor_words_of_run e ~delays ~events:100_000 in
-       let long = minor_words_of_run e ~delays ~events:200_000 in
-       Alcotest.(check (float 0.)) label short long)
+       List.iter
+         (fun (variant, wall_deadline, claim) ->
+            let e = Engine.create () in
+            let words events =
+              minor_words_of_run ?wall_deadline ~claim e ~delays ~events
+            in
+            ignore (words 100_000);
+            let short = words 100_000 in
+            let long = words 200_000 in
+            Alcotest.(check (float 0.)) (label ^ variant) short long)
+         [ ("", None, false);
+           (", claiming", None, true);
+           (", deadline probed", Some far, false);
+           (", claiming, deadline probed", Some far, true) ])
     [ ("equal delays", Array.make chains 1.);
       ( "varied delays",
         Array.init chains (fun c -> 1. +. (float_of_int (c mod 7) /. 8.)) ) ]
@@ -806,6 +959,10 @@ let () =
             test_wall_deadline_stops_run;
           Alcotest.test_case "wall deadline already past" `Quick
             test_wall_deadline_past_exits_promptly;
+          Alcotest.test_case "stop inside a claim" `Quick
+            test_stop_inside_claim;
+          Alcotest.test_case "gate on a claimed ring" `Quick
+            test_gate_on_claimed_ring;
           Alcotest.test_case "time limit" `Quick test_time_limit;
           Alcotest.test_case "time limit resume keeps fifo" `Quick
             test_time_limit_resume_keeps_fifo;
