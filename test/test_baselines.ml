@@ -116,6 +116,24 @@ let test_dkr_leader_holds_max () =
   let o = Dolev_klawe_rodeh.run ~seed:5 ~n:16 () in
   Alcotest.(check int) "one leader" 1 o.Dolev_klawe_rodeh.leader_count
 
+(* The three baselines' report lines over a grid of ring sizes and seeds,
+   pinned by md5: the synchronous executor's delivery order, streams and
+   round count decide every field. *)
+let test_outcome_lines_pinned () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun n ->
+       for seed = 1 to 20 do
+         Printf.bprintf b "%s\n%s\n%s\n"
+           (Fmt.str "%a" Itai_rodeh.pp_outcome (Itai_rodeh.run ~seed ~n ()))
+           (Fmt.str "%a" Chang_roberts.pp_outcome (Chang_roberts.run ~seed ~n ()))
+           (Fmt.str "%a" Dolev_klawe_rodeh.pp_outcome
+              (Dolev_klawe_rodeh.run ~seed ~n ()))
+       done)
+    [ 2; 3; 4; 5; 8; 13; 16; 32; 64 ];
+  Alcotest.(check string) "md5" "f2249c43cf91fd2225e91c675991d643"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_growth_shapes () =
   (* The headline comparison (E8): CR and DKR grow like n log n; the ring
      sizes here are small but the classifier already separates shapes. *)
@@ -189,6 +207,9 @@ let () =
           Alcotest.test_case "sizes" `Quick test_dkr_sizes;
           Alcotest.test_case "message bound" `Quick test_dkr_message_bound;
           Alcotest.test_case "unique leader" `Quick test_dkr_leader_holds_max ] );
+      ( "outcomes",
+        [ Alcotest.test_case "report lines pinned" `Quick
+            test_outcome_lines_pinned ] );
       ("growth", [ Alcotest.test_case "shapes" `Slow test_growth_shapes ]);
       ( "async-adapters",
         [ Alcotest.test_case "IR on ABE with FIFO" `Quick

@@ -51,6 +51,36 @@ let test_reference_bfs_on_grid () =
          (Sync_alg.Bfs.distance st))
     r.Ref_bfs.states
 
+(* Final states and payload totals of every pulse count up to three times
+   the diameter, pinned by md5: past the diameter both algorithms have
+   settled, so longer runs must print the same states and totals. *)
+let test_reference_pinned () =
+  let topologies =
+    [ ("ring", Topology.bidirectional_ring 9);
+      ("grid", Topology.grid ~rows:3 ~cols:4);
+      ("hypercube", Topology.hypercube ~dim:3);
+      ("star", Topology.star 7);
+      ("tree", Topology.random_tree ~n:10 ~rng:(Abe_prob.Rng.create ~seed:4)) ]
+  in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (name, topology) ->
+       let diameter = Option.get (Topology.diameter topology) in
+       for pulses = 1 to 3 * diameter do
+         let bfs = Ref_bfs.run ~seed:3 ~topology ~pulses in
+         let flood = Ref_flood.run ~seed:3 ~topology ~pulses in
+         Printf.bprintf b "%s %d: %s %d | %s %d\n" name pulses
+           (Fmt.str "%a" Fmt.(array ~sep:sp Sync_alg.Bfs.pp_state)
+              bfs.Ref_bfs.states)
+           bfs.Ref_bfs.payload_messages
+           (Fmt.str "%a" Fmt.(array ~sep:sp Sync_alg.Flood_max.pp_state)
+              flood.Ref_flood.states)
+           flood.Ref_flood.payload_messages
+       done)
+    topologies;
+  Alcotest.(check string) "md5" "a51138e160d319ad5f45bfc2496bbe9b"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let abe_delay = Delay_model.abe_exponential ~delta:1.
 
 let test_alpha_bfs_correct_on_abe () =
@@ -501,7 +531,9 @@ let () =
         [ Alcotest.test_case "bfs on ring" `Quick test_reference_bfs_ring;
           Alcotest.test_case "bfs sparse" `Quick test_reference_bfs_sparse;
           Alcotest.test_case "flood converges" `Quick test_reference_flood_converges;
-          Alcotest.test_case "bfs on grid" `Quick test_reference_bfs_on_grid ] );
+          Alcotest.test_case "bfs on grid" `Quick test_reference_bfs_on_grid;
+          Alcotest.test_case "states and payload pinned" `Quick
+            test_reference_pinned ] );
       ( "alpha",
         [ Alcotest.test_case "bfs correct on ABE" `Quick
             test_alpha_bfs_correct_on_abe;
