@@ -505,59 +505,48 @@ let baselines_command =
     Arg.(value & opt string "all" & info [ "algorithm" ] ~docv:"ALG" ~doc)
   in
   let run n algorithm seed check jobs obs () =
-    (* Each [show] returns the exported row (the report line, and the
-       counters the run contributes to --metrics) and the unique-leader
-       verdict ([elected] with [leader_count = 1]) for --check. *)
-    let show label pp o ~rounds ~ok counters =
+    (* One row per algorithm: its --algorithm key (also its metrics key),
+       its report label, its run, and whether it reports phases. *)
+    let rows =
+      let open Abe_election in
+      [ ("ir", "itai-rodeh", Itai_rodeh.run, true);
+        ("cr", "chang-roberts", Chang_roberts.run, false);
+        ("dkr", "dolev-klawe-rodeh", Dolev_klawe_rodeh.run, true) ]
+    in
+    (* [show] returns the exported row (the report line, and the counters
+       the run contributes to --metrics) and the unique-leader verdict
+       ([elected] with [leader_count = 1]) for --check. *)
+    let show (key, label, run, phases) =
+      let o : Abe_election.Sync_baseline.outcome = run ~seed ~n () in
+      let counter name value = ("baseline/" ^ key ^ "/" ^ name, value) in
       ( { Replicate.kind = "outcome";
-          line = Fmt.str "%-19s%a" (label ^ ":") pp o;
+          line =
+            Fmt.str "%-19s%a" (label ^ ":")
+              (Abe_election.Sync_baseline.pp_outcome ~phases)
+              o;
           label;
-          length = float_of_int rounds;
-          counters;
+          length = float_of_int o.rounds;
+          counters =
+            [ counter "messages" o.messages; counter "rounds" o.rounds ]
+            @ (if phases then [ counter "phases" o.phases ] else []);
           gauges = [] },
-        ok )
-    in
-    let show_ir () =
-      let module R = Abe_election.Itai_rodeh in
-      let o = R.run ~seed ~n () in
-      show "itai-rodeh" R.pp_outcome o ~rounds:o.R.rounds
-        ~ok:(o.R.elected && o.R.leader_count = 1)
-        [ ("baseline/ir/messages", o.R.messages);
-          ("baseline/ir/rounds", o.R.rounds);
-          ("baseline/ir/phases", o.R.phases) ]
-    in
-    let show_cr () =
-      let module R = Abe_election.Chang_roberts in
-      let o = R.run ~seed ~n () in
-      show "chang-roberts" R.pp_outcome o ~rounds:o.R.rounds
-        ~ok:(o.R.elected && o.R.leader_count = 1)
-        [ ("baseline/cr/messages", o.R.messages);
-          ("baseline/cr/rounds", o.R.rounds) ]
-    in
-    let show_dkr () =
-      let module R = Abe_election.Dolev_klawe_rodeh in
-      let o = R.run ~seed ~n () in
-      show "dolev-klawe-rodeh" R.pp_outcome o ~rounds:o.R.rounds
-        ~ok:(o.R.elected && o.R.leader_count = 1)
-        [ ("baseline/dkr/messages", o.R.messages);
-          ("baseline/dkr/rounds", o.R.rounds);
-          ("baseline/dkr/phases", o.R.phases) ]
+        o.elected && o.leader_count = 1 )
     in
     let driver = Abe_harness.Driver.of_jobs jobs in
     let* selected =
       match algorithm with
-      | "ir" -> Ok [ show_ir ]
-      | "cr" -> Ok [ show_cr ]
-      | "dkr" -> Ok [ show_dkr ]
-      | "all" -> Ok [ show_ir; show_cr; show_dkr ]
-      | other -> Error (Printf.sprintf "unknown algorithm %S" other)
+      | "all" -> Ok rows
+      | key ->
+        (match List.filter (fun (k, _, _, _) -> k = key) rows with
+         | [] -> Error (Printf.sprintf "unknown algorithm %S" key)
+         | matched -> Ok matched)
     in
     (* The algorithms are independent runs: fan them out over the driver,
        then print in the fixed ir/cr/dkr order.  The baseline runners are
        round-driven, not engine-driven, so the exports record
        harness-level outcomes: one trace entry per algorithm, in report
        order, and one process span per algorithm spanning [0, rounds]. *)
-    let results = Abe_harness.Driver.map driver (fun show -> show ()) selected in
+    let results = Abe_harness.Driver.map driver show selected in
     List.iter (fun (row, _) -> Fmt.pr "%s@." row.Replicate.line) results;
     Replicate.export obs (List.map fst results);
     if check then begin

@@ -23,13 +23,10 @@ type reaction = Forward | Win | Drop
 val transition : state -> int -> state * reaction
 (** React to an incoming candidate identifier. *)
 
-type outcome = {
-  elected : bool;
-  leader : int option;  (** ring position of the max-identifier node *)
-  leader_count : int;
-  rounds : int;
-  messages : int;
-}
+type outcome = Sync_baseline.outcome = {
+  elected : bool; leader : int option; leader_count : int;
+  rounds : int; phases : int; messages : int }
 
 val run : seed:int -> n:int -> unit -> outcome
-val pp_outcome : Format.formatter -> outcome -> unit
+(** One complete election on the synchronous ring ({!Sync_baseline}).
+    [phases] is always 0. *)

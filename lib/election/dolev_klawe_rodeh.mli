@@ -14,14 +14,9 @@
     message-complexity class for rings with identities that the paper's ABE
     election undercuts with its average [O(n)]. *)
 
-type outcome = {
-  elected : bool;
-  leader : int option;  (** ring position of the surviving node *)
-  leader_count : int;
-  rounds : int;
-  phases : int;    (** phases completed by the winner *)
-  messages : int;
-}
+type outcome = Sync_baseline.outcome = {
+  elected : bool; leader : int option; leader_count : int;
+  rounds : int; phases : int; messages : int }
 
 val run : seed:int -> n:int -> unit -> outcome
-val pp_outcome : Format.formatter -> outcome -> unit
+(** One complete election on the synchronous ring ({!Sync_baseline}). *)

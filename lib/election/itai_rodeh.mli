@@ -45,17 +45,10 @@ val transition :
     phase starts.  Requires FIFO delivery between consecutive active
     nodes. *)
 
-type outcome = {
-  elected : bool;
-  leader : int option;
-  leader_count : int;
-  rounds : int;          (** synchronous rounds executed *)
-  phases : int;          (** election phases used by the winner *)
-  messages : int;        (** single-hop transmissions *)
-}
+type outcome = Sync_baseline.outcome = {
+  elected : bool; leader : int option; leader_count : int;
+  rounds : int; phases : int; messages : int }
 
 val run : seed:int -> n:int -> unit -> outcome
-(** One complete election, stopped after 10{^ 6} rounds.  Deterministic
-    in [seed]. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
+(** One complete election on the synchronous ring ({!Sync_baseline}).
+    Deterministic in [seed]. *)

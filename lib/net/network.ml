@@ -228,7 +228,7 @@ module Make (P : PROTOCOL) = struct
      closure instead of allocating a fresh closure over a fresh tuple of
      fields.  A completion that falls at its arrival or tick instant (every
      one at γ = 0) is offered to [Engine.claim_now] and, when the engine
-     agrees, runs at once inside that event, not from the engine's lane.
+     agrees, runs at once inside that event instead of being scheduled.
      A claimed tick takes no slot at all: nothing of it outlives its fire
      event.  A claimed delivery keeps the slot its message travelled in.
      The pool is global, not per-link: its size tracks the

@@ -5,23 +5,22 @@
    indices only (see Pqueue), so the hot loop moves nothing but immediates
    and flat floats: executing one event on the fast path allocates nothing.
 
-   Pending events live in one of three places, each ordered by
-   [(time, seq)].  An event scheduled for exactly the current clock instant
-   goes into the same-instant lane, a FIFO ring of arena indices.  A future
-   event whose time is at least that of the run's tail is appended to the
-   run, a second FIFO ring: the tick chains of a network are such a
-   stream, its first round scheduled in instant order and every later
-   round of equal-rate clocks rescheduled in that order.  A message
-   arrival ([schedule_arrival]) never joins the run, since its random
-   instant would move the tail past a round still being rescheduled.
-   Every other future event goes into the heap.  Neither ring needs
-   ordering work: the clock is monotone, run appends never go back in
-   time, and [seq] rises, so each
-   ring's entries are appended in ascending [(time, seq)] order.  Every
-   pop ([pop_slot], and [min_slot] for the scheduler's candidate grab)
-   takes the least of the lane head, the run head and the heap minimum on
-   the full key, so the execution order is exactly that of a single heap —
-   including for events put back into the heap by a budget or a scheduler.
+   Pending events live in one of two places, each ordered by
+   [(time, seq)].  An event whose time is at least that of the run's tail
+   is appended to the run, a FIFO ring of arena indices: the tick chains
+   of a network are such a stream, its first round scheduled in instant
+   order and every later round of equal-rate clocks rescheduled in that
+   order.  A future message arrival ([schedule_arrival]) never joins the
+   run, since its random instant would move the tail past a round still
+   being rescheduled; one due at the current instant may, as the tail
+   then stays at or before every later instant.  Every other event goes
+   into the heap.  The run needs no ordering work: run appends never go
+   back in time and [seq] rises, so its entries are appended in ascending
+   [(time, seq)] order.  Every pop ([pop_slot], and [min_slot] for the
+   scheduler's candidate grab) takes the lesser of the run head and the
+   heap minimum on the full key, so the execution order is exactly that
+   of a single heap — including for events put back into the heap by a
+   budget or a scheduler.
 
    [run] dispatches once per call between two loops: the fast loop, used
    when no metrics registry, causal recorder or scheduler is attached,
@@ -31,7 +30,7 @@
    so executions are byte-identical across loop choices.  An action may
    also take the next pop early for a follow-up at the current instant
    ([claim_now]): such an event is counted where the loop would count it
-   but never enters the lane, so the loop saves a pass.
+   but never enters the run or the heap, so the loop saves a pass.
 
    Before each pop, and in [claim_now], the engine compares [executed]
    with one integer, the gate.  Below it no budget test can end the run:
@@ -115,8 +114,7 @@ let[@inline] drop r =
 
 type t = {
   queue : Pqueue.t;
-  lane : ring;  (* events at the clock instant they were scheduled at *)
-  run : ring;   (* future events appended in time order *)
+  run : ring;   (* events appended in time order *)
   run_tail : float array;  (* length 1: time of the last run append;
                               [neg_infinity] after a reset *)
   (* Event arena (SoA).  All arrays share the same capacity. *)
@@ -162,7 +160,6 @@ type t = {
    the engine [create] promises. *)
 let allocate () =
   { queue = Pqueue.create ();
-    lane = ring ();
     run = ring ();
     run_tail = [| neg_infinity |];
     ev_time = [||];
@@ -195,7 +192,7 @@ let allocate () =
     wall_deadline = infinity }
 
 (* Back to virtual time 0 with nothing pending, keeping the capacity of
-   the arena, the heap and both rings.  Every slot goes back on the
+   the arena, the heap and the run.  Every slot goes back on the
    freelist and its action is dropped. *)
 let reset t =
   t.free_head <- -1;
@@ -207,7 +204,6 @@ let reset t =
   (* One fill instead of a write barrier per pending slot. *)
   Array.fill t.ev_action 0 (Array.length t.ev_action) null_action;
   Pqueue.clear t.queue;
-  clear_ring t.lane;
   clear_ring t.run;
   t.run_tail.(0) <- neg_infinity;
   t.clock.(0) <- 0.;
@@ -325,31 +321,18 @@ let[@inline] ring_min t best r =
     let s = peek r in
     if best >= 0 && before t best s then best else s
 
-(* The earliest pending slot, lane, run and heap merged, without removing
-   it; [-1] when all three are empty. *)
-let min_slot t =
-  ring_min t (ring_min t (Pqueue.min_value t.queue) t.run) t.lane
+(* The earliest pending slot, run and heap merged, without removing it;
+   [-1] when both are empty. *)
+let min_slot t = ring_min t (Pqueue.min_value t.queue) t.run
 
 (* Remove and return the earliest pending slot ([-1] when empty). *)
 let pop_slot t =
-  let lane = t.lane and run = t.run in
+  let run = t.run in
   let h = Pqueue.min_value t.queue in
   if run.len > 0 && (h < 0 || before t (peek run) h) then begin
     let r = peek run in
-    if lane.len > 0 && before t (peek lane) r then begin
-      let l = peek lane in
-      drop lane;
-      l
-    end
-    else begin
-      drop run;
-      r
-    end
-  end
-  else if lane.len > 0 && (h < 0 || before t (peek lane) h) then begin
-    let l = peek lane in
-    drop lane;
-    l
+    drop run;
+    r
   end
   else Pqueue.pop_value t.queue
 
@@ -360,7 +343,8 @@ let[@inline] heap_add t ~seq slot =
 
 (* Every scheduling entry point ends here.  The time is read from a flat
    array so that no float crosses a call boundary boxed.  [onto_run] is
-   false for message arrivals, which never join the run (see above). *)
+   false for message arrivals, which join the run only when due now (see
+   above). *)
 let[@inline] enqueue t ~onto_run ~tag ~footprint ~times i action =
   let time = times.(i) in
   let clock = Array.unsafe_get t.clock 0 in
@@ -382,21 +366,19 @@ let[@inline] enqueue t ~onto_run ~tag ~footprint ~times i action =
   Array.unsafe_set t.ev_foot slot footprint;
   Array.unsafe_set t.ev_eseq slot t.seq;
   Array.unsafe_set t.ev_lamport slot lamport;
-  if time > clock then begin
-    Array.unsafe_set t.ev_time slot time;
-    if onto_run && time >= Array.unsafe_get t.run_tail 0 then begin
-      Array.unsafe_set t.run_tail 0 time;
-      push t.run slot
-    end
-    else heap_add t ~seq:t.seq slot
+  let due_now = not (time > clock) in
+  (* Due now, or — under a reordering scheduler, whose clock may have
+     raced past a time computed from a deferred event — already overtaken:
+     the event fires as soon as possible instead of in the past. *)
+  if due_now then Array.unsafe_set t.ev_time slot clock
+  else Array.unsafe_set t.ev_time slot time;
+  if (onto_run || due_now)
+  && Array.unsafe_get t.ev_time slot >= Array.unsafe_get t.run_tail 0
+  then begin
+    Array.unsafe_set t.run_tail 0 (Array.unsafe_get t.ev_time slot);
+    push t.run slot
   end
-  else begin
-    (* Now, or — under a reordering scheduler, whose clock may have raced
-       past a time computed from a deferred event — already overtaken: the
-       event fires as soon as possible instead of in the past. *)
-    Array.unsafe_set t.ev_time slot clock;
-    push t.lane slot
-  end;
+  else heap_add t ~seq:t.seq slot;
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   if t.live > t.max_depth then t.max_depth <- t.live
@@ -615,9 +597,9 @@ let run_observed t =
 (* The next pop of either loop, taken early by the executing action for
    a follow-up it would schedule at the current instant as its last step.
    The follow-up would be the next event popped exactly when no stop or
-   budget ends the loop first and no pending event precedes it: nothing
-   in the lane, and neither the run's head nor the heap's minimum due at
-   this instant (a pending event is never due earlier).  A yes counts the
+   budget ends the loop first and no pending event precedes it: neither
+   the run's head nor the heap's minimum due at this instant (a pending
+   event is never due earlier).  A yes counts the
    follow-up as scheduled and popped at once — its sequence number, the
    depth it would have reached, its execution, and in the observed loop
    its depth tally and its Lamport announcement — and the caller runs it.
@@ -626,7 +608,6 @@ let run_observed t =
 let claim_now t =
   t.running && t.scheduler == None
   && (t.executed < t.gate || Option.is_none (over_budget t))
-  && t.lane.len = 0
   && begin
     let clock = Array.unsafe_get t.clock 0 in
     let run = t.run in

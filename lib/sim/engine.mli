@@ -16,9 +16,9 @@
     {b Representation.}  Events live in an int-indexed arena in
     structure-of-arrays layout (timestamps in a flat [float array], actions
     in a parallel array, tag/seq/lamport/footprint in [int array]s) with
-    freed slots recycled through a freelist.  Pending events are held in three
-    places — the same-instant lane, the run and a heap — each of which
-    orders bare arena indices.  [run] picks one of two loops per call.
+    freed slots recycled through a freelist.  Pending events are held in two
+    places — the run and a heap — each of which orders bare arena
+    indices.  [run] picks one of two loops per call.
     When no metrics registry, causal recorder or scheduler is attached, it
     enters the fast loop, with no per-event observation branches and no
     per-event allocation; otherwise the observed loop, which executes each
@@ -26,26 +26,22 @@
     Both loops pop in identical [(time, seq)]
     order, so executions are byte-identical whichever is selected.
 
-    {b Same-instant lane and run.}  An event scheduled for exactly the
-    current clock instant — a zero delay, such as a handler completion with
-    no processing time — skips the heap and joins a FIFO lane.  A future
-    event whose time is at least that of the last event appended to the
-    run joins the run, a second FIFO: a tick round scheduled in instant
-    order goes there, and so does each later round of clocks with equal
-    rates, which fires and reschedules in the same order.  An event
-    scheduled through {!schedule_arrival} never joins the run.  Every
-    other future event goes into the heap.  Both FIFOs are always
-    sorted by [(time, seq)] without any work: the clock never runs
-    backwards, run appends never go back in time, and sequence numbers
-    rise, so each new entry's key is at least the previous one's.  Every
-    extraction ({!run}'s loops and a scheduler's candidate gathering)
-    takes the least of the lane head, the run head and the heap
-    minimum, comparing the full [(time, seq)] key.  The execution order is
-    therefore exactly the order a single heap would give, also when a
-    budget or a scheduler puts an event back (it goes back into the heap
-    under its original key).  A follow-up that an action runs at once
-    after {!claim_now} said yes never enters the lane: it is counted as
-    if it had passed through it.
+    {b The run.}  An event whose time is at least that of the last event
+    appended to the run joins the run, a FIFO: a tick round scheduled in
+    instant order goes there, and so does each later round of clocks with
+    equal rates, which fires and reschedules in the same order.  An event
+    scheduled through {!schedule_arrival} joins the run only when it is
+    due at the current instant.  Every other event goes into the heap.
+    The run is always sorted by [(time, seq)] without any work: appends
+    never go back in time and sequence numbers rise, so each new entry's
+    key is at least the previous one's.  Every extraction ({!run}'s loops
+    and a scheduler's candidate gathering) takes the lesser of the run
+    head and the heap minimum, comparing the full [(time, seq)] key.  The
+    execution order is therefore exactly the order a single heap would
+    give, also when a budget or a scheduler puts an event back (it goes
+    back into the heap under its original key).  A follow-up that an
+    action runs at once after {!claim_now} said yes never enters the run
+    or the heap: it is counted as if it had been scheduled and popped.
 
     {b Budgets.}  Each pop of either loop and each {!claim_now} first
     compares {!executed_events} with one integer gate, set so that below
@@ -162,7 +158,7 @@ val create :
 
     {b Reuse.}  [create ~reuse:e] resets [e] in place and returns it, so a
     harness running many executions of one size builds its engine once.
-    [e] keeps the capacity of its event arena, heap, lane and run — the
+    [e] keeps the capacity of its event arena, heap and run — the
     memory of its largest run so far — and loses everything else:
     the clock, the sequence numbers and the {!counters} go back to 0,
     every pending event is dropped without running, and the hooks,
@@ -206,10 +202,11 @@ val schedule_arrival :
   t -> tag:int -> footprint:int -> times:float array -> int ->
   (unit -> unit) -> unit
 (** {!schedule_from} for an event at a random instant, such as a message
-    arrival: the event joins the same-instant lane or the heap, never the
-    run, so it cannot move the run's tail past the instant of a tick round
-    still being scheduled.  Where an event waits changes no execution:
-    every pop merges the three on the full [(time, seq)] key. *)
+    arrival: a future event joins the heap, never the run, so it cannot
+    move the run's tail past the instant of a tick round still being
+    scheduled; one due at the current instant may join the run.  Where an
+    event waits changes no execution: every pop merges the two on the
+    full [(time, seq)] key. *)
 
 val claim_now : t -> bool
 (** [claim_now t], called by an executing action as its {e last} step,
@@ -262,9 +259,9 @@ type counters = {
   wall_time : float;
       (** host wall-clock seconds accumulated inside {!run} calls *)
   heap_inserts : int;
-      (** events put into the heap: futures that could not join the
-          same-instant lane or the run, and events a budget or a
-          scheduler put back *)
+      (** events put into the heap: those that could not join the run,
+          events due at the current instant included, and events a budget
+          or a scheduler put back *)
 }
 
 val counters : t -> counters

@@ -1,51 +1,36 @@
 module Make (A : Sync_alg.S) = struct
+  module Exec = Abe_net.Lockstep.Make (A)
+
   type run = {
     states : A.state array;
-    pulses : int;
     payload_messages : int;
-    payload_per_pulse : int list;
   }
 
   let run ~seed ~topology ~pulses =
     if pulses < 1 then invalid_arg "Reference.run: pulses must be >= 1";
     let open Abe_net in
-    let n = Topology.node_count topology in
-    let master = Abe_prob.Rng.create ~seed in
-    let rngs = Array.init n (fun _ -> Abe_prob.Rng.split master) in
-    let states =
-      Array.init n (fun node ->
-          A.init ~node ~n ~out_degree:(Topology.out_degree topology node)
-            ~rng:rngs.(node))
+    let out_degree node = Topology.out_degree topology node in
+    let step ctx ~pulse state inbox =
+      let node = ctx.Exec.node in
+      let state, sends =
+        A.pulse ~node ~pulse ~out_degree:(out_degree node) state ~inbox
+      in
+      List.iter (fun (link, message) -> ctx.Exec.send link message) sends;
+      state
     in
-    (* inboxes.(v): messages delivered to v at the next pulse (reversed). *)
-    let inboxes = Array.make n [] in
-    let total = ref 0 in
-    let per_pulse = ref [] in
-    for pulse = 1 to pulses do
-      let deliveries = Array.map List.rev inboxes in
-      Array.fill inboxes 0 n [];
-      let this_pulse = ref 0 in
-      for node = 0 to n - 1 do
-        let out = Topology.out_links topology node in
-        let state', sends =
-          A.pulse ~node ~pulse ~out_degree:(Array.length out) states.(node)
-            ~inbox:deliveries.(node)
-        in
-        states.(node) <- state';
-        List.iter
-          (fun (link_index, message) ->
-             if link_index < 0 || link_index >= Array.length out then
-               invalid_arg "Reference.run: algorithm used an invalid link index";
-             let dst = out.(link_index).Topology.dst in
-             inboxes.(dst) <- message :: inboxes.(dst);
-             incr this_pulse;
-             incr total)
-          sends
-      done;
-      per_pulse := !this_pulse :: !per_pulse
-    done;
-    { states;
-      pulses;
-      payload_messages = !total;
-      payload_per_pulse = List.rev !per_pulse }
+    (* Pulse 1 has an empty inbox, so it runs inside [init]; round r is
+       pulse r + 1. *)
+    let init ctx =
+      let node = ctx.Exec.node in
+      let state =
+        A.init ~node ~n:(Topology.node_count topology)
+          ~out_degree:(out_degree node) ~rng:ctx.Exec.rng
+      in
+      step ctx ~pulse:1 state []
+    in
+    let on_round ctx = step ctx ~pulse:(ctx.Exec.round () + 1) in
+    let r =
+      Exec.run ~max_rounds:(pulses - 1) ~seed ~topology { init; on_round }
+    in
+    { states = r.Exec.states; payload_messages = r.Exec.messages }
 end

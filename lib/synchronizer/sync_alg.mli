@@ -26,7 +26,13 @@ module type S = sig
     state * (int * message) list
   (** One pulse: consume last pulse's arrivals, return the new state and the
       messages to send as [(out_link_index, message)] pairs.  Pulses are
-      numbered from 1; pulse 1 has an empty inbox. *)
+      numbered from 1; pulse 1 has an empty inbox.
+
+      Once a pulse ends with no message in flight, later pulses must change
+      no state: {!Reference} ends its run there.  {!Bfs} meets this because
+      a node relays in the pulse that labels it, so a quiet network has no
+      labelled node left to relay; {!Flood_max} sends on every pulse and
+      is never quiet. *)
 
   val pp_state : Format.formatter -> state -> unit
   val pp_message : Format.formatter -> message -> unit

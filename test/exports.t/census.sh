@@ -11,8 +11,9 @@
 # ([Abe_net.Topology.create]) and for the module behind every alias it
 # names ([module Net = Network.Make (P)], then [Net.create]); a file that
 # opens [M] ([open], [let open], [M.( )]) uses every name it contains.
-# Values declared inside a [module type] are requirements on a functor's
-# argument, not exports, and are left out.  It prints the values the first
+# Values declared inside a [module type], or inside a functor argument's
+# inline signature ([module Make (P : sig ... end)]), are requirements on a
+# functor's argument, not exports, and are left out.  It prints the values the first
 # pass did not, marked [(qualified)].
 #
 # Usage: census.sh [ROOT]   (ROOT defaults to the current directory)
@@ -82,9 +83,11 @@ while read -r f; do
         if (ms[a] != "") for (w = 1; w <= nw; w++) print f, ms[a], ws[w] } }'
 done < "$tmp/sources" | sort -u > "$tmp/qualified"
 
-# Exported values, without those inside a [module type].
+# Exported values, without those inside a [module type] or a functor
+# argument's signature (rewritten to a [module type] first).
 for mli in lib/*/*.mli; do
   strip "$mli" | awk -v mli="$mli" '{
+    gsub(/\( *[A-Z][A-Za-z0-9_]* *: *sig/, "( module type sig")
     n = split($0, tok, /[^A-Za-z0-9_]+/); depth = 0; in_type = 0
     for (i = 1; i <= n; i++) {
       t = tok[i]

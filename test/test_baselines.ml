@@ -124,11 +124,11 @@ let test_outcome_lines_pinned () =
   List.iter
     (fun n ->
        for seed = 1 to 20 do
+         let line ~phases = Fmt.str "%a" (Sync_baseline.pp_outcome ~phases) in
          Printf.bprintf b "%s\n%s\n%s\n"
-           (Fmt.str "%a" Itai_rodeh.pp_outcome (Itai_rodeh.run ~seed ~n ()))
-           (Fmt.str "%a" Chang_roberts.pp_outcome (Chang_roberts.run ~seed ~n ()))
-           (Fmt.str "%a" Dolev_klawe_rodeh.pp_outcome
-              (Dolev_klawe_rodeh.run ~seed ~n ()))
+           (line ~phases:true (Itai_rodeh.run ~seed ~n ()))
+           (line ~phases:false (Chang_roberts.run ~seed ~n ()))
+           (line ~phases:true (Dolev_klawe_rodeh.run ~seed ~n ()))
        done)
     [ 2; 3; 4; 5; 8; 13; 16; 32; 64 ];
   Alcotest.(check string) "md5" "f2249c43cf91fd2225e91c675991d643"
@@ -187,6 +187,72 @@ let prop_dkr_unique =
        let o = Dolev_klawe_rodeh.run ~seed ~n () in
        o.Dolev_klawe_rodeh.elected && o.Dolev_klawe_rodeh.leader_count = 1)
 
+(* Pure-transition unit tests for the baseline cores. *)
+
+let test_cr_transition () =
+  let open Chang_roberts in
+  (match transition (Contending { id = 5 }) 5 with
+   | Leader { id = 5 }, Win -> ()
+   | _ -> Alcotest.fail "own id should win");
+  (match transition (Contending { id = 5 }) 9 with
+   | Relaying { id = 5 }, Forward -> ()
+   | _ -> Alcotest.fail "bigger id should beat");
+  (match transition (Contending { id = 5 }) 3 with
+   | Contending { id = 5 }, Drop -> ()
+   | _ -> Alcotest.fail "smaller id should be dropped");
+  (match transition (Relaying { id = 5 }) 9 with
+   | Relaying _, Forward -> ()
+   | _ -> Alcotest.fail "relays forward bigger ids");
+  match transition (Leader { id = 5 }) 9 with
+  | Leader _, Drop -> ()
+  | _ -> Alcotest.fail "leader drops everything"
+
+let test_ir_transition () =
+  let open Itai_rodeh in
+  let fresh_id () = 7 in
+  let n = 6 in
+  (* Own unbeaten token returns: leader. *)
+  (match
+     transition ~n ~fresh_id
+       (Active { phase = 2; id = 3 })
+       { phase = 2; id = 3; hop = n; bit = true }
+   with
+   | Leader { phase = 2 }, Won -> ()
+   | _ -> Alcotest.fail "expected win");
+  (* Own token returns flagged: next phase with a fresh identifier. *)
+  (match
+     transition ~n ~fresh_id
+       (Active { phase = 2; id = 3 })
+       { phase = 2; id = 3; hop = n; bit = false }
+   with
+   | Active { phase = 3; id = 7 }, Launch { phase = 3; id = 7; hop = 1; bit = true }
+     -> ()
+   | _ -> Alcotest.fail "expected next phase");
+  (* Tie with another active node, mid-ring: flag and relay. *)
+  (match
+     transition ~n ~fresh_id
+       (Active { phase = 2; id = 3 })
+       { phase = 2; id = 3; hop = 2; bit = true }
+   with
+   | Active _, Relay { bit = false; hop = 3; _ } -> ()
+   | _ -> Alcotest.fail "expected flagged relay");
+  (* Beaten by a lexicographically larger token. *)
+  (match
+     transition ~n ~fresh_id
+       (Active { phase = 2; id = 3 })
+       { phase = 2; id = 5; hop = 1; bit = true }
+   with
+   | Passive, Relay { hop = 2; _ } -> ()
+   | _ -> Alcotest.fail "expected knock-out");
+  (* Stale token purged. *)
+  match
+    transition ~n ~fresh_id
+      (Active { phase = 2; id = 3 })
+      { phase = 1; id = 5; hop = 1; bit = true }
+  with
+  | Active _, Discard -> ()
+  | _ -> Alcotest.fail "expected purge"
+
 let () =
   Alcotest.run "baselines"
     [ ( "itai-rodeh",
@@ -214,6 +280,9 @@ let () =
       ( "async-adapters",
         [ Alcotest.test_case "IR on ABE with FIFO" `Quick
             test_async_ir_elects_with_fifo ] );
+      ( "pure transitions",
+        [ Alcotest.test_case "chang-roberts" `Quick test_cr_transition;
+          Alcotest.test_case "itai-rodeh" `Quick test_ir_transition ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_ir_unique_leader; prop_cr_leader_position; prop_dkr_unique ] ) ]

@@ -278,9 +278,9 @@ let prop_many_events_ordered =
        executed = List.sort Float.compare delays)
 
 let test_now_event_after_queued_peers () =
-  (* The same-instant lane: an event an action schedules at [now] joins
-     the events already queued for this instant behind them (higher seq),
-     and still runs before anything later. *)
+  (* An event an action schedules at [now] joins the events already
+     queued for this instant behind them (higher seq), and still runs
+     before anything later. *)
   let engine = Engine.create () in
   let log = ref [] in
   let record tag () = log := tag :: !log in
@@ -299,9 +299,9 @@ let test_now_event_after_queued_peers () =
 (* Random programs for the pending-order property.  Event k (in execution
    order) follows script entry k, if there is one: it schedules a round of
    children one time unit ahead (as a perfect clock's tick does: they join
-   the time-ordered run), then children at the given delays (0 lands in the
-   same-instant lane; a delay shorter than the run's tail goes to the
-   heap), and may stop the run.  A child is scheduled through
+   the time-ordered run), then children at the given delays (a delay
+   shorter than the run's tail, 0 included, goes to the heap), and may
+   stop the run.  A child is scheduled through
    [Engine.schedule] or, as a message arrival is, through
    [Engine.schedule_arrival], which never joins the run.  The reference
    keeps a plain pending list and executes its least [(time, seq)] while
@@ -454,10 +454,10 @@ let print_program prog =
                   (if e.stop then "|stop" else ""))
              prog.script)))
 
-let prop_lane_exact =
+let prop_same_instant_exact =
   QCheck.Test.make
     ~name:
-      "same-instant lane keeps (time, seq) order: run, metrics, scheduler"
+      "same-instant events stay in (time, seq) order: run, metrics, scheduler"
     ~count:300
     (QCheck.make ~print:print_program program_gen)
     (fun prog ->
@@ -840,8 +840,9 @@ let test_reuse_resets () =
 
 (* A tick round of [chains] perfect clocks over [rounds] instants: each
    tick reschedules its chain one unit ahead (the run), schedules a
-   completion at the same instant (the lane), and every third one a
-   message landing before the next round (the heap). *)
+   completion at the same instant (the run if its tail allows, else the
+   heap), and every third one a message landing before the next round (the
+   heap). *)
 let tick_rounds e ~chains ~rounds log =
   let rec tick c k () =
     log := (c, k, Engine.now e) :: !log;
@@ -857,8 +858,8 @@ let tick_rounds e ~chains ~rounds log =
   done
 
 (* An engine abandoned mid-round — an action raised with events pending in
-   the lane, the run and the heap — executes after [create ~reuse] exactly
-   what a fresh engine executes. *)
+   the run and the heap — executes after [create ~reuse] exactly what a
+   fresh engine executes. *)
 let test_reuse_abandoned_run () =
   let e = Engine.create () in
   let stale = ref [] in
@@ -983,4 +984,4 @@ let () =
       );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_many_events_ordered; prop_lane_exact; prop_claim_exact ] ) ]
+          [ prop_many_events_ordered; prop_same_instant_exact; prop_claim_exact ] ) ]

@@ -1198,9 +1198,9 @@ let test_delivered_payload_released () =
 (* ---- where events wait ---- *)
 
 (* With perfect clocks and instant processing, every tick round is
-   appended to the engine's run and every handler completion joins its
-   same-instant lane, so the only events that wait in the heap are message
-   arrivals: one heap insert per message sent, at n = 48 in the CLI's
+   appended to the engine's run and every handler completion runs inside
+   the event it completes ([Engine.claim_now]), so the only events that
+   wait in the heap are message arrivals: one heap insert per message sent, at n = 48 in the CLI's
    default regime and at n = 2000 in the token regime (δ = 0.1/n).  A
    tick round scheduled out of instant order puts ticks there too.  The
    runs end at their event budget, which puts nothing back. *)

@@ -52,8 +52,9 @@ let test_reference_bfs_on_grid () =
     r.Ref_bfs.states
 
 (* Final states and payload totals of every pulse count up to three times
-   the diameter, pinned by md5: past the diameter both algorithms have
-   settled, so longer runs must print the same states and totals. *)
+   the diameter, pinned by md5.  BFS goes quiet after at most the diameter
+   plus two pulses, so the longer runs exercise the reference's early
+   end. *)
 let test_reference_pinned () =
   let topologies =
     [ ("ring", Topology.bidirectional_ring 9);
