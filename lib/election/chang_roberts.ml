@@ -28,11 +28,10 @@ module Ring = Sync_baseline.Make (struct
 end)
 
 let run ~seed ~n () =
-  (* Drawn once [elect] has checked [n]. *)
-  let ids = lazy (Sync_baseline.identities ~seed n) in
+  let ids = Sync_baseline.identities ~seed n in
   Ring.elect ~name:"Chang_roberts" ~seed:(seed + 1) ~n
     ~init:(fun ctx ->
-      let id = (Lazy.force ids).(ctx.Ring.node) in
+      let id = ids.(ctx.Ring.node) in
       ctx.Ring.send 0 id;
       Contending { id })
     ~receive:(fun ctx st candidate ->

@@ -25,11 +25,10 @@ module Ring = Sync_baseline.Make (struct
 end)
 
 let run ~seed ~n () =
-  (* Drawn once [elect] has checked [n]. *)
-  let ids = lazy (Sync_baseline.identities ~seed n) in
+  let ids = Sync_baseline.identities ~seed n in
   Ring.elect ~name:"Dolev_klawe_rodeh" ~seed:(seed + 1) ~n
     ~init:(fun ctx ->
-      let cv = (Lazy.force ids).(ctx.Ring.node) in
+      let cv = ids.(ctx.Ring.node) in
       ctx.Ring.send 0 (First cv);
       Active { cv; phase = 1; pending = None })
     ~receive:(fun ctx st message ->

@@ -15,7 +15,7 @@ let pp_outcome ~phases ppf o =
   Fmt.pf ppf " messages=%d" o.messages
 
 let identities ~seed n =
-  let ids = Array.init n (fun i -> i + 1) in
+  let ids = Array.init (max n 0) (fun i -> i + 1) in
   Abe_prob.Rng.shuffle (Abe_prob.Rng.create ~seed) ids;
   ids
 

@@ -19,9 +19,10 @@ val pp_outcome : phases:bool -> Format.formatter -> outcome -> unit
     algorithm that has no phases. *)
 
 val identities : seed:int -> int -> int array
-(** A seed-determined random permutation of [1..n]: the unique identifiers
-    of a ring with identities.  It is global setup, not node-local
-    randomness, so it does not draw from the nodes' streams. *)
+(** A seed-determined random permutation of [1..n] (empty if [n <= 0]):
+    the unique identifiers of a ring with identities.  It is global setup,
+    not node-local randomness, so it does not draw from the nodes'
+    streams. *)
 
 module Make (P : sig
   type state

@@ -10,11 +10,9 @@
    is appended to the run, a FIFO ring of arena indices: the tick chains
    of a network are such a stream, its first round scheduled in instant
    order and every later round of equal-rate clocks rescheduled in that
-   order.  A future message arrival ([schedule_arrival]) never joins the
-   run, since its random instant would move the tail past a round still
-   being rescheduled; one due at the current instant may, as the tail
-   then stays at or before every later instant.  Every other event goes
-   into the heap.  The run needs no ordering work: run appends never go
+   order.  A message arrival ([schedule_arrival]) never joins the run,
+   since its random instant would move the tail past a round still being
+   rescheduled.  Every other event goes into the heap.  The run needs no ordering work: run appends never go
    back in time and [seq] rises, so its entries are appended in ascending
    [(time, seq)] order.  Every pop ([pop_slot], and [min_slot] for the
    scheduler's candidate grab) takes the lesser of the run head and the
@@ -343,8 +341,7 @@ let[@inline] heap_add t ~seq slot =
 
 (* Every scheduling entry point ends here.  The time is read from a flat
    array so that no float crosses a call boundary boxed.  [onto_run] is
-   false for message arrivals, which join the run only when due now (see
-   above). *)
+   false for message arrivals, which never join the run (see above). *)
 let[@inline] enqueue t ~onto_run ~tag ~footprint ~times i action =
   let time = times.(i) in
   let clock = Array.unsafe_get t.clock 0 in
@@ -372,7 +369,7 @@ let[@inline] enqueue t ~onto_run ~tag ~footprint ~times i action =
      the event fires as soon as possible instead of in the past. *)
   if due_now then Array.unsafe_set t.ev_time slot clock
   else Array.unsafe_set t.ev_time slot time;
-  if (onto_run || due_now)
+  if onto_run
   && Array.unsafe_get t.ev_time slot >= Array.unsafe_get t.run_tail 0
   then begin
     Array.unsafe_set t.run_tail 0 (Array.unsafe_get t.ev_time slot);

@@ -30,8 +30,8 @@
     appended to the run joins the run, a FIFO: a tick round scheduled in
     instant order goes there, and so does each later round of clocks with
     equal rates, which fires and reschedules in the same order.  An event
-    scheduled through {!schedule_arrival} joins the run only when it is
-    due at the current instant.  Every other event goes into the heap.
+    scheduled through {!schedule_arrival} never joins the run.  Every
+    other event goes into the heap.
     The run is always sorted by [(time, seq)] without any work: appends
     never go back in time and sequence numbers rise, so each new entry's
     key is at least the previous one's.  Every extraction ({!run}'s loops
@@ -202,11 +202,10 @@ val schedule_arrival :
   t -> tag:int -> footprint:int -> times:float array -> int ->
   (unit -> unit) -> unit
 (** {!schedule_from} for an event at a random instant, such as a message
-    arrival: a future event joins the heap, never the run, so it cannot
-    move the run's tail past the instant of a tick round still being
-    scheduled; one due at the current instant may join the run.  Where an
-    event waits changes no execution: every pop merges the two on the
-    full [(time, seq)] key. *)
+    arrival: the event joins the heap, never the run, so it cannot move
+    the run's tail past the instant of a tick round still being
+    scheduled.  Where an event waits changes no execution: every pop
+    merges the two on the full [(time, seq)] key. *)
 
 val claim_now : t -> bool
 (** [claim_now t], called by an executing action as its {e last} step,

@@ -42,6 +42,42 @@ let test_relay_advances_one_hop_per_round () =
          seen)
     r.Ring.states
 
+let test_stop_with_message_in_flight () =
+  (* The relay calls [stop] and still forwards the counter, so a message is
+     in flight when the round ends: only [stop] can end the run there. *)
+  let handlers : Ring.handlers =
+    { init =
+        (fun ctx ->
+           if ctx.Ring.node = 0 then ctx.Ring.send 0 0;
+           []);
+      on_round =
+        (fun ctx seen incoming ->
+           List.fold_left
+             (fun seen v ->
+                if v + 1 >= 12 then ctx.Ring.stop ();
+                ctx.Ring.send 0 (v + 1);
+                v :: seen)
+             seen incoming) }
+  in
+  let r = Ring.run ~seed:1 ~topology:(ring 5) handlers in
+  Alcotest.(check int) "ends at the stopping round" 12 r.Ring.rounds;
+  Alcotest.(check int) "the last send counted" 13 r.Ring.messages;
+  (* A stop in round 0 ends the run before round 1, its send undelivered. *)
+  let init_stop : Ring.handlers =
+    { init =
+        (fun ctx ->
+           if ctx.Ring.node = 0 then begin
+             ctx.Ring.send 0 0;
+             ctx.Ring.stop ()
+           end;
+           []);
+      on_round = (fun _ st incoming -> incoming @ st) }
+  in
+  let r = Ring.run ~seed:1 ~topology:(ring 3) init_stop in
+  Alcotest.(check int) "no round runs" 0 r.Ring.rounds;
+  Alcotest.(check int) "one message sent" 1 r.Ring.messages;
+  Alcotest.(check (list int)) "nothing delivered" [] r.Ring.states.(1)
+
 let test_quiescence_detected () =
   let handlers : Ring.handlers =
     { init = (fun _ -> []);
@@ -131,6 +167,8 @@ let () =
     [ ( "engine",
         [ Alcotest.test_case "relay timing" `Quick
             test_relay_advances_one_hop_per_round;
+          Alcotest.test_case "stop with a message in flight" `Quick
+            test_stop_with_message_in_flight;
           Alcotest.test_case "quiescence" `Quick test_quiescence_detected;
           Alcotest.test_case "round limit" `Quick test_round_limit;
           Alcotest.test_case "batched sends" `Quick
